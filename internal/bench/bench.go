@@ -16,6 +16,7 @@ import (
 	"urllcsim"
 	"urllcsim/internal/cell"
 	"urllcsim/internal/core"
+	"urllcsim/internal/crypto5g"
 	"urllcsim/internal/nr"
 	"urllcsim/internal/obs"
 	"urllcsim/internal/obs/flight"
@@ -105,6 +106,11 @@ func Suite() []Benchmark {
 			Name: "EngineCancelStorm",
 			Desc: "warmed sim.Engine schedule+cancel churn (HARQ/CG storm; queue stays empty)",
 			F:    engineCancelStorm,
+		},
+		{
+			Name: "PDCPKeyed",
+			Desc: "keyed NEA2+NIA2 over a 64 B PDU into a caller buffer (steady state, 0 allocs)",
+			F:    pdcpKeyed,
 		},
 		{
 			Name: "ObsRecord",
@@ -375,6 +381,24 @@ func engineCancelStorm(b *testing.B) {
 		b.Fatalf("QueueLen = %d after cancel storm, want 0", eng.QueueLen())
 	}
 	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "cancels/sec")
+}
+
+// pdcpKeyed is the per-PDU security work of one PDCP entity once its keys
+// are expanded: cipher a 64 B PDU into a caller buffer and compute its MAC-I.
+// The alloc column is the zero-alloc contract `urllc-bench -check` gates on.
+func pdcpKeyed(b *testing.B) {
+	b.ReportAllocs()
+	key, err := crypto5g.NewKey(make([]byte, crypto5g.KeySize))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pdu := make([]byte, 64)
+	out := make([]byte, len(pdu))
+	b.SetBytes(int64(len(pdu)))
+	for i := 0; i < b.N; i++ {
+		key.NEA2(uint32(i), 1, crypto5g.Uplink, out, pdu)
+		key.NIA2(uint32(i), 1, crypto5g.Uplink, out)
+	}
 }
 
 // obsRecord measures the enabled recorder hot path: the three calls model

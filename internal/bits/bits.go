@@ -7,6 +7,7 @@ package bits
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrShortBuffer is returned when a read runs past the end of the input.
@@ -20,6 +21,11 @@ type Writer struct {
 
 // NewWriter returns an empty writer.
 func NewWriter() *Writer { return &Writer{} }
+
+// NewWriterSize returns an empty writer whose buffer holds n bytes before it
+// grows. A codec that knows its encoded size passes it here, so the encode
+// allocates its output once.
+func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
 // Len returns the number of bits written.
 func (w *Writer) Len() int { return w.nbit }
@@ -66,6 +72,18 @@ func (w *Writer) WriteBytes(p []byte) {
 	}
 	w.buf = append(w.buf, p...)
 	w.nbit += 8 * len(p)
+}
+
+// WriteZeroBytes appends n zero octets. Like WriteBytes it requires the
+// writer to be byte-aligned.
+func (w *Writer) WriteZeroBytes(n int) {
+	if w.nbit%8 != 0 {
+		panic("bits: WriteZeroBytes on unaligned writer")
+	}
+	start := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:start+n]
+	clear(w.buf[start:])
+	w.nbit += 8 * n
 }
 
 // Align pads with zero bits to the next octet boundary.

@@ -63,6 +63,40 @@ func TestWriteBytesAlignment(t *testing.T) {
 	w2.WriteBytes([]byte{1})
 }
 
+// A sized writer writes the same bits as an unsized one; the size only sets
+// the starting capacity, and writing past it still grows.
+func TestNewWriterSizeMatchesNewWriter(t *testing.T) {
+	write := func(w *Writer) []byte {
+		w.WriteBit(1)
+		w.WriteBits(0x2A, 7)
+		w.WriteBytes([]byte{1, 2, 3})
+		w.WriteZeroBytes(2)
+		w.WriteBits(0x5, 3)
+		w.Align()
+		return w.Bytes()
+	}
+	want := write(NewWriter())
+	if !bytes.Equal(want, []byte{0xAA, 1, 2, 3, 0, 0, 0xA0}) {
+		t.Fatalf("unsized writer = %x", want)
+	}
+	for _, n := range []int{0, 3, 7, 64} {
+		if got := write(NewWriterSize(n)); !bytes.Equal(got, want) {
+			t.Errorf("NewWriterSize(%d) = %x, want %x", n, got, want)
+		}
+	}
+}
+
+func TestWriteZeroBytesAlignment(t *testing.T) {
+	w := NewWriter()
+	w.WriteBit(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unaligned WriteZeroBytes did not panic")
+		}
+	}()
+	w.WriteZeroBytes(1)
+}
+
 func TestAlign(t *testing.T) {
 	w := NewWriter()
 	w.WriteBits(0b11, 2)

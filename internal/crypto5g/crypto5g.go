@@ -5,13 +5,19 @@
 //
 // The CMAC core is implemented here from first principles on top of
 // crypto/aes — the standard library has no CMAC — and is validated against
-// the RFC 4493 test vectors in the package tests.
+// the RFC 4493 and TS 33.401 Annex C test vectors in the package tests.
+//
+// A Key holds the expanded AES key and the CMAC subkeys of one 128-bit key,
+// so a PDCP entity pays the key schedule once and every NEA2/NIA2 call after
+// that allocates nothing. The package-level functions are one-shot wrappers
+// that build a Key per call.
 package crypto5g
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -29,110 +35,133 @@ const KeySize = 16
 // MACSize is the size of the PDCP MAC-I in bytes.
 const MACSize = 4
 
-// iv128 builds the 128-bit COUNT‖BEARER‖DIRECTION‖0²⁶ block that both
-// algorithms prepend (TS 33.401 B.1.3/B.2.3). For NEA2 it is the initial
-// counter block (low 64 bits are the block counter, starting at zero); for
-// NIA2 it is the first message block.
-func iv128(count uint32, bearer byte, dir Direction) [16]byte {
-	var iv [16]byte
-	iv[0] = byte(count >> 24)
-	iv[1] = byte(count >> 16)
-	iv[2] = byte(count >> 8)
-	iv[3] = byte(count)
-	iv[4] = (bearer&0x1F)<<3 | (byte(dir)&1)<<2
-	return iv
+// Key is one expanded 128-bit NEA2/NIA2 key. Its methods reuse scratch space
+// inside the struct, so a Key must not be used by two goroutines at once.
+type Key struct {
+	block   cipher.Block
+	k1, k2  [16]byte // CMAC subkeys (RFC 4493 §2.3)
+	ctr     [16]byte // NEA2 counter block
+	scratch [16]byte // NEA2 keystream block, or the CMAC chaining value
 }
 
-// NEA2 enciphers (or deciphers — CTR is an involution) data in place-free
-// fashion, returning a new slice. count is the PDCP COUNT, bearer the 5-bit
-// bearer identity.
-func NEA2(key []byte, count uint32, bearer byte, dir Direction, data []byte) ([]byte, error) {
+// NewKey expands a 16-byte key and derives its CMAC subkeys.
+func NewKey(key []byte) (*Key, error) {
 	if len(key) != KeySize {
-		return nil, fmt.Errorf("crypto5g: NEA2 key must be %d bytes, got %d", KeySize, len(key))
+		return nil, fmt.Errorf("crypto5g: key must be %d bytes, got %d", KeySize, len(key))
 	}
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
 	}
-	iv := iv128(count, bearer, dir)
+	k := &Key{block: block}
+	block.Encrypt(k.k1[:], k.k1[:])
+	k.k1 = gfDouble(k.k1)
+	k.k2 = gfDouble(k.k1)
+	return k, nil
+}
+
+// header builds the 64-bit COUNT‖BEARER‖DIRECTION‖0²⁶ value both algorithms
+// start from (TS 33.401 B.1.3/B.2.3). NEA2 uses it as the high half of the
+// initial counter block; NIA2 prepends it to the message.
+func header(count uint32, bearer byte, dir Direction) [8]byte {
+	var h [8]byte
+	binary.BigEndian.PutUint32(h[:], count)
+	h[4] = (bearer&0x1F)<<3 | (byte(dir)&1)<<2
+	return h
+}
+
+// NEA2 XORs the 128-NEA2 keystream for (count, bearer, dir) over src into
+// dst, which must be at least len(src) long. dst and src may be the same
+// slice: CTR is an involution, so the same call enciphers and deciphers.
+func (k *Key) NEA2(count uint32, bearer byte, dir Direction, dst, src []byte) {
+	h := header(count, bearer, dir)
+	copy(k.ctr[:8], h[:])
+	for i := 0; len(src) > 0; i++ {
+		binary.BigEndian.PutUint64(k.ctr[8:], uint64(i))
+		k.block.Encrypt(k.scratch[:], k.ctr[:])
+		n := subtle.XORBytes(dst, src, k.scratch[:])
+		dst, src = dst[n:], src[n:]
+	}
+}
+
+// NIA2 computes the 32-bit 128-NIA2 MAC-I of msg: the leading bytes of the
+// CMAC over the 64-bit header followed by msg.
+func (k *Key) NIA2(count uint32, bearer byte, dir Direction, msg []byte) [MACSize]byte {
+	h := header(count, bearer, dir)
+	k.cmac(h[:], msg)
+	return [MACSize]byte(k.scratch[:MACSize])
+}
+
+// cmac computes the AES-CMAC of prefix‖msg into k.scratch without
+// concatenating them. prefix must be shorter than one block.
+func (k *Key) cmac(prefix, msg []byte) {
+	x := &k.scratch
+	*x = [16]byte{}
+	total := len(prefix) + len(msg)
+	n := max((total+15)/16, 1)
+	for i := 0; i < n-1; i++ {
+		absorb(x, prefix, msg, 16*i, 16)
+		k.block.Encrypt(x[:], x[:])
+	}
+	rem := total - 16*(n-1)
+	absorb(x, prefix, msg, 16*(n-1), rem)
+	if total > 0 && rem == 16 {
+		xor16(x, &k.k1)
+	} else {
+		x[rem] ^= 0x80
+		xor16(x, &k.k2)
+	}
+	k.block.Encrypt(x[:], x[:])
+}
+
+// absorb XORs the n bytes of prefix‖msg starting at off into x.
+func absorb(x *[16]byte, prefix, msg []byte, off, n int) {
+	dst := x[:n]
+	if off < len(prefix) {
+		m := subtle.XORBytes(dst, dst, prefix[off:])
+		dst, off = dst[m:], off+m
+	}
+	if len(dst) > 0 {
+		off -= len(prefix)
+		subtle.XORBytes(dst, dst, msg[off:off+len(dst)])
+	}
+}
+
+// NEA2 enciphers (or deciphers — CTR is an involution) data into a new
+// slice. count is the PDCP COUNT, bearer the 5-bit bearer identity.
+func NEA2(key []byte, count uint32, bearer byte, dir Direction, data []byte) ([]byte, error) {
+	k, err := NewKey(key)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]byte, len(data))
-	cipher.NewCTR(block, iv[:]).XORKeyStream(out, data)
+	k.NEA2(count, bearer, dir, out, data)
 	return out, nil
 }
 
 // NIA2 computes the 32-bit MAC-I over message with the given parameters.
 func NIA2(key []byte, count uint32, bearer byte, dir Direction, message []byte) ([MACSize]byte, error) {
-	var mac [MACSize]byte
-	if len(key) != KeySize {
-		return mac, fmt.Errorf("crypto5g: NIA2 key must be %d bytes, got %d", KeySize, len(key))
-	}
-	iv := iv128(count, bearer, dir)
-	m := make([]byte, 0, len(iv)+len(message))
-	m = append(m, iv[:]...)
-	m = append(m, message...)
-	full, err := CMAC(key, m)
+	k, err := NewKey(key)
 	if err != nil {
-		return mac, err
+		return [MACSize]byte{}, err
 	}
-	copy(mac[:], full[:MACSize])
-	return mac, nil
+	return k.NIA2(count, bearer, dir, message), nil
 }
 
 // VerifyNIA2 recomputes the MAC-I and compares in constant time.
 func VerifyNIA2(key []byte, count uint32, bearer byte, dir Direction, message []byte, mac [MACSize]byte) bool {
 	want, err := NIA2(key, count, bearer, dir, message)
-	if err != nil {
-		return false
-	}
-	return subtle.ConstantTimeCompare(want[:], mac[:]) == 1
+	return err == nil && subtle.ConstantTimeCompare(want[:], mac[:]) == 1
 }
 
 // CMAC computes the full 16-byte AES-128-CMAC of message (RFC 4493).
 func CMAC(key, message []byte) ([16]byte, error) {
-	var out [16]byte
-	block, err := aes.NewCipher(key)
+	k, err := NewKey(key)
 	if err != nil {
-		return out, err
+		return [16]byte{}, err
 	}
-	k1, k2 := cmacSubkeys(block)
-
-	n := (len(message) + 15) / 16
-	complete := n > 0 && len(message)%16 == 0
-	if n == 0 {
-		n = 1
-	}
-
-	var last [16]byte
-	if complete {
-		copy(last[:], message[(n-1)*16:])
-		xor16(&last, &k1)
-	} else {
-		rem := message[(n-1)*16:]
-		copy(last[:], rem)
-		last[len(rem)] = 0x80
-		xor16(&last, &k2)
-	}
-
-	var x [16]byte
-	for i := 0; i < n-1; i++ {
-		var m [16]byte
-		copy(m[:], message[i*16:(i+1)*16])
-		xor16(&x, &m)
-		block.Encrypt(x[:], x[:])
-	}
-	xor16(&x, &last)
-	block.Encrypt(out[:], x[:])
-	return out, nil
-}
-
-// cmacSubkeys derives K1 and K2 per RFC 4493 §2.3: encrypt the zero block,
-// then double in GF(2^128) with the 0x87 reduction constant.
-func cmacSubkeys(block cipher.Block) (k1, k2 [16]byte) {
-	var l [16]byte
-	block.Encrypt(l[:], l[:])
-	k1 = gfDouble(l)
-	k2 = gfDouble(k1)
-	return
+	k.cmac(nil, message)
+	return k.scratch, nil
 }
 
 // gfDouble doubles a 128-bit value in GF(2^128) (left shift, conditional

@@ -2,7 +2,11 @@ package crypto5g
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/hex"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -204,6 +208,7 @@ func TestPropertyNIA2NoTrivialCollisions(t *testing.T) {
 func BenchmarkNEA2_1500B(b *testing.B) {
 	key := make([]byte, 16)
 	data := make([]byte, 1500)
+	b.ReportAllocs()
 	b.SetBytes(1500)
 	for i := 0; i < b.N; i++ {
 		NEA2(key, uint32(i), 1, Uplink, data)
@@ -213,8 +218,187 @@ func BenchmarkNEA2_1500B(b *testing.B) {
 func BenchmarkNIA2_1500B(b *testing.B) {
 	key := make([]byte, 16)
 	data := make([]byte, 1500)
+	b.ReportAllocs()
 	b.SetBytes(1500)
 	for i := 0; i < b.N; i++ {
 		NIA2(key, uint32(i), 1, Uplink, data)
+	}
+}
+
+// TS 33.401 Annex C.2.1, 128-NEA2 test set 1: 253 bits, so the last three
+// bits of the final octet are outside the message and masked off.
+func TestNEA2TS33401TestSet1(t *testing.T) {
+	key := unhex(t, "d3c5d592327fb11c4035c6680af8c6d1")
+	plain := unhex(t, "981ba6824c1bfb1ab485472029b71d808ce33e2cc3c0b5fc1f3de8a6dc66b1f0")
+	want := unhex(t, "e9fed8a63d155304d71df20bf3e82214b20ed7dad2f233dc3c22d7bdeeed8e78")
+	got, err := NEA2(key, 0x398a59b4, 0x15, Downlink, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[31] &^= 0x07
+	want[31] &^= 0x07
+	if !bytes.Equal(got, want) {
+		t.Fatalf("NEA2 test set 1 = %x, want %x", got, want)
+	}
+}
+
+// TS 33.401 Annex C.2.2, 128-NIA2 test set 1. The CMAC input starts with the
+// 64-bit COUNT‖BEARER‖DIRECTION‖0²⁶ of B.2.3, not the 128-bit NEA2 counter
+// block: prefixing 16 bytes gives a1e25949 instead of b93787e6.
+func TestNIA2TS33401TestSet1(t *testing.T) {
+	key := unhex(t, "d3c5d592327fb11c4035c6680af8c6d1")
+	msg := unhex(t, "484583d5afe082ae")
+	got, err := NIA2(key, 0x398a59b4, 0x1a, Downlink, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := unhex(t, "b93787e6"); !bytes.Equal(got[:], want) {
+		t.Fatalf("NIA2 test set 1 = %x, want %x", got, want)
+	}
+}
+
+// refNEA2 and refNIA2 are straightforward one-shot implementations — a fresh
+// key schedule, cipher.NewCTR, and a CMAC over the concatenated input — that
+// the keyed methods must match byte for byte.
+func refNEA2(key []byte, count uint32, bearer byte, dir Direction, data []byte) []byte {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		panic(err)
+	}
+	var iv [16]byte
+	h := header(count, bearer, dir)
+	copy(iv[:], h[:])
+	out := make([]byte, len(data))
+	cipher.NewCTR(block, iv[:]).XORKeyStream(out, data)
+	return out
+}
+
+func refNIA2(key []byte, count uint32, bearer byte, dir Direction, msg []byte) [MACSize]byte {
+	h := header(count, bearer, dir)
+	full := refCMAC(key, append(h[:], msg...))
+	return [MACSize]byte(full[:MACSize])
+}
+
+func refCMAC(key, m []byte) [16]byte {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		panic(err)
+	}
+	var l [16]byte
+	block.Encrypt(l[:], l[:])
+	k1 := gfDouble(l)
+	k2 := gfDouble(k1)
+	n := (len(m) + 15) / 16
+	var last [16]byte
+	if n > 0 && len(m)%16 == 0 {
+		copy(last[:], m[(n-1)*16:])
+		xor16(&last, &k1)
+	} else {
+		n = max(n, 1)
+		rem := m[(n-1)*16:]
+		copy(last[:], rem)
+		last[len(rem)] = 0x80
+		xor16(&last, &k2)
+	}
+	var x [16]byte
+	for i := 0; i < n-1; i++ {
+		xor16(&x, (*[16]byte)(m[i*16:]))
+		block.Encrypt(x[:], x[:])
+	}
+	xor16(&x, &last)
+	block.Encrypt(x[:], x[:])
+	return x
+}
+
+// keyedCase is one random input of the differential test: a key, COUNT,
+// 5-bit bearer, direction and a message of 0–100 bytes, with lengths that
+// end on a block boundary (CMAC's K1 branch) drawn as often as the rest.
+type keyedCase struct {
+	Key    [KeySize]byte
+	Count  uint32
+	Bearer byte
+	Dir    Direction
+	Msg    []byte
+}
+
+func (keyedCase) Generate(r *rand.Rand, _ int) reflect.Value {
+	var c keyedCase
+	r.Read(c.Key[:])
+	c.Count = r.Uint32()
+	c.Bearer = byte(r.Intn(32))
+	c.Dir = Direction(r.Intn(2))
+	n := r.Intn(101)
+	if r.Intn(2) == 0 {
+		// A multiple of 8: n%16 == 0 fills CMAC's last block exactly, and
+		// n%16 == 8 does the same for NIA2's 8-byte header plus n.
+		n = 8 * r.Intn(13)
+	}
+	c.Msg = make([]byte, n)
+	r.Read(c.Msg)
+	return reflect.ValueOf(c)
+}
+
+// Property: the keyed methods agree with the one-shot reference on every
+// input, and a Key reused across inputs carries no state from one call to
+// the next.
+func TestPropertyKeyedMatchesReference(t *testing.T) {
+	f := func(c keyedCase) bool {
+		k, err := NewKey(c.Key[:])
+		if err != nil {
+			return false
+		}
+		for range 2 {
+			ct := make([]byte, len(c.Msg))
+			k.NEA2(c.Count, c.Bearer, c.Dir, ct, c.Msg)
+			if !bytes.Equal(ct, refNEA2(c.Key[:], c.Count, c.Bearer, c.Dir, c.Msg)) {
+				return false
+			}
+			if k.NIA2(c.Count, c.Bearer, c.Dir, c.Msg) != refNIA2(c.Key[:], c.Count, c.Bearer, c.Dir, c.Msg) {
+				return false
+			}
+			full, _ := CMAC(c.Key[:], c.Msg)
+			if full != refCMAC(c.Key[:], c.Msg) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// NEA2 into the source buffer itself (in place) equals NEA2 into a fresh one.
+func TestKeyNEA2InPlace(t *testing.T) {
+	k, err := NewKey(make([]byte, KeySize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := bytes.Repeat([]byte("in place "), 7)
+	want := make([]byte, len(msg))
+	k.NEA2(9, 3, Uplink, want, msg)
+	k.NEA2(9, 3, Uplink, msg, msg)
+	if !bytes.Equal(msg, want) {
+		t.Fatalf("in-place NEA2 = %x, want %x", msg, want)
+	}
+}
+
+// The keyed hot path allocates nothing once the Key exists.
+func TestKeyZeroAlloc(t *testing.T) {
+	k, err := NewKey(bytes.Repeat([]byte{0x5A}, KeySize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := make([]byte, 64)
+	dst := make([]byte, len(msg))
+	if n := testing.AllocsPerRun(100, func() {
+		k.NIA2(1, 2, Uplink, msg)
+	}); n != 0 {
+		t.Errorf("Key.NIA2: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		k.NEA2(1, 2, Uplink, dst, msg)
+	}); n != 0 {
+		t.Errorf("Key.NEA2: %v allocs/op, want 0", n)
 	}
 }

@@ -42,7 +42,7 @@ func (s MACSubPDU) EncodedSize() int {
 // EncodeMACPDU renders a MAC PDU of subPDUs, padding with an explicit
 // padding subPDU up to tbBytes when tbBytes > 0.
 func EncodeMACPDU(subs []MACSubPDU, tbBytes int) ([]byte, error) {
-	w := bits.NewWriter()
+	w := bits.NewWriterSize(max(tbBytes, 0))
 	used := 0
 	for _, s := range subs {
 		if s.LCID == LCIDPadding {
@@ -81,7 +81,7 @@ func EncodeMACPDU(subs []MACSubPDU, tbBytes int) ([]byte, error) {
 		if pad := tbBytes - used; pad > 0 {
 			w.WriteBits(0, 2)
 			w.WriteBits(uint64(LCIDPadding), 6)
-			w.WriteBytes(make([]byte, pad-1))
+			w.WriteZeroBytes(pad - 1)
 		}
 	}
 	return w.Bytes(), nil

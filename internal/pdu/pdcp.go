@@ -50,7 +50,7 @@ func (p PDCPDataPDU) Encode() ([]byte, error) {
 	if p.MACI != nil && len(p.MACI) != 4 {
 		return nil, fmt.Errorf("pdu: MAC-I must be 4 bytes, got %d", len(p.MACI))
 	}
-	w := bits.NewWriter()
+	w := bits.NewWriterSize(p.SNBits.HeaderBytes() + len(p.Payload) + len(p.MACI))
 	w.WriteBit(1) // D/C = data
 	if p.SNBits == PDCPSN12 {
 		w.WriteBits(0, 3) // R

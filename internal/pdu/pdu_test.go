@@ -2,6 +2,7 @@ package pdu
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -159,21 +160,28 @@ func TestRLCReassembleOutOfOrder(t *testing.T) {
 	}
 }
 
+// Missing segments are reported as ErrIncompleteSDU, which a receiver keeps
+// buffering on; an inconsistency such as overlap is any other error, which it
+// drops on.
 func TestRLCReassembleErrors(t *testing.T) {
 	sdu := make([]byte, 100)
 	pdus, _ := SegmentSDU(sdu, 1, 40)
-	if _, err := ReassembleSDU(pdus[:len(pdus)-1]); err == nil {
-		t.Fatal("missing last segment accepted")
-	}
-	if _, err := ReassembleSDU(pdus[1:]); err == nil {
-		t.Fatal("missing first segment accepted")
+	for name, segs := range map[string][]RLCUMPDU{
+		"missing last":   pdus[:len(pdus)-1],
+		"missing first":  pdus[1:],
+		"missing middle": {pdus[0], pdus[2]},
+	} {
+		if _, err := ReassembleSDU(segs); !errors.Is(err, ErrIncompleteSDU) {
+			t.Errorf("%s: err = %v, want ErrIncompleteSDU", name, err)
+		}
 	}
 	if _, err := ReassembleSDU(nil); err == nil {
 		t.Fatal("no segments accepted")
 	}
-	dup := append([]RLCUMPDU{pdus[1]}, pdus...)
-	if _, err := ReassembleSDU(dup); err == nil {
-		t.Fatal("overlapping segments accepted")
+	shifted := pdus[1]
+	shifted.SO -= 5 // same byte count, but overlapping the first segment
+	if _, err := ReassembleSDU([]RLCUMPDU{pdus[0], shifted, pdus[2]}); err == nil || errors.Is(err, ErrIncompleteSDU) {
+		t.Fatalf("overlapping segments: err = %v, want a non-incomplete error", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pdu
 
 import (
+	"errors"
 	"fmt"
 
 	"urllcsim/internal/bits"
@@ -49,7 +50,7 @@ func (p RLCUMPDU) Encode() ([]byte, error) {
 	if len(p.Payload) == 0 {
 		return nil, fmt.Errorf("pdu: RLC PDU without payload")
 	}
-	w := bits.NewWriter()
+	w := bits.NewWriterSize(p.HeaderBytes() + len(p.Payload))
 	w.WriteBits(uint64(p.SI), 2)
 	switch p.SI {
 	case SIFull:
@@ -147,8 +148,14 @@ func SegmentSDU(sdu []byte, sn byte, maxPDU int) ([]RLCUMPDU, error) {
 	return out, nil
 }
 
+// ErrIncompleteSDU marks a reassembly that lacks segments the SDU still
+// needs: the receiver keeps buffering instead of dropping. Test for it with
+// errors.Is; the message around it is free text.
+var ErrIncompleteSDU = errors.New("pdu: incomplete SDU")
+
 // ReassembleSDU inverts SegmentSDU given all segments of one SN (any order).
-// It verifies contiguity and returns the SDU.
+// It verifies contiguity and returns the SDU. While segments are missing the
+// error wraps ErrIncompleteSDU; any other error is an inconsistency.
 func ReassembleSDU(segs []RLCUMPDU) ([]byte, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("pdu: no segments")
@@ -168,10 +175,10 @@ func ReassembleSDU(segs []RLCUMPDU) ([]byte, error) {
 		}
 	}
 	if last == nil {
-		return nil, fmt.Errorf("pdu: last segment missing")
+		return nil, fmt.Errorf("%w: last segment missing", ErrIncompleteSDU)
 	}
 	if want := int(last.SO) + len(last.Payload); want != total {
-		return nil, fmt.Errorf("pdu: segments cover %dB, last ends at %dB", total, want)
+		return nil, fmt.Errorf("%w: segments cover %dB, last ends at %dB", ErrIncompleteSDU, total, want)
 	}
 	out := make([]byte, total)
 	seen := make([]bool, total)
@@ -193,7 +200,7 @@ func ReassembleSDU(segs []RLCUMPDU) ([]byte, error) {
 	}
 	for j, s := range seen {
 		if !s {
-			return nil, fmt.Errorf("pdu: gap at byte %d", j)
+			return nil, fmt.Errorf("%w: gap at byte %d", ErrIncompleteSDU, j)
 		}
 	}
 	return out, nil

@@ -30,7 +30,7 @@ type SDAPHeader struct {
 
 // Encode renders the header octet followed by the payload.
 func (h SDAPHeader) Encode(payload []byte) []byte {
-	w := bits.NewWriter()
+	w := bits.NewWriterSize(1 + len(payload))
 	if h.Downlink {
 		w.WriteBool(h.RDI)
 		w.WriteBool(h.RQI)

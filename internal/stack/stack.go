@@ -11,8 +11,9 @@
 package stack
 
 import (
+	"crypto/subtle"
+	"errors"
 	"fmt"
-	"strings"
 
 	"urllcsim/internal/crypto5g"
 	"urllcsim/internal/pdu"
@@ -45,6 +46,11 @@ func (s *SDAP) Decap(buf []byte) ([]byte, error) {
 // PDCP is one direction of a PDCP entity: COUNT maintenance, ciphering and
 // integrity. A DRB uses one TX entity on the sender and one RX entity on
 // the receiver, sharing keys and bearer identity.
+//
+// The first Protect or Unprotect expands CipherKey and IntegKey into keyed
+// contexts that every later call reuses, so the keys are fixed from then
+// on: changing the fields afterwards has no effect. The contexts hold
+// scratch space, so an entity must not be used by two goroutines at once.
 type PDCP struct {
 	SNBits    pdu.PDCPSNBits
 	Bearer    byte
@@ -52,60 +58,83 @@ type PDCP struct {
 	CipherKey []byte // 16 bytes; nil disables ciphering
 	IntegKey  []byte // 16 bytes; nil disables integrity
 
+	cipher, integ *crypto5g.Key // expanded on first use; nil while disabled
+	keyed         bool
+
 	txNext uint32 // next COUNT to assign
 	rxNext uint32 // next expected COUNT
 }
 
+// keys expands CipherKey and IntegKey on the first call.
+func (p *PDCP) keys() error {
+	if p.keyed {
+		return nil
+	}
+	var err error
+	if p.CipherKey != nil {
+		if p.cipher, err = crypto5g.NewKey(p.CipherKey); err != nil {
+			return fmt.Errorf("stack: PDCP cipher key: %w", err)
+		}
+	}
+	if p.IntegKey != nil {
+		if p.integ, err = crypto5g.NewKey(p.IntegKey); err != nil {
+			return fmt.Errorf("stack: PDCP integrity key: %w", err)
+		}
+	}
+	p.keyed = true
+	return nil
+}
+
 // Protect turns an SDAP PDU into a PDCP Data PDU: assign SN, compute MAC-I
-// over the plaintext, cipher, encode.
+// over the plaintext, encode, and cipher the payload in the encoded buffer.
 func (p *PDCP) Protect(data []byte) ([]byte, error) {
+	if err := p.keys(); err != nil {
+		return nil, err
+	}
 	count := p.txNext
 	p.txNext++
+	var mac [crypto5g.MACSize]byte
 	var maci []byte
-	if p.IntegKey != nil {
-		m, err := crypto5g.NIA2(p.IntegKey, count, p.Bearer, p.Direction, data)
-		if err != nil {
-			return nil, err
-		}
-		maci = m[:]
+	if p.integ != nil {
+		mac = p.integ.NIA2(count, p.Bearer, p.Direction, data)
+		maci = mac[:]
 	}
-	payload := data
-	if p.CipherKey != nil {
-		ct, err := crypto5g.NEA2(p.CipherKey, count, p.Bearer, p.Direction, data)
-		if err != nil {
-			return nil, err
-		}
-		payload = ct
-	}
-	return pdu.PDCPDataPDU{
+	out, err := pdu.PDCPDataPDU{
 		SN:      count & ((1 << uint(p.SNBits)) - 1),
 		SNBits:  p.SNBits,
-		Payload: payload,
+		Payload: data,
 		MACI:    maci,
 	}.Encode()
+	if err != nil {
+		return nil, err
+	}
+	if p.cipher != nil {
+		payload := out[p.SNBits.HeaderBytes() : len(out)-len(maci)]
+		p.cipher.NEA2(count, p.Bearer, p.Direction, payload, payload)
+	}
+	return out, nil
 }
 
 // Unprotect inverts Protect: decode, decipher, verify integrity. The COUNT
 // is reconstructed from the SN against rxNext (window logic simplified to
 // nearest COUNT — sufficient for the in-order UM flows simulated here).
 func (p *PDCP) Unprotect(buf []byte) ([]byte, error) {
-	d, err := pdu.DecodePDCP(buf, p.SNBits, p.IntegKey != nil)
+	if err := p.keys(); err != nil {
+		return nil, err
+	}
+	d, err := pdu.DecodePDCP(buf, p.SNBits, p.integ != nil)
 	if err != nil {
 		return nil, err
 	}
 	count := p.reconstructCount(d.SN)
 	data := d.Payload
-	if p.CipherKey != nil {
-		pt, err := crypto5g.NEA2(p.CipherKey, count, p.Bearer, p.Direction, d.Payload)
-		if err != nil {
-			return nil, err
-		}
-		data = pt
+	if p.cipher != nil {
+		data = make([]byte, len(d.Payload))
+		p.cipher.NEA2(count, p.Bearer, p.Direction, data, d.Payload)
 	}
-	if p.IntegKey != nil {
-		var mac [crypto5g.MACSize]byte
-		copy(mac[:], d.MACI)
-		if !crypto5g.VerifyNIA2(p.IntegKey, count, p.Bearer, p.Direction, data, mac) {
+	if p.integ != nil {
+		mac := p.integ.NIA2(count, p.Bearer, p.Direction, data)
+		if subtle.ConstantTimeCompare(mac[:], d.MACI) != 1 {
 			return nil, fmt.Errorf("stack: PDCP integrity failure at COUNT %d", count)
 		}
 	}
@@ -238,7 +267,7 @@ func (r *RLC) Receive(buf []byte) ([]byte, error) {
 	if err != nil {
 		// Incomplete: keep buffering. Only genuine inconsistencies
 		// (overlap, double-last) are fatal.
-		if isIncomplete(err) {
+		if errors.Is(err, pdu.ErrIncompleteSDU) {
 			return nil, nil
 		}
 		delete(r.rx, p.SN)
@@ -246,13 +275,6 @@ func (r *RLC) Receive(buf []byte) ([]byte, error) {
 	}
 	delete(r.rx, p.SN)
 	return sdu, nil
-}
-
-func isIncomplete(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "last segment missing") ||
-		strings.Contains(s, "gap at byte") ||
-		strings.Contains(s, "segments cover")
 }
 
 // MAC multiplexes RLC PDUs of one logical channel into transport blocks.

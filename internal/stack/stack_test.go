@@ -2,6 +2,7 @@ package stack
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"urllcsim/internal/channel"
@@ -346,4 +347,117 @@ func TestFullUserPlaneChain(t *testing.T) {
 	if err != nil || !bytes.Equal(got, app) {
 		t.Fatalf("end-to-end chain: %q %v", got, err)
 	}
+}
+
+// One Protect+Unprotect pair allocates the encoded PDU and the deciphered
+// SDU, nothing per call for the keys.
+func TestPDCPPairAllocs(t *testing.T) {
+	ck, ik := testKeys()
+	tx := &PDCP{SNBits: pdu.PDCPSN12, Bearer: 1, Direction: crypto5g.Uplink, CipherKey: ck, IntegKey: ik}
+	rx := &PDCP{SNBits: pdu.PDCPSN12, Bearer: 1, Direction: crypto5g.Uplink, CipherKey: ck, IntegKey: ik}
+	msg := make([]byte, 32)
+	pair := func() {
+		prot, err := tx.Protect(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rx.Unprotect(prot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, pair); n > 3 {
+		t.Fatalf("Protect+Unprotect: %v allocs, want at most 3", n)
+	}
+}
+
+// A malformed key is a one-line error from either direction, not a panic.
+func TestPDCPBadKeyIsError(t *testing.T) {
+	_, ik := testKeys()
+	tx := &PDCP{SNBits: pdu.PDCPSN12, Bearer: 1, Direction: crypto5g.Uplink, CipherKey: []byte("short"), IntegKey: ik}
+	rx := &PDCP{SNBits: pdu.PDCPSN12, Bearer: 1, Direction: crypto5g.Uplink, CipherKey: []byte("short"), IntegKey: ik}
+	_, errTx := tx.Protect([]byte("payload"))
+	_, errRx := rx.Unprotect([]byte{0x80, 0x00, 1, 2, 3, 4, 5, 6, 7})
+	for _, err := range []error{errTx, errRx} {
+		if err == nil {
+			t.Fatal("5-byte cipher key accepted")
+		}
+		if strings.Contains(err.Error(), "\n") {
+			t.Fatalf("error is not one line: %q", err)
+		}
+	}
+}
+
+// The keys are expanded once, on first use: the entity keeps working with
+// the keys it started with whatever happens to the caller's slices later.
+func TestPDCPKeysFixedAfterFirstUse(t *testing.T) {
+	ck, ik := testKeys()
+	tx := &PDCP{SNBits: pdu.PDCPSN12, Bearer: 1, Direction: crypto5g.Uplink, CipherKey: ck, IntegKey: ik}
+	rx := &PDCP{SNBits: pdu.PDCPSN12, Bearer: 1, Direction: crypto5g.Uplink, CipherKey: bytes.Clone(ck), IntegKey: bytes.Clone(ik)}
+	first, _ := tx.Protect([]byte("one"))
+	clear(ck)
+	clear(ik)
+	second, _ := tx.Protect([]byte("two"))
+	for i, prot := range [][]byte{first, second} {
+		if _, err := rx.Unprotect(prot); err != nil {
+			t.Fatalf("PDU %d: %v", i, err)
+		}
+	}
+}
+
+// Segments that arrive out of order, with the last first and a gap in the
+// middle, stay buffered (pdu.ErrIncompleteSDU, whatever its wording) and
+// complete the SDU when the missing one turns up.
+func TestRLCMissingSegmentKeepsBuffering(t *testing.T) {
+	tx, rx := NewRLC(), NewRLC()
+	sdu := bytes.Repeat([]byte{7, 8, 9}, 100)
+	pdus, err := tx.Segment(sdu, 64)
+	if err != nil || len(pdus) < 4 {
+		t.Fatalf("segments = %d: %v", len(pdus), err)
+	}
+	order := append([][]byte{pdus[len(pdus)-1]}, pdus[:len(pdus)-1]...)
+	order[1], order[2] = order[2], order[1]
+	for i, p := range order {
+		out, err := rx.Receive(p)
+		if err != nil {
+			t.Fatalf("segment %d dropped: %v", i, err)
+		}
+		if (out != nil) != (i == len(order)-1) {
+			t.Fatalf("segment %d: completed=%v", i, out != nil)
+		}
+		if out != nil && !bytes.Equal(out, sdu) {
+			t.Fatal("reassembled SDU differs")
+		}
+	}
+}
+
+// FuzzPDCPUnprotect feeds arbitrary bytes to a PDCP receiver with ciphering
+// and integrity on. It must never panic, and anything it accepts must be one
+// of the SDUs the matching transmitter protected: the MAC-I covers the COUNT
+// and the plaintext, so no mutation of a valid PDU may pass as new data.
+func FuzzPDCPUnprotect(f *testing.F) {
+	ck, ik := testKeys()
+	newEntity := func() *PDCP {
+		return &PDCP{SNBits: pdu.PDCPSN12, Bearer: 3, Direction: crypto5g.Downlink, CipherKey: ck, IntegKey: ik}
+	}
+	sdus := [][]byte{{}, []byte("x"), []byte("ping request: 32 bytes payload.."), bytes.Repeat([]byte{0xA5}, 100)}
+	tx := newEntity()
+	for _, sdu := range sdus {
+		prot, err := tx.Protect(sdu)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(prot)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		got, err := newEntity().Unprotect(buf)
+		if err != nil {
+			return
+		}
+		for _, sdu := range sdus {
+			if bytes.Equal(got, sdu) {
+				return
+			}
+		}
+		t.Fatalf("accepted %x as %x, which was never sent", buf, got)
+	})
 }
