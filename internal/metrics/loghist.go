@@ -37,7 +37,11 @@ const (
 
 // LogHistogram's zero value is NOT ready to use; call NewLogHistogram.
 type LogHistogram struct {
-	counts   []int64 // grown lazily to the highest touched index
+	// counts[i] is bucket base+i: only the window between the lowest and
+	// highest touched buckets is stored, so a per-UE histogram of a few
+	// nearby latencies holds a few buckets, not the whole linear head.
+	counts   []int64
+	base     int
 	total    int64
 	sum      float64 // for mean / Prometheus _sum; float to avoid overflow
 	min, max int64   // exact observed extrema (valid when total > 0)
@@ -91,10 +95,12 @@ func (h *LogHistogram) BucketWidth(v int64) int64 { return logWidth(logIndex(v))
 // counted; durations in this repository are never negative.
 func (h *LogHistogram) Add(v int64) {
 	idx := logIndex(v)
-	if idx >= len(h.counts) {
-		h.grow(idx + 1)
+	i := idx - h.base
+	if len(h.counts) == 0 || i < 0 || i >= len(h.counts) {
+		h.cover(idx, idx+1)
+		i = idx - h.base
 	}
-	h.counts[idx]++
+	h.counts[i]++
 	h.total++
 	h.sum += float64(v)
 	if h.total == 1 || v < h.min {
@@ -108,33 +114,40 @@ func (h *LogHistogram) Add(v int64) {
 // AddDuration records a duration as integer nanoseconds.
 func (h *LogHistogram) AddDuration(d sim.Duration) { h.Add(int64(d)) }
 
-// Reset empties the histogram in place. The lazily-grown bucket array keeps
-// its capacity (for ns-scale latencies that array is tens of kilobytes — the
-// dominant allocation of a fresh registry), so a reset histogram records its
-// next run without re-growing: the recycling half of the observability
-// layer's steady-state zero-allocation contract. Only the touched bucket
-// window is zeroed: logIndex is monotonic, so no bucket below
-// logIndex(min) can hold a count, and for ns-scale latency data that skips
-// the bulk of the array.
+// Reset empties the histogram in place. The bucket window keeps its
+// capacity, so a reset histogram records its next run without re-growing:
+// the recycling half of the observability layer's steady-state
+// zero-allocation contract.
 func (h *LogHistogram) Reset() {
-	counts := h.counts[:0]
-	if h.total > 0 {
-		clear(h.counts[logIndex(h.min):])
-	}
-	*h = LogHistogram{counts: counts}
+	clear(h.counts)
+	*h = LogHistogram{counts: h.counts[:0]}
 }
 
-// grow extends the bucket array to at least n entries. Spare capacity (left
-// behind by Reset) is re-extended in place — Reset leaves every former
-// bucket zero, so the reclaimed tail is already zero.
-func (h *LogHistogram) grow(n int) {
-	if n <= cap(h.counts) {
-		h.counts = h.counts[:n]
+// cover widens the bucket window to hold buckets lo…hi−1. Storage past the
+// window's end is always zero (Reset clears what it drops), so spare
+// capacity is reused in place; a reallocation at least doubles it.
+func (h *LogHistogram) cover(lo, hi int) {
+	n := len(h.counts)
+	if n == 0 {
+		h.base = lo
+	} else if lo >= h.base && hi <= h.base+n {
 		return
 	}
-	grown := make([]int64, n)
-	copy(grown, h.counts)
-	h.counts = grown
+	newLo, newHi := min(lo, h.base), max(hi, h.base+n)
+	shift, size := h.base-newLo, newHi-newLo
+	if size <= cap(h.counts) {
+		c := h.counts[:size]
+		if shift > 0 {
+			copy(c[shift:], c[:n])
+			clear(c[:min(shift, n)])
+		}
+		h.counts = c
+	} else {
+		c := make([]int64, size, max(size, 2*cap(h.counts)))
+		copy(c[shift:], h.counts)
+		h.counts = c
+	}
+	h.base = newLo
 }
 
 // StorageBytes returns the bytes held by the bucket array (capacity, not
@@ -189,9 +202,10 @@ func (h *LogHistogram) Quantile(q float64) int64 {
 	}
 	rank := int64(q * float64(h.total-1))
 	var cum int64
-	for idx, c := range h.counts {
+	for i, c := range h.counts {
 		cum += c
 		if cum > rank {
+			idx := h.base + i
 			mid := logLowerBound(idx) + logWidth(idx)/2
 			if mid < h.min {
 				mid = h.min
@@ -220,7 +234,7 @@ func (h *LogHistogram) FractionBelow(v int64) float64 {
 	}
 	idx := logIndex(v)
 	var below int64
-	for i := 0; i < idx && i < len(h.counts); i++ {
+	for i := 0; h.base+i < idx && i < len(h.counts); i++ {
 		below += h.counts[i]
 	}
 	return float64(below) / float64(h.total)
@@ -233,11 +247,10 @@ func (h *LogHistogram) Merge(o *LogHistogram) {
 	if o == nil || o.total == 0 {
 		return
 	}
-	if len(o.counts) > len(h.counts) {
-		h.grow(len(o.counts))
-	}
+	h.cover(o.base, o.base+len(o.counts))
+	off := o.base - h.base
 	for i, c := range o.counts {
-		h.counts[i] += c
+		h.counts[off+i] += c
 	}
 	if h.total == 0 || o.min < h.min {
 		h.min = o.min
@@ -254,11 +267,12 @@ func (h *LogHistogram) Merge(o *LogHistogram) {
 // or below it — the shape Prometheus histogram exposition wants.
 func (h *LogHistogram) Buckets(f func(upperInclusive int64, cumulative int64)) {
 	var cum int64
-	for idx, c := range h.counts {
+	for i, c := range h.counts {
 		if c == 0 {
 			continue
 		}
 		cum += c
+		idx := h.base + i
 		f(logLowerBound(idx)+logWidth(idx)-1, cum)
 	}
 }
@@ -271,10 +285,11 @@ func (h *LogHistogram) StdApprox() float64 {
 	}
 	mean := h.Mean()
 	var ss float64
-	for idx, c := range h.counts {
+	for i, c := range h.counts {
 		if c == 0 {
 			continue
 		}
+		idx := h.base + i
 		mid := float64(logLowerBound(idx)) + float64(logWidth(idx))/2
 		ss += float64(c) * (mid - mean) * (mid - mean)
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -188,6 +189,64 @@ func TestLogHistogramMergeExact(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("bucket %d: %+v ≠ %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestLogHistogramWindow: only the touched bucket window is stored, and the
+// order values arrive in (window widened downward, upward, by Merge, after a
+// Reset) never changes what the histogram reports.
+func TestLogHistogramWindow(t *testing.T) {
+	type bucket struct{ ub, cum int64 }
+	view := func(h *LogHistogram) ([]bucket, float64, float64, int64) {
+		var bs []bucket
+		h.Buckets(func(ub, cum int64) { bs = append(bs, bucket{ub, cum}) })
+		return bs, h.StdApprox(), h.FractionBelow(1_000_500), h.Quantile(0.5)
+	}
+	r := lcg(3)
+	vals := make([]int64, 500)
+	for i := range vals {
+		vals[i] = 1_000_000 + int64(r.next()%1000) // 1 ms ± 1 µs: a handful of buckets
+	}
+	asc := NewLogHistogram()
+	for _, v := range vals {
+		asc.Add(v)
+	}
+	if len(asc.counts) > 4 {
+		t.Fatalf("a 1 µs band at 1 ms stored %d buckets", len(asc.counts))
+	}
+
+	desc, lo, hi := NewLogHistogram(), NewLogHistogram(), NewLogHistogram()
+	for i := len(vals) - 1; i >= 0; i-- {
+		desc.Add(vals[i])
+	}
+	for _, v := range vals {
+		if v < 1_000_500 {
+			lo.Add(v)
+		} else {
+			hi.Add(v)
+		}
+	}
+	merged := NewLogHistogram()
+	merged.Merge(hi)
+	merged.Merge(lo) // widens the window downward
+	want := fmt.Sprint(view(asc))
+	for name, h := range map[string]*LogHistogram{"descending": desc, "merged": merged} {
+		if got := fmt.Sprint(view(h)); got != want {
+			t.Errorf("%s: %s, want %s", name, got, want)
+		}
+	}
+
+	allocs := testing.AllocsPerRun(10, func() {
+		desc.Reset()
+		for _, v := range vals {
+			desc.Add(v)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refilling a reset histogram allocated %.0f times", allocs)
+	}
+	if got := fmt.Sprint(view(desc)); got != want {
+		t.Errorf("after Reset: %s, want %s", got, want)
 	}
 }
 

@@ -160,9 +160,9 @@ func TestRLCReassembleOutOfOrder(t *testing.T) {
 	}
 }
 
-// Missing segments are reported as ErrIncompleteSDU, which a receiver keeps
-// buffering on; an inconsistency such as overlap is any other error, which it
-// drops on.
+// Missing or duplicated segments are reported as ErrIncompleteSDU, which a
+// receiver keeps buffering on; an inconsistency such as overlap is any other
+// error, which it drops on.
 func TestRLCReassembleErrors(t *testing.T) {
 	sdu := make([]byte, 100)
 	pdus, _ := SegmentSDU(sdu, 1, 40)
@@ -170,6 +170,7 @@ func TestRLCReassembleErrors(t *testing.T) {
 		"missing last":   pdus[:len(pdus)-1],
 		"missing first":  pdus[1:],
 		"missing middle": {pdus[0], pdus[2]},
+		"duplicated":     append([]RLCUMPDU{pdus[1]}, pdus...),
 	} {
 		if _, err := ReassembleSDU(segs); !errors.Is(err, ErrIncompleteSDU) {
 			t.Errorf("%s: err = %v, want ErrIncompleteSDU", name, err)
