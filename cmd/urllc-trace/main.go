@@ -45,12 +45,9 @@ func main() {
 		return
 	}
 
-	// Observability is opt-in: the recorder exists only when some output
-	// needs it, so the default text path runs the exact legacy pipeline.
-	var rec *obs.Recorder
-	if *jsonOut || *traceOut != "" || *jsonlOut != "" || *metricsOut != "" || *audit {
-		rec = obs.NewRecorder()
-	}
+	// The journey is the packet's span stream, so every output reads the
+	// recorder; it is passive and changes nothing about the simulation.
+	rec := obs.NewRecorder()
 
 	sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
 		Pattern:   urllcsim.PatternDDDU,
@@ -119,7 +116,12 @@ func main() {
 	fmt.Printf("journey of a %s packet (%s, DDDU @ 0.5ms slots, USB2 B210)\n", dirName, access)
 	fmt.Printf("arrival %v, delivered=%v, one-way latency %v, attempts %d\n\n",
 		*at, r.Delivered, r.Latency.Round(time.Microsecond), r.Attempts)
-	fmt.Print(r.Journey())
+	journey, err := sc.Journey(id)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Print(journey)
 	fmt.Printf("\nshares: protocol %.0f%%, processing %.0f%%, radio %.0f%%\n",
 		100*r.ProtocolShare, 100*r.ProcessingShare, 100*r.RadioShare)
 

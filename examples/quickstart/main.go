@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"urllcsim"
+	"urllcsim/internal/obs"
 )
 
 func main() {
@@ -17,6 +18,9 @@ func main() {
 		SlotScale: urllcsim.Slot0p5ms,
 		Radio:     urllcsim.RadioUSB2,
 		Seed:      2024,
+		// The recorder keeps each packet's spans: the journey tables below
+		// are rendered from them.
+		Obs: obs.NewRecorder(),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -33,7 +37,11 @@ func main() {
 		}
 		fmt.Printf("=== %s ping: %v one-way (delivered=%v) ===\n",
 			dir, r.Latency.Round(time.Microsecond), r.Delivered)
-		fmt.Print(r.Journey())
+		journey, err := sc.Journey(r.ID)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Print(journey)
 		fmt.Printf("latency sources: protocol %.0f%% / processing %.0f%% / radio %.0f%%\n\n",
 			100*r.ProtocolShare, 100*r.ProcessingShare, 100*r.RadioShare)
 	}

@@ -9,27 +9,26 @@ import (
 )
 
 func TestBreakdownAccounting(t *testing.T) {
-	var b Breakdown
-	b.Add("wait for UL slot", Protocol, 0, 100*sim.Microsecond)
-	b.Add("PHY decode", Processing, sim.Time(100_000), 40*sim.Microsecond)
-	b.Add("bus transfer", Radio, sim.Time(140_000), 300*sim.Microsecond)
-	b.Add("SCHE wait", Protocol, sim.Time(440_000), 150*sim.Microsecond)
+	var b Tally
+	b.Add(Protocol, 100*sim.Microsecond)
+	b.Add(Processing, 40*sim.Microsecond)
+	b.Add(Radio, 300*sim.Microsecond)
+	b.Add(Protocol, 150*sim.Microsecond)
 
 	if got := b.Total(); got != 590*sim.Microsecond {
 		t.Fatalf("Total = %v", got)
 	}
-	by := b.BySource()
-	if by[Protocol] != 250*sim.Microsecond || by[Processing] != 40*sim.Microsecond || by[Radio] != 300*sim.Microsecond {
-		t.Fatalf("BySource = %v", by)
+	if b[Protocol] != 250*sim.Microsecond || b[Processing] != 40*sim.Microsecond || b[Radio] != 300*sim.Microsecond {
+		t.Fatalf("per-source = %v", b)
 	}
 	if b.Dominant() != Radio {
 		t.Fatalf("Dominant = %v, want radio", b.Dominant())
 	}
-	s := b.String()
-	for _, want := range []string{"wait for UL slot", "protocol", "radio", "TOTAL"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("breakdown table missing %q:\n%s", want, s)
-		}
+	if (Tally{}).Dominant() != Protocol {
+		t.Fatal("empty tally must report protocol, the first source")
+	}
+	if n := testing.AllocsPerRun(100, func() { b.Add(Radio, 1) }); n != 0 {
+		t.Fatalf("Tally.Add allocates %v times", n)
 	}
 }
 

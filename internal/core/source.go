@@ -2,8 +2,8 @@
 // latency analysis of 5G URLLC. It provides
 //
 //   - the three-way latency-source taxonomy (§4): protocol, processing and
-//     radio latency, with a per-packet breakdown recorder used by the
-//     full-stack simulation (Fig. 3);
+//     radio latency, with the fixed per-packet source tally the full-stack
+//     simulation folds each journey into (Fig. 3);
 //   - the analytic worst-case latency engine over arbitrary slot
 //     configurations (Fig. 4), built on symbol-level grid queries;
 //   - the feasibility evaluation of every minimal configuration against the
@@ -12,8 +12,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"urllcsim/internal/sim"
 )
@@ -70,72 +68,25 @@ const NumSources = int(numSources)
 // Sources lists the categories in presentation order.
 var Sources = []Source{Protocol, Processing, Radio}
 
-// Segment is one step of a packet's journey, attributed to a source.
-// The names follow the circled steps of the paper's Fig. 3.
-type Segment struct {
-	Step   string
-	Source Source
-	Start  sim.Time
-	Dur    sim.Duration
-}
+// Tally is a packet's journey time summed per latency source (Fig. 3's
+// three-way split). It is a fixed-size value: folding a step in never
+// allocates. The step-by-step journey itself is the packet's obs span
+// stream.
+type Tally [NumSources]sim.Duration
 
-// Breakdown accumulates the journey of one packet (Fig. 3). The zero value
-// is ready to use.
-type Breakdown struct {
-	Segments []Segment
-}
+// Add charges d to source src.
+func (t *Tally) Add(src Source, d sim.Duration) { t[src] += d }
 
-// Add appends a segment. Zero-duration segments are kept: they still mark
-// journey milestones in traces.
-func (b *Breakdown) Add(step string, src Source, start sim.Time, dur sim.Duration) {
-	b.Segments = append(b.Segments, Segment{Step: step, Source: src, Start: start, Dur: dur})
-}
-
-// Total returns the summed duration of all segments.
-func (b *Breakdown) Total() sim.Duration {
-	var t sim.Duration
-	for _, s := range b.Segments {
-		t += s.Dur
-	}
-	return t
-}
-
-// BySource returns per-category totals.
-func (b *Breakdown) BySource() [numSources]sim.Duration {
-	var out [numSources]sim.Duration
-	for _, s := range b.Segments {
-		out[s.Source] += s.Dur
-	}
-	return out
-}
+// Total returns the time charged to all sources.
+func (t Tally) Total() sim.Duration { return t[Protocol] + t[Processing] + t[Radio] }
 
 // Dominant returns the category with the largest share.
-func (b *Breakdown) Dominant() Source {
-	tot := b.BySource()
+func (t Tally) Dominant() Source {
 	best := Protocol
 	for _, s := range Sources {
-		if tot[s] > tot[best] {
+		if t[s] > t[best] {
 			best = s
 		}
 	}
 	return best
-}
-
-// String renders the journey as an aligned table, chronological order.
-func (b *Breakdown) String() string {
-	segs := make([]Segment, len(b.Segments))
-	copy(segs, b.Segments)
-	sort.SliceStable(segs, func(i, j int) bool { return segs[i].Start < segs[j].Start })
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-28s %-11s %12s %12s\n", "step", "source", "start[µs]", "dur[µs]")
-	for _, s := range segs {
-		fmt.Fprintf(&sb, "%-28s %-11s %12.2f %12.2f\n",
-			s.Step, s.Source, s.Start.Micros(), float64(s.Dur)/1000)
-	}
-	tot := b.BySource()
-	fmt.Fprintf(&sb, "%-28s %-11s %12s %12.2f\n", "TOTAL", "", "", float64(b.Total())/1000)
-	for _, src := range Sources {
-		fmt.Fprintf(&sb, "  %-26s %-11s %12s %12.2f\n", "", src, "", float64(tot[src])/1000)
-	}
-	return sb.String()
 }

@@ -9,8 +9,7 @@
 //
 // A Key holds the expanded AES key and the CMAC subkeys of one 128-bit key,
 // so a PDCP entity pays the key schedule once and every NEA2/NIA2 call after
-// that allocates nothing. The package-level functions are one-shot wrappers
-// that build a Key per call.
+// that allocates nothing.
 package crypto5g
 
 import (
@@ -125,43 +124,6 @@ func absorb(x *[16]byte, prefix, msg []byte, off, n int) {
 		off -= len(prefix)
 		subtle.XORBytes(dst, dst, msg[off:off+len(dst)])
 	}
-}
-
-// NEA2 enciphers (or deciphers — CTR is an involution) data into a new
-// slice. count is the PDCP COUNT, bearer the 5-bit bearer identity.
-func NEA2(key []byte, count uint32, bearer byte, dir Direction, data []byte) ([]byte, error) {
-	k, err := NewKey(key)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(data))
-	k.NEA2(count, bearer, dir, out, data)
-	return out, nil
-}
-
-// NIA2 computes the 32-bit MAC-I over message with the given parameters.
-func NIA2(key []byte, count uint32, bearer byte, dir Direction, message []byte) ([MACSize]byte, error) {
-	k, err := NewKey(key)
-	if err != nil {
-		return [MACSize]byte{}, err
-	}
-	return k.NIA2(count, bearer, dir, message), nil
-}
-
-// VerifyNIA2 recomputes the MAC-I and compares in constant time.
-func VerifyNIA2(key []byte, count uint32, bearer byte, dir Direction, message []byte, mac [MACSize]byte) bool {
-	want, err := NIA2(key, count, bearer, dir, message)
-	return err == nil && subtle.ConstantTimeCompare(want[:], mac[:]) == 1
-}
-
-// CMAC computes the full 16-byte AES-128-CMAC of message (RFC 4493).
-func CMAC(key, message []byte) ([16]byte, error) {
-	k, err := NewKey(key)
-	if err != nil {
-		return [16]byte{}, err
-	}
-	k.cmac(nil, message)
-	return k.scratch, nil
 }
 
 // gfDouble doubles a 128-bit value in GF(2^128) (left shift, conditional

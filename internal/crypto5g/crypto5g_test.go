@@ -20,6 +20,30 @@ func unhex(t *testing.T, s string) []byte {
 	return b
 }
 
+// newKey expands a test key, failing the test on error.
+func newKey(t testing.TB, key []byte) *Key {
+	t.Helper()
+	k, err := NewKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// fullCMAC is the whole 16-byte AES-CMAC of msg under k (RFC 4493), of which
+// NIA2 keeps the leading MACSize bytes.
+func fullCMAC(k *Key, msg []byte) [16]byte {
+	k.cmac(nil, msg)
+	return k.scratch
+}
+
+// nea2 enciphers data into a new slice.
+func nea2(k *Key, count uint32, bearer byte, dir Direction, data []byte) []byte {
+	out := make([]byte, len(data))
+	k.NEA2(count, bearer, dir, out, data)
+	return out
+}
+
 // RFC 4493 §4 test vectors for AES-128-CMAC.
 func TestCMACRFC4493Vectors(t *testing.T) {
 	key := "2b7e151628aed2a6abf7158809cf4f3c"
@@ -36,13 +60,10 @@ func TestCMACRFC4493Vectors(t *testing.T) {
 		{40, "dfa66747de9ae63030ca32611497c827"},
 		{64, "51f0bebf7e3b9d92fc49741779363cfe"},
 	}
-	k := unhex(t, key)
+	k := newKey(t, unhex(t, key))
 	m := unhex(t, msg)
 	for _, c := range cases {
-		got, err := CMAC(k, m[:c.mlen])
-		if err != nil {
-			t.Fatalf("CMAC(len=%d): %v", c.mlen, err)
-		}
+		got := fullCMAC(k, m[:c.mlen])
 		if !bytes.Equal(got[:], unhex(t, c.want)) {
 			t.Fatalf("CMAC(len=%d) = %x, want %s", c.mlen, got, c.want)
 		}
@@ -50,98 +71,82 @@ func TestCMACRFC4493Vectors(t *testing.T) {
 }
 
 func TestCMACBadKey(t *testing.T) {
-	if _, err := CMAC([]byte("short"), nil); err == nil {
+	if _, err := NewKey([]byte("short")); err == nil {
 		t.Fatal("short key accepted")
 	}
 }
 
 func TestNEA2RoundTrip(t *testing.T) {
-	key := unhex(t, "000102030405060708090a0b0c0d0e0f")
+	k := newKey(t, unhex(t, "000102030405060708090a0b0c0d0e0f"))
 	plain := []byte("ping request, 64 bytes of ICMP payload ................")
-	ct, err := NEA2(key, 0x12345678, 5, Uplink, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := nea2(k, 0x12345678, 5, Uplink, plain)
 	if bytes.Equal(ct, plain) {
 		t.Fatal("ciphertext equals plaintext")
 	}
-	pt, err := NEA2(key, 0x12345678, 5, Uplink, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := nea2(k, 0x12345678, 5, Uplink, ct)
 	if !bytes.Equal(pt, plain) {
 		t.Fatal("NEA2 round trip failed")
 	}
 }
 
 func TestNEA2ParameterSensitivity(t *testing.T) {
-	key := unhex(t, "000102030405060708090a0b0c0d0e0f")
+	k := newKey(t, unhex(t, "000102030405060708090a0b0c0d0e0f"))
 	plain := make([]byte, 32)
-	base, _ := NEA2(key, 1, 1, Uplink, plain)
+	base := nea2(k, 1, 1, Uplink, plain)
 	cases := []struct {
 		name string
-		ct   func() ([]byte, error)
+		ct   []byte
 	}{
-		{"count", func() ([]byte, error) { return NEA2(key, 2, 1, Uplink, plain) }},
-		{"bearer", func() ([]byte, error) { return NEA2(key, 1, 2, Uplink, plain) }},
-		{"direction", func() ([]byte, error) { return NEA2(key, 1, 1, Downlink, plain) }},
+		{"count", nea2(k, 2, 1, Uplink, plain)},
+		{"bearer", nea2(k, 1, 2, Uplink, plain)},
+		{"direction", nea2(k, 1, 1, Downlink, plain)},
 	}
 	for _, c := range cases {
-		ct, err := c.ct()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(ct, base) {
+		if bytes.Equal(c.ct, base) {
 			t.Errorf("changing %s did not change the keystream", c.name)
 		}
 	}
 }
 
 func TestNEA2KeySize(t *testing.T) {
-	if _, err := NEA2([]byte("short"), 0, 0, Uplink, nil); err == nil {
+	if _, err := NewKey([]byte("short")); err == nil {
 		t.Fatal("short key accepted")
 	}
 }
 
 func TestNIA2VerifyAndTamperDetection(t *testing.T) {
-	key := unhex(t, "c0ffee00c0ffee00c0ffee00c0ffee00")
+	k := newKey(t, unhex(t, "c0ffee00c0ffee00c0ffee00c0ffee00"))
 	msg := []byte("scheduling request: one bit, but integrity-protected here")
-	mac, err := NIA2(key, 7, 3, Downlink, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifyNIA2(key, 7, 3, Downlink, msg, mac) {
+	mac := k.NIA2(7, 3, Downlink, msg)
+	if k.NIA2(7, 3, Downlink, msg) != mac {
 		t.Fatal("valid MAC rejected")
 	}
 	// Any tamper must fail.
-	if VerifyNIA2(key, 8, 3, Downlink, msg, mac) {
+	if k.NIA2(8, 3, Downlink, msg) == mac {
 		t.Fatal("wrong COUNT accepted")
 	}
-	if VerifyNIA2(key, 7, 4, Downlink, msg, mac) {
+	if k.NIA2(7, 4, Downlink, msg) == mac {
 		t.Fatal("wrong bearer accepted")
 	}
-	if VerifyNIA2(key, 7, 3, Uplink, msg, mac) {
+	if k.NIA2(7, 3, Uplink, msg) == mac {
 		t.Fatal("wrong direction accepted")
 	}
 	tampered := bytes.Clone(msg)
 	tampered[0] ^= 1
-	if VerifyNIA2(key, 7, 3, Downlink, tampered, mac) {
+	if k.NIA2(7, 3, Downlink, tampered) == mac {
 		t.Fatal("tampered message accepted")
 	}
 	var badMAC [MACSize]byte
 	copy(badMAC[:], mac[:])
 	badMAC[0] ^= 0x80
-	if VerifyNIA2(key, 7, 3, Downlink, msg, badMAC) {
+	if k.NIA2(7, 3, Downlink, msg) == badMAC {
 		t.Fatal("tampered MAC accepted")
 	}
 }
 
 func TestNIA2KeySize(t *testing.T) {
-	if _, err := NIA2(nil, 0, 0, Uplink, nil); err == nil {
+	if _, err := NewKey(nil); err == nil {
 		t.Fatal("nil key accepted")
-	}
-	if VerifyNIA2(nil, 0, 0, Uplink, nil, [4]byte{}) {
-		t.Fatal("nil key verified")
 	}
 }
 
@@ -168,15 +173,10 @@ func TestPropertyNEA2Involution(t *testing.T) {
 	for i := range key {
 		key[i] = byte(i * 17)
 	}
+	k := newKey(t, key)
 	f := func(count uint32, bearer uint8, data []byte) bool {
-		ct, err := NEA2(key, count, bearer&0x1F, Uplink, data)
-		if err != nil {
-			return false
-		}
-		pt, err := NEA2(key, count, bearer&0x1F, Uplink, ct)
-		if err != nil {
-			return false
-		}
+		ct := nea2(k, count, bearer&0x1F, Uplink, data)
+		pt := nea2(k, count, bearer&0x1F, Uplink, ct)
 		return bytes.Equal(pt, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -187,16 +187,13 @@ func TestPropertyNEA2Involution(t *testing.T) {
 // Property: distinct messages yield distinct CMACs (no accidental collisions
 // in random testing).
 func TestPropertyNIA2NoTrivialCollisions(t *testing.T) {
-	key := make([]byte, 16)
+	k := newKey(t, make([]byte, 16))
 	f := func(a, b []byte) bool {
 		if bytes.Equal(a, b) {
 			return true
 		}
-		ma, err1 := NIA2(key, 0, 0, Uplink, a)
-		mb, err2 := NIA2(key, 0, 0, Uplink, b)
-		if err1 != nil || err2 != nil {
-			return false
-		}
+		ma := k.NIA2(0, 0, Uplink, a)
+		mb := k.NIA2(0, 0, Uplink, b)
 		// 32-bit MACs can collide, but not in a few hundred random trials.
 		return ma != mb
 	}
@@ -206,22 +203,22 @@ func TestPropertyNIA2NoTrivialCollisions(t *testing.T) {
 }
 
 func BenchmarkNEA2_1500B(b *testing.B) {
-	key := make([]byte, 16)
+	k := newKey(b, make([]byte, 16))
 	data := make([]byte, 1500)
 	b.ReportAllocs()
 	b.SetBytes(1500)
 	for i := 0; i < b.N; i++ {
-		NEA2(key, uint32(i), 1, Uplink, data)
+		k.NEA2(uint32(i), 1, Uplink, data, data)
 	}
 }
 
 func BenchmarkNIA2_1500B(b *testing.B) {
-	key := make([]byte, 16)
+	k := newKey(b, make([]byte, 16))
 	data := make([]byte, 1500)
 	b.ReportAllocs()
 	b.SetBytes(1500)
 	for i := 0; i < b.N; i++ {
-		NIA2(key, uint32(i), 1, Uplink, data)
+		k.NIA2(uint32(i), 1, Uplink, data)
 	}
 }
 
@@ -231,10 +228,7 @@ func TestNEA2TS33401TestSet1(t *testing.T) {
 	key := unhex(t, "d3c5d592327fb11c4035c6680af8c6d1")
 	plain := unhex(t, "981ba6824c1bfb1ab485472029b71d808ce33e2cc3c0b5fc1f3de8a6dc66b1f0")
 	want := unhex(t, "e9fed8a63d155304d71df20bf3e82214b20ed7dad2f233dc3c22d7bdeeed8e78")
-	got, err := NEA2(key, 0x398a59b4, 0x15, Downlink, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := nea2(newKey(t, key), 0x398a59b4, 0x15, Downlink, plain)
 	got[31] &^= 0x07
 	want[31] &^= 0x07
 	if !bytes.Equal(got, want) {
@@ -248,10 +242,7 @@ func TestNEA2TS33401TestSet1(t *testing.T) {
 func TestNIA2TS33401TestSet1(t *testing.T) {
 	key := unhex(t, "d3c5d592327fb11c4035c6680af8c6d1")
 	msg := unhex(t, "484583d5afe082ae")
-	got, err := NIA2(key, 0x398a59b4, 0x1a, Downlink, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := newKey(t, key).NIA2(0x398a59b4, 0x1a, Downlink, msg)
 	if want := unhex(t, "b93787e6"); !bytes.Equal(got[:], want) {
 		t.Fatalf("NIA2 test set 1 = %x, want %x", got, want)
 	}
@@ -356,8 +347,7 @@ func TestPropertyKeyedMatchesReference(t *testing.T) {
 			if k.NIA2(c.Count, c.Bearer, c.Dir, c.Msg) != refNIA2(c.Key[:], c.Count, c.Bearer, c.Dir, c.Msg) {
 				return false
 			}
-			full, _ := CMAC(c.Key[:], c.Msg)
-			if full != refCMAC(c.Key[:], c.Msg) {
+			if fullCMAC(k, c.Msg) != refCMAC(c.Key[:], c.Msg) {
 				return false
 			}
 		}

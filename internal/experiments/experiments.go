@@ -14,6 +14,7 @@ import (
 	"urllcsim/internal/metrics"
 	"urllcsim/internal/node"
 	"urllcsim/internal/nr"
+	"urllcsim/internal/obs"
 	"urllcsim/internal/radio"
 	"urllcsim/internal/sim"
 	"urllcsim/internal/sweep"
@@ -237,6 +238,8 @@ func Figure3(seed uint64, _ int) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	rec := obs.NewRecorder()
+	cfg.Obs = rec
 	s, err := runTestbed(cfg, 1, true)
 	if err != nil {
 		return "", err
@@ -249,7 +252,7 @@ func Figure3(seed uint64, _ int) (string, error) {
 	fmt.Fprintf(&sb, "journey of a ping request (grant-based UL, DDDU, µ1)\n")
 	fmt.Fprintf(&sb, "delivered=%v one-way=%.3fms attempts=%d\n\n",
 		rs[0].Delivered, float64(rs[0].Latency)/1e6, rs[0].Attempts)
-	sb.WriteString(rs[0].Breakdown.String())
+	sb.WriteString(obs.JourneyTable(rec.PacketSpans(rs[0].ID)))
 	return sb.String(), nil
 }
 

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -354,5 +357,29 @@ func TestExperimentsWorkerInvariance(t *testing.T) {
 		if a[k] != b[k] {
 			t.Errorf("fig6 panel %s differs across worker counts: %+v vs %+v", k, a[k], b[k])
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
+
+// TestFigure3Golden pins the Fig. 3 journey table byte for byte at seed 1.
+// Regenerate with `go test ./internal/experiments -run Figure3Golden -update`.
+func TestFigure3Golden(t *testing.T) {
+	got, err := Figure3(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "figure3.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("figure3 drifted from %s\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }

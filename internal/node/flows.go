@@ -140,7 +140,7 @@ func newObsHandles(r *obs.Recorder) obsHandles {
 
 // audit emits the packet's obs.Outcome, its per-UE labeled samples and, when
 // a deadline is configured, its verdict against the one-way budget.
-func (s *System) audit(id, ue int, dir obs.Dir, ok bool, lat sim.Duration, attempts int, bd *core.Breakdown) {
+func (s *System) audit(id, ue int, dir obs.Dir, ok bool, lat sim.Duration, attempts int, by core.Tally) {
 	s.obs.Outcome(obs.Outcome{Packet: id, UE: ue, Dir: dir, Delivered: ok, Latency: lat, Attempts: attempts, End: s.Eng.Now()})
 	if ok {
 		s.h.pktByUE.Add(obs.PktEvent{UE: ue, Dir: dir, Event: "delivered"}, 1)
@@ -157,7 +157,7 @@ func (s *System) audit(id, ue int, dir obs.Dir, ok bool, lat sim.Duration, attem
 		return
 	}
 	s.h.deadlineMiss.Inc()
-	s.h.missBySource[bd.Dominant()].Inc()
+	s.h.missBySource[by.Dominant()].Inc()
 	s.h.pktByUE.Add(obs.PktEvent{UE: ue, Dir: dir, Event: "deadline_miss"}, 1)
 }
 
@@ -174,12 +174,12 @@ var ueTimingName = [...]string{
 	proc.LayerPHY: "ue.proc.PHY",
 }
 
-// seg records one journey segment twice: in the packet's breakdown (which
-// still renders the exact Fig. 3 text) and as a structured span carrying
-// packet id, direction and stack layer.
-func (s *System) seg(bd *core.Breakdown, id int, dir obs.Dir, layer obs.Layer,
+// seg records one journey segment: it folds the duration into the packet's
+// per-source tally and emits the structured span (packet id, direction,
+// stack layer) that is the journey's only step-by-step record.
+func (s *System) seg(by *core.Tally, id int, dir obs.Dir, layer obs.Layer,
 	step string, src core.Source, start sim.Time, dur sim.Duration) {
-	bd.Add(step, src, start, dur)
+	by.Add(src, dur)
 	s.obs.PacketSpan(id, dir, layer, step, src, start, dur)
 }
 
@@ -269,7 +269,7 @@ func (s *System) tick(b sim.Time) {
 			s.layerStats["RLC-q"].AddDuration(wait)
 			s.h.rlcQueueWait.Observe(wait)
 			if p := s.dlItems[q.ID]; p != nil {
-				s.seg(p.bd, p.id, obs.DirDL, obs.LayerRLC,
+				s.seg(&p.by, p.id, obs.DirDL, obs.LayerRLC,
 					"⑨ RLC queue (SCHE wait)", core.Protocol, q.EnqueuedAt, wait)
 				s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeSchedTake,
 					Time: b, Ref: plan.TargetDL, Arg: int64(wait)})
@@ -374,16 +374,16 @@ func (s *System) OfferDL(at sim.Time, payload []byte) int {
 func (s *System) OfferDLAs(ue int, at sim.Time, payload []byte) int {
 	id := s.nextID
 	s.nextID++
-	p := &dlPacket{id: id, ue: ue, data: payload, offered: at, bd: &core.Breakdown{}}
+	p := &dlPacket{id: id, ue: ue, data: payload, offered: at}
 	s.dlItems[id] = p
 	s.Eng.Schedule(at, "dl.offer", func() {
 		// UPF encapsulation and N3 forwarding.
-		s.seg(p.bd, p.id, obs.DirDL, obs.LayerCore, "UPF→gNB (GTP-U)", core.Processing, at, s.cfg.CoreLatency)
+		s.seg(&p.by, p.id, obs.DirDL, obs.LayerCore, "UPF→gNB (GTP-U)", core.Processing, at, s.cfg.CoreLatency)
 		arrive := at.Add(s.cfg.CoreLatency)
 		s.Eng.Schedule(arrive, "dl.gnb.down", func() {
 			// gNB SDAP↓ / PDCP↓ / RLC↓ processing (⑧ in Fig. 3).
 			d := s.sampleGNB(proc.LayerSDAP) + s.sampleGNB(proc.LayerPDCP) + s.sampleGNB(proc.LayerRLC)
-			s.seg(p.bd, p.id, obs.DirDL, obs.LayerStack, "⑧ gNB SDAP↓", core.Processing, arrive, d)
+			s.seg(&p.by, p.id, obs.DirDL, obs.LayerStack, "⑧ gNB SDAP↓", core.Processing, arrive, d)
 			enq := arrive.Add(d)
 			s.Eng.Schedule(enq, "dl.enqueue", func() {
 				p.enqueued = enq
@@ -420,8 +420,8 @@ func (s *System) launchDL(b sim.Time, plan sched.Plan, taken []rlcQ) {
 		if p == nil {
 			continue
 		}
-		s.seg(p.bd, p.id, obs.DirDL, obs.LayerMAC, "gNB MAC+PHY", core.Processing, now, macD+phyD)
-		s.seg(p.bd, p.id, obs.DirDL, obs.LayerBus, "gNB→RH submit", core.Radio, now.Add(macD+phyD), submitD)
+		s.seg(&p.by, p.id, obs.DirDL, obs.LayerMAC, "gNB MAC+PHY", core.Processing, now, macD+phyD)
+		s.seg(&p.by, p.id, obs.DirDL, obs.LayerBus, "gNB→RH submit", core.Radio, now.Add(macD+phyD), submitD)
 	}
 
 	if ready > target {
@@ -437,7 +437,7 @@ func (s *System) launchDL(b sim.Time, plan sched.Plan, taken []rlcQ) {
 						s.finishDL(p, ready, false)
 						continue
 					}
-					s.seg(p.bd, p.id, obs.DirDL, obs.LayerBus,
+					s.seg(&p.by, p.id, obs.DirDL, obs.LayerBus,
 						"radio miss → requeue", core.Radio, target, ready.Sub(target))
 					s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeRadioMiss,
 						Time: ready, Ref: target, Arg: int64(ready.Sub(target))})
@@ -454,7 +454,7 @@ func (s *System) launchDL(b sim.Time, plan sched.Plan, taken []rlcQ) {
 	if ready < target {
 		for _, q := range taken {
 			if p := s.dlItems[q.ID]; p != nil {
-				s.seg(p.bd, p.id, obs.DirDL, obs.LayerSched,
+				s.seg(&p.by, p.id, obs.DirDL, obs.LayerSched,
 					"wait for planned DL slot", core.Protocol, ready, target.Sub(ready))
 			}
 		}
@@ -560,7 +560,7 @@ func (s *System) transmitDL(target sim.Time, taken []rlcQ) {
 						s.h.harqRetx.Inc()
 						s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeHARQRetx,
 							Time: requeueAt, Arg: int64(p.attempts + 1)})
-						s.seg(p.bd, p.id, obs.DirDL, obs.LayerMAC,
+						s.seg(&p.by, p.id, obs.DirDL, obs.LayerMAC,
 							"HARQ retransmission", core.Protocol, target, requeueAt.Sub(target))
 						s.gnbRLC.Enqueue(rlcQueued(p))
 					}
@@ -570,7 +570,7 @@ func (s *System) transmitDL(target sim.Time, taken []rlcQ) {
 		}
 		for _, id := range ids {
 			if p := s.dlItems[id]; p != nil {
-				s.seg(p.bd, p.id, obs.DirDL, obs.LayerAir,
+				s.seg(&p.by, p.id, obs.DirDL, obs.LayerAir,
 					"⑩ DL data on air", core.Protocol, target, onAirEnd.Sub(target))
 			}
 		}
@@ -617,17 +617,17 @@ func (s *System) ueReceiveDL(at sim.Time, tb []byte, ids []int) {
 				continue
 			}
 			ok := i < len(delivered) && len(delivered[i]) == len(p.data)
-			s.seg(p.bd, p.id, obs.DirDL, obs.LayerStack, "⑪ UE PHY↑…APP↑", core.Processing, at, d)
+			s.seg(&p.by, p.id, obs.DirDL, obs.LayerStack, "⑪ UE PHY↑…APP↑", core.Processing, at, d)
 			s.finishDL(p, done, ok)
 		}
 	})
 }
 
 func (s *System) finishDL(p *dlPacket, at sim.Time, ok bool) {
-	if p == nil || s.done[p.id] {
+	if p == nil || p.done {
 		return
 	}
-	s.done[p.id] = true
+	p.done = true
 	delete(s.dlItems, p.id)
 	lat := at.Sub(p.offered)
 	if ok {
@@ -638,7 +638,7 @@ func (s *System) finishDL(p *dlPacket, at sim.Time, ok bool) {
 	}
 	s.results = append(s.results, Result{
 		ID: p.id, Uplink: false, Delivered: ok,
-		Latency: lat, Breakdown: *p.bd, Attempts: p.attempts + 1,
+		Latency: lat, BySource: p.by, Attempts: p.attempts + 1,
 	})
-	s.audit(p.id, p.ue, obs.DirDL, ok, lat, p.attempts+1, p.bd)
+	s.audit(p.id, p.ue, obs.DirDL, ok, lat, p.attempts+1, p.by)
 }

@@ -158,7 +158,7 @@ type Result struct {
 	Uplink    bool
 	Delivered bool
 	Latency   sim.Duration
-	Breakdown core.Breakdown
+	BySource  core.Tally
 	Attempts  int
 }
 
@@ -241,7 +241,6 @@ type System struct {
 
 	nextID  int
 	results []Result
-	done    map[int]bool
 
 	// Ping bookkeeping (OfferPing).
 	pings    []*pingCtx
@@ -256,7 +255,8 @@ type dlPacket struct {
 	offered  sim.Time
 	enqueued sim.Time // RLC queue entry (RLC-q starts here)
 	attempts int
-	bd       *core.Breakdown
+	by       core.Tally // journey time per latency source, folded by seg
+	done     bool       // finishDL ran: later resolutions are ignored
 }
 
 // NewSystem builds a system from the config.
@@ -335,7 +335,6 @@ func NewSystem(cfg Config) (*System, error) {
 		cgReg:      map[sim.Time]map[int]int{},
 		cgRNGs:     map[int]*sim.RNG{},
 		layerStats: map[string]*metrics.Accumulator{},
-		done:       map[int]bool{},
 		pingByUL:   map[int]*pingCtx{},
 		pingDLID:   map[int]int{},
 		obs:        cfg.Obs,

@@ -23,7 +23,8 @@ type ulPacket struct {
 	ready    sim.Time // UE stack done, data in UE RLC queue
 	srRecvAt sim.Time // gNB finished decoding this packet's SR
 	attempts int
-	bd       *core.Breakdown
+	by       core.Tally // journey time per latency source, folded by seg
+	done     bool       // finishUL ran: later resolutions are ignored
 
 	// cgSlot/cgUnit pin the current grant-free transmission to its shared
 	// contention unit (Config.CGUnits > 0). cgUnit is −1 whenever no
@@ -44,11 +45,11 @@ func (s *System) OfferUL(at sim.Time, payload []byte) int {
 func (s *System) OfferULAs(ue int, at sim.Time, payload []byte) int {
 	id := s.nextID
 	s.nextID++
-	p := &ulPacket{id: id, ue: ue, data: payload, offered: at, bd: &core.Breakdown{}, cgUnit: -1}
+	p := &ulPacket{id: id, ue: ue, data: payload, offered: at, cgUnit: -1}
 	s.Eng.Schedule(at, "ul.offer", func() {
 		// ① UE APP↓: SDAP/PDCP/RLC processing before the MAC can act.
 		d := s.sampleUE(proc.LayerSDAP) + s.sampleUE(proc.LayerPDCP) + s.sampleUE(proc.LayerRLC)
-		s.seg(p.bd, p.id, obs.DirUL, obs.LayerStack, "① UE APP↓", core.Processing, at, d)
+		s.seg(&p.by, p.id, obs.DirUL, obs.LayerStack, "① UE APP↓", core.Processing, at, d)
 		p.ready = at.Add(d)
 		s.Eng.Schedule(p.ready, "ul.ready", func() {
 			if s.cfg.GrantFree {
@@ -70,7 +71,7 @@ func (s *System) ulSendSR(p *ulPacket) {
 		s.finishUL(p, p.ready, false)
 		return
 	}
-	s.seg(p.bd, p.id, obs.DirUL, obs.LayerSched, "② wait for UL slot + SR", core.Protocol, p.ready, srStart.Sub(p.ready)+sym)
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerSched, "② wait for UL slot + SR", core.Protocol, p.ready, srStart.Sub(p.ready)+sym)
 	s.counters.SRsSent++
 	s.h.srsSent.Inc()
 	s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeSRSent,
@@ -83,8 +84,8 @@ func (s *System) ulSendSR(p *ulPacket) {
 	}
 	phyD := s.sampleGNB(proc.LayerPHY)
 	recvAt := srEnd.Add(radioD + phyD)
-	s.seg(p.bd, p.id, obs.DirUL, obs.LayerBus, "③ gNB SR decode", core.Radio, srEnd, radioD)
-	s.seg(p.bd, p.id, obs.DirUL, obs.LayerPHY, "③ gNB PHY", core.Processing, srEnd.Add(radioD), phyD)
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerBus, "③ gNB SR decode", core.Radio, srEnd, radioD)
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerPHY, "③ gNB PHY", core.Processing, srEnd.Add(radioD), phyD)
 	s.Eng.Schedule(recvAt, "ul.sr.recv", func() {
 		p.srRecvAt = recvAt
 		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeSRReceived, Time: recvAt})
@@ -120,10 +121,10 @@ func (s *System) deliverGrant(targetDL sim.Time, g sched.Grant) {
 	// ④/⑤: from SR reception to the grant's control symbols landing at the
 	// UE — waiting for the scheduling instant plus the grant on air. All
 	// protocol latency; the UE's grant decode is processing.
-	s.seg(p.bd, p.id, obs.DirUL, obs.LayerSched, "④⑤ UL grant (wait+ctrl)", core.Protocol, p.srRecvAt, ctrlEnd.Sub(p.srRecvAt))
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerSched, "④⑤ UL grant (wait+ctrl)", core.Protocol, p.srRecvAt, ctrlEnd.Sub(p.srRecvAt))
 	decode := s.sampleUE(proc.LayerMAC)
 	haveGrant := ctrlEnd.Add(decode)
-	s.seg(p.bd, p.id, obs.DirUL, obs.LayerMAC, "⑥ UE grant decode", core.Processing, ctrlEnd, decode)
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerMAC, "⑥ UE grant decode", core.Processing, ctrlEnd, decode)
 	s.Eng.Schedule(haveGrant, "ul.grant", func() {
 		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeGrantDecoded,
 			Time: haveGrant, Ref: g.SlotStart})
@@ -140,7 +141,7 @@ func (s *System) ulTransmitOnGrantFree(p *ulPacket) {
 		s.finishUL(p, p.ready, false)
 		return
 	}
-	s.seg(p.bd, p.id, obs.DirUL, obs.LayerMAC, "UE MAC+PHY prep", core.Processing, p.ready, lead)
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerMAC, "UE MAC+PHY prep", core.Processing, p.ready, lead)
 	if s.cfg.CGUnits > 0 {
 		// Shared pre-allocation: pick one of the slot's contention units.
 		// Every contender registers strictly before the slot starts, so the
@@ -266,7 +267,7 @@ func (s *System) ulTransmitAt(p *ulPacket, slotStart, from sim.Time) {
 		air = sim.Duration(ulSyms) * sym
 	}
 	if ulStart > from {
-		s.seg(p.bd, p.id, obs.DirUL, obs.LayerSched, "⑥ wait for granted UL slot", core.Protocol, from, ulStart.Sub(from))
+		s.seg(&p.by, p.id, obs.DirUL, obs.LayerSched, "⑥ wait for granted UL slot", core.Protocol, from, ulStart.Sub(from))
 	}
 	onAirEnd := ulStart.Add(air)
 	rx, txErr := s.phyUL.Transmit(tb, ulStart)
@@ -302,7 +303,7 @@ func (s *System) ulTransmitAt(p *ulPacket, slotStart, from sim.Time) {
 			s.h.harqRetx.Inc()
 			s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeHARQRetx,
 				Time: onAirEnd, Arg: int64(p.attempts + 1)})
-			s.seg(p.bd, p.id, obs.DirUL, obs.LayerMAC, "HARQ retransmission", core.Protocol, ulStart, air)
+			s.seg(&p.by, p.id, obs.DirUL, obs.LayerMAC, "HARQ retransmission", core.Protocol, ulStart, air)
 			p.ready = onAirEnd
 			if collided {
 				p.ready = s.cgBackoffReady(p.ue, onAirEnd)
@@ -315,7 +316,7 @@ func (s *System) ulTransmitAt(p *ulPacket, slotStart, from sim.Time) {
 			}
 			return
 		}
-		s.seg(p.bd, p.id, obs.DirUL, obs.LayerAir, "⑥ UL data on air", core.Protocol, ulStart, air)
+		s.seg(&p.by, p.id, obs.DirUL, obs.LayerAir, "⑥ UL data on air", core.Protocol, ulStart, air)
 		s.gnbReceiveUL(onAirEnd, rx, p)
 	})
 }
@@ -326,12 +327,12 @@ func (s *System) gnbReceiveUL(at sim.Time, tb []byte, p *ulPacket) {
 	if s.cfg.GNBRadio != nil {
 		radioD = s.cfg.GNBRadio.RxLatency(s.cfg.Grid.Mu, s.rng)
 	}
-	s.seg(p.bd, p.id, obs.DirUL, obs.LayerBus, "⑦ RH→gNB samples", core.Radio, at, radioD)
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerBus, "⑦ RH→gNB samples", core.Radio, at, radioD)
 	procD := s.sampleGNB(proc.LayerPHY) + s.sampleGNB(proc.LayerMAC) +
 		s.sampleGNB(proc.LayerRLC) + s.sampleGNB(proc.LayerPDCP) + s.sampleGNB(proc.LayerSDAP)
-	s.seg(p.bd, p.id, obs.DirUL, obs.LayerStack, "⑦ gNB PHY↑…SDAP↑", core.Processing, at.Add(radioD), procD)
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerStack, "⑦ gNB PHY↑…SDAP↑", core.Processing, at.Add(radioD), procD)
 	done := at.Add(radioD + procD + s.cfg.CoreLatency)
-	s.seg(p.bd, p.id, obs.DirUL, obs.LayerCore, "gNB→UPF (GTP-U)", core.Processing, at.Add(radioD+procD), s.cfg.CoreLatency)
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerCore, "gNB→UPF (GTP-U)", core.Processing, at.Add(radioD+procD), s.cfg.CoreLatency)
 	s.Eng.Schedule(done, "ul.deliver", func() {
 		payloads, err := s.gnbMACRx.ParseTB(tb)
 		if err != nil {
@@ -374,10 +375,10 @@ func (s *System) gnbReceiveUL(at sim.Time, tb []byte, p *ulPacket) {
 }
 
 func (s *System) finishUL(p *ulPacket, at sim.Time, ok bool) {
-	if p == nil || s.done[p.id] {
+	if p == nil || p.done {
 		return
 	}
-	s.done[p.id] = true
+	p.done = true
 	lat := at.Sub(p.offered)
 	if ok {
 		s.h.delivered.Inc()
@@ -387,8 +388,8 @@ func (s *System) finishUL(p *ulPacket, at sim.Time, ok bool) {
 	}
 	s.results = append(s.results, Result{
 		ID: p.id, Uplink: true, Delivered: ok,
-		Latency: lat, Breakdown: *p.bd, Attempts: p.attempts + 1,
+		Latency: lat, BySource: p.by, Attempts: p.attempts + 1,
 	})
-	s.audit(p.id, p.ue, obs.DirUL, ok, lat, p.attempts+1, p.bd)
+	s.audit(p.id, p.ue, obs.DirUL, ok, lat, p.attempts+1, p.by)
 	s.onULDelivered(p.id, at, ok)
 }

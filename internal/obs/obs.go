@@ -4,10 +4,10 @@
 // JSON for Perfetto, CSV).
 //
 // The paper's central artefact is a temporal breakdown of one packet's
-// journey into protocol/processing/radio latency (Fig. 3, Table 2). The
-// journey was previously only a free-form string; obs makes the same data
-// machine-readable: every journey segment becomes a Span carrying the packet
-// id, direction, stack layer and latency-source attribution, and every
+// journey into protocol/processing/radio latency (Fig. 3, Table 2). obs
+// holds that journey: every journey segment is a Span carrying the packet
+// id, direction, stack layer and latency-source attribution (JourneyTable
+// renders one packet's spans as the Fig. 3 text), and every
 // system event of interest (slots scheduled, HARQ retransmissions, CRC
 // failures, …) feeds a named counter.
 //
@@ -19,6 +19,10 @@
 package obs
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -102,8 +106,10 @@ func ParseDir(s string) (Dir, bool) {
 	}
 }
 
-// Span is one timed step of a packet's journey: the structured form of a
-// core.Segment, plus the packet identity and stack position. Spans of one
+// Span is one timed step of a packet's journey (a circled step of the
+// paper's Fig. 3) charged to one latency source, with the packet identity
+// and stack position. A packet's spans are its only step-by-step journey
+// record; JourneyTable renders them as the Fig. 3 text. Spans of one
 // packet partition its one-way latency exactly (no gaps, no overlaps) on
 // first-attempt deliveries; TestSpanPartition at the repository root holds
 // this property across directions, access modes and seeds.
@@ -119,6 +125,28 @@ type Span struct {
 
 // End returns the instant the span finishes.
 func (s Span) End() sim.Time { return s.Start.Add(s.Dur) }
+
+// JourneyTable renders one packet's spans as the Fig. 3 journey table:
+// every step in chronological order (a stable sort by Start, so steps that
+// start together keep recording order), then the total and its split across
+// the three latency sources.
+func JourneyTable(spans []Span) string {
+	steps := slices.Clone(spans)
+	slices.SortStableFunc(steps, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
+	var by core.Tally
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-28s %-11s %12s %12s\n", "step", "source", "start[µs]", "dur[µs]")
+	for _, s := range steps {
+		by.Add(s.Source, s.Dur)
+		fmt.Fprintf(&sb, "%-28s %-11s %12.2f %12.2f\n",
+			s.Step, s.Source, s.Start.Micros(), float64(s.Dur)/1000)
+	}
+	fmt.Fprintf(&sb, "%-28s %-11s %12s %12.2f\n", "TOTAL", "", "", float64(by.Total())/1000)
+	for _, src := range core.Sources {
+		fmt.Fprintf(&sb, "  %-26s %-11s %12s %12.2f\n", "", src, "", float64(by[src])/1000)
+	}
+	return sb.String()
+}
 
 // Event is an instantaneous marker (an engine event firing, a milestone).
 type Event struct {
@@ -641,9 +669,8 @@ func (r *Recorder) Events() []Event {
 	return r.events
 }
 
-// TracerFunc adapts a legacy func(Time, string) engine hook into a
-// structured sim.EngineSink, so pre-existing Engine.Tracer consumers can be
-// mounted on the structured sink path unchanged:
+// TracerFunc adapts a plain func(Time, string) engine hook into a
+// structured sim.EngineSink:
 //
 //	eng.Sink = obs.TracerFunc(func(t sim.Time, name string) { … })
 type TracerFunc func(t sim.Time, name string)
@@ -652,7 +679,7 @@ type TracerFunc func(t sim.Time, name string)
 func (f TracerFunc) EngineEvent(t sim.Time, name string) { f(t, name) }
 
 // MultiSink fans one engine event stream out to several sinks, e.g. a
-// Recorder plus a legacy TracerFunc.
+// Recorder plus a TracerFunc.
 type MultiSink []sim.EngineSink
 
 // EngineEvent implements sim.EngineSink.

@@ -51,38 +51,45 @@ func TestRecorderSpansAndEvents(t *testing.T) {
 	}
 }
 
-// TestEngineSinkAndLegacyTracer proves the engine's structured sink and the
-// legacy Tracer hook observe the same event stream, and that a legacy func
-// can be mounted on the structured path through the TracerFunc adapter.
+// TestEngineSinkAndLegacyTracer proves that a plain func(Time, string) hook
+// mounted on the engine's Sink through TracerFunc sees exactly the event
+// stream a Recorder sink records: same names, same times, same order.
 func TestEngineSinkAndLegacyTracer(t *testing.T) {
 	eng := sim.NewEngine()
 	r := NewRecorder()
 	r.CaptureEngineEvents(true)
 
-	var legacy []string
-	var adapted []string
-	eng.Tracer = func(_ sim.Time, name string) { legacy = append(legacy, name) }
+	type fired struct {
+		t    sim.Time
+		name string
+	}
+	var hooked []fired
 	eng.Sink = MultiSink{
 		r,
-		TracerFunc(func(_ sim.Time, name string) { adapted = append(adapted, name) }),
+		TracerFunc(func(t sim.Time, name string) { hooked = append(hooked, fired{t, name}) }),
 	}
 
 	eng.After(sim.Microsecond, "a", func() {})
-	eng.After(2*sim.Microsecond, "b", func() {})
+	eng.After(2*sim.Microsecond, "b", func() {
+		eng.After(0, "c", func() {})
+	})
+	eng.After(2*sim.Microsecond, "b2", func() {})
 	eng.RunAll()
 
-	want := []string{"a", "b"}
-	for _, got := range [][]string{legacy, adapted} {
-		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("hook saw %v, want %v", got, want)
+	evs := r.Events()
+	if len(hooked) != 4 || len(evs) != len(hooked) {
+		t.Fatalf("hook saw %v, recorder %+v; want 4 events each", hooked, evs)
+	}
+	for i, e := range evs {
+		if e.Time != hooked[i].t || e.Name != hooked[i].name {
+			t.Fatalf("event %d: recorder %v@%v, hook %v@%v", i, e.Name, e.Time, hooked[i].name, hooked[i].t)
 		}
 	}
-	evs := r.Events()
-	if len(evs) != 2 || evs[0].Name != "a" || evs[0].Layer != LayerEngine || evs[0].Packet != -1 {
-		t.Fatalf("recorder events = %+v", evs)
+	if got := hooked[1].name + hooked[2].name + hooked[3].name; got != "bb2c" {
+		t.Fatalf("same-instant order %q, want FIFO bb2c", got)
 	}
-	if evs[1].Time != sim.Time(2000) {
-		t.Fatalf("event time %v, want 2000", evs[1].Time)
+	if evs[0].Layer != LayerEngine || evs[0].Packet != -1 || evs[1].Time != sim.Time(2000) {
+		t.Fatalf("recorder events = %+v", evs)
 	}
 }
 

@@ -375,18 +375,10 @@ func (r *Report) Publish(rec *obs.Recorder) {
 	}
 }
 
-// acceptedSchemas lists the profile-record versions this reader understands.
-// v2 files lack the observer-tax section but are otherwise identical, so
-// archived profiles stay readable.
-var acceptedSchemas = map[string]bool{
-	"urllcsim-profile/v2": true,
-	"urllcsim-profile/v3": true,
-}
-
 // ReadJSONL scans a JSONL stream and returns every "profile" record in file
 // order. Other record kinds (spans, outcomes, flight, slots, KPI …) are
-// skipped, so one mixed file feeds every reader; an unknown profile schema
-// version is an error, never a zero-filled report.
+// skipped, so one mixed file feeds every reader; any profile schema other
+// than ReportSchema is an error, never a zero-filled report.
 func ReadJSONL(r io.Reader) ([]*Report, error) {
 	var out []*Report
 	sc := bufio.NewScanner(r)
@@ -411,7 +403,7 @@ func ReadJSONL(r io.Reader) ([]*Report, error) {
 		if err := json.Unmarshal(line, &rep); err != nil {
 			return nil, fmt.Errorf("prof: line %d: %w", lineNo, err)
 		}
-		if !acceptedSchemas[rep.Schema] {
+		if rep.Schema != ReportSchema {
 			return nil, fmt.Errorf("prof: line %d: unsupported profile schema %q (this reader speaks %q)",
 				lineNo, rep.Schema, ReportSchema)
 		}

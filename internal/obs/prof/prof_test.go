@@ -267,16 +267,19 @@ func TestReadJSONL(t *testing.T) {
 	}
 }
 
-func TestReadJSONLAcceptsV2(t *testing.T) {
-	line := `{"kind":"profile","schema":"urllcsim-profile/v2","label":"old","events":7,"attributed_ns":100}`
-	reps, err := ReadJSONL(strings.NewReader(line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 1 || reps[0].Events != 7 || reps[0].Obs != nil {
-		t.Fatalf("v2 record misread: %+v", reps[0])
-	}
-	if _, err := ReadJSONL(strings.NewReader(`{"kind":"profile","schema":"urllcsim-profile/v99"}`)); err == nil {
-		t.Fatal("unknown profile schema accepted")
+// TestReadJSONLRejectsV2: the reader speaks only the current profile schema;
+// a v2 record (or a future one) is a one-line error, not a partial report.
+func TestReadJSONLRejectsV2(t *testing.T) {
+	for _, line := range []string{
+		`{"kind":"profile","schema":"urllcsim-profile/v2","label":"old","events":7,"attributed_ns":100}`,
+		`{"kind":"profile","schema":"urllcsim-profile/v99"}`,
+	} {
+		reps, err := ReadJSONL(strings.NewReader(line))
+		if err == nil {
+			t.Fatalf("accepted %s: %+v", line, reps)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "unsupported profile schema") || strings.Contains(msg, "\n") {
+			t.Fatalf("error %q, want one line naming the unsupported profile schema", msg)
+		}
 	}
 }

@@ -71,8 +71,8 @@ func (ev *Event) Pending() bool {
 
 // EngineSink receives a structured notification for every fired event. It
 // is the engine half of the observability layer (internal/obs): an attached
-// obs.Recorder implements it, and obs.TracerFunc adapts any legacy
-// func(Time, string) hook onto the same path.
+// obs.Recorder implements it, and obs.TracerFunc adapts a plain
+// func(Time, string) hook onto it.
 type EngineSink interface {
 	EngineEvent(t Time, name string)
 }
@@ -96,26 +96,11 @@ type Engine struct {
 	free       *node  // recycled event nodes, linked through node.next
 	poolAllocs uint64 // nodes ever allocated (freelist misses)
 
-	// Tracer, when non-nil, is invoked for every fired event. It is the
-	// legacy hook, kept for compatibility; it rides the same dispatch as
-	// Sink and is equivalent to mounting an obs.TracerFunc there.
-	Tracer func(t Time, name string)
-
 	// Sink, when non-nil, receives every fired event as a structured
 	// notification (typically an *obs.Recorder).
 	Sink EngineSink
 
 	wheel wheel
-}
-
-// emit dispatches one fired event to the legacy tracer and structured sink.
-func (e *Engine) emit(name string) {
-	if e.Tracer != nil {
-		e.Tracer(e.now, name)
-	}
-	if e.Sink != nil {
-		e.Sink.EngineEvent(e.now, name)
-	}
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -240,8 +225,8 @@ func (e *Engine) fireNext(t Time) {
 	// pattern then reuses this very node, and the handle staleness check
 	// (seq) keeps any outstanding handle to the fired event truthful.
 	e.recycle(n, stateFired)
-	if e.Tracer != nil || e.Sink != nil {
-		e.emit(name)
+	if e.Sink != nil {
+		e.Sink.EngineEvent(e.now, name)
 	}
 	fn()
 }

@@ -169,16 +169,6 @@ type PacketResult struct {
 	// ProtocolShare…RadioShare split the journey across the paper's three
 	// latency sources (fractions of the accounted time).
 	ProtocolShare, ProcessingShare, RadioShare float64
-
-	bd core.Breakdown
-}
-
-// Journey renders the Fig. 3-style breakdown table. Formatting is deferred
-// to the call: a run that never prints journeys (sweeps, benchmarks, KPI
-// pipelines) pays nothing for them, which keeps the always-on tracing
-// overhead down to the record path itself.
-func (r *PacketResult) Journey() string {
-	return r.bd.String()
 }
 
 // Scenario is a configured, runnable system.
@@ -337,12 +327,11 @@ func (s *Scenario) Run(horizon time.Duration) []PacketResult {
 	rs := s.sys.Results()
 	out := make([]PacketResult, len(rs))
 	for i, r := range rs {
-		by := r.Breakdown.BySource()
-		tot := float64(by[0] + by[1] + by[2])
+		by := r.BySource
+		tot := float64(by.Total())
 		pr := PacketResult{
 			ID: r.ID, Uplink: r.Uplink, Delivered: r.Delivered,
 			Latency: time.Duration(r.Latency), Attempts: r.Attempts,
-			bd: r.Breakdown,
 		}
 		if tot > 0 {
 			pr.ProtocolShare = float64(by[core.Protocol]) / tot
@@ -352,6 +341,21 @@ func (s *Scenario) Run(horizon time.Duration) []PacketResult {
 		out[i] = pr
 	}
 	return out
+}
+
+// Journey renders packet id's Fig. 3-style journey table from the spans
+// the scenario's recorder (ScenarioConfig.Obs) retained for it. It fails
+// when no recorder is attached, or when the packet's spans were not
+// retained (retention off, sampled out, or no such packet).
+func (s *Scenario) Journey(id int) (string, error) {
+	if s.cfg.Obs == nil {
+		return "", fmt.Errorf("urllcsim: journey of packet %d needs a recorder (ScenarioConfig.Obs)", id)
+	}
+	spans := s.cfg.Obs.PacketSpans(id)
+	if len(spans) == 0 {
+		return "", fmt.Errorf("urllcsim: no retained spans for packet %d (retention off or sampled out)", id)
+	}
+	return obs.JourneyTable(spans), nil
 }
 
 // PingOutcome is the result of one echo round trip.

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"urllcsim/internal/obs"
 )
 
 func TestTable1PublicAPI(t *testing.T) {
@@ -74,6 +76,7 @@ func TestMinimumFR1Slot(t *testing.T) {
 func TestScenarioEndToEnd(t *testing.T) {
 	sc, err := NewScenario(ScenarioConfig{
 		Pattern: PatternDDDU, SlotScale: Slot0p5ms, Radio: RadioUSB2, Seed: 3,
+		Obs: obs.NewRecorder(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,12 +96,50 @@ func TestScenarioEndToEnd(t *testing.T) {
 		if r.Latency <= 0 || r.Latency > 20*time.Millisecond {
 			t.Fatalf("packet %d latency %v implausible", r.ID, r.Latency)
 		}
-		if r.Journey() == "" {
-			t.Fatal("empty journey")
+		if j, err := sc.Journey(r.ID); err != nil || j == "" {
+			t.Fatalf("packet %d: empty journey (err %v)", r.ID, err)
 		}
 		sum := r.ProtocolShare + r.ProcessingShare + r.RadioShare
 		if sum < 0.99 || sum > 1.01 {
 			t.Fatalf("shares sum to %v", sum)
+		}
+	}
+}
+
+// TestJourneyNeedsRetainedSpans pins Scenario.Journey's failure modes: the
+// journey is rendered from the recorder's retained spans, so a scenario
+// without a recorder, with span retention off, or with the packet sampled
+// out reports a one-line error instead of an empty table.
+func TestJourneyNeedsRetainedSpans(t *testing.T) {
+	noRetain := obs.NewRecorder()
+	noRetain.SetRetention(false, true)
+	sampledOut := obs.NewRecorder()
+	sampledOut.SetSampling(0, 1)
+	for _, c := range []struct {
+		name string
+		rec  *obs.Recorder
+		want string
+	}{
+		{"no recorder", nil, "needs a recorder"},
+		{"retention off", noRetain, "no retained spans"},
+		{"sampled out", sampledOut, "no retained spans"},
+	} {
+		sc, err := NewScenario(ScenarioConfig{
+			Pattern: PatternDDDU, SlotScale: Slot0p5ms, Radio: RadioUSB2, Seed: 3, Obs: c.rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := sc.SendUplink(0, 32)
+		if rs := sc.Run(50 * time.Millisecond); len(rs) != 1 || !rs[0].Delivered {
+			t.Fatalf("%s: packet not delivered: %+v", c.name, rs)
+		}
+		j, err := sc.Journey(id)
+		if err == nil || j != "" {
+			t.Fatalf("%s: Journey = %q, %v; want an error", c.name, j, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.want) || strings.Contains(msg, "\n") {
+			t.Fatalf("%s: error %q, want one line containing %q", c.name, msg, c.want)
 		}
 	}
 }
