@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"io"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"urllcsim/internal/crypto5g"
 	"urllcsim/internal/nr"
 	"urllcsim/internal/obs"
+	"urllcsim/internal/obs/analyze"
 	"urllcsim/internal/obs/flight"
 	"urllcsim/internal/sim"
 	"urllcsim/internal/sweep"
@@ -131,6 +133,11 @@ func Suite() []Benchmark {
 			Name: "ObsSampled",
 			Desc: "record+Reset cycle with 1/16 deterministic span sampling",
 			F:    obsSampled,
+		},
+		{
+			Name: "ObsExportJSONL",
+			Desc: "trace, slot-ledger and KPI JSONL exports of a recorded 8-UE cell to io.Discard",
+			F:    obsExportJSONL,
 		},
 		{
 			Name: "LabeledRegistry",
@@ -469,6 +476,46 @@ func obsSampled(b *testing.B) {
 		cycle()
 	}
 	b.ReportMetric(float64(b.N)*n*3/b.Elapsed().Seconds(), "records/sec")
+}
+
+// obsExportJSONL times the export phase of a traced run on its own: the
+// three JSONL writers urllcsim's -jsonl-out, -slots-out and -kpi-out run,
+// over one fixed recorded cell (8 UEs, 200 UL + 200 DL packets, slot
+// ledger on). The cell is simulated once, outside the timer; the alloc
+// column is the writers' fixed per-call cost, which must not grow with the
+// record count.
+func obsExportJSONL(b *testing.B) {
+	b.ReportAllocs()
+	rec := obs.NewRecorder()
+	rec.EnableSlotLedger()
+	sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
+		Pattern: urllcsim.PatternDDDU, SlotScale: urllcsim.Slot0p5ms,
+		Radio: urllcsim.RadioUSB2, UEs: 8, Seed: 1, Obs: rec,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		at := time.Duration(i) * 2 * time.Millisecond
+		sc.SendUplinkFrom(i%8, at+137*time.Microsecond, 32)
+		sc.SendDownlinkFrom((i+3)%8, at+731*time.Microsecond, 32)
+	}
+	sc.Run(time.Duration(200+50) * 2 * time.Millisecond)
+	rep := analyze.ComputeKPI(analyze.FromRecorder(rec), "bench")
+	records := len(rec.Spans()) + len(rec.Outcomes()) + len(rec.Slots())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := obs.WriteJSONL(io.Discard, rec); err != nil {
+			b.Fatal(err)
+		}
+		if err := obs.WriteSlotsJSONL(io.Discard, rec.Slots(), "bench"); err != nil {
+			b.Fatal(err)
+		}
+		if err := analyze.WriteKPIJSONL(io.Discard, rep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(records)/b.Elapsed().Seconds(), "records/sec")
 }
 
 // flightRecorderOverhead is scenarioThroughput with a retention-free

@@ -2,12 +2,16 @@ package analyze
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"urllcsim/internal/core"
 	"urllcsim/internal/obs"
+	"urllcsim/internal/obs/jsonl"
 	"urllcsim/internal/sim"
 )
 
@@ -208,13 +212,91 @@ func TestReadJSONLErrors(t *testing.T) {
 	}
 }
 
+// TestReadJSONLRejectsOutOfRangeMicros: a µs field outside jsonl's exact
+// range is a one-line error naming the line and the field, not a silent
+// garbage nanosecond count (1e300 µs used to convert to math.MinInt64).
+func TestReadJSONLRejectsOutOfRangeMicros(t *testing.T) {
+	meta := `{"kind":"meta","schema":"` + obs.TraceSchema + `"}` + "\n"
+	span := `{"kind":"span","packet":1,"dir":"UL","layer":"PHY","step":"s","source":"radio","start_us":%s,"dur_us":%s}`
+	outcome := `{"kind":"outcome","packet":1,"dir":"UL","delivered":true,"latency_us":%s,"attempts":1,"end_us":%s}`
+	event := `{"kind":"event","time_us":%s,"name":"n","layer":"MAC","packet":1}`
+	const bound = "4398046511104" // jsonl.MaxExactNs in µs: the first value outside
+	for _, c := range []struct{ line, field string }{
+		{fmt.Sprintf(span, "1e300", "1"), "start_us"},
+		{fmt.Sprintf(span, "1", "-1e300"), "dur_us"},
+		{fmt.Sprintf(span, bound, "1"), "start_us"},
+		{fmt.Sprintf(outcome, "1e19", "1"), "latency_us"},
+		{fmt.Sprintf(outcome, "1", "-"+bound), "end_us"},
+		{fmt.Sprintf(event, "9.3e15"), "time_us"},
+	} {
+		_, err := ReadJSONL(strings.NewReader(meta + c.line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2: "+c.field+" ") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: want a one-line \"line 2: %s …\" error, got %v", c.line, c.field, err)
+		}
+	}
+	// The last value inside the range still reads back exactly.
+	tr, err := ReadJSONL(strings.NewReader(meta + fmt.Sprintf(span, "4398046511103.999", "0") + "\n"))
+	if err != nil || len(tr.Spans) != 1 || tr.Spans[0].Start != sim.Time(jsonl.MaxExactNs-1) {
+		t.Fatalf("in-range start: %v, %+v", err, tr)
+	}
+}
+
+// FuzzReadTraceJSONL: the trace reader never panics, and any trace it
+// accepts re-encodes through obs.WriteJSONL into a file that reads back to
+// the same spans, outcomes and events. Seeded with the obs trace goldens.
+func FuzzReadTraceJSONL(f *testing.F) {
+	for _, name := range []string{"trace.jsonl.golden", "trace_sampled.jsonl.golden"} {
+		data, err := os.ReadFile(filepath.Join("..", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		for _, i := range []int{1, len(lines) / 2, len(lines) - 2} {
+			f.Add(bytes.Join([][]byte{lines[0], lines[i]}, nil))
+		}
+	}
+	f.Add([]byte(`{"kind":"span","dir":"UL","layer":"PHY","source":"radio","start_us":1e300}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			if strings.Contains(err.Error(), "\n") {
+				t.Fatalf("multi-line error: %q", err)
+			}
+			return
+		}
+		rec := obs.NewRecorder()
+		for _, s := range tr.Spans {
+			rec.Span(s)
+		}
+		for _, o := range tr.Outcomes {
+			rec.Outcome(o)
+		}
+		for _, e := range tr.Events {
+			rec.Mark(e.Time, e.Layer, e.Name, e.Packet)
+		}
+		var buf bytes.Buffer
+		if err := obs.WriteJSONL(&buf, rec); err != nil {
+			t.Fatalf("accepted trace does not re-encode: %v", err)
+		}
+		again, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded trace does not read back: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(tr.Spans, again.Spans) || !reflect.DeepEqual(tr.Outcomes, again.Outcomes) ||
+			!reflect.DeepEqual(tr.Events, again.Events) {
+			t.Fatalf("re-encoded trace reads back differently:\n%s", buf.Bytes())
+		}
+	})
+}
+
 func TestUsToNsExact(t *testing.T) {
 	// The exporter writes float64(ns)/1000; the reader must invert exactly.
 	vals := []int64{0, 1, 3, 999, 1000, 142857, 123456789, 999999999937, 1<<50 + 7}
 	for _, ns := range vals {
 		us := float64(ns) / 1000
-		if got := usToNs(us); got != ns {
-			t.Fatalf("usToNs(%v) = %d, want %d", us, got, ns)
+		if got, err := jsonl.NanosFromMicros("t_us", us); err != nil || got != ns {
+			t.Fatalf("NanosFromMicros(%v) = %d, %v; want %d", us, got, err, ns)
 		}
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"urllcsim/internal/metrics"
 	"urllcsim/internal/obs"
+	"urllcsim/internal/obs/jsonl"
 )
 
 // The KPI pass turns per-packet outcomes into the per-UE indicators the
@@ -263,6 +265,8 @@ func ComputeKPI(tr *Trace, label string) *KPIReport {
 // urllcsim-kpi/v1 JSONL dialect.
 // ---------------------------------------------------------------------------
 
+// jsonKPIMeta, jsonUEKPI, jsonDirKPI and jsonCCDF are the wire forms
+// ReadKPIJSONL decodes; WriteKPIJSONL appends the same fields directly.
 type jsonKPIMeta struct {
 	Kind   string `json:"kind"` // "kpi_meta"
 	Schema string `json:"schema"`
@@ -302,36 +306,108 @@ type jsonCCDF struct {
 	CCDF float64 `json:"ccdf"`
 }
 
+// kpiLine assembles one KPI JSONL line in a reused buffer. Keys are passed
+// as their full `,"name":` fragments. err keeps the first NaN or ±Inf, which
+// has no JSON form (encoding/json refuses it too).
+type kpiLine struct {
+	b   []byte
+	err error
+}
+
+func (l *kpiLine) begin(kind string) {
+	l.b = append(l.b[:0], `{"kind":`...)
+	l.b = jsonl.AppendString(l.b, kind)
+}
+
+func (l *kpiLine) str(key, v string) {
+	l.b = append(l.b, key...)
+	l.b = jsonl.AppendString(l.b, v)
+}
+
+func (l *kpiLine) int(key string, v int) {
+	l.b = append(l.b, key...)
+	l.b = jsonl.AppendInt(l.b, v)
+}
+
+func (l *kpiLine) float(key string, v float64) {
+	var err error
+	l.b = append(l.b, key...)
+	if l.b, err = jsonl.AppendFloat(l.b, v); l.err == nil {
+		l.err = err
+	}
+}
+
+// end closes the line and writes it to bw, returning the line's or the
+// write's error.
+func (l *kpiLine) end(bw *bufio.Writer) error {
+	if l.err != nil {
+		return l.err
+	}
+	l.b = append(l.b, "}\n"...)
+	_, err := bw.Write(l.b)
+	return err
+}
+
 // WriteKPIJSONL writes a KPI report as one urllcsim-kpi/v1 JSONL stream:
-// kpi_meta, then ue_kpi rows, then kpi_dir rows, then ccdf points.
+// kpi_meta, then ue_kpi rows, then kpi_dir rows, then ccdf points. Every
+// line is assembled in one reused buffer, so the writer's allocations do
+// not grow with the report.
 func WriteKPIJSONL(w io.Writer, rep *KPIReport) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonKPIMeta{Kind: "kpi_meta", Schema: KPISchema, Label: rep.Label}); err != nil {
+	l := kpiLine{b: make([]byte, 0, 512)}
+	l.begin("kpi_meta")
+	l.str(`,"schema":`, KPISchema)
+	if rep.Label != "" {
+		l.str(`,"label":`, rep.Label)
+	}
+	if err := l.end(bw); err != nil {
 		return err
 	}
-	for _, u := range rep.UEs {
-		if err := enc.Encode(jsonUEKPI{
-			Kind: "ue_kpi", UE: u.UE, Dir: u.Dir.String(),
-			Delivered: u.Delivered, Lost: u.Lost, Reliability: u.Reliability,
-			MeanUs: u.MeanUs, P50Us: u.P50Us, P99Us: u.P99Us, MaxUs: u.MaxUs,
-			HasAoI: u.HasAoI, AoIPeakUs: u.AoIPeakUs, AoIMeanUs: u.AoIMeanUs,
-		}); err != nil {
+	for i := range rep.UEs {
+		u := &rep.UEs[i]
+		l.begin("ue_kpi")
+		l.int(`,"ue":`, u.UE)
+		l.str(`,"dir":`, u.Dir.String())
+		l.int(`,"delivered":`, u.Delivered)
+		l.int(`,"lost":`, u.Lost)
+		l.float(`,"reliability":`, u.Reliability)
+		l.float(`,"mean_us":`, u.MeanUs)
+		l.float(`,"p50_us":`, u.P50Us)
+		l.float(`,"p99_us":`, u.P99Us)
+		l.float(`,"max_us":`, u.MaxUs)
+		l.b = append(l.b, `,"has_aoi":`...)
+		l.b = strconv.AppendBool(l.b, u.HasAoI)
+		if u.AoIPeakUs != 0 { // omitempty, as in jsonUEKPI
+			l.float(`,"aoi_peak_us":`, u.AoIPeakUs)
+		}
+		if u.AoIMeanUs != 0 {
+			l.float(`,"aoi_mean_us":`, u.AoIMeanUs)
+		}
+		if err := l.end(bw); err != nil {
 			return err
 		}
 	}
-	for _, d := range rep.Dirs {
-		if err := enc.Encode(jsonDirKPI{
-			Kind: "kpi_dir", Dir: d.Dir.String(), UEs: d.UEs,
-			Delivered: d.Delivered, Lost: d.Lost,
-			JainThroughput: d.JainThroughput, JainLatency: d.JainLatency,
-		}); err != nil {
+	for i := range rep.Dirs {
+		d := &rep.Dirs[i]
+		l.begin("kpi_dir")
+		l.str(`,"dir":`, d.Dir.String())
+		l.int(`,"ues":`, d.UEs)
+		l.int(`,"delivered":`, d.Delivered)
+		l.int(`,"lost":`, d.Lost)
+		l.float(`,"jain_throughput":`, d.JainThroughput)
+		l.float(`,"jain_latency":`, d.JainLatency)
+		if err := l.end(bw); err != nil {
 			return err
 		}
 	}
-	for _, d := range rep.Dirs {
+	for i := range rep.Dirs {
+		d := &rep.Dirs[i]
 		for _, p := range d.CCDF {
-			if err := enc.Encode(jsonCCDF{Kind: "ccdf", Dir: d.Dir.String(), LeUs: p.LeUs, CCDF: p.CCDF}); err != nil {
+			l.begin("ccdf")
+			l.str(`,"dir":`, d.Dir.String())
+			l.float(`,"le_us":`, p.LeUs)
+			l.float(`,"ccdf":`, p.CCDF)
+			if err := l.end(bw); err != nil {
 				return err
 			}
 		}

@@ -2,13 +2,14 @@ package analyze
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"urllcsim/internal/core"
 	"urllcsim/internal/obs"
+	"urllcsim/internal/obs/jsonl"
 	"urllcsim/internal/sim"
 )
 
@@ -56,20 +57,13 @@ type jsonLine struct {
 	EndUs     float64 `json:"end_us"`
 }
 
-// usToNs converts the wire format's µs floats back to integer nanoseconds.
-// The exporter computes us = float64(ns)/1000 and encoding/json prints the
-// shortest decimal that round-trips the float64, so Round(us*1000) recovers
-// the original nanosecond count exactly for every |ns| < ~4·10^15 (46 days
-// of virtual time): the division's relative rounding error is ≤ 2^-53,
-// far below the 0.5 ns rounding threshold at that magnitude.
-func usToNs(us float64) int64 { return int64(math.Round(us * 1000)) }
-
 // ReadJSONL parses a trace written by obs.WriteJSONL. Unknown record kinds
-// are skipped (forward compatibility); malformed JSON, unknown enum names or
-// an unknown trace schema version are errors. Traces written before the meta
-// line existed (no "meta" record) are still accepted. The result
-// reconstructs the recorder's state losslessly — span and outcome times are
-// exact to the nanosecond.
+// are skipped (forward compatibility); malformed JSON, unknown enum names, a
+// µs field outside jsonl's exact range or an unknown trace schema version
+// are errors. Traces written before the meta line existed (no "meta" record)
+// are still accepted. The result reconstructs the recorder's state
+// losslessly — the writer prints every time as its exact µs decimal
+// (jsonl.AppendMicros), and jsonl.NanosFromMicros recovers the nanosecond.
 func ReadJSONL(r io.Reader) (*Trace, error) {
 	tr := &Trace{SampleRate: 1}
 	sc := bufio.NewScanner(r)
@@ -121,27 +115,40 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			if !ok {
 				return nil, fmt.Errorf("analyze: line %d: unknown source %q", lineNo, jl.Source)
 			}
+			start, errStart := jsonl.NanosFromMicros("start_us", jl.StartUs)
+			dur, errDur := jsonl.NanosFromMicros("dur_us", jl.DurUs)
+			if err := cmp.Or(errStart, errDur); err != nil {
+				return nil, fmt.Errorf("analyze: line %d: %w", lineNo, err)
+			}
 			tr.Spans = append(tr.Spans, obs.Span{
 				Packet: jl.Packet, Dir: dir, Layer: layer, Step: jl.Step, Source: src,
-				Start: sim.Time(usToNs(jl.StartUs)), Dur: sim.Duration(usToNs(jl.DurUs)),
+				Start: sim.Time(start), Dur: sim.Duration(dur),
 			})
 		case "outcome":
 			dir, ok := obs.ParseDir(jl.Dir)
 			if !ok {
 				return nil, fmt.Errorf("analyze: line %d: unknown dir %q", lineNo, jl.Dir)
 			}
+			latency, errLatency := jsonl.NanosFromMicros("latency_us", jl.LatencyUs)
+			end, errEnd := jsonl.NanosFromMicros("end_us", jl.EndUs)
+			if err := cmp.Or(errLatency, errEnd); err != nil {
+				return nil, fmt.Errorf("analyze: line %d: %w", lineNo, err)
+			}
 			tr.Outcomes = append(tr.Outcomes, obs.Outcome{
 				Packet: jl.Packet, UE: jl.UE, Dir: dir, Delivered: jl.Delivered,
-				Latency: sim.Duration(usToNs(jl.LatencyUs)), Attempts: jl.Attempts,
-				End: sim.Time(usToNs(jl.EndUs)),
+				Latency: sim.Duration(latency), Attempts: jl.Attempts, End: sim.Time(end),
 			})
 		case "event":
 			layer, ok := obs.ParseLayer(jl.Layer)
 			if !ok {
 				return nil, fmt.Errorf("analyze: line %d: unknown layer %q", lineNo, jl.Layer)
 			}
+			at, err := jsonl.NanosFromMicros("time_us", jl.TimeUs)
+			if err != nil {
+				return nil, fmt.Errorf("analyze: line %d: %w", lineNo, err)
+			}
 			tr.Events = append(tr.Events, obs.Event{
-				Time: sim.Time(usToNs(jl.TimeUs)), Name: jl.Name, Layer: layer, Packet: jl.Packet,
+				Time: sim.Time(at), Name: jl.Name, Layer: layer, Packet: jl.Packet,
 			})
 		default:
 			// Future record kinds pass through silently.

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+
+	"urllcsim/internal/obs/jsonl"
 )
 
 // TraceSchema versions the JSONL span/outcome/event trace format; bump on
@@ -14,113 +17,134 @@ import (
 // report is never silently zero-filled from a format it cannot parse.
 const TraceSchema = "urllcsim-trace/v1"
 
-// jsonMeta is the first line of a JSONL trace: its schema version and, when
-// the recorder sampled its packet stream, the effective sample rate — readers
-// surface it so a sampled trace is never mistaken for the full population.
-// Unsampled traces omit the field and stay byte-identical to pre-sampling
-// writers.
-type jsonMeta struct {
-	Kind       string  `json:"kind"` // "meta"
-	Schema     string  `json:"schema"`
-	SampleRate float64 `json:"sample_rate,omitempty"`
-}
-
-// traceMeta builds the meta line for recorder r: sample rate present only
-// when sampling is actually on.
-func traceMeta(r *Recorder) jsonMeta {
-	m := jsonMeta{Kind: "meta", Schema: TraceSchema}
-	if sr := r.SampleRate(); sr < 1 {
-		m.SampleRate = sr
+// appendMetaLine appends the first line of a JSONL trace: its schema
+// version and, when the recorder sampled its packet stream, the effective
+// sample rate — readers surface it so a sampled trace is never mistaken for
+// the full population. Unsampled traces omit the field and stay
+// byte-identical to pre-sampling writers.
+func appendMetaLine(b []byte, r *Recorder) ([]byte, error) {
+	b = append(b, `{"kind":"meta","schema":`...)
+	b = jsonl.AppendString(b, TraceSchema)
+	if sr := r.SampleRate(); sr < 1 && sr != 0 {
+		var err error
+		b = append(b, `,"sample_rate":`...)
+		if b, err = jsonl.AppendFloat(b, sr); err != nil {
+			return b, err
+		}
 	}
-	return m
+	return append(b, "}\n"...), nil
 }
 
-// wireSpan / wireOutcome / wireEvent build the JSONL wire forms, shared by
-// the batch and streaming writers so the two cannot drift.
-func wireSpan(s *Span) jsonSpan {
-	return jsonSpan{
-		Kind: "span", Packet: s.Packet, Dir: s.Dir.String(),
-		Layer: s.Layer.String(), Step: s.Step, Source: s.Source.String(),
-		StartUs: s.Start.Micros(), DurUs: float64(s.Dur) / 1000,
+// appendSpanLine / appendOutcomeLine / appendEventLine append one record's
+// JSONL line, shared by the batch and streaming writers so the two cannot
+// drift. Times are µs, the paper's unit, printed exactly (jsonl.AppendMicros).
+func appendSpanLine(b []byte, s *Span) []byte {
+	b = append(b, `{"kind":"span","packet":`...)
+	b = jsonl.AppendInt(b, s.Packet)
+	b = append(b, `,"dir":`...)
+	b = jsonl.AppendString(b, s.Dir.String())
+	b = append(b, `,"layer":`...)
+	b = jsonl.AppendString(b, s.Layer.String())
+	b = append(b, `,"step":`...)
+	b = jsonl.AppendString(b, s.Step)
+	b = append(b, `,"source":`...)
+	b = jsonl.AppendString(b, s.Source.String())
+	b = append(b, `,"start_us":`...)
+	b = jsonl.AppendMicros(b, int64(s.Start))
+	b = append(b, `,"dur_us":`...)
+	b = jsonl.AppendMicros(b, int64(s.Dur))
+	return append(b, "}\n"...)
+}
+
+// appendOutcomeLine: ue is the logical UE (0 in older traces); end_us is the
+// resolution instant (0 in pre-v1 traces).
+func appendOutcomeLine(b []byte, o *Outcome) []byte {
+	b = append(b, `{"kind":"outcome","packet":`...)
+	b = jsonl.AppendInt(b, o.Packet)
+	b = append(b, `,"ue":`...)
+	b = jsonl.AppendInt(b, o.UE)
+	b = append(b, `,"dir":`...)
+	b = jsonl.AppendString(b, o.Dir.String())
+	b = append(b, `,"delivered":`...)
+	b = strconv.AppendBool(b, o.Delivered)
+	b = append(b, `,"latency_us":`...)
+	b = jsonl.AppendMicros(b, int64(o.Latency))
+	b = append(b, `,"attempts":`...)
+	b = jsonl.AppendInt(b, o.Attempts)
+	b = append(b, `,"end_us":`...)
+	b = jsonl.AppendMicros(b, int64(o.End))
+	return append(b, "}\n"...)
+}
+
+func appendEventLine(b []byte, e *Event) []byte {
+	b = append(b, `{"kind":"event","time_us":`...)
+	b = jsonl.AppendMicros(b, int64(e.Time))
+	b = append(b, `,"name":`...)
+	b = jsonl.AppendString(b, e.Name)
+	b = append(b, `,"layer":`...)
+	b = jsonl.AppendString(b, e.Layer.String())
+	b = append(b, `,"packet":`...)
+	b = jsonl.AppendInt(b, e.Packet)
+	return append(b, "}\n"...)
+}
+
+// traceWriter writes a JSONL trace through one reused line buffer, keeping
+// the first error; once one is seen, later writes are skipped. WriteJSONL
+// and JSONLStream both write through it, so their files cannot drift.
+type traceWriter struct {
+	bw   *bufio.Writer
+	line []byte
+	err  error
+}
+
+// start begins a trace of r into w with its meta line.
+func (tw *traceWriter) start(w io.Writer, r *Recorder) {
+	tw.bw = bufio.NewWriter(w)
+	if tw.line, tw.err = appendMetaLine(make([]byte, 0, 256), r); tw.err == nil {
+		_, tw.err = tw.bw.Write(tw.line)
 	}
 }
 
-func wireOutcome(o *Outcome) jsonOutcome {
-	return jsonOutcome{
-		Kind: "outcome", Packet: o.Packet, UE: o.UE, Dir: o.Dir.String(),
-		Delivered: o.Delivered, LatencyUs: float64(o.Latency) / 1000,
-		Attempts: o.Attempts, EndUs: o.End.Micros(),
+// spans writes one line per span. It is the recorder's spill callback in
+// the streaming form: the batch aliases storage the recorder recycles right
+// after, so it is fully encoded before returning.
+func (tw *traceWriter) spans(spans []Span) {
+	for i := 0; i < len(spans) && tw.err == nil; i++ {
+		tw.line = appendSpanLine(tw.line[:0], &spans[i])
+		_, tw.err = tw.bw.Write(tw.line)
 	}
 }
 
-func wireEvent(e *Event) jsonEvent {
-	return jsonEvent{
-		Kind: "event", TimeUs: e.Time.Micros(), Name: e.Name,
-		Layer: e.Layer.String(), Packet: e.Packet,
+// finish writes r's outcomes and events, flushes, and returns the first
+// error seen anywhere in the trace.
+func (tw *traceWriter) finish(r *Recorder) error {
+	outcomes, events := r.Outcomes(), r.Events()
+	for i := 0; i < len(outcomes) && tw.err == nil; i++ {
+		tw.line = appendOutcomeLine(tw.line[:0], &outcomes[i])
+		_, tw.err = tw.bw.Write(tw.line)
 	}
-}
-
-// jsonSpan is the JSONL wire form of a Span. Times are µs floats, the
-// paper's unit.
-type jsonSpan struct {
-	Kind    string  `json:"kind"` // "span"
-	Packet  int     `json:"packet"`
-	Dir     string  `json:"dir"`
-	Layer   string  `json:"layer"`
-	Step    string  `json:"step"`
-	Source  string  `json:"source"`
-	StartUs float64 `json:"start_us"`
-	DurUs   float64 `json:"dur_us"`
-}
-
-// jsonEvent is the JSONL wire form of an Event.
-type jsonEvent struct {
-	Kind   string  `json:"kind"` // "event"
-	TimeUs float64 `json:"time_us"`
-	Name   string  `json:"name"`
-	Layer  string  `json:"layer"`
-	Packet int     `json:"packet"`
-}
-
-// jsonOutcome is the JSONL wire form of an Outcome.
-type jsonOutcome struct {
-	Kind      string  `json:"kind"` // "outcome"
-	Packet    int     `json:"packet"`
-	UE        int     `json:"ue"` // logical UE; 0 in older traces
-	Dir       string  `json:"dir"`
-	Delivered bool    `json:"delivered"`
-	LatencyUs float64 `json:"latency_us"`
-	Attempts  int     `json:"attempts"`
-	EndUs     float64 `json:"end_us"` // resolution instant; 0 in pre-v1 traces
+	for i := 0; i < len(events) && tw.err == nil; i++ {
+		tw.line = appendEventLine(tw.line[:0], &events[i])
+		_, tw.err = tw.bw.Write(tw.line)
+	}
+	if tw.err != nil {
+		return tw.err
+	}
+	return tw.bw.Flush()
 }
 
 // WriteJSONL writes every span, outcome and event as one JSON object per
 // line: spans first (recording order), then outcomes, then events. The
 // format is grep- and jq-friendly, the shape related simulators (SimURLLC's
 // per-seed event logs) treat as table stakes, and internal/obs/analyze
-// re-ingests it losslessly (µs floats round-trip to exact nanoseconds).
+// re-ingests it losslessly (µs decimals round-trip to exact nanoseconds).
+// Each line is assembled in one reused buffer, so the writer's allocations
+// do not grow with the record count.
 func WriteJSONL(w io.Writer, r *Recorder) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(traceMeta(r)); err != nil {
-		return err
-	}
-	for i := range r.Spans() {
-		if err := enc.Encode(wireSpan(&r.Spans()[i])); err != nil {
-			return err
-		}
-	}
-	for i := range r.Outcomes() {
-		if err := enc.Encode(wireOutcome(&r.Outcomes()[i])); err != nil {
-			return err
-		}
-	}
-	for i := range r.Events() {
-		if err := enc.Encode(wireEvent(&r.Events()[i])); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	var tw traceWriter
+	tw.start(w, r)
+	tw.spans(r.Spans())
+	return tw.finish(r)
 }
 
 // JSONLStream is the streaming sibling of WriteJSONL: it mounts itself as
@@ -129,64 +153,28 @@ func WriteJSONL(w io.Writer, r *Recorder) error {
 // the unspilled span tail, then outcomes and events — the finished stream is
 // byte-identical to WriteJSONL on a recorder that retained everything.
 type JSONLStream struct {
-	r   *Recorder
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
+	r  *Recorder
+	tw traceWriter
 }
 
 // StreamJSONL starts a streaming JSONL export of r into w, bounding the
 // retained span log at capSpans records. The caller must Close the stream
 // after the run to complete the file and unmount the spill.
 func StreamJSONL(w io.Writer, r *Recorder, capSpans int) (*JSONLStream, error) {
-	st := &JSONLStream{r: r, bw: bufio.NewWriter(w)}
-	st.enc = json.NewEncoder(st.bw)
-	if err := st.enc.Encode(traceMeta(r)); err != nil {
-		return nil, err
+	st := &JSONLStream{r: r}
+	if st.tw.start(w, r); st.tw.err != nil {
+		return nil, st.tw.err
 	}
-	r.SpillSpans(capSpans, st.spillSpans)
+	r.SpillSpans(capSpans, st.tw.spans)
 	return st, nil
-}
-
-// spillSpans is the recorder's spill callback: the batch aliases storage the
-// recorder recycles right after, so it is fully encoded before returning.
-func (st *JSONLStream) spillSpans(spans []Span) {
-	if st.err != nil {
-		return
-	}
-	for i := range spans {
-		if err := st.enc.Encode(wireSpan(&spans[i])); err != nil {
-			st.err = err
-			return
-		}
-	}
 }
 
 // Close unmounts the spill and writes the remaining records. Returns the
 // first error seen anywhere in the stream.
 func (st *JSONLStream) Close() error {
-	st.spillSpans(st.r.Spans())
+	st.tw.spans(st.r.Spans())
 	st.r.SpillSpans(0, nil)
-	if st.err == nil {
-		for i := range st.r.Outcomes() {
-			if err := st.enc.Encode(wireOutcome(&st.r.Outcomes()[i])); err != nil {
-				st.err = err
-				break
-			}
-		}
-	}
-	if st.err == nil {
-		for i := range st.r.Events() {
-			if err := st.enc.Encode(wireEvent(&st.r.Events()[i])); err != nil {
-				st.err = err
-				break
-			}
-		}
-	}
-	if st.err != nil {
-		return st.err
-	}
-	return st.bw.Flush()
+	return st.tw.finish(st.r)
 }
 
 // chromeEvent is one entry of the Chrome trace-event format, loadable in

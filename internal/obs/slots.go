@@ -5,9 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
+	"strconv"
 
+	"urllcsim/internal/obs/jsonl"
 	"urllcsim/internal/sim"
 )
 
@@ -150,14 +151,15 @@ func mergeUETakes(a, b []SlotUETake) []SlotUETake {
 	return a
 }
 
-// jsonSlotsMeta is the first line of a slots JSONL stream.
+// jsonSlotsMeta is the first line of a slots JSONL stream, as
+// ReadSlotsJSONL decodes it.
 type jsonSlotsMeta struct {
 	Kind   string `json:"kind"` // "slots_meta"
 	Schema string `json:"schema"`
 	Label  string `json:"label,omitempty"`
 }
 
-// jsonSlotUE is the wire form of a SlotUETake.
+// jsonSlotUE is the wire form of a SlotUETake, as ReadSlotsJSONL decodes it.
 type jsonSlotUE struct {
 	UE       int `json:"ue"`
 	DLBytes  int `json:"dl_bytes"`
@@ -166,8 +168,9 @@ type jsonSlotUE struct {
 	ULGrants int `json:"ul_grants"`
 }
 
-// jsonSlot is the wire form of a SlotRecord. Times are µs floats like every
-// dialect in this repository; they round-trip to exact nanoseconds.
+// jsonSlot is the wire form of a SlotRecord, as ReadSlotsJSONL decodes it
+// (WriteSlotsJSONL appends the same fields directly). Times are µs like
+// every dialect in this repository; they round-trip to exact nanoseconds.
 type jsonSlot struct {
 	Kind         string       `json:"kind"` // "slot"
 	BoundaryUs   float64      `json:"boundary_us"`
@@ -185,37 +188,76 @@ type jsonSlot struct {
 }
 
 // WriteSlotsJSONL writes the ledger as one urllcsim-slots/v1 JSONL stream:
-// a slots_meta line, then one slot line per scheduling tick.
+// a slots_meta line, then one slot line per scheduling tick. The lines carry
+// jsonSlotsMeta's and jsonSlot's fields, appended directly into one reused
+// buffer, so the writer's allocations do not grow with the ledger.
 func WriteSlotsJSONL(w io.Writer, recs []SlotRecord, label string) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonSlotsMeta{Kind: "slots_meta", Schema: SlotsSchema, Label: label}); err != nil {
+	line := append(make([]byte, 0, 512), `{"kind":"slots_meta","schema":`...)
+	line = jsonl.AppendString(line, SlotsSchema)
+	if label != "" {
+		line = append(line, `,"label":`...)
+		line = jsonl.AppendString(line, label)
+	}
+	line = append(line, "}\n"...)
+	if _, err := bw.Write(line); err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		js := jsonSlot{
-			Kind:       "slot",
-			BoundaryUs: rec.Boundary.Micros(),
-			DL:         rec.TargetDL != sim.Never,
-			CapBytes:   rec.DLCapBytes, UsedBytes: rec.DLUsedBytes,
-			QueueDepth: rec.QueueDepth, QueueTaken: rec.QueueTaken,
-			GrantsIssued: rec.GrantsIssued, ULGrantBytes: rec.ULGrantBytes,
-			SRsPending: rec.SRsPending, SRsDeferred: rec.SRsDeferred,
-		}
-		if js.DL {
-			js.TargetDLUs = rec.TargetDL.Micros()
-		}
-		for _, t := range rec.PerUE {
-			js.PerUE = append(js.PerUE, jsonSlotUE{
-				UE: t.UE, DLBytes: t.DLBytes, DLItems: t.DLItems,
-				ULBytes: t.ULBytes, ULGrants: t.ULGrants,
-			})
-		}
-		if err := enc.Encode(js); err != nil {
+	for i := range recs {
+		line = appendSlotLine(line[:0], &recs[i])
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendSlotLine appends rec's slot line. target_dl_us and per_ue follow
+// jsonSlot's omitempty tags: absent when zero or empty.
+func appendSlotLine(b []byte, rec *SlotRecord) []byte {
+	dl := rec.TargetDL != sim.Never
+	b = append(b, `{"kind":"slot","boundary_us":`...)
+	b = jsonl.AppendMicros(b, int64(rec.Boundary))
+	b = append(b, `,"dl":`...)
+	b = strconv.AppendBool(b, dl)
+	if dl && rec.TargetDL != 0 {
+		b = append(b, `,"target_dl_us":`...)
+		b = jsonl.AppendMicros(b, int64(rec.TargetDL))
+	}
+	for _, f := range [...]struct {
+		key string
+		v   int
+	}{
+		{`,"cap_bytes":`, rec.DLCapBytes}, {`,"used_bytes":`, rec.DLUsedBytes},
+		{`,"qdepth":`, rec.QueueDepth}, {`,"qtaken":`, rec.QueueTaken},
+		{`,"grants":`, rec.GrantsIssued}, {`,"grant_bytes":`, rec.ULGrantBytes},
+		{`,"srs_pending":`, rec.SRsPending}, {`,"srs_deferred":`, rec.SRsDeferred},
+	} {
+		b = append(b, f.key...)
+		b = jsonl.AppendInt(b, f.v)
+	}
+	for i, t := range rec.PerUE {
+		if i == 0 {
+			b = append(b, `,"per_ue":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		b = append(b, `{"ue":`...)
+		b = jsonl.AppendInt(b, t.UE)
+		b = append(b, `,"dl_bytes":`...)
+		b = jsonl.AppendInt(b, t.DLBytes)
+		b = append(b, `,"dl_items":`...)
+		b = jsonl.AppendInt(b, t.DLItems)
+		b = append(b, `,"ul_bytes":`...)
+		b = jsonl.AppendInt(b, t.ULBytes)
+		b = append(b, `,"ul_grants":`...)
+		b = jsonl.AppendInt(b, t.ULGrants)
+		b = append(b, '}')
+	}
+	if len(rec.PerUE) > 0 {
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...)
 }
 
 // SlotFile is a re-ingested slots JSONL stream.
@@ -224,11 +266,6 @@ type SlotFile struct {
 	HasMeta bool
 	Records []SlotRecord
 }
-
-// slotsUsToNs mirrors analyze.usToNs: the writer computes us =
-// float64(ns)/1000 and the shortest round-tripping decimal is printed, so
-// Round(us*1000) recovers the exact nanosecond count.
-func slotsUsToNs(us float64) int64 { return int64(math.Round(us * 1000)) }
 
 // ReadSlotsJSONL parses a slots stream. Unknown record kinds are skipped
 // (so a mixed file also carrying trace or flight records reads cleanly);
@@ -270,15 +307,23 @@ func ReadSlotsJSONL(r io.Reader) (*SlotFile, error) {
 			if err := json.Unmarshal(line, &js); err != nil {
 				return nil, fmt.Errorf("slots: line %d: %w", lineNo, err)
 			}
+			boundary, err := jsonl.NanosFromMicros("boundary_us", js.BoundaryUs)
+			if err != nil {
+				return nil, fmt.Errorf("slots: line %d: %w", lineNo, err)
+			}
 			rec := SlotRecord{
-				Boundary: sim.Time(slotsUsToNs(js.BoundaryUs)), TargetDL: sim.Never,
+				Boundary: sim.Time(boundary), TargetDL: sim.Never,
 				DLCapBytes: js.CapBytes, DLUsedBytes: js.UsedBytes,
 				QueueDepth: js.QueueDepth, QueueTaken: js.QueueTaken,
 				GrantsIssued: js.GrantsIssued, ULGrantBytes: js.ULGrantBytes,
 				SRsPending: js.SRsPending, SRsDeferred: js.SRsDeferred,
 			}
 			if js.DL {
-				rec.TargetDL = sim.Time(slotsUsToNs(js.TargetDLUs))
+				target, err := jsonl.NanosFromMicros("target_dl_us", js.TargetDLUs)
+				if err != nil {
+					return nil, fmt.Errorf("slots: line %d: %w", lineNo, err)
+				}
+				rec.TargetDL = sim.Time(target)
 			}
 			for _, t := range js.PerUE {
 				rec.PerUE = append(rec.PerUE, SlotUETake{

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -91,6 +92,24 @@ func TestSlotsReaderRejectsUnknownSchema(t *testing.T) {
 	_, err := ReadSlotsJSONL(strings.NewReader(in))
 	if err == nil || !strings.Contains(err.Error(), "unsupported slots schema") {
 		t.Fatalf("want schema error, got %v", err)
+	}
+}
+
+// TestSlotsReaderRejectsOutOfRangeMicros: a boundary or target µs value
+// outside jsonl's exact range is a one-line error naming the line and the
+// field, not a silent garbage nanosecond count.
+func TestSlotsReaderRejectsOutOfRangeMicros(t *testing.T) {
+	slot := `{"kind":"slot","boundary_us":%s,"dl":true,"target_dl_us":%s,"cap_bytes":96,"used_bytes":32,"qdepth":1,"qtaken":1,"grants":0,"grant_bytes":0,"srs_pending":0,"srs_deferred":0}`
+	for _, c := range []struct{ line, field string }{
+		{fmt.Sprintf(slot, "1e300", "1"), "boundary_us"},
+		{fmt.Sprintf(slot, "-4398046511104", "1"), "boundary_us"},
+		{fmt.Sprintf(slot, "1", "9.3e15"), "target_dl_us"},
+	} {
+		in := `{"kind":"slots_meta","schema":"urllcsim-slots/v1"}` + "\n" + c.line + "\n"
+		_, err := ReadSlotsJSONL(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2: "+c.field+" ") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: want a one-line \"line 2: %s …\" error, got %v", c.line, c.field, err)
+		}
 	}
 }
 
