@@ -11,10 +11,11 @@ SMOKE_TOL  ?= 500%
 .PHONY: check vet build test race bench bench-go bench-check bench-smoke lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke
 
 ## check: full verification gate — lint (vet + gofmt), build, race-enabled tests,
-## the parallel-vs-sequential sweep invariance smoke, the flight-recorder
-## no-interference smoke, the dimensional-KPI smoke, the many-UE cell smoke,
-## the sampling/observer-tax smoke, and the benchmark-harness smoke
-check: lint build race sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke bench-smoke
+## the JSONL → report round-trip smoke, the parallel-vs-sequential sweep
+## invariance smoke, the flight-recorder no-interference smoke, the
+## dimensional-KPI smoke, the many-UE cell smoke, the sampling/observer-tax
+## smoke, and the benchmark-harness smoke
+check: lint build race report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -72,15 +73,29 @@ bench-smoke:
 	$$tmp/urllc-bench -baseline BENCH_baseline.json -input $$tmp/smoke.json -check -tolerance $(SMOKE_TOL) >/dev/null && \
 	echo "bench-smoke OK: schema valid, self-check clean, injected regression caught ($$tmp)" && rm -rf $$tmp
 
-## report-smoke: end-to-end JSONL → urllc-report round trip in a temp dir
+## report-smoke: end-to-end JSONL → urllc-report round trip in a temp dir —
+## a trace renders the feasibility table and both CSVs, one file mixing every
+## dialect (trace, flight + anomaly, slots, KPI, profile) renders every
+## section in a single call, and -version lists the profile dialect
 report-smoke:
 	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/urllcsim -packets 40 -jsonl-out $$tmp/run.jsonl >/dev/null && \
-	$(GO) run ./cmd/urllc-report -csv $$tmp/feas.csv -breakdown-csv $$tmp/steps.csv $$tmp/run.jsonl >$$tmp/report.md && \
+	$(GO) build -o $$tmp/urllcsim ./cmd/urllcsim && \
+	$(GO) build -o $$tmp/urllc-report ./cmd/urllc-report && \
+	$$tmp/urllcsim -packets 40 -jsonl-out $$tmp/run.jsonl >/dev/null && \
+	$$tmp/urllc-report -csv $$tmp/feas.csv -breakdown-csv $$tmp/steps.csv $$tmp/run.jsonl >$$tmp/report.md && \
 	grep -q 'Feasibility (Fig. 4-style)' $$tmp/report.md && \
 	grep -q '^run,UL,' $$tmp/feas.csv && \
 	grep -q ',source,,,radio,' $$tmp/steps.csv && \
-	echo "report-smoke OK ($$tmp)" && rm -rf $$tmp
+	$$tmp/urllcsim -packets 40 -ues 4 -jsonl-out $$tmp/t.jsonl -flight-out $$tmp/f.jsonl \
+		-watchdog-missrate 0.01 -watchdog-window 32 -slots-out $$tmp/s.jsonl \
+		-kpi-out $$tmp/k.jsonl -prof-out $$tmp/p.jsonl >/dev/null 2>&1 && \
+	cat $$tmp/t.jsonl $$tmp/f.jsonl $$tmp/s.jsonl $$tmp/k.jsonl $$tmp/p.jsonl > $$tmp/mixed.jsonl && \
+	$$tmp/urllc-report $$tmp/mixed.jsonl > $$tmp/mixed.md && \
+	for s in 'Feasibility (Fig. 4-style)' 'Per-UE KPIs — DDDU' 'Slot occupancy' 'Tail forensics' \
+		'- anomaly at' 'self-profile: mixed' 'observer tax:'; do \
+		grep -qF -e "$$s" $$tmp/mixed.md || { echo "report-smoke FAIL: mixed report lacks '$$s'"; exit 1; }; done && \
+	$$tmp/urllc-report -version | grep -q 'accepts urllcsim-profile/v3' && \
+	echo "report-smoke OK: trace CSVs, every section from one mixed file, profile dialect listed ($$tmp)" && rm -rf $$tmp
 
 ## flight-smoke: the tail-forensics contract, end to end — attaching the
 ## flight recorder + watchdog must leave default stdout byte-identical, the

@@ -28,6 +28,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -56,7 +57,7 @@ func main() {
 
 	if *showVersion {
 		version.Print(os.Stdout, "urllc-report", nil,
-			[]string{obs.TraceSchema, obs.SlotsSchema, analyze.KPISchema, flight.Schema, flight.AnomalySchema})
+			[]string{obs.TraceSchema, obs.SlotsSchema, analyze.KPISchema, flight.Schema, flight.AnomalySchema, prof.ReportSchema})
 		return
 	}
 
@@ -81,30 +82,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		// One file may carry trace, flight, slot-ledger or KPI records, or a
-		// mix; each reader skips the other dialects' kinds.
-		tr, err := analyze.ReadJSONL(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-			os.Exit(1)
-		}
-		fl, err := flight.ReadJSONL(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-			os.Exit(1)
-		}
-		sf, err := obs.ReadSlotsJSONL(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-			os.Exit(1)
-		}
-		kf, err := analyze.ReadKPIJSONL(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-			os.Exit(1)
-		}
-		pf, err := prof.ReadJSONL(bytes.NewReader(data))
-		if err != nil {
+		// One file may carry trace, flight, slot-ledger, KPI or profile
+		// records, or a mix; each reader skips the other dialects' kinds.
+		tr, errTrace := analyze.ReadJSONL(bytes.NewReader(data))
+		fl, errFlight := flight.ReadJSONL(bytes.NewReader(data))
+		sf, errSlots := obs.ReadSlotsJSONL(bytes.NewReader(data))
+		kf, errKPI := analyze.ReadKPIJSONL(bytes.NewReader(data))
+		pf, errProf := prof.ReadJSONL(bytes.NewReader(data))
+		if err := cmp.Or(errTrace, errFlight, errSlots, errKPI, errProf); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			os.Exit(1)
 		}

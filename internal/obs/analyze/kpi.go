@@ -426,44 +426,26 @@ type KPIFile struct {
 func ReadKPIJSONL(r io.Reader) (*KPIFile, error) {
 	f := &KPIFile{}
 	dirIdx := map[obs.Dir]int{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var head struct {
-			Kind   string `json:"kind"`
-			Schema string `json:"schema"`
-		}
-		if err := json.Unmarshal(line, &head); err != nil {
-			return nil, fmt.Errorf("kpi: line %d: %w", lineNo, err)
-		}
-		switch head.Kind {
-		case "kpi_meta":
-			if head.Schema != KPISchema {
-				return nil, fmt.Errorf("kpi: line %d: unsupported kpi schema %q (this reader speaks %q)",
-					lineNo, head.Schema, KPISchema)
-			}
+	err := jsonl.Read(r, "kpi", map[string]jsonl.Kind{
+		"kpi_meta": {Schema: KPISchema, Decode: func(line []byte) error {
 			var meta jsonKPIMeta
 			if err := json.Unmarshal(line, &meta); err != nil {
-				return nil, fmt.Errorf("kpi: line %d: %w", lineNo, err)
+				return err
 			}
 			f.HasMeta = true
 			if f.Report.Label == "" {
 				f.Report.Label = meta.Label
 			}
-		case "ue_kpi":
+			return nil
+		}},
+		"ue_kpi": {Decode: func(line []byte) error {
 			var ju jsonUEKPI
 			if err := json.Unmarshal(line, &ju); err != nil {
-				return nil, fmt.Errorf("kpi: line %d: %w", lineNo, err)
+				return err
 			}
 			dir, ok := obs.ParseDir(ju.Dir)
 			if !ok {
-				return nil, fmt.Errorf("kpi: line %d: unknown dir %q", lineNo, ju.Dir)
+				return fmt.Errorf("unknown dir %q", ju.Dir)
 			}
 			f.Report.UEs = append(f.Report.UEs, UEKPI{
 				UE: ju.UE, Dir: dir, Delivered: ju.Delivered, Lost: ju.Lost,
@@ -471,28 +453,32 @@ func ReadKPIJSONL(r io.Reader) (*KPIFile, error) {
 				P99Us: ju.P99Us, MaxUs: ju.MaxUs,
 				HasAoI: ju.HasAoI, AoIPeakUs: ju.AoIPeakUs, AoIMeanUs: ju.AoIMeanUs,
 			})
-		case "kpi_dir":
+			return nil
+		}},
+		"kpi_dir": {Decode: func(line []byte) error {
 			var jd jsonDirKPI
 			if err := json.Unmarshal(line, &jd); err != nil {
-				return nil, fmt.Errorf("kpi: line %d: %w", lineNo, err)
+				return err
 			}
 			dir, ok := obs.ParseDir(jd.Dir)
 			if !ok {
-				return nil, fmt.Errorf("kpi: line %d: unknown dir %q", lineNo, jd.Dir)
+				return fmt.Errorf("unknown dir %q", jd.Dir)
 			}
 			dirIdx[dir] = len(f.Report.Dirs)
 			f.Report.Dirs = append(f.Report.Dirs, DirKPI{
 				Dir: dir, UEs: jd.UEs, Delivered: jd.Delivered, Lost: jd.Lost,
 				JainThroughput: jd.JainThroughput, JainLatency: jd.JainLatency,
 			})
-		case "ccdf":
+			return nil
+		}},
+		"ccdf": {Decode: func(line []byte) error {
 			var jc jsonCCDF
 			if err := json.Unmarshal(line, &jc); err != nil {
-				return nil, fmt.Errorf("kpi: line %d: %w", lineNo, err)
+				return err
 			}
 			dir, ok := obs.ParseDir(jc.Dir)
 			if !ok {
-				return nil, fmt.Errorf("kpi: line %d: unknown dir %q", lineNo, jc.Dir)
+				return fmt.Errorf("unknown dir %q", jc.Dir)
 			}
 			i, ok := dirIdx[dir]
 			if !ok {
@@ -501,12 +487,11 @@ func ReadKPIJSONL(r io.Reader) (*KPIFile, error) {
 				f.Report.Dirs = append(f.Report.Dirs, DirKPI{Dir: dir})
 			}
 			f.Report.Dirs[i].CCDF = append(f.Report.Dirs[i].CCDF, CCDFPoint{LeUs: jc.LeUs, CCDF: jc.CCDF})
-		default:
-			// Other dialects' kinds pass through silently.
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("kpi: %w", err)
+			return nil
+		}},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return f, nil
 }

@@ -1,7 +1,6 @@
 package analyze
 
 import (
-	"bufio"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -30,8 +29,7 @@ type Trace struct {
 type jsonLine struct {
 	Kind string `json:"kind"`
 
-	// meta
-	Schema     string  `json:"schema"`
+	// meta (jsonl.Read checks its schema)
 	SampleRate float64 `json:"sample_rate"`
 
 	// span + event + outcome
@@ -66,59 +64,33 @@ type jsonLine struct {
 // (jsonl.AppendMicros), and jsonl.NanosFromMicros recovers the nanosecond.
 func ReadJSONL(r io.Reader) (*Trace, error) {
 	tr := &Trace{SampleRate: 1}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		// Peek at the kind before decoding the full union: other dialects
-		// (slots, KPI) reuse field names with different types, so decoding
-		// the union on a foreign kind would fail instead of skipping it.
-		var head struct {
-			Kind   string `json:"kind"`
-			Schema string `json:"schema"`
-		}
-		if err := json.Unmarshal(line, &head); err != nil {
-			return nil, fmt.Errorf("analyze: line %d: %w", lineNo, err)
-		}
-		if head.Kind != "meta" && head.Kind != "span" && head.Kind != "outcome" && head.Kind != "event" {
-			// Future or foreign record kinds pass through silently.
-			continue
-		}
+	decode := func(line []byte) error {
 		var jl jsonLine
 		if err := json.Unmarshal(line, &jl); err != nil {
-			return nil, fmt.Errorf("analyze: line %d: %w", lineNo, err)
+			return err
 		}
 		switch jl.Kind {
 		case "meta":
-			if jl.Schema != obs.TraceSchema {
-				return nil, fmt.Errorf("analyze: line %d: unsupported trace schema %q (this reader speaks %q)",
-					lineNo, jl.Schema, obs.TraceSchema)
-			}
 			if jl.SampleRate > 0 && jl.SampleRate < 1 {
 				tr.SampleRate = jl.SampleRate
 			}
 		case "span":
 			dir, ok := obs.ParseDir(jl.Dir)
 			if !ok {
-				return nil, fmt.Errorf("analyze: line %d: unknown dir %q", lineNo, jl.Dir)
+				return fmt.Errorf("unknown dir %q", jl.Dir)
 			}
 			layer, ok := obs.ParseLayer(jl.Layer)
 			if !ok {
-				return nil, fmt.Errorf("analyze: line %d: unknown layer %q", lineNo, jl.Layer)
+				return fmt.Errorf("unknown layer %q", jl.Layer)
 			}
 			src, ok := core.ParseSource(jl.Source)
 			if !ok {
-				return nil, fmt.Errorf("analyze: line %d: unknown source %q", lineNo, jl.Source)
+				return fmt.Errorf("unknown source %q", jl.Source)
 			}
 			start, errStart := jsonl.NanosFromMicros("start_us", jl.StartUs)
 			dur, errDur := jsonl.NanosFromMicros("dur_us", jl.DurUs)
 			if err := cmp.Or(errStart, errDur); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %w", lineNo, err)
+				return err
 			}
 			tr.Spans = append(tr.Spans, obs.Span{
 				Packet: jl.Packet, Dir: dir, Layer: layer, Step: jl.Step, Source: src,
@@ -127,12 +99,12 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		case "outcome":
 			dir, ok := obs.ParseDir(jl.Dir)
 			if !ok {
-				return nil, fmt.Errorf("analyze: line %d: unknown dir %q", lineNo, jl.Dir)
+				return fmt.Errorf("unknown dir %q", jl.Dir)
 			}
 			latency, errLatency := jsonl.NanosFromMicros("latency_us", jl.LatencyUs)
 			end, errEnd := jsonl.NanosFromMicros("end_us", jl.EndUs)
 			if err := cmp.Or(errLatency, errEnd); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %w", lineNo, err)
+				return err
 			}
 			tr.Outcomes = append(tr.Outcomes, obs.Outcome{
 				Packet: jl.Packet, UE: jl.UE, Dir: dir, Delivered: jl.Delivered,
@@ -141,21 +113,26 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		case "event":
 			layer, ok := obs.ParseLayer(jl.Layer)
 			if !ok {
-				return nil, fmt.Errorf("analyze: line %d: unknown layer %q", lineNo, jl.Layer)
+				return fmt.Errorf("unknown layer %q", jl.Layer)
 			}
 			at, err := jsonl.NanosFromMicros("time_us", jl.TimeUs)
 			if err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %w", lineNo, err)
+				return err
 			}
 			tr.Events = append(tr.Events, obs.Event{
 				Time: sim.Time(at), Name: jl.Name, Layer: layer, Packet: jl.Packet,
 			})
-		default:
-			// Future record kinds pass through silently.
 		}
+		return nil
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
+	err := jsonl.Read(r, "analyze", map[string]jsonl.Kind{
+		"meta":    {Schema: obs.TraceSchema, Decode: decode},
+		"span":    {Decode: decode},
+		"outcome": {Decode: decode},
+		"event":   {Decode: decode},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return tr, nil
 }

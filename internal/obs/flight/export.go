@@ -9,6 +9,7 @@ import (
 
 	"urllcsim/internal/core"
 	"urllcsim/internal/obs"
+	"urllcsim/internal/obs/jsonl"
 	"urllcsim/internal/sim"
 )
 
@@ -120,131 +121,113 @@ type File struct {
 	Anomalies []Anomaly
 }
 
-// lineHead peeks at a record's kind and schema before the full parse;
-// embedding a union struct instead would silently drop the JSON fields the
-// record kinds share (dir, label, ...).
-type lineHead struct {
-	Kind   string `json:"kind"`
-	Schema string `json:"schema"`
-}
-
-// usToNs converts wire µs back to exact integer nanoseconds (same argument
-// as internal/obs/analyze: the float64 round trip is exact below ~46 days).
-func usToNs(v float64) int64 {
-	if v >= 0 {
-		return int64(v*1000 + 0.5)
-	}
-	return int64(v*1000 - 0.5)
-}
-
 // ReadJSONL parses a flight JSONL stream written by WriteJSONL. Unknown
 // record kinds are skipped (a combined trace+flight file reads fine);
-// malformed JSON, unknown enum names or an unknown flight schema are errors.
+// malformed JSON, unknown enum names, a µs field outside jsonl's exact range
+// or an unknown flight schema are errors.
 func ReadJSONL(r io.Reader) (*File, error) {
 	f := &File{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var head lineHead
-		if err := json.Unmarshal(line, &head); err != nil {
-			return nil, fmt.Errorf("flight: line %d: %w", lineNo, err)
-		}
-		switch head.Kind {
-		case "flight_meta":
-			if head.Schema != Schema {
-				return nil, fmt.Errorf("flight: line %d: unsupported flight schema %q (this reader speaks %q)",
-					lineNo, head.Schema, Schema)
-			}
+	err := jsonl.Read(r, "flight", map[string]jsonl.Kind{
+		"flight_meta": {Schema: Schema, Decode: func(line []byte) error {
 			var fm jsonFlightMeta
 			if err := json.Unmarshal(line, &fm); err != nil {
-				return nil, fmt.Errorf("flight: line %d: %w", lineNo, err)
+				return err
+			}
+			deadline, err := jsonl.NanosFromMicros("deadline_us", fm.DeadlineUs)
+			if err != nil {
+				return err
 			}
 			f.HasMeta = true
 			f.Label = fm.Label
-			f.Deadline = sim.Duration(usToNs(fm.DeadlineUs))
+			f.Deadline = sim.Duration(deadline)
 			f.TopK = fm.TopK
-		case "flight":
-			if head.Schema != Schema {
-				return nil, fmt.Errorf("flight: line %d: unsupported flight schema %q (this reader speaks %q)",
-					lineNo, head.Schema, Schema)
-			}
+			return nil
+		}},
+		"flight": {Schema: Schema, Decode: func(line []byte) error {
 			var jf jsonFlight
 			if err := json.Unmarshal(line, &jf); err != nil {
-				return nil, fmt.Errorf("flight: line %d: %w", lineNo, err)
+				return err
 			}
-			ex, err := parseExemplar(&jf, lineNo)
+			ex, err := parseExemplar(&jf)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			f.Exemplars = append(f.Exemplars, ex)
-		case "anomaly":
-			if head.Schema != AnomalySchema {
-				return nil, fmt.Errorf("flight: line %d: unsupported anomaly schema %q (this reader speaks %q)",
-					lineNo, head.Schema, AnomalySchema)
-			}
+			return nil
+		}},
+		"anomaly": {Schema: AnomalySchema, Decode: func(line []byte) error {
 			var ja jsonAnomaly
 			if err := json.Unmarshal(line, &ja); err != nil {
-				return nil, fmt.Errorf("flight: line %d: %w", lineNo, err)
+				return err
 			}
-			a, err := parseAnomaly(&ja, lineNo)
+			a, err := parseAnomaly(&ja)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			f.Anomalies = append(f.Anomalies, a)
-		default:
-			// Spans, outcomes, future kinds: not ours.
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("flight: %w", err)
+			return nil
+		}},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-func parseExemplar(jf *jsonFlight, lineNo int) (*Exemplar, error) {
+func parseExemplar(jf *jsonFlight) (*Exemplar, error) {
 	dir, ok := obs.ParseDir(jf.Dir)
 	if !ok {
-		return nil, fmt.Errorf("flight: line %d: unknown dir %q", lineNo, jf.Dir)
+		return nil, fmt.Errorf("unknown dir %q", jf.Dir)
+	}
+	latency, err := jsonl.NanosFromMicros("latency_us", jf.LatencyUs)
+	if err != nil {
+		return nil, err
 	}
 	ex := &Exemplar{
 		Shard: jf.Shard, Packet: jf.Packet, Dir: dir, Reason: jf.Reason,
-		Delivered: jf.Delivered, Latency: sim.Duration(usToNs(jf.LatencyUs)),
+		Delivered: jf.Delivered, Latency: sim.Duration(latency),
 		Attempts: jf.Attempts, ChainDropped: jf.ChainDropped, Untracked: jf.Untracked,
 		Label: jf.Label,
 	}
 	for _, js := range jf.Chain {
-		cs := ChainStep{Time: sim.Time(usToNs(js.TUs))}
+		t, err := jsonl.NanosFromMicros("t_us", js.TUs)
+		if err != nil {
+			return nil, err
+		}
+		cs := ChainStep{Time: sim.Time(t)}
 		switch js.Type {
 		case "edge":
 			kind, ok := obs.ParseEdgeKind(js.Name)
 			if !ok {
-				return nil, fmt.Errorf("flight: line %d: unknown edge kind %q", lineNo, js.Name)
+				return nil, fmt.Errorf("unknown edge kind %q", js.Name)
+			}
+			ref, err := jsonl.NanosFromMicros("ref_us", js.RefUs)
+			if err != nil {
+				return nil, err
 			}
 			cs.IsEdge = true
 			cs.Kind = kind
-			cs.Ref = sim.Time(usToNs(js.RefUs))
+			cs.Ref = sim.Time(ref)
 			cs.Arg = js.Arg
 		case "span":
 			layer, ok := obs.ParseLayer(js.Layer)
 			if !ok {
-				return nil, fmt.Errorf("flight: line %d: unknown layer %q", lineNo, js.Layer)
+				return nil, fmt.Errorf("unknown layer %q", js.Layer)
 			}
 			src, ok := core.ParseSource(js.Source)
 			if !ok {
-				return nil, fmt.Errorf("flight: line %d: unknown source %q", lineNo, js.Source)
+				return nil, fmt.Errorf("unknown source %q", js.Source)
+			}
+			dur, err := jsonl.NanosFromMicros("dur_us", js.DurUs)
+			if err != nil {
+				return nil, err
 			}
 			cs.Step = js.Name
 			cs.Layer = layer
 			cs.Source = src
-			cs.Dur = sim.Duration(usToNs(js.DurUs))
+			cs.Dur = sim.Duration(dur)
 		default:
-			return nil, fmt.Errorf("flight: line %d: unknown chain-step type %q", lineNo, js.Type)
+			return nil, fmt.Errorf("unknown chain-step type %q", js.Type)
 		}
 		ex.Chain = append(ex.Chain, cs)
 	}

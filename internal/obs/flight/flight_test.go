@@ -3,6 +3,7 @@ package flight_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -248,19 +249,29 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadJSONLRejects: truncated records and unknown schema versions are
-// loud errors, never silently empty results.
+// TestReadJSONLRejects: truncated records, unknown schema versions and µs
+// fields outside jsonl's exact range are loud one-line errors, never
+// silently empty results or garbage nanosecond counts ("latency_us":1e300
+// used to read back as math.MinInt64).
 func TestReadJSONLRejects(t *testing.T) {
-	cases := []struct{ name, in string }{
-		{"truncated", `{"kind":"flight","schema":"urllcsim-flight/v1","dir":"U`},
-		{"unknown flight schema", `{"kind":"flight_meta","schema":"urllcsim-flight/v99"}`},
-		{"unknown record schema", `{"kind":"flight","schema":"urllcsim-flight/v99"}`},
-		{"unknown anomaly schema", `{"kind":"anomaly","schema":"urllcsim-anomaly/v99"}`},
-		{"bad dir", `{"kind":"flight","schema":"urllcsim-flight/v1","dir":"sideways"}`},
+	const fl = `{"kind":"flight","schema":"urllcsim-flight/v1","dir":"UL"`
+	cases := []struct{ name, in, want string }{
+		{"truncated", `{"kind":"flight","schema":"urllcsim-flight/v1","dir":"U`, "flight: line 1: unexpected end of JSON input"},
+		{"unknown flight schema", `{"kind":"flight_meta","schema":"urllcsim-flight/v99"}`, "unsupported flight schema"},
+		{"unknown record schema", `{"kind":"flight","schema":"urllcsim-flight/v99"}`, "unsupported flight schema"},
+		{"unknown anomaly schema", `{"kind":"anomaly","schema":"urllcsim-anomaly/v99"}`, "unsupported anomaly schema"},
+		{"bad dir", `{"kind":"flight","schema":"urllcsim-flight/v1","dir":"sideways"}`, `flight: line 1: unknown dir "sideways"`},
+		{"meta deadline", `{"kind":"flight_meta","schema":"urllcsim-flight/v1","deadline_us":1e300}`, "line 1: deadline_us "},
+		{"latency", fl + `,"latency_us":1e300}`, "line 1: latency_us "},
+		{"chain time", fl + `,"chain":[{"t_us":-1e300,"type":"edge","name":"sr_sent"}]}`, "line 1: t_us "},
+		{"edge ref", fl + `,"chain":[{"t_us":1,"type":"edge","name":"sr_sent","ref_us":9.3e15}]}`, "line 1: ref_us "},
+		{"span dur", fl + `,"chain":[{"t_us":1,"type":"span","layer":"PHY","source":"radio","dur_us":1e19}]}`, "line 1: dur_us "},
+		{"anomaly time", `{"kind":"anomaly","schema":"urllcsim-anomaly/v1","dir":"DL","t_us":1e300}`, "line 1: t_us "},
 	}
 	for _, c := range cases {
-		if _, err := flight.ReadJSONL(bytes.NewReader([]byte(c.in))); err == nil {
-			t.Errorf("%s: accepted", c.name)
+		_, err := flight.ReadJSONL(bytes.NewReader([]byte(c.in)))
+		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: want a one-line error containing %q, got %v", c.name, c.want, err)
 		}
 	}
 	// Foreign kinds are skipped, not errors: a combined trace+flight file.

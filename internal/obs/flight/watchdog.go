@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"urllcsim/internal/obs"
+	"urllcsim/internal/obs/jsonl"
 	"urllcsim/internal/sim"
 )
 
@@ -52,13 +53,17 @@ type jsonAnomaly struct {
 	N         int     `json:"n"`
 }
 
-func parseAnomaly(ja *jsonAnomaly, lineNo int) (Anomaly, error) {
+func parseAnomaly(ja *jsonAnomaly) (Anomaly, error) {
 	dir, ok := obs.ParseDir(ja.Dir)
 	if !ok {
-		return Anomaly{}, fmt.Errorf("flight: line %d: unknown dir %q", lineNo, ja.Dir)
+		return Anomaly{}, fmt.Errorf("unknown dir %q", ja.Dir)
+	}
+	at, err := jsonl.NanosFromMicros("t_us", ja.TUs)
+	if err != nil {
+		return Anomaly{}, err
 	}
 	return Anomaly{
-		Time: sim.Time(usToNs(ja.TUs)), Dir: dir, Metric: ja.Metric,
+		Time: sim.Time(at), Dir: dir, Metric: ja.Metric,
 		Value: ja.Value, Threshold: ja.Threshold, N: ja.N,
 	}, nil
 }

@@ -1,9 +1,11 @@
-// Package jsonl holds the byte-appending encoders behind the simulator's
-// high-volume JSONL exports (the urllcsim-trace, -slots and -kpi dialects).
-// Each appender writes exactly the bytes encoding/json writes for the same
-// Go value, without reflection, interface boxing or a per-record allocation,
-// so a writer can assemble a whole line into one reused buffer. The package
-// imports nothing from obs, so obs and analyze both build on it.
+// Package jsonl owns the simulator's JSONL envelope, both halves. The write
+// half is the byte-appending encoders behind the high-volume exports (the
+// urllcsim-trace, -slots and -kpi dialects): each appender writes exactly
+// the bytes encoding/json writes for the same Go value, without reflection,
+// interface boxing or a per-record allocation, so a writer can assemble a
+// whole line into one reused buffer. The read half is Read, the one scanner
+// every dialect's reader decodes through. The package imports nothing from
+// obs, so obs, analyze, flight and prof all build on it.
 package jsonl
 
 import (

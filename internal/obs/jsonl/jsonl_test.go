@@ -3,6 +3,7 @@ package jsonl
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"strconv"
@@ -139,6 +140,39 @@ func TestNanosFromMicrosExact(t *testing.T) {
 	for _, us := range []float64{MaxExactNs / 1000, -MaxExactNs / 1000, 1e300, -1e300, math.MaxInt64} {
 		if ns, err := NanosFromMicros("t_us", us); err == nil || !strings.HasPrefix(err.Error(), "t_us ") {
 			t.Fatalf("NanosFromMicros(%v) = %d, %v; want an out-of-range error naming the field", us, ns, err)
+		}
+	}
+}
+
+// TestRead pins the reading envelope every dialect's reader shares: blank
+// lines count toward line numbers but are skipped, foreign kinds are
+// skipped before any schema check, owned kinds with a schema reject any
+// other (or none), and every error is one line under the caller's prefix.
+func TestRead(t *testing.T) {
+	var got []string
+	kinds := map[string]Kind{
+		"x_meta": {Schema: "urllcsim-x/v1", Decode: func(line []byte) error { got = append(got, string(line)); return nil }},
+		"x": {Decode: func(line []byte) error {
+			if bytes.Contains(line, []byte("bad")) {
+				return errors.New("bad x")
+			}
+			got = append(got, string(line))
+			return nil
+		}},
+	}
+	ok := `{"kind":"x_meta","schema":"urllcsim-x/v1"}` + "\n\n" + `{"kind":"y","schema":"urllcsim-y/v9"}` + "\n" + `{"kind":"x"}`
+	if err := Read(strings.NewReader(ok), "x", kinds); err != nil || len(got) != 2 {
+		t.Fatalf("Read = %v, decoded %q", err, got)
+	}
+	for _, c := range []struct{ in, want string }{
+		{"\n\n" + `{"kind":"x","v":"bad"}`, "x: line 3: bad x"},
+		{`{"kind":"x_meta","schema":"urllcsim-x/v2"}`, `x: line 1: unsupported x schema "urllcsim-x/v2" (this reader speaks "urllcsim-x/v1")`},
+		{`{"kind":"x_meta"}`, `x: line 1: unsupported x schema "" (this reader speaks "urllcsim-x/v1")`},
+		{"\n" + `{"kind":"x",`, "x: line 2: unexpected end of JSON input"},
+		{`{"kind":"x"}` + "\n" + strings.Repeat(" ", 16<<20+1), "x: bufio.Scanner: token too long"},
+	} {
+		if err := Read(strings.NewReader(c.in), "x", kinds); err == nil || err.Error() != c.want {
+			t.Errorf("Read(%.40q) = %v, want %q", c.in, err, c.want)
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 
 	"urllcsim/internal/metrics"
 	"urllcsim/internal/obs"
+	"urllcsim/internal/obs/jsonl"
 	"urllcsim/internal/sim"
 )
 
@@ -381,36 +382,18 @@ func (r *Report) Publish(rec *obs.Recorder) {
 // than ReportSchema is an error, never a zero-filled report.
 func ReadJSONL(r io.Reader) ([]*Report, error) {
 	var out []*Report
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var head struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(line, &head); err != nil {
-			return nil, fmt.Errorf("prof: line %d: %w", lineNo, err)
-		}
-		if head.Kind != "profile" {
-			continue
-		}
-		var rep Report
-		if err := json.Unmarshal(line, &rep); err != nil {
-			return nil, fmt.Errorf("prof: line %d: %w", lineNo, err)
-		}
-		if rep.Schema != ReportSchema {
-			return nil, fmt.Errorf("prof: line %d: unsupported profile schema %q (this reader speaks %q)",
-				lineNo, rep.Schema, ReportSchema)
-		}
-		out = append(out, &rep)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("prof: %w", err)
+	err := jsonl.Read(r, "prof", map[string]jsonl.Kind{
+		"profile": {Schema: ReportSchema, Decode: func(line []byte) error {
+			var rep Report
+			if err := json.Unmarshal(line, &rep); err != nil {
+				return err
+			}
+			out = append(out, &rep)
+			return nil
+		}},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -272,44 +272,26 @@ type SlotFile struct {
 // malformed JSON or an unknown slots schema version is a one-line error.
 func ReadSlotsJSONL(r io.Reader) (*SlotFile, error) {
 	f := &SlotFile{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var head struct {
-			Kind   string `json:"kind"`
-			Schema string `json:"schema"`
-		}
-		if err := json.Unmarshal(line, &head); err != nil {
-			return nil, fmt.Errorf("slots: line %d: %w", lineNo, err)
-		}
-		switch head.Kind {
-		case "slots_meta":
-			if head.Schema != SlotsSchema {
-				return nil, fmt.Errorf("slots: line %d: unsupported slots schema %q (this reader speaks %q)",
-					lineNo, head.Schema, SlotsSchema)
-			}
+	err := jsonl.Read(r, "slots", map[string]jsonl.Kind{
+		"slots_meta": {Schema: SlotsSchema, Decode: func(line []byte) error {
 			var meta jsonSlotsMeta
 			if err := json.Unmarshal(line, &meta); err != nil {
-				return nil, fmt.Errorf("slots: line %d: %w", lineNo, err)
+				return err
 			}
 			f.HasMeta = true
 			if f.Label == "" {
 				f.Label = meta.Label
 			}
-		case "slot":
+			return nil
+		}},
+		"slot": {Decode: func(line []byte) error {
 			var js jsonSlot
 			if err := json.Unmarshal(line, &js); err != nil {
-				return nil, fmt.Errorf("slots: line %d: %w", lineNo, err)
+				return err
 			}
 			boundary, err := jsonl.NanosFromMicros("boundary_us", js.BoundaryUs)
 			if err != nil {
-				return nil, fmt.Errorf("slots: line %d: %w", lineNo, err)
+				return err
 			}
 			rec := SlotRecord{
 				Boundary: sim.Time(boundary), TargetDL: sim.Never,
@@ -321,7 +303,7 @@ func ReadSlotsJSONL(r io.Reader) (*SlotFile, error) {
 			if js.DL {
 				target, err := jsonl.NanosFromMicros("target_dl_us", js.TargetDLUs)
 				if err != nil {
-					return nil, fmt.Errorf("slots: line %d: %w", lineNo, err)
+					return err
 				}
 				rec.TargetDL = sim.Time(target)
 			}
@@ -332,12 +314,11 @@ func ReadSlotsJSONL(r io.Reader) (*SlotFile, error) {
 				})
 			}
 			f.Records = append(f.Records, rec)
-		default:
-			// Trace, flight or future kinds pass through silently.
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("slots: %w", err)
+			return nil
+		}},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return f, nil
 }
