@@ -74,7 +74,8 @@ bench-smoke:
 	echo "bench-smoke OK: schema valid, self-check clean, injected regression caught ($$tmp)" && rm -rf $$tmp
 
 ## report-smoke: end-to-end JSONL → urllc-report round trip in a temp dir —
-## a trace renders the feasibility table and both CSVs, one file mixing every
+## a trace renders the feasibility table and both CSVs, a legacy "event" line
+## appended to a trace leaves its report byte-identical, one file mixing every
 ## dialect (trace, flight + anomaly, slots, KPI, profile) renders every
 ## section in a single call, and -version lists the profile dialect
 report-smoke:
@@ -86,6 +87,12 @@ report-smoke:
 	grep -q 'Feasibility (Fig. 4-style)' $$tmp/report.md && \
 	grep -q '^run,UL,' $$tmp/feas.csv && \
 	grep -q ',source,,,radio,' $$tmp/steps.csv && \
+	mkdir $$tmp/legacy && \
+	{ cat $$tmp/run.jsonl; echo '{"kind":"event","time_us":500,"name":"tick","layer":"sched","packet":-1}'; } \
+		> $$tmp/legacy/run.jsonl && \
+	$$tmp/urllc-report $$tmp/run.jsonl > $$tmp/plain.md && \
+	$$tmp/urllc-report $$tmp/legacy/run.jsonl > $$tmp/legacy.md && \
+	cmp $$tmp/plain.md $$tmp/legacy.md && \
 	$$tmp/urllcsim -packets 40 -ues 4 -jsonl-out $$tmp/t.jsonl -flight-out $$tmp/f.jsonl \
 		-watchdog-missrate 0.01 -watchdog-window 32 -slots-out $$tmp/s.jsonl \
 		-kpi-out $$tmp/k.jsonl -prof-out $$tmp/p.jsonl >/dev/null 2>&1 && \
@@ -95,7 +102,7 @@ report-smoke:
 		'- anomaly at' 'self-profile: mixed' 'observer tax:'; do \
 		grep -qF -e "$$s" $$tmp/mixed.md || { echo "report-smoke FAIL: mixed report lacks '$$s'"; exit 1; }; done && \
 	$$tmp/urllc-report -version | grep -q 'accepts urllcsim-profile/v3' && \
-	echo "report-smoke OK: trace CSVs, every section from one mixed file, profile dialect listed ($$tmp)" && rm -rf $$tmp
+	echo "report-smoke OK: trace CSVs, legacy event lines ignored, every section from one mixed file, profile dialect listed ($$tmp)" && rm -rf $$tmp
 
 ## flight-smoke: the tail-forensics contract, end to end — attaching the
 ## flight recorder + watchdog must leave default stdout byte-identical, the
@@ -175,7 +182,8 @@ cell-smoke:
 ## obs-smoke: the always-on-observability contract, end to end — sampling
 ## (off, explicit 1, or 0.25) leaves default stdout byte-identical, a sampled
 ## trace thins on disk yet reports the exact same feasibility table while
-## stating its effective rate, a sampled sweep stays worker-invariant, and a
+## stating its effective rate, a sampled sweep stays worker-invariant, a
+## -sample-rate outside (0,1] is a usage error (exit 2) in both CLIs, and a
 ## self-profiled run carries the measured observer tax into urllc-report
 obs-smoke:
 	@tmp=$$(mktemp -d) && \
@@ -200,6 +208,12 @@ obs-smoke:
 		-parallel 4 -out $$tmp/o4.md && \
 	cmp $$tmp/o1.md $$tmp/o4.md && \
 	grep -q 'Effective span sample rate: 0.2' $$tmp/o1.md && \
+	for r in 0 -1 NaN; do \
+		$$tmp/urllcsim -packets 4 -sample-rate $$r >/dev/null 2>&1; rc=$$?; \
+		[ $$rc -eq 2 ] || { echo "obs-smoke FAIL: urllcsim -sample-rate $$r exited $$rc, want 2"; exit 1; }; \
+		$$tmp/urllc-sweep -replicas 1 -packets 4 -sample-rate $$r -out $$tmp/bad.md >/dev/null 2>&1; rc=$$?; \
+		[ $$rc -eq 2 ] || { echo "obs-smoke FAIL: urllc-sweep -sample-rate $$r exited $$rc, want 2"; exit 1; }; \
+	done && \
 	$$tmp/urllcsim -packets 40 -jsonl-out $$tmp/p.jsonl -prof-out $$tmp/prof.jsonl \
 		> $$tmp/prof.out 2>/dev/null && \
 	cmp $$tmp/plain.out $$tmp/prof.out && \

@@ -93,7 +93,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			os.Exit(1)
 		}
-		hasTrace := len(tr.Spans)+len(tr.Outcomes)+len(tr.Events) > 0
+		hasTrace := len(tr.Spans)+len(tr.Outcomes) > 0
 		if !hasTrace && !fl.HasMeta && !sf.HasMeta && !kf.HasMeta && len(pf) == 0 {
 			fmt.Fprintf(os.Stderr, "%s: no trace, flight, slot, kpi or profile records (empty or non-JSONL input)\n", path)
 			os.Exit(1)

@@ -92,6 +92,10 @@ func main() {
 		version.Print(os.Stdout, "urllc-sweep", []string{flight.Schema, obs.SlotsSchema}, nil)
 		return
 	}
+	if !(*sampleRate > 0 && *sampleRate <= 1) { // also rejects NaN
+		fmt.Fprintf(os.Stderr, "urllc-sweep: -sample-rate %v outside (0,1]\n", *sampleRate)
+		os.Exit(2)
+	}
 
 	if err := run(*patterns, *slots, *grantfree, *radios, *replicas, *packets,
 		*parallel, *seed, *deadline, *summary, *perf, *out, *flightOut, *flightTopK,

@@ -33,7 +33,7 @@ func main() {
 	at := flag.Duration("at", 337*time.Microsecond, "arrival time within the TDD pattern")
 	jsonOut := flag.Bool("json", false, "print the result as JSON (with structured spans) instead of text")
 	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON (Perfetto / chrome://tracing) to this file")
-	jsonlOut := flag.String("jsonl-out", "", "write the structured event log (one JSON object per line) to this file")
+	jsonlOut := flag.String("jsonl-out", "", "write the span and outcome trace (one JSON object per line) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry summary as CSV to this file")
 	audit := flag.Bool("audit", false, "append the deadline-budget audit (Fig. 3/4 tables) to the text output")
 	deadline := flag.Duration("deadline", 500*time.Microsecond, "one-way budget for -audit")

@@ -40,8 +40,8 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON (Perfetto / chrome://tracing) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry summary as CSV to this file")
 	snapshotsOut := flag.String("snapshots-out", "", "write per-slot counter/gauge snapshots as CSV to this file")
-	jsonlOut := flag.String("jsonl-out", "", "write the span/outcome/event trace as JSONL to this file (input for urllc-report)")
-	sampleRate := flag.Float64("sample-rate", 1, "deterministic per-packet span/event sampling rate in (0,1]; 1 keeps everything. Outcomes, metrics, deadline audits and flight forensics stay exact at every rate")
+	jsonlOut := flag.String("jsonl-out", "", "write the span/outcome trace as JSONL to this file (input for urllc-report)")
+	sampleRate := flag.Float64("sample-rate", 1, "deterministic per-packet span sampling rate in (0,1]; 1 keeps everything. Outcomes, metrics, deadline audits and flight forensics stay exact at every rate")
 	slotsOut := flag.String("slots-out", "", "write the per-tick slot-occupancy ledger as JSONL (urllcsim-slots/v1; input for urllc-report) to this file")
 	kpiOut := flag.String("kpi-out", "", "write per-UE KPIs (AoI, fairness, reliability CCDF) as JSONL (urllcsim-kpi/v1; input for urllc-report) to this file")
 	serve := flag.String("serve", "", "serve live telemetry on this address (e.g. :9090): /metrics Prometheus text, /debug/vars expvar, /debug/pprof; keeps serving after the run until interrupted")
@@ -65,6 +65,10 @@ func main() {
 		return
 	}
 
+	if !(*sampleRate > 0 && *sampleRate <= 1) { // also rejects NaN
+		fmt.Fprintf(os.Stderr, "-sample-rate %v outside (0,1]\n", *sampleRate)
+		os.Exit(2)
+	}
 	scales := map[string]urllcsim.SlotScale{
 		"1ms": urllcsim.Slot1ms, "0.5ms": urllcsim.Slot0p5ms,
 		"0.25ms": urllcsim.Slot0p25ms, "125us": urllcsim.Slot125us,
@@ -174,9 +178,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The self-profiler attaches after the recorder so it wraps (and keeps
-	// feeding) the recorder's engine sink. It observes only: the scenario
-	// output is byte-identical with and without it.
+	// The self-profiler mounts as the engine's sink. It observes only: the
+	// scenario output is byte-identical with and without it.
 	var profiler *prof.Profiler
 	if *profOut != "" || *wdBaseline != "" {
 		profiler = prof.Attach(sc.Engine())

@@ -93,13 +93,13 @@ func (f *File) Validate() error {
 		}
 		seen[r.Name] = true
 		if r.N < 1 {
-			return fmt.Errorf("%s: n = %d", r.Name, r.N)
+			return fmt.Errorf("%q: n = %d", r.Name, r.N)
 		}
 		if r.NsPerOp <= 0 {
-			return fmt.Errorf("%s: ns_per_op = %g", r.Name, r.NsPerOp)
+			return fmt.Errorf("%q: ns_per_op = %g", r.Name, r.NsPerOp)
 		}
 		if r.BytesPerOp < 0 || r.AllocsPerOp < 0 {
-			return fmt.Errorf("%s: negative allocation stats", r.Name)
+			return fmt.Errorf("%q: negative allocation stats", r.Name)
 		}
 	}
 	if f.Profile != nil {
@@ -128,12 +128,22 @@ func Load(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	var f File
-	if err := json.Unmarshal(raw, &f); err != nil {
+	f, err := parse(raw)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return f, nil
+}
+
+// parse decodes and validates the bytes of a BENCH file. Errors are one
+// line (FuzzBenchParse holds it to that).
+func parse(raw []byte) (*File, error) {
+	var f File
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return nil, err
+	}
 	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: invalid BENCH file: %w", path, err)
+		return nil, fmt.Errorf("invalid BENCH file: %w", err)
 	}
 	return &f, nil
 }

@@ -340,9 +340,6 @@ func NewSystem(cfg Config) (*System, error) {
 		obs:        cfg.Obs,
 	}
 	s.h = newObsHandles(s.obs)
-	if s.obs.EngineEventsEnabled() {
-		s.Eng.Sink = s.obs
-	}
 	phyMode := stack.PHYAnalytic
 	if cfg.FullPHY {
 		phyMode = stack.PHYFull

@@ -276,8 +276,7 @@ func Run(tr *Trace, label string, deadline sim.Duration) *Audit {
 // FromRecorder builds a Trace directly from a live recorder — the in-process
 // path (cmd/urllc-trace, tests) that skips JSONL serialisation.
 func FromRecorder(rec *obs.Recorder) *Trace {
-	return &Trace{Spans: rec.Spans(), Outcomes: rec.Outcomes(), Events: rec.Events(),
-		SampleRate: rec.SampleRate()}
+	return &Trace{Spans: rec.Spans(), Outcomes: rec.Outcomes(), SampleRate: rec.SampleRate()}
 }
 
 // EffectiveSampleRate returns the trace's packet sample rate, treating the
@@ -291,11 +290,10 @@ func (tr *Trace) EffectiveSampleRate() float64 {
 
 // MergeTraces concatenates shard traces into one, renumbering packet ids so
 // journeys from different shards can never collide: shard i's ids are offset
-// past the largest id of every earlier shard. Non-packet-scoped events
-// (packet −1) keep their sentinel. The merge is pure concatenation in the
-// given shard order, so a fixed order yields a byte-identical trace no
-// matter how the shards were produced (see internal/sweep); nil shards are
-// skipped.
+// past the largest id of every earlier shard. The merge is pure
+// concatenation in the given shard order, so a fixed order yields a
+// byte-identical trace no matter how the shards were produced (see
+// internal/sweep); nil shards are skipped.
 func MergeTraces(shards ...*Trace) *Trace {
 	out := &Trace{SampleRate: 1}
 	base := 0
@@ -310,13 +308,9 @@ func MergeTraces(shards ...*Trace) *Trace {
 		}
 		next := base
 		renumber := func(packet int) int {
-			if packet < 0 {
-				return packet
-			}
-			if id := base + packet; id >= next {
-				next = id + 1
-			}
-			return base + packet
+			id := base + packet
+			next = max(next, id+1)
+			return id
 		}
 		for _, s := range tr.Spans {
 			s.Packet = renumber(s.Packet)
@@ -325,10 +319,6 @@ func MergeTraces(shards ...*Trace) *Trace {
 		for _, o := range tr.Outcomes {
 			o.Packet = renumber(o.Packet)
 			out.Outcomes = append(out.Outcomes, o)
-		}
-		for _, e := range tr.Events {
-			e.Packet = renumber(e.Packet)
-			out.Events = append(out.Events, e)
 		}
 		base = next
 	}

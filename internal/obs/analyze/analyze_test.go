@@ -157,8 +157,8 @@ func TestRunAudit(t *testing.T) {
 }
 
 // TestJSONLRoundTripLossless writes a recorder's trace to JSONL, re-ingests
-// it, and demands byte-identical state: every span, outcome and event equal
-// to the nanosecond.
+// it, and demands byte-identical state: every span and outcome equal to the
+// nanosecond.
 func TestJSONLRoundTripLossless(t *testing.T) {
 	rec := obs.NewRecorder()
 	// Awkward nanosecond values that don't align to any decimal unit.
@@ -167,7 +167,6 @@ func TestJSONLRoundTripLossless(t *testing.T) {
 	rec.PacketSpan(12, obs.DirDL, obs.LayerAir, "air.tx", core.Radio, sim.Time(999999937), sim.Duration(142857))
 	rec.Outcome(obs.Outcome{Packet: 11, Dir: obs.DirUL, Delivered: true, Latency: sim.Duration(119748), Attempts: 1})
 	rec.Outcome(obs.Outcome{Packet: 12, Dir: obs.DirDL, Delivered: false, Latency: 0, Attempts: 3})
-	rec.Mark(sim.Time(7777777), obs.LayerMAC, "harq.nack", 12)
 
 	var buf bytes.Buffer
 	if err := obs.WriteJSONL(&buf, rec); err != nil {
@@ -183,9 +182,6 @@ func TestJSONLRoundTripLossless(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tr.Outcomes, direct.Outcomes) {
 		t.Fatalf("outcomes differ after round trip:\n got %+v\nwant %+v", tr.Outcomes, direct.Outcomes)
-	}
-	if !reflect.DeepEqual(tr.Events, direct.Events) {
-		t.Fatalf("events differ after round trip:\n got %+v\nwant %+v", tr.Events, direct.Events)
 	}
 }
 
@@ -207,7 +203,7 @@ func TestReadJSONLErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Spans)+len(tr.Outcomes)+len(tr.Events) != 0 {
+	if len(tr.Spans)+len(tr.Outcomes) != 0 {
 		t.Fatal("unknown kind must be skipped")
 	}
 }
@@ -219,7 +215,6 @@ func TestReadJSONLRejectsOutOfRangeMicros(t *testing.T) {
 	meta := `{"kind":"meta","schema":"` + obs.TraceSchema + `"}` + "\n"
 	span := `{"kind":"span","packet":1,"dir":"UL","layer":"PHY","step":"s","source":"radio","start_us":%s,"dur_us":%s}`
 	outcome := `{"kind":"outcome","packet":1,"dir":"UL","delivered":true,"latency_us":%s,"attempts":1,"end_us":%s}`
-	event := `{"kind":"event","time_us":%s,"name":"n","layer":"MAC","packet":1}`
 	const bound = "4398046511104" // jsonl.MaxExactNs in µs: the first value outside
 	for _, c := range []struct{ line, field string }{
 		{fmt.Sprintf(span, "1e300", "1"), "start_us"},
@@ -227,7 +222,6 @@ func TestReadJSONLRejectsOutOfRangeMicros(t *testing.T) {
 		{fmt.Sprintf(span, bound, "1"), "start_us"},
 		{fmt.Sprintf(outcome, "1e19", "1"), "latency_us"},
 		{fmt.Sprintf(outcome, "1", "-"+bound), "end_us"},
-		{fmt.Sprintf(event, "9.3e15"), "time_us"},
 	} {
 		_, err := ReadJSONL(strings.NewReader(meta + c.line + "\n"))
 		if err == nil || !strings.Contains(err.Error(), "line 2: "+c.field+" ") || strings.Contains(err.Error(), "\n") {
@@ -243,7 +237,7 @@ func TestReadJSONLRejectsOutOfRangeMicros(t *testing.T) {
 
 // FuzzReadTraceJSONL: the trace reader never panics, and any trace it
 // accepts re-encodes through obs.WriteJSONL into a file that reads back to
-// the same spans, outcomes and events. Seeded with the obs trace goldens.
+// the same spans and outcomes. Seeded with the obs trace goldens.
 func FuzzReadTraceJSONL(f *testing.F) {
 	for _, name := range []string{"trace.jsonl.golden", "trace_sampled.jsonl.golden"} {
 		data, err := os.ReadFile(filepath.Join("..", "testdata", name))
@@ -267,13 +261,10 @@ func FuzzReadTraceJSONL(f *testing.F) {
 		}
 		rec := obs.NewRecorder()
 		for _, s := range tr.Spans {
-			rec.Span(s)
+			rec.PacketSpan(s.Packet, s.Dir, s.Layer, s.Step, s.Source, s.Start, s.Dur)
 		}
 		for _, o := range tr.Outcomes {
 			rec.Outcome(o)
-		}
-		for _, e := range tr.Events {
-			rec.Mark(e.Time, e.Layer, e.Name, e.Packet)
 		}
 		var buf bytes.Buffer
 		if err := obs.WriteJSONL(&buf, rec); err != nil {
@@ -283,8 +274,7 @@ func FuzzReadTraceJSONL(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded trace does not read back: %v\n%s", err, buf.Bytes())
 		}
-		if !reflect.DeepEqual(tr.Spans, again.Spans) || !reflect.DeepEqual(tr.Outcomes, again.Outcomes) ||
-			!reflect.DeepEqual(tr.Events, again.Events) {
+		if !reflect.DeepEqual(tr.Spans, again.Spans) || !reflect.DeepEqual(tr.Outcomes, again.Outcomes) {
 			t.Fatalf("re-encoded trace reads back differently:\n%s", buf.Bytes())
 		}
 	})
@@ -380,10 +370,6 @@ func TestMergeTraces(t *testing.T) {
 			{Packet: 0, Dir: obs.DirUL, Delivered: true, Latency: 10},
 			{Packet: 2, Dir: obs.DirUL, Delivered: true, Latency: 10},
 		},
-		Events: []obs.Event{
-			{Time: 1, Name: "slot", Packet: -1},
-			{Time: 2, Name: "tx", Packet: 2},
-		},
 	}
 	tr2 := &Trace{
 		Spans: []obs.Span{
@@ -399,12 +385,6 @@ func TestMergeTraces(t *testing.T) {
 	}
 	if m.Outcomes[2].Packet != 3 {
 		t.Fatalf("outcome ids must renumber consistently with spans: %d", m.Outcomes[2].Packet)
-	}
-	if m.Events[0].Packet != -1 {
-		t.Fatal("non-packet-scoped sentinel must survive the merge")
-	}
-	if m.Events[1].Packet != 2 {
-		t.Fatalf("event id wrong: %d", m.Events[1].Packet)
 	}
 	// Journeys from different shards never collide: 3 distinct journeys.
 	if js := Journeys(m); len(js) != 4 {

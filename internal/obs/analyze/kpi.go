@@ -171,7 +171,6 @@ func ComputeKPI(tr *Trace, label string) *KPIReport {
 		aoi             []aoiDelivery
 	}
 	groups := map[ueDirKey]*group{}
-	dirHist := map[obs.Dir]*metrics.LogHistogram{}
 	var keys []ueDirKey
 	for _, o := range tr.Outcomes {
 		k := ueDirKey{dir: o.Dir, ue: o.UE}
@@ -187,12 +186,6 @@ func ComputeKPI(tr *Trace, label string) *KPIReport {
 		}
 		g.delivered++
 		g.hist.AddDuration(o.Latency)
-		dh := dirHist[o.Dir]
-		if dh == nil {
-			dh = metrics.NewLogHistogram()
-			dirHist[o.Dir] = dh
-		}
-		dh.AddDuration(o.Latency)
 		if o.End > 0 {
 			end := o.End.Micros()
 			g.aoi = append(g.aoi, aoiDelivery{gen: end - float64(o.Latency)/1000, at: end})
@@ -205,10 +198,16 @@ func ComputeKPI(tr *Trace, label string) *KPIReport {
 		return keys[i].ue < keys[j].ue
 	})
 
-	perDir := map[obs.Dir]*DirKPI{}
+	// One accumulator per direction: its UEs' throughputs and mean
+	// latencies for the Jain indices, and the merge of their latency
+	// histograms (exact) for the CCDF.
+	type dirAcc struct {
+		kpi      DirKPI
+		thr, lat []float64
+		hist     *metrics.LogHistogram
+	}
+	perDir := map[obs.Dir]*dirAcc{}
 	var dirOrder []obs.Dir
-	var thrByDir = map[obs.Dir][]float64{}
-	var latByDir = map[obs.Dir][]float64{}
 	for _, k := range keys {
 		g := groups[k]
 		u := UEKPI{
@@ -228,26 +227,28 @@ func ComputeKPI(tr *Trace, label string) *KPIReport {
 		}
 		rep.UEs = append(rep.UEs, u)
 
-		d, ok := perDir[k.dir]
+		a, ok := perDir[k.dir]
 		if !ok {
-			d = &DirKPI{Dir: k.dir}
-			perDir[k.dir] = d
+			a = &dirAcc{kpi: DirKPI{Dir: k.dir}, hist: metrics.NewLogHistogram()}
+			perDir[k.dir] = a
 			dirOrder = append(dirOrder, k.dir)
 		}
-		d.UEs++
-		d.Delivered += g.delivered
-		d.Lost += g.lost
-		thrByDir[k.dir] = append(thrByDir[k.dir], float64(g.delivered))
+		a.kpi.UEs++
+		a.kpi.Delivered += g.delivered
+		a.kpi.Lost += g.lost
+		a.thr = append(a.thr, float64(g.delivered))
 		if g.delivered > 0 {
-			latByDir[k.dir] = append(latByDir[k.dir], u.MeanUs)
+			a.lat = append(a.lat, u.MeanUs)
 		}
+		a.hist.Merge(g.hist)
 	}
 	sort.Slice(dirOrder, func(i, j int) bool { return dirOrder[i] < dirOrder[j] })
 	for _, dir := range dirOrder {
-		d := perDir[dir]
-		d.JainThroughput = jain(thrByDir[dir])
-		d.JainLatency = jain(latByDir[dir])
-		if h := dirHist[dir]; h != nil && h.N() > 0 {
+		a := perDir[dir]
+		d := &a.kpi
+		d.JainThroughput = jain(a.thr)
+		d.JainLatency = jain(a.lat)
+		if h := a.hist; h.N() > 0 {
 			n := float64(h.N())
 			h.Buckets(func(upperNs, cum int64) {
 				d.CCDF = append(d.CCDF, CCDFPoint{

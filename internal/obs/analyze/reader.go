@@ -12,8 +12,8 @@ import (
 	"urllcsim/internal/sim"
 )
 
-// Trace is the re-ingested form of a JSONL export: the same spans, outcomes
-// and events the recorder held when obs.WriteJSONL ran. SampleRate is the
+// Trace is the re-ingested form of a JSONL export: the same spans and
+// outcomes the recorder held when obs.WriteJSONL ran. SampleRate is the
 // writer's effective packet sample rate (1 when the trace carried none —
 // unsampled, the full population); reports surface it so sampled span
 // populations are never read as complete ones. Outcomes are exact at every
@@ -21,7 +21,6 @@ import (
 type Trace struct {
 	Spans      []obs.Span
 	Outcomes   []obs.Outcome
-	Events     []obs.Event
 	SampleRate float64
 }
 
@@ -32,21 +31,17 @@ type jsonLine struct {
 	// meta (jsonl.Read checks its schema)
 	SampleRate float64 `json:"sample_rate"`
 
-	// span + event + outcome
+	// span + outcome
 	Packet int    `json:"packet"`
-	Layer  string `json:"layer"`
+	Dir    string `json:"dir"`
 	UE     int    `json:"ue"` // outcome only; 0 in older traces
 
 	// span
-	Dir     string  `json:"dir"`
+	Layer   string  `json:"layer"`
 	Step    string  `json:"step"`
 	Source  string  `json:"source"`
 	StartUs float64 `json:"start_us"`
 	DurUs   float64 `json:"dur_us"`
-
-	// event
-	TimeUs float64 `json:"time_us"`
-	Name   string  `json:"name"`
 
 	// outcome
 	Delivered bool    `json:"delivered"`
@@ -110,18 +105,6 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 				Packet: jl.Packet, UE: jl.UE, Dir: dir, Delivered: jl.Delivered,
 				Latency: sim.Duration(latency), Attempts: jl.Attempts, End: sim.Time(end),
 			})
-		case "event":
-			layer, ok := obs.ParseLayer(jl.Layer)
-			if !ok {
-				return fmt.Errorf("unknown layer %q", jl.Layer)
-			}
-			at, err := jsonl.NanosFromMicros("time_us", jl.TimeUs)
-			if err != nil {
-				return err
-			}
-			tr.Events = append(tr.Events, obs.Event{
-				Time: sim.Time(at), Name: jl.Name, Layer: layer, Packet: jl.Packet,
-			})
 		}
 		return nil
 	}
@@ -129,7 +112,6 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		"meta":    {Schema: obs.TraceSchema, Decode: decode},
 		"span":    {Decode: decode},
 		"outcome": {Decode: decode},
-		"event":   {Decode: decode},
 	})
 	if err != nil {
 		return nil, err

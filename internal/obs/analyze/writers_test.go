@@ -12,8 +12,8 @@ import (
 
 // exportFixture records n packets the way the node layer does: six spans
 // each under the journey's step names, one outcome (every seventh lost,
-// with retries), an event every tenth packet, and a slot-ledger tick every
-// fourth packet with two per-UE takes.
+// with retries), and a slot-ledger tick every fourth packet with two per-UE
+// takes.
 func exportFixture(n int) *obs.Recorder {
 	steps := []string{"① UE APP↓", "② wait for UL slot + SR", "④⑤ UL grant (wait+ctrl)",
 		"⑥ UL data on air", "⑦ RH→gNB samples", "⑦ gNB PHY↑…SDAP↑"}
@@ -29,9 +29,6 @@ func exportFixture(n int) *obs.Recorder {
 		lost := p%7 == 0
 		rec.Outcome(obs.Outcome{Packet: p, UE: p % 8, Dir: dir, Delivered: !lost,
 			Latency: sim.Duration(246_102 + p%13), Attempts: 1 + p%3, End: at + 246_102})
-		if p%10 == 0 {
-			rec.Mark(at, obs.LayerMAC, "harq.nack", p)
-		}
 		if p%4 == 0 {
 			rec.Slot(obs.SlotRecord{Boundary: at, TargetDL: at + 500_000, DLCapBytes: 2304,
 				DLUsedBytes: 48, QueueDepth: p % 5, QueueTaken: 1, GrantsIssued: 1, PerUE: takes})
@@ -100,7 +97,7 @@ func TestExportWriteErrors(t *testing.T) {
 				return err
 			}
 			for _, s := range rec.Spans() {
-				srec.Span(s)
+				srec.PacketSpan(s.Packet, s.Dir, s.Layer, s.Step, s.Source, s.Start, s.Dur)
 			}
 			return st.Close()
 		},

@@ -11,7 +11,7 @@ import (
 	"urllcsim/internal/obs/jsonl"
 )
 
-// TraceSchema versions the JSONL span/outcome/event trace format; bump on
+// TraceSchema versions the JSONL span/outcome trace format; bump on
 // any breaking field change. Readers accept files with no meta line (written
 // before the schema existed) but refuse an unknown version outright, so a
 // report is never silently zero-filled from a format it cannot parse.
@@ -35,9 +35,9 @@ func appendMetaLine(b []byte, r *Recorder) ([]byte, error) {
 	return append(b, "}\n"...), nil
 }
 
-// appendSpanLine / appendOutcomeLine / appendEventLine append one record's
-// JSONL line, shared by the batch and streaming writers so the two cannot
-// drift. Times are µs, the paper's unit, printed exactly (jsonl.AppendMicros).
+// appendSpanLine / appendOutcomeLine append one record's JSONL line, shared
+// by the batch and streaming writers so the two cannot drift. Times are µs,
+// the paper's unit, printed exactly (jsonl.AppendMicros).
 func appendSpanLine(b []byte, s *Span) []byte {
 	b = append(b, `{"kind":"span","packet":`...)
 	b = jsonl.AppendInt(b, s.Packet)
@@ -76,18 +76,6 @@ func appendOutcomeLine(b []byte, o *Outcome) []byte {
 	return append(b, "}\n"...)
 }
 
-func appendEventLine(b []byte, e *Event) []byte {
-	b = append(b, `{"kind":"event","time_us":`...)
-	b = jsonl.AppendMicros(b, int64(e.Time))
-	b = append(b, `,"name":`...)
-	b = jsonl.AppendString(b, e.Name)
-	b = append(b, `,"layer":`...)
-	b = jsonl.AppendString(b, e.Layer.String())
-	b = append(b, `,"packet":`...)
-	b = jsonl.AppendInt(b, e.Packet)
-	return append(b, "}\n"...)
-}
-
 // traceWriter writes a JSONL trace through one reused line buffer, keeping
 // the first error; once one is seen, later writes are skipped. WriteJSONL
 // and JSONLStream both write through it, so their files cannot drift.
@@ -115,16 +103,12 @@ func (tw *traceWriter) spans(spans []Span) {
 	}
 }
 
-// finish writes r's outcomes and events, flushes, and returns the first
-// error seen anywhere in the trace.
+// finish writes r's outcomes, flushes, and returns the first error seen
+// anywhere in the trace.
 func (tw *traceWriter) finish(r *Recorder) error {
-	outcomes, events := r.Outcomes(), r.Events()
+	outcomes := r.Outcomes()
 	for i := 0; i < len(outcomes) && tw.err == nil; i++ {
 		tw.line = appendOutcomeLine(tw.line[:0], &outcomes[i])
-		_, tw.err = tw.bw.Write(tw.line)
-	}
-	for i := 0; i < len(events) && tw.err == nil; i++ {
-		tw.line = appendEventLine(tw.line[:0], &events[i])
 		_, tw.err = tw.bw.Write(tw.line)
 	}
 	if tw.err != nil {
@@ -133,10 +117,10 @@ func (tw *traceWriter) finish(r *Recorder) error {
 	return tw.bw.Flush()
 }
 
-// WriteJSONL writes every span, outcome and event as one JSON object per
-// line: spans first (recording order), then outcomes, then events. The
-// format is grep- and jq-friendly, the shape related simulators (SimURLLC's
-// per-seed event logs) treat as table stakes, and internal/obs/analyze
+// WriteJSONL writes every span and outcome as one JSON object per line:
+// spans first (recording order), then outcomes. The format is grep- and
+// jq-friendly, the shape related simulators (SimURLLC's per-seed event
+// logs) treat as table stakes, and internal/obs/analyze
 // re-ingests it losslessly (µs decimals round-trip to exact nanoseconds).
 // Each line is assembled in one reused buffer, so the writer's allocations
 // do not grow with the record count.
@@ -150,7 +134,7 @@ func WriteJSONL(w io.Writer, r *Recorder) error {
 // JSONLStream is the streaming sibling of WriteJSONL: it mounts itself as
 // the recorder's span spill, so spans are written to w during the run while
 // the recorder's span log stays bounded at the spill capacity. Close writes
-// the unspilled span tail, then outcomes and events — the finished stream is
+// the unspilled span tail, then outcomes — the finished stream is
 // byte-identical to WriteJSONL on a recorder that retained everything.
 type JSONLStream struct {
 	r  *Recorder
@@ -216,7 +200,7 @@ func chromePid(d Dir) int {
 	}
 }
 
-// WriteChromeTrace writes the recorded spans, events and counter snapshots
+// WriteChromeTrace writes the recorded spans and counter snapshots
 // as Chrome trace-event JSON. Each packet is a thread ("packet N") inside
 // the UL or DL process; spans are complete ("X") events attributed to the
 // paper's latency source via the cat field; counter snapshots become "C"
@@ -254,13 +238,6 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 				"layer":  s.Layer.String(),
 				"source": s.Source.String(),
 			},
-		})
-	}
-	for _, e := range r.Events() {
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: e.Name, Cat: e.Layer.String(), Ph: "i",
-			Ts: e.Time.Micros(), Pid: chromePidSystem, Tid: 0,
-			Args: map[string]any{"packet": e.Packet},
 		})
 	}
 	if reg := r.Metrics(); reg != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"urllcsim"
+	"urllcsim/internal/core"
 	"urllcsim/internal/obs"
 	"urllcsim/internal/sim"
 )
@@ -40,9 +41,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // contention units at 12 dB SNR, so CG collisions, HARQ retransmissions and
 // lost packets all occur, and DL traffic rides alongside. Every span carries
 // one of the journey's step names, several of them non-ASCII (①…⑪, →).
-// The node layer marks no events, so the run ends with hand-made ones whose
-// names need every kind of JSON string escape. Returns the CG collision
-// count.
+// The run ends with two hand-made zero-length spans whose step names need
+// every kind of JSON string escape. Returns the CG collision count.
 func goldenCell(t testing.TB, rec *obs.Recorder) int {
 	t.Helper()
 	sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
@@ -61,8 +61,9 @@ func goldenCell(t testing.TB, rec *obs.Recorder) int {
 		}
 	}
 	sc.Run(60 * time.Millisecond)
-	rec.Mark(sim.Time(60*sim.Millisecond), obs.LayerSched, "tick <&> \"quoted\" \\ \t\x01", -1)
-	rec.Mark(sim.Time(60*sim.Millisecond), obs.LayerMAC, "bad utf-8 \xff\xfe, line sep \u2028 para sep \u2029 … ⑪", 7)
+	end := sim.Time(60 * sim.Millisecond)
+	rec.PacketSpan(-1, obs.DirNone, obs.LayerSched, "tick <&> \"quoted\" \\ \t\x01", core.Protocol, end, 0)
+	rec.PacketSpan(7, obs.DirUL, obs.LayerMAC, "bad utf-8 \xff\xfe, line sep \u2028 para sep \u2029 … ⑪", core.Protocol, end, 0)
 	return sc.CGCollisions()
 }
 

@@ -15,7 +15,6 @@ func sampleRecorder() *Recorder {
 	r.PacketSpan(0, DirUL, LayerStack, "① UE APP↓", core.Processing, sim.Time(1000), 30*sim.Microsecond)
 	r.PacketSpan(0, DirUL, LayerSched, "② wait", core.Protocol, sim.Time(31000), 100*sim.Microsecond)
 	r.PacketSpan(1, DirDL, LayerAir, "⑩ on air", core.Protocol, sim.Time(2000), 142*sim.Microsecond)
-	r.Mark(sim.Time(500), LayerSched, "tick", -1)
 	r.Count("harq.retx", 2)
 	r.SetGauge("rlc.depth", 3)
 	r.Observe("lat.ul", 900*sim.Microsecond)
@@ -37,10 +36,10 @@ func TestWriteJSONL(t *testing.T) {
 		}
 		kinds = append(kinds, m["kind"].(string))
 	}
-	if len(kinds) != 5 { // meta + 3 spans + 1 event
-		t.Fatalf("wrote %d lines, want 5: %v", len(kinds), kinds)
+	if len(kinds) != 4 { // meta + 3 spans
+		t.Fatalf("wrote %d lines, want 4: %v", len(kinds), kinds)
 	}
-	if kinds[0] != "meta" || kinds[1] != "span" || kinds[4] != "event" {
+	if kinds[0] != "meta" || kinds[1] != "span" || kinds[3] != "span" {
 		t.Fatalf("kinds = %v", kinds)
 	}
 
@@ -75,7 +74,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &tr); err != nil {
 		t.Fatalf("not valid JSON: %v", err)
 	}
-	var x, meta, counter, instant int
+	var x, meta, counter int
 	var pkt0Sum float64
 	for _, e := range tr.TraceEvents {
 		switch e["ph"] {
@@ -88,12 +87,12 @@ func TestWriteChromeTrace(t *testing.T) {
 			meta++
 		case "C":
 			counter++
-		case "i":
-			instant++
+		default:
+			t.Fatalf("unexpected event phase %v", e["ph"])
 		}
 	}
-	if x != 3 || instant != 1 {
-		t.Fatalf("X=%d i=%d, want 3 and 1", x, instant)
+	if x != 3 {
+		t.Fatalf("X=%d, want 3", x)
 	}
 	if meta < 3 { // process names + at least the packet threads
 		t.Fatalf("only %d metadata events", meta)

@@ -8,7 +8,7 @@ import (
 // Observer-tax self-accounting: the cost of observation, itself observed.
 //
 // A metered recorder measures the wall time spent inside its own recording
-// methods — span/event/outcome retention, metric updates, slot snapshots —
+// methods — span/outcome retention, metric updates, slot snapshots —
 // and counts the records each category handled, so the engine self-profiler
 // (internal/obs/prof) can report an explicit, *measured* obs.* attribution
 // line instead of leaving the observer's cost smeared across event types.
@@ -23,14 +23,13 @@ type meterCat uint8
 
 const (
 	meterSpan meterCat = iota
-	meterEvent
 	meterOutcome
 	meterMetric // counters, gauges, timings, labeled families
 	meterSnapshot
 	numMeterCats
 )
 
-var meterCatNames = [numMeterCats]string{"span", "event", "outcome", "metric", "snapshot"}
+var meterCatNames = [numMeterCats]string{"span", "outcome", "metric", "snapshot"}
 
 // meter accumulates per-category wall time and record counts.
 type meter struct {
@@ -63,7 +62,7 @@ type MeterStat struct {
 // MeterReport is the recorder's measured self-cost: wall time inside
 // recording methods by category, total records handled, and the bytes of
 // storage the recorder currently retains (slice capacities of the span/
-// event/outcome logs, histogram buckets, sample reservoirs and the snapshot
+// outcome logs, histogram buckets, sample reservoirs and the snapshot
 // arena — the observer's actual footprint, not an estimate).
 type MeterReport struct {
 	WallNs        int64       `json:"wall_ns"`
@@ -104,7 +103,6 @@ func (r *Recorder) RetainedBytes() int64 {
 		return 0
 	}
 	b := int64(cap(r.spans)) * int64(unsafe.Sizeof(Span{}))
-	b += int64(cap(r.events)) * int64(unsafe.Sizeof(Event{}))
 	b += int64(cap(r.outcomes)) * int64(unsafe.Sizeof(Outcome{}))
 	b += int64(cap(r.slots)) * int64(unsafe.Sizeof(SlotRecord{}))
 	for _, s := range r.slots {

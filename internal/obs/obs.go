@@ -30,7 +30,7 @@ import (
 	"urllcsim/internal/sim"
 )
 
-// Layer identifies where in the stack a span or event happened.
+// Layer identifies where in the stack a span happened.
 type Layer uint8
 
 const (
@@ -45,13 +45,12 @@ const (
 	LayerSched // scheduler decisions and protocol waits
 	LayerCore  // gNB↔UPF core-network forwarding
 	LayerStack // a stretch spanning several layers (e.g. SDAP↓+PDCP↓+RLC↓)
-	LayerEngine
 	numLayers
 )
 
 var layerNames = [numLayers]string{
 	"app", "SDAP", "PDCP", "RLC", "MAC", "PHY",
-	"bus", "air", "sched", "core", "stack", "engine",
+	"bus", "air", "sched", "core", "stack",
 }
 
 func (l Layer) String() string {
@@ -146,14 +145,6 @@ func JourneyTable(spans []Span) string {
 		fmt.Fprintf(&sb, "  %-26s %-11s %12s %12.2f\n", "", src, "", float64(by[src])/1000)
 	}
 	return sb.String()
-}
-
-// Event is an instantaneous marker (an engine event firing, a milestone).
-type Event struct {
-	Time   sim.Time
-	Name   string
-	Layer  Layer
-	Packet int // -1 when not packet-scoped
 }
 
 // Outcome is the resolution of one offered packet: whether it was delivered,
@@ -263,7 +254,7 @@ func (ts Taps) TapEdge(e Edge) {
 	}
 }
 
-// Recorder collects spans, events and metrics for one simulation run. The
+// Recorder collects spans, outcomes and metrics for one simulation run. The
 // zero value is usable; a nil Recorder is the disabled state and all methods
 // are nil-safe no-ops.
 //
@@ -271,11 +262,10 @@ func (ts Taps) TapEdge(e Edge) {
 // simulation is a single logical thread of control. The one sanctioned
 // exception is a live telemetry server (see Serve): attaching one installs a
 // mutex around the registry-touching methods so scrapes can run concurrently
-// with the simulation; span/event/outcome logs stay unsynchronised and are
+// with the simulation; span/outcome logs stay unsynchronised and are
 // never read live.
 type Recorder struct {
 	spans    []Span
-	events   []Event
 	outcomes []Outcome
 	reg      *Registry
 
@@ -288,11 +278,6 @@ type Recorder struct {
 	// method then pays exactly one pointer comparison, keeping the
 	// BenchmarkTracingOverhead gate intact.
 	live *sync.Mutex
-
-	// captureEngine mirrors every fired engine event into the event log.
-	// Off by default: a full scenario run fires hundreds of thousands of
-	// engine events.
-	captureEngine bool
 
 	// discardSpans / discardOutcomes stop the recorder from retaining the
 	// span/outcome logs (taps still see every record). This is the
@@ -308,7 +293,7 @@ type Recorder struct {
 	slotLedger bool
 	slots      []SlotRecord
 
-	// sampler gates span/packet-event *retention* by packet identity (see
+	// sampler gates span *retention* by packet identity (see
 	// sample.go). Off by default; outcomes and the tap stream are never
 	// sampled.
 	sampler samplerState
@@ -331,7 +316,7 @@ func NewRecorder() *Recorder {
 }
 
 // Reset empties the recorder in place while keeping every piece of storage
-// it has grown — span/event/outcome slabs, histogram bucket arrays, sample
+// it has grown — span/outcome slabs, histogram bucket arrays, sample
 // reservoirs, the snapshot arena, instrument registrations and family rows.
 // A reset recorder re-observing the same workload behaves byte-identically
 // to a fresh one and allocates nothing once its storage has warmed up: the
@@ -339,7 +324,7 @@ func NewRecorder() *Recorder {
 // reuse pattern for benchmark loops and repeated-scenario services.
 //
 // Reset invalidates everything previously returned by Spans, Outcomes,
-// Events, Slots and Snapshots: those slices alias the recycled storage.
+// Slots and Snapshots: those slices alias the recycled storage.
 // Debug builds (-tags obsdebug) poison the recycled records so a retainer
 // fails loudly; see poison_debug.go. Instruments and family rows keep their
 // registrations (at value zero), so Reset is intended for re-running the
@@ -350,11 +335,9 @@ func (r *Recorder) Reset() {
 	}
 	r.withLive(func() {
 		poisonSpans(r.spans)
-		poisonEvents(r.events)
 		poisonOutcomes(r.outcomes)
 		poisonSlots(r.slots)
 		r.spans = r.spans[:0]
-		r.events = r.events[:0]
 		r.outcomes = r.outcomes[:0]
 		r.slots = r.slots[:0]
 		r.reg.Reset()
@@ -390,21 +373,6 @@ func (r *Recorder) SetRetention(spans, outcomes bool) {
 // Enabled reports whether the recorder is collecting (i.e. non-nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// CaptureEngineEvents toggles mirroring of every fired engine event into the
-// event log (high volume; off by default). The node layer mounts the
-// recorder as the engine's sink only when this was enabled before the
-// system was built — every fired event pays the sink dispatch, so it is
-// not installed just in case.
-func (r *Recorder) CaptureEngineEvents(on bool) {
-	if r == nil {
-		return
-	}
-	r.captureEngine = on
-}
-
-// EngineEventsEnabled reports whether CaptureEngineEvents(true) was called.
-func (r *Recorder) EngineEventsEnabled() bool { return r != nil && r.captureEngine }
-
 // Metrics returns the recorder's registry (nil for a disabled recorder).
 func (r *Recorder) Metrics() *Registry {
 	if r == nil {
@@ -413,24 +381,9 @@ func (r *Recorder) Metrics() *Registry {
 	return r.reg
 }
 
-// Span records one packet-journey span. The tap sees every span; retention
-// is subject to SetRetention and the sampler (see sample.go).
-func (r *Recorder) Span(s Span) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterSpan, time.Now())
-	}
-	if r.tap != nil {
-		r.tap.TapSpan(s)
-	}
-	if !r.discardSpans && r.keepPacket(s.Packet) {
-		r.retainSpan(s)
-	}
-}
-
-// PacketSpan records one packet-journey span from its fields.
+// PacketSpan records one packet-journey span from its fields. The tap sees
+// every span; retention is subject to SetRetention and the sampler (see
+// sample.go).
 func (r *Recorder) PacketSpan(packet int, dir Dir, layer Layer, step string,
 	src core.Source, start sim.Time, dur sim.Duration) {
 	if r == nil {
@@ -490,31 +443,6 @@ func (r *Recorder) Edge(e Edge) {
 		return
 	}
 	r.tap.TapEdge(e)
-}
-
-// Mark records an instantaneous event. Packet-scoped events (packet ≥ 0)
-// are subject to the sampler; system events are always kept.
-func (r *Recorder) Mark(t sim.Time, layer Layer, name string, packet int) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterEvent, time.Now())
-	}
-	if !r.keepPacket(packet) {
-		return
-	}
-	r.events = append(r.events, Event{Time: t, Name: name, Layer: layer, Packet: packet})
-}
-
-// EngineEvent implements sim.EngineSink: every fired engine event lands here
-// when the recorder is attached to an engine. Events are only retained when
-// CaptureEngineEvents(true) was called.
-func (r *Recorder) EngineEvent(t sim.Time, name string) {
-	if r == nil || !r.captureEngine {
-		return
-	}
-	r.events = append(r.events, Event{Time: t, Name: name, Layer: LayerEngine, Packet: -1})
 }
 
 // enableLive installs the registry mutex. Must be called before the
@@ -661,14 +589,6 @@ func (r *Recorder) PacketSpans(packet int) []Span {
 	return out
 }
 
-// Events returns the recorded instantaneous events.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	return r.events
-}
-
 // TracerFunc adapts a plain func(Time, string) engine hook into a
 // structured sim.EngineSink:
 //
@@ -677,14 +597,3 @@ type TracerFunc func(t sim.Time, name string)
 
 // EngineEvent implements sim.EngineSink.
 func (f TracerFunc) EngineEvent(t sim.Time, name string) { f(t, name) }
-
-// MultiSink fans one engine event stream out to several sinks, e.g. a
-// Recorder plus a TracerFunc.
-type MultiSink []sim.EngineSink
-
-// EngineEvent implements sim.EngineSink.
-func (m MultiSink) EngineEvent(t sim.Time, name string) {
-	for _, s := range m {
-		s.EngineEvent(t, name)
-	}
-}

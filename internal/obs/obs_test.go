@@ -15,26 +15,21 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	r.Span(Span{})
 	r.PacketSpan(1, DirUL, LayerPHY, "x", core.Radio, 0, 0)
-	r.Mark(0, LayerEngine, "e", -1)
-	r.EngineEvent(0, "e")
 	r.Count("c", 1)
 	r.SetGauge("g", 1)
 	r.Observe("t", sim.Microsecond)
 	r.SlotSnapshot(0)
-	r.CaptureEngineEvents(true)
-	if r.Spans() != nil || r.Events() != nil || r.Metrics() != nil || r.PacketSpans(0) != nil {
+	if r.Spans() != nil || r.Metrics() != nil || r.PacketSpans(0) != nil {
 		t.Fatal("nil recorder returned non-nil data")
 	}
 }
 
-func TestRecorderSpansAndEvents(t *testing.T) {
+func TestRecorderSpans(t *testing.T) {
 	r := NewRecorder()
 	r.PacketSpan(7, DirUL, LayerSched, "wait", core.Protocol, sim.Time(1000), 2*sim.Microsecond)
 	r.PacketSpan(8, DirDL, LayerAir, "on air", core.Radio, sim.Time(3000), sim.Microsecond)
 	r.PacketSpan(7, DirUL, LayerPHY, "decode", core.Processing, sim.Time(3000), sim.Microsecond)
-	r.Mark(sim.Time(500), LayerSched, "tick", -1)
 
 	if n := len(r.Spans()); n != 3 {
 		t.Fatalf("recorded %d spans, want 3", n)
@@ -46,28 +41,19 @@ func TestRecorderSpansAndEvents(t *testing.T) {
 	if got := ps[0].End(); got != sim.Time(3000) {
 		t.Fatalf("span end %v, want 3000", got)
 	}
-	if len(r.Events()) != 1 || r.Events()[0].Name != "tick" {
-		t.Fatalf("events = %+v", r.Events())
-	}
 }
 
 // TestEngineSinkAndLegacyTracer proves that a plain func(Time, string) hook
-// mounted on the engine's Sink through TracerFunc sees exactly the event
-// stream a Recorder sink records: same names, same times, same order.
+// mounted on the engine's Sink through TracerFunc sees every fired event:
+// names, times and same-instant FIFO order.
 func TestEngineSinkAndLegacyTracer(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRecorder()
-	r.CaptureEngineEvents(true)
-
 	type fired struct {
 		t    sim.Time
 		name string
 	}
 	var hooked []fired
-	eng.Sink = MultiSink{
-		r,
-		TracerFunc(func(t sim.Time, name string) { hooked = append(hooked, fired{t, name}) }),
-	}
+	eng.Sink = TracerFunc(func(t sim.Time, name string) { hooked = append(hooked, fired{t, name}) })
 
 	eng.After(sim.Microsecond, "a", func() {})
 	eng.After(2*sim.Microsecond, "b", func() {
@@ -76,33 +62,14 @@ func TestEngineSinkAndLegacyTracer(t *testing.T) {
 	eng.After(2*sim.Microsecond, "b2", func() {})
 	eng.RunAll()
 
-	evs := r.Events()
-	if len(hooked) != 4 || len(evs) != len(hooked) {
-		t.Fatalf("hook saw %v, recorder %+v; want 4 events each", hooked, evs)
-	}
-	for i, e := range evs {
-		if e.Time != hooked[i].t || e.Name != hooked[i].name {
-			t.Fatalf("event %d: recorder %v@%v, hook %v@%v", i, e.Name, e.Time, hooked[i].name, hooked[i].t)
-		}
+	if len(hooked) != 4 {
+		t.Fatalf("hook saw %v, want 4 events", hooked)
 	}
 	if got := hooked[1].name + hooked[2].name + hooked[3].name; got != "bb2c" {
 		t.Fatalf("same-instant order %q, want FIFO bb2c", got)
 	}
-	if evs[0].Layer != LayerEngine || evs[0].Packet != -1 || evs[1].Time != sim.Time(2000) {
-		t.Fatalf("recorder events = %+v", evs)
-	}
-}
-
-// TestEngineEventsDroppedByDefault: a recorder attached as an engine sink
-// must not retain the (huge) engine event stream unless asked.
-func TestEngineEventsDroppedByDefault(t *testing.T) {
-	eng := sim.NewEngine()
-	r := NewRecorder()
-	eng.Sink = r
-	eng.After(sim.Microsecond, "a", func() {})
-	eng.RunAll()
-	if len(r.Events()) != 0 {
-		t.Fatalf("engine events retained without CaptureEngineEvents: %+v", r.Events())
+	if hooked[0] != (fired{sim.Time(1000), "a"}) || hooked[1].t != sim.Time(2000) || hooked[3].t != sim.Time(2000) {
+		t.Fatalf("hook events = %+v", hooked)
 	}
 }
 

@@ -5,7 +5,7 @@ package obs
 // Debug-build misuse guard for the pooled record pipeline.
 //
 // Reset and SpillSpans recycle the recorder's slab storage in place: any
-// slice previously returned by Spans/Outcomes/Events — or handed to a spill
+// slice previously returned by Spans/Outcomes/Slots — or handed to a spill
 // callback — aliases storage the next run will overwrite. Retaining such a
 // slice is a use-after-release bug that normal builds cannot detect (the
 // stale data merely goes quietly wrong). Under `-tags obsdebug` the recycled
@@ -25,12 +25,6 @@ const poisonStep = "POISONED: record retained across Recorder.Reset/SpillSpans"
 func poisonSpans(s []Span) {
 	for i := range s {
 		s[i] = Span{Packet: PoisonPacket, Step: poisonStep}
-	}
-}
-
-func poisonEvents(e []Event) {
-	for i := range e {
-		e[i] = Event{Packet: PoisonPacket, Name: poisonStep}
 	}
 }
 

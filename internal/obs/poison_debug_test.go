@@ -16,16 +16,13 @@ func TestPoisonOnReset(t *testing.T) {
 	r := NewRecorder()
 	r.EnableSlotLedger()
 	recordWorkload(r)
-	spans, events, outcomes, slots := r.Spans(), r.Events(), r.Outcomes(), r.Slots()
-	if len(spans) == 0 || len(events) == 0 || len(outcomes) == 0 || len(slots) == 0 {
+	spans, outcomes, slots := r.Spans(), r.Outcomes(), r.Slots()
+	if len(spans) == 0 || len(outcomes) == 0 || len(slots) == 0 {
 		t.Fatal("workload retained nothing")
 	}
 	r.Reset()
 	if spans[0].Packet != PoisonPacket || spans[0].Step != poisonStep {
 		t.Fatalf("span not poisoned after Reset: %+v", spans[0])
-	}
-	if events[0].Packet != PoisonPacket {
-		t.Fatalf("event not poisoned after Reset: %+v", events[0])
 	}
 	if outcomes[0].Packet != PoisonPacket {
 		t.Fatalf("outcome not poisoned after Reset: %+v", outcomes[0])

@@ -13,6 +13,5 @@ const PoisonEnabled = false
 const PoisonPacket = -0xBAD
 
 func poisonSpans([]Span)       {}
-func poisonEvents([]Event)     {}
 func poisonOutcomes([]Outcome) {}
 func poisonSlots([]SlotRecord) {}

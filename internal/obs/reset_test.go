@@ -8,7 +8,7 @@ import (
 	"urllcsim/internal/sim"
 )
 
-// recordWorkload drives one deterministic mixed workload — spans, events,
+// recordWorkload drives one deterministic mixed workload — spans,
 // outcomes, flat metrics, labeled families, slot snapshots and the slot
 // ledger — through a recorder. Used by the Reset and streaming tests to
 // compare a reused recorder against a fresh one.
@@ -21,7 +21,6 @@ func recordWorkload(r *Recorder) {
 		r.PacketSpan(id, dir, LayerStack, "proc", core.Processing, sim.Time(id*1000), 30*sim.Microsecond)
 		r.PacketSpan(id, dir, LayerSched, "wait", core.Protocol, sim.Time(id*1000+30000), 100*sim.Microsecond)
 		r.PacketSpan(id, dir, LayerAir, "air", core.Radio, sim.Time(id*1000+130000), 140*sim.Microsecond)
-		r.Mark(sim.Time(id*1000), LayerMAC, "tx", id)
 		r.Count("pkt.offered", 1)
 		r.Observe("lat.ul", sim.Duration(270+id)*sim.Microsecond)
 		CountIn(r, "pkt.by_ue", PktEvent{UE: id % 4, Dir: dir, Event: "delivered"}, 1)

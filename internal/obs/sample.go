@@ -18,8 +18,8 @@ package obs
 //     admission at a higher rate (the threshold only moves), so raising the
 //     rate only ever adds packets.
 //
-//   - The tail stays exact by construction. Sampling gates only span and
-//     packet-scoped event *retention*: outcomes are always recorded, and the
+//   - The tail stays exact by construction. Sampling gates only span
+//     *retention*: outcomes are always recorded, and the
 //     deadline audit (internal/obs/analyze) derives delivery, loss and
 //     deadline verdicts plus the latency histograms from outcomes alone — so
 //     miss counts and p99.999 are identical at any sample rate
@@ -37,10 +37,10 @@ type samplerState struct {
 
 // SetSampling configures deterministic per-packet span sampling. rate is the
 // admitted fraction in [0,1]: 1 (or anything ≥1) disables sampling and
-// retains everything; 0 retains no packet-scoped spans or events. seed makes
+// retains everything; 0 retains no packet-scoped spans. seed makes
 // the admitted subset reproducible — sweeps pass their shard seed so replicas
-// of one scenario admit the same packets on any worker layout. Outcomes,
-// non-packet events and the tap stream are unaffected at any rate.
+// of one scenario admit the same packets on any worker layout. Outcomes
+// and the tap stream are unaffected at any rate.
 func (r *Recorder) SetSampling(rate float64, seed uint64) {
 	if r == nil {
 		return

@@ -113,9 +113,8 @@ func TestSamplingEdges(t *testing.T) {
 	}
 }
 
-// TestSamplingGatesRetentionOnly: the sampler gates span and packet-event
-// retention and nothing else — outcomes, system events and the tap stream
-// stay complete, which is what keeps the deadline audit and the flight
+// TestSamplingGatesRetentionOnly: the sampler gates span retention and
+// nothing else — outcomes and the tap stream stay complete, which is what keeps the deadline audit and the flight
 // recorder exact at any rate.
 func TestSamplingGatesRetentionOnly(t *testing.T) {
 	r := NewRecorder()
@@ -125,15 +124,10 @@ func TestSamplingGatesRetentionOnly(t *testing.T) {
 	const n = 50
 	for id := 0; id < n; id++ {
 		r.PacketSpan(id, DirUL, LayerMAC, "tx", core.Protocol, sim.Time(id), sim.Microsecond)
-		r.Mark(sim.Time(id), LayerMAC, "mark", id)
 		r.Outcome(Outcome{Packet: id, Delivered: true, Latency: sim.Microsecond})
 	}
-	r.Mark(sim.Time(0), LayerSched, "tick", -1)
 	if got := len(r.Spans()); got != 0 {
 		t.Fatalf("retained %d spans at rate 0", got)
-	}
-	if got := len(r.Events()); got != 1 {
-		t.Fatalf("retained %d events at rate 0, want 1 (the system event)", got)
 	}
 	if got := len(r.Outcomes()); got != n {
 		t.Fatalf("retained %d outcomes, want all %d (outcomes are never sampled)", got, n)
