@@ -8,14 +8,14 @@ GO ?= go
 BENCH_TOL  ?= 10%
 SMOKE_TOL  ?= 500%
 
-.PHONY: check vet build test race bench bench-go bench-check bench-smoke lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke
+.PHONY: check vet build test race bench bench-go bench-check bench-smoke lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke
 
 ## check: full verification gate — lint (vet + gofmt), build, race-enabled tests,
 ## the JSONL → report round-trip smoke, the parallel-vs-sequential sweep
 ## invariance smoke, the flight-recorder no-interference smoke, the
 ## dimensional-KPI smoke, the many-UE cell smoke, the sampling/observer-tax
-## smoke, and the benchmark-harness smoke
-check: lint build race report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke bench-smoke
+## smoke, the one-packet journey smoke, and the benchmark-harness smoke
+check: lint build race report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -183,8 +183,9 @@ cell-smoke:
 ## (off, explicit 1, or 0.25) leaves default stdout byte-identical, a sampled
 ## trace thins on disk yet reports the exact same feasibility table while
 ## stating its effective rate, a sampled sweep stays worker-invariant, a
-## -sample-rate outside (0,1] is a usage error (exit 2) in both CLIs, and a
-## self-profiled run carries the measured observer tax into urllc-report
+## -sample-rate outside (0,1] is a usage error (exit 2) in both CLIs, as are
+## urllcsim's -ues 0, -dir up and -journey up, and a self-profiled run carries
+## the measured observer tax into urllc-report
 obs-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) build -o $$tmp/urllcsim ./cmd/urllcsim && \
@@ -214,12 +215,39 @@ obs-smoke:
 		$$tmp/urllc-sweep -replicas 1 -packets 4 -sample-rate $$r -out $$tmp/bad.md >/dev/null 2>&1; rc=$$?; \
 		[ $$rc -eq 2 ] || { echo "obs-smoke FAIL: urllc-sweep -sample-rate $$r exited $$rc, want 2"; exit 1; }; \
 	done && \
+	for a in '-ues 0' '-dir up' '-journey up'; do \
+		$$tmp/urllcsim -packets 4 $$a >/dev/null 2>$$tmp/bad.err; rc=$$?; \
+		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
+			{ echo "obs-smoke FAIL: urllcsim $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \
+	done && \
 	$$tmp/urllcsim -packets 40 -jsonl-out $$tmp/p.jsonl -prof-out $$tmp/prof.jsonl \
 		> $$tmp/prof.out 2>/dev/null && \
 	cmp $$tmp/plain.out $$tmp/prof.out && \
 	$$tmp/urllc-report $$tmp/prof.jsonl > $$tmp/prof.md && \
 	grep -q 'observer tax:' $$tmp/prof.md && \
 	echo "obs-smoke OK: stdout untouched at every rate, tail exact, sampled sweep worker-invariant, observer tax reported ($$tmp)" && rm -rf $$tmp
+
+## journey-smoke: the one-packet Fig. 3 journey through the run CLI — the
+## table part of `urllcsim -journey` (stdout minus the two header lines, the
+## blank line and the trailing shares) must equal the API goldens for UL, DL
+## and grant-free UL, its JSONL export must render the Fig. 3 breakdown in
+## urllc-report, and self-profiling must leave journey stdout byte-identical
+journey-smoke:
+	@tmp=$$(mktemp -d) && \
+	$(GO) build -o $$tmp/urllcsim ./cmd/urllcsim && \
+	$(GO) build -o $$tmp/urllc-report ./cmd/urllc-report && \
+	for c in 'ul:-journey ul' 'dl:-journey dl' 'grantfree:-journey ul -grantfree'; do \
+		$$tmp/urllcsim $${c#*:} > $$tmp/$${c%%:*}.out && \
+		sed '1,3d' $$tmp/$${c%%:*}.out | head -n -2 > $$tmp/$${c%%:*}.table && \
+		cmp $$tmp/$${c%%:*}.table testdata/journey_$${c%%:*}.golden || \
+			{ echo "journey-smoke FAIL: urllcsim $${c#*:} table differs from testdata/journey_$${c%%:*}.golden"; exit 1; }; \
+	done && \
+	$$tmp/urllcsim -journey ul -jsonl-out $$tmp/t.jsonl >/dev/null && \
+	$$tmp/urllc-report $$tmp/t.jsonl > $$tmp/t.md && \
+	grep -qF 'Temporal breakdown (Fig. 3)' $$tmp/t.md && \
+	$$tmp/urllcsim -journey ul -prof-out $$tmp/p.jsonl > $$tmp/prof.out 2>/dev/null && \
+	cmp $$tmp/ul.out $$tmp/prof.out && \
+	echo "journey-smoke OK: CLI tables match the goldens, JSONL renders Fig. 3, profiling leaves stdout untouched ($$tmp)" && rm -rf $$tmp
 
 ## sweep-smoke: a small parallel config grid must reproduce the sequential
 ## golden byte-for-byte — the worker-count-invariance contract, end to end

@@ -1,11 +1,15 @@
 // Command urllcsim runs one configurable full-stack scenario and reports
-// the latency distribution, layer statistics and reliability.
+// the latency distribution, layer statistics and reliability, or, with
+// -journey, the Fig. 3-style journey of a single packet through the stack.
 //
 //	urllcsim -pattern DDDU -slot 0.5ms -radio usb2 -packets 500 -dir both
 //	urllcsim -pattern DM -slot 0.25ms -grantfree -radio pcie -rt
+//	urllcsim -journey ul                   # one grant-based UL ping on the §7 testbed
+//	urllcsim -journey dl -trace-out t.json # DL journey plus its Chrome trace
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,6 +58,7 @@ func main() {
 	wdWindow := flag.Int("watchdog-window", flight.DefaultWindow, "packet outcomes per watchdog evaluation window")
 	anomalyOut := flag.String("anomaly-out", "", "stream watchdog 'anomaly' JSONL events to this file as they fire")
 	wdBaseline := flag.String("watchdog-baseline", "", "BENCH_*.json whose profiled events/sec seeds a throughput expectation; a run below half of it is flagged on stderr")
+	journey := flag.String("journey", "", "ul | dl: offer one packet at 337µs in that direction (100 ms horizon) and print its Fig. 3 journey instead of the summary; -packets and -dir are not used")
 	showVersion := flag.Bool("version", false, "print build and schema versions, then exit")
 	flag.Parse()
 
@@ -69,6 +74,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-sample-rate %v outside (0,1]\n", *sampleRate)
 		os.Exit(2)
 	}
+	if *ues < 1 {
+		fmt.Fprintf(os.Stderr, "-ues %d: need at least 1\n", *ues)
+		os.Exit(2)
+	}
+	if *dir != "ul" && *dir != "dl" && *dir != "both" {
+		fmt.Fprintf(os.Stderr, "unknown -dir %q (ul | dl | both)\n", *dir)
+		os.Exit(2)
+	}
+	if *journey != "" && *journey != "ul" && *journey != "dl" {
+		fmt.Fprintf(os.Stderr, "unknown -journey %q (ul | dl)\n", *journey)
+		os.Exit(2)
+	}
 	scales := map[string]urllcsim.SlotScale{
 		"1ms": urllcsim.Slot1ms, "0.5ms": urllcsim.Slot0p5ms,
 		"0.25ms": urllcsim.Slot0p25ms, "125us": urllcsim.Slot125us,
@@ -78,9 +95,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown slot %q\n", *slot)
 		os.Exit(2)
 	}
-	radios := map[string]urllcsim.RadioKind{
-		"usb2": urllcsim.RadioUSB2, "usb3": urllcsim.RadioUSB3,
-		"pcie": urllcsim.RadioPCIe, "none": urllcsim.RadioNone,
+	radios := map[string]struct {
+		kind urllcsim.RadioKind
+		name string // as the journey header names it
+	}{
+		"usb2": {urllcsim.RadioUSB2, "USB2 B210"}, "usb3": {urllcsim.RadioUSB3, "USB3 B210"},
+		"pcie": {urllcsim.RadioPCIe, "PCIe SDR"}, "none": {urllcsim.RadioNone, "no radio head"},
 	}
 	rk, ok := radios[*radioKind]
 	if !ok {
@@ -89,18 +109,19 @@ func main() {
 	}
 
 	// Observability is opt-in: the recorder exists only when some output
-	// needs it, so the default run costs nothing extra.
+	// needs it, so the default run costs nothing extra. A journey is the
+	// packet's span stream, so -journey always needs it.
 	wantWatchdog := *wdMissRate > 0 || *wdP99 > 0 || *anomalyOut != ""
 	wantFlight := *flightOut != "" || *flightTraceOut != ""
 	var rec *obs.Recorder
-	if *traceOut != "" || *metricsOut != "" || *snapshotsOut != "" || *jsonlOut != "" || *serve != "" ||
-		*slotsOut != "" || *kpiOut != "" || wantFlight || wantWatchdog {
+	if *journey != "" || *traceOut != "" || *metricsOut != "" || *snapshotsOut != "" || *jsonlOut != "" ||
+		*serve != "" || *slotsOut != "" || *kpiOut != "" || wantFlight || wantWatchdog {
 		rec = obs.NewRecorder()
 	}
-	// Only the full-trace exports need retained spans; the KPI pass needs
-	// outcomes but not spans. Everything else keeps the recorder's memory
-	// bounded by the ring, not the run length.
-	keepSpans := *traceOut != "" || *jsonlOut != ""
+	// Only the journey and the full-trace exports need retained spans; the
+	// KPI pass needs outcomes but not spans. Everything else keeps the
+	// recorder's memory bounded by the ring, not the run length.
+	keepSpans := *journey != "" || *traceOut != "" || *jsonlOut != ""
 	keepOutcomes := keepSpans || *kpiOut != ""
 	rec.SetRetention(keepSpans, keepOutcomes)
 	if *sampleRate < 1 {
@@ -165,7 +186,7 @@ func main() {
 		Pattern:   urllcsim.Pattern(*pattern),
 		SlotScale: scale,
 		GrantFree: *grantFree,
-		Radio:     rk,
+		Radio:     rk.kind,
 		RTKernel:  *rt,
 		SNRdB:     *snr,
 		UEs:       *ues,
@@ -207,21 +228,31 @@ func main() {
 		}
 	}
 
-	period := 2 * time.Millisecond
-	for i := 0; i < *packets; i++ {
-		at := time.Duration(i) * period
-		// Round-robin attribution across the -ues population. Attribution is
-		// label-only (it changes no scheduling or channel decision), so the
-		// stdout report is byte-identical with any spread.
-		ue := i % *ues
-		if *dir == "ul" || *dir == "both" {
-			sc.SendUplinkFrom(ue, at+137*time.Microsecond, *bytes)
+	var results []urllcsim.PacketResult
+	switch *journey {
+	case "ul":
+		sc.SendUplink(journeyAt, *bytes)
+		results = sc.Run(100 * time.Millisecond)
+	case "dl":
+		sc.SendDownlink(journeyAt, *bytes)
+		results = sc.Run(100 * time.Millisecond)
+	default:
+		period := 2 * time.Millisecond
+		for i := 0; i < *packets; i++ {
+			at := time.Duration(i) * period
+			// Round-robin attribution across the -ues population. Attribution
+			// is label-only (it changes no scheduling or channel decision), so
+			// the stdout report is byte-identical with any spread.
+			ue := i % *ues
+			if *dir == "ul" || *dir == "both" {
+				sc.SendUplinkFrom(ue, at+137*time.Microsecond, *bytes)
+			}
+			if *dir == "dl" || *dir == "both" {
+				sc.SendDownlinkFrom(ue, at+731*time.Microsecond, *bytes)
+			}
 		}
-		if *dir == "dl" || *dir == "both" {
-			sc.SendDownlinkFrom(ue, at+731*time.Microsecond, *bytes)
-		}
+		results = sc.Run(time.Duration(*packets+50) * period)
 	}
-	results := sc.Run(time.Duration(*packets+50) * period)
 
 	if jsonlStream != nil {
 		if err := jsonlStream.Close(); err != nil {
@@ -302,6 +333,66 @@ func main() {
 		fmt.Fprintf(os.Stderr, "watchdog: %d anomaly event(s)\n", len(watchdog.Anomalies()))
 	}
 
+	if *journey != "" {
+		access := "grant-based"
+		if *grantFree {
+			access = "grant-free"
+		}
+		setup := fmt.Sprintf("%s, %s @ %s slots, %s", access, *pattern, *slot, rk.name)
+		if err := printJourney(sc, results, setup); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	} else {
+		fmt.Printf("scenario: %s slot=%s grantfree=%v radio=%s rt=%v ues=%d\n",
+			*pattern, *slot, *grantFree, *radioKind, *rt, *ues)
+		printSummary(sc, results, *deadline)
+	}
+
+	// With -serve, stay up after the run so the final counters and
+	// histograms can still be scraped and profiled; ^C exits.
+	if live != nil {
+		if watchdog != nil {
+			fmt.Fprintf(os.Stderr, "watchdog gauges live under watchdog.* on /metrics\n")
+		}
+		fmt.Fprintf(os.Stderr, "run finished; still serving on http://%s — interrupt to exit\n", live.Addr)
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, os.Interrupt)
+		<-ch
+		live.Close()
+	}
+}
+
+// journeyAt is the -journey packet's arrival time within the TDD pattern.
+const journeyAt = 337 * time.Microsecond
+
+// printJourney prints the -journey packet's Fig. 3 breakdown: a header
+// naming the setup, its outcome, the per-step table and the per-source shares.
+func printJourney(sc *urllcsim.Scenario, results []urllcsim.PacketResult, setup string) error {
+	if len(results) == 0 {
+		return errors.New("packet did not resolve within the horizon")
+	}
+	r := results[0]
+	dirName := "downlink"
+	if r.Uplink {
+		dirName = "uplink"
+	}
+	fmt.Printf("journey of a %s packet (%s)\n", dirName, setup)
+	fmt.Printf("arrival %v, delivered=%v, one-way latency %v, attempts %d\n\n",
+		journeyAt, r.Delivered, r.Latency.Round(time.Microsecond), r.Attempts)
+	journey, err := sc.Journey(r.ID)
+	if err != nil {
+		return err
+	}
+	fmt.Print(journey)
+	fmt.Printf("\nshares: protocol %.0f%%, processing %.0f%%, radio %.0f%%\n",
+		100*r.ProtocolShare, 100*r.ProcessingShare, 100*r.RadioShare)
+	return nil
+}
+
+// printSummary prints the per-direction latency distribution against the
+// deadline, the radio/PHY loss counters and the per-layer processing stats.
+func printSummary(sc *urllcsim.Scenario, results []urllcsim.PacketResult, deadline time.Duration) {
 	report := func(uplink bool, label string) {
 		var lats []time.Duration
 		lost := 0
@@ -323,7 +414,7 @@ func main() {
 		met := 0
 		for _, l := range lats {
 			sum += l
-			if l <= *deadline {
+			if l <= deadline {
 				met++
 			}
 		}
@@ -333,12 +424,10 @@ func main() {
 				(sum / time.Duration(len(lats))).Round(time.Microsecond),
 				lats[len(lats)/2].Round(time.Microsecond),
 				lats[len(lats)*99/100].Round(time.Microsecond),
-				*deadline, 100*float64(met)/float64(len(lats)+lost))
+				deadline, 100*float64(met)/float64(len(lats)+lost))
 		}
 		fmt.Println()
 	}
-	fmt.Printf("scenario: %s slot=%s grantfree=%v radio=%s rt=%v ues=%d\n",
-		*pattern, *slot, *grantFree, *radioKind, *rt, *ues)
 	report(true, "UL")
 	report(false, "DL")
 	fmt.Printf("radio misses: %d, PHY losses: %d\n", sc.RadioMisses(), sc.PHYLosses())
@@ -346,19 +435,6 @@ func main() {
 		if mean, std, n, err := sc.LayerStat(l); err == nil && n > 0 {
 			fmt.Printf("  %-6s mean %8.2fµs std %8.2fµs (n=%d)\n", l, mean, std, n)
 		}
-	}
-
-	// With -serve, stay up after the run so the final counters and
-	// histograms can still be scraped and profiled; ^C exits.
-	if live != nil {
-		if watchdog != nil {
-			fmt.Fprintf(os.Stderr, "watchdog gauges live under watchdog.* on /metrics\n")
-		}
-		fmt.Fprintf(os.Stderr, "run finished; still serving on http://%s — interrupt to exit\n", live.Addr)
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
-		live.Close()
 	}
 }
 

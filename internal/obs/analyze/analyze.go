@@ -274,7 +274,8 @@ func Run(tr *Trace, label string, deadline sim.Duration) *Audit {
 }
 
 // FromRecorder builds a Trace directly from a live recorder — the in-process
-// path (cmd/urllc-trace, tests) that skips JSONL serialisation.
+// path (urllcsim -kpi-out, urllc-sweep, the cell experiments, tests) that
+// skips JSONL serialisation.
 func FromRecorder(rec *obs.Recorder) *Trace {
 	return &Trace{Spans: rec.Spans(), Outcomes: rec.Outcomes(), SampleRate: rec.SampleRate()}
 }

@@ -70,9 +70,9 @@ func (ev *Event) Pending() bool {
 }
 
 // EngineSink receives a structured notification for every fired event. It
-// is the engine half of the observability layer (internal/obs): an attached
-// obs.Recorder implements it, and obs.TracerFunc adapts a plain
-// func(Time, string) hook onto it.
+// is the engine half of the observability layer (internal/obs): the
+// self-profiler (prof.Profiler) implements it, and obs.TracerFunc adapts a
+// plain func(Time, string) hook onto it.
 type EngineSink interface {
 	EngineEvent(t Time, name string)
 }

@@ -12,9 +12,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
-// TestJourneyGolden pins the Fig. 3 journey text of the three urllc-trace
-// configurations (DDDU, 0.5 ms slots, USB2 B210, seed 1, arrival 337 µs)
-// byte for byte. Regenerate with `go test -run JourneyGolden -update`.
+// TestJourneyGolden pins the Fig. 3 journey text of the three
+// `urllcsim -journey` configurations (DDDU, 0.5 ms slots, USB2 B210, seed 1,
+// arrival 337 µs) byte for byte; `make journey-smoke` holds the CLI to the
+// same files. Regenerate with `go test -run JourneyGolden -update`.
 func TestJourneyGolden(t *testing.T) {
 	for _, c := range []struct {
 		name   string
