@@ -184,7 +184,9 @@ cell-smoke:
 ## trace thins on disk yet reports the exact same feasibility table while
 ## stating its effective rate, a sampled sweep stays worker-invariant, a
 ## -sample-rate outside (0,1] is a usage error (exit 2) in both CLIs, as are
-## urllcsim's -ues 0, -dir up and -journey up, and a self-profiled run carries
+## urllcsim's -ues 0, -dir up, -journey up, -packets -5, -bytes -1,
+## -deadline -1us and -snr NaN and urllc-sweep's -replicas/-packets/-ues 0
+## (one stderr line each), and a self-profiled run carries
 ## the measured observer tax into urllc-report
 obs-smoke:
 	@tmp=$$(mktemp -d) && \
@@ -215,10 +217,15 @@ obs-smoke:
 		$$tmp/urllc-sweep -replicas 1 -packets 4 -sample-rate $$r -out $$tmp/bad.md >/dev/null 2>&1; rc=$$?; \
 		[ $$rc -eq 2 ] || { echo "obs-smoke FAIL: urllc-sweep -sample-rate $$r exited $$rc, want 2"; exit 1; }; \
 	done && \
-	for a in '-ues 0' '-dir up' '-journey up'; do \
+	for a in '-ues 0' '-dir up' '-journey up' '-packets -5' '-bytes -1' '-deadline -1us' '-snr NaN'; do \
 		$$tmp/urllcsim -packets 4 $$a >/dev/null 2>$$tmp/bad.err; rc=$$?; \
 		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
 			{ echo "obs-smoke FAIL: urllcsim $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \
+	done && \
+	for a in '-replicas 0' '-packets 0' '-ues 0'; do \
+		$$tmp/urllc-sweep -replicas 1 -packets 4 $$a -out $$tmp/bad.md >/dev/null 2>$$tmp/bad.err; rc=$$?; \
+		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
+			{ echo "obs-smoke FAIL: urllc-sweep $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \
 	done && \
 	$$tmp/urllcsim -packets 40 -jsonl-out $$tmp/p.jsonl -prof-out $$tmp/prof.jsonl \
 		> $$tmp/prof.out 2>/dev/null && \

@@ -92,8 +92,17 @@ func main() {
 		version.Print(os.Stdout, "urllc-sweep", []string{flight.Schema, obs.SlotsSchema}, nil)
 		return
 	}
-	if !(*sampleRate > 0 && *sampleRate <= 1) { // also rejects NaN
-		fmt.Fprintf(os.Stderr, "urllc-sweep: -sample-rate %v outside (0,1]\n", *sampleRate)
+	var bad string
+	switch {
+	case !(*sampleRate > 0 && *sampleRate <= 1): // also rejects NaN
+		bad = fmt.Sprintf("-sample-rate %v outside (0,1]", *sampleRate)
+	case *replicas < 1 || *packets < 1:
+		bad = "need at least 1 replica and 1 packet"
+	case *ues < 1:
+		bad = "need at least 1 UE"
+	}
+	if bad != "" {
+		fmt.Fprintln(os.Stderr, "urllc-sweep:", bad)
 		os.Exit(2)
 	}
 
@@ -111,12 +120,6 @@ func run(patterns, slots, grantfree, radios string, replicas, packets, parallel 
 	grid, err := buildGrid(patterns, slots, grantfree, radios)
 	if err != nil {
 		return err
-	}
-	if replicas < 1 || packets < 1 {
-		return fmt.Errorf("need at least 1 replica and 1 packet")
-	}
-	if ues < 1 {
-		return fmt.Errorf("need at least 1 UE")
 	}
 
 	// One job per (point, replica), flattened so a slow grid point cannot

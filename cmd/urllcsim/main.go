@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -70,21 +71,23 @@ func main() {
 		return
 	}
 
-	if !(*sampleRate > 0 && *sampleRate <= 1) { // also rejects NaN
-		fmt.Fprintf(os.Stderr, "-sample-rate %v outside (0,1]\n", *sampleRate)
-		os.Exit(2)
-	}
-	if *ues < 1 {
-		fmt.Fprintf(os.Stderr, "-ues %d: need at least 1\n", *ues)
-		os.Exit(2)
-	}
-	if *dir != "ul" && *dir != "dl" && *dir != "both" {
-		fmt.Fprintf(os.Stderr, "unknown -dir %q (ul | dl | both)\n", *dir)
-		os.Exit(2)
-	}
-	if *journey != "" && *journey != "ul" && *journey != "dl" {
-		fmt.Fprintf(os.Stderr, "unknown -journey %q (ul | dl)\n", *journey)
-		os.Exit(2)
+	switch {
+	case !(*sampleRate > 0 && *sampleRate <= 1): // also rejects NaN
+		usageErr("-sample-rate %v outside (0,1]", *sampleRate)
+	case *ues < 1:
+		usageErr("-ues %d: need at least 1", *ues)
+	case *packets < 1:
+		usageErr("-packets %d: need at least 1", *packets)
+	case *bytes < 1:
+		usageErr("-bytes %d: need at least 1", *bytes)
+	case *deadline < 0:
+		usageErr("-deadline %v: must not be negative", *deadline)
+	case math.IsNaN(*snr) || math.IsInf(*snr, 0):
+		usageErr("-snr %v: need a finite dB value", *snr)
+	case *dir != "ul" && *dir != "dl" && *dir != "both":
+		usageErr("unknown -dir %q (ul | dl | both)", *dir)
+	case *journey != "" && *journey != "ul" && *journey != "dl":
+		usageErr("unknown -journey %q (ul | dl)", *journey)
 	}
 	scales := map[string]urllcsim.SlotScale{
 		"1ms": urllcsim.Slot1ms, "0.5ms": urllcsim.Slot0p5ms,
@@ -92,8 +95,7 @@ func main() {
 	}
 	scale, ok := scales[*slot]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown slot %q\n", *slot)
-		os.Exit(2)
+		usageErr("unknown slot %q", *slot)
 	}
 	radios := map[string]struct {
 		kind urllcsim.RadioKind
@@ -104,8 +106,7 @@ func main() {
 	}
 	rk, ok := radios[*radioKind]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown radio %q\n", *radioKind)
-		os.Exit(2)
+		usageErr("unknown radio %q", *radioKind)
 	}
 
 	// Observability is opt-in: the recorder exists only when some output
@@ -388,6 +389,13 @@ func printJourney(sc *urllcsim.Scenario, results []urllcsim.PacketResult, setup 
 	fmt.Printf("\nshares: protocol %.0f%%, processing %.0f%%, radio %.0f%%\n",
 		100*r.ProtocolShare, 100*r.ProcessingShare, 100*r.RadioShare)
 	return nil
+}
+
+// usageErr reports bad command-line input on one stderr line and exits 2,
+// the flag package's own exit code for usage errors.
+func usageErr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }
 
 // printSummary prints the per-direction latency distribution against the

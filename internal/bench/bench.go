@@ -141,12 +141,12 @@ func Suite() []Benchmark {
 		},
 		{
 			Name: "LabeledRegistry",
-			Desc: "labeled-family hot path (CountIn/GaugeIn/ObserveIn over 8 UEs), enabled",
+			Desc: "labeled-family hot path (CounterFamH/GaugeFamH/HistFamH handles over 8 UEs, one set per op), enabled",
 			F:    labeledRegistry,
 		},
 		{
 			Name: "LabeledDisabled",
-			Desc: "labeled-family hot path with a nil recorder (must stay ~free)",
+			Desc: "labeled-family handle hot path with a nil recorder (must stay ~free)",
 			F:    labeledDisabled,
 		},
 		{
@@ -561,15 +561,23 @@ func labeledRegistry(b *testing.B) {
 	b.ReportAllocs()
 	const n, ues = 1024, 8
 	for i := 0; i < b.N; i++ {
-		rec := obs.NewRecorder()
-		for j := 0; j < n; j++ {
-			ue := j % ues
-			obs.CountIn(rec, "pkt.by_ue", obs.PktEvent{UE: ue, Dir: obs.DirUL, Event: "delivered"}, 1)
-			obs.GaugeIn(rec, "slot.ue_dl_take_bytes", obs.UEKey{UE: ue}, float64(j))
-			obs.ObserveIn(rec, "lat.by_ue", obs.UEDir{UE: ue, Dir: obs.DirUL}, sim.Duration(j)*sim.Microsecond)
-		}
+		labeledRecords(obs.NewRecorder(), n, ues)
 	}
 	b.ReportMetric(float64(b.N)*n*3/b.Elapsed().Seconds(), "records/sec")
+}
+
+// labeledRecords performs n family updates per kind over ues UEs through
+// handles created once, the way the node layer holds them.
+func labeledRecords(rec *obs.Recorder, n, ues int) {
+	pkt := obs.CounterFamH[obs.PktEvent](rec, "pkt.by_ue")
+	take := obs.GaugeFamH[obs.UEKey](rec, "slot.ue_dl_take_bytes")
+	lat := obs.HistFamH[obs.UEDir](rec, "lat.by_ue")
+	for j := 0; j < n; j++ {
+		ue := j % ues
+		pkt.Add(obs.PktEvent{UE: ue, Dir: obs.DirUL, Event: "delivered"}, 1)
+		take.Set(obs.UEKey{UE: ue}, float64(j))
+		lat.Observe(obs.UEDir{UE: ue, Dir: obs.DirUL}, sim.Duration(j)*sim.Microsecond)
+	}
 }
 
 // labeledDisabled is the same sequence against a nil recorder: the per-packet
@@ -577,14 +585,8 @@ func labeledRegistry(b *testing.B) {
 func labeledDisabled(b *testing.B) {
 	b.ReportAllocs()
 	const n, ues = 1024, 8
-	var rec *obs.Recorder
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < n; j++ {
-			ue := j % ues
-			obs.CountIn(rec, "pkt.by_ue", obs.PktEvent{UE: ue, Dir: obs.DirUL, Event: "delivered"}, 1)
-			obs.GaugeIn(rec, "slot.ue_dl_take_bytes", obs.UEKey{UE: ue}, float64(j))
-			obs.ObserveIn(rec, "lat.by_ue", obs.UEDir{UE: ue, Dir: obs.DirUL}, sim.Duration(j)*sim.Microsecond)
-		}
+		labeledRecords(nil, n, ues)
 	}
 	b.ReportMetric(float64(b.N)*n*3/b.Elapsed().Seconds(), "records/sec")
 }

@@ -161,10 +161,11 @@ func (st *JSONLStream) Close() error {
 	return st.tw.finish(st.r)
 }
 
-// chromeEvent is one entry of the Chrome trace-event format, loadable in
+// ChromeEvent is one entry of the Chrome trace-event format, loadable in
 // Perfetto (ui.perfetto.dev) and chrome://tracing. ts/dur are in
-// microseconds per the format spec.
-type chromeEvent struct {
+// microseconds per the format spec. The flight recorder's focused trace
+// (internal/obs/flight) writes the same type.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -175,28 +176,36 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeTrace is the JSON-object container variant of the format.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+// ChromeTrace is the JSON-object container variant of the format.
+type ChromeTrace struct {
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// Process ids used in the Chrome trace: one per direction so Perfetto
-// groups UL and DL journeys, plus one for system-wide counters.
-const (
-	chromePidSystem = 0
-	chromePidUL     = 1
-	chromePidDL     = 2
-)
+// NewChromeTrace returns a trace holding the process metadata every
+// urllcsim trace starts with: one process per direction so Perfetto groups
+// UL and DL journeys, plus one for system-wide counters (see ChromePid).
+func NewChromeTrace() *ChromeTrace {
+	tr := &ChromeTrace{DisplayTimeUnit: "ms"}
+	for pid, name := range []string{"system", "uplink", "downlink"} {
+		tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
+			Name: "process_name", Ph: "M", Pid: pid,
+			Args: map[string]any{"name": name},
+		})
+	}
+	return tr
+}
 
-func chromePid(d Dir) int {
+// ChromePid is the trace process of a direction: 1 uplink, 2 downlink and 0
+// (system) for anything else.
+func ChromePid(d Dir) int {
 	switch d {
 	case DirUL:
-		return chromePidUL
+		return 1
 	case DirDL:
-		return chromePidDL
+		return 2
 	default:
-		return chromePidSystem
+		return 0
 	}
 }
 
@@ -206,31 +215,20 @@ func chromePid(d Dir) int {
 // paper's latency source via the cat field; counter snapshots become "C"
 // events so Perfetto renders slot-aligned counter tracks.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
-	tr := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-
+	tr := NewChromeTrace()
 	named := map[[2]int]bool{} // (pid, tid) → thread_name emitted
-	meta := func(pid int, name string) {
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name},
-		})
-	}
-	meta(chromePidSystem, "system")
-	meta(chromePidUL, "uplink")
-	meta(chromePidDL, "downlink")
-
 	for _, s := range r.Spans() {
-		pid := chromePid(s.Dir)
+		pid := ChromePid(s.Dir)
 		key := [2]int{pid, s.Packet}
 		if !named[key] {
 			named[key] = true
-			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+			tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: s.Packet,
 				Args: map[string]any{"name": fmt.Sprintf("packet %d", s.Packet)},
 			})
 		}
 		dur := float64(s.Dur) / 1000
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+		tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
 			Name: s.Step, Cat: s.Source.String(), Ph: "X",
 			Ts: s.Start.Micros(), Dur: &dur, Pid: pid, Tid: s.Packet,
 			Args: map[string]any{
@@ -244,17 +242,15 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		counters := reg.Counters()
 		for _, snap := range reg.Snapshots() {
 			for i, v := range snap.Counters {
-				tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+				tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
 					Name: counters[i].Name, Ph: "C",
-					Ts: snap.T.Micros(), Pid: chromePidSystem, Tid: 0,
+					Ts: snap.T.Micros(), Pid: ChromePid(DirNone), Tid: 0,
 					Args: map[string]any{"value": v},
 				})
 			}
 		}
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
+	return json.NewEncoder(w).Encode(tr)
 }
 
 // WriteMetricsCSV writes a summary of every counter, gauge and timing as

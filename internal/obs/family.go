@@ -3,10 +3,8 @@ package obs
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"urllcsim/internal/metrics"
-	"urllcsim/internal/sim"
 )
 
 // Labeled metric families add a dimension to the flat registry namespace:
@@ -20,9 +18,9 @@ import (
 //     registries in a fixed shard order is bit-identical however the shards
 //     were scheduled (the internal/sweep invariance contract).
 //
-//   - Disabled-path cost: the nil-safe CountIn/GaugeIn/ObserveIn helpers
-//     return after one pointer comparison on a nil recorder, like every
-//     other Recorder method.
+//   - Disabled-path cost: the family handles (CounterFamH, GaugeFamH,
+//     HistFamH) return after one pointer comparison on a nil recorder, like
+//     every other Recorder method.
 //
 // The key type K is a small comparable struct (UEKey, UEDir, PktEvent) that
 // renders itself as labels; using structs instead of formatted strings keeps
@@ -298,88 +296,29 @@ func mustSameFamily[T Family](name string, o Family) T {
 // CounterFam returns r's counter family of the given name and key type,
 // creating it on first use.
 func CounterFam[K LabelSet](r *Registry, name string) *CounterFamily[K] {
-	if f, ok := r.fIndex[name]; ok {
-		return mustSameFamily[*CounterFamily[K]](name, f)
-	}
-	f := newCounterFamily[K](name)
-	r.fIndex[name] = f
-	r.families = append(r.families, f)
-	return f
+	return family(r, name, newCounterFamily[K])
 }
 
 // GaugeFam returns r's gauge family of the given name and key type, creating
 // it on first use.
 func GaugeFam[K LabelSet](r *Registry, name string) *GaugeFamily[K] {
-	if f, ok := r.fIndex[name]; ok {
-		return mustSameFamily[*GaugeFamily[K]](name, f)
-	}
-	f := newGaugeFamily[K](name)
-	r.fIndex[name] = f
-	r.families = append(r.families, f)
-	return f
+	return family(r, name, newGaugeFamily[K])
 }
 
 // HistFam returns r's histogram family of the given name and key type,
 // creating it on first use.
 func HistFam[K LabelSet](r *Registry, name string) *HistFamily[K] {
+	return family(r, name, newHistFamily[K])
+}
+
+// family returns r's family of the given name, registering mk(name) on
+// first use.
+func family[F Family](r *Registry, name string, mk func(string) F) F {
 	if f, ok := r.fIndex[name]; ok {
-		return mustSameFamily[*HistFamily[K]](name, f)
+		return mustSameFamily[F](name, f)
 	}
-	f := newHistFamily[K](name)
+	f := mk(name)
 	r.fIndex[name] = f
 	r.families = append(r.families, f)
 	return f
-}
-
-// CountIn adds delta to the keyed counter of the named family. Nil-safe and
-// live-lock-aware like Recorder.Count.
-func CountIn[K LabelSet](r *Recorder, name string, k K, delta int64) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		CounterFam[K](r.reg, name).At(k).Add(delta)
-		r.live.Unlock()
-		return
-	}
-	CounterFam[K](r.reg, name).At(k).Add(delta)
-}
-
-// GaugeIn sets the keyed gauge of the named family. Nil-safe.
-func GaugeIn[K LabelSet](r *Recorder, name string, k K, v float64) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		GaugeFam[K](r.reg, name).At(k).Set(v)
-		r.live.Unlock()
-		return
-	}
-	GaugeFam[K](r.reg, name).At(k).Set(v)
-}
-
-// ObserveIn records a duration into the keyed histogram of the named family.
-// Nil-safe.
-func ObserveIn[K LabelSet](r *Recorder, name string, k K, d sim.Duration) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		HistFam[K](r.reg, name).At(k).AddDuration(d)
-		r.live.Unlock()
-		return
-	}
-	HistFam[K](r.reg, name).At(k).AddDuration(d)
 }

@@ -99,24 +99,6 @@ func TestFamilyMergeAssociative(t *testing.T) {
 	}
 }
 
-// TestFamilyNilSafeHelpers: the In helpers are no-ops on a nil recorder and
-// record on a live one without deadlocking.
-func TestFamilyNilSafeHelpers(t *testing.T) {
-	var nilRec *Recorder
-	CountIn(nilRec, "pkt.by_ue", UEKey{UE: 1}, 1)
-	GaugeIn(nilRec, "q", UEKey{UE: 1}, 1)
-	ObserveIn(nilRec, "lat", UEKey{UE: 1}, sim.Microsecond)
-
-	rec := NewRecorder()
-	rec.enableLive() // installs the lock the helpers must take and release
-	CountIn(rec, "pkt.by_ue", UEKey{UE: 1}, 2)
-	GaugeIn(rec, "q", UEKey{UE: 1}, 3)
-	ObserveIn(rec, "lat", UEKey{UE: 1}, sim.Microsecond)
-	if got := CounterFam[UEKey](rec.Metrics(), "pkt.by_ue").At(UEKey{UE: 1}).Value(); got != 2 {
-		t.Fatalf("live CountIn lost the increment: %d", got)
-	}
-}
-
 // TestFamilyNameCollisionPanics: reusing a family name with a different kind
 // or key type is a programming error surfaced loudly.
 func TestFamilyNameCollisionPanics(t *testing.T) {

@@ -326,47 +326,22 @@ func (ex *Exemplar) dominantSource() core.Source {
 	return best
 }
 
-// chromeEvent mirrors the Chrome trace-event format (see internal/obs).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
 // WriteChromeTrace writes a focused Perfetto trace: only the promoted
 // exemplars, one thread per packet named with its verdict, spans as complete
 // events and causal edges as instant markers — the trace you open when one
 // specific deadline miss needs explaining, instead of scrolling a
 // full-run trace with 100k happy packets.
 func WriteChromeTrace(w io.Writer, s *Set) error {
-	tr := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	pids := map[obs.Dir]int{obs.DirNone: 0, obs.DirUL: 1, obs.DirDL: 2}
-	names := map[obs.Dir]string{obs.DirNone: "system", obs.DirUL: "uplink", obs.DirDL: "downlink"}
-	for _, dir := range []obs.Dir{obs.DirNone, obs.DirUL, obs.DirDL} {
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pids[dir],
-			Args: map[string]any{"name": names[dir]},
-		})
-	}
+	tr := obs.NewChromeTrace()
 	for _, ex := range s.Exemplars() {
-		pid := pids[ex.Dir]
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+		pid := obs.ChromePid(ex.Dir)
+		tr.TraceEvents = append(tr.TraceEvents, obs.ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: pid, Tid: ex.Packet,
 			Args: map[string]any{"name": fmt.Sprintf("packet %d [%s]", ex.Packet, ex.Reason)},
 		})
 		for _, cs := range ex.Chain {
 			if cs.IsEdge {
-				tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+				tr.TraceEvents = append(tr.TraceEvents, obs.ChromeEvent{
 					Name: cs.Kind.String(), Cat: "edge", Ph: "i",
 					Ts: cs.Time.Micros(), Pid: pid, Tid: ex.Packet,
 					Args: map[string]any{"arg": cs.Arg, "ref_us": cs.Ref.Micros()},
@@ -374,7 +349,7 @@ func WriteChromeTrace(w io.Writer, s *Set) error {
 				continue
 			}
 			dur := us(cs.Dur)
-			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+			tr.TraceEvents = append(tr.TraceEvents, obs.ChromeEvent{
 				Name: cs.Step, Cat: cs.Source.String(), Ph: "X",
 				Ts: cs.Time.Micros(), Dur: &dur, Pid: pid, Tid: ex.Packet,
 				Args: map[string]any{

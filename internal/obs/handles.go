@@ -1,26 +1,22 @@
 package obs
 
-import (
-	"time"
+import "urllcsim/internal/sim"
 
-	"urllcsim/internal/sim"
-)
-
-// Metric handles: the batched form of Count/SetGauge/Observe for hot paths.
+// Metric handles: the hot-path form of Count/SetGauge/Observe.
 //
-// The name-keyed helpers pay a map lookup per record; a handle resolves the
+// The name-keyed methods pay a map lookup per record; a handle resolves the
 // instrument once and reuses the pointer, so a per-slot or per-packet call
-// site costs an increment plus the usual nil/live/meter branches. Resolution
-// is *lazy* — the instrument registers on first use, not at handle creation —
-// so converting a call site to a handle cannot change registration order,
-// summary layout or snapshot columns: byte-identical output to the name-keyed
-// form is guaranteed by construction (first use happens at exactly the call
-// site that used to register the name).
+// site costs an increment inside the recorder's one metered, live-locked
+// section (see Recorder.begin). Resolution is *lazy* — the instrument
+// registers on first use, not at handle creation — so converting a call site
+// to a handle cannot change registration order, summary layout or snapshot
+// columns: byte-identical output to the name-keyed form is guaranteed by
+// construction (first use happens at exactly the call site that used to
+// register the name).
 //
 // A handle created from a nil recorder is the disabled state, like the
 // recorder itself: every method returns after one comparison. Handles are
-// owned by the single simulation thread; the live-serve mutex discipline of
-// the named methods carries over unchanged.
+// owned by the single simulation thread.
 
 // CounterHandle is a pre-resolved counter. Create with Recorder.CounterH.
 type CounterHandle struct {
@@ -36,26 +32,15 @@ func (r *Recorder) CounterH(name string) CounterHandle {
 
 // Add adds delta to the counter, registering it on first use.
 func (h *CounterHandle) Add(delta int64) {
-	r := h.r
-	if r == nil {
+	if h.r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		if h.c == nil {
-			h.c = r.reg.Counter(h.name)
-		}
-		h.c.Add(delta)
-		r.live.Unlock()
-		return
-	}
+	t0 := h.r.begin()
 	if h.c == nil {
-		h.c = r.reg.Counter(h.name)
+		h.c = h.r.reg.Counter(h.name)
 	}
 	h.c.Add(delta)
+	h.r.end(meterMetric, t0)
 }
 
 // Inc adds one.
@@ -75,26 +60,15 @@ func (r *Recorder) GaugeH(name string) GaugeHandle {
 
 // Set stores v, registering the gauge on first use.
 func (h *GaugeHandle) Set(v float64) {
-	r := h.r
-	if r == nil {
+	if h.r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		if h.g == nil {
-			h.g = r.reg.Gauge(h.name)
-		}
-		h.g.Set(v)
-		r.live.Unlock()
-		return
-	}
+	t0 := h.r.begin()
 	if h.g == nil {
-		h.g = r.reg.Gauge(h.name)
+		h.g = h.r.reg.Gauge(h.name)
 	}
 	h.g.Set(v)
+	h.r.end(meterMetric, t0)
 }
 
 // TimingHandle is a pre-resolved timing. Create with Recorder.TimingH.
@@ -111,26 +85,15 @@ func (r *Recorder) TimingH(name string) TimingHandle {
 
 // Observe records one duration, registering the timing on first use.
 func (h *TimingHandle) Observe(d sim.Duration) {
-	r := h.r
-	if r == nil {
+	if h.r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		if h.t == nil {
-			h.t = r.reg.Timing(h.name)
-		}
-		h.t.Observe(d)
-		r.live.Unlock()
-		return
-	}
+	t0 := h.r.begin()
 	if h.t == nil {
-		h.t = r.reg.Timing(h.name)
+		h.t = h.r.reg.Timing(h.name)
 	}
 	h.t.Observe(d)
+	h.r.end(meterMetric, t0)
 }
 
 // CounterFamHandle is a pre-resolved labeled counter family. Create with
@@ -149,26 +112,15 @@ func CounterFamH[K LabelSet](r *Recorder, name string) CounterFamHandle[K] {
 // Add adds delta to the keyed counter, registering family and row on first
 // use.
 func (h *CounterFamHandle[K]) Add(k K, delta int64) {
-	r := h.r
-	if r == nil {
+	if h.r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		if h.f == nil {
-			h.f = CounterFam[K](r.reg, h.name)
-		}
-		h.f.At(k).Add(delta)
-		r.live.Unlock()
-		return
-	}
+	t0 := h.r.begin()
 	if h.f == nil {
-		h.f = CounterFam[K](r.reg, h.name)
+		h.f = CounterFam[K](h.r.reg, h.name)
 	}
 	h.f.At(k).Add(delta)
+	h.r.end(meterMetric, t0)
 }
 
 // GaugeFamHandle is a pre-resolved labeled gauge family. Create with
@@ -186,26 +138,15 @@ func GaugeFamH[K LabelSet](r *Recorder, name string) GaugeFamHandle[K] {
 
 // Set stores v in the keyed gauge, registering family and row on first use.
 func (h *GaugeFamHandle[K]) Set(k K, v float64) {
-	r := h.r
-	if r == nil {
+	if h.r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		if h.f == nil {
-			h.f = GaugeFam[K](r.reg, h.name)
-		}
-		h.f.At(k).Set(v)
-		r.live.Unlock()
-		return
-	}
+	t0 := h.r.begin()
 	if h.f == nil {
-		h.f = GaugeFam[K](r.reg, h.name)
+		h.f = GaugeFam[K](h.r.reg, h.name)
 	}
 	h.f.At(k).Set(v)
+	h.r.end(meterMetric, t0)
 }
 
 // HistFamHandle is a pre-resolved labeled histogram family. Create with
@@ -224,24 +165,13 @@ func HistFamH[K LabelSet](r *Recorder, name string) HistFamHandle[K] {
 // Observe records d into the keyed histogram, registering family and row on
 // first use.
 func (h *HistFamHandle[K]) Observe(k K, d sim.Duration) {
-	r := h.r
-	if r == nil {
+	if h.r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		if h.f == nil {
-			h.f = HistFam[K](r.reg, h.name)
-		}
-		h.f.At(k).AddDuration(d)
-		r.live.Unlock()
-		return
-	}
+	t0 := h.r.begin()
 	if h.f == nil {
-		h.f = HistFam[K](r.reg, h.name)
+		h.f = HistFam[K](h.r.reg, h.name)
 	}
 	h.f.At(k).AddDuration(d)
+	h.r.end(meterMetric, t0)
 }

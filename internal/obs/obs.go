@@ -469,21 +469,55 @@ func (r *Recorder) withLive(f func()) {
 	f()
 }
 
-// Count adds delta to the named counter. No-op when disabled.
+// begin opens the one metered, live-locked section every registry write
+// (the named methods, the handles, SlotSnapshot) runs in: it starts the
+// meter clock and takes the live mutex, each only when installed, and
+// inlines to one two-field check when neither is. end closes the section
+// and charges one record of cat. PacketSpan and Outcome never touch the
+// registry, so they skip the lock and keep their own meter defers.
+func (r *Recorder) begin() time.Time {
+	if r.meter == nil && r.live == nil {
+		return time.Time{}
+	}
+	return r.openSection()
+}
+
+func (r *Recorder) end(cat meterCat, t0 time.Time) {
+	if r.meter == nil && r.live == nil {
+		return
+	}
+	r.closeSection(cat, t0)
+}
+
+// openSection and closeSection are the out-of-line halves of begin and end.
+func (r *Recorder) openSection() (t0 time.Time) {
+	if r.meter != nil {
+		t0 = time.Now()
+	}
+	if r.live != nil {
+		r.live.Lock()
+	}
+	return t0
+}
+
+func (r *Recorder) closeSection(cat meterCat, t0 time.Time) {
+	if r.live != nil {
+		r.live.Unlock()
+	}
+	if r.meter != nil {
+		r.meter.add(cat, t0)
+	}
+}
+
+// Count adds delta to the named counter. No-op when disabled. The named
+// methods serve names built at run time; hot paths use handles.
 func (r *Recorder) Count(name string, delta int64) {
 	if r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		r.reg.Counter(name).Add(delta)
-		r.live.Unlock()
-		return
-	}
+	t0 := r.begin()
 	r.reg.Counter(name).Add(delta)
+	r.end(meterMetric, t0)
 }
 
 // SetGauge sets the named gauge. No-op when disabled.
@@ -491,16 +525,9 @@ func (r *Recorder) SetGauge(name string, v float64) {
 	if r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		r.reg.Gauge(name).Set(v)
-		r.live.Unlock()
-		return
-	}
+	t0 := r.begin()
 	r.reg.Gauge(name).Set(v)
+	r.end(meterMetric, t0)
 }
 
 // Observe records a duration into the named timing (mean/std accumulator +
@@ -509,16 +536,9 @@ func (r *Recorder) Observe(name string, d sim.Duration) {
 	if r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		r.reg.Timing(name).Observe(d)
-		r.live.Unlock()
-		return
-	}
+	t0 := r.begin()
 	r.reg.Timing(name).Observe(d)
+	r.end(meterMetric, t0)
 }
 
 // SlotSnapshot captures the state of every counter and gauge at a slot
@@ -528,16 +548,9 @@ func (r *Recorder) SlotSnapshot(t sim.Time) {
 	if r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterSnapshot, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		r.reg.Snapshot(t)
-		r.live.Unlock()
-		return
-	}
+	t0 := r.begin()
 	r.reg.Snapshot(t)
+	r.end(meterSnapshot, t0)
 }
 
 // Outcome records the resolution of one packet. Outcomes are never sampled:

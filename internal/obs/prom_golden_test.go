@@ -28,11 +28,14 @@ func promFixture() *Recorder {
 	for i := 1; i <= 8; i++ {
 		rec.Observe("lat.ul", sim.Duration(i)*50*sim.Microsecond)
 	}
+	pkt := CounterFamH[PktEvent](rec, "pkt.by_ue")
+	take := GaugeFamH[UEKey](rec, "slot.ue_dl_take_bytes")
+	lat := HistFamH[UEDir](rec, "lat.by_ue")
 	for ue := 0; ue < 2; ue++ {
-		CountIn(rec, "pkt.by_ue", PktEvent{UE: ue, Dir: DirUL, Event: "delivered"}, int64(10+ue))
-		GaugeIn(rec, "slot.ue_dl_take_bytes", UEKey{UE: ue}, float64(32*(ue+1)))
-		ObserveIn(rec, "lat.by_ue", UEDir{UE: ue, Dir: DirUL}, sim.Duration(100+ue)*sim.Microsecond)
-		ObserveIn(rec, "lat.by_ue", UEDir{UE: ue, Dir: DirUL}, sim.Duration(300+ue)*sim.Microsecond)
+		pkt.Add(PktEvent{UE: ue, Dir: DirUL, Event: "delivered"}, int64(10+ue))
+		take.Set(UEKey{UE: ue}, float64(32*(ue+1)))
+		lat.Observe(UEDir{UE: ue, Dir: DirUL}, sim.Duration(100+ue)*sim.Microsecond)
+		lat.Observe(UEDir{UE: ue, Dir: DirUL}, sim.Duration(300+ue)*sim.Microsecond)
 	}
 	return rec
 }

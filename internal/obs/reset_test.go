@@ -13,6 +13,9 @@ import (
 // ledger — through a recorder. Used by the Reset and streaming tests to
 // compare a reused recorder against a fresh one.
 func recordWorkload(r *Recorder) {
+	pkt := CounterFamH[PktEvent](r, "pkt.by_ue")
+	lat := HistFamH[UEDir](r, "lat.by_ue")
+	take := GaugeFamH[UEKey](r, "slot.ue_dl_take_bytes")
 	for id := 0; id < 64; id++ {
 		dir := DirUL
 		if id%2 == 1 {
@@ -23,14 +26,14 @@ func recordWorkload(r *Recorder) {
 		r.PacketSpan(id, dir, LayerAir, "air", core.Radio, sim.Time(id*1000+130000), 140*sim.Microsecond)
 		r.Count("pkt.offered", 1)
 		r.Observe("lat.ul", sim.Duration(270+id)*sim.Microsecond)
-		CountIn(r, "pkt.by_ue", PktEvent{UE: id % 4, Dir: dir, Event: "delivered"}, 1)
-		ObserveIn(r, "lat.by_ue", UEDir{UE: id % 4, Dir: dir}, sim.Duration(270+id)*sim.Microsecond)
+		pkt.Add(PktEvent{UE: id % 4, Dir: dir, Event: "delivered"}, 1)
+		lat.Observe(UEDir{UE: id % 4, Dir: dir}, sim.Duration(270+id)*sim.Microsecond)
 		r.Outcome(Outcome{Packet: id, UE: id % 4, Dir: dir, Delivered: true,
 			Latency: sim.Duration(270+id) * sim.Microsecond, Attempts: 1, End: sim.Time(id*1000 + 270000)})
 	}
 	for slot := 0; slot < 16; slot++ {
 		r.SetGauge("rlc.depth", float64(slot%5))
-		GaugeIn(r, "slot.ue_dl_take_bytes", UEKey{UE: slot % 4}, float64(32*slot))
+		take.Set(UEKey{UE: slot % 4}, float64(32*slot))
 		r.SlotSnapshot(sim.Time(slot * 500000))
 		r.Slot(SlotRecord{Boundary: sim.Time(slot * 500000), TargetDL: sim.Time(slot*500000 + 250000),
 			DLCapBytes: 96, DLUsedBytes: 32 * (slot % 3), QueueDepth: slot % 5,

@@ -185,8 +185,8 @@ func TestLiveHandlerExposition(t *testing.T) {
 
 // TestLiveScrapeConcurrentWithRecording hammers the scrape path while a
 // writer goroutine drives the registry — under -race this proves the live
-// lock covers every counter/gauge/timing/snapshot mutation the node layer
-// performs mid-run.
+// lock covers every counter/gauge/timing/family/snapshot mutation the node
+// layer performs mid-run, named or through a handle.
 func TestLiveScrapeConcurrentWithRecording(t *testing.T) {
 	rec := NewRecorder()
 	srv := httptest.NewServer(LiveHandler(rec)) // installs the live lock
@@ -198,8 +198,15 @@ func TestLiveScrapeConcurrentWithRecording(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(done)
+		// The node layer records through handles, so they run here too.
+		byUE := CounterFamH[PktEvent](rec, "pkt.by_ue")
+		latByUE := HistFamH[UEDir](rec, "lat.by_ue")
+		proc := rec.TimingH("gnb.proc.mac")
 		for i := 0; i < 20000; i++ {
 			rec.Count("pkt.delivered", 1)
+			byUE.Add(PktEvent{UE: i % 4, Dir: DirUL, Event: "delivered"}, 1)
+			latByUE.Observe(UEDir{UE: i % 4, Dir: DirUL}, sim.Duration(100+i%400)*sim.Microsecond)
+			proc.Observe(sim.Duration(i%50) * sim.Microsecond)
 			rec.Observe("lat.ul", sim.Duration(100+i%400)*sim.Microsecond)
 			rec.SetGauge("harq.inflight", float64(i%4))
 			if i%100 == 0 {
