@@ -8,14 +8,14 @@ GO ?= go
 BENCH_TOL  ?= 10%
 SMOKE_TOL  ?= 500%
 
-.PHONY: check vet build test race bench bench-go bench-check bench-smoke lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke
+.PHONY: check vet build test race allocs bench bench-go bench-check bench-smoke lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke
 
 ## check: full verification gate — lint (vet + gofmt), build, race-enabled tests,
-## the JSONL → report round-trip smoke, the parallel-vs-sequential sweep
+## the exact allocation pins without -race, the JSONL → report round-trip smoke, the parallel-vs-sequential sweep
 ## invariance smoke, the flight-recorder no-interference smoke, the
 ## dimensional-KPI smoke, the many-UE cell smoke, the sampling/observer-tax
 ## smoke, the one-packet journey smoke, and the benchmark-harness smoke
-check: lint build race report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke bench-smoke
+check: lint build race allocs report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -36,6 +36,12 @@ test:
 # shows up as sentinel values (and usually a race) instead of silent staleness.
 race:
 	$(GO) test -race -tags obsdebug ./...
+
+## allocs: the allocation pins (testing.AllocsPerRun) without -race, whose
+## runtime adds allocations of its own: per-packet counts on the testbed and
+## many-UE cell, and 0 allocs per steady-state codec, entity and engine call
+allocs:
+	$(GO) test -count=1 -run 'Allocs|ZeroAlloc' ./...
 
 ## bench-go: regenerate every table/figure benchmark plus the tracing-overhead
 ## gate through `go test` directly (the pre-harness form of `make bench`)

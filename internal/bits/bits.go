@@ -22,10 +22,15 @@ type Writer struct {
 // NewWriter returns an empty writer.
 func NewWriter() *Writer { return &Writer{} }
 
-// NewWriterSize returns an empty writer whose buffer holds n bytes before it
-// grows. A codec that knows its encoded size passes it here, so the encode
-// allocates its output once.
-func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
+// Reset makes the writer append to dst: the bytes already in dst stay as a
+// byte-aligned prefix of Bytes, and the writes that follow land after them,
+// in dst's spare capacity while it lasts. A codec encoding into a buffer it
+// keeps across calls passes that buffer here, so a steady-state encode
+// allocates nothing.
+func (w *Writer) Reset(dst []byte) {
+	w.buf = dst
+	w.nbit = 8 * len(dst)
+}
 
 // Len returns the number of bits written.
 func (w *Writer) Len() int { return w.nbit }

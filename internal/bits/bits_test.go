@@ -63,9 +63,10 @@ func TestWriteBytesAlignment(t *testing.T) {
 	w2.WriteBytes([]byte{1})
 }
 
-// A sized writer writes the same bits as an unsized one; the size only sets
-// the starting capacity, and writing past it still grows.
-func TestNewWriterSizeMatchesNewWriter(t *testing.T) {
+// A reset writer writes the same bits as a fresh one, after whatever dst
+// already holds: the prefix is left as it was, and spare capacity (with any
+// stale bytes in it) is overwritten, not read.
+func TestResetMatchesNewWriter(t *testing.T) {
 	write := func(w *Writer) []byte {
 		w.WriteBit(1)
 		w.WriteBits(0x2A, 7)
@@ -77,12 +78,26 @@ func TestNewWriterSizeMatchesNewWriter(t *testing.T) {
 	}
 	want := write(NewWriter())
 	if !bytes.Equal(want, []byte{0xAA, 1, 2, 3, 0, 0, 0xA0}) {
-		t.Fatalf("unsized writer = %x", want)
+		t.Fatalf("fresh writer = %x", want)
 	}
-	for _, n := range []int{0, 3, 7, 64} {
-		if got := write(NewWriterSize(n)); !bytes.Equal(got, want) {
-			t.Errorf("NewWriterSize(%d) = %x, want %x", n, got, want)
+	stale := bytes.Repeat([]byte{0xFF}, 64)
+	for _, dst := range [][]byte{nil, stale[:0], stale[:0:3], []byte{0x11, 0x22}, stale[:5]} {
+		prefix := append([]byte(nil), dst...)
+		var w Writer
+		w.Reset(dst)
+		got := write(&w)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Errorf("Reset(%x): wrote %x, want %x then %x", prefix, got, prefix, want)
 		}
+		if w.Len() != 8*len(got) {
+			t.Errorf("Reset(%x): Len = %d bits for %d bytes", prefix, w.Len(), len(got))
+		}
+	}
+	// Writing into a buffer with room allocates nothing.
+	buf := make([]byte, 0, 16)
+	var w Writer
+	if n := testing.AllocsPerRun(50, func() { w.Reset(buf[:0]); write(&w) }); n != 0 {
+		t.Errorf("encode into a reused buffer: %v allocs, want 0", n)
 	}
 }
 

@@ -22,6 +22,8 @@ type UPF struct {
 
 	rxUL int64
 	rxDL int64
+
+	buf []byte // EncapDL's output
 }
 
 // NewUPF returns a UPF for one tunnel.
@@ -29,13 +31,17 @@ func NewUPF(teid uint32, forward sim.Duration) *UPF {
 	return &UPF{TEID: teid, ForwardLatency: forward}
 }
 
-// EncapDL wraps a DL IP packet for the gNB. Used on the N6→N3 path.
+// EncapDL wraps a DL IP packet for the gNB. Used on the N6→N3 path. The
+// packet is valid until the next EncapDL.
 func (u *UPF) EncapDL(ip []byte) ([]byte, error) {
 	u.rxDL++
-	return pdu.GTPUHeader{TEID: u.TEID}.Encode(ip)
+	out, err := pdu.GTPUHeader{TEID: u.TEID}.Append(u.buf[:0], ip)
+	u.buf = out
+	return out, err
 }
 
-// DecapUL unwraps a UL GTP-U packet from the gNB, validating the TEID.
+// DecapUL unwraps a UL GTP-U packet from the gNB, validating the TEID. The
+// payload aliases gtpu.
 func (u *UPF) DecapUL(gtpu []byte) ([]byte, error) {
 	h, payload, err := pdu.DecodeGTPU(gtpu)
 	if err != nil {
@@ -54,14 +60,19 @@ func (u *UPF) Counters() (int64, int64) { return u.rxUL, u.rxDL }
 // GNBTunnel is the gNB-side tunnel endpoint (the CU-UP role).
 type GNBTunnel struct {
 	TEID uint32
+
+	buf []byte // EncapUL's output
 }
 
-// EncapUL wraps a UL packet toward the UPF.
+// EncapUL wraps a UL packet toward the UPF. The packet is valid until the
+// next EncapUL.
 func (g *GNBTunnel) EncapUL(ip []byte) ([]byte, error) {
-	return pdu.GTPUHeader{TEID: g.TEID}.Encode(ip)
+	out, err := pdu.GTPUHeader{TEID: g.TEID}.Append(g.buf[:0], ip)
+	g.buf = out
+	return out, err
 }
 
-// DecapDL unwraps a DL packet from the UPF.
+// DecapDL unwraps a DL packet from the UPF. The payload aliases gtpu.
 func (g *GNBTunnel) DecapDL(gtpu []byte) ([]byte, error) {
 	h, payload, err := pdu.DecodeGTPU(gtpu)
 	if err != nil {

@@ -58,3 +58,37 @@ func TestMalformedTunnelPacket(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
+
+// A steady-state tunnel round trip allocates nothing in either direction:
+// each encapsulating endpoint reuses its own buffer.
+func TestTunnelPairZeroAllocs(t *testing.T) {
+	upf := NewUPF(0x42, 0)
+	gnb := &GNBTunnel{TEID: 0x42}
+	ip := bytes.Repeat([]byte{0x5A}, 32)
+	for name, pair := range map[string]func() ([]byte, error){
+		"ul": func() ([]byte, error) {
+			enc, err := gnb.EncapUL(ip)
+			if err != nil {
+				return nil, err
+			}
+			return upf.DecapUL(enc)
+		},
+		"dl": func() ([]byte, error) {
+			enc, err := upf.EncapDL(ip)
+			if err != nil {
+				return nil, err
+			}
+			return gnb.DecapDL(enc)
+		},
+	} {
+		check := func() {
+			if got, err := pair(); err != nil || !bytes.Equal(got, ip) {
+				t.Fatalf("%s: round trip gave %x, %v", name, got, err)
+			}
+		}
+		check()
+		if n := testing.AllocsPerRun(200, check); n != 0 {
+			t.Errorf("%s encap+decap: %v allocs, want 0", name, n)
+		}
+	}
+}

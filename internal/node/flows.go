@@ -1,6 +1,8 @@
 package node
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 
 	"urllcsim/internal/core"
@@ -230,17 +232,33 @@ func (s *System) Counters() Counters { return s.counters }
 // Results returns the per-packet outcomes recorded so far.
 func (s *System) Results() []Result { return s.results }
 
+// record appends one packet's fate. Every offered packet resolves exactly
+// once, so when the slice is full it grows to hold every packet offered so
+// far rather than by a growth factor.
+func (s *System) record(r Result) {
+	if len(s.results) == cap(s.results) {
+		s.results = slices.Grow(s.results, max(s.nextID-len(s.results), 1))
+	}
+	s.results = append(s.results, r)
+}
+
 // ---------------------------------------------------------------------------
 // gNB slot ticker: the once-per-slot scheduler.
 // ---------------------------------------------------------------------------
 
+// scheduleTick arms the one pending scheduling instant, for boundary b. The
+// ticker's handler is bound once, in NewSystem.
 func (s *System) scheduleTick(b sim.Time) {
 	fire := b.Add(-s.cfg.TickLead)
 	if fire < s.Eng.Now() {
 		fire = s.Eng.Now()
 	}
-	s.Eng.Schedule(fire, "gnb.tick", func() { s.tick(b) })
+	s.tickAt = b
+	s.Eng.Schedule(fire, "gnb.tick", s.tickFire)
 }
+
+// onTick is the ticker's handler: the scheduling instant for s.tickAt.
+func (s *System) onTick() { s.tick(s.tickAt) }
 
 func (s *System) tick(b sim.Time) {
 	// Assemble the scheduler's view of the DL RLC queue, reusing last tick's
@@ -362,6 +380,49 @@ func (s *System) takeAt(ue int) int {
 // Downlink flow: UPF → gNB stack → RLC queue → scheduler → PHY/radio → UE.
 // ---------------------------------------------------------------------------
 
+// dlStep is the next engine event of a DL packet on its way into the gNB's
+// RLC queue; from there on the packet rides a transport-block context
+// (dlTB). Like a UL packet it has at most one event pending and one handler,
+// bound when it is offered.
+type dlStep uint8
+
+const (
+	dlOffer   dlStep = iota // arrival at the UPF: GTP-U and N3 forwarding
+	dlGNBDown               // at the gNB: SDAP↓/PDCP↓/RLC↓ processing
+	dlEnqueue               // processing done: into the RLC queue
+)
+
+// dlStepName is each step's engine event name.
+var dlStepName = [...]string{dlOffer: "dl.offer", dlGNBDown: "dl.gnb.down", dlEnqueue: "dl.enqueue"}
+
+// schedule arms the packet's next step at the given instant.
+func (p *dlPacket) schedule(at sim.Time, next dlStep) {
+	p.next = next
+	p.s.Eng.Schedule(at, dlStepName[next], p.fire)
+}
+
+// step runs the packet's pending event at the engine's clock.
+func (p *dlPacket) step() {
+	s := p.s
+	now := s.Eng.Now()
+	switch p.next {
+	case dlOffer:
+		// UPF encapsulation and N3 forwarding.
+		s.seg(&p.by, p.id, obs.DirDL, obs.LayerCore, "UPF→gNB (GTP-U)", core.Processing, now, s.cfg.CoreLatency)
+		p.schedule(now.Add(s.cfg.CoreLatency), dlGNBDown)
+	case dlGNBDown:
+		// gNB SDAP↓ / PDCP↓ / RLC↓ processing (⑧ in Fig. 3).
+		d := s.sampleGNB(proc.LayerSDAP) + s.sampleGNB(proc.LayerPDCP) + s.sampleGNB(proc.LayerRLC)
+		s.seg(&p.by, p.id, obs.DirDL, obs.LayerStack, "⑧ gNB SDAP↓", core.Processing, now, d)
+		p.schedule(now.Add(d), dlEnqueue)
+	case dlEnqueue:
+		p.enqueued = now
+		s.gnbRLC.Enqueue(rlcQueued(p))
+		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeEnqueued,
+			Time: now, Arg: int64(len(s.gnbRLC.Peek()))})
+	}
+}
+
 // OfferDL injects one DL application packet at the UPF at time at. The
 // result callback fires on delivery or loss.
 func (s *System) OfferDL(at sim.Time, payload []byte) int {
@@ -374,26 +435,90 @@ func (s *System) OfferDL(at sim.Time, payload []byte) int {
 func (s *System) OfferDLAs(ue int, at sim.Time, payload []byte) int {
 	id := s.nextID
 	s.nextID++
-	p := &dlPacket{id: id, ue: ue, data: payload, offered: at}
+	p := &dlPacket{s: s, id: id, ue: ue, data: payload, offered: at}
+	p.fire = p.step
 	s.dlItems[id] = p
-	s.Eng.Schedule(at, "dl.offer", func() {
-		// UPF encapsulation and N3 forwarding.
-		s.seg(&p.by, p.id, obs.DirDL, obs.LayerCore, "UPF→gNB (GTP-U)", core.Processing, at, s.cfg.CoreLatency)
-		arrive := at.Add(s.cfg.CoreLatency)
-		s.Eng.Schedule(arrive, "dl.gnb.down", func() {
-			// gNB SDAP↓ / PDCP↓ / RLC↓ processing (⑧ in Fig. 3).
-			d := s.sampleGNB(proc.LayerSDAP) + s.sampleGNB(proc.LayerPDCP) + s.sampleGNB(proc.LayerRLC)
-			s.seg(&p.by, p.id, obs.DirDL, obs.LayerStack, "⑧ gNB SDAP↓", core.Processing, arrive, d)
-			enq := arrive.Add(d)
-			s.Eng.Schedule(enq, "dl.enqueue", func() {
-				p.enqueued = enq
-				s.gnbRLC.Enqueue(rlcQueued(p))
-				s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeEnqueued,
-					Time: enq, Arg: int64(len(s.gnbRLC.Peek()))})
-			})
-		})
-	})
+	p.schedule(at, dlOffer)
 	return id
+}
+
+// tbStep is the next engine event of a DL transport block.
+type tbStep uint8
+
+const (
+	tbRadioMiss tbStep = iota // the radio was late for the slot: requeue
+	tbOnAir                   // the planned slot starts: build and transmit
+	tbRx                      // reception at the UE ends
+	tbHARQ                    // the gNB learns of a lost block: retransmit
+	tbUEUp                    // UE PHY↑…APP↑ processing done
+)
+
+// tbStepName is each step's engine event name.
+var tbStepName = [...]string{
+	tbRadioMiss: "dl.radiomiss", tbOnAir: "dl.onair", tbRx: "dl.rx",
+	tbHARQ: "dl.harq", tbUEUp: "dl.ue.up",
+}
+
+// dlTB is one DL transport block in flight, from the scheduling instant
+// that took its packets off the RLC queue to their delivery, loss or
+// requeue. Contexts are pooled (System.tbFree), each with its handler bound
+// once, so a steady-state block allocates nothing. A block has at most one
+// event pending.
+type dlTB struct {
+	s    *System
+	next tbStep
+	fire func() // tb.step, bound once
+
+	ids    []int    // packets riding the block, in queue order
+	segs   []int    // RLC PDUs each packet's SDU became, in ids order
+	target sim.Time // start of the planned DL slot
+	onAir  sim.Time // end of reception at the UE
+	procD  sim.Duration
+	rx     []byte // received block, owned until tbUEUp releases it
+	lost   bool   // the PHY lost the block
+}
+
+// schedule arms the block's next step at the given instant.
+func (tb *dlTB) schedule(at sim.Time, next tbStep) {
+	tb.next = next
+	tb.s.Eng.Schedule(at, tbStepName[next], tb.fire)
+}
+
+// step runs the block's pending event at the engine's clock.
+func (tb *dlTB) step() {
+	s := tb.s
+	switch tb.next {
+	case tbRadioMiss:
+		s.dlRadioMiss(tb)
+	case tbOnAir:
+		s.transmitDL(tb)
+	case tbRx:
+		s.dlReceived(tb)
+	case tbHARQ:
+		s.dlRetransmit(tb)
+	case tbUEUp:
+		s.dlDeliver(tb)
+	}
+}
+
+// newTB takes a transport-block context from the pool.
+func (s *System) newTB(target sim.Time) *dlTB {
+	var tb *dlTB
+	if n := len(s.tbFree); n > 0 {
+		tb, s.tbFree = s.tbFree[n-1], s.tbFree[:n-1]
+	} else {
+		tb = &dlTB{s: s}
+		tb.fire = tb.step
+	}
+	tb.target = target
+	return tb
+}
+
+// freeTB returns a block's context to the pool once no event of its is
+// pending.
+func (s *System) freeTB(tb *dlTB) {
+	tb.ids, tb.segs, tb.rx, tb.lost = tb.ids[:0], tb.segs[:0], nil, false
+	s.tbFree = append(s.tbFree, tb)
 }
 
 // launchDL starts the MAC→PHY→radio pipeline for the packets taken at
@@ -415,7 +540,9 @@ func (s *System) launchDL(b sim.Time, plan sched.Plan, taken []rlcQ) {
 			sim.Duration(s.cfg.GNBRadio.ConvertUs*1000)
 	}
 	ready := now.Add(macD + phyD + submitD)
+	tb := s.newTB(target)
 	for _, q := range taken {
+		tb.ids = append(tb.ids, q.ID)
 		p := s.dlItems[q.ID]
 		if p == nil {
 			continue
@@ -429,22 +556,7 @@ func (s *System) launchDL(b sim.Time, plan sched.Plan, taken []rlcQ) {
 		// is corrupted (§4). Re-enqueue everything for the next boundary.
 		s.counters.RadioMisses++
 		s.h.radioMisses.Inc()
-		s.Eng.Schedule(ready, "dl.radiomiss", func() {
-			for _, q := range taken {
-				if p := s.dlItems[q.ID]; p != nil {
-					p.attempts++
-					if p.attempts >= s.cfg.HARQMaxTx+2 {
-						s.finishDL(p, ready, false)
-						continue
-					}
-					s.seg(&p.by, p.id, obs.DirDL, obs.LayerBus,
-						"radio miss → requeue", core.Radio, target, ready.Sub(target))
-					s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeRadioMiss,
-						Time: ready, Ref: target, Arg: int64(ready.Sub(target))})
-					s.gnbRLC.Enqueue(rlcQueued(p)) // keeps original EnqueuedAt
-				}
-			}
-		})
+		tb.schedule(ready, tbRadioMiss)
 		return
 	}
 
@@ -452,8 +564,8 @@ func (s *System) launchDL(b sim.Time, plan sched.Plan, taken []rlcQ) {
 	// price of scheduling ahead (the §4 margin) — protocol latency. Charging
 	// it makes the DL journey partition the one-way latency exactly.
 	if ready < target {
-		for _, q := range taken {
-			if p := s.dlItems[q.ID]; p != nil {
+		for _, id := range tb.ids {
+			if p := s.dlItems[id]; p != nil {
 				s.seg(&p.by, p.id, obs.DirDL, obs.LayerSched,
 					"wait for planned DL slot", core.Protocol, ready, target.Sub(ready))
 			}
@@ -462,19 +574,44 @@ func (s *System) launchDL(b sim.Time, plan sched.Plan, taken []rlcQ) {
 
 	// Build one transport block carrying all taken SDUs through the real
 	// data plane, transmit at the slot's data region.
-	s.Eng.Schedule(target, "dl.onair", func() {
-		s.transmitDL(target, taken)
-	})
+	tb.schedule(target, tbOnAir)
 }
 
-func (s *System) transmitDL(target sim.Time, taken []rlcQ) {
+// dlRadioMiss requeues the block's packets after a radio miss, or gives up
+// on those out of attempts.
+func (s *System) dlRadioMiss(tb *dlTB) {
+	ready, target := s.Eng.Now(), tb.target
+	for _, id := range tb.ids {
+		if p := s.dlItems[id]; p != nil {
+			p.attempts++
+			if p.attempts >= s.cfg.HARQMaxTx+2 {
+				s.finishDL(p, ready, false)
+				continue
+			}
+			s.seg(&p.by, p.id, obs.DirDL, obs.LayerBus,
+				"radio miss → requeue", core.Radio, target, ready.Sub(target))
+			s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeRadioMiss,
+				Time: ready, Ref: target, Arg: int64(ready.Sub(target))})
+			s.gnbRLC.Enqueue(rlcQueued(p)) // keeps original EnqueuedAt
+		}
+	}
+	s.freeTB(tb)
+}
+
+// transmitDL encodes the block's packets down the gNB stack into one
+// transport block and puts it on air. Packets that fail to encode are lost
+// and leave the block.
+func (s *System) transmitDL(tb *dlTB) {
+	target := tb.target
 	sym := s.cfg.Grid.Mu.SymbolDuration()
 	ctrl := 2 * sym
-	var rlcPDUs [][]byte
-	var ids []int
+	// Each Segment reuses the RLC entity's scratch, so the block's PDUs are
+	// copied out, back to back, before the next packet is segmented.
+	enc, pdus := s.dlEnc[:0], s.dlPDUs[:0]
 	tbBytes := 0
-	for _, q := range taken {
-		p := s.dlItems[q.ID]
+	ids := tb.ids[:0] // filtered in place: the packets that made it in
+	for _, id := range tb.ids {
+		p := s.dlItems[id]
 		if p == nil {
 			continue
 		}
@@ -491,28 +628,39 @@ func (s *System) transmitDL(target sim.Time, taken []rlcQ) {
 			s.finishDL(p, target, false)
 			continue
 		}
-		rlcPDUs = append(rlcPDUs, segs...)
 		for _, seg := range segs {
+			start := len(enc)
+			enc = append(enc, seg...)
+			// A view into an array enc later outgrows still holds its PDU.
+			pdus = append(pdus, enc[start:len(enc):len(enc)])
 			tbBytes += len(seg) + 3
 		}
-		ids = append(ids, q.ID)
+		ids = append(ids, id)
+		tb.segs = append(tb.segs, len(segs))
 	}
-	if len(rlcPDUs) == 0 {
+	tb.ids = ids
+	s.dlEnc = enc
+	if len(pdus) == 0 {
+		s.freeTB(tb)
 		return
 	}
-	tb, err := s.gnbMAC.BuildTB(rlcPDUs, tbBytes)
+	block, err := s.gnbMAC.BuildTB(pdus, tbBytes)
+	clear(pdus) // keep no reference to arrays enc outgrew
+	s.dlPDUs = pdus[:0]
 	if err != nil {
 		for _, id := range ids {
 			s.finishDL(s.dlItems[id], target, false)
 		}
+		s.freeTB(tb)
 		return
 	}
-	air, err := s.phyDL.AirTime(len(tb), s.cfg.PRBs, sym)
+	air, err := s.phyDL.AirTime(len(block), s.cfg.PRBs, sym)
 	if err != nil {
 		air = sym
 	}
-	onAirEnd := target.Add(ctrl + air)
-	rx, txErr := s.phyDL.Transmit(tb, target)
+	tb.onAir = target.Add(ctrl + air)
+	rx, txErr := s.phyDL.Transmit(block, target)
+	tb.rx, tb.lost = rx, txErr != nil
 	for _, id := range ids {
 		if p := s.dlItems[id]; p != nil {
 			s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeTxStart,
@@ -520,107 +668,150 @@ func (s *System) transmitDL(target sim.Time, taken []rlcQ) {
 		}
 	}
 	s.harqLaunch(1)
-	s.Eng.Schedule(onAirEnd, "dl.rx", func() {
-		s.harqResolve(1)
-		if txErr != nil {
-			s.counters.PHYLosses++
-			s.h.crcFailures.Inc()
-			for _, id := range ids {
-				if p := s.dlItems[id]; p != nil {
-					s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeCRCFail,
-						Time: onAirEnd, Arg: int64(p.attempts + 1)})
-				}
-			}
-			// When the feedback loop is modelled, the gNB learns of the
-			// failure only after the UE's NACK travels back: UE decode,
-			// next UL opportunity, one symbol of PUCCH, radio up, gNB PHY.
-			requeueAt := onAirEnd
-			if s.cfg.HARQFeedback {
-				decode := s.sampleUE(proc.LayerPHY)
-				nackStart, ok := s.cfg.ULGrid.NextKindStart(onAirEnd.Add(decode), nr.SymUL)
-				if ok {
-					nackEnd := nackStart.Add(s.cfg.ULGrid.Mu.SymbolDuration())
-					var radioD sim.Duration
-					if s.cfg.GNBRadio != nil {
-						radioD = s.cfg.GNBRadio.RxLatency(s.cfg.Grid.Mu, s.rng)
-					}
-					requeueAt = nackEnd.Add(radioD + s.sampleGNB(proc.LayerPHY))
-				}
-			}
-			s.Eng.Schedule(requeueAt, "dl.harq", func() {
-				for _, id := range ids {
-					p := s.dlItems[id]
-					if p == nil {
-						continue
-					}
-					p.attempts++
-					if p.attempts >= s.cfg.HARQMaxTx {
-						s.finishDL(p, requeueAt, false)
-					} else {
-						s.h.harqRetx.Inc()
-						s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeHARQRetx,
-							Time: requeueAt, Arg: int64(p.attempts + 1)})
-						s.seg(&p.by, p.id, obs.DirDL, obs.LayerMAC,
-							"HARQ retransmission", core.Protocol, target, requeueAt.Sub(target))
-						s.gnbRLC.Enqueue(rlcQueued(p))
-					}
-				}
-			})
-			return
-		}
-		for _, id := range ids {
+	tb.schedule(tb.onAir, tbRx)
+}
+
+// dlReceived resolves the block at the end of its reception: a loss goes to
+// HARQ (after the NACK's round trip when the feedback loop is modelled),
+// anything else up the UE stack.
+func (s *System) dlReceived(tb *dlTB) {
+	onAirEnd, target := tb.onAir, tb.target
+	s.harqResolve(1)
+	if tb.lost {
+		s.counters.PHYLosses++
+		s.h.crcFailures.Inc()
+		for _, id := range tb.ids {
 			if p := s.dlItems[id]; p != nil {
-				s.seg(&p.by, p.id, obs.DirDL, obs.LayerAir,
-					"⑩ DL data on air", core.Protocol, target, onAirEnd.Sub(target))
+				s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeCRCFail,
+					Time: onAirEnd, Arg: int64(p.attempts + 1)})
 			}
 		}
-		s.ueReceiveDL(onAirEnd, rx, ids)
-	})
+		// When the feedback loop is modelled, the gNB learns of the
+		// failure only after the UE's NACK travels back: UE decode,
+		// next UL opportunity, one symbol of PUCCH, radio up, gNB PHY.
+		requeueAt := onAirEnd
+		if s.cfg.HARQFeedback {
+			decode := s.sampleUE(proc.LayerPHY)
+			nackStart, ok := s.cfg.ULGrid.NextKindStart(onAirEnd.Add(decode), nr.SymUL)
+			if ok {
+				nackEnd := nackStart.Add(s.cfg.ULGrid.Mu.SymbolDuration())
+				var radioD sim.Duration
+				if s.cfg.GNBRadio != nil {
+					radioD = s.cfg.GNBRadio.RxLatency(s.cfg.Grid.Mu, s.rng)
+				}
+				requeueAt = nackEnd.Add(radioD + s.sampleGNB(proc.LayerPHY))
+			}
+		}
+		tb.schedule(requeueAt, tbHARQ)
+		return
+	}
+	for _, id := range tb.ids {
+		if p := s.dlItems[id]; p != nil {
+			s.seg(&p.by, p.id, obs.DirDL, obs.LayerAir,
+				"⑩ DL data on air", core.Protocol, target, onAirEnd.Sub(target))
+		}
+	}
+	s.ueReceiveDL(tb)
+}
+
+// dlRetransmit requeues a lost block's packets for HARQ retransmission, or
+// gives up on those out of attempts.
+func (s *System) dlRetransmit(tb *dlTB) {
+	requeueAt, target := s.Eng.Now(), tb.target
+	for _, id := range tb.ids {
+		p := s.dlItems[id]
+		if p == nil {
+			continue
+		}
+		p.attempts++
+		if p.attempts >= s.cfg.HARQMaxTx {
+			s.finishDL(p, requeueAt, false)
+		} else {
+			s.h.harqRetx.Inc()
+			s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeHARQRetx,
+				Time: requeueAt, Arg: int64(p.attempts + 1)})
+			s.seg(&p.by, p.id, obs.DirDL, obs.LayerMAC,
+				"HARQ retransmission", core.Protocol, target, requeueAt.Sub(target))
+			s.gnbRLC.Enqueue(rlcQueued(p))
+		}
+	}
+	s.freeTB(tb)
 }
 
 // ueReceiveDL runs the UE receive chain (⑪ PHY↑…APP↑).
-func (s *System) ueReceiveDL(at sim.Time, tb []byte, ids []int) {
-	d := s.sampleUE(proc.LayerPHY) + s.sampleUE(proc.LayerMAC) +
+func (s *System) ueReceiveDL(tb *dlTB) {
+	tb.procD = s.sampleUE(proc.LayerPHY) + s.sampleUE(proc.LayerMAC) +
 		s.sampleUE(proc.LayerRLC) + s.sampleUE(proc.LayerPDCP) + s.sampleUE(proc.LayerSDAP)
-	done := at.Add(d)
-	s.Eng.Schedule(done, "dl.ue.up", func() {
-		payloads, err := s.ueMACRx.ParseTB(tb)
-		if err != nil {
-			for _, id := range ids {
-				s.finishDL(s.dlItems[id], done, false)
-			}
-			return
+	tb.schedule(tb.onAir.Add(tb.procD), tbUEUp)
+}
+
+// dlDeliver decodes the received block up the UE stack and resolves each of
+// its packets: delivered when its own bytes come out of SDAP, lost
+// otherwise.
+func (s *System) dlDeliver(tb *dlTB) {
+	done := s.Eng.Now()
+	ok := s.dlDecode(tb)
+	s.phyDL.Release(tb.rx)
+	for i, id := range tb.ids {
+		p := s.dlItems[id]
+		if p == nil {
+			continue
 		}
-		var delivered [][]byte
-		for _, pl := range payloads {
-			sdu, err := s.ueRLCRx.Receive(pl)
+		if ok != nil {
+			s.seg(&p.by, p.id, obs.DirDL, obs.LayerStack, "⑪ UE PHY↑…APP↑", core.Processing, tb.onAir, tb.procD)
+		}
+		s.finishDL(p, done, ok != nil && ok[i])
+	}
+	s.freeTB(tb)
+}
+
+// dlDecode runs the received block through MAC↑…SDAP↑ and reports, per
+// packet of the block, whether that packet's own bytes came out. A packet
+// whose PDUs are dropped anywhere on the way gets false, so a drop never
+// shifts a later SDU onto another packet. It returns nil when the block
+// does not parse at all. The verdicts are System scratch, valid until the
+// next call.
+func (s *System) dlDecode(tb *dlTB) []bool {
+	payloads, err := s.ueMACRx.ParseTB(tb.rx)
+	if err != nil {
+		return nil
+	}
+	ok := s.dlOK[:0]
+	next := 0 // payloads consumed
+	for i, id := range tb.ids {
+		var sdu []byte
+		dropped := false
+		for range tb.segs[i] {
+			if next == len(payloads) {
+				dropped = true
+				break
+			}
+			out, err := s.ueRLCRx.Receive(payloads[next])
+			next++
 			if err != nil {
 				s.h.rlcRxDrops.Inc()
+				dropped = true
 				continue
 			}
-			if sdu == nil {
-				continue
+			if out != nil {
+				sdu = out
 			}
-			plain, err := s.uePDCPRx.Unprotect(sdu)
-			if err != nil {
-				continue
-			}
-			app, err := s.ueSDAPRx.Decap(plain)
-			if err != nil {
-				continue
-			}
-			delivered = append(delivered, app)
 		}
-		for i, id := range ids {
-			p := s.dlItems[id]
-			if p == nil {
-				continue
+		delivered := false
+		if !dropped && sdu != nil {
+			// Unprotect and Decap reuse scratch, so the comparison happens
+			// before the next packet's SDU is decoded.
+			if plain, err := s.uePDCPRx.Unprotect(sdu); err == nil {
+				if app, err := s.ueSDAPRx.Decap(plain); err == nil {
+					p := s.dlItems[id]
+					delivered = p != nil && bytes.Equal(app, p.data)
+				}
 			}
-			ok := i < len(delivered) && len(delivered[i]) == len(p.data)
-			s.seg(&p.by, p.id, obs.DirDL, obs.LayerStack, "⑪ UE PHY↑…APP↑", core.Processing, at, d)
-			s.finishDL(p, done, ok)
 		}
-	})
+		ok = append(ok, delivered)
+	}
+	s.dlOK = ok
+	return ok
 }
 
 func (s *System) finishDL(p *dlPacket, at sim.Time, ok bool) {
@@ -636,7 +827,7 @@ func (s *System) finishDL(p *dlPacket, at sim.Time, ok bool) {
 	} else {
 		s.h.lost.Inc()
 	}
-	s.results = append(s.results, Result{
+	s.record(Result{
 		ID: p.id, Uplink: false, Delivered: ok,
 		Latency: lat, BySource: p.by, Attempts: p.attempts + 1,
 	})

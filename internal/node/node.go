@@ -216,7 +216,8 @@ type System struct {
 	// unit) so collisions resolve in-sim: slot start → unit → tx count.
 	// Only populated when Config.CGUnits > 0; entries for ended slots are
 	// swept lazily on registration.
-	cgReg map[sim.Time]map[int]int
+	cgReg  map[sim.Time]map[int]int
+	cgFree []map[int]int // swept unit maps, reused by cgRegister
 	// cgRNGs drive each UE's unit pick and collision backoff. Seeded from
 	// (Seed, UE) alone — independent of the main channel/processing stream
 	// and of how many UEs are active.
@@ -235,6 +236,18 @@ type System struct {
 	takeIdx   map[int]int
 	takeBuf   []obs.SlotUETake
 	takeOrder []int
+
+	// The gNB ticker: the boundary of the one pending scheduling instant
+	// and its handler, bound once.
+	tickAt   sim.Time
+	tickFire func()
+
+	// DL data-plane workspaces: pooled transport-block contexts, and
+	// transmitDL's and dlDecode's per-block scratch.
+	tbFree []*dlTB
+	dlEnc  []byte
+	dlPDUs [][]byte
+	dlOK   []bool
 	// harqActive counts transport blocks launched on air and not yet
 	// resolved (the in-flight HARQ process gauge).
 	harqActive int
@@ -249,6 +262,8 @@ type System struct {
 }
 
 type dlPacket struct {
+	s        *System
+	fire     func() // p.step, bound once
 	id       int
 	ue       int    // logical UE this packet belongs to (attribution only)
 	data     []byte // application bytes
@@ -257,6 +272,7 @@ type dlPacket struct {
 	attempts int
 	by       core.Tally // journey time per latency source, folded by seg
 	done     bool       // finishDL ran: later resolutions are ignored
+	next     dlStep     // the pending event, until the packet is queued
 }
 
 // NewSystem builds a system from the config.
@@ -349,6 +365,7 @@ func NewSystem(cfg Config) (*System, error) {
 	for _, l := range []string{"SDAP", "PDCP", "RLC", "RLC-q", "MAC", "PHY"} {
 		s.layerStats[l] = &metrics.Accumulator{}
 	}
+	s.tickFire = s.onTick
 	s.scheduleTick(s.cfg.Grid.NextSchedBoundary(-1))
 	return s, nil
 }

@@ -36,7 +36,7 @@ func (s *System) OfferPing(at sim.Time, size int, turnaround sim.Duration) int {
 	s.pings = append(s.pings, ctx)
 
 	req := pdu.Echo{ID: uint16(id), Seq: 1, SentNs: int64(at), Size: size}
-	payload, err := req.Encode()
+	payload, err := req.Append(nil)
 	if err != nil {
 		return -1
 	}
@@ -88,7 +88,7 @@ func (s *System) onULDelivered(ulID int, at sim.Time, ok bool) {
 	}
 	ctx.ulDone = at
 	reply := pdu.Echo{ID: uint16(ctx.id), Seq: 1, SentNs: int64(ctx.sentAt), Reply: true, Size: 13}
-	payload, err := reply.Encode()
+	payload, err := reply.Append(nil)
 	if err != nil {
 		return
 	}

@@ -14,8 +14,30 @@ import (
 // ulKind is the symbol kind SRs and UL data need.
 const ulKind = nr.SymUL
 
+// ulStep is the next engine event of a UL packet's journey. A packet has at
+// most one event pending, so one field names it, and the packet's handler,
+// bound once when it is offered, dispatches on it.
+type ulStep uint8
+
+const (
+	ulOffer   ulStep = iota // arrival: UE stack processing starts
+	ulReady                 // data in the UE RLC queue: SR or configured grant
+	ulSRRecv                // the gNB decoded the packet's SR
+	ulGrant                 // the UE decoded the packet's grant
+	ulRx                    // the TB's reception at the gNB ends
+	ulDeliver               // gNB stack and core done: the packet is at the UPF
+)
+
+// ulStepName is each step's engine event name.
+var ulStepName = [...]string{
+	ulOffer: "ul.offer", ulReady: "ul.ready", ulSRRecv: "ul.sr.recv",
+	ulGrant: "ul.grant", ulRx: "ul.rx", ulDeliver: "ul.deliver",
+}
+
 // ulPacket tracks one UL packet through SR/grant/transmission.
 type ulPacket struct {
+	s        *System
+	fire     func() // p.step, bound once
 	id       int
 	ue       int // logical UE this packet belongs to (attribution only)
 	data     []byte
@@ -25,12 +47,61 @@ type ulPacket struct {
 	attempts int
 	by       core.Tally // journey time per latency source, folded by seg
 	done     bool       // finishUL ran: later resolutions are ignored
+	next     ulStep     // the pending event
+	lost     bool       // the PHY lost the TB in flight
 
 	// cgSlot/cgUnit pin the current grant-free transmission to its shared
 	// contention unit (Config.CGUnits > 0). cgUnit is −1 whenever no
 	// contended transmission is in flight.
 	cgSlot sim.Time
 	cgUnit int
+
+	// The transmission in flight: the granted slot (from ulGrant), the
+	// start of the UL data region (it ends when ulRx fires), and the
+	// received TB (unless lost), owned until ulDeliver releases it.
+	slot    sim.Time
+	ulStart sim.Time
+	rx      []byte
+}
+
+// schedule arms the packet's next step at the given instant.
+func (p *ulPacket) schedule(at sim.Time, next ulStep) {
+	p.next = next
+	p.s.Eng.Schedule(at, ulStepName[next], p.fire)
+}
+
+// step runs the packet's pending event. Each case's instant is the engine's
+// clock, the time the step was scheduled for.
+func (p *ulPacket) step() {
+	s := p.s
+	switch p.next {
+	case ulOffer:
+		// ① UE APP↓: SDAP/PDCP/RLC processing before the MAC can act.
+		d := s.sampleUE(proc.LayerSDAP) + s.sampleUE(proc.LayerPDCP) + s.sampleUE(proc.LayerRLC)
+		s.seg(&p.by, p.id, obs.DirUL, obs.LayerStack, "① UE APP↓", core.Processing, p.offered, d)
+		p.ready = p.offered.Add(d)
+		p.schedule(p.ready, ulReady)
+	case ulReady:
+		if s.cfg.GrantFree {
+			s.ulTransmitOnGrantFree(p)
+		} else {
+			s.ulSendSR(p)
+		}
+	case ulSRRecv:
+		p.srRecvAt = s.Eng.Now()
+		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeSRReceived, Time: p.srRecvAt})
+		s.sch.OnSR(sched.SRRequest{UE: p.ue, RecvAt: p.srRecvAt, Bytes: len(p.data) + 64})
+		s.pendingSRPackets = append(s.pendingSRPackets, p)
+	case ulGrant:
+		haveGrant := s.Eng.Now()
+		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeGrantDecoded,
+			Time: haveGrant, Ref: p.slot})
+		s.ulTransmitAt(p, p.slot, haveGrant)
+	case ulRx:
+		s.ulReceived(p)
+	case ulDeliver:
+		s.ulDeliver(p)
+	}
 }
 
 // OfferUL injects one UL application packet at the UE at time at.
@@ -45,20 +116,9 @@ func (s *System) OfferUL(at sim.Time, payload []byte) int {
 func (s *System) OfferULAs(ue int, at sim.Time, payload []byte) int {
 	id := s.nextID
 	s.nextID++
-	p := &ulPacket{id: id, ue: ue, data: payload, offered: at, cgUnit: -1}
-	s.Eng.Schedule(at, "ul.offer", func() {
-		// ① UE APP↓: SDAP/PDCP/RLC processing before the MAC can act.
-		d := s.sampleUE(proc.LayerSDAP) + s.sampleUE(proc.LayerPDCP) + s.sampleUE(proc.LayerRLC)
-		s.seg(&p.by, p.id, obs.DirUL, obs.LayerStack, "① UE APP↓", core.Processing, at, d)
-		p.ready = at.Add(d)
-		s.Eng.Schedule(p.ready, "ul.ready", func() {
-			if s.cfg.GrantFree {
-				s.ulTransmitOnGrantFree(p)
-			} else {
-				s.ulSendSR(p)
-			}
-		})
-	})
+	p := &ulPacket{s: s, id: id, ue: ue, data: payload, offered: at, cgUnit: -1}
+	p.fire = p.step
+	p.schedule(at, ulOffer)
 	return id
 }
 
@@ -86,12 +146,7 @@ func (s *System) ulSendSR(p *ulPacket) {
 	recvAt := srEnd.Add(radioD + phyD)
 	s.seg(&p.by, p.id, obs.DirUL, obs.LayerBus, "③ gNB SR decode", core.Radio, srEnd, radioD)
 	s.seg(&p.by, p.id, obs.DirUL, obs.LayerPHY, "③ gNB PHY", core.Processing, srEnd.Add(radioD), phyD)
-	s.Eng.Schedule(recvAt, "ul.sr.recv", func() {
-		p.srRecvAt = recvAt
-		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeSRReceived, Time: recvAt})
-		s.sch.OnSR(sched.SRRequest{UE: p.ue, RecvAt: recvAt, Bytes: len(p.data) + 64})
-		s.pendingSRPackets = append(s.pendingSRPackets, p)
-	})
+	p.schedule(recvAt, ulSRRecv)
 }
 
 // deliverGrant carries an issued grant to the UE on the DL control of slot
@@ -125,11 +180,8 @@ func (s *System) deliverGrant(targetDL sim.Time, g sched.Grant) {
 	decode := s.sampleUE(proc.LayerMAC)
 	haveGrant := ctrlEnd.Add(decode)
 	s.seg(&p.by, p.id, obs.DirUL, obs.LayerMAC, "⑥ UE grant decode", core.Processing, ctrlEnd, decode)
-	s.Eng.Schedule(haveGrant, "ul.grant", func() {
-		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeGrantDecoded,
-			Time: haveGrant, Ref: g.SlotStart})
-		s.ulTransmitAt(p, g.SlotStart, haveGrant)
-	})
+	p.slot = g.SlotStart
+	p.schedule(haveGrant, ulGrant)
 }
 
 // ulTransmitOnGrantFree uses the standing configured grant: the next UL
@@ -168,18 +220,25 @@ func (s *System) cgRNG(ue int) *sim.RNG {
 }
 
 // cgRegister books one grant-free transmission onto (slot, unit) and sweeps
-// bookings of slots that have fully ended.
+// bookings of slots that have fully ended, keeping their unit maps for
+// reuse.
 func (s *System) cgRegister(slot sim.Time, unit int) {
 	now := s.Eng.Now()
 	dur := s.cfg.ULGrid.Mu.SlotDuration()
-	for t := range s.cgReg {
+	for t, m := range s.cgReg {
 		if t.Add(dur) <= now {
 			delete(s.cgReg, t)
+			s.cgFree = append(s.cgFree, m)
 		}
 	}
 	m := s.cgReg[slot]
 	if m == nil {
-		m = map[int]int{}
+		if n := len(s.cgFree); n > 0 {
+			m, s.cgFree = s.cgFree[n-1], s.cgFree[:n-1]
+			clear(m)
+		} else {
+			m = map[int]int{}
+		}
 		s.cgReg[slot] = m
 	}
 	m[unit]++
@@ -274,55 +333,65 @@ func (s *System) ulTransmitAt(p *ulPacket, slotStart, from sim.Time) {
 	s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeTxStart,
 		Time: ulStart, Ref: slotStart, Arg: int64(p.attempts + 1)})
 	s.harqLaunch(1)
-	s.Eng.Schedule(onAirEnd, "ul.rx", func() {
-		s.harqResolve(1)
-		// Shared-grant contention resolves here: every UE that picked this
-		// (slot, unit) registered before the slot started, so the census is
-		// complete by reception time. Two or more → the TB is unrecoverable
-		// for all of them, like a CRC failure.
-		collided := s.cgCollided(p)
-		if collided {
-			s.counters.CGCollisions++
-			s.h.cgCollision.Inc()
+	p.ulStart, p.rx, p.lost = ulStart, rx, txErr != nil
+	p.schedule(onAirEnd, ulRx)
+}
+
+// ulReceived resolves the TB at the end of its reception: a PHY loss or a
+// shared-unit collision retransmits (or gives up), anything else goes up
+// the gNB stack.
+func (s *System) ulReceived(p *ulPacket) {
+	onAirEnd := s.Eng.Now()
+	air := onAirEnd.Sub(p.ulStart)
+	s.harqResolve(1)
+	// Shared-grant contention resolves here: every UE that picked this
+	// (slot, unit) registered before the slot started, so the census is
+	// complete by reception time. Two or more → the TB is unrecoverable
+	// for all of them, like a CRC failure.
+	collided := s.cgCollided(p)
+	if collided {
+		s.counters.CGCollisions++
+		s.h.cgCollision.Inc()
+	}
+	if p.lost || collided {
+		if p.lost {
+			s.counters.PHYLosses++
+			s.h.crcFailures.Inc()
 		}
-		if txErr != nil || collided {
-			if txErr != nil {
-				s.counters.PHYLosses++
-				s.h.crcFailures.Inc()
-			}
-			p.attempts++
-			s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeCRCFail,
-				Time: onAirEnd, Arg: int64(p.attempts)})
-			if p.attempts >= s.cfg.HARQMaxTx {
-				s.finishUL(p, onAirEnd, false)
-				return
-			}
-			// HARQ: retransmit in the next UL opportunity (grant-free) or
-			// after a fresh SR (grant-based). A collision additionally backs
-			// off a random number of UL slots before the retry.
-			s.h.harqRetx.Inc()
-			s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeHARQRetx,
-				Time: onAirEnd, Arg: int64(p.attempts + 1)})
-			s.seg(&p.by, p.id, obs.DirUL, obs.LayerMAC, "HARQ retransmission", core.Protocol, ulStart, air)
-			p.ready = onAirEnd
-			if collided {
-				p.ready = s.cgBackoffReady(p.ue, onAirEnd)
-			}
-			p.cgSlot, p.cgUnit = 0, -1
-			if s.cfg.GrantFree {
-				s.ulTransmitOnGrantFree(p)
-			} else {
-				s.ulSendSR(p)
-			}
+		s.phyUL.Release(p.rx)
+		p.rx = nil
+		p.attempts++
+		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeCRCFail,
+			Time: onAirEnd, Arg: int64(p.attempts)})
+		if p.attempts >= s.cfg.HARQMaxTx {
+			s.finishUL(p, onAirEnd, false)
 			return
 		}
-		s.seg(&p.by, p.id, obs.DirUL, obs.LayerAir, "⑥ UL data on air", core.Protocol, ulStart, air)
-		s.gnbReceiveUL(onAirEnd, rx, p)
-	})
+		// HARQ: retransmit in the next UL opportunity (grant-free) or
+		// after a fresh SR (grant-based). A collision additionally backs
+		// off a random number of UL slots before the retry.
+		s.h.harqRetx.Inc()
+		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeHARQRetx,
+			Time: onAirEnd, Arg: int64(p.attempts + 1)})
+		s.seg(&p.by, p.id, obs.DirUL, obs.LayerMAC, "HARQ retransmission", core.Protocol, p.ulStart, air)
+		p.ready = onAirEnd
+		if collided {
+			p.ready = s.cgBackoffReady(p.ue, onAirEnd)
+		}
+		p.cgSlot, p.cgUnit = 0, -1
+		if s.cfg.GrantFree {
+			s.ulTransmitOnGrantFree(p)
+		} else {
+			s.ulSendSR(p)
+		}
+		return
+	}
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerAir, "⑥ UL data on air", core.Protocol, p.ulStart, air)
+	s.gnbReceiveUL(onAirEnd, p)
 }
 
 // gnbReceiveUL runs ⑦: radio up, PHY decode, MAC↑…SDAP↑, GTP-U to the UPF.
-func (s *System) gnbReceiveUL(at sim.Time, tb []byte, p *ulPacket) {
+func (s *System) gnbReceiveUL(at sim.Time, p *ulPacket) {
 	var radioD sim.Duration
 	if s.cfg.GNBRadio != nil {
 		radioD = s.cfg.GNBRadio.RxLatency(s.cfg.Grid.Mu, s.rng)
@@ -333,45 +402,60 @@ func (s *System) gnbReceiveUL(at sim.Time, tb []byte, p *ulPacket) {
 	s.seg(&p.by, p.id, obs.DirUL, obs.LayerStack, "⑦ gNB PHY↑…SDAP↑", core.Processing, at.Add(radioD), procD)
 	done := at.Add(radioD + procD + s.cfg.CoreLatency)
 	s.seg(&p.by, p.id, obs.DirUL, obs.LayerCore, "gNB→UPF (GTP-U)", core.Processing, at.Add(radioD+procD), s.cfg.CoreLatency)
-	s.Eng.Schedule(done, "ul.deliver", func() {
-		payloads, err := s.gnbMACRx.ParseTB(tb)
+	p.schedule(done, ulDeliver)
+}
+
+// ulDeliver decodes the received TB up the gNB stack and through the
+// tunnel, and delivers the packet if its own bytes come out at the UPF.
+func (s *System) ulDeliver(p *ulPacket) {
+	done := s.Eng.Now()
+	ok := s.ulDecode(p)
+	s.phyUL.Release(p.rx)
+	p.rx = nil
+	s.finishUL(p, done, ok)
+}
+
+// ulDecode runs the received TB through MAC↑…SDAP↑ and the GTP-U tunnel and
+// reports whether the packet's bytes reached the UPF. Every intermediate
+// result aliases an entity's scratch, so each is consumed before the next
+// call to the same entity.
+func (s *System) ulDecode(p *ulPacket) bool {
+	payloads, err := s.gnbMACRx.ParseTB(p.rx)
+	if err != nil {
+		return false
+	}
+	ok := false
+	for _, pl := range payloads {
+		sdu, err := s.gnbRLCRx.Receive(pl)
 		if err != nil {
-			s.finishUL(p, done, false)
-			return
+			s.h.rlcRxDrops.Inc()
+			continue
 		}
-		ok := false
-		for _, pl := range payloads {
-			sdu, err := s.gnbRLCRx.Receive(pl)
-			if err != nil {
-				s.h.rlcRxDrops.Inc()
-				continue
-			}
-			if sdu == nil {
-				continue
-			}
-			plain, err := s.gnbPDCPRx.Unprotect(sdu)
-			if err != nil {
-				continue
-			}
-			app, err := s.gnbSDAPRx.Decap(plain)
-			if err != nil {
-				continue
-			}
-			// Through the tunnel: gNB encapsulates, UPF decapsulates.
-			gtpu, err := s.gnbTun.EncapUL(app)
-			if err != nil {
-				continue
-			}
-			ip, err := s.upf.DecapUL(gtpu)
-			if err != nil {
-				continue
-			}
-			if bytes.Equal(ip, p.data) {
-				ok = true
-			}
+		if sdu == nil {
+			continue
 		}
-		s.finishUL(p, done, ok)
-	})
+		plain, err := s.gnbPDCPRx.Unprotect(sdu)
+		if err != nil {
+			continue
+		}
+		app, err := s.gnbSDAPRx.Decap(plain)
+		if err != nil {
+			continue
+		}
+		// Through the tunnel: gNB encapsulates, UPF decapsulates.
+		gtpu, err := s.gnbTun.EncapUL(app)
+		if err != nil {
+			continue
+		}
+		ip, err := s.upf.DecapUL(gtpu)
+		if err != nil {
+			continue
+		}
+		if bytes.Equal(ip, p.data) {
+			ok = true
+		}
+	}
+	return ok
 }
 
 func (s *System) finishUL(p *ulPacket, at sim.Time, ok bool) {
@@ -386,7 +470,7 @@ func (s *System) finishUL(p *ulPacket, at sim.Time, ok bool) {
 	} else {
 		s.h.lost.Inc()
 	}
-	s.results = append(s.results, Result{
+	s.record(Result{
 		ID: p.id, Uplink: true, Delivered: ok,
 		Latency: lat, BySource: p.by, Attempts: p.attempts + 1,
 	})

@@ -20,18 +20,17 @@ const (
 	gtpuHdrBytes = 8
 )
 
-// Encode renders header + payload.
-func (h GTPUHeader) Encode(payload []byte) ([]byte, error) {
+// Append appends header + payload to dst and returns the extended slice. On
+// error dst is returned as it was.
+func (h GTPUHeader) Append(dst, payload []byte) ([]byte, error) {
 	if len(payload) > 0xFFFF {
-		return nil, fmt.Errorf("pdu: GTP-U payload %dB exceeds 16-bit length", len(payload))
+		return dst, fmt.Errorf("pdu: GTP-U payload %dB exceeds 16-bit length", len(payload))
 	}
-	out := make([]byte, gtpuHdrBytes+len(payload))
-	out[0] = gtpuVersion<<5 | gtpuPTGTP<<4 // version 1, PT=GTP, no E/S/PN
-	out[1] = gtpuMsgTPDU
-	binary.BigEndian.PutUint16(out[2:], uint16(len(payload)))
-	binary.BigEndian.PutUint32(out[4:], h.TEID)
-	copy(out[gtpuHdrBytes:], payload)
-	return out, nil
+	dst = grow(dst, gtpuHdrBytes+len(payload))
+	dst = append(dst, gtpuVersion<<5|gtpuPTGTP<<4, gtpuMsgTPDU) // version 1, PT=GTP, no E/S/PN
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, h.TEID)
+	return append(dst, payload...), nil
 }
 
 // DecodeGTPU parses a G-PDU.
@@ -75,23 +74,26 @@ type Echo struct {
 
 const echoMinBytes = 13
 
-// Encode renders the echo message.
-func (e Echo) Encode() ([]byte, error) {
+// Append appends the encoded echo message to dst and returns the extended
+// slice. On error dst is returned as it was.
+func (e Echo) Append(dst []byte) ([]byte, error) {
 	size := e.Size
 	if size == 0 {
 		size = echoMinBytes
 	}
 	if size < echoMinBytes {
-		return nil, fmt.Errorf("pdu: echo size %d below %d minimum", size, echoMinBytes)
+		return dst, fmt.Errorf("pdu: echo size %d below %d minimum", size, echoMinBytes)
 	}
-	out := make([]byte, size)
+	dst = grow(dst, size)
+	var reply byte
 	if e.Reply {
-		out[0] = 1
+		reply = 1
 	}
-	binary.BigEndian.PutUint16(out[1:], e.ID)
-	binary.BigEndian.PutUint16(out[3:], e.Seq)
-	binary.BigEndian.PutUint64(out[5:], uint64(e.SentNs))
-	return out, nil
+	dst = append(dst, reply)
+	dst = binary.BigEndian.AppendUint16(dst, e.ID)
+	dst = binary.BigEndian.AppendUint16(dst, e.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(e.SentNs))
+	return append(dst, make([]byte, size-echoMinBytes)...), nil
 }
 
 // DecodeEcho parses an echo message.

@@ -39,26 +39,34 @@ func (s MACSubPDU) EncodedSize() int {
 	return 3 + len(s.Payload)
 }
 
-// EncodeMACPDU renders a MAC PDU of subPDUs, padding with an explicit
-// padding subPDU up to tbBytes when tbBytes > 0.
-func EncodeMACPDU(subs []MACSubPDU, tbBytes int) ([]byte, error) {
-	w := bits.NewWriterSize(max(tbBytes, 0))
+// AppendMACPDU appends a MAC PDU of subPDUs to dst, padding with an explicit
+// padding subPDU up to tbBytes when tbBytes > 0, and returns the extended
+// slice. On error dst is returned as it was.
+func AppendMACPDU(dst []byte, subs []MACSubPDU, tbBytes int) ([]byte, error) {
 	used := 0
 	for _, s := range subs {
 		if s.LCID == LCIDPadding {
-			return nil, fmt.Errorf("pdu: explicit padding subPDU not allowed in input")
+			return dst, fmt.Errorf("pdu: explicit padding subPDU not allowed in input")
 		}
 		if s.LCID > LCIDMaxDRB && s.LCID != LCIDShortBSR && s.LCID != LCIDCCCH {
-			return nil, fmt.Errorf("pdu: unsupported LCID %d", s.LCID)
+			return dst, fmt.Errorf("pdu: unsupported LCID %d", s.LCID)
 		}
 		if s.LCID == LCIDShortBSR && len(s.Payload) != 1 {
-			return nil, fmt.Errorf("pdu: short BSR payload must be 1 byte")
+			return dst, fmt.Errorf("pdu: short BSR payload must be 1 byte")
 		}
+		if s.hasLength() && len(s.Payload) > math.MaxUint16 {
+			return dst, fmt.Errorf("pdu: subPDU payload %dB exceeds 16-bit L", len(s.Payload))
+		}
+		used += s.EncodedSize()
+	}
+	if tbBytes > 0 && used > tbBytes {
+		return dst, fmt.Errorf("pdu: subPDUs need %dB, transport block holds %d", used, tbBytes)
+	}
+	var w bits.Writer
+	w.Reset(grow(dst, max(tbBytes, used)))
+	for _, s := range subs {
 		w.WriteBit(0) // R
 		if s.hasLength() {
-			if len(s.Payload) > math.MaxUint16 {
-				return nil, fmt.Errorf("pdu: subPDU payload %dB exceeds 16-bit L", len(s.Payload))
-			}
 			long := len(s.Payload) >= 256
 			w.WriteBool(long) // F
 			w.WriteBits(uint64(s.LCID), 6)
@@ -72,24 +80,18 @@ func EncodeMACPDU(subs []MACSubPDU, tbBytes int) ([]byte, error) {
 			w.WriteBits(uint64(s.LCID), 6)
 		}
 		w.WriteBytes(s.Payload)
-		used += s.EncodedSize()
 	}
-	if tbBytes > 0 {
-		if used > tbBytes {
-			return nil, fmt.Errorf("pdu: subPDUs need %dB, transport block holds %d", used, tbBytes)
-		}
-		if pad := tbBytes - used; pad > 0 {
-			w.WriteBits(0, 2)
-			w.WriteBits(uint64(LCIDPadding), 6)
-			w.WriteZeroBytes(pad - 1)
-		}
+	if pad := tbBytes - used; tbBytes > 0 && pad > 0 {
+		w.WriteBits(0, 2)
+		w.WriteBits(uint64(LCIDPadding), 6)
+		w.WriteZeroBytes(pad - 1)
 	}
 	return w.Bytes(), nil
 }
 
-// DecodeMACPDU parses a MAC PDU into subPDUs, dropping padding.
-func DecodeMACPDU(buf []byte) ([]MACSubPDU, error) {
-	var out []MACSubPDU
+// DecodeMACPDU parses a MAC PDU into subPDUs, dropping padding, appends them
+// to dst and returns the extended slice. The payloads alias buf.
+func DecodeMACPDU(dst []MACSubPDU, buf []byte) ([]MACSubPDU, error) {
 	r := bits.NewReader(buf)
 	for r.Remaining() >= 8 {
 		r.ReadBit() // R
@@ -99,13 +101,13 @@ func DecodeMACPDU(buf []byte) ([]MACSubPDU, error) {
 		switch lcid {
 		case LCIDPadding:
 			// Padding consumes the rest of the PDU.
-			return out, nil
+			return dst, nil
 		case LCIDShortBSR:
 			p, err := r.ReadBytes(1)
 			if err != nil {
-				return nil, fmt.Errorf("pdu: truncated short BSR")
+				return dst, fmt.Errorf("pdu: truncated short BSR")
 			}
-			out = append(out, MACSubPDU{LCID: lcid, Payload: p})
+			dst = append(dst, MACSubPDU{LCID: lcid, Payload: p})
 		default:
 			var n uint64
 			var err error
@@ -115,16 +117,16 @@ func DecodeMACPDU(buf []byte) ([]MACSubPDU, error) {
 				n, err = r.ReadBits(8)
 			}
 			if err != nil {
-				return nil, fmt.Errorf("pdu: truncated L field")
+				return dst, fmt.Errorf("pdu: truncated L field")
 			}
 			p, err := r.ReadBytes(int(n))
 			if err != nil {
-				return nil, fmt.Errorf("pdu: subPDU payload truncated (want %dB)", n)
+				return dst, fmt.Errorf("pdu: subPDU payload truncated (want %dB)", n)
 			}
-			out = append(out, MACSubPDU{LCID: lcid, Payload: p})
+			dst = append(dst, MACSubPDU{LCID: lcid, Payload: p})
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // BSR levels: TS 38.321 uses a 5-bit logarithmic buffer-size table. We

@@ -39,18 +39,20 @@ type PDCPDataPDU struct {
 	MACI    []byte // nil, or exactly 4 bytes
 }
 
-// Encode renders the PDU.
-func (p PDCPDataPDU) Encode() ([]byte, error) {
+// Append appends the encoded PDU to dst and returns the extended slice. On
+// error dst is returned as it was.
+func (p PDCPDataPDU) Append(dst []byte) ([]byte, error) {
 	if !p.SNBits.Valid() {
-		return nil, fmt.Errorf("pdu: invalid PDCP SN length %d", p.SNBits)
+		return dst, fmt.Errorf("pdu: invalid PDCP SN length %d", p.SNBits)
 	}
 	if p.SN >= 1<<uint(p.SNBits) {
-		return nil, fmt.Errorf("pdu: PDCP SN %d exceeds %d bits", p.SN, p.SNBits)
+		return dst, fmt.Errorf("pdu: PDCP SN %d exceeds %d bits", p.SN, p.SNBits)
 	}
 	if p.MACI != nil && len(p.MACI) != 4 {
-		return nil, fmt.Errorf("pdu: MAC-I must be 4 bytes, got %d", len(p.MACI))
+		return dst, fmt.Errorf("pdu: MAC-I must be 4 bytes, got %d", len(p.MACI))
 	}
-	w := bits.NewWriterSize(p.SNBits.HeaderBytes() + len(p.Payload) + len(p.MACI))
+	var w bits.Writer
+	w.Reset(grow(dst, p.SNBits.HeaderBytes()+len(p.Payload)+len(p.MACI)))
 	w.WriteBit(1) // D/C = data
 	if p.SNBits == PDCPSN12 {
 		w.WriteBits(0, 3) // R

@@ -11,7 +11,7 @@ func TestSDAPRoundTrip(t *testing.T) {
 	for _, dl := range []bool{false, true} {
 		h := SDAPHeader{DataPDU: true, RDI: dl, RQI: dl, QFI: 9, Downlink: dl}
 		payload := []byte("qos flow nine")
-		enc := h.Encode(payload)
+		enc := h.Append(nil, payload)
 		if len(enc) != 1+len(payload) {
 			t.Fatalf("SDAP adds %d bytes, want 1", len(enc)-len(payload))
 		}
@@ -36,7 +36,7 @@ func TestSDAPRoundTrip(t *testing.T) {
 
 func TestSDAPQFIMasking(t *testing.T) {
 	h := SDAPHeader{QFI: 0xFF} // 6-bit field
-	enc := h.Encode(nil)
+	enc := h.Append(nil, nil)
 	got, _, _ := DecodeSDAP(enc, false)
 	if got.QFI != 0x3F {
 		t.Fatalf("QFI = %d, want masked 63", got.QFI)
@@ -46,7 +46,7 @@ func TestSDAPQFIMasking(t *testing.T) {
 func TestPDCPRoundTrip12And18(t *testing.T) {
 	for _, sn := range []PDCPSNBits{PDCPSN12, PDCPSN18} {
 		p := PDCPDataPDU{SN: 100, SNBits: sn, Payload: []byte("ciphered"), MACI: []byte{1, 2, 3, 4}}
-		enc, err := p.Encode()
+		enc, err := p.Append(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestPDCPRoundTrip12And18(t *testing.T) {
 
 func TestPDCPWithoutMACI(t *testing.T) {
 	p := PDCPDataPDU{SN: 4095, SNBits: PDCPSN12, Payload: []byte{0xAA}}
-	enc, err := p.Encode()
+	enc, err := p.Append(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +76,13 @@ func TestPDCPWithoutMACI(t *testing.T) {
 }
 
 func TestPDCPErrors(t *testing.T) {
-	if _, err := (PDCPDataPDU{SN: 1 << 12, SNBits: PDCPSN12}).Encode(); err == nil {
+	if _, err := (PDCPDataPDU{SN: 1 << 12, SNBits: PDCPSN12}).Append(nil); err == nil {
 		t.Fatal("overflowing SN accepted")
 	}
-	if _, err := (PDCPDataPDU{SN: 1, SNBits: 7}).Encode(); err == nil {
+	if _, err := (PDCPDataPDU{SN: 1, SNBits: 7}).Append(nil); err == nil {
 		t.Fatal("bad SN length accepted")
 	}
-	if _, err := (PDCPDataPDU{SN: 1, SNBits: PDCPSN12, MACI: []byte{1}}).Encode(); err == nil {
+	if _, err := (PDCPDataPDU{SN: 1, SNBits: PDCPSN12, MACI: []byte{1}}).Append(nil); err == nil {
 		t.Fatal("short MAC-I accepted")
 	}
 	if _, err := DecodePDCP([]byte{0x80}, PDCPSN12, false); err == nil {
@@ -95,14 +95,14 @@ func TestPDCPErrors(t *testing.T) {
 }
 
 func TestRLCFullSDU(t *testing.T) {
-	pdus, err := SegmentSDU([]byte("fits"), 5, 100)
+	pdus, err := SegmentSDU(nil, []byte("fits"), 5, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pdus) != 1 || pdus[0].SI != SIFull {
 		t.Fatalf("small SDU segmented: %+v", pdus)
 	}
-	enc, err := pdus[0].Encode()
+	enc, err := pdus[0].Append(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRLCSegmentation(t *testing.T) {
 	for i := range sdu {
 		sdu[i] = byte(i)
 	}
-	pdus, err := SegmentSDU(sdu, 42, 300)
+	pdus, err := SegmentSDU(nil, sdu, 42, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRLCSegmentation(t *testing.T) {
 		t.Fatalf("segment SIs wrong: %v … %v", pdus[0].SI, pdus[len(pdus)-1].SI)
 	}
 	for i, p := range pdus {
-		enc, err := p.Encode()
+		enc, err := p.Append(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestRLCSegmentation(t *testing.T) {
 
 func TestRLCReassembleOutOfOrder(t *testing.T) {
 	sdu := []byte("out of order delivery within one SDU works fine in UM mode")
-	pdus, _ := SegmentSDU(sdu, 1, 20)
+	pdus, _ := SegmentSDU(nil, sdu, 1, 20)
 	perm := []RLCUMPDU{pdus[len(pdus)-1]}
 	perm = append(perm, pdus[:len(pdus)-1]...)
 	got, err := ReassembleSDU(perm)
@@ -165,7 +165,7 @@ func TestRLCReassembleOutOfOrder(t *testing.T) {
 // error, which it drops on.
 func TestRLCReassembleErrors(t *testing.T) {
 	sdu := make([]byte, 100)
-	pdus, _ := SegmentSDU(sdu, 1, 40)
+	pdus, _ := SegmentSDU(nil, sdu, 1, 40)
 	for name, segs := range map[string][]RLCUMPDU{
 		"missing last":   pdus[:len(pdus)-1],
 		"missing first":  pdus[1:],
@@ -187,16 +187,16 @@ func TestRLCReassembleErrors(t *testing.T) {
 }
 
 func TestRLCEncodeErrors(t *testing.T) {
-	if _, err := (RLCUMPDU{SI: SIFull, SN: 64, Payload: []byte{1}}).Encode(); err == nil {
+	if _, err := (RLCUMPDU{SI: SIFull, SN: 64, Payload: []byte{1}}).Append(nil); err == nil {
 		t.Fatal("7-bit SN accepted")
 	}
-	if _, err := (RLCUMPDU{SI: SIFull}).Encode(); err == nil {
+	if _, err := (RLCUMPDU{SI: SIFull}).Append(nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
-	if _, err := SegmentSDU(nil, 0, 100); err == nil {
+	if _, err := SegmentSDU(nil, nil, 0, 100); err == nil {
 		t.Fatal("empty SDU accepted")
 	}
-	if _, err := SegmentSDU([]byte{1, 2}, 0, 3); err == nil {
+	if _, err := SegmentSDU(nil, []byte{1, 2}, 0, 3); err == nil {
 		t.Fatal("tiny maxPDU accepted")
 	}
 	if _, err := DecodeRLCUM([]byte{0}); err == nil {
@@ -210,12 +210,12 @@ func TestPropertyRLCSegmentReassemble(t *testing.T) {
 			return true
 		}
 		maxPDU := int(maxRaw)%200 + 8
-		pdus, err := SegmentSDU(sdu, 7, maxPDU)
+		pdus, err := SegmentSDU(nil, sdu, 7, maxPDU)
 		if err != nil {
 			return false
 		}
 		for _, p := range pdus {
-			enc, err := p.Encode()
+			enc, err := p.Append(nil)
 			if err != nil || len(enc) > maxPDU {
 				return false
 			}
@@ -241,14 +241,14 @@ func TestMACPDURoundTrip(t *testing.T) {
 		{LCID: LCIDShortBSR, Payload: []byte{bsr}},
 		{LCID: 5, Payload: make([]byte, 300)}, // forces 16-bit L
 	}
-	enc, err := EncodeMACPDU(subs, 400)
+	enc, err := AppendMACPDU(nil, subs, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(enc) != 400 {
 		t.Fatalf("padded PDU = %dB, want 400", len(enc))
 	}
-	got, err := DecodeMACPDU(enc)
+	got, err := DecodeMACPDU(nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,33 +266,33 @@ func TestMACPDURoundTrip(t *testing.T) {
 
 func TestMACPDUNoPadding(t *testing.T) {
 	subs := []MACSubPDU{{LCID: 1, Payload: []byte{1, 2, 3}}}
-	enc, err := EncodeMACPDU(subs, 0)
+	enc, err := AppendMACPDU(nil, subs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(enc) != 5 {
 		t.Fatalf("unpadded PDU = %dB, want 5", len(enc))
 	}
-	got, err := DecodeMACPDU(enc)
+	got, err := DecodeMACPDU(nil, enc)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("decode: %v %v", got, err)
 	}
 }
 
 func TestMACPDUErrors(t *testing.T) {
-	if _, err := EncodeMACPDU([]MACSubPDU{{LCID: 1, Payload: make([]byte, 100)}}, 10); err == nil {
+	if _, err := AppendMACPDU(nil, []MACSubPDU{{LCID: 1, Payload: make([]byte, 100)}}, 10); err == nil {
 		t.Fatal("overflow TB accepted")
 	}
-	if _, err := EncodeMACPDU([]MACSubPDU{{LCID: LCIDPadding}}, 0); err == nil {
+	if _, err := AppendMACPDU(nil, []MACSubPDU{{LCID: LCIDPadding}}, 0); err == nil {
 		t.Fatal("explicit padding accepted")
 	}
-	if _, err := EncodeMACPDU([]MACSubPDU{{LCID: 45, Payload: []byte{1}}}, 0); err == nil {
+	if _, err := AppendMACPDU(nil, []MACSubPDU{{LCID: 45, Payload: []byte{1}}}, 0); err == nil {
 		t.Fatal("reserved LCID accepted")
 	}
-	if _, err := EncodeMACPDU([]MACSubPDU{{LCID: LCIDShortBSR, Payload: []byte{1, 2}}}, 0); err == nil {
+	if _, err := AppendMACPDU(nil, []MACSubPDU{{LCID: LCIDShortBSR, Payload: []byte{1, 2}}}, 0); err == nil {
 		t.Fatal("2-byte short BSR accepted")
 	}
-	if _, err := DecodeMACPDU([]byte{0x01, 0xFF}); err == nil {
+	if _, err := DecodeMACPDU(nil, []byte{0x01, 0xFF}); err == nil {
 		t.Fatal("truncated subPDU accepted")
 	}
 }
@@ -330,7 +330,7 @@ func TestBSRUpperBoundProperty(t *testing.T) {
 
 func TestGTPURoundTrip(t *testing.T) {
 	payload := []byte("ip packet toward the data network")
-	enc, err := GTPUHeader{TEID: 0xDEADBEEF}.Encode(payload)
+	enc, err := GTPUHeader{TEID: 0xDEADBEEF}.Append(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,17 +347,17 @@ func TestGTPUErrors(t *testing.T) {
 	if _, _, err := DecodeGTPU([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short GTP-U accepted")
 	}
-	enc, _ := GTPUHeader{TEID: 1}.Encode([]byte{1, 2, 3})
+	enc, _ := GTPUHeader{TEID: 1}.Append(nil, []byte{1, 2, 3})
 	enc[0] = 0x40 // version 2
 	if _, _, err := DecodeGTPU(enc); err == nil {
 		t.Fatal("wrong version accepted")
 	}
-	enc2, _ := GTPUHeader{TEID: 1}.Encode([]byte{1})
+	enc2, _ := GTPUHeader{TEID: 1}.Append(nil, []byte{1})
 	enc2[1] = 0x01 // echo request, not T-PDU
 	if _, _, err := DecodeGTPU(enc2); err == nil {
 		t.Fatal("non-T-PDU accepted")
 	}
-	enc3, _ := GTPUHeader{TEID: 1}.Encode([]byte{1, 2})
+	enc3, _ := GTPUHeader{TEID: 1}.Append(nil, []byte{1, 2})
 	if _, _, err := DecodeGTPU(enc3[:len(enc3)-1]); err == nil {
 		t.Fatal("bad length accepted")
 	}
@@ -365,7 +365,7 @@ func TestGTPUErrors(t *testing.T) {
 
 func TestEchoRoundTrip(t *testing.T) {
 	e := Echo{ID: 7, Seq: 99, SentNs: 123456789, Reply: true, Size: 64}
-	enc, err := e.Encode()
+	enc, err := e.Append(nil)
 	if err != nil || len(enc) != 64 {
 		t.Fatalf("echo encode: %d %v", len(enc), err)
 	}
@@ -373,7 +373,7 @@ func TestEchoRoundTrip(t *testing.T) {
 	if err != nil || got.ID != 7 || got.Seq != 99 || got.SentNs != 123456789 || !got.Reply || got.Size != 64 {
 		t.Fatalf("echo round trip: %+v %v", got, err)
 	}
-	if _, err := (Echo{Size: 5}).Encode(); err == nil {
+	if _, err := (Echo{Size: 5}).Append(nil); err == nil {
 		t.Fatal("undersized echo accepted")
 	}
 	if _, err := DecodeEcho(make([]byte, 4)); err == nil {
@@ -388,25 +388,25 @@ func TestPropertyFullHeaderChain(t *testing.T) {
 		if len(app) == 0 || len(app) > 1000 {
 			return true
 		}
-		sdap := SDAPHeader{DataPDU: true, QFI: 1}.Encode(app)
-		pdcp, err := (PDCPDataPDU{SN: 9, SNBits: PDCPSN12, Payload: sdap}).Encode()
+		sdap := SDAPHeader{DataPDU: true, QFI: 1}.Append(nil, app)
+		pdcp, err := (PDCPDataPDU{SN: 9, SNBits: PDCPSN12, Payload: sdap}).Append(nil)
 		if err != nil {
 			return false
 		}
-		segs, err := SegmentSDU(pdcp, 3, 1<<15)
+		segs, err := SegmentSDU(nil, pdcp, 3, 1<<15)
 		if err != nil || len(segs) != 1 {
 			return false
 		}
-		rlc, err := segs[0].Encode()
+		rlc, err := segs[0].Append(nil)
 		if err != nil {
 			return false
 		}
-		mac, err := EncodeMACPDU([]MACSubPDU{{LCID: 4, Payload: rlc}}, 0)
+		mac, err := AppendMACPDU(nil, []MACSubPDU{{LCID: 4, Payload: rlc}}, 0)
 		if err != nil {
 			return false
 		}
 		// Decode all the way back.
-		subs, err := DecodeMACPDU(mac)
+		subs, err := DecodeMACPDU(nil, mac)
 		if err != nil || len(subs) != 1 {
 			return false
 		}

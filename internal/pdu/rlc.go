@@ -42,15 +42,20 @@ type RLCUMPDU struct {
 	Payload []byte
 }
 
-// Encode renders the PDU.
-func (p RLCUMPDU) Encode() ([]byte, error) {
+// Append appends the encoded PDU to dst and returns the extended slice. On
+// error dst is returned as it was.
+func (p RLCUMPDU) Append(dst []byte) ([]byte, error) {
 	if p.SN >= 64 {
-		return nil, fmt.Errorf("pdu: RLC SN %d exceeds 6 bits", p.SN)
+		return dst, fmt.Errorf("pdu: RLC SN %d exceeds 6 bits", p.SN)
 	}
 	if len(p.Payload) == 0 {
-		return nil, fmt.Errorf("pdu: RLC PDU without payload")
+		return dst, fmt.Errorf("pdu: RLC PDU without payload")
 	}
-	w := bits.NewWriterSize(p.HeaderBytes() + len(p.Payload))
+	if p.SI > SIMiddle {
+		return dst, fmt.Errorf("pdu: invalid SI %d", p.SI)
+	}
+	var w bits.Writer
+	w.Reset(grow(dst, p.HeaderBytes()+len(p.Payload)))
 	w.WriteBits(uint64(p.SI), 2)
 	switch p.SI {
 	case SIFull:
@@ -60,8 +65,6 @@ func (p RLCUMPDU) Encode() ([]byte, error) {
 	case SILast, SIMiddle:
 		w.WriteBits(uint64(p.SN), 6)
 		w.WriteBits(uint64(p.SO), 16)
-	default:
-		return nil, fmt.Errorf("pdu: invalid SI %d", p.SI)
 	}
 	w.WriteBytes(p.Payload)
 	return w.Bytes(), nil
@@ -113,19 +116,19 @@ func DecodeRLCUM(buf []byte) (RLCUMPDU, error) {
 }
 
 // SegmentSDU splits an RLC SDU into UMD PDUs whose encoded size does not
-// exceed maxPDU bytes each. A single PDU (SIFull) is produced when it fits.
-// The SN is stamped on every segment of the SDU.
-func SegmentSDU(sdu []byte, sn byte, maxPDU int) ([]RLCUMPDU, error) {
+// exceed maxPDU bytes each, appends them to dst and returns the extended
+// slice. A single PDU (SIFull) is produced when it fits. The SN is stamped on
+// every segment of the SDU, and the payloads alias sdu.
+func SegmentSDU(dst []RLCUMPDU, sdu []byte, sn byte, maxPDU int) ([]RLCUMPDU, error) {
 	if maxPDU < 4 {
-		return nil, fmt.Errorf("pdu: maxPDU %d too small to ever carry a segment", maxPDU)
+		return dst, fmt.Errorf("pdu: maxPDU %d too small to ever carry a segment", maxPDU)
 	}
 	if len(sdu) == 0 {
-		return nil, fmt.Errorf("pdu: empty RLC SDU")
+		return dst, fmt.Errorf("pdu: empty RLC SDU")
 	}
 	if len(sdu)+1 <= maxPDU {
-		return []RLCUMPDU{{SI: SIFull, Payload: sdu}}, nil
+		return append(dst, RLCUMPDU{SI: SIFull, Payload: sdu}), nil
 	}
-	var out []RLCUMPDU
 	off := 0
 	for off < len(sdu) {
 		var si SegmentInfo
@@ -142,10 +145,10 @@ func SegmentSDU(sdu []byte, sn byte, maxPDU int) ([]RLCUMPDU, error) {
 		if take > len(sdu)-off {
 			take = len(sdu) - off
 		}
-		out = append(out, RLCUMPDU{SI: si, SN: sn, SO: uint16(off), Payload: sdu[off : off+take]})
+		dst = append(dst, RLCUMPDU{SI: si, SN: sn, SO: uint16(off), Payload: sdu[off : off+take]})
 		off += take
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ErrIncompleteSDU marks a reassembly that lacks segments the SDU still

@@ -17,25 +17,26 @@ type RLCAMPDU struct {
 	Payload []byte
 }
 
-// Encode renders the PDU.
-func (p RLCAMPDU) Encode() ([]byte, error) {
+// Append appends the encoded PDU to dst and returns the extended slice. On
+// error dst is returned as it was.
+func (p RLCAMPDU) Append(dst []byte) ([]byte, error) {
 	if p.SN >= 1<<12 {
-		return nil, fmt.Errorf("pdu: AM SN %d exceeds 12 bits", p.SN)
+		return dst, fmt.Errorf("pdu: AM SN %d exceeds 12 bits", p.SN)
 	}
 	if len(p.Payload) == 0 {
-		return nil, fmt.Errorf("pdu: AM PDU without payload")
+		return dst, fmt.Errorf("pdu: AM PDU without payload")
 	}
-	w := bits.NewWriter()
+	if p.SI > SIMiddle {
+		return dst, fmt.Errorf("pdu: invalid SI %d", p.SI)
+	}
+	var w bits.Writer
+	w.Reset(grow(dst, p.HeaderBytes()+len(p.Payload)))
 	w.WriteBit(1) // D/C = data
 	w.WriteBool(p.Poll)
 	w.WriteBits(uint64(p.SI), 2)
 	w.WriteBits(uint64(p.SN), 12)
-	switch p.SI {
-	case SILast, SIMiddle:
+	if p.SI == SILast || p.SI == SIMiddle {
 		w.WriteBits(uint64(p.SO), 16)
-	case SIFull, SIFirst:
-	default:
-		return nil, fmt.Errorf("pdu: invalid SI %d", p.SI)
 	}
 	w.WriteBytes(p.Payload)
 	return w.Bytes(), nil
@@ -89,20 +90,24 @@ type RLCStatus struct {
 	NackSNs []uint16
 }
 
-// Encode renders the STATUS PDU: D/C(1)=0 CPT(3)=0 ACK_SN(12) then, per
-// NACK, E1(1)=1 NACK_SN(12) pad(3); terminated by E1=0 and padding.
-func (s RLCStatus) Encode() ([]byte, error) {
+// Append appends the encoded STATUS PDU to dst and returns the extended
+// slice: D/C(1)=0 CPT(3)=0 ACK_SN(12) then, per NACK, E1(1)=1 NACK_SN(12)
+// pad(3); terminated by E1=0 and padding. On error dst is returned as it was.
+func (s RLCStatus) Append(dst []byte) ([]byte, error) {
 	if s.AckSN >= 1<<12 {
-		return nil, fmt.Errorf("pdu: ACK_SN %d exceeds 12 bits", s.AckSN)
+		return dst, fmt.Errorf("pdu: ACK_SN %d exceeds 12 bits", s.AckSN)
 	}
-	w := bits.NewWriter()
+	for _, n := range s.NackSNs {
+		if n >= 1<<12 {
+			return dst, fmt.Errorf("pdu: NACK_SN %d exceeds 12 bits", n)
+		}
+	}
+	var w bits.Writer
+	w.Reset(grow(dst, 2+2*len(s.NackSNs)+1))
 	w.WriteBit(0)     // D/C = control
 	w.WriteBits(0, 3) // CPT = STATUS
 	w.WriteBits(uint64(s.AckSN), 12)
 	for _, n := range s.NackSNs {
-		if n >= 1<<12 {
-			return nil, fmt.Errorf("pdu: NACK_SN %d exceeds 12 bits", n)
-		}
 		w.WriteBit(1)
 		w.WriteBits(uint64(n), 12)
 		w.WriteBits(0, 3)

@@ -11,6 +11,18 @@ import (
 	"urllcsim/internal/bits"
 )
 
+// grow returns dst with room for n more bytes. When dst has less, it is
+// copied once into a buffer of exactly len(dst)+n, so an encode into nil
+// allocates its output once, at its final size.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	out := make([]byte, len(dst), len(dst)+n)
+	copy(out, dst)
+	return out
+}
+
 // SDAPHeader is the one-octet SDAP header (TS 37.324 §6.2). The DL header
 // carries RDI/RQI + QFI; the UL header carries D/C + R + QFI. Both fit the
 // same struct here.
@@ -24,13 +36,15 @@ type SDAPHeader struct {
 	// QFI is the 6-bit QoS flow identifier.
 	QFI byte
 
-	// Downlink selects which layout Encode produces.
+	// Downlink selects which layout Append produces.
 	Downlink bool
 }
 
-// Encode renders the header octet followed by the payload.
-func (h SDAPHeader) Encode(payload []byte) []byte {
-	w := bits.NewWriterSize(1 + len(payload))
+// Append appends the header octet followed by the payload to dst and
+// returns the extended slice.
+func (h SDAPHeader) Append(dst, payload []byte) []byte {
+	var w bits.Writer
+	w.Reset(grow(dst, 1+len(payload)))
 	if h.Downlink {
 		w.WriteBool(h.RDI)
 		w.WriteBool(h.RQI)

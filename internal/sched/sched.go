@@ -7,8 +7,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"urllcsim/internal/nr"
 	"urllcsim/internal/sim"
@@ -47,7 +48,9 @@ type SRRequest struct {
 	Bytes  int      // buffer estimate (from BSR or configured default)
 }
 
-// Plan is the outcome of one scheduling instant.
+// Plan is the outcome of one scheduling instant. Its slices are the
+// scheduler's scratch, reused by the next Tick: a caller that keeps them
+// longer copies them.
 type Plan struct {
 	Boundary  sim.Time
 	TargetDL  sim.Time // start of the DL slot this instant plans (Never if none)
@@ -129,6 +132,18 @@ type Scheduler struct {
 	// rrLast is the UE served first at the previous round-robin tick; the
 	// next tick's round starts strictly after it.
 	rrLast int
+
+	// Per-tick workspaces, kept across ticks so a steady-state Tick
+	// allocates nothing: the SRs eligible at the boundary, their
+	// round-robin order and per-UE group starts, and the plan's slices
+	// (each DL allocation keeps its ItemIDs array for reuse).
+	eligible []SRRequest
+	rrOut    []SRRequest
+	rrGroups []int
+	grants   []Grant
+	allocs   []Alloc
+	allocAt  map[int]int // UE → index in allocs, this tick
+	planned  []int
 }
 
 // New returns a scheduler.
@@ -151,7 +166,7 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.GrantHorizonSlots <= 0 {
 		cfg.GrantHorizonSlots = 64
 	}
-	return &Scheduler{cfg: cfg, grantedUL: map[sim.Time]int{}, rrLast: -1}, nil
+	return &Scheduler{cfg: cfg, grantedUL: map[sim.Time]int{}, rrLast: -1, allocAt: map[int]int{}}, nil
 }
 
 // OnSR records a decoded scheduling request.
@@ -205,7 +220,7 @@ func (s *Scheduler) nextULSlot(t sim.Time) (sim.Time, bool) {
 // Tick runs the scheduling instant at boundary b: it plans the DL slot
 // b + margin, issues UL grants for pending SRs, and selects DL queue items.
 // dlQueue is consumed FIFO per the planned capacity; the caller removes the
-// returned DLPlanned IDs.
+// returned DLPlanned IDs. The plan's slices are valid until the next Tick.
 func (s *Scheduler) Tick(b sim.Time, dlQueue []DLItem) Plan {
 	plan := Plan{Boundary: b, TargetDL: sim.Never}
 	target := b.Add(sim.Duration(s.cfg.MarginSlots) * s.slotDur())
@@ -215,31 +230,40 @@ func (s *Scheduler) Tick(b sim.Time, dlQueue []DLItem) Plan {
 		plan.TargetDL = target
 		plan.DLCapBytes = s.cfg.DLSlotBytes
 		remaining := s.cfg.DLSlotBytes
-		perUE := map[int]*Alloc{}
-		var ueOrder []int
+		// One allocation per UE, in order of first appearance.
+		clear(s.allocAt)
+		allocs, planned := s.allocs[:0], s.planned[:0]
 		for _, item := range dlQueue {
 			if item.Bytes > remaining {
 				break // FIFO: do not reorder past a blocked head-of-line item
 			}
 			remaining -= item.Bytes
-			a, ok := perUE[item.UE]
+			i, ok := s.allocAt[item.UE]
 			if !ok {
-				a = &Alloc{UE: item.UE, SlotStart: target}
-				perUE[item.UE] = a
-				ueOrder = append(ueOrder, item.UE)
+				i = len(allocs)
+				s.allocAt[item.UE] = i
+				if i < cap(allocs) {
+					allocs = allocs[:i+1] // reuse the entry and its ItemIDs array
+					allocs[i] = Alloc{UE: item.UE, SlotStart: target, ItemIDs: allocs[i].ItemIDs[:0]}
+				} else {
+					allocs = append(allocs, Alloc{UE: item.UE, SlotStart: target})
+				}
 			}
+			a := &allocs[i]
 			a.Bytes += item.Bytes
 			a.ItemIDs = append(a.ItemIDs, item.ID)
-			plan.DLPlanned = append(plan.DLPlanned, item.ID)
+			planned = append(planned, item.ID)
 		}
-		for _, ue := range ueOrder {
-			plan.DLAllocs = append(plan.DLAllocs, *perUE[ue])
-		}
+		s.allocs, s.planned = allocs, planned
+		plan.DLAllocs, plan.DLPlanned = allocs, planned
 		plan.DLUsedBytes = s.cfg.DLSlotBytes - remaining
 
 		// --- UL grants ride the DL control of the same planned slot ---
 		earliestUL := target.Add(sim.Duration(1+s.cfg.K2Slots) * s.slotDur())
-		var still, eligible []SRRequest
+		// Split the pending SRs: those decoded after this boundary stay,
+		// compacted in place; the eligible ones compete below, and the
+		// deferred and split ones rejoin the pending list after them.
+		still, eligible := s.pendingSR[:0], s.eligible[:0]
 		for _, sr := range s.pendingSR {
 			if sr.RecvAt > b {
 				still = append(still, sr) // decoded after this boundary
@@ -247,9 +271,11 @@ func (s *Scheduler) Tick(b sim.Time, dlQueue []DLItem) Plan {
 			}
 			eligible = append(eligible, sr)
 		}
+		s.eligible = eligible
 		if s.cfg.Fairness == FairRoundRobin {
 			eligible = s.rrOrder(eligible)
 		}
+		plan.ULGrants = s.grants[:0]
 		for _, sr := range eligible {
 			g, rem, ok := s.placeUL(sr, earliestUL)
 			if !ok {
@@ -271,7 +297,7 @@ func (s *Scheduler) Tick(b sim.Time, dlQueue []DLItem) Plan {
 		if s.cfg.Fairness == FairRoundRobin && len(plan.ULGrants) > 0 {
 			s.rrLast = plan.ULGrants[0].UE
 		}
-		s.pendingSR = still
+		s.pendingSR, s.grants = still, plan.ULGrants
 	} else {
 		// No DL-capable slot means no PDCCH for grants either: every SR that
 		// was eligible at this boundary waits out the tick.
@@ -341,36 +367,41 @@ func (s *Scheduler) placeUL(sr SRRequest, earliestUL sim.Time) (g Grant, rem SRR
 
 // rrOrder reorders eligible SRs for round-robin fairness: one SR per UE per
 // round (FIFO within a UE), UEs ascending, each tick's round starting with
-// the first UE strictly after the one that opened the previous round.
+// the first UE strictly after the one that opened the previous round. It
+// sorts srs in place and returns the order in scheduler scratch.
 func (s *Scheduler) rrOrder(srs []SRRequest) []SRRequest {
 	if len(srs) < 2 {
 		return srs
 	}
-	perUE := map[int][]SRRequest{}
-	var ues []int
-	for _, sr := range srs {
-		if _, seen := perUE[sr.UE]; !seen {
-			ues = append(ues, sr.UE)
+	// A stable sort keeps each UE's SRs in arrival order; groups[g] is where
+	// the g-th UE's run starts, and the last entry closes the final run.
+	slices.SortStableFunc(srs, func(a, b SRRequest) int { return cmp.Compare(a.UE, b.UE) })
+	groups := s.rrGroups[:0]
+	for i, sr := range srs {
+		if i == 0 || sr.UE != srs[i-1].UE {
+			groups = append(groups, i)
 		}
-		perUE[sr.UE] = append(perUE[sr.UE], sr)
 	}
-	sort.Ints(ues)
+	ues := len(groups)
+	groups = append(groups, len(srs))
+	s.rrGroups = groups
 	start := 0
-	for i, ue := range ues {
-		if ue > s.rrLast {
-			start = i
+	for g := 0; g < ues; g++ {
+		if srs[groups[g]].UE > s.rrLast {
+			start = g
 			break
 		}
 	}
-	out := make([]SRRequest, 0, len(srs))
+	out := s.rrOut[:0]
 	for round := 0; len(out) < len(srs); round++ {
-		for i := 0; i < len(ues); i++ {
-			ue := ues[(start+i)%len(ues)]
-			if q := perUE[ue]; round < len(q) {
-				out = append(out, q[round])
+		for i := 0; i < ues; i++ {
+			g := (start + i) % ues
+			if at := groups[g] + round; at < groups[g+1] {
+				out = append(out, srs[at])
 			}
 		}
 	}
+	s.rrOut = out
 	return out
 }
 

@@ -435,3 +435,37 @@ func TestPlanOccupancyAccounting(t *testing.T) {
 		t.Fatalf("empty queue must leave capacity unused: %+v", plan)
 	}
 }
+
+// A steady-state round-robin Tick allocates nothing: the eligible SRs,
+// their round-robin order and the plan's grants, DL allocations and
+// planned IDs all reuse the scheduler's workspaces across ticks.
+func TestTickZeroAllocs(t *testing.T) {
+	g, err := nr.BuildGrid(nr.CommonConfig{Mu: nr.Mu1, Pattern1: nr.PatternDDDU(nr.Mu1)}, 2, "DDDU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Grid: g, MarginSlots: 1, K2Slots: 1,
+		DLSlotBytes: 5000, ULSlotBytes: 4000, GrantBytes: 200, Fairness: FairRoundRobin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue := []DLItem{{ID: 1, UE: 2, Bytes: 100}, {ID: 2, UE: 1, Bytes: 100}, {ID: 3, UE: 2, Bytes: 100}}
+	period := sim.Duration(4 * slot) // DDDU: the DL-capable boundaries repeat every period
+	b := sim.Time(0)
+	tick := func() {
+		for _, ue := range []int{3, 1, 3, 2} {
+			s.OnSR(SRRequest{UE: ue, RecvAt: b, Bytes: 100})
+		}
+		b = b.Add(period)
+		plan := s.Tick(b, queue)
+		if len(plan.ULGrants) != 4 || len(plan.DLAllocs) != 2 || len(plan.DLPlanned) != 3 {
+			t.Fatalf("plan at %v: %d grants, %d DL allocs, %d planned", b, len(plan.ULGrants), len(plan.DLAllocs), len(plan.DLPlanned))
+		}
+	}
+	for i := 0; i < 10; i++ {
+		tick()
+	}
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Fatalf("steady-state Tick: %v allocs, want 0", n)
+	}
+}

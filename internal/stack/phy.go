@@ -28,6 +28,8 @@ type PHY struct {
 	MCS     modulation.MCS
 	Channel channel.Model
 	rng     *sim.RNG
+
+	free [][]byte // received-block buffers handed back through Release
 }
 
 // NewPHY returns a PHY entity.
@@ -37,7 +39,8 @@ func NewPHY(mode PHYMode, mcs modulation.MCS, ch channel.Model, rng *sim.RNG) *P
 
 // Transmit carries a transport block over the air at time t. It returns the
 // received transport block, or an error when the block is lost (CRC
-// failure / analytic BLER draw).
+// failure / analytic BLER draw). The received block is the receiver's own
+// buffer, never aliasing tb, and stays valid until it is passed to Release.
 func (p *PHY) Transmit(tb []byte, t sim.Time) ([]byte, error) {
 	switch p.Mode {
 	case PHYAnalytic:
@@ -46,13 +49,23 @@ func (p *PHY) Transmit(tb []byte, t sim.Time) ([]byte, error) {
 			return nil, fmt.Errorf("stack: transport block lost (BLER %.2g at %v)", bler, t)
 		}
 		// Deliver a copy: the receiver must never alias the sender's buffer.
-		out := make([]byte, len(tb))
-		copy(out, tb)
-		return out, nil
+		var out []byte
+		if n := len(p.free); n > 0 {
+			out, p.free = p.free[n-1], p.free[:n-1]
+		}
+		return append(out[:0], tb...), nil
 	case PHYFull:
 		return p.transmitFull(tb, t)
 	default:
 		return nil, fmt.Errorf("stack: unknown PHY mode %d", p.Mode)
+	}
+}
+
+// Release hands a block Transmit returned back to the PHY for reuse. The
+// caller must not touch rx afterwards.
+func (p *PHY) Release(rx []byte) {
+	if rx != nil {
+		p.free = append(p.free, rx)
 	}
 }
 

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -74,7 +75,7 @@ func (a *RLCAM) Send(sdu []byte, now sim.Time) ([]byte, error) {
 		SI:      pdu.SIFull,
 		SN:      sn,
 		Payload: cp,
-	}.Encode()
+	}.Append(nil)
 }
 
 // Unacked returns the number of SDUs awaiting acknowledgement.
@@ -107,7 +108,7 @@ func (a *RLCAM) Receive(buf []byte, now sim.Time) (delivered [][]byte, status []
 	}
 	if !a.rxSeen[p.SN] {
 		a.rxSeen[p.SN] = true
-		a.rxPending[p.SN] = p.Payload
+		a.rxPending[p.SN] = bytes.Clone(p.Payload) // buf is the caller's
 	}
 	// In-order delivery from rxNext.
 	for {
@@ -121,7 +122,7 @@ func (a *RLCAM) Receive(buf []byte, now sim.Time) (delivered [][]byte, status []
 	}
 	if p.Poll {
 		st := a.buildStatus()
-		enc, err := st.Encode()
+		enc, err := st.Append(nil)
 		if err != nil {
 			return delivered, nil, nil, err
 		}
@@ -178,7 +179,7 @@ func (a *RLCAM) handleStatus(st pdu.RLCStatus, now sim.Time) ([][]byte, error) {
 				delete(a.retxBuf, sn)
 				continue
 			}
-			enc, err := pdu.RLCAMPDU{Poll: true, SI: pdu.SIFull, SN: sn, Payload: e.sdu}.Encode()
+			enc, err := pdu.RLCAMPDU{Poll: true, SI: pdu.SIFull, SN: sn, Payload: e.sdu}.Append(nil)
 			if err != nil {
 				return nil, err
 			}

@@ -11,7 +11,7 @@ import (
 
 func TestAMPDURoundTrip(t *testing.T) {
 	p := pdu.RLCAMPDU{Poll: true, SI: pdu.SIFull, SN: 4095, Payload: []byte("am data")}
-	enc, err := p.Encode()
+	enc, err := p.Append(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestAMPDURoundTrip(t *testing.T) {
 	}
 	// Segment variants carry SO.
 	seg := pdu.RLCAMPDU{SI: pdu.SIMiddle, SN: 7, SO: 512, Payload: []byte("x")}
-	enc, err = seg.Encode()
+	enc, err = seg.Append(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +32,16 @@ func TestAMPDURoundTrip(t *testing.T) {
 }
 
 func TestAMPDUErrors(t *testing.T) {
-	if _, err := (pdu.RLCAMPDU{SN: 1 << 12, SI: pdu.SIFull, Payload: []byte{1}}).Encode(); err == nil {
+	if _, err := (pdu.RLCAMPDU{SN: 1 << 12, SI: pdu.SIFull, Payload: []byte{1}}).Append(nil); err == nil {
 		t.Fatal("13-bit SN accepted")
 	}
-	if _, err := (pdu.RLCAMPDU{SI: pdu.SIFull}).Encode(); err == nil {
+	if _, err := (pdu.RLCAMPDU{SI: pdu.SIFull}).Append(nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
 	if _, err := pdu.DecodeRLCAM([]byte{0x80}); err == nil {
 		t.Fatal("short PDU accepted")
 	}
-	st, _ := pdu.RLCStatus{AckSN: 5}.Encode()
+	st, _ := pdu.RLCStatus{AckSN: 5}.Append(nil)
 	if _, err := pdu.DecodeRLCAM(st); err == nil {
 		t.Fatal("STATUS accepted as AMD")
 	}
@@ -49,7 +49,7 @@ func TestAMPDUErrors(t *testing.T) {
 
 func TestStatusPDURoundTrip(t *testing.T) {
 	st := pdu.RLCStatus{AckSN: 100, NackSNs: []uint16{7, 42, 99}}
-	enc, err := st.Encode()
+	enc, err := st.Append(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestStatusPDURoundTrip(t *testing.T) {
 	}
 	// Empty NACK list.
 	st2 := pdu.RLCStatus{AckSN: 1}
-	enc2, _ := st2.Encode()
+	enc2, _ := st2.Append(nil)
 	got2, err := pdu.DecodeRLCStatus(enc2)
 	if err != nil || got2.AckSN != 1 || len(got2.NackSNs) != 0 {
 		t.Fatalf("empty status: %+v %v", got2, err)

@@ -8,12 +8,20 @@
 //
 // Timing is deliberately not in this package — the DES (internal/node)
 // charges processing time around these calls using internal/proc profiles.
+//
+// Every entity encodes into scratch it owns and keeps across calls, so a
+// steady-state packet allocates nothing. The bytes and slices a method
+// returns therefore alias that scratch: they are valid until the entity's
+// next call, and a caller that keeps them longer copies them. No method
+// retains its arguments past the call.
 package stack
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"slices"
 
 	"urllcsim/internal/crypto5g"
 	"urllcsim/internal/pdu"
@@ -24,14 +32,17 @@ import (
 type SDAP struct {
 	QFI      byte
 	Downlink bool
+
+	buf []byte // Encap's output
 }
 
-// Encap adds the SDAP header.
+// Encap adds the SDAP header. The result is valid until the next Encap.
 func (s *SDAP) Encap(data []byte) []byte {
-	return pdu.SDAPHeader{DataPDU: true, QFI: s.QFI, Downlink: s.Downlink}.Encode(data)
+	s.buf = pdu.SDAPHeader{DataPDU: true, QFI: s.QFI, Downlink: s.Downlink}.Append(s.buf[:0], data)
+	return s.buf
 }
 
-// Decap strips and validates the SDAP header.
+// Decap strips and validates the SDAP header. The result aliases buf.
 func (s *SDAP) Decap(buf []byte) ([]byte, error) {
 	h, payload, err := pdu.DecodeSDAP(buf, s.Downlink)
 	if err != nil {
@@ -50,7 +61,8 @@ func (s *SDAP) Decap(buf []byte) ([]byte, error) {
 // The first Protect or Unprotect expands CipherKey and IntegKey into keyed
 // contexts that every later call reuses, so the keys are fixed from then
 // on: changing the fields afterwards has no effect. The contexts hold
-// scratch space, so an entity must not be used by two goroutines at once.
+// scratch space, as does the entity itself (Protect's PDU, Unprotect's
+// plaintext), so an entity must not be used by two goroutines at once.
 type PDCP struct {
 	SNBits    pdu.PDCPSNBits
 	Bearer    byte
@@ -63,6 +75,9 @@ type PDCP struct {
 
 	txNext uint32 // next COUNT to assign
 	rxNext uint32 // next expected COUNT
+
+	enc   []byte // Protect's output
+	plain []byte // Unprotect's deciphered output
 }
 
 // keys expands CipherKey and IntegKey on the first call.
@@ -87,6 +102,7 @@ func (p *PDCP) keys() error {
 
 // Protect turns an SDAP PDU into a PDCP Data PDU: assign SN, compute MAC-I
 // over the plaintext, encode, and cipher the payload in the encoded buffer.
+// The result is valid until the entity's next Protect.
 func (p *PDCP) Protect(data []byte) ([]byte, error) {
 	if err := p.keys(); err != nil {
 		return nil, err
@@ -104,10 +120,11 @@ func (p *PDCP) Protect(data []byte) ([]byte, error) {
 		SNBits:  p.SNBits,
 		Payload: data,
 		MACI:    maci,
-	}.Encode()
+	}.Append(p.enc[:0])
 	if err != nil {
 		return nil, err
 	}
+	p.enc = out
 	if p.cipher != nil {
 		payload := out[p.SNBits.HeaderBytes() : len(out)-len(maci)]
 		p.cipher.NEA2(count, p.Bearer, p.Direction, payload, payload)
@@ -117,7 +134,8 @@ func (p *PDCP) Protect(data []byte) ([]byte, error) {
 
 // Unprotect inverts Protect: decode, decipher, verify integrity. The COUNT
 // is reconstructed from the SN against rxNext (window logic simplified to
-// nearest COUNT — sufficient for the in-order UM flows simulated here).
+// nearest COUNT — sufficient for the in-order UM flows simulated here). The
+// result is valid until the entity's next Unprotect.
 func (p *PDCP) Unprotect(buf []byte) ([]byte, error) {
 	if err := p.keys(); err != nil {
 		return nil, err
@@ -129,7 +147,8 @@ func (p *PDCP) Unprotect(buf []byte) ([]byte, error) {
 	count := p.reconstructCount(d.SN)
 	data := d.Payload
 	if p.cipher != nil {
-		data = make([]byte, len(d.Payload))
+		p.plain = slices.Grow(p.plain[:0], len(d.Payload))[:len(d.Payload)]
+		data = p.plain
 		p.cipher.NEA2(count, p.Bearer, p.Direction, data, d.Payload)
 	}
 	if p.integ != nil {
@@ -179,6 +198,12 @@ type RLC struct {
 
 	queue []RLCQueued
 	rx    map[byte][]pdu.RLCUMPDU
+
+	taken []RLCQueued      // DequeueIDs' output
+	want  map[int]struct{} // DequeueIDs' ID set
+	segs  []pdu.RLCUMPDU   // Segment's PDUs before encoding
+	enc   []byte           // Segment's encoded PDUs, back to back
+	out   [][]byte         // Segment's output: views into enc
 }
 
 // RLCQueued is one SDU waiting in the RLC queue.
@@ -190,7 +215,7 @@ type RLCQueued struct {
 
 // NewRLC returns an empty entity.
 func NewRLC() *RLC {
-	return &RLC{rx: map[byte][]pdu.RLCUMPDU{}}
+	return &RLC{rx: map[byte][]pdu.RLCUMPDU{}, want: map[int]struct{}{}}
 }
 
 // Enqueue admits an SDU to the TX queue.
@@ -208,51 +233,60 @@ func (r *RLC) QueuedBytes() int {
 	return n
 }
 
-// Peek returns the queue contents without consuming.
+// Peek returns the queue contents without consuming. The slice is valid
+// until the queue next changes.
 func (r *RLC) Peek() []RLCQueued { return r.queue }
 
 // DequeueIDs removes the SDUs with the given IDs (scheduler-selected) and
-// returns them in queue order.
+// returns them in queue order. The queue is filtered in place, and the
+// result is valid until the next DequeueIDs.
 func (r *RLC) DequeueIDs(ids []int) []RLCQueued {
-	want := map[int]bool{}
+	clear(r.want)
 	for _, id := range ids {
-		want[id] = true
+		r.want[id] = struct{}{}
 	}
-	var taken []RLCQueued
-	var rest []RLCQueued
+	r.taken = r.taken[:0]
+	rest := r.queue[:0]
 	for _, q := range r.queue {
-		if want[q.ID] {
-			taken = append(taken, q)
+		if _, ok := r.want[q.ID]; ok {
+			r.taken = append(r.taken, q)
 		} else {
 			rest = append(rest, q)
 		}
 	}
+	clear(r.queue[len(rest):]) // drop the taken SDUs' bytes from the tail
 	r.queue = rest
-	return taken
+	return r.taken
 }
 
 // Segment encodes an SDU into RLC PDU bytes bounded by maxPDU each,
-// assigning the next SN.
+// assigning the next SN. The PDUs are valid until the next Segment.
 func (r *RLC) Segment(sdu []byte, maxPDU int) ([][]byte, error) {
 	sn := r.sn
 	r.sn = (r.sn + 1) & 0x3F
-	pdus, err := pdu.SegmentSDU(sdu, sn, maxPDU)
+	segs, err := pdu.SegmentSDU(r.segs[:0], sdu, sn, maxPDU)
+	r.segs = segs
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(pdus))
-	for i, p := range pdus {
-		enc, err := p.Encode()
-		if err != nil {
+	enc, out := r.enc[:0], r.out[:0]
+	for _, p := range segs {
+		start := len(enc)
+		if enc, err = p.Append(enc); err != nil {
 			return nil, err
 		}
-		out[i] = enc
+		// A view into an array enc later outgrows still holds its PDU.
+		out = append(out, enc[start:len(enc):len(enc)])
 	}
+	clear(segs) // keep no reference to sdu
+	r.enc, r.out = enc, out
 	return out, nil
 }
 
 // Receive ingests one RLC PDU; when it completes an SDU, the SDU is
-// returned (nil otherwise).
+// returned (nil otherwise). A complete SDU aliases buf; a reassembled one is
+// fresh. Segments kept for reassembly are copied, so buf is free once
+// Receive returns.
 func (r *RLC) Receive(buf []byte) ([]byte, error) {
 	p, err := pdu.DecodeRLCUM(buf)
 	if err != nil {
@@ -261,6 +295,7 @@ func (r *RLC) Receive(buf []byte) ([]byte, error) {
 	if p.SI == pdu.SIFull {
 		return p.Payload, nil
 	}
+	p.Payload = bytes.Clone(p.Payload)
 	r.rx[p.SN] = append(r.rx[p.SN], p)
 	segs := r.rx[p.SN]
 	sdu, err := pdu.ReassembleSDU(segs)
@@ -280,30 +315,45 @@ func (r *RLC) Receive(buf []byte) ([]byte, error) {
 // MAC multiplexes RLC PDUs of one logical channel into transport blocks.
 type MAC struct {
 	LCID byte
+
+	txSubs []pdu.MACSubPDU // BuildTB's subPDUs before encoding
+	tb     []byte          // BuildTB's output
+	rxSubs []pdu.MACSubPDU // ParseTB's decoded subPDUs
+	out    [][]byte        // ParseTB's output
 }
 
 // BuildTB multiplexes payloads into one transport block of exactly tbBytes
-// (padded). Payloads that do not fit are rejected.
+// (padded). Payloads that do not fit are rejected. The block is valid until
+// the next BuildTB; payloads is not retained.
 func (m *MAC) BuildTB(payloads [][]byte, tbBytes int) ([]byte, error) {
-	subs := make([]pdu.MACSubPDU, len(payloads))
-	for i, p := range payloads {
-		subs[i] = pdu.MACSubPDU{LCID: m.LCID, Payload: p}
+	subs := m.txSubs[:0]
+	for _, p := range payloads {
+		subs = append(subs, pdu.MACSubPDU{LCID: m.LCID, Payload: p})
 	}
-	return pdu.EncodeMACPDU(subs, tbBytes)
-}
-
-// ParseTB demultiplexes a transport block, returning the payloads of this
-// entity's LCID.
-func (m *MAC) ParseTB(tb []byte) ([][]byte, error) {
-	subs, err := pdu.DecodeMACPDU(tb)
+	tb, err := pdu.AppendMACPDU(m.tb[:0], subs, tbBytes)
+	clear(subs)
+	m.txSubs = subs
 	if err != nil {
 		return nil, err
 	}
-	var out [][]byte
+	m.tb = tb
+	return tb, nil
+}
+
+// ParseTB demultiplexes a transport block, returning the payloads of this
+// entity's LCID. They alias tb, and the slice holding them is valid until
+// the next ParseTB.
+func (m *MAC) ParseTB(tb []byte) ([][]byte, error) {
+	subs, err := pdu.DecodeMACPDU(m.rxSubs[:0], tb)
+	m.rxSubs = subs
+	if err != nil {
+		return nil, err
+	}
+	m.out = m.out[:0]
 	for _, s := range subs {
 		if s.LCID == m.LCID {
-			out = append(out, s.Payload)
+			m.out = append(m.out, s.Payload)
 		}
 	}
-	return out, nil
+	return m.out, nil
 }
