@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"iter"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"urllcsim/internal/sim"
 )
@@ -14,12 +16,21 @@ import (
 // wider than max(1, v/subBuckets): quantiles are exact to one part in
 // subBuckets (≈0.1 %) of the value, independent of the sample count.
 //
-// Unlike Histogram, LogHistogram retains no raw samples — memory is
-// O(buckets touched), bounded by the dynamic range of the data and never by
-// the run length — and two LogHistograms merge exactly (bucket geometry is a
-// package constant), so per-UE or per-shard histograms combine into a fleet
-// histogram without loss. This is the machinery the p99.999 URLLC
-// reliability tail needs on runs of millions of packets.
+// Unlike Histogram, LogHistogram retains no raw samples, and two
+// LogHistograms merge exactly (bucket geometry is a package constant), so
+// per-UE or per-shard histograms combine into a fleet histogram without loss.
+// This is the machinery the p99.999 URLLC reliability tail needs on runs of
+// millions of packets.
+//
+// Storage has two forms, the sparse/dense split of HdrHistogram and DDSketch.
+// A histogram starts sparse: up to logSparsePairs (bucket, count) pairs kept
+// sorted inline, so a per-UE histogram of a few latencies hundreds of µs
+// apart holds a few pairs rather than a window of hundreds of buckets. The
+// first sample in a bucket beyond those pairs promotes the histogram, once,
+// to a dense window over the touched bucket range, whose size is bounded by
+// the data's dynamic range and never by the run length. Every read walks the
+// non-empty buckets in ascending order through one iterator, so the form
+// never shows in what the histogram reports.
 //
 // Exact minimum and maximum are tracked on the side, so Quantile(0) and
 // Quantile(1) are exact, and interior quantiles are clamped into [min, max].
@@ -33,18 +44,36 @@ const (
 	// it get exact (width-1) buckets.
 	logLinearBits = logSubBucketBits + 1
 	logLinearMax  = 1 << logLinearBits
+
+	// logSparsePairs is how many distinct buckets a histogram holds inline
+	// before it promotes to the dense window. Eight 16-byte pairs (128 B)
+	// cost what a 16-bucket window does, while two latencies 100 µs apart
+	// near 0.5 ms span a window of about 400 buckets (3.2 KB). Eight is also
+	// twice the four samples per UE of benchmark/'s 500-UE traced cell, so
+	// per-UE histograms stay sparse there, while the busy per-layer timings
+	// promote on their ninth bucket and pay one copy of eight pairs.
+	logSparsePairs = 8
 )
 
 // LogHistogram's zero value is NOT ready to use; call NewLogHistogram.
 type LogHistogram struct {
-	// counts[i] is bucket base+i: only the window between the lowest and
-	// highest touched buckets is stored, so a per-UE histogram of a few
-	// nearby latencies holds a few buckets, not the whole linear head.
+	// sparse[:nsparse] are the sparse form's buckets, ascending by index.
+	sparse  [logSparsePairs]logPair
+	nsparse int
+	// counts[i] is bucket base+i in the dense form: only the window between
+	// the lowest and highest touched buckets is stored. The histogram is
+	// dense exactly when len(counts) > 0; capacity outlives Reset.
 	counts   []int64
 	base     int
 	total    int64
 	sum      float64 // for mean / Prometheus _sum; float to avoid overflow
 	min, max int64   // exact observed extrema (valid when total > 0)
+}
+
+// logPair is one non-empty bucket of the sparse form.
+type logPair struct {
+	idx int32 // bucket index; logIndex of any int64 is below 2^16
+	n   int64
 }
 
 // NewLogHistogram returns an empty histogram. All LogHistograms share one
@@ -94,13 +123,7 @@ func (h *LogHistogram) BucketWidth(v int64) int64 { return logWidth(logIndex(v))
 // Add records one value. Negative values clamp to 0 for binning but are
 // counted; durations in this repository are never negative.
 func (h *LogHistogram) Add(v int64) {
-	idx := logIndex(v)
-	i := idx - h.base
-	if len(h.counts) == 0 || i < 0 || i >= len(h.counts) {
-		h.cover(idx, idx+1)
-		i = idx - h.base
-	}
-	h.counts[i]++
+	h.addBucket(logIndex(v), 1)
 	h.total++
 	h.sum += float64(v)
 	if h.total == 1 || v < h.min {
@@ -111,13 +134,80 @@ func (h *LogHistogram) Add(v int64) {
 	}
 }
 
+// addBucket adds c samples to bucket idx, in the sparse pairs while they
+// hold it and in the dense window otherwise.
+func (h *LogHistogram) addBucket(idx int, c int64) {
+	if len(h.counts) == 0 && h.addSparse(idx, c) {
+		return
+	}
+	if i := idx - h.base; len(h.counts) == 0 || i < 0 || i >= len(h.counts) {
+		h.promote(idx, idx+1)
+	}
+	h.counts[idx-h.base] += c
+}
+
+// addSparse adds c samples to bucket idx's pair, inserting the pair in
+// order; it reports false, changing nothing, when idx is new and every
+// pair is taken.
+func (h *LogHistogram) addSparse(idx int, c int64) bool {
+	n := h.nsparse
+	i := 0
+	for i < n && int(h.sparse[i].idx) < idx {
+		i++
+	}
+	if i < n && int(h.sparse[i].idx) == idx {
+		h.sparse[i].n += c
+		return true
+	}
+	if n == logSparsePairs {
+		return false
+	}
+	copy(h.sparse[i+1:n+1], h.sparse[i:n])
+	h.sparse[i] = logPair{idx: int32(idx), n: c}
+	h.nsparse++
+	return true
+}
+
+// promote makes the histogram dense, moving any sparse pairs into the
+// window, and widens the window to cover buckets lo…hi−1 as well. On a
+// dense histogram it is cover.
+func (h *LogHistogram) promote(lo, hi int) {
+	pairs := h.sparse[:h.nsparse]
+	for _, p := range pairs {
+		lo, hi = min(lo, int(p.idx)), max(hi, int(p.idx)+1)
+	}
+	h.cover(lo, hi)
+	for _, p := range pairs {
+		h.counts[int(p.idx)-h.base] = p.n
+	}
+	h.nsparse = 0
+}
+
+// nonEmpty yields every non-empty bucket's index and count in ascending
+// order: the one walk behind every read and every merge, whichever form
+// holds the buckets.
+func (h *LogHistogram) nonEmpty() iter.Seq2[int, int64] {
+	return func(yield func(int, int64) bool) {
+		for _, p := range h.sparse[:h.nsparse] {
+			if !yield(int(p.idx), p.n) {
+				return
+			}
+		}
+		for i, c := range h.counts {
+			if c != 0 && !yield(h.base+i, c) {
+				return
+			}
+		}
+	}
+}
+
 // AddDuration records a duration as integer nanoseconds.
 func (h *LogHistogram) AddDuration(d sim.Duration) { h.Add(int64(d)) }
 
-// Reset empties the histogram in place. The bucket window keeps its
-// capacity, so a reset histogram records its next run without re-growing:
-// the recycling half of the observability layer's steady-state
-// zero-allocation contract.
+// Reset empties the histogram in place and returns it to the sparse form.
+// The dense window keeps its capacity, so a reset histogram records its next
+// run, promotion included, without re-growing: the recycling half of the
+// observability layer's steady-state zero-allocation contract.
 func (h *LogHistogram) Reset() {
 	clear(h.counts)
 	*h = LogHistogram{counts: h.counts[:0]}
@@ -150,9 +240,12 @@ func (h *LogHistogram) cover(lo, hi int) {
 	h.base = newLo
 }
 
-// StorageBytes returns the bytes held by the bucket array (capacity, not
-// length) — the footprint the observability layer's self-accounting reports.
-func (h *LogHistogram) StorageBytes() int64 { return int64(cap(h.counts)) * 8 }
+// StorageBytes returns the bytes held by bucket storage, by capacity rather
+// than use: the inline pair array plus the dense window — the footprint the
+// observability layer's self-accounting reports.
+func (h *LogHistogram) StorageBytes() int64 {
+	return int64(unsafe.Sizeof(h.sparse)) + int64(cap(h.counts))*8
+}
 
 // N returns the number of recorded values.
 func (h *LogHistogram) N() int64 { return h.total }
@@ -202,10 +295,9 @@ func (h *LogHistogram) Quantile(q float64) int64 {
 	}
 	rank := int64(q * float64(h.total-1))
 	var cum int64
-	for i, c := range h.counts {
+	for idx, c := range h.nonEmpty() {
 		cum += c
 		if cum > rank {
-			idx := h.base + i
 			mid := logLowerBound(idx) + logWidth(idx)/2
 			if mid < h.min {
 				mid = h.min
@@ -234,8 +326,11 @@ func (h *LogHistogram) FractionBelow(v int64) float64 {
 	}
 	idx := logIndex(v)
 	var below int64
-	for i := 0; h.base+i < idx && i < len(h.counts); i++ {
-		below += h.counts[i]
+	for b, c := range h.nonEmpty() {
+		if b >= idx {
+			break
+		}
+		below += c
 	}
 	return float64(below) / float64(h.total)
 }
@@ -247,10 +342,13 @@ func (h *LogHistogram) Merge(o *LogHistogram) {
 	if o == nil || o.total == 0 {
 		return
 	}
-	h.cover(o.base, o.base+len(o.counts))
-	off := o.base - h.base
-	for i, c := range o.counts {
-		h.counts[off+i] += c
+	if len(o.counts) > 0 {
+		// A dense source has more distinct buckets than the pairs hold, so
+		// the merge promotes h anyway: size its window once, up front.
+		h.promote(o.base, o.base+len(o.counts))
+	}
+	for idx, c := range o.nonEmpty() {
+		h.addBucket(idx, c)
 	}
 	if h.total == 0 || o.min < h.min {
 		h.min = o.min
@@ -267,12 +365,8 @@ func (h *LogHistogram) Merge(o *LogHistogram) {
 // or below it — the shape Prometheus histogram exposition wants.
 func (h *LogHistogram) Buckets(f func(upperInclusive int64, cumulative int64)) {
 	var cum int64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
+	for idx, c := range h.nonEmpty() {
 		cum += c
-		idx := h.base + i
 		f(logLowerBound(idx)+logWidth(idx)-1, cum)
 	}
 }
@@ -285,11 +379,7 @@ func (h *LogHistogram) StdApprox() float64 {
 	}
 	mean := h.Mean()
 	var ss float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		idx := h.base + i
+	for idx, c := range h.nonEmpty() {
 		mid := float64(logLowerBound(idx)) + float64(logWidth(idx))/2
 		ss += float64(c) * (mid - mean) * (mid - mean)
 	}

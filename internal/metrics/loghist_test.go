@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"urllcsim/internal/sim"
@@ -192,8 +193,8 @@ func TestLogHistogramMergeExact(t *testing.T) {
 	}
 }
 
-// TestLogHistogramWindow: only the touched bucket window is stored, and the
-// order values arrive in (window widened downward, upward, by Merge, after a
+// TestLogHistogramWindow: a narrow band stays in the sparse pairs, and the
+// order values arrive in (pairs inserted below, above, by Merge, after a
 // Reset) never changes what the histogram reports.
 func TestLogHistogramWindow(t *testing.T) {
 	type bucket struct{ ub, cum int64 }
@@ -211,8 +212,9 @@ func TestLogHistogramWindow(t *testing.T) {
 	for _, v := range vals {
 		asc.Add(v)
 	}
-	if len(asc.counts) > 4 {
-		t.Fatalf("a 1 µs band at 1 ms stored %d buckets", len(asc.counts))
+	if len(asc.counts) > 0 || asc.nsparse > 4 {
+		t.Fatalf("a 1 µs band at 1 ms stored %d pairs and a %d-bucket window, want ≤ 4 pairs",
+			asc.nsparse, len(asc.counts))
 	}
 
 	desc, lo, hi := NewLogHistogram(), NewLogHistogram(), NewLogHistogram()
@@ -251,8 +253,8 @@ func TestLogHistogramWindow(t *testing.T) {
 }
 
 // TestLogHistogramMemoryBounded: memory is O(buckets in the value range),
-// not O(samples) — a million samples over 10 ms must stay in a few thousand
-// buckets.
+// not O(samples) — a million samples over 10 ms promote to a dense window of
+// a few thousand buckets.
 func TestLogHistogramMemoryBounded(t *testing.T) {
 	h := NewLogHistogram()
 	r := lcg(99)
@@ -261,9 +263,177 @@ func TestLogHistogramMemoryBounded(t *testing.T) {
 	}
 	// 10 ms < 2^24: linear head (2048) + 13 octaves × 1024.
 	maxBuckets := logLinearMax + (24-logLinearBits+1)*logSubBuckets
-	if len(h.counts) > maxBuckets {
-		t.Fatalf("counts grew to %d entries for 1e6 samples (bound %d)", len(h.counts), maxBuckets)
+	if len(h.counts) == 0 || len(h.counts) > maxBuckets {
+		t.Fatalf("counts grew to %d entries for 1e6 samples (want dense, bound %d)", len(h.counts), maxBuckets)
 	}
+}
+
+// TestLogHistogramRefillZeroAlloc: a histogram that stays sparse and one that
+// promotes both record their next run after Reset without allocating — the
+// promoted one back into the window its last run sized.
+func TestLogHistogramRefillZeroAlloc(t *testing.T) {
+	few := []int64{400_000, 450_000, 900_000}
+	many := make([]int64, 1000)
+	r := lcg(5)
+	for i := range many {
+		many[i] = int64(r.next() % 2_000_000)
+	}
+	for _, c := range []struct {
+		name  string
+		vals  []int64
+		dense bool
+	}{{"sparse", few, false}, {"promoted", many, true}} {
+		h := NewLogHistogram()
+		fill := func() {
+			h.Reset()
+			for _, v := range c.vals {
+				h.Add(v)
+			}
+		}
+		fill()
+		if dense := len(h.counts) > 0; dense != c.dense {
+			t.Fatalf("%s: dense = %v after %d samples", c.name, dense, len(c.vals))
+		}
+		if allocs := testing.AllocsPerRun(20, fill); allocs != 0 {
+			t.Errorf("%s: refilling a reset histogram allocated %.0f times", c.name, allocs)
+		}
+	}
+}
+
+// TestLogHistogramStorageBytes: the footprint counts the inline pairs in
+// either form, and the dense window's capacity once promoted.
+func TestLogHistogramStorageBytes(t *testing.T) {
+	const pairs = logSparsePairs * 16
+	h := NewLogHistogram()
+	if got := h.StorageBytes(); got != pairs {
+		t.Fatalf("empty: %d B, want the %d B pair array", got, pairs)
+	}
+	h.Add(500_000)
+	h.Add(700_000)
+	if got := h.StorageBytes(); got != pairs {
+		t.Fatalf("sparse: %d B, want %d", got, pairs)
+	}
+	for i := int64(0); i < logSparsePairs; i++ {
+		h.Add(1_000 * (i + 1))
+	}
+	if len(h.counts) == 0 {
+		t.Fatal("10 distinct buckets did not promote")
+	}
+	if got, want := h.StorageBytes(), int64(pairs+cap(h.counts)*8); got != want {
+		t.Fatalf("promoted: %d B, want %d (window cap %d)", got, want, cap(h.counts))
+	}
+	h.Reset()
+	if got, want := h.StorageBytes(), int64(pairs+cap(h.counts)*8); got != want || cap(h.counts) == 0 {
+		t.Fatalf("reset: %d B, want %d with the window kept", got, want)
+	}
+}
+
+// FuzzLogHistogramForms is the differential test of the two storage forms:
+// histograms filled, merged into each other and reset by arbitrary
+// operations — so sparse and promoted ones meet in every combination — must
+// report exactly what a twin that was dense from its first sample reports,
+// and must be sparse exactly while they hold at most logSparsePairs buckets.
+//
+// Each operation is three bytes (op, a, b); op's low two bits pick add a
+// scaled value, add a value from a few-µs band or around zero, merge, or
+// reset, and its upper bits pick the histogram and the variant.
+func FuzzLogHistogramForms(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 1, 2, 0x04, 3, 4, 0x02, 0, 0})
+	var spread, band []byte
+	for i := 0; i < 40; i++ {
+		spread = append(spread, byte(i%3)<<2|byte(i%8)<<5, byte(37*i), byte(i))
+		band = append(band, 0x21|byte(i%3)<<2, byte(i), byte(7*i))
+	}
+	merges := []byte{0x02, 0, 0, 0x06, 0, 0, 0x0a, 1, 0, 0x03, 0, 0, 0x02, 1, 0}
+	f.Add(spread)
+	f.Add(band)
+	f.Add(append(append(append([]byte{}, spread...), merges...), band...))
+	f.Add(append(append(append([]byte{}, band...), merges...), spread...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const k = 3
+		var hs, dense [k]*LogHistogram
+		var distinct [k]map[int]bool
+		for i := range hs {
+			hs[i], dense[i], distinct[i] = NewLogHistogram(), NewLogHistogram(), map[int]bool{}
+		}
+		for ; len(data) >= 3; data = data[3:] {
+			op, a, b := data[0], data[1], data[2]
+			i := int(op>>2) % k
+			var v int64
+			switch op & 3 {
+			case 0: // anywhere from the linear head to 2^23 ns, about 8 ms
+				v = int64(uint16(a)|uint16(b)<<8) << (op >> 5)
+			case 1: // a few µs band, or the linear head and below zero
+				v = int64(int16(uint16(a) | uint16(b)<<8))
+				if op&0x20 != 0 {
+					v = 500_000 + int64(a)<<4 + int64(b)
+				}
+			case 2:
+				j := (i + 1 + int(a)%(k-1)) % k
+				hs[j].Merge(hs[i])
+				dense[j].Merge(dense[i])
+				for idx := range distinct[i] {
+					distinct[j][idx] = true
+				}
+				continue
+			case 3:
+				hs[i].Reset()
+				dense[i].Reset()
+				clear(distinct[i])
+				continue
+			}
+			hs[i].Add(v)
+			if d := dense[i]; len(d.counts) == 0 {
+				d.promote(logIndex(v), logIndex(v)+1) // dense from its first sample
+			}
+			dense[i].Add(v)
+			distinct[i][logIndex(v)] = true
+		}
+		for i := range hs {
+			h, d := hs[i], dense[i]
+			if sparse := len(h.counts) == 0; sparse != (len(distinct[i]) <= logSparsePairs) {
+				t.Fatalf("hist %d: sparse = %v with %d distinct buckets", i, sparse, len(distinct[i]))
+			}
+			if d.N() > 0 && len(d.counts) == 0 {
+				t.Fatalf("hist %d: the dense twin went sparse", i)
+			}
+			for j := 1; j < h.nsparse; j++ {
+				if h.sparse[j-1].idx >= h.sparse[j].idx {
+					t.Fatalf("hist %d: sparse pairs out of order: %v", i, h.sparse[:h.nsparse])
+				}
+			}
+			if got, want := formsView(h), formsView(d); got != want {
+				t.Fatalf("hist %d: sparse-first %s\ndense-first %s", i, got, want)
+			}
+		}
+	})
+}
+
+// formsView renders every read of h, floats bit for bit. FractionBelow is
+// probed at the extrema and at both edges of the first 32 buckets, which
+// bounds its cost on wide dense windows.
+func formsView(h *LogHistogram) string {
+	var s strings.Builder
+	fmt.Fprintf(&s, "N=%d sum=%x min=%d max=%d std=%x q=",
+		h.N(), math.Float64bits(h.Sum()), h.Min(), h.Max(), math.Float64bits(h.StdApprox()))
+	for _, q := range []float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.99999, 1} {
+		fmt.Fprintf(&s, "%d,", h.Quantile(q))
+	}
+	s.WriteString(" buckets=")
+	probes := []int64{-1, 0, h.Min(), h.Max(), h.Max() + 1}
+	h.Buckets(func(ub, cum int64) {
+		fmt.Fprintf(&s, "%d:%d,", ub, cum)
+		if len(probes) < 69 {
+			probes = append(probes, ub, ub+1)
+		}
+	})
+	s.WriteString(" below=")
+	for _, p := range probes {
+		fmt.Fprintf(&s, "%x,", math.Float64bits(h.FractionBelow(p)))
+	}
+	return s.String()
 }
 
 func TestLogHistogramEmptyAndEdges(t *testing.T) {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -305,25 +306,37 @@ func TestTallyMatchesSpans(t *testing.T) {
 
 // allocsPerPkt runs offer (which builds a system and offers its traffic)
 // and the engine to the horizon five times, and returns the heap
-// allocations per offered packet. Every packet must resolve.
-func allocsPerPkt(t *testing.T, horizon sim.Time, offer func() (*System, int)) float64 {
+// allocations and bytes per offered packet. Every packet must resolve. It
+// counts as testing.AllocsPerRun does — one warm-up run, GOMAXPROCS 1,
+// whole allocations per run — and counts bytes the same way.
+func allocsPerPkt(t *testing.T, horizon sim.Time, offer func() (*System, int)) (allocs, bytes float64) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race runtime allocates too; the exact pin runs without -race (make allocs)")
 	}
+	const runs = 5
 	var resolved, offered int
-	allocs := testing.AllocsPerRun(5, func() {
+	run := func() {
 		var s *System
 		s, offered = offer()
 		s.Eng.Run(horizon)
 		resolved = len(s.Results())
-	})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
 	if resolved != offered {
 		t.Fatalf("resolved %d/%d packets", resolved, offered)
 	}
-	perPkt := allocs / float64(offered)
-	t.Logf("%.4f allocs/pkt", perPkt)
-	return perPkt
+	allocs = float64((after.Mallocs-before.Mallocs)/runs) / float64(offered)
+	bytes = float64((after.TotalAlloc-before.TotalAlloc)/runs) / float64(offered)
+	t.Logf("%.4f allocs/pkt, %.2f B/pkt", allocs, bytes)
+	return allocs, bytes
 }
 
 // TestPacketAllocs pins the per-packet allocation cost of the simulator
@@ -335,7 +348,7 @@ func TestPacketAllocs(t *testing.T) {
 	cfg := testbedConfig(t, false, 5)
 	period := cfg.Grid.Period()
 	const n = 100
-	perPkt := allocsPerPkt(t, sim.Time(int64(n+40)*int64(period)), func() (*System, int) {
+	perPkt, _ := allocsPerPkt(t, sim.Time(int64(n+40)*int64(period)), func() (*System, int) {
 		s, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -354,10 +367,10 @@ func TestPacketAllocs(t *testing.T) {
 	}
 }
 
-// TestCellPacketAllocs is TestPacketAllocs for a many-UE cell: 200 UEs on
-// a DU grid with round-robin scheduling, two UL packets each, so the
-// scheduler's SR rounds and the shared entities' scratch carry the load.
-func TestCellPacketAllocs(t *testing.T) {
+// cellAllocsPerPkt runs a 200-UE cell on a DU grid with round-robin
+// scheduling, two UL packets per UE, with a recorder from rec mounted (rec
+// is called for every run; nil for none), and returns allocsPerPkt's counts.
+func cellAllocsPerPkt(t *testing.T, rec func() *obs.Recorder) (allocs, bytes float64) {
 	g, err := nr.BuildGrid(nr.CommonConfig{Mu: nr.Mu1, Pattern1: nr.PatternDU(nr.Mu1)}, 2, "DU")
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +382,8 @@ func TestCellPacketAllocs(t *testing.T) {
 	}
 	const ues, cycles = 200, 2
 	cycle := 20 * sim.Millisecond
-	perPkt := allocsPerPkt(t, sim.Time(cycles*cycle+200*sim.Millisecond), func() (*System, int) {
+	return allocsPerPkt(t, sim.Time(cycles*cycle+200*sim.Millisecond), func() (*System, int) {
+		cfg.Obs = rec()
 		s, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -382,10 +396,39 @@ func TestCellPacketAllocs(t *testing.T) {
 		}
 		return s, ues * cycles
 	})
+}
+
+// TestCellPacketAllocs is TestPacketAllocs for a many-UE cell: 200 UEs, two
+// UL packets each, so the scheduler's SR rounds and the shared entities'
+// scratch carry the load.
+func TestCellPacketAllocs(t *testing.T) {
+	perPkt, _ := cellAllocsPerPkt(t, func() *obs.Recorder { return nil })
 	// Measured: 3.39 allocs/pkt, identical on every run for this seed.
 	const bound = 3.39
 	if perPkt > bound {
 		t.Fatalf("%.4f allocs/pkt, want ≤ %.4f", perPkt, bound)
+	}
+}
+
+// TestCellTracedPacketAllocs pins the observer tax on the same cell: each
+// run mounts a fresh recorder with spans, the per-UE labeled families and
+// the slot ledger, so the counts include building the recorder and every
+// per-UE histogram's first fill, as a traced run pays them.
+func TestCellTracedPacketAllocs(t *testing.T) {
+	perPkt, bytesPerPkt := cellAllocsPerPkt(t, func() *obs.Recorder {
+		rec := obs.NewRecorder()
+		rec.EnableSlotLedger()
+		return rec
+	})
+	// Measured: 6.3850 allocs/pkt and 7136.74 B/pkt in most runs (7.4475
+	// and 8304.6 before per-UE histograms started sparse). Every map draws
+	// its own hash seed, so in about one run in three some map grows a
+	// table more: up to 8 allocations and 0.9 KB more in 400 runs seen.
+	// The bounds allow 6 allocations and 0.9 KB per run of that on
+	// average; one allocation more per packet is 400 per run.
+	const bound, bytesBound = 6.40, 7139.0
+	if perPkt > bound || bytesPerPkt > bytesBound {
+		t.Fatalf("%.4f allocs/pkt and %.2f B/pkt, want ≤ %.4f and ≤ %.2f", perPkt, bytesPerPkt, bound, bytesBound)
 	}
 }
 

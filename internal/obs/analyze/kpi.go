@@ -2,10 +2,11 @@ package analyze
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 
 	"urllcsim/internal/metrics"
@@ -107,11 +108,11 @@ type aoiDelivery struct {
 // Returns peak age, time-averaged age and ok=false when no informative
 // delivery exists.
 func computeAoI(ds []aoiDelivery) (peakUs, meanUs float64, ok bool) {
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].at != ds[j].at {
-			return ds[i].at < ds[j].at
+	slices.SortFunc(ds, func(a, b aoiDelivery) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return ds[i].gen < ds[j].gen
+		return cmp.Compare(a.gen, b.gen)
 	})
 	first := true
 	var lastGen, lastAt, integral float64
@@ -191,11 +192,11 @@ func ComputeKPI(tr *Trace, label string) *KPIReport {
 			g.aoi = append(g.aoi, aoiDelivery{gen: end - float64(o.Latency)/1000, at: end})
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dir != keys[j].dir {
-			return keys[i].dir < keys[j].dir
+	slices.SortFunc(keys, func(a, b ueDirKey) int {
+		if c := cmp.Compare(a.dir, b.dir); c != 0 {
+			return c
 		}
-		return keys[i].ue < keys[j].ue
+		return cmp.Compare(a.ue, b.ue)
 	})
 
 	// One accumulator per direction: its UEs' throughputs and mean
@@ -242,7 +243,7 @@ func ComputeKPI(tr *Trace, label string) *KPIReport {
 		}
 		a.hist.Merge(g.hist)
 	}
-	sort.Slice(dirOrder, func(i, j int) bool { return dirOrder[i] < dirOrder[j] })
+	slices.Sort(dirOrder)
 	for _, dir := range dirOrder {
 		a := perDir[dir]
 		d := &a.kpi
