@@ -8,7 +8,7 @@ GO ?= go
 BENCH_TOL  ?= 10%
 SMOKE_TOL  ?= 500%
 
-.PHONY: check vet build test race allocs bench bench-go bench-check bench-smoke lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke
+.PHONY: check vet build test race allocs bench bench-go bench-check bench-smoke ab lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke
 
 ## check: full verification gate — lint (vet + gofmt), build, race-enabled tests,
 ## the exact allocation pins without -race, the JSONL → report round-trip smoke, the parallel-vs-sequential sweep
@@ -58,6 +58,18 @@ bench:
 ## exits non-zero with a delta table if any benchmark slowed beyond BENCH_TOL
 bench-check:
 	$(GO) run ./cmd/urllc-bench -baseline BENCH_baseline.json -check -tolerance $(BENCH_TOL)
+
+## ab: the timing evidence for a change — PAIRS alternating pairs of
+## `bash benchmark/run.sh -workload all -trace 0 -seconds SECONDS -seed SEED`,
+## BASE (any git revision, checked out into a temporary worktree) against the
+## working tree; prints each side's median and quartiles and the change's
+## wins per workload and end-to-end metric
+BASE    ?= HEAD
+PAIRS   ?= 10
+SECONDS ?= 20
+SEED    ?= 1
+ab:
+	$(GO) run ./cmd/urllc-ab -base $(BASE) -pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED)
 
 ## bench-smoke: exercise the whole benchmark-harness pipeline quickly —
 ## short suite at a 100 ms benchtime (time-based like the baseline's 1 s, so

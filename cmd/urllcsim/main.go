@@ -387,7 +387,7 @@ func printJourney(sc *urllcsim.Scenario, results []urllcsim.PacketResult, setup 
 	}
 	fmt.Print(journey)
 	fmt.Printf("\nshares: protocol %.0f%%, processing %.0f%%, radio %.0f%%\n",
-		100*r.ProtocolShare, 100*r.ProcessingShare, 100*r.RadioShare)
+		100*r.ProtocolShare(), 100*r.ProcessingShare(), 100*r.RadioShare())
 	return nil
 }
 

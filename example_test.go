@@ -56,7 +56,7 @@ func ExampleNewScenario() {
 	r := results[0]
 	fmt.Println("delivered:", r.Delivered)
 	fmt.Println("under 10ms:", r.Latency < 10*time.Millisecond)
-	fmt.Println("protocol dominates:", r.ProtocolShare > r.ProcessingShare && r.ProtocolShare > r.RadioShare)
+	fmt.Println("protocol dominates:", r.ProtocolShare() > r.ProcessingShare() && r.ProtocolShare() > r.RadioShare())
 	// Output:
 	// delivered: true
 	// under 10ms: true

@@ -43,7 +43,7 @@ func main() {
 		}
 		fmt.Print(journey)
 		fmt.Printf("latency sources: protocol %.0f%% / processing %.0f%% / radio %.0f%%\n\n",
-			100*r.ProtocolShare, 100*r.ProcessingShare, 100*r.RadioShare)
+			100*r.ProtocolShare(), 100*r.ProcessingShare(), 100*r.RadioShare())
 	}
 
 	// The analytic side: can any configuration meet 0.5 ms at all?

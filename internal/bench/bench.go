@@ -293,7 +293,7 @@ func cellRun(mode cell.Mode) func(b *testing.B) {
 // engineSchedule isolates the DES core: push 4096 leaf events and drain
 // them. ns/op here is pure queue + dispatch cost, no model code. The engine
 // is fresh each op, so this includes the one-time pool fill (one allocation
-// per 256-node slab); see EngineScheduleSteady for the warmed zero-alloc
+// per 64-node slab); see EngineScheduleSteady for the warmed zero-alloc
 // path.
 func engineSchedule(b *testing.B) {
 	b.ReportAllocs()
@@ -376,16 +376,16 @@ func engineCancelStorm(b *testing.B) {
 		}
 	}
 	cycle()
-	if eng.QueueLen() != 0 {
-		b.Fatalf("QueueLen = %d after full cancel, want 0", eng.QueueLen())
+	if eng.Pending() != 0 {
+		b.Fatalf("Pending = %d after full cancel, want 0", eng.Pending())
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle()
 	}
 	b.StopTimer()
-	if eng.QueueLen() != 0 {
-		b.Fatalf("QueueLen = %d after cancel storm, want 0", eng.QueueLen())
+	if eng.Pending() != 0 {
+		b.Fatalf("Pending = %d after cancel storm, want 0", eng.Pending())
 	}
 	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "cancels/sec")
 }

@@ -14,7 +14,9 @@
 package cell
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"urllcsim"
@@ -176,24 +178,43 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{}
 	var last sim.Time
-	offer := func(fleet *workload.Fleet, n int, send func(ue int, at time.Duration, bytes int) int) {
-		for i := 0; i < n; i++ {
-			mp := fleet.NextMachine()
-			send(mp.UE, time.Duration(mp.Arrival), mp.Bytes)
-			if mp.Arrival > last {
-				last = mp.Arrival
-			}
-			res.Offered++
+	send := func(dl bool, mp workload.MachinePacket) {
+		if dl {
+			sc.SendDownlinkFrom(mp.UE, time.Duration(mp.Arrival), mp.Bytes)
+		} else {
+			sc.SendUplinkFrom(mp.UE, time.Duration(mp.Arrival), mp.Bytes)
 		}
+		last = max(last, mp.Arrival)
+		res.Offered++
 	}
 	n := cfg.UEs * cfg.Cycles
 	ulFleet := workload.NewFleet(cfg.UEs, sim.Duration(cfg.Period), sim.Duration(cfg.Jitter),
 		cfg.PayloadBytes, sim.NewRNG(cfg.Seed^0xCE11F1EE7))
-	offer(ulFleet, n, sc.SendUplinkFrom)
-	if cfg.DLBytes > 0 {
+	if cfg.DLBytes == 0 {
+		for i := 0; i < n; i++ {
+			send(false, ulFleet.NextMachine())
+		}
+	} else {
+		// Both fleets are offered in one pass, stably sorted by arrival
+		// (UL before DL at equal instants, each fleet in its own order), so
+		// the engine's arrival lane gets its pushes in time order. The
+		// firing order is the one of offering the whole UL fleet first.
 		dlFleet := workload.NewFleet(cfg.UEs, sim.Duration(cfg.Period), sim.Duration(cfg.Jitter),
 			cfg.DLBytes, sim.NewRNG(cfg.Seed^0xCE11D00F))
-		offer(dlFleet, n, sc.SendDownlinkFrom)
+		type offer struct {
+			dl bool
+			mp workload.MachinePacket
+		}
+		offers := make([]offer, 0, 2*n)
+		for _, f := range []*workload.Fleet{ulFleet, dlFleet} {
+			for i := 0; i < n; i++ {
+				offers = append(offers, offer{f == dlFleet, f.NextMachine()})
+			}
+		}
+		slices.SortStableFunc(offers, func(a, b offer) int { return cmp.Compare(a.mp.Arrival, b.mp.Arrival) })
+		for _, o := range offers {
+			send(o.dl, o.mp)
+		}
 	}
 
 	horizon := time.Duration(last) + cfg.Drain

@@ -380,20 +380,19 @@ func (s *System) takeAt(ue int) int {
 // Downlink flow: UPF → gNB stack → RLC queue → scheduler → PHY/radio → UE.
 // ---------------------------------------------------------------------------
 
-// dlStep is the next engine event of a DL packet on its way into the gNB's
-// RLC queue; from there on the packet rides a transport-block context
-// (dlTB). Like a UL packet it has at most one event pending and one handler,
-// bound when it is offered.
+// dlStep is the next engine event of a DL packet on its way from the UPF
+// (the "dl.offer" lane entry) into the gNB's RLC queue; from there on the
+// packet rides a transport-block context (dlTB). Like a UL packet it has at
+// most one event pending and one handler, bound when it arrives.
 type dlStep uint8
 
 const (
-	dlOffer   dlStep = iota // arrival at the UPF: GTP-U and N3 forwarding
-	dlGNBDown               // at the gNB: SDAP↓/PDCP↓/RLC↓ processing
+	dlGNBDown dlStep = iota // at the gNB: SDAP↓/PDCP↓/RLC↓ processing
 	dlEnqueue               // processing done: into the RLC queue
 )
 
 // dlStepName is each step's engine event name.
-var dlStepName = [...]string{dlOffer: "dl.offer", dlGNBDown: "dl.gnb.down", dlEnqueue: "dl.enqueue"}
+var dlStepName = [...]string{dlGNBDown: "dl.gnb.down", dlEnqueue: "dl.enqueue"}
 
 // schedule arms the packet's next step at the given instant.
 func (p *dlPacket) schedule(at sim.Time, next dlStep) {
@@ -406,10 +405,6 @@ func (p *dlPacket) step() {
 	s := p.s
 	now := s.Eng.Now()
 	switch p.next {
-	case dlOffer:
-		// UPF encapsulation and N3 forwarding.
-		s.seg(&p.by, p.id, obs.DirDL, obs.LayerCore, "UPF→gNB (GTP-U)", core.Processing, now, s.cfg.CoreLatency)
-		p.schedule(now.Add(s.cfg.CoreLatency), dlGNBDown)
 	case dlGNBDown:
 		// gNB SDAP↓ / PDCP↓ / RLC↓ processing (⑧ in Fig. 3).
 		d := s.sampleGNB(proc.LayerSDAP) + s.sampleGNB(proc.LayerPDCP) + s.sampleGNB(proc.LayerRLC)
@@ -432,14 +427,27 @@ func (s *System) OfferDL(at sim.Time, payload []byte) int {
 // OfferDLAs is OfferDL with the packet attributed to logical UE ue — label
 // only, like OfferULAs: scheduling, channel draws and processing load are
 // unchanged by the attribution.
+//
+// The packet waits in the engine's arrival lane until dlArrive.
 func (s *System) OfferDLAs(ue int, at sim.Time, payload []byte) int {
 	id := s.nextID
 	s.nextID++
-	p := &dlPacket{s: s, id: id, ue: ue, data: payload, offered: at}
-	p.fire = p.step
-	s.dlItems[id] = p
-	p.schedule(at, dlOffer)
+	s.Eng.Arrive(at, sim.Arrival{Kind: arriveDL, ID: id, UE: ue, Payload: payload})
 	return id
+}
+
+// dlArrive builds a DL packet's context, and enters it in dlItems, when it
+// reaches the UPF; GTP-U encapsulation and N3 forwarding start.
+func (s *System) dlArrive(a sim.Arrival) {
+	now := s.Eng.Now()
+	p := &dlPacket{s: s, id: a.ID, ue: a.UE, data: a.Payload, offered: now}
+	p.fire = p.step
+	if s.dlItems == nil {
+		s.dlItems = map[int]*dlPacket{}
+	}
+	s.dlItems[p.id] = p
+	s.seg(&p.by, p.id, obs.DirDL, obs.LayerCore, "UPF→gNB (GTP-U)", core.Processing, now, s.cfg.CoreLatency)
+	p.schedule(now.Add(s.cfg.CoreLatency), dlGNBDown)
 }
 
 // tbStep is the next engine event of a DL transport block.
@@ -832,4 +840,5 @@ func (s *System) finishDL(p *dlPacket, at sim.Time, ok bool) {
 		Latency: lat, BySource: p.by, Attempts: p.attempts + 1,
 	})
 	s.audit(p.id, p.ue, obs.DirDL, ok, lat, p.attempts+1, p.by)
+	s.onDLDelivered(p.id, lat, ok)
 }

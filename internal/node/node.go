@@ -152,14 +152,35 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// Result is the fate of one offered packet.
+// Result is the fate of one offered packet: the one verdict record the
+// system stores per packet, which the root package exposes as PacketResult.
 type Result struct {
 	ID        int
 	Uplink    bool
 	Delivered bool
 	Latency   sim.Duration
-	BySource  core.Tally
-	Attempts  int
+	// BySource is the journey time per latency source (the paper's three
+	// Fig. 3 categories).
+	BySource core.Tally
+	Attempts int
+}
+
+// ProtocolShare is the fraction of the accounted journey time spent on
+// protocol waits; 0 when nothing was accounted.
+func (r Result) ProtocolShare() float64 { return r.share(core.Protocol) }
+
+// ProcessingShare is the fraction spent in per-layer processing.
+func (r Result) ProcessingShare() float64 { return r.share(core.Processing) }
+
+// RadioShare is the fraction spent in the radio head.
+func (r Result) RadioShare() float64 { return r.share(core.Radio) }
+
+func (r Result) share(src core.Source) float64 {
+	tot := float64(r.BySource.Total())
+	if tot > 0 {
+		return float64(r.BySource[src]) / tot
+	}
+	return 0
 }
 
 // Counters aggregates system-level events.
@@ -206,7 +227,10 @@ type System struct {
 	gnbRLCRx  *stack.RLC
 	gnbMACRx  *stack.MAC
 
-	dlItems map[int]*dlPacket // RLC-queue id → packet context
+	// dlItems holds the arrived, unresolved DL packets by id. It and the
+	// grant-free and ping maps below are built on first use: a system
+	// without DL, contention or pings never allocates them.
+	dlItems map[int]*dlPacket
 
 	// pendingSRPackets pairs issued grants back to the UL packets whose SRs
 	// triggered them, matched by (UE, SR-reception instant).
@@ -257,8 +281,8 @@ type System struct {
 
 	// Ping bookkeeping (OfferPing).
 	pings    []*pingCtx
-	pingByUL map[int]*pingCtx
-	pingDLID map[int]int
+	pingByUL map[int]*pingCtx // request's UL packet id → ping
+	pingByDL map[int]*pingCtx // reply's DL packet id → ping
 }
 
 type dlPacket struct {
@@ -275,6 +299,25 @@ type dlPacket struct {
 	next     dlStep     // the pending event, until the packet is queued
 }
 
+// Offered packets wait in the engine's arrival lane as {kind, id, ue,
+// payload} records; a packet's context is built only when it arrives.
+const (
+	arriveUL uint8 = iota // at the UE (ulArrive)
+	arriveDL              // at the UPF (dlArrive)
+)
+
+// arrivalName is each arrival kind's engine event name.
+var arrivalName = []string{arriveUL: "ul.offer", arriveDL: "dl.offer"}
+
+// Arrive implements sim.ArrivalHandler: an offered packet arrives.
+func (s *System) Arrive(a sim.Arrival) {
+	if a.Kind == arriveUL {
+		s.ulArrive(a)
+	} else {
+		s.dlArrive(a)
+	}
+}
+
 // NewSystem builds a system from the config.
 func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.setDefaults(); err != nil {
@@ -286,23 +329,21 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	rng := sim.NewRNG(cfg.Seed)
 
-	slotBytes := func(g *nr.Grid) int {
-		size, err := modulation.TBS(modulation.TBSParams{
-			PRBs: cfg.PRBs, Symbols: 12, DMRSPerPRB: 12, Layers: 1, MCS: mcs,
-		})
-		if err != nil {
-			return 1000
-		}
-		_ = g
-		return size / 8
+	// One slot's transport block size: 12 data symbols of the carrier's
+	// PRBs, the same in both directions.
+	slotBytes := 1000
+	if size, err := modulation.TBS(modulation.TBSParams{
+		PRBs: cfg.PRBs, Symbols: 12, DMRSPerPRB: 12, Layers: 1, MCS: mcs,
+	}); err == nil {
+		slotBytes = size / 8
 	}
 	sch, err := sched.New(sched.Config{
 		Grid:        cfg.Grid,
 		ULGrid:      cfg.ULGrid,
 		MarginSlots: cfg.MarginSlots,
 		K2Slots:     cfg.K2Slots,
-		DLSlotBytes: slotBytes(cfg.Grid),
-		ULSlotBytes: slotBytes(cfg.ULGrid),
+		DLSlotBytes: slotBytes,
+		ULSlotBytes: slotBytes,
 		GrantBytes:  cfg.PayloadBytes + 64,
 		Fairness:    cfg.Fairness,
 	})
@@ -347,12 +388,7 @@ func NewSystem(cfg Config) (*System, error) {
 		ueMACRx:    &stack.MAC{LCID: 4},
 		ueMAC:      &stack.MAC{LCID: 4},
 		gnbMACRx:   &stack.MAC{LCID: 4},
-		dlItems:    map[int]*dlPacket{},
-		cgReg:      map[sim.Time]map[int]int{},
-		cgRNGs:     map[int]*sim.RNG{},
 		layerStats: map[string]*metrics.Accumulator{},
-		pingByUL:   map[int]*pingCtx{},
-		pingDLID:   map[int]int{},
 		obs:        cfg.Obs,
 	}
 	s.h = newObsHandles(s.obs)
@@ -365,6 +401,7 @@ func NewSystem(cfg Config) (*System, error) {
 	for _, l := range []string{"SDAP", "PDCP", "RLC", "RLC-q", "MAC", "PHY"} {
 		s.layerStats[l] = &metrics.Accumulator{}
 	}
+	s.Eng.HandleArrivals(s, arrivalName)
 	s.tickFire = s.onTick
 	s.scheduleTick(s.cfg.Grid.NextSchedBoundary(-1))
 	return s, nil

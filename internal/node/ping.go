@@ -15,13 +15,13 @@ type PingResult struct {
 	DLLatency sim.Duration
 }
 
-// pingCtx tracks one in-flight ping.
+// pingCtx tracks one ping. Its result is filled in as the request and the
+// reply resolve, so PingResults never reads the per-packet results, which
+// callers of Results may hold.
 type pingCtx struct {
-	id      int
 	sentAt  sim.Time
-	ulID    int
-	ulDone  sim.Time
 	turning sim.Duration
+	res     PingResult
 }
 
 // OfferPing injects an echo request at the UE at time at. The echo server
@@ -32,7 +32,7 @@ func (s *System) OfferPing(at sim.Time, size int, turnaround sim.Duration) int {
 		size = 13
 	}
 	id := len(s.pings)
-	ctx := &pingCtx{id: id, sentAt: at, turning: turnaround}
+	ctx := &pingCtx{sentAt: at, turning: turnaround, res: PingResult{ID: id}}
 	s.pings = append(s.pings, ctx)
 
 	req := pdu.Echo{ID: uint16(id), Seq: 1, SentNs: int64(at), Size: size}
@@ -40,41 +40,19 @@ func (s *System) OfferPing(at sim.Time, size int, turnaround sim.Duration) int {
 	if err != nil {
 		return -1
 	}
-	ctx.ulID = s.OfferUL(at, payload)
-	s.pingByUL[ctx.ulID] = ctx
+	if s.pingByUL == nil {
+		s.pingByUL = map[int]*pingCtx{}
+	}
+	s.pingByUL[s.OfferUL(at, payload)] = ctx
 	return id
 }
 
-// PingResults assembles the round-trip outcomes from the per-direction
-// results recorded during the run.
+// PingResults returns the round-trip outcomes resolved so far, one per
+// OfferPing in offer order, in a new slice.
 func (s *System) PingResults() []PingResult {
-	byID := map[int]Result{}
-	for _, r := range s.results {
-		byID[r.ID] = r
-	}
-	out := make([]PingResult, 0, len(s.pings))
-	for _, ctx := range s.pings {
-		pr := PingResult{ID: ctx.id}
-		ul, okUL := byID[ctx.ulID]
-		if !okUL || !ul.Delivered {
-			out = append(out, pr)
-			continue
-		}
-		pr.ULLatency = ul.Latency
-		dlID, started := s.pingDLID[ctx.id]
-		if !started {
-			out = append(out, pr)
-			continue
-		}
-		dl, okDL := byID[dlID]
-		if !okDL || !dl.Delivered {
-			out = append(out, pr)
-			continue
-		}
-		pr.DLLatency = dl.Latency
-		pr.Delivered = true
-		pr.RTT = pr.ULLatency + ctx.turning + pr.DLLatency
-		out = append(out, pr)
+	out := make([]PingResult, len(s.pings))
+	for i, ctx := range s.pings {
+		out[i] = ctx.res
 	}
 	return out
 }
@@ -86,15 +64,27 @@ func (s *System) onULDelivered(ulID int, at sim.Time, ok bool) {
 	if !isPing || !ok {
 		return
 	}
-	ctx.ulDone = at
-	reply := pdu.Echo{ID: uint16(ctx.id), Seq: 1, SentNs: int64(ctx.sentAt), Reply: true, Size: 13}
+	ctx.res.ULLatency = at.Sub(ctx.sentAt)
+	reply := pdu.Echo{ID: uint16(ctx.res.ID), Seq: 1, SentNs: int64(ctx.sentAt), Reply: true, Size: 13}
 	payload, err := reply.Append(nil)
 	if err != nil {
 		return
 	}
-	replyAt := at.Add(ctx.turning)
-	if s.pingDLID == nil {
-		s.pingDLID = map[int]int{}
+	if s.pingByDL == nil {
+		s.pingByDL = map[int]*pingCtx{}
 	}
-	s.pingDLID[ctx.id] = s.OfferDL(replyAt, payload)
+	s.pingByDL[s.OfferDL(at.Add(ctx.turning), payload)] = ctx
+}
+
+// onDLDelivered completes a ping when its reply, DL packet dlID, reaches
+// the UE after latency lat.
+func (s *System) onDLDelivered(dlID int, lat sim.Duration, ok bool) {
+	ctx, isPing := s.pingByDL[dlID]
+	if !isPing || !ok {
+		return
+	}
+	r := &ctx.res
+	r.DLLatency = lat
+	r.Delivered = true
+	r.RTT = r.ULLatency + ctx.turning + r.DLLatency
 }

@@ -14,14 +14,14 @@ import (
 // ulKind is the symbol kind SRs and UL data need.
 const ulKind = nr.SymUL
 
-// ulStep is the next engine event of a UL packet's journey. A packet has at
-// most one event pending, so one field names it, and the packet's handler,
-// bound once when it is offered, dispatches on it.
+// ulStep is the next engine event of a UL packet's journey after its
+// arrival (the "ul.offer" lane entry). A packet has at most one event
+// pending, so one field names it, and the packet's handler, bound once when
+// it arrives, dispatches on it.
 type ulStep uint8
 
 const (
-	ulOffer   ulStep = iota // arrival: UE stack processing starts
-	ulReady                 // data in the UE RLC queue: SR or configured grant
+	ulReady   ulStep = iota // data in the UE RLC queue: SR or configured grant
 	ulSRRecv                // the gNB decoded the packet's SR
 	ulGrant                 // the UE decoded the packet's grant
 	ulRx                    // the TB's reception at the gNB ends
@@ -30,7 +30,7 @@ const (
 
 // ulStepName is each step's engine event name.
 var ulStepName = [...]string{
-	ulOffer: "ul.offer", ulReady: "ul.ready", ulSRRecv: "ul.sr.recv",
+	ulReady: "ul.ready", ulSRRecv: "ul.sr.recv",
 	ulGrant: "ul.grant", ulRx: "ul.rx", ulDeliver: "ul.deliver",
 }
 
@@ -75,12 +75,6 @@ func (p *ulPacket) schedule(at sim.Time, next ulStep) {
 func (p *ulPacket) step() {
 	s := p.s
 	switch p.next {
-	case ulOffer:
-		// ① UE APP↓: SDAP/PDCP/RLC processing before the MAC can act.
-		d := s.sampleUE(proc.LayerSDAP) + s.sampleUE(proc.LayerPDCP) + s.sampleUE(proc.LayerRLC)
-		s.seg(&p.by, p.id, obs.DirUL, obs.LayerStack, "① UE APP↓", core.Processing, p.offered, d)
-		p.ready = p.offered.Add(d)
-		p.schedule(p.ready, ulReady)
 	case ulReady:
 		if s.cfg.GrantFree {
 			s.ulTransmitOnGrantFree(p)
@@ -113,13 +107,25 @@ func (s *System) OfferUL(at sim.Time, payload []byte) int {
 // id labels metrics, outcomes and the slot ledger; it does not change any
 // scheduling or channel decision (processing load scales with Config.NUEs),
 // so a run's aggregate results are identical however packets are attributed.
+//
+// The packet waits in the engine's arrival lane until ulArrive.
 func (s *System) OfferULAs(ue int, at sim.Time, payload []byte) int {
 	id := s.nextID
 	s.nextID++
-	p := &ulPacket{s: s, id: id, ue: ue, data: payload, offered: at, cgUnit: -1}
-	p.fire = p.step
-	p.schedule(at, ulOffer)
+	s.Eng.Arrive(at, sim.Arrival{Kind: arriveUL, ID: id, UE: ue, Payload: payload})
 	return id
+}
+
+// ulArrive builds a UL packet's context when it reaches the UE's stack, and
+// ① UE APP↓ (SDAP/PDCP/RLC processing) runs before the MAC can act.
+func (s *System) ulArrive(a sim.Arrival) {
+	now := s.Eng.Now()
+	p := &ulPacket{s: s, id: a.ID, ue: a.UE, data: a.Payload, offered: now, cgUnit: -1}
+	p.fire = p.step
+	d := s.sampleUE(proc.LayerSDAP) + s.sampleUE(proc.LayerPDCP) + s.sampleUE(proc.LayerRLC)
+	s.seg(&p.by, p.id, obs.DirUL, obs.LayerStack, "① UE APP↓", core.Processing, now, d)
+	p.ready = now.Add(d)
+	p.schedule(p.ready, ulReady)
 }
 
 // ulSendSR transmits the scheduling request in the next UL opportunity
@@ -214,6 +220,9 @@ func (s *System) cgRNG(ue int) *sim.RNG {
 	r, ok := s.cgRNGs[ue]
 	if !ok {
 		r = sim.NewRNG(s.cfg.Seed ^ sim.SplitMix64(0xC6C0DE^uint64(ue)))
+		if s.cgRNGs == nil {
+			s.cgRNGs = map[int]*sim.RNG{}
+		}
 		s.cgRNGs[ue] = r
 	}
 	return r
@@ -238,6 +247,9 @@ func (s *System) cgRegister(slot sim.Time, unit int) {
 			clear(m)
 		} else {
 			m = map[int]int{}
+		}
+		if s.cgReg == nil {
+			s.cgReg = map[sim.Time]map[int]int{}
 		}
 		s.cgReg[slot] = m
 	}

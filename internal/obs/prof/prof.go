@@ -135,7 +135,7 @@ func (p *Profiler) EngineEvent(t sim.Time, name string) {
 		p.types = append(p.types, &typeStat{key: name})
 	}
 	p.types[idx].count++
-	d := p.eng.QueueLen()
+	d := p.eng.Pending()
 	p.depth.Add(float64(d))
 	if d > p.maxDepth {
 		p.maxDepth = d

@@ -153,3 +153,53 @@ func TestSlotsMarkdownSections(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSlotsJSONLRoundTrip: any slots stream ReadSlotsJSONL accepts
+// re-encodes through WriteSlotsJSONL(f.Records, f.Label) into a stream that
+// reads back to the same ledger and label (with the meta line the writer
+// always stamps), and encoding that again is byte-identical.
+func FuzzSlotsJSONLRoundTrip(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteSlotsJSONL(&buf, slotFixture(), "fixture"); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, line := range strings.SplitAfter(buf.String(), "\n")[1:] {
+		f.Add([]byte(line))
+	}
+	meta := `{"kind":"slots_meta","schema":"urllcsim-slots/v1"}` + "\n"
+	for _, s := range []string{
+		meta + `{"kind":"slot","boundary_us":-0.0005,"dl":true,"target_dl_us":-0.001,"per_ue":[]}`,
+		meta + `{"kind":"slot","boundary_us":4398046511103.999,"dl":true,"target_dl_us":0}`,
+		`{"kind":"slots_meta","schema":"urllcsim-slots/v1","label":"a \ud800"}` + "\n" + `{"kind":"slots_meta","schema":"urllcsim-slots/v1","label":"b"}`,
+		`{"kind":"slot","boundary_us":1e-4,"dl":false,"target_dl_us":7,"per_ue":[{"ue":-3,"dl_bytes":-1}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first, err := ReadSlotsJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := WriteSlotsJSONL(&enc, first.Records, first.Label); err != nil {
+			t.Fatalf("accepted ledger does not re-encode: %v", err)
+		}
+		again, err := ReadSlotsJSONL(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded ledger does not read back: %v\n%s", err, enc.Bytes())
+		}
+		want := *first
+		want.HasMeta = true
+		if !reflect.DeepEqual(*again, want) {
+			t.Fatalf("re-encoded ledger reads back differently:\ngot  %+v\nwant %+v\n%s", *again, want, enc.Bytes())
+		}
+		var enc2 bytes.Buffer
+		if err := WriteSlotsJSONL(&enc2, again.Records, again.Label); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+			t.Fatalf("second encode differs:\n%s\n%s", enc.Bytes(), enc2.Bytes())
+		}
+	})
+}

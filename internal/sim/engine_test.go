@@ -162,8 +162,8 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	a := e.After(Microsecond, "a", func() {})
 	e.After(2*Microsecond, "b", func() {})
 	c := e.After(3*Microsecond, "c", func() {})
-	if e.Pending() != 3 || e.QueueLen() != 3 {
-		t.Fatalf("Pending/QueueLen = %d/%d, want 3/3", e.Pending(), e.QueueLen())
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3", e.Pending())
 	}
 	if !a.Cancel() || !c.Cancel() {
 		t.Fatal("Cancel() = false on pending events")
@@ -172,17 +172,14 @@ func TestPendingExcludesCancelled(t *testing.T) {
 		t.Fatal("second Cancel() = true")
 	}
 	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after 2 cancels, want 1", e.Pending())
-	}
-	if e.QueueLen() != 1 {
-		t.Fatalf("QueueLen = %d after cancels, want 1 (cancelled events are excised immediately)", e.QueueLen())
+		t.Fatalf("Pending = %d after 2 cancels, want 1 (cancelled events are excised immediately)", e.Pending())
 	}
 	if e.Cancels() != 2 {
 		t.Fatalf("Cancels = %d, want 2", e.Cancels())
 	}
 	e.RunAll()
-	if e.Pending() != 0 || e.QueueLen() != 0 {
-		t.Fatalf("Pending/QueueLen = %d/%d after RunAll, want 0/0", e.Pending(), e.QueueLen())
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after RunAll, want 0", e.Pending())
 	}
 	if e.Steps() != 1 {
 		t.Fatalf("Steps = %d, want 1 (only the live event fires)", e.Steps())
@@ -296,8 +293,8 @@ func TestCancelStormBoundsQueue(t *testing.T) {
 		if !ev.Cancel() {
 			t.Fatal("cancel failed")
 		}
-		if e.QueueLen() != 0 {
-			t.Fatalf("QueueLen = %d mid-storm, want 0", e.QueueLen())
+		if e.Pending() != 0 {
+			t.Fatalf("Pending = %d mid-storm, want 0", e.Pending())
 		}
 	}
 	if e.PoolAllocs() != slabSize {
@@ -324,7 +321,7 @@ func TestCancelStormBoundsQueue(t *testing.T) {
 func TestSteadyStateScheduleAllocsZero(t *testing.T) {
 	e := NewEngine()
 	cycle := func() {
-		for j := 0; j < 256; j++ {
+		for j := 0; j < slabSize; j++ {
 			e.Schedule(e.Now()+Time((j*2654435761)%100000), "e", func() {})
 		}
 		e.RunAll()
@@ -343,12 +340,12 @@ func TestScheduledCountsPushes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Schedule(Time(i), "n", func() {})
 	}
-	if e.Scheduled() != 5 {
-		t.Fatalf("Scheduled = %d, want 5", e.Scheduled())
+	if e.Pushes() != 5 {
+		t.Fatalf("Pushes = %d, want 5", e.Pushes())
 	}
 	e.RunAll()
-	if e.Scheduled() != 5 || e.QueueLen() != 0 {
-		t.Fatalf("Scheduled/QueueLen = %d/%d after run, want 5/0", e.Scheduled(), e.QueueLen())
+	if e.Pushes() != 5 || e.Pending() != 0 {
+		t.Fatalf("Pushes/Pending = %d/%d after run, want 5/0", e.Pushes(), e.Pending())
 	}
 }
 

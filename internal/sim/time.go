@@ -4,8 +4,8 @@
 // protocol layers, schedulers, radio heads and channels are all expressed as
 // events on a single virtual clock. Determinism is a hard requirement — two
 // runs with the same seed must produce byte-identical traces — so the engine
-// uses its own PRNG (no global rand), a stable event heap (FIFO among equal
-// timestamps), and virtual time represented as integer nanoseconds.
+// uses its own PRNG (no global rand), an event queue that is FIFO among
+// equal timestamps, and virtual time represented as integer nanoseconds.
 package sim
 
 import (

@@ -197,6 +197,13 @@ func (w *wheel) earliest(limit uint64) (uint64, peekStatus) {
 	}
 }
 
+// front returns the head of the earliest level-0 bucket without removing
+// it. Call only after earliest reported peekFound.
+func (w *wheel) front() *node {
+	l := &w.levels[0]
+	return l.slots[bits.TrailingZeros64(l.occupied)].head
+}
+
 // popFront removes and returns the head of the earliest level-0 bucket.
 // Call only after earliest reported peekFound.
 func (w *wheel) popFront() *node {

@@ -259,9 +259,9 @@ func TestWheelDifferential(t *testing.T) {
 						t.Fatalf("op %d: RunAll return diverged", op)
 					}
 				case 9: // counters stay coherent
-					if h.e.Pushes()-h.e.Pops()-h.e.Cancels() != uint64(h.e.QueueLen()) {
+					if h.e.Pushes()-h.e.Pops()-h.e.Cancels() != uint64(h.e.Pending()) {
 						t.Fatalf("op %d: pushes−pops−cancels = %d, queue %d",
-							op, h.e.Pushes()-h.e.Pops()-h.e.Cancels(), h.e.QueueLen())
+							op, h.e.Pushes()-h.e.Pops()-h.e.Cancels(), h.e.Pending())
 					}
 				}
 				h.check(fmt.Sprintf("op %d", op))

@@ -33,10 +33,10 @@ package urllcsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"urllcsim/internal/channel"
-	"urllcsim/internal/core"
 	"urllcsim/internal/node"
 	"urllcsim/internal/nr"
 	"urllcsim/internal/obs"
@@ -159,17 +159,12 @@ type ScenarioConfig struct {
 	Obs *obs.Recorder
 }
 
-// PacketResult is the fate of one offered packet.
-type PacketResult struct {
-	ID        int
-	Uplink    bool
-	Delivered bool
-	Latency   time.Duration
-	Attempts  int
-	// ProtocolShare…RadioShare split the journey across the paper's three
-	// latency sources (fractions of the accounted time).
-	ProtocolShare, ProcessingShare, RadioShare float64
-}
+// PacketResult is the fate of one offered packet: its id, direction,
+// delivery, one-way latency, transmission attempts and journey time per
+// latency source. ProtocolShare, ProcessingShare and RadioShare split the
+// journey across the paper's three latency sources (fractions of the
+// accounted time). It is the simulator's own verdict record, not a copy.
+type PacketResult = node.Result
 
 // Scenario is a configured, runnable system.
 type Scenario struct {
@@ -291,7 +286,7 @@ func buildGrids(p Pattern, mu nr.Numerology) (grid, ulGrid *nr.Grid, err error) 
 
 // Engine exposes the scenario's discrete-event engine, for self-profiling
 // (internal/obs/prof attaches to it) and engine-level throughput metrics
-// (Steps, Scheduled, Pending). The returned engine is the live simulation
+// (Steps, Pushes, Pending). The returned engine is the live simulation
 // core: callers may observe it but must not schedule or run it directly.
 func (s *Scenario) Engine() *sim.Engine { return s.sys.Eng }
 
@@ -321,26 +316,13 @@ func (s *Scenario) SendDownlinkFrom(ue int, at time.Duration, bytes int) int {
 }
 
 // Run advances virtual time to the horizon and returns the resolved packet
-// results so far.
+// results so far, in resolution order. The slice is the scenario's own
+// record, clipped so that packets resolved by a later Run never show
+// through it. A later Run returns the same elements first, so a caller that
+// sorts or edits them should clone the slice; PingResults never reads it.
 func (s *Scenario) Run(horizon time.Duration) []PacketResult {
 	s.sys.Eng.Run(sim.Time(horizon))
-	rs := s.sys.Results()
-	out := make([]PacketResult, len(rs))
-	for i, r := range rs {
-		by := r.BySource
-		tot := float64(by.Total())
-		pr := PacketResult{
-			ID: r.ID, Uplink: r.Uplink, Delivered: r.Delivered,
-			Latency: time.Duration(r.Latency), Attempts: r.Attempts,
-		}
-		if tot > 0 {
-			pr.ProtocolShare = float64(by[core.Protocol]) / tot
-			pr.ProcessingShare = float64(by[core.Processing]) / tot
-			pr.RadioShare = float64(by[core.Radio]) / tot
-		}
-		out[i] = pr
-	}
-	return out
+	return slices.Clip(s.sys.Results())
 }
 
 // Journey renders packet id's Fig. 3-style journey table from the spans

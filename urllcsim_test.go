@@ -1,6 +1,8 @@
 package urllcsim
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -99,7 +101,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 		if j, err := sc.Journey(r.ID); err != nil || j == "" {
 			t.Fatalf("packet %d: empty journey (err %v)", r.ID, err)
 		}
-		sum := r.ProtocolShare + r.ProcessingShare + r.RadioShare
+		sum := r.ProtocolShare() + r.ProcessingShare() + r.RadioShare()
 		if sum < 0.99 || sum > 1.01 {
 			t.Fatalf("shares sum to %v", sum)
 		}
@@ -283,6 +285,44 @@ func TestCustomPatternString(t *testing.T) {
 	}
 	if _, err := NewScenario(ScenarioConfig{Pattern: "DDU", SlotScale: Slot0p5ms}); err == nil {
 		t.Fatal("illegal 1.5ms period accepted")
+	}
+}
+
+// TestRunResultsAliasing edits the slice Run returns, as a caller sorting
+// it before taking percentiles would, and checks that PingResults and the
+// packets a later Run resolves are unchanged: Run returns the scenario's
+// own record without copying, so only that prefix may show the edit.
+func TestRunResultsAliasing(t *testing.T) {
+	run := func(edit bool) ([]PingOutcome, []PacketResult) {
+		sc, err := NewScenario(ScenarioConfig{
+			Pattern: PatternDDDU, SlotScale: Slot0p5ms, Radio: RadioUSB2, Seed: 13,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			sc.SendPing(time.Duration(i)*2*time.Millisecond, 32, 100*time.Microsecond)
+		}
+		first := sc.Run(20 * time.Millisecond)
+		if len(first) == 0 || len(first) == 40 {
+			t.Fatalf("first Run resolved %d of 40 packets, want some but not all", len(first))
+		}
+		if edit {
+			slices.SortFunc(first, func(a, b PacketResult) int { return cmp.Compare(b.ID, a.ID) })
+			for i := range first {
+				first[i].Latency, first[i].Delivered = 0, false
+			}
+		}
+		all := sc.Run(200 * time.Millisecond)
+		return sc.PingResults(), all[len(first):]
+	}
+	wantPings, wantLater := run(false)
+	gotPings, gotLater := run(true)
+	if !slices.Equal(gotPings, wantPings) {
+		t.Fatalf("editing Run's results changed PingResults:\n got %+v\nwant %+v", gotPings, wantPings)
+	}
+	if len(gotLater) == 0 || !slices.Equal(gotLater, wantLater) {
+		t.Fatalf("editing Run's results changed later packets:\n got %+v\nwant %+v", gotLater, wantLater)
 	}
 }
 
