@@ -1,13 +1,5 @@
 GO ?= go
 
-# Tolerance for the perf-regression gates. bench-check (a deliberate
-# before/after measurement) gates tightly; bench-smoke runs inside `make
-# check` with short runs on a possibly-loaded machine, so it gates
-# loosely — its job is exercising the whole produce→validate→compare
-# pipeline every time, not adjudicating small deltas.
-BENCH_TOL  ?= 10%
-SMOKE_TOL  ?= 500%
-
 .PHONY: check vet build test race allocs bench bench-go bench-check bench-smoke ab lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke
 
 ## check: full verification gate — lint (vet + gofmt), build, race-enabled tests,
@@ -49,15 +41,16 @@ bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
 ## bench: run the declared urllc-bench suite and record a timestamped,
-## schema-versioned perf snapshot (ns/op, B/op, allocs/op, events/sec, and the
-## engine self-profile) for the perf trajectory
+## schema-versioned perf snapshot (ns/op, B/op, allocs/op and rate extras)
+## for the perf trajectory
 bench:
 	$(GO) run ./cmd/urllc-bench -out BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
 
 ## bench-check: run the suite and gate against the committed baseline —
-## exits non-zero with a delta table if any benchmark slowed beyond BENCH_TOL
+## exits non-zero with a delta table if any benchmark allocates more per op
+## than the baseline records
 bench-check:
-	$(GO) run ./cmd/urllc-bench -baseline BENCH_baseline.json -check -tolerance $(BENCH_TOL)
+	$(GO) run ./cmd/urllc-bench -baseline BENCH_baseline.json -check
 
 ## ab: the timing evidence for a change — PAIRS alternating pairs of
 ## `bash benchmark/run.sh -workload all -trace 0 -seconds SECONDS -seed SEED`,
@@ -71,25 +64,23 @@ SEED    ?= 1
 ab:
 	$(GO) run ./cmd/urllc-ab -base $(BASE) -pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED)
 
-## bench-smoke: exercise the whole benchmark-harness pipeline quickly —
-## short suite at a 100 ms benchtime (time-based like the baseline's 1 s, so
-## fixed per-run set-up is amortised the same way and ns/op and allocs/op
-## compare like with like), schema validation (which asserts the
-## engine's push/pop/cancel counters cohere with the embedded self-profile:
-## pops ≡ fired events, pushes ≥ pops + cancels), the self-comparison
-## must pass the gate (exit 0), and an injected 100x regression must trip it
-## (exit 1); finally a loose-tolerance check against the committed baseline
+## bench-smoke: exercise the whole benchmark-harness pipeline quickly — the
+## suite at a 100 ms benchtime (allocs/op is exact at any benchtime), schema
+## validation, a clean self-comparison (exit 0), an injected +allocation
+## regression that must trip the gate (exit 1), and finally the exact
+## allocs/op gate against the committed baseline
 bench-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) build -o $$tmp/urllc-bench ./cmd/urllc-bench && \
-	$$tmp/urllc-bench -short -benchtime 100ms -out $$tmp/smoke.json >/dev/null && \
+	$$tmp/urllc-bench -benchtime 100ms -out $$tmp/smoke.json >/dev/null && \
 	$$tmp/urllc-bench -validate $$tmp/smoke.json && \
 	$$tmp/urllc-bench -baseline $$tmp/smoke.json -input $$tmp/smoke.json -check >/dev/null && \
-	sed 's/"ns_per_op": /"ns_per_op": 100/' $$tmp/smoke.json > $$tmp/slow.json && \
-	if $$tmp/urllc-bench -baseline $$tmp/smoke.json -input $$tmp/slow.json -check >/dev/null 2>&1; then \
-		echo "bench-smoke FAIL: injected regression did not trip the gate"; exit 1; fi && \
-	$$tmp/urllc-bench -baseline BENCH_baseline.json -input $$tmp/smoke.json -check -tolerance $(SMOKE_TOL) >/dev/null && \
-	echo "bench-smoke OK: schema valid, self-check clean, injected regression caught ($$tmp)" && rm -rf $$tmp
+	sed 's/"allocs_per_op": /"allocs_per_op": 1/' $$tmp/smoke.json > $$tmp/alloc.json && \
+	if $$tmp/urllc-bench -baseline $$tmp/smoke.json -input $$tmp/alloc.json -check >/dev/null 2>&1; then \
+		echo "bench-smoke FAIL: injected allocation regression did not trip the gate"; exit 1; fi && \
+	{ $$tmp/urllc-bench -baseline BENCH_baseline.json -input $$tmp/smoke.json -check >$$tmp/gate.md || \
+		{ cat $$tmp/gate.md; exit 1; }; } && \
+	echo "bench-smoke OK: schema valid, self-check clean, injected regression caught, allocs/op match the baseline ($$tmp)" && rm -rf $$tmp
 
 ## report-smoke: end-to-end JSONL → urllc-report round trip in a temp dir —
 ## a trace renders the feasibility table and both CSVs, a legacy "event" line

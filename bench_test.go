@@ -13,9 +13,7 @@ package urllcsim_test
 import (
 	"strings"
 	"testing"
-	"time"
 
-	"urllcsim"
 	"urllcsim/internal/core"
 	"urllcsim/internal/experiments"
 	"urllcsim/internal/nr"
@@ -189,41 +187,6 @@ func BenchmarkMultiUE(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkScenarioThroughput measures raw simulator speed: full-stack
-// packets simulated per second (engineering metric, not a paper artefact).
-func BenchmarkScenarioThroughput(b *testing.B) {
-	b.ReportAllocs()
-	sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
-		Pattern: urllcsim.PatternDDDU, SlotScale: urllcsim.Slot0p5ms, Radio: urllcsim.RadioUSB2, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.SendDownlink(time.Duration(i)*2*time.Millisecond, 32)
-	}
-	rs := sc.Run(time.Duration(b.N+50) * 2 * time.Millisecond)
-	if len(rs) != b.N {
-		b.Fatalf("resolved %d/%d", len(rs), b.N)
-	}
-	b.ReportMetric(float64(sc.Engine().Steps())/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkWorstCaseEngine measures the analytic engine's speed. One walk
-// is the analytic equivalent of one engine event, so events/sec here and in
-// BenchmarkScenarioThroughput are comparable throughput trends.
-func BenchmarkWorstCaseEngine(b *testing.B) {
-	b.ReportAllocs()
-	cfg := core.ConfigDM(nr.Mu2, core.DefaultAssumptions())
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.WorstCase(core.GrantBasedUL); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkURLLCAchieved regenerates the three-design feasibility study (X5).

@@ -1,21 +1,18 @@
-// Command urllc-bench turns the repository's benchmarks into a persisted,
-// comparable perf trajectory. It runs the declared suite (internal/bench)
-// in-process via testing.Benchmark, profiles a reference full-stack scenario
-// with the engine self-profiler (internal/obs/prof), and emits one
-// schema-versioned BENCH_<timestamp>.json recording machine, commit,
-// per-benchmark ns/op, B/op, allocs/op and events/sec, plus the profiler's
-// per-event-type wall-share breakdown.
+// Command urllc-bench runs the repository's component micro-benchmarks
+// (internal/bench) in-process via testing.Benchmark and emits one
+// schema-versioned BENCH_<timestamp>.json recording machine, commit and
+// per-benchmark ns/op, B/op, allocs/op and rate extras.
 //
-//	urllc-bench                         # run suite, write BENCH_<ts>.json
-//	urllc-bench -short -benchtime 10x   # smoke run (heavy entries skipped)
-//	urllc-bench -baseline OLD.json -check -tolerance 10%
+//	urllc-bench                          # run suite, write BENCH_<ts>.json
+//	urllc-bench -benchtime 100ms -out -  # quick run, no file
+//	urllc-bench -baseline OLD.json -check
 //	urllc-bench -baseline OLD.json -input NEW.json -check
 //	urllc-bench -validate FILE.json
 //
 // With -check, the exit status is the regression gate: non-zero when any
-// benchmark common to both files got slower than the tolerance allows, with
-// a per-benchmark delta table on stdout — every future perf-claiming PR can
-// (and must) show this before/after artifact.
+// benchmark common to both files allocates more per op than its baseline,
+// with a per-benchmark delta table on stdout. Allocation counts are exact,
+// so the gate needs no tolerance; ns/op is reported for information only.
 package main
 
 import (
@@ -26,9 +23,7 @@ import (
 	"testing"
 	"time"
 
-	"urllcsim"
 	"urllcsim/internal/bench"
-	"urllcsim/internal/obs/prof"
 	"urllcsim/internal/version"
 )
 
@@ -37,12 +32,9 @@ func main() {
 	out := flag.String("out", "", "write the BENCH JSON here (default BENCH_<timestamp>.json; \"-\" for none)")
 	baseline := flag.String("baseline", "", "BENCH JSON to compare against")
 	input := flag.String("input", "", "compare this BENCH JSON instead of running the suite (requires -baseline)")
-	check := flag.Bool("check", false, "exit non-zero when any benchmark regressed past -tolerance vs -baseline")
-	tolerance := flag.String("tolerance", "10%", "allowed ns/op growth before -check fails (e.g. 10%, 0.25)")
+	check := flag.Bool("check", false, "exit non-zero when any benchmark allocates more per op than in -baseline")
 	benchtime := flag.String("benchtime", "1s", "per-benchmark measuring time (testing syntax: 1s, 100ms, 50x)")
-	short := flag.Bool("short", false, "skip heavy suite entries (sweep scaling, Table 1) — the smoke configuration")
 	run := flag.String("run", "", "regexp selecting suite entries to run")
-	noProfile := flag.Bool("no-profile", false, "skip the profiled reference scenario run")
 	validate := flag.String("validate", "", "validate this BENCH JSON against the schema and exit")
 	list := flag.Bool("list", false, "list the declared suite and exit")
 	showVersion := flag.Bool("version", false, "print build and schema versions, then exit")
@@ -54,22 +46,18 @@ func main() {
 		return
 	}
 
-	if err := mainErr(*out, *baseline, *input, *tolerance, *benchtime, *run,
-		*validate, *check, *short, *noProfile, *list); err != nil {
+	if err := mainErr(*out, *baseline, *input, *benchtime, *run,
+		*validate, *check, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "urllc-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func mainErr(out, baseline, input, tolerance, benchtime, runPat, validate string,
-	check, short, noProfile, list bool) error {
+func mainErr(out, baseline, input, benchtime, runPat, validate string,
+	check, list bool) error {
 	if list {
 		for _, bm := range bench.Suite() {
-			heavy := ""
-			if bm.Heavy {
-				heavy = " [heavy]"
-			}
-			fmt.Printf("%-24s %s%s\n", bm.Name, bm.Desc, heavy)
+			fmt.Printf("%-24s %s\n", bm.Name, bm.Desc)
 		}
 		return nil
 	}
@@ -82,12 +70,10 @@ func mainErr(out, baseline, input, tolerance, benchtime, runPat, validate string
 			validate, f.Schema, len(f.Results), f.Timestamp)
 		return nil
 	}
-	tol, err := bench.ParseTolerance(tolerance)
-	if err != nil {
-		return err
-	}
-
-	var cur *bench.File
+	var (
+		cur *bench.File
+		err error
+	)
 	if input != "" {
 		if baseline == "" {
 			return fmt.Errorf("-input requires -baseline")
@@ -96,7 +82,7 @@ func mainErr(out, baseline, input, tolerance, benchtime, runPat, validate string
 			return err
 		}
 	} else {
-		if cur, err = runSuite(benchtime, runPat, short, noProfile); err != nil {
+		if cur, err = runSuite(benchtime, runPat); err != nil {
 			return err
 		}
 		if err := cur.Validate(); err != nil {
@@ -121,10 +107,10 @@ func mainErr(out, baseline, input, tolerance, benchtime, runPat, validate string
 	if err != nil {
 		return err
 	}
-	cmp := bench.Compare(base, cur, tol)
+	cmp := bench.Compare(base, cur)
 	fmt.Print(cmp.MarkdownTable())
 	if regs := cmp.Regressions(); check && len(regs) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed past %s: %v", len(regs), tolerance, regs)
+		return fmt.Errorf("%d benchmark(s) allocate more per op than the baseline: %v", len(regs), regs)
 	}
 	if check {
 		fmt.Fprintln(os.Stderr, "regression gate: ok")
@@ -134,7 +120,7 @@ func mainErr(out, baseline, input, tolerance, benchtime, runPat, validate string
 
 // runSuite executes the declared benchmarks in suite order and assembles the
 // BENCH file, echoing a human-readable line per benchmark to stderr.
-func runSuite(benchtime, runPat string, short, noProfile bool) (*bench.File, error) {
+func runSuite(benchtime, runPat string) (*bench.File, error) {
 	if err := flag.Set("test.benchtime", benchtime); err != nil {
 		return nil, fmt.Errorf("benchtime %q: %w", benchtime, err)
 	}
@@ -145,11 +131,8 @@ func runSuite(benchtime, runPat string, short, noProfile bool) (*bench.File, err
 			return nil, fmt.Errorf("-run %q: %w", runPat, err)
 		}
 	}
-	f := bench.NewFile(benchtime, short)
+	f := bench.NewFile(benchtime)
 	for _, bm := range bench.Suite() {
-		if short && bm.Heavy {
-			continue
-		}
 		if sel != nil && !sel.MatchString(bm.Name) {
 			continue
 		}
@@ -174,41 +157,5 @@ func runSuite(benchtime, runPat string, short, noProfile bool) (*bench.File, err
 	if len(f.Results) == 0 {
 		return nil, fmt.Errorf("no suite entries matched")
 	}
-	if !noProfile {
-		rep, err := profiledScenario(short)
-		if err != nil {
-			return nil, err
-		}
-		f.Profile = rep
-		fmt.Print("\n" + rep.MarkdownTable())
-	}
 	return f, nil
-}
-
-// profiledScenario runs the reference full-stack scenario (the same
-// DDDU/0.5ms/USB2 configuration the throughput benchmark uses) under the
-// engine self-profiler and returns its report — the per-event-type wall
-// breakdown embedded in every BENCH file.
-func profiledScenario(short bool) (*prof.Report, error) {
-	packets := 400
-	if short {
-		packets = 60
-	}
-	sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
-		Pattern: urllcsim.PatternDDDU, SlotScale: urllcsim.Slot0p5ms,
-		Radio: urllcsim.RadioUSB2, Seed: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	p := prof.Attach(sc.Engine())
-	for i := 0; i < packets; i++ {
-		at := time.Duration(i) * 2 * time.Millisecond
-		sc.SendUplink(at+137*time.Microsecond, 32)
-		sc.SendDownlink(at+731*time.Microsecond, 32)
-	}
-	if rs := sc.Run(time.Duration(packets+50) * 2 * time.Millisecond); len(rs) != 2*packets {
-		return nil, fmt.Errorf("profiled scenario resolved %d/%d packets", len(rs), 2*packets)
-	}
-	return p.Finish(), nil
 }

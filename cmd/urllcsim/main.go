@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"urllcsim"
-	"urllcsim/internal/bench"
 	"urllcsim/internal/obs"
 	"urllcsim/internal/obs/analyze"
 	"urllcsim/internal/obs/flight"
@@ -58,7 +57,6 @@ func main() {
 	wdP99 := flag.Duration("watchdog-p99", 0, "fire a watchdog anomaly when a window's p99 latency exceeds this (0 = off)")
 	wdWindow := flag.Int("watchdog-window", flight.DefaultWindow, "packet outcomes per watchdog evaluation window")
 	anomalyOut := flag.String("anomaly-out", "", "stream watchdog 'anomaly' JSONL events to this file as they fire")
-	wdBaseline := flag.String("watchdog-baseline", "", "BENCH_*.json whose profiled events/sec seeds a throughput expectation; a run below half of it is flagged on stderr")
 	journey := flag.String("journey", "", "ul | dl: offer one packet at 337µs in that direction (100 ms horizon) and print its Fig. 3 journey instead of the summary; -packets and -dir are not used")
 	showVersion := flag.Bool("version", false, "print build and schema versions, then exit")
 	flag.Parse()
@@ -66,8 +64,7 @@ func main() {
 	if *showVersion {
 		version.Print(os.Stdout, "urllcsim",
 			[]string{obs.TraceSchema, obs.SlotsSchema, analyze.KPISchema,
-				flight.Schema, flight.AnomalySchema, prof.ReportSchema},
-			[]string{bench.Schema + " (via -watchdog-baseline)"})
+				flight.Schema, flight.AnomalySchema, prof.ReportSchema}, nil)
 		return
 	}
 
@@ -203,7 +200,7 @@ func main() {
 	// The self-profiler mounts as the engine's sink. It observes only: the
 	// scenario output is byte-identical with and without it.
 	var profiler *prof.Profiler
-	if *profOut != "" || *wdBaseline != "" {
+	if *profOut != "" {
 		profiler = prof.Attach(sc.Engine())
 		// Meter the recorder so the profile carries a measured observer-tax
 		// line (wall inside obs.*, records handled, retained bytes).
@@ -271,16 +268,11 @@ func main() {
 		// Publish before the exports below so -metrics-out and -serve carry
 		// the profiler's registry view alongside the simulation's.
 		rep.Publish(rec)
-		if *profOut != "" {
-			if err := obs.WriteFile(*profOut, rep.WriteJSONL); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprint(os.Stderr, rep.MarkdownTable())
+		if err := obs.WriteFile(*profOut, rep.WriteJSONL); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		if *wdBaseline != "" {
-			checkBaseline(*wdBaseline, rep, rec)
-		}
+		fmt.Fprint(os.Stderr, rep.MarkdownTable())
 	}
 
 	var flightSet *flight.Set
@@ -453,29 +445,4 @@ func jsonlBatchPath(path string, streamed bool) string {
 		return ""
 	}
 	return path
-}
-
-// checkBaseline compares this run's measured engine throughput against the
-// profiled reference recorded in a BENCH_*.json baseline. Wall-clock
-// throughput is machine- and load-dependent, so the verdict is advisory:
-// a stderr line plus a watchdog counter, never an exit status and never
-// anything on stdout.
-func checkBaseline(path string, rep *prof.Report, rec *obs.Recorder) {
-	base, err := bench.Load(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "watchdog: baseline unusable: %v\n", err)
-		return
-	}
-	if base.Profile == nil || base.Profile.EventsPerSec <= 0 {
-		fmt.Fprintf(os.Stderr, "watchdog: baseline %s has no profiled reference scenario\n", path)
-		return
-	}
-	exp := base.Profile.EventsPerSec
-	if rep.EventsPerSec < exp/2 {
-		rec.Count("watchdog.throughput_anomaly", 1)
-		fmt.Fprintf(os.Stderr, "watchdog: throughput anomaly: %.0f events/s vs baseline %.0f (below 50%%)\n",
-			rep.EventsPerSec, exp)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "watchdog: throughput ok: %.0f events/s vs baseline %.0f\n", rep.EventsPerSec, exp)
 }

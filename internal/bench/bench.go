@@ -1,12 +1,11 @@
-// Package bench declares the simulator's continuous-benchmark suite and the
+// Package bench declares the simulator's component micro-benchmarks and the
 // machine-readable BENCH file format that cmd/urllc-bench persists, compares
-// and gates on. The suite covers the three speed-critical surfaces of the
-// repository: full-stack scenario throughput (the event loop end to end),
-// sweep scaling across worker counts (the parallel engine of
-// internal/sweep), and the analytic engines — plus targeted micro-benchmarks
-// for sim.Engine scheduling and the obs record hot paths, so a regression in
-// any layer shows up attributed to that layer rather than smeared across a
-// whole scenario run.
+// and gates on. Each entry isolates one layer — sim.Engine scheduling, the
+// analytic worst-case engine, keyed PDCP security, the obs record, labeled
+// and export paths — so a regression shows up attributed to that layer. The
+// gate is exact: allocs/op may not rise above the baseline's. ns/op, B/op
+// and the rate extras are recorded for information only; end-to-end timing
+// is measured by the interleaved A/B over benchmark/ (`make ab`).
 package bench
 
 import (
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"urllcsim"
-	"urllcsim/internal/cell"
 	"urllcsim/internal/core"
 	"urllcsim/internal/crypto5g"
 	"urllcsim/internal/nr"
@@ -23,17 +21,15 @@ import (
 	"urllcsim/internal/obs/analyze"
 	"urllcsim/internal/obs/flight"
 	"urllcsim/internal/sim"
-	"urllcsim/internal/sweep"
 )
 
 // Benchmark is one declared suite entry. F follows the standard testing
 // contract so entries run identically under cmd/urllc-bench
 // (testing.Benchmark) and `go test -bench`.
 type Benchmark struct {
-	Name  string
-	Desc  string
-	Heavy bool // skipped in smoke/short runs
-	F     func(b *testing.B)
+	Name string
+	Desc string
+	F    func(b *testing.B)
 }
 
 // Suite returns the declared benchmarks in a fixed order — the order is part
@@ -41,53 +37,14 @@ type Benchmark struct {
 func Suite() []Benchmark {
 	return []Benchmark{
 		{
-			Name: "ScenarioThroughput",
-			Desc: "full-stack DL packets through the DDDU/0.5ms/USB2 scenario",
-			F:    scenarioThroughput,
-		},
-		{
-			Name: "ScenarioThroughputGF",
-			Desc: "full-stack grant-free UL packets (the paper's fastest access mode)",
-			F:    scenarioThroughputGF,
-		},
-		{
 			Name: "WorstCaseEngine",
 			Desc: "analytic worst-case walk (grant-based UL)",
 			F:    worstCaseEngine,
 		},
 		{
-			Name:  "Table1",
-			Desc:  "full feasibility matrix (Table 1) per op",
-			Heavy: true,
-			F:     table1,
-		},
-		{
-			Name:  "SweepScaling/p1",
-			Desc:  "4-replica scenario sweep on 1 worker",
-			Heavy: true,
-			F:     sweepScaling(1),
-		},
-		{
-			Name:  "SweepScaling/p2",
-			Desc:  "4-replica scenario sweep on 2 workers",
-			Heavy: true,
-			F:     sweepScaling(2),
-		},
-		{
-			Name:  "SweepScaling/p4",
-			Desc:  "4-replica scenario sweep on 4 workers",
-			Heavy: true,
-			F:     sweepScaling(4),
-		},
-		{
-			Name: "CellDynamic",
-			Desc: "128-UE dynamic-grant cell through the real scheduler (UEs/sec)",
-			F:    cellRun(cell.ModeDynamic),
-		},
-		{
-			Name: "CellGrantFree",
-			Desc: "128-UE grant-free cell with CG contention and backoff (UEs/sec)",
-			F:    cellRun(cell.ModeGrantFree),
+			Name: "Table1",
+			Desc: "full feasibility matrix (Table 1) per op",
+			F:    table1,
 		},
 		{
 			Name: "EngineSchedule",
@@ -151,60 +108,10 @@ func Suite() []Benchmark {
 		},
 		{
 			Name: "FlightRecorderOverhead",
-			Desc: "full-stack scenario with the flight recorder tapped in (vs ScenarioThroughput)",
+			Desc: "full-stack DL packets through the DDDU/0.5ms/USB2 scenario with the flight recorder tapped in",
 			F:    flightRecorderOverhead,
 		},
 	}
-}
-
-// Find returns the named suite entry.
-func Find(name string) (Benchmark, bool) {
-	for _, bm := range Suite() {
-		if bm.Name == name {
-			return bm, true
-		}
-	}
-	return Benchmark{}, false
-}
-
-func scenarioThroughput(b *testing.B) {
-	b.ReportAllocs()
-	sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
-		Pattern: urllcsim.PatternDDDU, SlotScale: urllcsim.Slot0p5ms,
-		Radio: urllcsim.RadioUSB2, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.SendDownlink(time.Duration(i)*2*time.Millisecond, 32)
-	}
-	rs := sc.Run(time.Duration(b.N+50) * 2 * time.Millisecond)
-	if len(rs) != b.N {
-		b.Fatalf("resolved %d/%d", len(rs), b.N)
-	}
-	b.ReportMetric(float64(sc.Engine().Steps())/b.Elapsed().Seconds(), "events/sec")
-}
-
-func scenarioThroughputGF(b *testing.B) {
-	b.ReportAllocs()
-	sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
-		Pattern: urllcsim.PatternDM, SlotScale: urllcsim.Slot0p5ms,
-		GrantFree: true, Radio: urllcsim.RadioUSB2, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.SendUplink(time.Duration(i)*2*time.Millisecond+137*time.Microsecond, 32)
-	}
-	rs := sc.Run(time.Duration(b.N+50) * 2 * time.Millisecond)
-	if len(rs) != b.N {
-		b.Fatalf("resolved %d/%d", len(rs), b.N)
-	}
-	b.ReportMetric(float64(sc.Engine().Steps())/b.Elapsed().Seconds(), "events/sec")
 }
 
 func worstCaseEngine(b *testing.B) {
@@ -227,66 +134,23 @@ func table1(b *testing.B) {
 	}
 }
 
-// sweepScaling runs a fixed 4-replica scenario grid through the sweep worker
-// pool at the given width; comparing p1/p2/p4 ns/op across commits is the
-// parallel-scaling trajectory PR 4 claimed but never measured.
-func sweepScaling(workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		var events uint64
-		for i := 0; i < b.N; i++ {
-			outs, err := sweep.Run(workers, 4, func(shard int) (uint64, error) {
-				sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
-					Pattern: urllcsim.PatternDDDU, SlotScale: urllcsim.Slot0p5ms,
-					Radio: urllcsim.RadioUSB2,
-					Seed:  sweep.Seed(uint64(i+1), shard),
-				})
-				if err != nil {
-					return 0, err
-				}
-				for p := 0; p < 20; p++ {
-					at := time.Duration(p) * 2 * time.Millisecond
-					sc.SendUplink(at+137*time.Microsecond, 32)
-					sc.SendDownlink(at+731*time.Microsecond, 32)
-				}
-				sc.Run(time.Duration(20+50) * 2 * time.Millisecond)
-				return sc.Engine().Steps(), nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, n := range outs {
-				events += n
-			}
-		}
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	}
+// engineBooks is a snapshot of sim.Engine's queue counters.
+type engineBooks struct{ pushes, pops, cancels, steps uint64 }
+
+func booksOf(eng *sim.Engine) engineBooks {
+	return engineBooks{eng.Pushes(), eng.Pops(), eng.Cancels(), eng.Steps()}
 }
 
-// cellRun is one whole many-UE cell per op: 128 machines, 4 cycles each,
-// through the full scheduler/node stack. UEs/sec is the cell layer's
-// capacity-planning number — how many concurrently active machines one
-// wall-clock second of simulation buys at this load.
-func cellRun(mode cell.Mode) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		const ues, cycles = 128, 4
-		for i := 0; i < b.N; i++ {
-			res, err := cell.Run(cell.Config{
-				UEs:    ues,
-				Mode:   mode,
-				Cycles: cycles,
-				Period: 20 * time.Millisecond,
-				Seed:   uint64(i + 1),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Offered != ues*cycles {
-				b.Fatalf("offered %d, want %d", res.Offered, ues*cycles)
-			}
-		}
-		b.ReportMetric(float64(b.N)*ues/b.Elapsed().Seconds(), "UEs/sec")
+// checkBooks fails the benchmark unless the engine's counters moved from
+// before by exactly want. Each engine entry runs a fixed event script, so
+// its pushes, pops, cancels and steps per op are known exactly; any other
+// change means the engine's books and its work diverged.
+func checkBooks(b *testing.B, eng *sim.Engine, before, want engineBooks) {
+	now := booksOf(eng)
+	got := engineBooks{now.pushes - before.pushes, now.pops - before.pops,
+		now.cancels - before.cancels, now.steps - before.steps}
+	if got != want {
+		b.Fatalf("engine books moved %+v in one op, want %+v", got, want)
 	}
 }
 
@@ -303,9 +167,8 @@ func engineSchedule(b *testing.B) {
 		for j := 0; j < n; j++ {
 			eng.Schedule(sim.Time((j*2654435761)%100000), "e", func() {})
 		}
-		if eng.RunAll(); eng.Steps() != n {
-			b.Fatalf("fired %d/%d", eng.Steps(), n)
-		}
+		eng.RunAll()
+		checkBooks(b, eng, engineBooks{}, engineBooks{pushes: n, pops: n, steps: n})
 	}
 	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "events/sec")
 }
@@ -327,9 +190,8 @@ func engineScheduleCancel(b *testing.B) {
 		if eng.Pending() != n/2 {
 			b.Fatalf("Pending = %d, want %d", eng.Pending(), n/2)
 		}
-		if eng.RunAll(); eng.Steps() != n/2 {
-			b.Fatalf("fired %d/%d", eng.Steps(), n/2)
-		}
+		eng.RunAll()
+		checkBooks(b, eng, engineBooks{}, engineBooks{pushes: n, pops: n / 2, cancels: n / 2, steps: n / 2})
 	}
 	b.ReportMetric(float64(b.N)*n/2/b.Elapsed().Seconds(), "events/sec")
 }
@@ -343,11 +205,12 @@ func engineScheduleSteady(b *testing.B) {
 	const n = 4096
 	eng := sim.NewEngine()
 	cycle := func() {
-		base := eng.Now()
+		before, base := booksOf(eng), eng.Now()
 		for j := 0; j < n; j++ {
 			eng.Schedule(base+sim.Time((j*2654435761)%100000), "e", func() {})
 		}
 		eng.RunAll()
+		checkBooks(b, eng, before, engineBooks{pushes: n, pops: n, steps: n})
 	}
 	cycle() // warm the node pool so b.N ops hit the freelist only
 	b.ResetTimer()
@@ -367,18 +230,16 @@ func engineCancelStorm(b *testing.B) {
 	eng := sim.NewEngine()
 	evs := make([]sim.Event, n)
 	cycle := func() {
-		base := eng.Now()
+		before, base := booksOf(eng), eng.Now()
 		for j := 0; j < n; j++ {
 			evs[j] = eng.Schedule(base+sim.Time((j*2654435761)%100000), "e", func() {})
 		}
 		for j := 0; j < n; j++ {
 			evs[j].Cancel()
 		}
+		checkBooks(b, eng, before, engineBooks{pushes: n, cancels: n})
 	}
 	cycle()
-	if eng.Pending() != 0 {
-		b.Fatalf("Pending = %d after full cancel, want 0", eng.Pending())
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle()
@@ -518,11 +379,11 @@ func obsExportJSONL(b *testing.B) {
 	b.ReportMetric(float64(b.N)*float64(records)/b.Elapsed().Seconds(), "records/sec")
 }
 
-// flightRecorderOverhead is scenarioThroughput with a retention-free
-// recorder and a flight-recorder tap attached — the exact configuration
-// `urllcsim -flight-out` runs. The events/sec gap between this entry and
-// ScenarioThroughput is the flight recorder's whole-run cost, which the
-// ≤2 % overhead budget for always-on tail forensics gates on.
+// flightRecorderOverhead runs full-stack DL packets through the
+// DDDU/0.5ms/USB2 scenario with a retention-free recorder and a
+// flight-recorder tap attached — the exact configuration `urllcsim
+// -flight-out` runs. Its allocs/op is gated like every entry's; its timing
+// is information only.
 func flightRecorderOverhead(b *testing.B) {
 	b.ReportAllocs()
 	rec := obs.NewRecorder()

@@ -7,11 +7,8 @@ import (
 	"os/exec"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
-
-	"urllcsim/internal/obs/prof"
 )
 
 // Schema versions the BENCH_*.json file format; bump on any breaking field
@@ -28,27 +25,25 @@ type Result struct {
 	Extra       map[string]float64 `json:"extra,omitempty"` // events/sec, …
 }
 
-// File is one point of the perf trajectory: the machine, the commit, every
-// benchmark's numbers and (optionally) the engine self-profile of a
-// reference scenario run.
+// File is one point of the perf trajectory: the machine, the commit and
+// every benchmark's numbers. Older files may also carry "short" and
+// "profile" keys; the decoder ignores them.
 type File struct {
-	Schema    string       `json:"schema"`
-	Timestamp string       `json:"timestamp"` // RFC 3339 UTC
-	Commit    string       `json:"commit,omitempty"`
-	Go        string       `json:"go"`
-	GOOS      string       `json:"goos"`
-	GOARCH    string       `json:"goarch"`
-	CPUs      int          `json:"cpus"`
-	CPUModel  string       `json:"cpu_model,omitempty"`
-	Benchtime string       `json:"benchtime"`
-	Short     bool         `json:"short,omitempty"`
-	Results   []Result     `json:"benchmarks"`
-	Profile   *prof.Report `json:"profile,omitempty"`
+	Schema    string   `json:"schema"`
+	Timestamp string   `json:"timestamp"` // RFC 3339 UTC
+	Commit    string   `json:"commit,omitempty"`
+	Go        string   `json:"go"`
+	GOOS      string   `json:"goos"`
+	GOARCH    string   `json:"goarch"`
+	CPUs      int      `json:"cpus"`
+	CPUModel  string   `json:"cpu_model,omitempty"`
+	Benchtime string   `json:"benchtime"`
+	Results   []Result `json:"benchmarks"`
 }
 
 // NewFile returns a File stamped with the current machine, toolchain and —
 // when the working tree is a git checkout — commit.
-func NewFile(benchtime string, short bool) *File {
+func NewFile(benchtime string) *File {
 	return &File{
 		Schema:    Schema,
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
@@ -59,7 +54,6 @@ func NewFile(benchtime string, short bool) *File {
 		CPUs:      runtime.NumCPU(),
 		CPUModel:  cpuModel(),
 		Benchtime: benchtime,
-		Short:     short,
 	}
 }
 
@@ -100,23 +94,6 @@ func (f *File) Validate() error {
 		}
 		if r.BytesPerOp < 0 || r.AllocsPerOp < 0 {
 			return fmt.Errorf("%q: negative allocation stats", r.Name)
-		}
-	}
-	if f.Profile != nil {
-		if f.Profile.Schema != prof.ReportSchema {
-			return fmt.Errorf("profile schema %q, want %q", f.Profile.Schema, prof.ReportSchema)
-		}
-		// Engine counter coherence: with the timing wheel every pop fires an
-		// event (cancellations excise without popping), so the profiled
-		// window's pops must equal its fired-event count. A mismatch means
-		// the engine's books and the profiler's attribution diverged.
-		if f.Profile.Heap.Pops != f.Profile.Events {
-			return fmt.Errorf("profile heap pops %d != profiled events %d",
-				f.Profile.Heap.Pops, f.Profile.Events)
-		}
-		if f.Profile.Heap.Pushes < f.Profile.Heap.Pops+f.Profile.Heap.Cancels {
-			return fmt.Errorf("profile heap pushes %d < pops %d + cancels %d",
-				f.Profile.Heap.Pushes, f.Profile.Heap.Pops, f.Profile.Heap.Cancels)
 		}
 	}
 	return nil
@@ -172,13 +149,13 @@ type Delta struct {
 // common to both files, plus the names only one side has (reported, never
 // failed on — a suite grows across PRs).
 type Comparison struct {
-	Tolerance    float64
 	Deltas       []Delta
 	MissingInNew []string
 	NewOnly      []string
 }
 
-// Regressions returns the names of benchmarks slower than tolerance allows.
+// Regressions returns the names of benchmarks that allocate more per op than
+// their baseline.
 func (c *Comparison) Regressions() []string {
 	var out []string
 	for _, d := range c.Deltas {
@@ -189,15 +166,14 @@ func (c *Comparison) Regressions() []string {
 	return out
 }
 
-// Compare matches benchmarks by name and flags any whose ns/op grew by more
-// than tol (fractional: 0.10 = +10 %). Allocation counts gate in exactly one
-// case: a benchmark whose baseline is zero allocs/op must stay at zero —
-// that is a contract (the pooled engine's steady state), not a noisy timing,
-// and a 0→n change is a structural regression ns/op might hide. Nonzero
-// alloc counts are carried for the report only, since small exact changes
-// would trip a gate meant for noisy timings.
-func Compare(base, cur *File, tol float64) *Comparison {
-	c := &Comparison{Tolerance: tol}
+// Compare matches benchmarks by name and flags any whose allocs/op rose
+// above the baseline's. Allocation counts are exact — identical run to run
+// and across benchtimes — so the gate has no tolerance: one extra
+// allocation per op is a regression. ns/op is carried for the report only;
+// on a shared machine its noise is wider than any tolerance worth gating,
+// and timing evidence comes from the interleaved A/B over benchmark/.
+func Compare(base, cur *File) *Comparison {
+	c := &Comparison{}
 	curByName := map[string]Result{}
 	for _, r := range cur.Results {
 		curByName[r.Name] = r
@@ -214,7 +190,7 @@ func Compare(base, cur *File, tol float64) *Comparison {
 		c.Deltas = append(c.Deltas, Delta{
 			Name: b.Name, OldNs: b.NsPerOp, NewNs: n.NsPerOp, Pct: pct,
 			OldAllocs: b.AllocsPerOp, NewAllocs: n.AllocsPerOp,
-			Regression: pct > tol || (b.AllocsPerOp == 0 && n.AllocsPerOp > 0),
+			Regression: n.AllocsPerOp > b.AllocsPerOp,
 		})
 	}
 	for _, r := range cur.Results {
@@ -222,15 +198,15 @@ func Compare(base, cur *File, tol float64) *Comparison {
 			c.NewOnly = append(c.NewOnly, r.Name)
 		}
 	}
-	sort.Slice(c.Deltas, func(i, j int) bool { return c.Deltas[i].Pct > c.Deltas[j].Pct })
+	sort.SliceStable(c.Deltas, func(i, j int) bool { return c.Deltas[i].Regression && !c.Deltas[j].Regression })
 	return c
 }
 
-// MarkdownTable renders the per-benchmark delta table, worst regression
-// first, with verdicts against the tolerance.
+// MarkdownTable renders the per-benchmark delta table, regressions first and
+// otherwise in baseline order, with the allocs/op verdict.
 func (c *Comparison) MarkdownTable() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "## Benchmark deltas (tolerance %+.1f%%)\n\n", 100*c.Tolerance)
+	sb.WriteString("## Benchmark deltas (gate: allocs/op above baseline; ns/op for information)\n\n")
 	sb.WriteString("| benchmark | old ns/op | new ns/op | Δ | allocs old→new | verdict |\n")
 	sb.WriteString("|---|---:|---:|---:|---:|---|\n")
 	for _, d := range c.Deltas {
@@ -248,25 +224,6 @@ func (c *Comparison) MarkdownTable() string {
 		fmt.Fprintf(&sb, "| %s | — | — | — | — | new (no baseline) |\n", n)
 	}
 	return sb.String()
-}
-
-// ParseTolerance accepts "10%", "0.1" or "10" (percent when >1) and returns
-// the fractional tolerance.
-func ParseTolerance(s string) (float64, error) {
-	s = strings.TrimSpace(s)
-	percent := strings.HasSuffix(s, "%")
-	s = strings.TrimSuffix(s, "%")
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("tolerance %q: %w", s, err)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("tolerance %q: negative", s)
-	}
-	if percent || v > 1 {
-		v /= 100
-	}
-	return v, nil
 }
 
 // gitCommit returns the short HEAD hash, or "" outside a git checkout.
