@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check vet build test race allocs bench bench-go bench-check bench-smoke ab lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke
+.PHONY: check vet build test race allocs benchmark-test bench bench-go bench-check bench-smoke ab lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke
 
 ## check: full verification gate — lint (vet + gofmt), build, race-enabled tests,
-## the exact allocation pins without -race, the JSONL → report round-trip smoke, the parallel-vs-sequential sweep
+## the exact allocation pins without -race, the benchmark module's tests, the
+## JSONL → report round-trip smoke, the parallel-vs-sequential sweep
 ## invariance smoke, the flight-recorder no-interference smoke, the
 ## dimensional-KPI smoke, the many-UE cell smoke, the sampling/observer-tax
 ## smoke, the one-packet journey smoke, and the benchmark-harness smoke
-check: lint build race allocs report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke bench-smoke
+check: lint build race allocs benchmark-test report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke journey-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -34,6 +35,12 @@ race:
 ## many-UE cell, and 0 allocs per steady-state codec, entity and engine call
 allocs:
 	$(GO) test -count=1 -run 'Allocs|ZeroAlloc' ./...
+
+## benchmark-test: the benchmark module's own tests (its own go.mod, so
+## `go test ./...` at the root skips it) — the four workloads' golden digests
+## and the equivalence tests, built against this tree's simulator
+benchmark-test:
+	cd benchmark && $(GO) test -count=1 ./...
 
 ## bench-go: regenerate every table/figure benchmark plus the tracing-overhead
 ## gate through `go test` directly (the pre-harness form of `make bench`)

@@ -136,9 +136,9 @@ func runSuite(benchtime, runPat string) (*bench.File, error) {
 		if sel != nil && !sel.MatchString(bm.Name) {
 			continue
 		}
-		r := testing.Benchmark(bm.F)
-		if r.N == 0 {
-			return nil, fmt.Errorf("%s: benchmark did not run (failed inside testing.Benchmark)", bm.Name)
+		r, err := bm.Run()
+		if err != nil {
+			return nil, err
 		}
 		res := bench.Result{
 			Name:        bm.Name,

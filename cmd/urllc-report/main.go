@@ -93,7 +93,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			os.Exit(1)
 		}
-		hasTrace := len(tr.Spans)+len(tr.Outcomes) > 0
+		hasTrace := tr.Spans.Len()+tr.Outcomes.Len() > 0
 		if !hasTrace && !fl.HasMeta && !sf.HasMeta && !kf.HasMeta && len(pf) == 0 {
 			fmt.Fprintf(os.Stderr, "%s: no trace, flight, slot, kpi or profile records (empty or non-JSONL input)\n", path)
 			os.Exit(1)
@@ -103,7 +103,7 @@ func main() {
 			audits = append(audits, analyze.Run(tr, label, sim.Duration(*deadline)))
 			// Traces carry the outcomes the KPI pass feeds on — render the
 			// per-UE view alongside the feasibility audit.
-			if len(tr.Outcomes) > 0 {
+			if tr.Outcomes.Len() > 0 {
 				kpis = append(kpis, analyze.ComputeKPI(tr, label))
 			}
 		}

@@ -208,18 +208,19 @@ func main() {
 	}
 
 	// When only the JSONL export needs spans, stream them to the file during
-	// the run: the retained span log stays bounded at the spill capacity
-	// instead of growing with the run, and the finished file is byte-identical
-	// to the post-run WriteJSONL form.
+	// the run: the recorder holds at most one block of spans instead of a
+	// log growing with the run, and the finished file is byte-identical to
+	// the post-run WriteJSONL form. The Chrome trace and the journey table
+	// read the spans after the run, so either keeps the whole log.
 	var jsonlStream *obs.JSONLStream
 	var jsonlFile *os.File
-	if *jsonlOut != "" && *traceOut == "" {
+	if *jsonlOut != "" && *traceOut == "" && *journey == "" {
 		jsonlFile, err = os.Create(*jsonlOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		jsonlStream, err = obs.StreamJSONL(jsonlFile, rec, 8192)
+		jsonlStream, err = obs.StreamJSONL(jsonlFile, rec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

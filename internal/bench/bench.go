@@ -9,7 +9,9 @@
 package bench
 
 import (
+	"fmt"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,6 +32,37 @@ type Benchmark struct {
 	Name string
 	Desc string
 	F    func(b *testing.B)
+}
+
+// failures holds the message of each entry that failed, by its *testing.B:
+// testing.Benchmark discards a failing benchmark's log, so entries fail
+// through fatalf and Run hands the message on.
+var failures sync.Map
+
+// fatalf is b.Fatalf that also keeps the message for Run.
+func fatalf(b *testing.B, format string, args ...any) {
+	b.Helper()
+	msg := fmt.Sprintf(format, args...)
+	failures.Store(b, msg)
+	b.Fatal(msg)
+}
+
+// Run runs the entry through testing.Benchmark. When the entry fails, the
+// error carries its failure message.
+func (bm Benchmark) Run() (testing.BenchmarkResult, error) {
+	var tb *testing.B
+	r := testing.Benchmark(func(b *testing.B) {
+		tb = b
+		bm.F(b)
+	})
+	msg, failed := failures.LoadAndDelete(tb)
+	switch {
+	case failed:
+		return r, fmt.Errorf("%s: %s", bm.Name, msg)
+	case r.N == 0:
+		return r, fmt.Errorf("%s: benchmark did not run", bm.Name)
+	}
+	return r, nil
 }
 
 // Suite returns the declared benchmarks in a fixed order — the order is part
@@ -119,7 +152,7 @@ func worstCaseEngine(b *testing.B) {
 	cfg := core.ConfigDM(nr.Mu2, core.DefaultAssumptions())
 	for i := 0; i < b.N; i++ {
 		if _, err := cfg.WorstCase(core.GrantBasedUL); err != nil {
-			b.Fatal(err)
+			fatalf(b, "%v", err)
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "walks/sec")
@@ -129,7 +162,7 @@ func table1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Table1(); err != nil {
-			b.Fatal(err)
+			fatalf(b, "%v", err)
 		}
 	}
 }
@@ -150,7 +183,7 @@ func checkBooks(b *testing.B, eng *sim.Engine, before, want engineBooks) {
 	got := engineBooks{now.pushes - before.pushes, now.pops - before.pops,
 		now.cancels - before.cancels, now.steps - before.steps}
 	if got != want {
-		b.Fatalf("engine books moved %+v in one op, want %+v", got, want)
+		fatalf(b, "engine books moved %+v in one op, want %+v", got, want)
 	}
 }
 
@@ -188,7 +221,7 @@ func engineScheduleCancel(b *testing.B) {
 			evs[j].Cancel()
 		}
 		if eng.Pending() != n/2 {
-			b.Fatalf("Pending = %d, want %d", eng.Pending(), n/2)
+			fatalf(b, "Pending = %d, want %d", eng.Pending(), n/2)
 		}
 		eng.RunAll()
 		checkBooks(b, eng, engineBooks{}, engineBooks{pushes: n, pops: n / 2, cancels: n / 2, steps: n / 2})
@@ -246,7 +279,7 @@ func engineCancelStorm(b *testing.B) {
 	}
 	b.StopTimer()
 	if eng.Pending() != 0 {
-		b.Fatalf("Pending = %d after cancel storm, want 0", eng.Pending())
+		fatalf(b, "Pending = %d after cancel storm, want 0", eng.Pending())
 	}
 	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "cancels/sec")
 }
@@ -258,7 +291,7 @@ func pdcpKeyed(b *testing.B) {
 	b.ReportAllocs()
 	key, err := crypto5g.NewKey(make([]byte, crypto5g.KeySize))
 	if err != nil {
-		b.Fatal(err)
+		fatalf(b, "%v", err)
 	}
 	pdu := make([]byte, 64)
 	out := make([]byte, len(pdu))
@@ -354,7 +387,7 @@ func obsExportJSONL(b *testing.B) {
 		Radio: urllcsim.RadioUSB2, UEs: 8, Seed: 1, Obs: rec,
 	})
 	if err != nil {
-		b.Fatal(err)
+		fatalf(b, "%v", err)
 	}
 	for i := 0; i < 200; i++ {
 		at := time.Duration(i) * 2 * time.Millisecond
@@ -363,17 +396,17 @@ func obsExportJSONL(b *testing.B) {
 	}
 	sc.Run(time.Duration(200+50) * 2 * time.Millisecond)
 	rep := analyze.ComputeKPI(analyze.FromRecorder(rec), "bench")
-	records := len(rec.Spans()) + len(rec.Outcomes()) + len(rec.Slots())
+	records := rec.Spans().Len() + rec.Outcomes().Len() + len(rec.Slots())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := obs.WriteJSONL(io.Discard, rec); err != nil {
-			b.Fatal(err)
+			fatalf(b, "%v", err)
 		}
 		if err := obs.WriteSlotsJSONL(io.Discard, rec.Slots(), "bench"); err != nil {
-			b.Fatal(err)
+			fatalf(b, "%v", err)
 		}
 		if err := analyze.WriteKPIJSONL(io.Discard, rep); err != nil {
-			b.Fatal(err)
+			fatalf(b, "%v", err)
 		}
 	}
 	b.ReportMetric(float64(b.N)*float64(records)/b.Elapsed().Seconds(), "records/sec")
@@ -397,7 +430,7 @@ func flightRecorderOverhead(b *testing.B) {
 		Radio: urllcsim.RadioUSB2, Seed: 1, Obs: rec,
 	})
 	if err != nil {
-		b.Fatal(err)
+		fatalf(b, "%v", err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -405,10 +438,10 @@ func flightRecorderOverhead(b *testing.B) {
 	}
 	rs := sc.Run(time.Duration(b.N+50) * 2 * time.Millisecond)
 	if len(rs) != b.N {
-		b.Fatalf("resolved %d/%d", len(rs), b.N)
+		fatalf(b, "resolved %d/%d", len(rs), b.N)
 	}
 	if st := fr.Stats(); st.Resolved != b.N {
-		b.Fatalf("flight recorder resolved %d/%d", st.Resolved, b.N)
+		fatalf(b, "flight recorder resolved %d/%d", st.Resolved, b.N)
 	}
 	b.ReportMetric(float64(sc.Engine().Steps())/b.Elapsed().Seconds(), "events/sec")
 }

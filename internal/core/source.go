@@ -16,8 +16,9 @@ import (
 	"urllcsim/internal/sim"
 )
 
-// Source is one of the paper's three latency-source categories (§4).
-type Source int
+// Source is one of the paper's three latency-source categories (§4). One
+// byte, so it packs beside the other small fields of a journey span.
+type Source uint8
 
 const (
 	// Protocol latency is introduced by protocol mechanisms and

@@ -85,7 +85,7 @@ func (j *Journey) Dominant() core.Source {
 func Journeys(tr *Trace) []*Journey {
 	byID := map[int]*Journey{}
 	var order []int
-	for _, s := range tr.Spans {
+	for s := range tr.Spans.All() {
 		j := byID[s.Packet]
 		if j == nil {
 			j = &Journey{Packet: s.Packet, Dir: s.Dir}
@@ -97,7 +97,7 @@ func Journeys(tr *Trace) []*Journey {
 		}
 		j.Spans = append(j.Spans, s)
 	}
-	for _, o := range tr.Outcomes {
+	for o := range tr.Outcomes.All() {
 		j := byID[o.Packet]
 		if j == nil {
 			j = &Journey{Packet: o.Packet, Dir: o.Dir}
@@ -275,7 +275,8 @@ func Run(tr *Trace, label string, deadline sim.Duration) *Audit {
 
 // FromRecorder builds a Trace directly from a live recorder — the in-process
 // path (urllcsim -kpi-out, urllc-sweep, the cell experiments, tests) that
-// skips JSONL serialisation.
+// skips JSONL serialisation. The trace aliases the recorder's logs; no
+// record is copied.
 func FromRecorder(rec *obs.Recorder) *Trace {
 	return &Trace{Spans: rec.Spans(), Outcomes: rec.Outcomes(), SampleRate: rec.SampleRate()}
 }
@@ -313,13 +314,13 @@ func MergeTraces(shards ...*Trace) *Trace {
 			next = max(next, id+1)
 			return id
 		}
-		for _, s := range tr.Spans {
+		for s := range tr.Spans.All() {
 			s.Packet = renumber(s.Packet)
-			out.Spans = append(out.Spans, s)
+			out.Spans.Append(s)
 		}
-		for _, o := range tr.Outcomes {
+		for o := range tr.Outcomes.All() {
 			o.Packet = renumber(o.Packet)
-			out.Outcomes = append(out.Outcomes, o)
+			out.Outcomes.Append(o)
 		}
 		base = next
 	}

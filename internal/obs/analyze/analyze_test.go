@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,6 +22,15 @@ func span(pkt int, dir obs.Dir, layer obs.Layer, step string, src core.Source, s
 		Start: sim.Time(start), Dur: sim.Duration(dur)}
 }
 
+// logOf builds a log holding vs, in order.
+func logOf[T any](vs ...T) obs.Log[T] {
+	var l obs.Log[T]
+	for _, v := range vs {
+		l.Append(v)
+	}
+	return l
+}
+
 // syntheticTrace builds three UL packets and one DL packet with known
 // budgets:
 //
@@ -31,7 +41,7 @@ func span(pkt int, dir obs.Dir, layer obs.Layer, step string, src core.Source, s
 func syntheticTrace() *Trace {
 	us := int64(1000)
 	return &Trace{
-		Spans: []obs.Span{
+		Spans: logOf(
 			span(0, obs.DirUL, obs.LayerSched, "sched.wait", core.Protocol, 0, 100*us),
 			span(0, obs.DirUL, obs.LayerPHY, "phy.encode", core.Processing, 100*us, 120*us),
 			span(0, obs.DirUL, obs.LayerAir, "air.tx", core.Radio, 220*us, 80*us),
@@ -44,13 +54,13 @@ func syntheticTrace() *Trace {
 
 			span(3, obs.DirDL, obs.LayerAir, "air.tx", core.Radio, 3000*us, 300*us),
 			span(3, obs.DirDL, obs.LayerAir, "air.retx", core.Radio, 3200*us, 250*us),
-		},
-		Outcomes: []obs.Outcome{
-			{Packet: 0, Dir: obs.DirUL, Delivered: true, Latency: 300 * sim.Microsecond, Attempts: 1},
-			{Packet: 1, Dir: obs.DirUL, Delivered: true, Latency: 700 * sim.Microsecond, Attempts: 1},
-			{Packet: 2, Dir: obs.DirUL, Delivered: false, Latency: 0, Attempts: 4},
-			{Packet: 3, Dir: obs.DirDL, Delivered: true, Latency: 450 * sim.Microsecond, Attempts: 2},
-		},
+		),
+		Outcomes: logOf(
+			obs.Outcome{Packet: 0, Dir: obs.DirUL, Delivered: true, Latency: 300 * sim.Microsecond, Attempts: 1},
+			obs.Outcome{Packet: 1, Dir: obs.DirUL, Delivered: true, Latency: 700 * sim.Microsecond, Attempts: 1},
+			obs.Outcome{Packet: 2, Dir: obs.DirUL, Delivered: false, Latency: 0, Attempts: 4},
+			obs.Outcome{Packet: 3, Dir: obs.DirDL, Delivered: true, Latency: 450 * sim.Microsecond, Attempts: 2},
+		),
 	}
 }
 
@@ -177,11 +187,11 @@ func TestJSONLRoundTripLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := FromRecorder(rec)
-	if !reflect.DeepEqual(tr.Spans, direct.Spans) {
-		t.Fatalf("spans differ after round trip:\n got %+v\nwant %+v", tr.Spans, direct.Spans)
+	if got, want := slices.Collect(tr.Spans.All()), slices.Collect(direct.Spans.All()); !slices.Equal(got, want) {
+		t.Fatalf("spans differ after round trip:\n got %+v\nwant %+v", got, want)
 	}
-	if !reflect.DeepEqual(tr.Outcomes, direct.Outcomes) {
-		t.Fatalf("outcomes differ after round trip:\n got %+v\nwant %+v", tr.Outcomes, direct.Outcomes)
+	if got, want := slices.Collect(tr.Outcomes.All()), slices.Collect(direct.Outcomes.All()); !slices.Equal(got, want) {
+		t.Fatalf("outcomes differ after round trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -203,7 +213,7 @@ func TestReadJSONLErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Spans)+len(tr.Outcomes) != 0 {
+	if tr.Spans.Len()+tr.Outcomes.Len() != 0 {
 		t.Fatal("unknown kind must be skipped")
 	}
 }
@@ -230,7 +240,7 @@ func TestReadJSONLRejectsOutOfRangeMicros(t *testing.T) {
 	}
 	// The last value inside the range still reads back exactly.
 	tr, err := ReadJSONL(strings.NewReader(meta + fmt.Sprintf(span, "4398046511103.999", "0") + "\n"))
-	if err != nil || len(tr.Spans) != 1 || tr.Spans[0].Start != sim.Time(jsonl.MaxExactNs-1) {
+	if err != nil || tr.Spans.Len() != 1 || slices.Collect(tr.Spans.All())[0].Start != sim.Time(jsonl.MaxExactNs-1) {
 		t.Fatalf("in-range start: %v, %+v", err, tr)
 	}
 }
@@ -260,10 +270,10 @@ func FuzzReadTraceJSONL(f *testing.F) {
 			return
 		}
 		rec := obs.NewRecorder()
-		for _, s := range tr.Spans {
+		for s := range tr.Spans.All() {
 			rec.PacketSpan(s.Packet, s.Dir, s.Layer, s.Step, s.Source, s.Start, s.Dur)
 		}
-		for _, o := range tr.Outcomes {
+		for o := range tr.Outcomes.All() {
 			rec.Outcome(o)
 		}
 		var buf bytes.Buffer
@@ -274,7 +284,8 @@ func FuzzReadTraceJSONL(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded trace does not read back: %v\n%s", err, buf.Bytes())
 		}
-		if !reflect.DeepEqual(tr.Spans, again.Spans) || !reflect.DeepEqual(tr.Outcomes, again.Outcomes) {
+		if !slices.Equal(slices.Collect(tr.Spans.All()), slices.Collect(again.Spans.All())) ||
+			!slices.Equal(slices.Collect(tr.Outcomes.All()), slices.Collect(again.Outcomes.All())) {
 			t.Fatalf("re-encoded trace reads back differently:\n%s", buf.Bytes())
 		}
 	})
@@ -362,36 +373,40 @@ func TestCSVFieldQuoting(t *testing.T) {
 
 func TestMergeTraces(t *testing.T) {
 	tr1 := &Trace{
-		Spans: []obs.Span{
+		Spans: logOf(
 			span(0, obs.DirUL, obs.LayerStack, "a", core.Processing, 0, 10),
 			span(2, obs.DirUL, obs.LayerStack, "a", core.Processing, 5, 10),
-		},
-		Outcomes: []obs.Outcome{
-			{Packet: 0, Dir: obs.DirUL, Delivered: true, Latency: 10},
-			{Packet: 2, Dir: obs.DirUL, Delivered: true, Latency: 10},
-		},
+		),
+		Outcomes: logOf(
+			obs.Outcome{Packet: 0, Dir: obs.DirUL, Delivered: true, Latency: 10},
+			obs.Outcome{Packet: 2, Dir: obs.DirUL, Delivered: true, Latency: 10},
+		),
 	}
 	tr2 := &Trace{
-		Spans: []obs.Span{
+		Spans: logOf(
 			span(0, obs.DirDL, obs.LayerStack, "b", core.Radio, 0, 20),
 			span(1, obs.DirDL, obs.LayerStack, "b", core.Radio, 3, 20),
-		},
-		Outcomes: []obs.Outcome{{Packet: 0, Dir: obs.DirDL, Delivered: true, Latency: 20}},
+		),
+		Outcomes: logOf(obs.Outcome{Packet: 0, Dir: obs.DirDL, Delivered: true, Latency: 20}),
 	}
 	m := MergeTraces(tr1, nil, tr2)
 	// Shard 1 used ids 0 and 2, so shard 2's ids start at 3.
-	if got := []int{m.Spans[0].Packet, m.Spans[1].Packet, m.Spans[2].Packet, m.Spans[3].Packet}; !reflect.DeepEqual(got, []int{0, 2, 3, 4}) {
+	var got []int
+	for s := range m.Spans.All() {
+		got = append(got, s.Packet)
+	}
+	if !reflect.DeepEqual(got, []int{0, 2, 3, 4}) {
 		t.Fatalf("span ids renumbered to %v, want [0 2 3 4]", got)
 	}
-	if m.Outcomes[2].Packet != 3 {
-		t.Fatalf("outcome ids must renumber consistently with spans: %d", m.Outcomes[2].Packet)
+	if o := slices.Collect(m.Outcomes.All()); o[2].Packet != 3 {
+		t.Fatalf("outcome ids must renumber consistently with spans: %d", o[2].Packet)
 	}
 	// Journeys from different shards never collide: 3 distinct journeys.
 	if js := Journeys(m); len(js) != 4 {
 		t.Fatalf("merged trace groups into %d journeys, want 4", len(js))
 	}
 	// Source traces untouched.
-	if tr1.Spans[1].Packet != 2 || tr2.Spans[0].Packet != 0 {
+	if slices.Collect(tr1.Spans.All())[1].Packet != 2 || slices.Collect(tr2.Spans.All())[0].Packet != 0 {
 		t.Fatal("merge mutated a source trace")
 	}
 }

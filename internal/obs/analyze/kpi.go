@@ -173,7 +173,7 @@ func ComputeKPI(tr *Trace, label string) *KPIReport {
 	}
 	groups := map[ueDirKey]*group{}
 	var keys []ueDirKey
-	for _, o := range tr.Outcomes {
+	for o := range tr.Outcomes.All() {
 		k := ueDirKey{dir: o.Dir, ue: o.UE}
 		g, ok := groups[k]
 		if !ok {
@@ -424,10 +424,24 @@ type KPIFile struct {
 }
 
 // ReadKPIJSONL parses a KPI stream written by WriteKPIJSONL. Unknown kinds
-// are skipped; an unknown KPI schema version is a one-line error.
+// are skipped; an unknown KPI schema version and a second kpi_dir line for
+// one direction are one-line errors. A direction's ccdf points may come
+// before its kpi_dir line.
 func ReadKPIJSONL(r io.Reader) (*KPIFile, error) {
 	f := &KPIFile{}
 	dirIdx := map[obs.Dir]int{}
+	hasRow := map[obs.Dir]bool{}
+	// dirAt returns the report's entry for dir, opening it at the first line
+	// that names dir, whichever kind that is.
+	dirAt := func(dir obs.Dir) *DirKPI {
+		i, ok := dirIdx[dir]
+		if !ok {
+			i = len(f.Report.Dirs)
+			dirIdx[dir] = i
+			f.Report.Dirs = append(f.Report.Dirs, DirKPI{Dir: dir})
+		}
+		return &f.Report.Dirs[i]
+	}
 	err := jsonl.Read(r, "kpi", map[string]jsonl.Kind{
 		"kpi_meta": {Schema: KPISchema, Decode: func(line []byte) error {
 			var meta jsonKPIMeta
@@ -466,11 +480,13 @@ func ReadKPIJSONL(r io.Reader) (*KPIFile, error) {
 			if !ok {
 				return fmt.Errorf("unknown dir %q", jd.Dir)
 			}
-			dirIdx[dir] = len(f.Report.Dirs)
-			f.Report.Dirs = append(f.Report.Dirs, DirKPI{
-				Dir: dir, UEs: jd.UEs, Delivered: jd.Delivered, Lost: jd.Lost,
-				JainThroughput: jd.JainThroughput, JainLatency: jd.JainLatency,
-			})
+			if hasRow[dir] {
+				return fmt.Errorf("second kpi_dir line for dir %s", dir)
+			}
+			hasRow[dir] = true
+			d := dirAt(dir)
+			d.UEs, d.Delivered, d.Lost = jd.UEs, jd.Delivered, jd.Lost
+			d.JainThroughput, d.JainLatency = jd.JainThroughput, jd.JainLatency
 			return nil
 		}},
 		"ccdf": {Decode: func(line []byte) error {
@@ -482,13 +498,8 @@ func ReadKPIJSONL(r io.Reader) (*KPIFile, error) {
 			if !ok {
 				return fmt.Errorf("unknown dir %q", jc.Dir)
 			}
-			i, ok := dirIdx[dir]
-			if !ok {
-				dirIdx[dir] = len(f.Report.Dirs)
-				i = len(f.Report.Dirs)
-				f.Report.Dirs = append(f.Report.Dirs, DirKPI{Dir: dir})
-			}
-			f.Report.Dirs[i].CCDF = append(f.Report.Dirs[i].CCDF, CCDFPoint{LeUs: jc.LeUs, CCDF: jc.CCDF})
+			d := dirAt(dir)
+			d.CCDF = append(d.CCDF, CCDFPoint{LeUs: jc.LeUs, CCDF: jc.CCDF})
 			return nil
 		}},
 	})

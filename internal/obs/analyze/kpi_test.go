@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,14 +74,14 @@ func TestComputeAoIHandChecked(t *testing.T) {
 func kpiTrace() *Trace {
 	us := func(n int64) sim.Duration { return sim.Duration(n) * sim.Microsecond }
 	at := func(n int64) sim.Time { return sim.Time(us(n)) }
-	return &Trace{Outcomes: []obs.Outcome{
-		{Packet: 0, UE: 0, Dir: obs.DirUL, Delivered: true, Latency: us(100), Attempts: 1, End: at(1100)},
-		{Packet: 1, UE: 1, Dir: obs.DirUL, Delivered: true, Latency: us(200), Attempts: 1, End: at(2200)},
-		{Packet: 2, UE: 0, Dir: obs.DirUL, Delivered: true, Latency: us(300), Attempts: 2, End: at(3300)},
-		{Packet: 3, UE: 1, Dir: obs.DirUL, Delivered: false, Latency: 0, Attempts: 4},
-		{Packet: 4, UE: 0, Dir: obs.DirDL, Delivered: true, Latency: us(150), Attempts: 1, End: at(1150)},
-		{Packet: 5, UE: 1, Dir: obs.DirDL, Delivered: true, Latency: us(150), Attempts: 1, End: at(2150)},
-	}}
+	return &Trace{Outcomes: logOf(
+		obs.Outcome{Packet: 0, UE: 0, Dir: obs.DirUL, Delivered: true, Latency: us(100), Attempts: 1, End: at(1100)},
+		obs.Outcome{Packet: 1, UE: 1, Dir: obs.DirUL, Delivered: true, Latency: us(200), Attempts: 1, End: at(2200)},
+		obs.Outcome{Packet: 2, UE: 0, Dir: obs.DirUL, Delivered: true, Latency: us(300), Attempts: 2, End: at(3300)},
+		obs.Outcome{Packet: 3, UE: 1, Dir: obs.DirUL, Delivered: false, Latency: 0, Attempts: 4},
+		obs.Outcome{Packet: 4, UE: 0, Dir: obs.DirDL, Delivered: true, Latency: us(150), Attempts: 1, End: at(1150)},
+		obs.Outcome{Packet: 5, UE: 1, Dir: obs.DirDL, Delivered: true, Latency: us(150), Attempts: 1, End: at(2150)},
+	)}
 }
 
 // TestComputeKPIHandChecked: reliabilities, per-direction aggregates and the
@@ -130,9 +131,9 @@ func TestComputeKPIHandChecked(t *testing.T) {
 
 	// Reordering outcomes must not change the report.
 	tr := kpiTrace()
-	for i, j := 0, len(tr.Outcomes)-1; i < j; i, j = i+1, j-1 {
-		tr.Outcomes[i], tr.Outcomes[j] = tr.Outcomes[j], tr.Outcomes[i]
-	}
+	reversed := slices.Collect(tr.Outcomes.All())
+	slices.Reverse(reversed)
+	tr.Outcomes = logOf(reversed...)
 	if !reflect.DeepEqual(rep, ComputeKPI(tr, "fix")) {
 		t.Fatal("report depends on outcome order")
 	}
@@ -177,6 +178,30 @@ func TestKPIReaderRejectsUnknownSchema(t *testing.T) {
 	_, err := ReadKPIJSONL(strings.NewReader(in))
 	if err == nil || !strings.Contains(err.Error(), "unsupported kpi schema") {
 		t.Fatalf("want schema error, got %v", err)
+	}
+}
+
+// TestKPIReaderDirLines: a direction's ccdf points that come before its
+// kpi_dir line land in the same entry (the reader used to open a second DL
+// entry, so the stream re-encoded with the points moved to the other one),
+// and a second kpi_dir line for one direction is a one-line error.
+func TestKPIReaderDirLines(t *testing.T) {
+	meta := `{"kind":"kpi_meta","schema":"` + KPISchema + `"}` + "\n"
+	kf, err := ReadKPIJSONL(strings.NewReader(meta +
+		`{"kind":"ccdf","dir":"DL","le_us":5,"ccdf":0.5}` + "\n" +
+		`{"kind":"kpi_dir","dir":"DL","ues":1,"delivered":2,"lost":0,"jain_throughput":1,"jain_latency":1}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []DirKPI{{Dir: obs.DirDL, UEs: 1, Delivered: 2, JainThroughput: 1, JainLatency: 1,
+		CCDF: []CCDFPoint{{LeUs: 5, CCDF: 0.5}}}}
+	if !reflect.DeepEqual(kf.Report.Dirs, want) {
+		t.Fatalf("dirs %+v, want %+v", kf.Report.Dirs, want)
+	}
+	dup := `{"kind":"kpi_dir","dir":"UL","ues":1}` + "\n"
+	_, err = ReadKPIJSONL(strings.NewReader(meta + dup + dup))
+	if err == nil || !strings.Contains(err.Error(), "line 3: second kpi_dir line for dir UL") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("duplicate kpi_dir: want a one-line error naming line 3, got %v", err)
 	}
 }
 
@@ -251,7 +276,7 @@ func TestKPIJSONLGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < 3; p++ {
-		tr.Outcomes = append(tr.Outcomes, obs.Outcome{Packet: 1000 + p, UE: 99, Dir: obs.DirDL, Attempts: 4})
+		tr.Outcomes.Append(obs.Outcome{Packet: 1000 + p, UE: 99, Dir: obs.DirDL, Attempts: 4})
 	}
 	rep := ComputeKPI(tr, "golden <cell> & \"kpi\"")
 	var aoi, noAoI bool
@@ -280,4 +305,58 @@ func TestKPIJSONLGolden(t *testing.T) {
 		t.Fatalf("kpi.jsonl.golden drifted (%d vs %d bytes); regenerate with -update only for an intended format change",
 			buf.Len(), len(want))
 	}
+}
+
+// FuzzKPIJSONLRoundTrip: the KPI reader never panics, and any stream it
+// accepts re-encodes through WriteKPIJSONL into one that reads back to the
+// same report and encodes to the same bytes again. Seeded with the KPI
+// golden, each of its lines alone, and lines out of the writer's order.
+func FuzzKPIJSONLRoundTrip(f *testing.F) {
+	data, err := os.ReadFile(filepath.Join("testdata", "kpi.jsonl.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	lines := strings.SplitAfter(string(data), "\n")
+	for _, line := range lines[1:] {
+		f.Add([]byte(line))
+	}
+	meta := `{"kind":"kpi_meta","schema":"` + KPISchema + `","label":"x"}` + "\n"
+	for _, s := range []string{
+		meta + `{"kind":"ccdf","dir":"DL","le_us":5,"ccdf":0.5}` + "\n" + `{"kind":"kpi_dir","dir":"DL","ues":1,"delivered":2,"lost":0,"jain_throughput":1,"jain_latency":1}`,
+		meta + `{"kind":"kpi_dir","dir":"UL","ues":1}` + "\n" + `{"kind":"kpi_dir","dir":"UL","ues":2}`,
+		meta + `{"kind":"ue_kpi","ue":-1,"dir":"-","delivered":0,"lost":0,"reliability":-0,"mean_us":1e-7,"p50_us":0,"p99_us":0,"max_us":0,"has_aoi":false,"aoi_peak_us":3}`,
+		`{"kind":"kpi_meta","schema":"` + KPISchema + `"}` + "\n" + `{"kind":"kpi_meta","schema":"` + KPISchema + `","label":"late \ud800"}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first, err := ReadKPIJSONL(bytes.NewReader(data))
+		if err != nil {
+			if strings.Contains(err.Error(), "\n") {
+				t.Fatalf("multi-line error: %q", err)
+			}
+			return
+		}
+		var enc bytes.Buffer
+		if err := WriteKPIJSONL(&enc, &first.Report); err != nil {
+			t.Fatalf("accepted KPI stream does not re-encode: %v", err)
+		}
+		again, err := ReadKPIJSONL(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded KPI stream does not read back: %v\n%s", err, enc.Bytes())
+		}
+		want := *first
+		want.HasMeta = true
+		if !reflect.DeepEqual(*again, want) {
+			t.Fatalf("re-encoded KPI stream reads back differently:\ngot  %+v\nwant %+v\n%s", *again, want, enc.Bytes())
+		}
+		var enc2 bytes.Buffer
+		if err := WriteKPIJSONL(&enc2, &again.Report); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+			t.Fatalf("second encode differs:\n%s\n%s", enc.Bytes(), enc2.Bytes())
+		}
+	})
 }

@@ -19,8 +19,8 @@ import (
 // populations are never read as complete ones. Outcomes are exact at every
 // rate — the recorder never samples them.
 type Trace struct {
-	Spans      []obs.Span
-	Outcomes   []obs.Outcome
+	Spans      obs.Log[obs.Span]
+	Outcomes   obs.Log[obs.Outcome]
 	SampleRate float64
 }
 
@@ -87,7 +87,7 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			if err := cmp.Or(errStart, errDur); err != nil {
 				return err
 			}
-			tr.Spans = append(tr.Spans, obs.Span{
+			tr.Spans.Append(obs.Span{
 				Packet: jl.Packet, Dir: dir, Layer: layer, Step: jl.Step, Source: src,
 				Start: sim.Time(start), Dur: sim.Duration(dur),
 			})
@@ -101,7 +101,7 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			if err := cmp.Or(errLatency, errEnd); err != nil {
 				return err
 			}
-			tr.Outcomes = append(tr.Outcomes, obs.Outcome{
+			tr.Outcomes.Append(obs.Outcome{
 				Packet: jl.Packet, UE: jl.UE, Dir: dir, Delivered: jl.Delivered,
 				Latency: sim.Duration(latency), Attempts: jl.Attempts, End: sim.Time(end),
 			})

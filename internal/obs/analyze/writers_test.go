@@ -92,11 +92,11 @@ func TestExportWriteErrors(t *testing.T) {
 		"kpi":   func(w *failAfter) error { return WriteKPIJSONL(w, rep) },
 		"stream": func(w *failAfter) error {
 			srec := obs.NewRecorder()
-			st, err := obs.StreamJSONL(w, srec, 64)
+			st, err := obs.StreamJSONL(w, srec)
 			if err != nil {
 				return err
 			}
-			for _, s := range rec.Spans() {
+			for s := range rec.Spans().All() {
 				srec.PacketSpan(s.Packet, s.Dir, s.Layer, s.Step, s.Source, s.Start, s.Dur)
 			}
 			return st.Close()

@@ -93,9 +93,9 @@ func (tw *traceWriter) start(w io.Writer, r *Recorder) {
 	}
 }
 
-// spans writes one line per span. It is the recorder's spill callback in
-// the streaming form: the batch aliases storage the recorder recycles right
-// after, so it is fully encoded before returning.
+// spans writes one line per span of one block. It is the recorder's spill
+// callback in the streaming form: the block aliases storage the recorder
+// recycles right after, so it is fully encoded before returning.
 func (tw *traceWriter) spans(spans []Span) {
 	for i := 0; i < len(spans) && tw.err == nil; i++ {
 		tw.line = appendSpanLine(tw.line[:0], &spans[i])
@@ -103,13 +103,21 @@ func (tw *traceWriter) spans(spans []Span) {
 	}
 }
 
+// spanLog writes every span r still holds.
+func (tw *traceWriter) spanLog(r *Recorder) {
+	for b := range r.Spans().Blocks() {
+		tw.spans(b)
+	}
+}
+
 // finish writes r's outcomes, flushes, and returns the first error seen
 // anywhere in the trace.
 func (tw *traceWriter) finish(r *Recorder) error {
-	outcomes := r.Outcomes()
-	for i := 0; i < len(outcomes) && tw.err == nil; i++ {
-		tw.line = appendOutcomeLine(tw.line[:0], &outcomes[i])
-		_, tw.err = tw.bw.Write(tw.line)
+	for outcomes := range r.Outcomes().Blocks() {
+		for i := 0; i < len(outcomes) && tw.err == nil; i++ {
+			tw.line = appendOutcomeLine(tw.line[:0], &outcomes[i])
+			_, tw.err = tw.bw.Write(tw.line)
+		}
 	}
 	if tw.err != nil {
 		return tw.err
@@ -127,37 +135,37 @@ func (tw *traceWriter) finish(r *Recorder) error {
 func WriteJSONL(w io.Writer, r *Recorder) error {
 	var tw traceWriter
 	tw.start(w, r)
-	tw.spans(r.Spans())
+	tw.spanLog(r)
 	return tw.finish(r)
 }
 
 // JSONLStream is the streaming sibling of WriteJSONL: it mounts itself as
-// the recorder's span spill, so spans are written to w during the run while
-// the recorder's span log stays bounded at the spill capacity. Close writes
-// the unspilled span tail, then outcomes — the finished stream is
+// the recorder's span spill, so spans are written to w block by block
+// during the run while the recorder holds at most one block of them. Close
+// writes the unspilled span tail, then outcomes — the finished stream is
 // byte-identical to WriteJSONL on a recorder that retained everything.
 type JSONLStream struct {
 	r  *Recorder
 	tw traceWriter
 }
 
-// StreamJSONL starts a streaming JSONL export of r into w, bounding the
-// retained span log at capSpans records. The caller must Close the stream
-// after the run to complete the file and unmount the spill.
-func StreamJSONL(w io.Writer, r *Recorder, capSpans int) (*JSONLStream, error) {
+// StreamJSONL starts a streaming JSONL export of r into w. The caller must
+// Close the stream after the run to complete the file and unmount the
+// spill.
+func StreamJSONL(w io.Writer, r *Recorder) (*JSONLStream, error) {
 	st := &JSONLStream{r: r}
 	if st.tw.start(w, r); st.tw.err != nil {
 		return nil, st.tw.err
 	}
-	r.SpillSpans(capSpans, st.tw.spans)
+	r.SpillSpans(st.tw.spans)
 	return st, nil
 }
 
 // Close unmounts the spill and writes the remaining records. Returns the
 // first error seen anywhere in the stream.
 func (st *JSONLStream) Close() error {
-	st.tw.spans(st.r.Spans())
-	st.r.SpillSpans(0, nil)
+	st.tw.spanLog(st.r)
+	st.r.SpillSpans(nil)
 	return st.tw.finish(st.r)
 }
 
@@ -217,7 +225,7 @@ func ChromePid(d Dir) int {
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	tr := NewChromeTrace()
 	named := map[[2]int]bool{} // (pid, tid) → thread_name emitted
-	for _, s := range r.Spans() {
+	for s := range r.Spans().All() {
 		pid := ChromePid(s.Dir)
 		key := [2]int{pid, s.Packet}
 		if !named[key] {

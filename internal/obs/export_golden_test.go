@@ -91,8 +91,8 @@ func slotsCell(t testing.TB) *obs.Recorder {
 }
 
 // TestTraceJSONLGolden pins the urllcsim-trace/v1 export of the golden cell
-// byte for byte, for WriteJSONL and for the streaming writer with a small
-// spill cap. A second, 1/16-sampled recorder pins the sample_rate meta line.
+// byte for byte, for WriteJSONL and for the streaming writer, which spills
+// the span log block by block. A second, 1/16-sampled recorder pins the sample_rate meta line.
 // Regenerate with `go test -run TraceJSONLGolden -update`.
 func TestTraceJSONLGolden(t *testing.T) {
 	rec := obs.NewRecorder()
@@ -112,7 +112,7 @@ func TestTraceJSONLGolden(t *testing.T) {
 
 	var streamed bytes.Buffer
 	srec := obs.NewRecorder()
-	st, err := obs.StreamJSONL(&streamed, srec, 16)
+	st, err := obs.StreamJSONL(&streamed, srec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ type MeterStat struct {
 
 // MeterReport is the recorder's measured self-cost: wall time inside
 // recording methods by category, total records handled, and the bytes of
-// storage the recorder currently retains (slice capacities of the span/
+// storage the recorder currently retains (block capacities of the span/
 // outcome logs, histogram buckets, sample reservoirs and the snapshot
 // arena — the observer's actual footprint, not an estimate).
 type MeterReport struct {
@@ -94,16 +94,16 @@ func (r *Recorder) MeterReport() *MeterReport {
 }
 
 // RetainedBytes measures the storage the recorder currently holds: the
-// capacity of every retained log and of the registry's histogram buckets,
-// reservoirs and snapshot arena. This is the observer's resident footprint —
+// block capacity of the span and outcome logs and the capacity of the slot
+// ledger and of the registry's histogram buckets, reservoirs and snapshot
+// arena. This is the observer's resident footprint —
 // what Reset recycles and what a bounded-memory run (SpillSpans, retention
 // off) keeps flat.
 func (r *Recorder) RetainedBytes() int64 {
 	if r == nil {
 		return 0
 	}
-	b := int64(cap(r.spans)) * int64(unsafe.Sizeof(Span{}))
-	b += int64(cap(r.outcomes)) * int64(unsafe.Sizeof(Outcome{}))
+	b := r.spans.capBytes() + r.outcomes.capBytes()
 	b += int64(cap(r.slots)) * int64(unsafe.Sizeof(SlotRecord{}))
 	for _, s := range r.slots {
 		b += int64(cap(s.PerUE)) * int64(unsafe.Sizeof(SlotUETake{}))

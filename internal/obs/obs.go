@@ -112,12 +112,15 @@ func ParseDir(s string) (Dir, bool) {
 // packet partition its one-way latency exactly (no gaps, no overlaps) on
 // first-attempt deliveries; TestSpanPartition at the repository root holds
 // this property across directions, access modes and seeds.
+//
+// The three one-byte fields sit together so a Span packs into 48 bytes;
+// TestSpanSize pins it.
 type Span struct {
 	Packet int
 	Dir    Dir
 	Layer  Layer
-	Step   string
 	Source core.Source
+	Step   string
 	Start  sim.Time
 	Dur    sim.Duration
 }
@@ -265,8 +268,8 @@ func (ts Taps) TapEdge(e Edge) {
 // with the simulation; span/outcome logs stay unsynchronised and are
 // never read live.
 type Recorder struct {
-	spans    []Span
-	outcomes []Outcome
+	spans    Log[Span]
+	outcomes Log[Outcome]
 	reg      *Registry
 
 	// tap, when non-nil, receives every span, outcome and edge as it is
@@ -298,12 +301,6 @@ type Recorder struct {
 	// sampled.
 	sampler samplerState
 
-	// spillCap/spill bound the retained span log: when the log reaches
-	// spillCap records it is handed to spill and the storage recycled (see
-	// SpillSpans). Zero spillCap keeps the log unbounded.
-	spillCap int
-	spill    func([]Span)
-
 	// meter, when non-nil, measures the wall cost and record volume of
 	// every recording method — the observer-tax self-accounting consumed by
 	// internal/obs/prof (see meter.go). One pointer comparison when off.
@@ -316,7 +313,7 @@ func NewRecorder() *Recorder {
 }
 
 // Reset empties the recorder in place while keeping every piece of storage
-// it has grown — span/outcome slabs, histogram bucket arrays, sample
+// it has grown — span/outcome blocks, histogram bucket arrays, sample
 // reservoirs, the snapshot arena, instrument registrations and family rows.
 // A reset recorder re-observing the same workload behaves byte-identically
 // to a fresh one and allocates nothing once its storage has warmed up: the
@@ -324,7 +321,7 @@ func NewRecorder() *Recorder {
 // reuse pattern for benchmark loops and repeated-scenario services.
 //
 // Reset invalidates everything previously returned by Spans, Outcomes,
-// Slots and Snapshots: those slices alias the recycled storage.
+// Slots and Snapshots: those logs and slices alias the recycled storage.
 // Debug builds (-tags obsdebug) poison the recycled records so a retainer
 // fails loudly; see poison_debug.go. Instruments and family rows keep their
 // registrations (at value zero), so Reset is intended for re-running the
@@ -334,11 +331,9 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.withLive(func() {
-		poisonSpans(r.spans)
-		poisonOutcomes(r.outcomes)
+		r.spans.reset(poisonSpans)
+		r.outcomes.reset(poisonOutcomes)
 		poisonSlots(r.slots)
-		r.spans = r.spans[:0]
-		r.outcomes = r.outcomes[:0]
 		r.slots = r.slots[:0]
 		r.reg.Reset()
 		if r.meter != nil {
@@ -400,39 +395,31 @@ func (r *Recorder) PacketSpan(packet int, dir Dir, layer Layer, step string,
 		r.tap.TapSpan(s)
 	}
 	if !r.discardSpans && r.keepPacket(packet) {
-		r.retainSpan(s)
+		r.spans.Append(s)
 	}
 }
 
-// retainSpan appends to the span log and, with a spill mounted, hands off a
-// full batch and recycles the storage in place.
-func (r *Recorder) retainSpan(s Span) {
-	r.spans = append(r.spans, s)
-	if r.spillCap > 0 && len(r.spans) >= r.spillCap {
-		r.spill(r.spans)
-		poisonSpans(r.spans)
-		r.spans = r.spans[:0]
-	}
-}
-
-// SpillSpans bounds the retained span log at capSpans records: each time the
-// log fills, the whole batch is handed to spill (in recording order) and the
-// slab is recycled for the next batch, so span memory stays O(capSpans)
-// regardless of run length — the streaming half of the pooled pipeline,
-// which StreamJSONL mounts to write span records during the run. The spill
-// consumer must fully process the batch before returning: the slice aliases
-// storage the recorder overwrites immediately after (debug builds poison it —
-// see poison_debug.go). Spans() afterwards returns only the unspilled tail.
-// Pass capSpans ≤ 0 to unmount.
-func (r *Recorder) SpillSpans(capSpans int, spill func([]Span)) {
+// SpillSpans bounds the retained span log at one block: each time the
+// records held fill a block, they are handed to spill block by block (in
+// recording order) and the block is recycled, so span memory stays flat
+// whatever the run length — the streaming half of the pipeline, which
+// StreamJSONL mounts to write span records during the run. The spill
+// consumer must fully process a block before returning: the slice aliases
+// storage the recorder overwrites next (debug builds poison it — see
+// poison_debug.go). Spans() afterwards returns only the unspilled tail.
+// Pass a nil spill to unmount.
+func (r *Recorder) SpillSpans(spill func([]Span)) {
 	if r == nil {
 		return
 	}
-	if capSpans <= 0 || spill == nil {
-		r.spillCap, r.spill = 0, nil
+	if spill == nil {
+		r.spans.spill = nil
 		return
 	}
-	r.spillCap, r.spill = capSpans, spill
+	r.spans.spill = func(b []Span) {
+		spill(b)
+		poisonSpans(b)
+	}
 }
 
 // Edge records one causal transition. Edges are never retained by the
@@ -567,23 +554,24 @@ func (r *Recorder) Outcome(o Outcome) {
 		r.tap.TapOutcome(o)
 	}
 	if !r.discardOutcomes {
-		r.outcomes = append(r.outcomes, o)
+		r.outcomes.Append(o)
 	}
 }
 
-// Outcomes returns the recorded packet outcomes in resolution order.
-func (r *Recorder) Outcomes() []Outcome {
+// Outcomes returns the recorded packet outcomes in resolution order. The
+// log aliases the recorder's own storage.
+func (r *Recorder) Outcomes() Log[Outcome] {
 	if r == nil {
-		return nil
+		return Log[Outcome]{}
 	}
 	return r.outcomes
 }
 
 // Spans returns the recorded spans in recording order (chronological per
-// packet). The slice is the recorder's own — callers must not mutate it.
-func (r *Recorder) Spans() []Span {
+// packet). The log aliases the recorder's own storage.
+func (r *Recorder) Spans() Log[Span] {
 	if r == nil {
-		return nil
+		return Log[Span]{}
 	}
 	return r.spans
 }
@@ -594,7 +582,7 @@ func (r *Recorder) PacketSpans(packet int) []Span {
 		return nil
 	}
 	var out []Span
-	for _, s := range r.spans {
+	for s := range r.spans.All() {
 		if s.Packet == packet {
 			out = append(out, s)
 		}

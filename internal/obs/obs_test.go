@@ -20,7 +20,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.SetGauge("g", 1)
 	r.Observe("t", sim.Microsecond)
 	r.SlotSnapshot(0)
-	if r.Spans() != nil || r.Metrics() != nil || r.PacketSpans(0) != nil {
+	if r.Spans().Len() != 0 || r.Outcomes().Len() != 0 || r.Metrics() != nil || r.PacketSpans(0) != nil {
 		t.Fatal("nil recorder returned non-nil data")
 	}
 }
@@ -31,7 +31,7 @@ func TestRecorderSpans(t *testing.T) {
 	r.PacketSpan(8, DirDL, LayerAir, "on air", core.Radio, sim.Time(3000), sim.Microsecond)
 	r.PacketSpan(7, DirUL, LayerPHY, "decode", core.Processing, sim.Time(3000), sim.Microsecond)
 
-	if n := len(r.Spans()); n != 3 {
+	if n := r.Spans().Len(); n != 3 {
 		t.Fatalf("recorded %d spans, want 3", n)
 	}
 	ps := r.PacketSpans(7)

@@ -4,10 +4,10 @@ package obs
 
 // Debug-build misuse guard for the pooled record pipeline.
 //
-// Reset and SpillSpans recycle the recorder's slab storage in place: any
-// slice previously returned by Spans/Outcomes/Slots — or handed to a spill
-// callback — aliases storage the next run will overwrite. Retaining such a
-// slice is a use-after-release bug that normal builds cannot detect (the
+// Reset and SpillSpans recycle the recorder's storage in place: any log or
+// slice previously returned by Spans/Outcomes/Slots — or block handed to a
+// spill callback — aliases storage the next run will overwrite. Retaining
+// one is a use-after-release bug that normal builds cannot detect (the
 // stale data merely goes quietly wrong). Under `-tags obsdebug` the recycled
 // storage is poisoned first: every record is overwritten with an
 // unmistakable sentinel, so a retainer sees PoisonPacket ids (and `make

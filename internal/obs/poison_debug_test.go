@@ -3,6 +3,7 @@
 package obs
 
 import (
+	"slices"
 	"testing"
 
 	"urllcsim/internal/core"
@@ -16,11 +17,17 @@ func TestPoisonOnReset(t *testing.T) {
 	r := NewRecorder()
 	r.EnableSlotLedger()
 	recordWorkload(r)
-	spans, outcomes, slots := r.Spans(), r.Outcomes(), r.Slots()
-	if len(spans) == 0 || len(outcomes) == 0 || len(slots) == 0 {
-		t.Fatal("workload retained nothing")
+	spanBlocks, outcomeBlocks, slots := slices.Collect(r.Spans().Blocks()), slices.Collect(r.Outcomes().Blocks()), r.Slots()
+	if len(spanBlocks) < 2 || len(outcomeBlocks) == 0 || len(slots) == 0 {
+		t.Fatal("workload retained less than two span blocks, an outcome and a slot")
 	}
 	r.Reset()
+	for _, b := range spanBlocks {
+		if b[len(b)-1].Packet != PoisonPacket {
+			t.Fatalf("span block not poisoned to its end after Reset: %+v", b[len(b)-1])
+		}
+	}
+	spans, outcomes := spanBlocks[0], outcomeBlocks[0]
 	if spans[0].Packet != PoisonPacket || spans[0].Step != poisonStep {
 		t.Fatalf("span not poisoned after Reset: %+v", spans[0])
 	}
@@ -32,18 +39,19 @@ func TestPoisonOnReset(t *testing.T) {
 	}
 }
 
-// TestPoisonOnSpill: a spill batch is poisoned as soon as the callback
+// TestPoisonOnSpill: a spilled block is poisoned as soon as the callback
 // returns — a consumer that stashes the slice instead of processing it sees
 // sentinels, not silently stale spans.
 func TestPoisonOnSpill(t *testing.T) {
 	r := NewRecorder()
 	var stash []Span
-	r.SpillSpans(4, func(batch []Span) { stash = batch })
-	for id := 0; id < 4; id++ {
+	r.SpillSpans(func(block []Span) { stash = block })
+	first := logBlockLen[Span](0)
+	for id := 0; id < first; id++ {
 		r.PacketSpan(id, DirUL, LayerMAC, "tx", core.Protocol, sim.Time(id), sim.Microsecond)
 	}
-	if len(stash) != 4 {
-		t.Fatalf("spill handed %d spans, want 4", len(stash))
+	if len(stash) != first {
+		t.Fatalf("spill handed %d spans, want one block of %d", len(stash), first)
 	}
 	if stash[0].Packet != PoisonPacket {
 		t.Fatalf("spilled batch not poisoned after handoff: %+v", stash[0])

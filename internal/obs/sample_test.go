@@ -126,10 +126,10 @@ func TestSamplingGatesRetentionOnly(t *testing.T) {
 		r.PacketSpan(id, DirUL, LayerMAC, "tx", core.Protocol, sim.Time(id), sim.Microsecond)
 		r.Outcome(Outcome{Packet: id, Delivered: true, Latency: sim.Microsecond})
 	}
-	if got := len(r.Spans()); got != 0 {
+	if got := r.Spans().Len(); got != 0 {
 		t.Fatalf("retained %d spans at rate 0", got)
 	}
-	if got := len(r.Outcomes()); got != n {
+	if got := r.Outcomes().Len(); got != n {
 		t.Fatalf("retained %d outcomes, want all %d (outcomes are never sampled)", got, n)
 	}
 	if len(tap.spans) != n || len(tap.outcomes) != n {

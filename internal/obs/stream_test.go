@@ -1,40 +1,59 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"urllcsim/internal/core"
+	"urllcsim/internal/sim"
 )
 
 // TestStreamJSONLMatchesWriteJSONL is the streaming pipeline's correctness
-// contract: spilling span batches to the writer during the run, then closing
-// (tail spans, outcomes, events), produces byte-for-byte the file WriteJSONL
-// writes from a fully-retained recorder — whatever the spill batch size.
+// contract: spilling span blocks to the writer during the run, then closing
+// (tail spans, outcomes), produces byte-for-byte the file WriteJSONL writes
+// from a fully-retained recorder — at every span count around the block
+// boundaries, and for a mixed workload.
 func TestStreamJSONLMatchesWriteJSONL(t *testing.T) {
-	retained := NewRecorder()
-	retained.EnableSlotLedger()
-	recordWorkload(retained)
-	var want strings.Builder
-	if err := WriteJSONL(&want, retained); err != nil {
-		t.Fatal(err)
+	first, capLen := logBlockLen[Span](0), logBlockLen[Span](5)
+	spansOf := func(n int) func(*Recorder) {
+		return func(r *Recorder) {
+			for i := 0; i < n; i++ {
+				r.PacketSpan(i/3, Dir(1+i%2), LayerStack, "step", core.Source(i%3),
+					sim.Time(i*1000), sim.Duration(i%7+1)*sim.Microsecond)
+				if i%3 == 2 {
+					r.Outcome(Outcome{Packet: i / 3, Dir: Dir(1 + i%2), Delivered: true, Latency: sim.Duration(i)})
+				}
+			}
+		}
 	}
+	cases := map[string]func(*Recorder){"workload": recordWorkload}
+	for _, n := range []int{0, 1, first - 1, first, first + 1, 5*first + 3, capLen - 1, capLen, capLen + 1, 3*capLen + 7} {
+		cases[fmt.Sprintf("%d spans", n)] = spansOf(n)
+	}
+	for name, record := range cases {
+		retained := NewRecorder()
+		record(retained)
+		var want strings.Builder
+		if err := WriteJSONL(&want, retained); err != nil {
+			t.Fatal(err)
+		}
 
-	for _, capSpans := range []int{1, 7, 64, 4096} {
 		var got strings.Builder
 		rec := NewRecorder()
-		rec.EnableSlotLedger()
-		st, err := StreamJSONL(&got, rec, capSpans)
+		st, err := StreamJSONL(&got, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recordWorkload(rec)
+		record(rec)
+		if held := rec.Spans().Len(); held >= first {
+			t.Fatalf("%s: recorder holds %d spans while streaming, want < %d (one block)", name, held, first)
+		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != want.String() {
-			t.Fatalf("capSpans=%d: streamed output differs from WriteJSONL", capSpans)
-		}
-		if capSpans < 64 && len(rec.Spans()) >= 64*3 {
-			t.Fatalf("capSpans=%d: recorder retained all %d spans — spill never fired", capSpans, len(rec.Spans()))
+			t.Fatalf("%s: streamed output differs from WriteJSONL", name)
 		}
 	}
 }
@@ -56,7 +75,7 @@ func TestStreamJSONLSampled(t *testing.T) {
 	var got strings.Builder
 	rec := NewRecorder()
 	rec.SetSampling(0.5, 5)
-	st, err := StreamJSONL(&got, rec, 16)
+	st, err := StreamJSONL(&got, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

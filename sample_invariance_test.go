@@ -86,9 +86,9 @@ func TestSamplingExactTail(t *testing.T) {
 			t.Fatalf("rate %g: %d journeys, want %d (outcomes are never sampled)",
 				rate, len(sampled.Journeys), len(full.Journeys))
 		}
-		if got, max := len(rec.Spans()), len(fullRec.Spans())/2; got > max {
+		if got, max := rec.Spans().Len(), fullRec.Spans().Len()/2; got > max {
 			t.Fatalf("rate %g: retained %d spans of %d — sampling did not thin the log",
-				rate, got, len(fullRec.Spans()))
+				rate, got, fullRec.Spans().Len())
 		}
 	}
 }
