@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
+	"urllcsim/internal/obs"
 	"urllcsim/internal/sim"
 )
 
@@ -26,4 +28,28 @@ func TestRunReportsBooksMismatch(t *testing.T) {
 	if err.Error() != want {
 		t.Fatalf("error %q, want %q", err, want)
 	}
+}
+
+// TestLabeledRegistryWholeCount: every LabeledRegistry op allocates the
+// same count, so the allocs/op testing reports (total mallocs ÷ b.N,
+// rounded down) is that count at any b.N, and the exact gate cannot flip
+// between two readings.
+func TestLabeledRegistryWholeCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rec := obs.NewRecorder()
+	labeledOp(rec)
+	var counts []uint64
+	for i := 0; i < 8; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		labeledOp(rec)
+		runtime.ReadMemStats(&after)
+		counts = append(counts, after.Mallocs-before.Mallocs)
+	}
+	for _, c := range counts {
+		if c != counts[0] {
+			t.Fatalf("allocations per op differ between ops: %v", counts)
+		}
+	}
+	t.Logf("%d allocations per op", counts[0])
 }

@@ -348,8 +348,8 @@ type Fig6Stats struct {
 
 // fig6Run measures one (grantFree, uplink) panel: n packets sharded over
 // ReplicaShards independent replicas on the worker pool, per-shard
-// histograms merged in shard order (exact N/mean, deterministic reservoir),
-// so the panel is identical for any worker count.
+// histograms merged in shard order (every sample kept, in shard order), so
+// the panel is identical for any worker count.
 func fig6Run(grantFree, uplink bool, n int, seed uint64, workers int) (*metrics.Histogram, Fig6Stats, error) {
 	systems, err := runSharded(n, uplink, seed, workers, func(s uint64) (node.Config, error) {
 		return TestbedConfig(grantFree, s)

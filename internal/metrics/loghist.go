@@ -25,12 +25,14 @@ import (
 // Storage has two forms, the sparse/dense split of HdrHistogram and DDSketch.
 // A histogram starts sparse: up to logSparsePairs (bucket, count) pairs kept
 // sorted inline, so a per-UE histogram of a few latencies hundreds of µs
-// apart holds a few pairs rather than a window of hundreds of buckets. The
-// first sample in a bucket beyond those pairs promotes the histogram, once,
-// to a dense window over the touched bucket range, whose size is bounded by
-// the data's dynamic range and never by the run length. Every read walks the
-// non-empty buckets in ascending order through one iterator, so the form
-// never shows in what the histogram reports.
+// apart holds a few pairs rather than hundreds of buckets. The first sample
+// in a bucket beyond those pairs promotes the histogram, once, to the dense
+// form: a directory of octave pages, each page one octave's logSubBuckets
+// counts (the linear head is the first two pages). A page is allocated when
+// a sample first lands in it and never moves, so no bucket is ever copied,
+// and storage is bounded by the octaves the data touches, never by the run
+// length. Every read walks the non-empty buckets in ascending order through
+// one iterator, so the form never shows in what the histogram reports.
 //
 // Exact minimum and maximum are tracked on the side, so Quantile(0) and
 // Quantile(1) are exact, and interior quantiles are clamped into [min, max].
@@ -46,13 +48,18 @@ const (
 	logLinearMax  = 1 << logLinearBits
 
 	// logSparsePairs is how many distinct buckets a histogram holds inline
-	// before it promotes to the dense window. Eight 16-byte pairs (128 B)
-	// cost what a 16-bucket window does, while two latencies 100 µs apart
-	// near 0.5 ms span a window of about 400 buckets (3.2 KB). Eight is also
-	// twice the four samples per UE of benchmark/'s 500-UE traced cell, so
-	// per-UE histograms stay sparse there, while the busy per-layer timings
-	// promote on their ninth bucket and pay one copy of eight pairs.
+	// before it promotes to the dense form. Eight 16-byte pairs (128 B)
+	// cost a sixty-fourth of one 8 KiB page. Eight is also twice the four
+	// samples per UE of benchmark/'s 500-UE traced cell, so per-UE
+	// histograms stay sparse there, while the busy per-layer timings
+	// promote on their ninth bucket and pay one move of eight pairs.
 	logSparsePairs = 8
+
+	// logPages is the page directory's length. Bucket idx lives in page
+	// idx/logSubBuckets, and the 54 pages up to logIndex(math.MaxInt64)
+	// cover every value; two more fill the allocator's 448 B size class, so
+	// the directory costs exactly what StorageBytes counts.
+	logPages = 56
 )
 
 // LogHistogram's zero value is NOT ready to use; call NewLogHistogram.
@@ -60,15 +67,18 @@ type LogHistogram struct {
 	// sparse[:nsparse] are the sparse form's buckets, ascending by index.
 	sparse  [logSparsePairs]logPair
 	nsparse int
-	// counts[i] is bucket base+i in the dense form: only the window between
-	// the lowest and highest touched buckets is stored. The histogram is
-	// dense exactly when len(counts) > 0; capacity outlives Reset.
-	counts   []int64
-	base     int
+	// pages[p][i] is bucket p·logSubBuckets+i in the dense form; a page is
+	// nil until a sample lands in it. The histogram is dense exactly when
+	// len(pages) > 0. Reset empties the pages and keeps them (pages[:cap]),
+	// so every page past len is nil or all zero.
+	pages    []*logPage
 	total    int64
 	sum      float64 // for mean / Prometheus _sum; float to avoid overflow
 	min, max int64   // exact observed extrema (valid when total > 0)
 }
+
+// logPage is one octave's sub-bucket counts in the dense form.
+type logPage [logSubBuckets]int64
 
 // logPair is one non-empty bucket of the sparse form.
 type logPair struct {
@@ -135,15 +145,21 @@ func (h *LogHistogram) Add(v int64) {
 }
 
 // addBucket adds c samples to bucket idx, in the sparse pairs while they
-// hold it and in the dense window otherwise.
+// hold it and in its page otherwise, allocating the page on its first
+// sample.
 func (h *LogHistogram) addBucket(idx int, c int64) {
-	if len(h.counts) == 0 && h.addSparse(idx, c) {
-		return
+	if len(h.pages) == 0 {
+		if h.addSparse(idx, c) {
+			return
+		}
+		h.promote()
 	}
-	if i := idx - h.base; len(h.counts) == 0 || i < 0 || i >= len(h.counts) {
-		h.promote(idx, idx+1)
+	pg := h.pages[idx>>logSubBucketBits]
+	if pg == nil {
+		pg = new(logPage)
+		h.pages[idx>>logSubBucketBits] = pg
 	}
-	h.counts[idx-h.base] += c
+	pg[idx&(logSubBuckets-1)] += c
 }
 
 // addSparse adds c samples to bucket idx's pair, inserting the pair in
@@ -168,19 +184,19 @@ func (h *LogHistogram) addSparse(idx int, c int64) bool {
 	return true
 }
 
-// promote makes the histogram dense, moving any sparse pairs into the
-// window, and widens the window to cover buckets lo…hi−1 as well. On a
-// dense histogram it is cover.
-func (h *LogHistogram) promote(lo, hi int) {
+// promote makes the sparse histogram dense, moving its pairs into their
+// pages. The directory is allocated once, on the first promotion, and
+// kept by Reset with any pages it holds.
+func (h *LogHistogram) promote() {
+	if cap(h.pages) == 0 {
+		h.pages = make([]*logPage, logPages)
+	}
+	h.pages = h.pages[:logPages]
 	pairs := h.sparse[:h.nsparse]
-	for _, p := range pairs {
-		lo, hi = min(lo, int(p.idx)), max(hi, int(p.idx)+1)
-	}
-	h.cover(lo, hi)
-	for _, p := range pairs {
-		h.counts[int(p.idx)-h.base] = p.n
-	}
 	h.nsparse = 0
+	for _, p := range pairs {
+		h.addBucket(int(p.idx), p.n)
+	}
 }
 
 // nonEmpty yields every non-empty bucket's index and count in ascending
@@ -193,9 +209,14 @@ func (h *LogHistogram) nonEmpty() iter.Seq2[int, int64] {
 				return
 			}
 		}
-		for i, c := range h.counts {
-			if c != 0 && !yield(h.base+i, c) {
-				return
+		for p, pg := range h.pages {
+			if pg == nil {
+				continue
+			}
+			for i, c := range pg {
+				if c != 0 && !yield(p<<logSubBucketBits|i, c) {
+					return
+				}
 			}
 		}
 	}
@@ -205,46 +226,31 @@ func (h *LogHistogram) nonEmpty() iter.Seq2[int, int64] {
 func (h *LogHistogram) AddDuration(d sim.Duration) { h.Add(int64(d)) }
 
 // Reset empties the histogram in place and returns it to the sparse form.
-// The dense window keeps its capacity, so a reset histogram records its next
-// run, promotion included, without re-growing: the recycling half of the
-// observability layer's steady-state zero-allocation contract.
+// The directory and its pages are kept, emptied, so a reset histogram
+// records its next run, promotion included, without allocating: the
+// recycling half of the observability layer's steady-state zero-allocation
+// contract.
 func (h *LogHistogram) Reset() {
-	clear(h.counts)
-	*h = LogHistogram{counts: h.counts[:0]}
-}
-
-// cover widens the bucket window to hold buckets lo…hi−1. Storage past the
-// window's end is always zero (Reset clears what it drops), so spare
-// capacity is reused in place; a reallocation at least doubles it.
-func (h *LogHistogram) cover(lo, hi int) {
-	n := len(h.counts)
-	if n == 0 {
-		h.base = lo
-	} else if lo >= h.base && hi <= h.base+n {
-		return
-	}
-	newLo, newHi := min(lo, h.base), max(hi, h.base+n)
-	shift, size := h.base-newLo, newHi-newLo
-	if size <= cap(h.counts) {
-		c := h.counts[:size]
-		if shift > 0 {
-			copy(c[shift:], c[:n])
-			clear(c[:min(shift, n)])
+	for _, pg := range h.pages {
+		if pg != nil {
+			clear(pg[:])
 		}
-		h.counts = c
-	} else {
-		c := make([]int64, size, max(size, 2*cap(h.counts)))
-		copy(c[shift:], h.counts)
-		h.counts = c
 	}
-	h.base = newLo
+	*h = LogHistogram{pages: h.pages[:0]}
 }
 
-// StorageBytes returns the bytes held by bucket storage, by capacity rather
-// than use: the inline pair array plus the dense window — the footprint the
+// StorageBytes returns the bytes the histogram has allocated for buckets
+// beyond its own struct: the page directory and every page it holds. It is
+// 0 until the first promotion, and Reset keeps it — the footprint the
 // observability layer's self-accounting reports.
 func (h *LogHistogram) StorageBytes() int64 {
-	return int64(unsafe.Sizeof(h.sparse)) + int64(cap(h.counts))*8
+	b := int64(cap(h.pages)) * int64(unsafe.Sizeof((*logPage)(nil)))
+	for _, pg := range h.pages[:cap(h.pages)] {
+		if pg != nil {
+			b += int64(unsafe.Sizeof(*pg))
+		}
+	}
+	return b
 }
 
 // N returns the number of recorded values.
@@ -341,11 +347,6 @@ func (h *LogHistogram) FractionBelow(v int64) float64 {
 func (h *LogHistogram) Merge(o *LogHistogram) {
 	if o == nil || o.total == 0 {
 		return
-	}
-	if len(o.counts) > 0 {
-		// A dense source has more distinct buckets than the pairs hold, so
-		// the merge promotes h anyway: size its window once, up front.
-		h.promote(o.base, o.base+len(o.counts))
 	}
 	for idx, c := range o.nonEmpty() {
 		h.addBucket(idx, c)

@@ -3,9 +3,11 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"urllcsim/internal/sim"
 )
@@ -212,9 +214,9 @@ func TestLogHistogramWindow(t *testing.T) {
 	for _, v := range vals {
 		asc.Add(v)
 	}
-	if len(asc.counts) > 0 || asc.nsparse > 4 {
-		t.Fatalf("a 1 µs band at 1 ms stored %d pairs and a %d-bucket window, want ≤ 4 pairs",
-			asc.nsparse, len(asc.counts))
+	if len(asc.pages) > 0 || asc.nsparse > 4 {
+		t.Fatalf("a 1 µs band at 1 ms stored %d pairs and went dense: %v, want ≤ 4 pairs",
+			asc.nsparse, len(asc.pages) > 0)
 	}
 
 	desc, lo, hi := NewLogHistogram(), NewLogHistogram(), NewLogHistogram()
@@ -230,7 +232,7 @@ func TestLogHistogramWindow(t *testing.T) {
 	}
 	merged := NewLogHistogram()
 	merged.Merge(hi)
-	merged.Merge(lo) // widens the window downward
+	merged.Merge(lo) // inserts pairs below the ones held
 	want := fmt.Sprint(view(asc))
 	for name, h := range map[string]*LogHistogram{"descending": desc, "merged": merged} {
 		if got := fmt.Sprint(view(h)); got != want {
@@ -252,25 +254,25 @@ func TestLogHistogramWindow(t *testing.T) {
 	}
 }
 
-// TestLogHistogramMemoryBounded: memory is O(buckets in the value range),
-// not O(samples) — a million samples over 10 ms promote to a dense window of
-// a few thousand buckets.
+// TestLogHistogramMemoryBounded: memory is O(octaves in the value range),
+// not O(samples) — a million samples over 10 ms promote to one page per
+// octave touched.
 func TestLogHistogramMemoryBounded(t *testing.T) {
 	h := NewLogHistogram()
 	r := lcg(99)
 	for i := 0; i < 1_000_000; i++ {
 		h.Add(int64(r.next() % 10_000_000)) // 0–10 ms in ns
 	}
-	// 10 ms < 2^24: linear head (2048) + 13 octaves × 1024.
-	maxBuckets := logLinearMax + (24-logLinearBits+1)*logSubBuckets
-	if len(h.counts) == 0 || len(h.counts) > maxBuckets {
-		t.Fatalf("counts grew to %d entries for 1e6 samples (want dense, bound %d)", len(h.counts), maxBuckets)
+	// 10 ms < 2^24: the linear head's two pages + 13 octaves.
+	const maxPages = 2 + 24 - logLinearBits
+	if got, bound := h.StorageBytes(), int64(logPages*8+maxPages*8*logSubBuckets); len(h.pages) == 0 || got > bound {
+		t.Fatalf("storage grew to %d B for 1e6 samples (want dense, bound %d B)", got, bound)
 	}
 }
 
 // TestLogHistogramRefillZeroAlloc: a histogram that stays sparse and one that
 // promotes both record their next run after Reset without allocating — the
-// promoted one back into the window its last run sized.
+// promoted one back into the pages its last run allocated.
 func TestLogHistogramRefillZeroAlloc(t *testing.T) {
 	few := []int64{400_000, 450_000, 900_000}
 	many := make([]int64, 1000)
@@ -291,7 +293,7 @@ func TestLogHistogramRefillZeroAlloc(t *testing.T) {
 			}
 		}
 		fill()
-		if dense := len(h.counts) > 0; dense != c.dense {
+		if dense := len(h.pages) > 0; dense != c.dense {
 			t.Fatalf("%s: dense = %v after %d samples", c.name, dense, len(c.vals))
 		}
 		if allocs := testing.AllocsPerRun(20, fill); allocs != 0 {
@@ -300,39 +302,85 @@ func TestLogHistogramRefillZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLogHistogramStorageBytes: the footprint counts the inline pairs in
-// either form, and the dense window's capacity once promoted.
+// TestLogHistogramStorageBytes: the footprint is 0 while sparse, and the
+// directory plus one page per octave touched once promoted; Reset keeps it.
 func TestLogHistogramStorageBytes(t *testing.T) {
-	const pairs = logSparsePairs * 16
+	const dir, page = logPages * 8, logSubBuckets * 8
 	h := NewLogHistogram()
-	if got := h.StorageBytes(); got != pairs {
-		t.Fatalf("empty: %d B, want the %d B pair array", got, pairs)
+	if got := h.StorageBytes(); got != 0 {
+		t.Fatalf("empty: %d B, want 0", got)
 	}
 	h.Add(500_000)
 	h.Add(700_000)
-	if got := h.StorageBytes(); got != pairs {
-		t.Fatalf("sparse: %d B, want %d", got, pairs)
+	if got := h.StorageBytes(); got != 0 {
+		t.Fatalf("sparse: %d B, want 0 (the pairs are inline)", got)
 	}
 	for i := int64(0); i < logSparsePairs; i++ {
-		h.Add(1_000 * (i + 1))
+		h.Add(1_000 * (i + 1)) // 1…8 µs: pages 0, 1 (head), 2 and 3
 	}
-	if len(h.counts) == 0 {
+	if len(h.pages) == 0 {
 		t.Fatal("10 distinct buckets did not promote")
 	}
-	if got, want := h.StorageBytes(), int64(pairs+cap(h.counts)*8); got != want {
-		t.Fatalf("promoted: %d B, want %d (window cap %d)", got, want, cap(h.counts))
+	// 500 µs and 700 µs lie in octaves 2^18 and 2^19: pages 9 and 10.
+	if got, want := h.StorageBytes(), int64(dir+6*page); got != want {
+		t.Fatalf("promoted: %d B, want %d (directory + 6 pages)", got, want)
 	}
 	h.Reset()
-	if got, want := h.StorageBytes(), int64(pairs+cap(h.counts)*8); got != want || cap(h.counts) == 0 {
-		t.Fatalf("reset: %d B, want %d with the window kept", got, want)
+	if got, want := h.StorageBytes(), int64(dir+6*page); got != want || len(h.pages) != 0 {
+		t.Fatalf("reset: %d B, want %d with the pages kept and the form sparse", got, want)
+	}
+}
+
+// TestLogHistogramSize: every per-UE family row allocates one histogram, so
+// its struct stays in the allocator's 192 B size class, and the directory
+// reaches the page of the largest int64.
+func TestLogHistogramSize(t *testing.T) {
+	if got := unsafe.Sizeof(LogHistogram{}); got != 192 {
+		t.Fatalf("LogHistogram is %d bytes, want 192", got)
+	}
+	if last := logIndex(math.MaxInt64) >> logSubBucketBits; last >= logPages {
+		t.Fatalf("the largest value lands in page %d, past the %d-page directory", last, logPages)
+	}
+}
+
+// TestLogHistogramPageAllocs: a dense fill allocates exactly what
+// StorageBytes reports — the directory once and each page once, with no
+// bucket ever copied — and a refill after Reset allocates nothing. A
+// contiguous window that regrows as the range widens allocates more than
+// it keeps, and fails the first check.
+func TestLogHistogramPageAllocs(t *testing.T) {
+	vals := make([]int64, 20_000)
+	r := lcg(11)
+	for i := range vals {
+		// Ascending octaves, so every new value widens the range upward.
+		vals[i] = int64(i)*100 + int64(r.next()%100)
+	}
+	h := NewLogHistogram()
+	fill := func() {
+		for _, v := range vals {
+			h.Add(v)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fill()
+	runtime.ReadMemStats(&after)
+	if got, want := int64(after.TotalAlloc-before.TotalAlloc), h.StorageBytes(); got != want || want == 0 {
+		t.Fatalf("a dense fill allocated %d B, want StorageBytes %d B", got, want)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { h.Reset(); fill() }); allocs != 0 {
+		t.Fatalf("a refill after Reset allocated %.0f times", allocs)
 	}
 }
 
 // FuzzLogHistogramForms is the differential test of the two storage forms:
 // histograms filled, merged into each other and reset by arbitrary
 // operations — so sparse and promoted ones meet in every combination — must
-// report exactly what a twin that was dense from its first sample reports,
+// report exactly what a twin that was paged from its first sample reports,
 // and must be sparse exactly while they hold at most logSparsePairs buckets.
+// Every dense twin's StorageBytes is its directory plus one page per octave
+// it has touched since it was made.
 //
 // Each operation is three bytes (op, a, b); op's low two bits pick add a
 // scaled value, add a value from a few-µs band or around zero, merge, or
@@ -354,9 +402,10 @@ func FuzzLogHistogramForms(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const k = 3
 		var hs, dense [k]*LogHistogram
-		var distinct [k]map[int]bool
+		var distinct, touched [k]map[int]bool // buckets since Reset, pages ever
 		for i := range hs {
-			hs[i], dense[i], distinct[i] = NewLogHistogram(), NewLogHistogram(), map[int]bool{}
+			hs[i], dense[i] = NewLogHistogram(), NewLogHistogram()
+			distinct[i], touched[i] = map[int]bool{}, map[int]bool{}
 		}
 		for ; len(data) >= 3; data = data[3:] {
 			op, a, b := data[0], data[1], data[2]
@@ -373,9 +422,13 @@ func FuzzLogHistogramForms(f *testing.F) {
 			case 2:
 				j := (i + 1 + int(a)%(k-1)) % k
 				hs[j].Merge(hs[i])
+				if len(dense[j].pages) == 0 && dense[i].N() > 0 {
+					dense[j].promote()
+				}
 				dense[j].Merge(dense[i])
 				for idx := range distinct[i] {
 					distinct[j][idx] = true
+					touched[j][idx>>logSubBucketBits] = true
 				}
 				continue
 			case 3:
@@ -385,19 +438,28 @@ func FuzzLogHistogramForms(f *testing.F) {
 				continue
 			}
 			hs[i].Add(v)
-			if d := dense[i]; len(d.counts) == 0 {
-				d.promote(logIndex(v), logIndex(v)+1) // dense from its first sample
+			if d := dense[i]; len(d.pages) == 0 {
+				d.promote() // paged from its first sample
 			}
 			dense[i].Add(v)
 			distinct[i][logIndex(v)] = true
+			touched[i][logIndex(v)>>logSubBucketBits] = true
 		}
 		for i := range hs {
 			h, d := hs[i], dense[i]
-			if sparse := len(h.counts) == 0; sparse != (len(distinct[i]) <= logSparsePairs) {
+			if sparse := len(h.pages) == 0; sparse != (len(distinct[i]) <= logSparsePairs) {
 				t.Fatalf("hist %d: sparse = %v with %d distinct buckets", i, sparse, len(distinct[i]))
 			}
-			if d.N() > 0 && len(d.counts) == 0 {
+			if d.N() > 0 && len(d.pages) == 0 {
 				t.Fatalf("hist %d: the dense twin went sparse", i)
+			}
+			want := int64(0)
+			if len(touched[i]) > 0 {
+				want = logPages*8 + int64(len(touched[i]))*logSubBuckets*8
+			}
+			if got := d.StorageBytes(); got != want {
+				t.Fatalf("hist %d: the dense twin's StorageBytes = %d, want %d (%d pages touched)",
+					i, got, want, len(touched[i]))
 			}
 			for j := 1; j < h.nsparse; j++ {
 				if h.sparse[j-1].idx >= h.sparse[j].idx {
@@ -413,7 +475,7 @@ func FuzzLogHistogramForms(f *testing.F) {
 
 // formsView renders every read of h, floats bit for bit. FractionBelow is
 // probed at the extrema and at both edges of the first 32 buckets, which
-// bounds its cost on wide dense windows.
+// bounds its cost on histograms spread over many pages.
 func formsView(h *LogHistogram) string {
 	var s strings.Builder
 	fmt.Fprintf(&s, "N=%d sum=%x min=%d max=%d std=%x q=",
@@ -471,53 +533,6 @@ func TestLogIndexRoundTrip(t *testing.T) {
 		}
 		if next := logIndex(hi + 1); next != idx+1 {
 			t.Fatalf("bucket %d not contiguous: %d maps to %d", idx, hi+1, next)
-		}
-	}
-}
-
-// TestHistogramReservoirCap: past SampleCap the fixed-bin histogram must
-// stop growing, keep Mean/N exact, and keep percentile estimates close on a
-// stable distribution.
-func TestHistogramReservoirCap(t *testing.T) {
-	h := NewHistogram(10, 100)
-	r := lcg(3)
-	n := SampleCap + 50_000
-	for i := 0; i < n; i++ {
-		h.Add(float64(r.next()%10_000) / 1000) // uniform 0–10
-	}
-	if h.Retained() != SampleCap {
-		t.Fatalf("retained %d samples, want cap %d", h.Retained(), SampleCap)
-	}
-	if h.N() != int64(n) {
-		t.Fatalf("N = %d, want %d", h.N(), n)
-	}
-	if got := h.Mean(); math.Abs(got-5) > 0.05 {
-		t.Fatalf("mean = %v, want ≈5 (exact running sum)", got)
-	}
-	// Reservoir percentile of uniform(0,10): p50 ≈ 5 within sampling noise.
-	if got := h.Percentile(0.5); math.Abs(got-5) > 0.2 {
-		t.Fatalf("reservoir p50 = %v, want ≈5", got)
-	}
-	if got := h.FractionBelow(1); math.Abs(got-0.1) > 0.02 {
-		t.Fatalf("reservoir FractionBelow(1) = %v, want ≈0.1", got)
-	}
-}
-
-// TestHistogramReservoirDeterministic: two identical runs must retain the
-// identical reservoir — reproducibility is a repo-wide hard requirement.
-func TestHistogramReservoirDeterministic(t *testing.T) {
-	build := func() *Histogram {
-		h := NewHistogram(10, 10)
-		r := lcg(42)
-		for i := 0; i < SampleCap+10_000; i++ {
-			h.Add(float64(r.next()%10_000) / 1000)
-		}
-		return h
-	}
-	a, b := build(), build()
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if a.Percentile(q) != b.Percentile(q) {
-			t.Fatalf("reservoir not deterministic at q=%v: %v ≠ %v", q, a.Percentile(q), b.Percentile(q))
 		}
 	}
 }

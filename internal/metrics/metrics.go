@@ -99,28 +99,19 @@ func (a *Accumulator) Max() float64 {
 	return a.max
 }
 
-// SampleCap bounds the raw samples a Histogram retains for percentile
-// estimation. Up to SampleCap observations the retained set is complete and
-// Percentile/FractionBelow are exact; beyond it the histogram switches to
-// reservoir sampling (Vitter's algorithm R with a deterministic splitmix64
-// stream, so runs stay reproducible): every observation has an equal chance
-// of being retained, and percentiles become estimates whose error shrinks
-// as O(1/√SampleCap) — at 65536 retained samples the p99 estimate is good
-// to roughly ±0.04 percentile points, while memory stays bounded for
-// arbitrarily long runs. Tails beyond p99.9 need more resolution than any
-// fixed-size reservoir can give: use LogHistogram for those.
-const SampleCap = 1 << 16
-
 // Histogram is a fixed-bin latency histogram over [0, Max) with overflow
-// counted separately. Bin width = Max/Bins.
+// counted separately. Bin width = Max/Bins. It keeps every sample, so its
+// percentiles are exact order statistics: it serves the fixed-size
+// experiment panels (Fig. 6, X1, the RTT table), whose sample counts are
+// set by the experiment. Long-run series belong in LogHistogram, whose
+// memory is bounded by the value range rather than the sample count.
 type Histogram struct {
 	MaxValue float64
 	Counts   []int64
 	Overflow int64
 	total    int64
-	sum      float64   // exact running sum (Mean stays exact past SampleCap)
-	samples  []float64 // retained for percentiles, reservoir-capped at SampleCap
-	rngState uint64    // splitmix64 state for the reservoir (deterministic)
+	sum      float64   // running sum, in Add and Merge order
+	samples  []float64 // every sample, for percentiles
 }
 
 // NewHistogram returns a histogram over [0, max) with the given bin count.
@@ -133,16 +124,11 @@ func NewHistogram(max float64, bins int) *Histogram {
 
 // Add records one value. Binning clamps negatives into bin 0 and counts
 // x ≥ MaxValue (boundary included) as overflow; the raw sample is retained
-// unclamped either way (reservoir-sampled past SampleCap), so
-// Percentile/Mean/FractionBelow see true values.
+// unclamped either way, so Percentile/Mean/FractionBelow see true values.
 func (h *Histogram) Add(x float64) {
 	h.total++
 	h.sum += x
-	if len(h.samples) < SampleCap {
-		h.samples = append(h.samples, x)
-	} else if j := h.nextRand() % uint64(h.total); j < SampleCap {
-		h.samples[j] = x
-	}
+	h.samples = append(h.samples, x)
 	if x < 0 {
 		x = 0
 	}
@@ -157,43 +143,8 @@ func (h *Histogram) Add(x float64) {
 	h.Counts[i]++
 }
 
-// nextRand advances the histogram's private splitmix64 stream. A fixed-seed
-// PRNG (not the simulation RNG) keeps reservoir decisions deterministic per
-// histogram without threading a seed through every construction site.
-func (h *Histogram) nextRand() uint64 {
-	h.rngState += 0x9E3779B97F4A7C15
-	z := h.rngState
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// Retained returns how many raw samples are currently held (= N up to
-// SampleCap, then pinned at SampleCap).
-func (h *Histogram) Retained() int { return len(h.samples) }
-
-// Reset empties the histogram in place, keeping the bin array and the
-// retained-sample capacity for reuse — a reset histogram behaves exactly like
-// a fresh one (the reservoir PRNG restarts from its fixed seed) without
-// re-allocating its storage.
-func (h *Histogram) Reset() {
-	for i := range h.Counts {
-		h.Counts[i] = 0
-	}
-	h.Overflow = 0
-	h.total = 0
-	h.sum = 0
-	h.samples = h.samples[:0]
-	h.rngState = 0
-}
-
 // AddDuration records a duration in milliseconds (Fig. 6's axis unit).
 func (h *Histogram) AddDuration(d sim.Duration) { h.Add(float64(d) / 1e6) }
-
-// StorageBytes returns the bytes held by the bin array and the retained
-// sample reservoir (capacities) — the footprint the observability layer's
-// self-accounting reports.
-func (h *Histogram) StorageBytes() int64 { return int64(cap(h.Counts)+cap(h.samples)) * 8 }
 
 // N returns the number of recorded values.
 func (h *Histogram) N() int64 { return h.total }
@@ -213,14 +164,11 @@ func (h *Histogram) Probability(i int) float64 {
 	return float64(h.Counts[i]) / float64(h.total)
 }
 
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of the retained samples
-// using the floor-index nearest-rank rule: the sample at index ⌊p·(n−1)⌋ of
-// the sorted data. No interpolation — the result is always an observed
-// value, and p = 0.5 over an even count returns the lower middle sample.
-// p ≤ 0 yields the minimum, p ≥ 1 the maximum, and an empty histogram 0.
-// Exact while N ≤ SampleCap; beyond that the retained set is a uniform
-// reservoir and the result is an unbiased estimate (see SampleCap for the
-// accuracy trade-off).
+// Percentile returns the p-quantile (0 ≤ p ≤ 1) of the samples using the
+// floor-index nearest-rank rule: the sample at index ⌊p·(n−1)⌋ of the
+// sorted data. No interpolation — the result is always an observed value,
+// and p = 0.5 over an even count returns the lower middle sample. p ≤ 0
+// yields the minimum, p ≥ 1 the maximum, and an empty histogram 0.
 func (h *Histogram) Percentile(p float64) float64 {
 	if len(h.samples) == 0 {
 		return 0
@@ -238,9 +186,8 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return s[i]
 }
 
-// FractionBelow returns the share of retained samples strictly below x —
-// e.g. the "sub-millisecond 4.4 % of the time" statistic for mmWave. Exact
-// while N ≤ SampleCap, a reservoir estimate beyond (see SampleCap).
+// FractionBelow returns the share of samples strictly below x — e.g. the
+// "sub-millisecond 4.4 % of the time" statistic for mmWave.
 func (h *Histogram) FractionBelow(x float64) float64 {
 	if len(h.samples) == 0 {
 		return 0
@@ -254,18 +201,10 @@ func (h *Histogram) FractionBelow(x float64) float64 {
 	return float64(n) / float64(len(h.samples))
 }
 
-// Merge folds o into h: bin counts, overflow, N and the running sum add
-// exactly (Mean stays exact past any reservoir), and the retained-sample
-// reservoirs combine deterministically. While the combined sample sets fit
-// under SampleCap the merge simply concatenates them — identical to a
-// histogram that observed h's stream followed by o's. Past the cap the
-// merged reservoir is drawn from both sides without replacement, picking
-// each next sample from a side with probability proportional to the
-// population that side still represents (each retained sample stands for
-// total/retained observations), so inclusion stays uniform across the union.
-// All randomness comes from h's private splitmix64 stream: merging the same
-// shards in the same order is bit-reproducible for any worker layout.
-// Histograms must share geometry (MaxValue, bin count); o is left untouched.
+// Merge folds o into h: bin counts, overflow, N and the running sum add,
+// and o's samples are appended to h's, so a merged histogram reports what
+// one that observed h's stream followed by o's reports. Histograms must
+// share geometry (MaxValue, bin count); o is left untouched.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.total == 0 {
 		return
@@ -277,51 +216,12 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.Counts[i] += c
 	}
 	h.Overflow += o.Overflow
-	if len(h.samples)+len(o.samples) <= SampleCap {
-		h.samples = append(h.samples, o.samples...)
-	} else {
-		h.samples = h.mergeReservoirs(o)
-	}
+	h.samples = append(h.samples, o.samples...)
 	h.total += o.total
 	h.sum += o.sum
 }
 
-// mergeReservoirs draws SampleCap samples from the union of the two
-// reservoirs (see Merge for the sampling contract). Called only when the
-// combined retained sets exceed SampleCap, which implies both sides are
-// non-empty.
-func (h *Histogram) mergeReservoirs(o *Histogram) []float64 {
-	a := h.samples
-	b := make([]float64, len(o.samples))
-	copy(b, o.samples)
-	// Per-sample weights: how many observations one retained sample of each
-	// side represents.
-	wa := float64(h.total) / float64(len(a))
-	wb := float64(o.total) / float64(len(b))
-	remA, remB := float64(h.total), float64(o.total)
-	out := make([]float64, 0, SampleCap)
-	for len(out) < SampleCap {
-		// float53 in [0,1) from the reservoir stream.
-		u := float64(h.nextRand()>>11) / (1 << 53)
-		if (u*(remA+remB) < remA || len(b) == 0) && len(a) > 0 {
-			j := int(h.nextRand() % uint64(len(a)))
-			out = append(out, a[j])
-			a[j] = a[len(a)-1]
-			a = a[:len(a)-1]
-			remA -= wa
-		} else {
-			j := int(h.nextRand() % uint64(len(b)))
-			out = append(out, b[j])
-			b[j] = b[len(b)-1]
-			b = b[:len(b)-1]
-			remB -= wb
-		}
-	}
-	return out
-}
-
-// Mean returns the exact sample mean over all recorded values (a running
-// sum, unaffected by the sample reservoir).
+// Mean returns the sample mean over all recorded values (a running sum).
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
 		return 0

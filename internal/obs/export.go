@@ -278,7 +278,7 @@ func WriteMetricsCSV(w io.Writer, reg *Registry) error {
 	for _, t := range reg.Timings() {
 		fmt.Fprintf(bw, "timing,%s,,%.3f,%.3f,%.3f,%.3f,%.3f,%d\n",
 			csvEscape(t.Name), t.Acc.Mean(), t.Acc.Std(),
-			t.Hist.Percentile(0.5)*1000, t.Hist.Percentile(0.99)*1000,
+			float64(t.HDR.Quantile(0.5))/1000, float64(t.HDR.Quantile(0.99))/1000,
 			t.Acc.Max(), t.Acc.N())
 	}
 	return bw.Flush()

@@ -3,6 +3,8 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,6 +125,56 @@ func TestWriteMetricsCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[3], "timing,lat.ul,,900.000") {
 		t.Fatalf("timing row = %q", lines[3])
 	}
+}
+
+// TestTimingQuantilesWithinOneBucket: the p50 and p99 a timing reports —
+// in the metrics CSV and the registry summary — lie within one HDR bucket
+// width, at most 0.1 % relative, of the exact-rank sample.
+func TestTimingQuantilesWithinOneBucket(t *testing.T) {
+	reg := NewRegistry()
+	tm := reg.Timing("lat.ul")
+	var xs []int64
+	x := uint64(1)
+	for i := 0; i < 20_000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		d := 20_000 + int64(x>>33)%2_000_000 // 20 µs … 2 ms, ns
+		if i%100 == 0 {
+			d *= 3 // a tail
+		}
+		xs = append(xs, d)
+		tm.Observe(sim.Duration(d))
+	}
+	slices.Sort(xs)
+	var sb strings.Builder
+	if err := WriteMetricsCSV(&sb, reg); err != nil {
+		t.Fatal(err)
+	}
+	row := strings.Split(strings.TrimSpace(sb.String()), "\n")[1]
+	cols := strings.Split(row, ",") // kind,name,value,mean_us,std_us,p50_us,p99_us,max_us,n
+	summary := strings.Fields(strings.Split(reg.Summary(), "\n")[2])
+	for _, c := range []struct {
+		q   float64
+		csv string
+	}{{0.5, cols[5]}, {0.99, cols[6]}} {
+		exact := xs[int(c.q*float64(len(xs)-1))]
+		got := tm.HDR.Quantile(c.q)
+		if w := tm.HDR.BucketWidth(exact); abs(got-exact) > w || float64(abs(got-exact)) > 1e-3*float64(exact) {
+			t.Errorf("q=%v: %d ns, exact-rank sample %d ns, bucket width %d ns", c.q, got, exact, w)
+		}
+		if want := fmt.Sprintf("%.3f", float64(got)/1000); c.csv != want {
+			t.Errorf("q=%v: CSV column %s, want %s", c.q, c.csv, want)
+		}
+		if want := fmt.Sprintf("%.2f", float64(got)/1000); c.q == 0.99 && summary[3] != want {
+			t.Errorf("summary p99 %s, want %s", summary[3], want)
+		}
+	}
+}
+
+func abs(v int64) int64 {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 func TestWriteSnapshotsCSV(t *testing.T) {

@@ -62,8 +62,8 @@ type MeterStat struct {
 // MeterReport is the recorder's measured self-cost: wall time inside
 // recording methods by category, total records handled, and the bytes of
 // storage the recorder currently retains (block capacities of the span/
-// outcome logs, histogram buckets, sample reservoirs and the snapshot
-// arena — the observer's actual footprint, not an estimate).
+// outcome logs, histogram pages and the snapshot arena — the observer's
+// actual footprint, not an estimate).
 type MeterReport struct {
 	WallNs        int64       `json:"wall_ns"`
 	Records       int64       `json:"records"`
@@ -95,10 +95,9 @@ func (r *Recorder) MeterReport() *MeterReport {
 
 // RetainedBytes measures the storage the recorder currently holds: the
 // block capacity of the span and outcome logs and the capacity of the slot
-// ledger and of the registry's histogram buckets, reservoirs and snapshot
-// arena. This is the observer's resident footprint —
-// what Reset recycles and what a bounded-memory run (SpillSpans, retention
-// off) keeps flat.
+// ledger and of the registry's histogram pages and snapshot arena. This is
+// the observer's resident footprint — what Reset recycles and what a
+// bounded-memory run (SpillSpans, retention off) keeps flat.
 func (r *Recorder) RetainedBytes() int64 {
 	if r == nil {
 		return 0

@@ -313,8 +313,8 @@ func NewRecorder() *Recorder {
 }
 
 // Reset empties the recorder in place while keeping every piece of storage
-// it has grown — span/outcome blocks, histogram bucket arrays, sample
-// reservoirs, the snapshot arena, instrument registrations and family rows.
+// it has grown — span/outcome blocks, histogram pages, the snapshot arena,
+// instrument registrations and family rows.
 // A reset recorder re-observing the same workload behaves byte-identically
 // to a fresh one and allocates nothing once its storage has warmed up: the
 // steady-state contract pinned by the ObsEnabledSteady benchmark, and the

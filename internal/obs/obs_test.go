@@ -180,8 +180,8 @@ func TestRegistryMerge(t *testing.T) {
 	if lat.Acc.N() != 3 || lat.Acc.Mean() != 200 {
 		t.Fatalf("timing distributions must merge: n=%d mean=%v", lat.Acc.N(), lat.Acc.Mean())
 	}
-	if lat.HDR.N() != 3 || lat.Hist.N() != 3 {
-		t.Fatalf("histograms not merged: hdr=%d hist=%d", lat.HDR.N(), lat.Hist.N())
+	if lat.HDR.N() != 3 || float64(lat.HDR.Max()) != lat.Acc.Max()*1000 {
+		t.Fatalf("histogram not merged: n=%d max=%dns", lat.HDR.N(), lat.HDR.Max())
 	}
 	if m.Timing("bus.submit").Acc.N() != 1 {
 		t.Fatal("timing new to the destination lost")

@@ -37,36 +37,32 @@ func (g *Gauge) Set(v float64) { g.v = v }
 // Value returns the last stored value.
 func (g *Gauge) Value() float64 { return g.v }
 
-// Timing is a named latency series: a streaming Accumulator for mean/std in
-// the paper's µs unit, a fixed-bin Histogram for ASCII rendering and
-// mid-range percentiles, and an HDR-style LogHistogram holding the full
-// distribution at ~0.1 % resolution in O(buckets) memory — the structure
-// that makes p99.999 (the URLLC reliability tail) resolvable on runs far
-// past the Histogram's sample reservoir.
+// Timing is a named latency series: a streaming Accumulator for the exact
+// mean, std and worst case in the paper's µs unit, and an HDR-style
+// LogHistogram holding the full distribution at ~0.1 % resolution in memory
+// bounded by the value range, whatever the run length. Every percentile of
+// a timing, p50 to p99.999 (the URLLC reliability tail), comes from the
+// LogHistogram.
 type Timing struct {
 	Name string
 	Acc  metrics.Accumulator
-	Hist *metrics.Histogram
 	HDR  *metrics.LogHistogram
 }
 
 // Observe records one duration.
 func (t *Timing) Observe(d sim.Duration) {
 	t.Acc.AddDuration(d)
-	t.Hist.AddDuration(d)
 	t.HDR.AddDuration(d)
 }
 
 // Merge folds o's series into t: the accumulator via the exact parallel
-// Welford combination, the fixed-bin histogram via its deterministic
-// reservoir merge, and the HDR histogram via its exact bucket merge. o is
-// left untouched.
+// Welford combination and the HDR histogram via its exact bucket merge. o
+// is left untouched.
 func (t *Timing) Merge(o *Timing) {
 	if o == nil {
 		return
 	}
 	t.Acc.Merge(&o.Acc)
-	t.Hist.Merge(o.Hist)
 	t.HDR.Merge(o.HDR)
 }
 
@@ -79,15 +75,6 @@ type Snapshot struct {
 	Counters []int64
 	Gauges   []float64
 }
-
-// TimingHistMax and TimingHistBins size the per-timing histogram: 0–10 ms
-// in 0.1 ms bins covers every latency this simulator produces; exact
-// percentiles come from the retained samples, so binning only affects ASCII
-// rendering.
-const (
-	TimingHistMax  = 10.0
-	TimingHistBins = 100
-)
 
 // Registry is an ordered collection of named counters, gauges and timings
 // with slot-aligned snapshots. Get-or-create accessors keep call sites to a
@@ -149,11 +136,7 @@ func (r *Registry) Timing(name string) *Timing {
 	if t, ok := r.tIndex[name]; ok {
 		return t
 	}
-	t := &Timing{
-		Name: name,
-		Hist: metrics.NewHistogram(TimingHistMax, TimingHistBins),
-		HDR:  metrics.NewLogHistogram(),
-	}
+	t := &Timing{Name: name, HDR: metrics.NewLogHistogram()}
 	r.tIndex[name] = t
 	r.timings = append(r.timings, t)
 	return t
@@ -238,7 +221,6 @@ func (r *Registry) Reset() {
 	}
 	for _, t := range r.timings {
 		t.Acc.Reset()
-		t.Hist.Reset()
 		t.HDR.Reset()
 	}
 	for _, f := range r.families {
@@ -249,9 +231,9 @@ func (r *Registry) Reset() {
 	r.snapG = r.snapG[:0]
 }
 
-// storageBytes measures the registry's retained storage — histogram buckets,
-// sample reservoirs and the snapshot arenas — for the recorder's observer-tax
-// footprint line (Recorder.RetainedBytes).
+// storageBytes measures the registry's retained storage — histogram pages
+// and the snapshot arenas — for the recorder's observer-tax footprint line
+// (Recorder.RetainedBytes).
 func (r *Registry) storageBytes() int64 {
 	if r == nil {
 		return 0
@@ -259,7 +241,7 @@ func (r *Registry) storageBytes() int64 {
 	b := int64(cap(r.snapC))*8 + int64(cap(r.snapG))*8
 	b += int64(cap(r.snaps)) * 40 // Snapshot header: T + two slice headers
 	for _, t := range r.timings {
-		b += t.Hist.StorageBytes() + t.HDR.StorageBytes()
+		b += t.HDR.StorageBytes()
 	}
 	for _, f := range r.families {
 		b += f.storageBytes()
@@ -268,8 +250,8 @@ func (r *Registry) storageBytes() int64 {
 }
 
 // Merge folds o into r, matching instruments by name: counters add, timings
-// merge their full distributions (exact HDR buckets, exact means,
-// deterministic percentile reservoirs), and gauges — last-value-wins
+// merge their full distributions (exact HDR buckets, exact means), and
+// gauges — last-value-wins
 // semantics — take o's value, so a sequence of merges ends with the last
 // shard's reading. Instruments new to r are registered in o's order after
 // r's existing ones, keeping merged registration order deterministic for a
@@ -324,7 +306,7 @@ func (r *Registry) Summary() string {
 			"", "mean", "std", "p99", "p99.999", "worst", "n")
 		for _, t := range r.timings {
 			fmt.Fprintf(&sb, "  %-28s %10.2f %10.2f %10.2f %10.2f %10.2f %8d\n",
-				t.Name, t.Acc.Mean(), t.Acc.Std(), t.Hist.Percentile(0.99)*1000,
+				t.Name, t.Acc.Mean(), t.Acc.Std(), float64(t.HDR.Quantile(0.99))/1000,
 				float64(t.HDR.Quantile(0.99999))/1000, float64(t.HDR.Max())/1000, t.Acc.N())
 		}
 	}
