@@ -373,7 +373,33 @@ func TestKeyNEA2InPlace(t *testing.T) {
 	}
 }
 
-// The keyed hot path allocates nothing once the Key exists.
+// pdcpKeyedOp returns one PDCPKeyed op: the per-PDU security work of a PDCP
+// entity once its keys are expanded — cipher a 64 B PDU into a caller buffer
+// and compute its MAC-I — at the next COUNT.
+func pdcpKeyedOp(tb testing.TB) func() {
+	k := newKey(tb, make([]byte, KeySize))
+	pdu := make([]byte, 64)
+	out := make([]byte, len(pdu))
+	var count uint32
+	return func() {
+		k.NEA2(count, 1, Uplink, out, pdu)
+		k.NIA2(count, 1, Uplink, out)
+		count++
+	}
+}
+
+func BenchmarkPDCPKeyed(b *testing.B) {
+	b.ReportAllocs()
+	b.SetBytes(64)
+	op := pdcpKeyedOp(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// The keyed hot path allocates nothing once the Key exists, and nor does the
+// PDCPKeyed benchmark's op.
 func TestKeyZeroAlloc(t *testing.T) {
 	k, err := NewKey(bytes.Repeat([]byte{0x5A}, KeySize))
 	if err != nil {
@@ -390,5 +416,8 @@ func TestKeyZeroAlloc(t *testing.T) {
 		k.NEA2(1, 2, Uplink, dst, msg)
 	}); n != 0 {
 		t.Errorf("Key.NEA2: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, pdcpKeyedOp(t)); n != 0 {
+		t.Errorf("PDCPKeyed: %v allocs/op, want 0", n)
 	}
 }

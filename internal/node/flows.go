@@ -3,7 +3,6 @@ package node
 import (
 	"bytes"
 	"slices"
-	"sort"
 
 	"urllcsim/internal/core"
 	"urllcsim/internal/metrics"
@@ -327,53 +326,38 @@ func (s *System) stampSlot(b sim.Time, plan sched.Plan, queueDepth int) {
 		SRsPending:   s.sch.PendingSRs(),
 		SRsDeferred:  plan.SRsDeferred,
 	}
-	// Pooled per-tick scratch: the UE-take accumulation reuses the System's
-	// index map, take buffer and order slice across slots, so a ledger-enabled
-	// run's per-tick cost is map clears and appends into retained storage.
-	if s.takeIdx == nil {
-		s.takeIdx = make(map[int]int)
-	}
-	clear(s.takeIdx)
-	s.takeBuf = s.takeBuf[:0]
-	s.takeOrder = s.takeOrder[:0]
+	// One take per allocation and grant into the System's reused buffer,
+	// sorted by UE and summed in place; the recorder copies the result, so
+	// a ledger-enabled tick allocates nothing once the buffer has grown.
+	takes := s.takeBuf[:0]
 	for _, a := range plan.DLAllocs {
-		i := s.takeAt(a.UE)
-		s.takeBuf[i].DLBytes += a.Bytes
-		s.takeBuf[i].DLItems += len(a.ItemIDs)
+		takes = append(takes, obs.SlotUETake{UE: a.UE, DLBytes: a.Bytes, DLItems: len(a.ItemIDs)})
 	}
 	for _, g := range plan.ULGrants {
 		rec.ULGrantBytes += g.Bytes
-		i := s.takeAt(g.UE)
-		s.takeBuf[i].ULBytes += g.Bytes
-		s.takeBuf[i].ULGrants++
+		takes = append(takes, obs.SlotUETake{UE: g.UE, ULBytes: g.Bytes, ULGrants: 1})
 	}
-	sort.Ints(s.takeOrder)
-	if len(s.takeOrder) > 0 {
-		// The record is retained by the recorder, so PerUE must be a fresh
-		// slice — only the accumulation scratch is pooled. Left nil when no
-		// UE took anything, matching the pre-pooling wire form.
-		rec.PerUE = make([]obs.SlotUETake, 0, len(s.takeOrder))
+	s.takeBuf = takes
+	slices.SortFunc(takes, func(x, y obs.SlotUETake) int { return x.UE - y.UE })
+	n := 0
+	for _, t := range takes {
+		if n > 0 && takes[n-1].UE == t.UE {
+			u := &takes[n-1]
+			u.DLBytes, u.DLItems = u.DLBytes+t.DLBytes, u.DLItems+t.DLItems
+			u.ULBytes, u.ULGrants = u.ULBytes+t.ULBytes, u.ULGrants+t.ULGrants
+			continue
+		}
+		takes[n] = t
+		n++
 	}
-	for _, ue := range s.takeOrder {
-		t := s.takeBuf[s.takeIdx[ue]]
-		rec.PerUE = append(rec.PerUE, t)
-		s.h.slotDLTake.Set(obs.UEKey{UE: ue}, float64(t.DLBytes))
-		s.h.slotULGrant.Set(obs.UEKey{UE: ue}, float64(t.ULBytes))
+	for _, t := range takes[:n] {
+		s.h.slotDLTake.Set(obs.UEKey{UE: t.UE}, float64(t.DLBytes))
+		s.h.slotULGrant.Set(obs.UEKey{UE: t.UE}, float64(t.ULBytes))
+	}
+	if n > 0 { // nil when no UE took anything: the ledger's wire form
+		rec.PerUE = takes[:n]
 	}
 	s.obs.Slot(rec)
-}
-
-// takeAt returns the index of UE ue's take accumulator in s.takeBuf, creating
-// it on first touch this tick.
-func (s *System) takeAt(ue int) int {
-	if i, ok := s.takeIdx[ue]; ok {
-		return i
-	}
-	i := len(s.takeBuf)
-	s.takeBuf = append(s.takeBuf, obs.SlotUETake{UE: ue})
-	s.takeIdx[ue] = i
-	s.takeOrder = append(s.takeOrder, ue)
-	return i
 }
 
 // ---------------------------------------------------------------------------

@@ -257,9 +257,7 @@ type System struct {
 	obs       *obs.Recorder
 	h         obsHandles
 	tickItems []sched.DLItem
-	takeIdx   map[int]int
 	takeBuf   []obs.SlotUETake
-	takeOrder []int
 
 	// The gNB ticker: the boundary of the one pending scheduling instant
 	// and its handler, bound once.

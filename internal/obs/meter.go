@@ -104,9 +104,7 @@ func (r *Recorder) RetainedBytes() int64 {
 	}
 	b := r.spans.capBytes() + r.outcomes.capBytes()
 	b += int64(cap(r.slots)) * int64(unsafe.Sizeof(SlotRecord{}))
-	for _, s := range r.slots {
-		b += int64(cap(s.PerUE)) * int64(unsafe.Sizeof(SlotUETake{}))
-	}
+	b += int64(len(r.takes.block)+r.takes.spill) * int64(unsafe.Sizeof(SlotUETake{}))
 	b += r.reg.storageBytes()
 	return b
 }

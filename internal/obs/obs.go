@@ -295,6 +295,7 @@ type Recorder struct {
 	// one bool comparison per tick.
 	slotLedger bool
 	slots      []SlotRecord
+	takes      takeStore // the slot records' PerUE takes
 
 	// sampler gates span *retention* by packet identity (see
 	// sample.go). Off by default; outcomes and the tap stream are never
@@ -313,12 +314,12 @@ func NewRecorder() *Recorder {
 }
 
 // Reset empties the recorder in place while keeping every piece of storage
-// it has grown — span/outcome blocks, histogram pages, the snapshot arena,
-// instrument registrations and family rows.
+// it has grown — span/outcome blocks, slot takes, histogram pages, the
+// snapshot arena, instrument registrations and family rows.
 // A reset recorder re-observing the same workload behaves byte-identically
 // to a fresh one and allocates nothing once its storage has warmed up: the
-// steady-state contract pinned by the ObsEnabledSteady benchmark, and the
-// reuse pattern for benchmark loops and repeated-scenario services.
+// steady-state contract TestResetSteadyZeroAlloc pins, and the reuse
+// pattern for benchmark loops and repeated-scenario services.
 //
 // Reset invalidates everything previously returned by Spans, Outcomes,
 // Slots and Snapshots: those logs and slices alias the recycled storage.
@@ -335,6 +336,7 @@ func (r *Recorder) Reset() {
 		r.outcomes.reset(poisonOutcomes)
 		poisonSlots(r.slots)
 		r.slots = r.slots[:0]
+		r.takes.reset(poisonTakes)
 		r.reg.Reset()
 		if r.meter != nil {
 			*r.meter = meter{}

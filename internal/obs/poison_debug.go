@@ -39,3 +39,9 @@ func poisonSlots(s []SlotRecord) {
 		s[i] = SlotRecord{QueueDepth: PoisonPacket}
 	}
 }
+
+func poisonTakes(t []SlotUETake) {
+	for i := range t {
+		t[i] = SlotUETake{UE: PoisonPacket}
+	}
+}

@@ -37,6 +37,12 @@ func TestPoisonOnReset(t *testing.T) {
 	if slots[0].QueueDepth != PoisonPacket {
 		t.Fatalf("slot record not poisoned after Reset: %+v", slots[0])
 	}
+	recordWorkload(r) // the takes now go into the block Reset sized for them
+	takes := r.Slots()[0].PerUE
+	r.Reset()
+	if takes[0].UE != PoisonPacket {
+		t.Fatalf("slot takes not poisoned after Reset: %+v", takes[0])
+	}
 }
 
 // TestPoisonOnSpill: a spilled block is poisoned as soon as the callback

@@ -15,3 +15,4 @@ const PoisonPacket = -0xBAD
 func poisonSpans([]Span)       {}
 func poisonOutcomes([]Outcome) {}
 func poisonSlots([]SlotRecord) {}
+func poisonTakes([]SlotUETake) {}

@@ -108,8 +108,9 @@ func TestResetSampledByteIdentity(t *testing.T) {
 
 // TestResetSteadyZeroAlloc is the steady-state half of the contract: once a
 // recorder has been through one workload + Reset cycle, further cycles touch
-// only recycled storage. This is the in-process version of the
-// ObsEnabledSteady benchmark gate.
+// only recycled storage. The ObsEnabledSteady, ObsSampled and
+// LabeledRegistry benchmarks' ops are such cycles and are pinned at zero
+// here too.
 func TestResetSteadyZeroAlloc(t *testing.T) {
 	r := NewRecorder()
 	r.EnableSlotLedger()
@@ -122,5 +123,14 @@ func TestResetSteadyZeroAlloc(t *testing.T) {
 		r.Reset()
 	}); allocs > 0 {
 		t.Fatalf("steady-state workload+Reset allocated %.1f times per run, want 0", allocs)
+	}
+	for name, op := range map[string]func(){
+		"ObsEnabledSteady": obsEnabledSteadyOp(),
+		"ObsSampled":       obsSampledOp(),
+		"LabeledRegistry":  labeledRegistryOp(),
+	} {
+		if n := testing.AllocsPerRun(20, op); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
 	}
 }

@@ -71,12 +71,50 @@ func (r *Recorder) EnableSlotLedger() {
 // comparison per tick instead of building a record nobody keeps.
 func (r *Recorder) SlotLedgerEnabled() bool { return r != nil && r.slotLedger }
 
-// Slot appends one ledger record. No-op unless the ledger is enabled.
+// Slot appends one ledger record, copying its PerUE so the caller may reuse
+// the slice. No-op unless the ledger is enabled.
 func (r *Recorder) Slot(rec SlotRecord) {
 	if r == nil || !r.slotLedger {
 		return
 	}
+	if len(rec.PerUE) > 0 {
+		rec.PerUE = r.takes.copyOf(rec.PerUE)
+	}
 	r.slots = append(r.slots, rec)
+}
+
+// takeStore holds the slot records' PerUE takes in one block that reset
+// recycles; takes never move, so earlier records' slices stay valid. Takes
+// that find no room get a slice of their own and reset regrows the block to
+// fit them, so a fresh recorder allocates a slice per record and one
+// re-running its workload after Reset allocates nothing.
+type takeStore struct {
+	block []SlotUETake
+	off   int // takes already in block
+	spill int // takes stored outside the block since the last reset
+}
+
+// copyOf stores a copy of ts and returns it.
+func (s *takeStore) copyOf(ts []SlotUETake) []SlotUETake {
+	end := s.off + len(ts)
+	if end > len(s.block) {
+		s.spill += len(ts)
+		return append(make([]SlotUETake, 0, len(ts)), ts...)
+	}
+	dst := s.block[s.off:end:end]
+	copy(dst, ts)
+	s.off = end
+	return dst
+}
+
+// reset empties the store, first handing the takes in the block to poison
+// (see poison_debug.go).
+func (s *takeStore) reset(poison func([]SlotUETake)) {
+	poison(s.block[:s.off])
+	if s.spill > 0 {
+		s.block = make([]SlotUETake, s.off+s.spill)
+	}
+	s.off, s.spill = 0, 0
 }
 
 // Slots returns the ledger in tick order.

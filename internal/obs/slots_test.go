@@ -26,6 +26,38 @@ func slotFixture() []SlotRecord {
 
 // TestMergeSlotLedgersExact: shard ledgers of one configuration merge by
 // boundary with exact integer sums and per-UE takes folded by UE id.
+// TestSlotCopiesTakes: the recorder keeps its own copy of each record's
+// PerUE, so a caller reusing one take buffer every tick leaves earlier
+// records intact — across block boundaries too — and an empty take list
+// stays nil.
+func TestSlotCopiesTakes(t *testing.T) {
+	r := NewRecorder()
+	r.EnableSlotLedger()
+	buf := make([]SlotUETake, 3)
+	const ticks = 500
+	for i := 0; i < ticks; i++ {
+		n := 1 + i%3
+		for j := range buf[:n] {
+			buf[j] = SlotUETake{UE: j, DLBytes: i}
+		}
+		r.Slot(SlotRecord{Boundary: sim.Time(i), PerUE: buf[:n]})
+	}
+	r.Slot(SlotRecord{Boundary: ticks})
+	for i, rec := range r.Slots()[:ticks] {
+		if len(rec.PerUE) != 1+i%3 || cap(rec.PerUE) != len(rec.PerUE) {
+			t.Fatalf("tick %d: PerUE len %d cap %d, want len and cap %d", i, len(rec.PerUE), cap(rec.PerUE), 1+i%3)
+		}
+		for j, take := range rec.PerUE {
+			if take != (SlotUETake{UE: j, DLBytes: i}) {
+				t.Fatalf("tick %d take %d = %+v, overwritten after the record", i, j, take)
+			}
+		}
+	}
+	if last := r.Slots()[ticks]; last.PerUE != nil {
+		t.Fatalf("empty tick's PerUE = %v, want nil", last.PerUE)
+	}
+}
+
 func TestMergeSlotLedgersExact(t *testing.T) {
 	a, b := slotFixture(), slotFixture()
 	merged := MergeSlotLedgers(a, b)

@@ -317,7 +317,9 @@ func TestCancelStormBoundsQueue(t *testing.T) {
 }
 
 // Steady-state scheduling must allocate nothing: once the pool holds the
-// workload's high-water mark of nodes, schedule+fire cycles reuse them.
+// workload's high-water mark of nodes, schedule+fire cycles reuse them. The
+// warmed benchmarks' ops, EngineScheduleSteady and EngineCancelStorm, are
+// pinned at zero here too.
 func TestSteadyStateScheduleAllocsZero(t *testing.T) {
 	e := NewEngine()
 	cycle := func() {
@@ -332,6 +334,14 @@ func TestSteadyStateScheduleAllocsZero(t *testing.T) {
 	}
 	if e.PoolAllocs() > slabSize {
 		t.Fatalf("PoolAllocs = %d, want ≤ %d (one slab covers the high-water mark)", e.PoolAllocs(), slabSize)
+	}
+	for name, newOp := range map[string]func(testing.TB) func(){
+		"EngineScheduleSteady": engineScheduleSteady,
+		"EngineCancelStorm":    engineCancelStorm,
+	} {
+		if avg := testing.AllocsPerRun(20, newOp(t)); avg != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, avg)
+		}
 	}
 }
 
