@@ -174,7 +174,9 @@ cell-smoke:
 ## stating its effective rate, a sampled sweep stays worker-invariant, a
 ## -sample-rate outside (0,1] is a usage error (exit 2) in both CLIs, as are
 ## urllcsim's -ues 0, -dir up, -journey up, -packets -5, -bytes -1,
-## -deadline -1us and -snr NaN and urllc-sweep's -replicas/-packets/-ues 0
+## -deadline -1us, -snr NaN, -flight-topk/-watchdog-window < 1, a
+## -watchdog-missrate outside [0,1] and a negative -watchdog-p99, and
+## urllc-sweep's -replicas/-packets/-ues 0, -flight-topk -2 and -parallel -2
 ## (one stderr line each), and a self-profiled run carries
 ## the measured observer tax into urllc-report
 obs-smoke:
@@ -206,12 +208,14 @@ obs-smoke:
 		$$tmp/urllc-sweep -replicas 1 -packets 4 -sample-rate $$r -out $$tmp/bad.md >/dev/null 2>&1; rc=$$?; \
 		[ $$rc -eq 2 ] || { echo "obs-smoke FAIL: urllc-sweep -sample-rate $$r exited $$rc, want 2"; exit 1; }; \
 	done && \
-	for a in '-ues 0' '-dir up' '-journey up' '-packets -5' '-bytes -1' '-deadline -1us' '-snr NaN'; do \
+	for a in '-ues 0' '-dir up' '-journey up' '-packets -5' '-bytes -1' '-deadline -1us' '-snr NaN' \
+		'-flight-topk 0' '-flight-topk -1' '-watchdog-window 0' '-watchdog-window -3' \
+		'-watchdog-missrate NaN' '-watchdog-missrate -1' '-watchdog-missrate 1.5' '-watchdog-p99 -1us'; do \
 		$$tmp/urllcsim -packets 4 $$a >/dev/null 2>$$tmp/bad.err; rc=$$?; \
 		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
 			{ echo "obs-smoke FAIL: urllcsim $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \
 	done && \
-	for a in '-replicas 0' '-packets 0' '-ues 0'; do \
+	for a in '-replicas 0' '-packets 0' '-ues 0' '-flight-topk -2' '-parallel -2'; do \
 		$$tmp/urllc-sweep -replicas 1 -packets 4 $$a -out $$tmp/bad.md >/dev/null 2>$$tmp/bad.err; rc=$$?; \
 		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
 			{ echo "obs-smoke FAIL: urllc-sweep $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \

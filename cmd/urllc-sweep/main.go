@@ -100,6 +100,10 @@ func main() {
 		bad = "need at least 1 replica and 1 packet"
 	case *ues < 1:
 		bad = "need at least 1 UE"
+	case *flightTopK < 1:
+		bad = fmt.Sprintf("-flight-topk %d: need at least 1", *flightTopK)
+	case *parallel < 0:
+		bad = fmt.Sprintf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
 	}
 	if bad != "" {
 		fmt.Fprintln(os.Stderr, "urllc-sweep:", bad)

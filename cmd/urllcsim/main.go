@@ -85,6 +85,14 @@ func main() {
 		usageErr("unknown -dir %q (ul | dl | both)", *dir)
 	case *journey != "" && *journey != "ul" && *journey != "dl":
 		usageErr("unknown -journey %q (ul | dl)", *journey)
+	case *flightTopK < 1:
+		usageErr("-flight-topk %d: need at least 1", *flightTopK)
+	case *wdWindow < 1:
+		usageErr("-watchdog-window %d: need at least 1", *wdWindow)
+	case !(*wdMissRate >= 0 && *wdMissRate <= 1): // also rejects NaN
+		usageErr("-watchdog-missrate %v outside [0,1]", *wdMissRate)
+	case *wdP99 < 0:
+		usageErr("-watchdog-p99 %v: must not be negative", *wdP99)
 	}
 	scales := map[string]urllcsim.SlotScale{
 		"1ms": urllcsim.Slot1ms, "0.5ms": urllcsim.Slot0p5ms,

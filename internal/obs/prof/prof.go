@@ -64,13 +64,12 @@ type Profiler struct {
 	depth    metrics.Accumulator // queue depth sampled at every fired event
 	maxDepth int
 
-	startSim     sim.Time
-	lastSim      sim.Time
-	startSteps   uint64
-	startPushes  uint64
-	startPops    uint64
-	startCancels uint64
-	m0           runtime.MemStats
+	startSim    sim.Time
+	lastSim     sim.Time
+	startSteps  uint64
+	startPushes uint64
+	startPops   uint64
+	m0          runtime.MemStats
 
 	// obsRec, when set by MeterObs, is the metered recorder whose measured
 	// self-cost Finish folds into the report's observer-tax section.
@@ -83,21 +82,18 @@ type Profiler struct {
 // (an obs.Recorder keeps receiving every event through the profiler). The
 // profiler snapshots runtime.MemStats and the engine's queue counters at
 // attach time, so the eventual Report covers exactly the attached window.
-// The counters are the engine's own Pushes/Pops/Cancels books — pops are no
-// longer derived from a push/queue-length identity, which node pooling and
-// cancel excision would silently break.
+// The counters are the engine's own Pushes/Pops books.
 func Attach(eng *sim.Engine) *Profiler {
 	p := &Profiler{
-		eng:          eng,
-		next:         eng.Sink,
-		attachWall:   time.Now(),
-		keys:         map[string]int{},
-		startSim:     eng.Now(),
-		lastSim:      eng.Now(),
-		startSteps:   eng.Steps(),
-		startPushes:  eng.Pushes(),
-		startPops:    eng.Pops(),
-		startCancels: eng.Cancels(),
+		eng:         eng,
+		next:        eng.Sink,
+		attachWall:  time.Now(),
+		keys:        map[string]int{},
+		startSim:    eng.Now(),
+		lastSim:     eng.Now(),
+		startSteps:  eng.Steps(),
+		startPushes: eng.Pushes(),
+		startPops:   eng.Pops(),
 	}
 	runtime.ReadMemStats(&p.m0)
 	eng.Sink = p
@@ -200,7 +196,7 @@ func (p *Profiler) Finish() *Report {
 		Heap: HeapStats{
 			Pushes:    p.eng.Pushes() - p.startPushes,
 			Pops:      p.eng.Pops() - p.startPops,
-			Cancels:   p.eng.Cancels() - p.startCancels,
+			Cancels:   p.eng.Cancels(),
 			MaxDepth:  p.maxDepth,
 			MeanDepth: p.depth.Mean(),
 		},
@@ -242,10 +238,9 @@ type EventStat struct {
 
 // HeapStats describes the engine's event-queue behaviour over the profiled
 // window, read from the engine's explicit operation counters. Every pop
-// fires an event (the timing wheel excises cancelled events in O(1) instead
-// of lazily discarding them on pop), so Pops equals the window's fired-event
-// count; Cancels counts those excisions. Depth is the raw queue length
-// sampled at every fired event.
+// fires an event, so Pops equals the window's fired-event count. Cancels is
+// always 0 (the engine has no cancellation); profile v3 keeps the field.
+// Depth is the raw queue length sampled at every fired event.
 type HeapStats struct {
 	Pushes    uint64  `json:"pushes"`
 	Pops      uint64  `json:"pops"`

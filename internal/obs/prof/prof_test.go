@@ -11,8 +11,8 @@ import (
 )
 
 // toyRun schedules a small event mix on a fresh engine and runs it under a
-// profiler: two event types, one cancelled event exercising the excision
-// counter, plus a nested reschedule so the queue depth moves.
+// profiler: two event types plus a nested reschedule so the queue depth
+// moves.
 func toyRun(t *testing.T) (*sim.Engine, *Report) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -20,8 +20,6 @@ func toyRun(t *testing.T) (*sim.Engine, *Report) {
 	for i := 0; i < 10; i++ {
 		eng.Schedule(sim.Time(i*1000), "tick", func() {})
 	}
-	doomed := eng.Schedule(sim.Time(500), "doomed", func() { t.Fatal("cancelled event fired") })
-	doomed.Cancel()
 	eng.Schedule(sim.Time(2500), "spawn", func() {
 		eng.After(sim.Microsecond, "child", func() {})
 	})
@@ -31,7 +29,7 @@ func toyRun(t *testing.T) (*sim.Engine, *Report) {
 
 func TestReportPartitionAndCounts(t *testing.T) {
 	eng, r := toyRun(t)
-	if r.Events != 12 { // 10 ticks + spawn + child; doomed never fires
+	if r.Events != 12 { // 10 ticks + spawn + child
 		t.Fatalf("Events = %d, want 12", r.Events)
 	}
 	if r.Events != eng.Steps() {
@@ -62,21 +60,18 @@ func TestReportPartitionAndCounts(t *testing.T) {
 	if byKey["tick"].Count != 10 || byKey["spawn"].Count != 1 || byKey["child"].Count != 1 {
 		t.Fatalf("per-type counts wrong: %+v", byKey)
 	}
-	if _, ok := byKey["doomed"]; ok {
-		t.Fatal("cancelled event type appeared in the profile")
-	}
 }
 
 func TestReportHeapStats(t *testing.T) {
 	_, r := toyRun(t)
-	if r.Heap.Pushes != 13 { // 10 ticks + doomed + spawn + child
-		t.Fatalf("Heap.Pushes = %d, want 13", r.Heap.Pushes)
+	if r.Heap.Pushes != 12 { // 10 ticks + spawn + child
+		t.Fatalf("Heap.Pushes = %d, want 12", r.Heap.Pushes)
 	}
-	if r.Heap.Pops != 12 { // every pop fires; the cancelled event was excised, not popped
+	if r.Heap.Pops != 12 { // every pop fires
 		t.Fatalf("Heap.Pops = %d, want 12", r.Heap.Pops)
 	}
-	if r.Heap.Cancels != 1 { // doomed
-		t.Fatalf("Heap.Cancels = %d, want 1", r.Heap.Cancels)
+	if r.Heap.Cancels != 0 { // the engine has no cancellation
+		t.Fatalf("Heap.Cancels = %d, want 0", r.Heap.Cancels)
 	}
 	if r.Heap.Pops != r.Events {
 		t.Fatalf("Heap.Pops = %d, profiled events = %d; pops must equal fired events", r.Heap.Pops, r.Events)

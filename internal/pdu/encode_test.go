@@ -38,8 +38,6 @@ func TestEncodersPresizedAndUnchanged(t *testing.T) {
 			"040670696e6720723d3a3f00000000000000000000000000"},
 		{"gtpu", func(dst []byte) ([]byte, error) { return GTPUHeader{TEID: 0x42}.Append(dst, pl[:4]) },
 			"30ff00040000004270696e67"},
-		{"rlcam", RLCAMPDU{Poll: true, SI: SILast, SN: 0xABC, SO: 9, Payload: pl[:2]}.Append, "eabc00097069"},
-		{"status", RLCStatus{AckSN: 7, NackSNs: []uint16{3}}.Append, "0007801800"},
 		{"echo", Echo{ID: 1, Seq: 2, SentNs: 3, Reply: true}.Append, "01000100020000000000000003"},
 	}
 	for _, c := range cases {

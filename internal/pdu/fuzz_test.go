@@ -91,30 +91,6 @@ func FuzzDecodeRLCUM(f *testing.F) {
 	})
 }
 
-func FuzzDecodeRLCAM(f *testing.F) {
-	seed, _ := (RLCAMPDU{Poll: true, SI: SIFull, SN: 9, Payload: []byte("y")}).Append(nil)
-	f.Add(seed)
-	st, _ := (RLCStatus{AckSN: 4, NackSNs: []uint16{1}}).Append(nil)
-	f.Add(st)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if IsStatusPDU(data) {
-			if st, err := DecodeRLCStatus(data); err == nil {
-				checkAppend(t, st.Append)
-			}
-			return
-		}
-		p, err := DecodeRLCAM(data)
-		if err != nil {
-			return
-		}
-		enc := checkAppend(t, p.Append)
-		p2, err := DecodeRLCAM(enc)
-		if err != nil || p2.SN != p.SN || p2.Poll != p.Poll {
-			t.Fatalf("AM re-decode mismatch: %+v vs %+v (%v)", p, p2, err)
-		}
-	})
-}
-
 func FuzzDecodeGTPU(f *testing.F) {
 	seed, _ := GTPUHeader{TEID: 7}.Append(nil, []byte("payload"))
 	f.Add(seed)

@@ -437,9 +437,6 @@ func TestSegmentInfoStringsAndHeaderBytes(t *testing.T) {
 	if (RLCUMPDU{SI: SIFull}).HeaderBytes() != 1 || (RLCUMPDU{SI: SIMiddle}).HeaderBytes() != 3 {
 		t.Fatal("UM header sizes wrong")
 	}
-	if (RLCAMPDU{SI: SIFirst}).HeaderBytes() != 2 || (RLCAMPDU{SI: SILast}).HeaderBytes() != 4 {
-		t.Fatal("AM header sizes wrong")
-	}
 }
 
 func TestPDCPHeaderBytes(t *testing.T) {

@@ -2,73 +2,6 @@ package sim
 
 import "fmt"
 
-// Event is a handle to one scheduled callback, returned by Schedule and
-// After. It is a small value; the callback's storage is an engine-pooled
-// node validated by a never-reused sequence number, so holding (or copying)
-// a handle long after the event completed is always safe — methods on a
-// stale handle report the scheduling's outcome instead of corrupting an
-// unrelated, newer event that reuses the same node.
-//
-// Fired and Cancelled answer exactly while the scheduling is pending or its
-// node has not been re-armed, and from the handle's own cancellation record
-// afterwards. The one caveat: if a handle is copied, only the copy that
-// performed a successful Cancel remembers it once the node is re-armed —
-// treat a scheduling as owned by a single handle.
-type Event struct {
-	n         *node
-	seq       uint64
-	cancelled bool // set when this handle's Cancel took effect
-}
-
-// Cancel prevents a pending event from firing and reports whether this call
-// cancelled it. The event is excised from its wheel bucket immediately
-// (O(1)) and its node recycled, so cancel-heavy runs never accumulate dead
-// queue entries. Cancelling an event that already fired, was already
-// cancelled, or was never scheduled is a safe no-op returning false.
-func (ev *Event) Cancel() bool {
-	n := ev.n
-	if n == nil || n.seq != ev.seq || n.state != stateLive {
-		return false
-	}
-	eng := n.eng
-	eng.wheel.remove(n)
-	eng.cancels++
-	eng.recycle(n, stateCancelled)
-	ev.cancelled = true
-	return true
-}
-
-// Cancelled reports whether this scheduling was cancelled before it fired.
-// An event that fired is never reported as cancelled, even if Cancel was
-// called on it afterwards.
-func (ev *Event) Cancelled() bool {
-	if ev.cancelled {
-		return true
-	}
-	n := ev.n
-	return n != nil && n.seq == ev.seq && n.state == stateCancelled
-}
-
-// Fired reports whether this scheduling's callback ran.
-func (ev *Event) Fired() bool {
-	n := ev.n
-	if n == nil {
-		return false
-	}
-	if n.seq == ev.seq {
-		return n.state == stateFired
-	}
-	// The node was re-armed for a newer scheduling: ours completed, and the
-	// only way it completed without firing is a Cancel through this handle.
-	return !ev.cancelled
-}
-
-// Pending reports whether the event is still queued to fire.
-func (ev *Event) Pending() bool {
-	n := ev.n
-	return n != nil && n.seq == ev.seq && n.state == stateLive
-}
-
 // EngineSink receives a structured notification for every fired event. It
 // is the engine half of the observability layer (internal/obs): the
 // self-profiler (prof.Profiler) implements it, and obs.TracerFunc adapts a
@@ -92,7 +25,6 @@ type Engine struct {
 	steps   uint64
 	pushes  uint64
 	pops    uint64
-	cancels uint64
 	stopped bool
 
 	free       *node  // recycled event nodes, linked through node.next
@@ -122,16 +54,14 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // one per Arrive.
 func (e *Engine) Pushes() uint64 { return e.pushes }
 
-// Pops returns the number of queue extractions. Every pop fires an event —
-// cancellation excises without popping — so Pops always equals Steps; it is
-// exposed as its own counter so queue-operation accounting (internal/
-// obs/prof) reads the engine's books instead of deriving pops from a
-// push/queue-length identity that pooling would break.
+// Pops returns the number of queue extractions. Every pop fires an event,
+// so Pops always equals Steps, and Pushes − Pops is the queue length at any
+// instant.
 func (e *Engine) Pops() uint64 { return e.pops }
 
-// Cancels returns the number of events excised by Cancel before firing.
-// Pushes − Pops − Cancels is the queue length at any instant.
-func (e *Engine) Cancels() uint64 { return e.cancels }
+// Cancels returns 0: the engine has no cancellation. It remains because the
+// benchmark and the v3 self-profile still read it.
+func (e *Engine) Cancels() uint64 { return 0 }
 
 // PoolAllocs returns the number of event nodes this engine ever allocated —
 // the pool's capacity, grown in slabs of slabSize on freelist misses. Once a
@@ -140,8 +70,7 @@ func (e *Engine) Cancels() uint64 { return e.cancels }
 func (e *Engine) PoolAllocs() uint64 { return e.poolAllocs }
 
 // Pending returns the number of queued events, wheel and arrival lane
-// together. Cancellation removes events immediately, so this is exact —
-// queue-depth gauges never overcount.
+// together.
 func (e *Engine) Pending() int { return e.wheel.count + e.arrivals.count }
 
 // slabSize is the pool's growth quantum: a freelist miss allocates this many
@@ -160,7 +89,6 @@ func (e *Engine) alloc() *node {
 	if n == nil {
 		slab := make([]node, slabSize)
 		for i := range slab {
-			slab[i].eng = e
 			slab[i].next = e.free
 			e.free = &slab[i]
 		}
@@ -172,15 +100,11 @@ func (e *Engine) alloc() *node {
 	return n
 }
 
-// recycle records the scheduling's outcome on the node (outstanding handles
-// keep answering Fired/Cancelled until the node is re-armed with a fresh
-// seq) and returns it to the freelist. The callback and name are dropped so
-// the pool retains no closures.
-func (e *Engine) recycle(n *node, outcome uint8) {
-	n.state = outcome
+// recycle returns a fired node to the freelist. The callback and name are
+// dropped so the pool retains no closures.
+func (e *Engine) recycle(n *node) {
 	n.fn = nil
 	n.name = ""
-	n.prev = nil
 	n.next = e.free
 	e.free = n
 }
@@ -188,26 +112,24 @@ func (e *Engine) recycle(n *node, outcome uint8) {
 // Schedule queues fn to run at absolute time when. Scheduling in the past is
 // a programming error and panics: silently reordering time would corrupt
 // every latency measurement downstream.
-func (e *Engine) Schedule(when Time, name string, fn func()) Event {
+func (e *Engine) Schedule(when Time, name string, fn func()) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: schedule %q at %v before now %v", name, when, e.now))
 	}
 	n := e.alloc()
 	n.when, n.name, n.fn = when, name, fn
-	n.state = stateLive
 	n.seq = e.seq
 	e.seq++
 	e.pushes++
 	e.wheel.insert(n)
-	return Event{n: n, seq: n.seq}
 }
 
 // After queues fn to run d after the current time.
-func (e *Engine) After(d Duration, name string, fn func()) Event {
+func (e *Engine) After(d Duration, name string, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
 	}
-	return e.Schedule(e.now.Add(d), name, fn)
+	e.Schedule(e.now.Add(d), name, fn)
 }
 
 // Stop makes Run return after the currently firing event completes.
@@ -261,9 +183,8 @@ func (e *Engine) fireNext(t Time) {
 	e.pops++
 	name, fn := n.name, n.fn
 	// Recycle before the callback: the common reschedule-from-a-callback
-	// pattern then reuses this very node, and the handle staleness check
-	// (seq) keeps any outstanding handle to the fired event truthful.
-	e.recycle(n, stateFired)
+	// pattern then reuses this very node.
+	e.recycle(n)
 	if e.Sink != nil {
 		e.Sink.EngineEvent(e.now, name)
 	}

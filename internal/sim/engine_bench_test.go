@@ -11,20 +11,19 @@ import "testing"
 const benchEvents = 4096
 
 // engineBooks is a snapshot of the engine's queue counters.
-type engineBooks struct{ pushes, pops, cancels, steps uint64 }
+type engineBooks struct{ pushes, pops, steps uint64 }
 
 func booksOf(e *Engine) engineBooks {
-	return engineBooks{e.Pushes(), e.Pops(), e.Cancels(), e.Steps()}
+	return engineBooks{e.Pushes(), e.Pops(), e.Steps()}
 }
 
 // checkBooks fails tb unless e's counters moved from before by exactly want.
-// Each op runs a fixed script, so its pushes, pops, cancels and steps are
-// known exactly; any other change means the engine's books and its work
+// Each op runs a fixed script, so its pushes, pops and steps are known
+// exactly; any other change means the engine's books and its work
 // diverged.
 func checkBooks(tb testing.TB, e *Engine, before, want engineBooks) {
 	now := booksOf(e)
-	got := engineBooks{now.pushes - before.pushes, now.pops - before.pops,
-		now.cancels - before.cancels, now.steps - before.steps}
+	got := engineBooks{now.pushes - before.pushes, now.pops - before.pops, now.steps - before.steps}
 	if got != want {
 		tb.Fatalf("engine books moved %+v in one op, want %+v", got, want)
 	}
@@ -49,28 +48,6 @@ func engineSchedule(tb testing.TB) func() {
 	}
 }
 
-// engineScheduleCancel returns one EngineScheduleCancel op: engineSchedule
-// with every other queued event cancelled before the drain — the O(1)
-// excision path plus live-count bookkeeping.
-func engineScheduleCancel(tb testing.TB) func() {
-	return func() {
-		e := NewEngine()
-		evs := make([]Event, 0, benchEvents)
-		for j := 0; j < benchEvents; j++ {
-			evs = append(evs, e.Schedule(scriptTime(0, j), "e", func() {}))
-		}
-		for j := 0; j < benchEvents; j += 2 {
-			evs[j].Cancel()
-		}
-		if e.Pending() != benchEvents/2 {
-			tb.Fatalf("Pending = %d, want %d", e.Pending(), benchEvents/2)
-		}
-		e.RunAll()
-		checkBooks(tb, e, engineBooks{}, engineBooks{pushes: benchEvents, pops: benchEvents / 2,
-			cancels: benchEvents / 2, steps: benchEvents / 2})
-	}
-}
-
 // engineScheduleSteady returns one EngineScheduleSteady op on an engine it
 // has warmed: the pooled steady state the timing wheel is built for, where
 // every schedule+fire cycle reuses freelist nodes and allocates nothing.
@@ -83,30 +60,6 @@ func engineScheduleSteady(tb testing.TB) func() {
 		}
 		e.RunAll()
 		checkBooks(tb, e, before, engineBooks{pushes: benchEvents, pops: benchEvents, steps: benchEvents})
-	}
-	op()
-	return op
-}
-
-// engineCancelStorm returns one EngineCancelStorm op on a warmed engine: the
-// HARQ/CG retransmission-cancel pattern at its most hostile, every scheduled
-// event cancelled before it can fire. The queue must end each op empty and,
-// with O(1) excision and node pooling, the op must not allocate.
-func engineCancelStorm(tb testing.TB) func() {
-	e := NewEngine()
-	evs := make([]Event, benchEvents)
-	op := func() {
-		before, base := booksOf(e), e.Now()
-		for j := range evs {
-			evs[j] = e.Schedule(scriptTime(base, j), "e", func() {})
-		}
-		for j := range evs {
-			evs[j].Cancel()
-		}
-		checkBooks(tb, e, before, engineBooks{pushes: benchEvents, cancels: benchEvents})
-		if e.Pending() != 0 {
-			tb.Fatalf("Pending = %d after cancel storm, want 0", e.Pending())
-		}
 	}
 	op()
 	return op
@@ -127,39 +80,20 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	b.ReportMetric(float64(b.N)*benchEvents/b.Elapsed().Seconds(), "events/sec")
 }
 
-func BenchmarkEngineScheduleCancel(b *testing.B) {
-	runOps(b, engineScheduleCancel)
-	b.ReportMetric(float64(b.N)*benchEvents/2/b.Elapsed().Seconds(), "events/sec")
-}
-
 func BenchmarkEngineScheduleSteady(b *testing.B) {
 	runOps(b, engineScheduleSteady)
 	b.ReportMetric(float64(b.N)*benchEvents/b.Elapsed().Seconds(), "events/sec")
 }
 
-func BenchmarkEngineCancelStorm(b *testing.B) {
-	runOps(b, engineCancelStorm)
-	b.ReportMetric(float64(b.N)*benchEvents/b.Elapsed().Seconds(), "cancels/sec")
-}
-
-// TestEngineScheduleAllocs pins the fresh-engine benchmarks' allocations
-// per op at their measured counts, the engine and its node-pool slabs: a
-// rise fails. The warmed entries are pinned at zero by
+// TestEngineScheduleAllocs pins the fresh-engine benchmark's allocations
+// per op at their measured count, the engine and its 64 node-pool slabs: a
+// rise fails. The warmed op is pinned at zero by
 // TestSteadyStateScheduleAllocsZero.
 func TestEngineScheduleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race adds allocations of its own")
 	}
-	for _, pin := range []struct {
-		name   string
-		newOp  func(testing.TB) func()
-		allocs float64
-	}{
-		{"EngineSchedule", engineSchedule, 65},
-		{"EngineScheduleCancel", engineScheduleCancel, 66},
-	} {
-		if got := testing.AllocsPerRun(20, pin.newOp(t)); got > pin.allocs {
-			t.Errorf("%s: %v allocs/op, want ≤ %v", pin.name, got, pin.allocs)
-		}
+	if got := testing.AllocsPerRun(20, engineSchedule(t)); got > 65 {
+		t.Errorf("EngineSchedule: %v allocs/op, want ≤ 65", got)
 	}
 }

@@ -4,7 +4,16 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestNodeSize pins the pooled event node at 48 bytes: when, name, fn, seq
+// and the bucket link, so a 64-node slab is 3,072 bytes.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 48 {
+		t.Fatalf("node is %d bytes, want 48", got)
+	}
+}
 
 func TestEngineFiresInTimeOrder(t *testing.T) {
 	e := NewEngine()
@@ -59,25 +68,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 	if end != Time(9*1000) {
 		t.Fatalf("end = %v, want 9µs", end)
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.After(Microsecond, "doomed", func() { fired = true })
-	if !ev.Cancel() {
-		t.Fatal("Cancel() = false on a pending event")
-	}
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
-	if ev.Fired() {
-		t.Fatal("Fired() = true for a cancelled event")
 	}
 }
 
@@ -157,106 +147,6 @@ func TestEngineStepAndPending(t *testing.T) {
 	}
 }
 
-func TestPendingExcludesCancelled(t *testing.T) {
-	e := NewEngine()
-	a := e.After(Microsecond, "a", func() {})
-	e.After(2*Microsecond, "b", func() {})
-	c := e.After(3*Microsecond, "c", func() {})
-	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", e.Pending())
-	}
-	if !a.Cancel() || !c.Cancel() {
-		t.Fatal("Cancel() = false on pending events")
-	}
-	if c.Cancel() { // double-cancel must not double-count
-		t.Fatal("second Cancel() = true")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after 2 cancels, want 1 (cancelled events are excised immediately)", e.Pending())
-	}
-	if e.Cancels() != 2 {
-		t.Fatalf("Cancels = %d, want 2", e.Cancels())
-	}
-	e.RunAll()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after RunAll, want 0", e.Pending())
-	}
-	if e.Steps() != 1 {
-		t.Fatalf("Steps = %d, want 1 (only the live event fires)", e.Steps())
-	}
-}
-
-func TestCancelAfterFireDoesNotCorruptPending(t *testing.T) {
-	e := NewEngine()
-	ev := e.After(Microsecond, "a", func() {})
-	e.After(2*Microsecond, "b", func() {})
-	if !e.Step() {
-		t.Fatal("Step fired nothing")
-	}
-	if ev.Cancel() { // already fired: must be a no-op returning false
-		t.Fatal("Cancel() = true on a fired event")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after cancelling a fired event, want 1", e.Pending())
-	}
-	if e.Cancels() != 0 {
-		t.Fatalf("Cancels = %d after a no-op cancel, want 0", e.Cancels())
-	}
-}
-
-// Regression (pre-wheel bug): cancelling after the fire boundary marked the
-// event dead, so Cancelled() reported a fired event as cancelled and
-// repeated cancels around the boundary skewed the dead-event accounting.
-func TestCancelSemanticsAroundFireBoundary(t *testing.T) {
-	e := NewEngine()
-	ev := e.After(Microsecond, "a", func() {})
-	if ev.Fired() || ev.Cancelled() || !ev.Pending() {
-		t.Fatalf("fresh event: Fired=%v Cancelled=%v Pending=%v", ev.Fired(), ev.Cancelled(), ev.Pending())
-	}
-	e.RunAll()
-	if !ev.Fired() {
-		t.Fatal("Fired() = false after the event ran")
-	}
-	if ev.Pending() {
-		t.Fatal("Pending() = true after the event ran")
-	}
-	ev.Cancel()
-	ev.Cancel()
-	if ev.Cancelled() {
-		t.Fatal("Cancelled() = true for an event that fired (history misreported)")
-	}
-	if !ev.Fired() {
-		t.Fatal("Fired() flipped by a late Cancel")
-	}
-	if e.Cancels() != 0 || e.Pending() != 0 {
-		t.Fatalf("late cancels leaked into counters: Cancels=%d Pending=%d", e.Cancels(), e.Pending())
-	}
-	// The fired node is pooled and re-armed by the next scheduling; the old
-	// handle must stay truthful and must not touch the new event.
-	fresh := e.After(Microsecond, "b", func() {})
-	if ev.Cancel() {
-		t.Fatal("stale handle cancelled a recycled node")
-	}
-	if !ev.Fired() || ev.Cancelled() {
-		t.Fatalf("stale handle: Fired=%v Cancelled=%v, want true/false", ev.Fired(), ev.Cancelled())
-	}
-	if !fresh.Pending() {
-		t.Fatal("new event lost by a stale handle's Cancel")
-	}
-	// And the reverse outcome: a cancelled scheduling stays cancelled after
-	// its node is re-armed.
-	doomed := e.After(2*Microsecond, "c", func() {})
-	doomed.Cancel()
-	e.After(3*Microsecond, "d", func() {})
-	if !doomed.Cancelled() || doomed.Fired() {
-		t.Fatalf("cancelled handle after re-arm: Cancelled=%v Fired=%v, want true/false", doomed.Cancelled(), doomed.Fired())
-	}
-	var zero Event
-	if zero.Cancel() || zero.Cancelled() || zero.Fired() || zero.Pending() {
-		t.Fatal("zero-value handle not inert")
-	}
-}
-
 // Regression (pre-wheel bug): Run(horizon) with horizon < now rewound the
 // clock to the horizon, corrupting every later latency measurement.
 func TestRunHorizonBeforeNowClamps(t *testing.T) {
@@ -282,44 +172,9 @@ func TestRunHorizonBeforeNowClamps(t *testing.T) {
 	}
 }
 
-// Regression (pre-wheel bug): lazy deletion let cancel-heavy runs grow a
-// majority-dead heap without bound. Cancellation now excises immediately,
-// so a schedule/cancel storm leaves the queue empty and reuses one pooled
-// node instead of accumulating thousands.
-func TestCancelStormBoundsQueue(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 10000; i++ {
-		ev := e.Schedule(e.Now()+Time(1+i%977), "harq", func() {})
-		if !ev.Cancel() {
-			t.Fatal("cancel failed")
-		}
-		if e.Pending() != 0 {
-			t.Fatalf("Pending = %d mid-storm, want 0", e.Pending())
-		}
-	}
-	if e.PoolAllocs() != slabSize {
-		t.Fatalf("PoolAllocs = %d over a 10000-cancel storm, want one slab of %d (node reused)", e.PoolAllocs(), slabSize)
-	}
-	if e.Cancels() != 10000 || e.Pushes() != 10000 || e.Pops() != 0 {
-		t.Fatalf("counters: pushes=%d pops=%d cancels=%d", e.Pushes(), e.Pops(), e.Cancels())
-	}
-	// Interleaved live traffic must be untouched by the storm.
-	fired := 0
-	e.Schedule(e.Now()+Time(50), "live", func() { fired++ })
-	for i := 0; i < 100; i++ {
-		ev := e.Schedule(e.Now()+Time(100+i), "harq", func() {})
-		ev.Cancel()
-	}
-	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("live event fired %d times, want 1", fired)
-	}
-}
-
 // Steady-state scheduling must allocate nothing: once the pool holds the
 // workload's high-water mark of nodes, schedule+fire cycles reuse them. The
-// warmed benchmarks' ops, EngineScheduleSteady and EngineCancelStorm, are
-// pinned at zero here too.
+// warmed benchmark's op, EngineScheduleSteady, is pinned at zero here too.
 func TestSteadyStateScheduleAllocsZero(t *testing.T) {
 	e := NewEngine()
 	cycle := func() {
@@ -335,13 +190,8 @@ func TestSteadyStateScheduleAllocsZero(t *testing.T) {
 	if e.PoolAllocs() > slabSize {
 		t.Fatalf("PoolAllocs = %d, want ≤ %d (one slab covers the high-water mark)", e.PoolAllocs(), slabSize)
 	}
-	for name, newOp := range map[string]func(testing.TB) func(){
-		"EngineScheduleSteady": engineScheduleSteady,
-		"EngineCancelStorm":    engineCancelStorm,
-	} {
-		if avg := testing.AllocsPerRun(20, newOp(t)); avg != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", name, avg)
-		}
+	if avg := testing.AllocsPerRun(20, engineScheduleSteady(t)); avg != 0 {
+		t.Errorf("EngineScheduleSteady: %v allocs/op, want 0", avg)
 	}
 }
 

@@ -44,9 +44,8 @@ type laneBlock struct {
 	next    *laneBlock
 }
 
-// lane is the engine's arrival queue, beside the timing wheel. It is not
-// cancellable. Offered traffic waits here as compact records rather than
-// as wheel nodes, so the engine's node pool only ever holds the events in
+// lane is the engine's arrival queue, beside the timing wheel. Offered
+// traffic waits here as compact records rather than as wheel nodes, so the engine's node pool only ever holds the events in
 // flight. The block storage, released as it drains, holds only pushes made
 // in time order; an out-of-order push goes to the late heap, a plain slice
 // freed only when it is empty, so sources should push in time order (or

@@ -29,39 +29,23 @@ const (
 )
 
 // node is the engine-owned storage for one scheduled callback. Nodes are
-// pooled: after an event fires or is cancelled the node keeps its seq and
-// final state (so outstanding Event handles can still answer Fired/Cancelled
-// exactly) until the pool hands it to a new scheduling, which assigns a
-// fresh seq — the staleness check that makes handle methods safe forever.
+// pooled: a fired node returns to the engine's freelist, and the next
+// scheduling re-arms it with a fresh seq.
 type node struct {
 	when Time
 	name string
 	fn   func()
-
-	seq   uint64 // unique per scheduling, never reused by this engine
-	state uint8  // stateLive / stateFired / stateCancelled
-	level uint8  // wheel position, maintained by insert/cascade
-	slot  uint8
-
-	eng        *Engine
-	prev, next *node // bucket neighbours while live; next doubles as the freelist link
+	seq  uint64 // scheduling order: the (when, seq) tie-break against the arrival lane
+	next *node  // bucket successor while queued; the freelist link while pooled
 }
 
-const (
-	stateLive      uint8 = iota // queued in the wheel
-	stateFired                  // completed by firing (node is pooled)
-	stateCancelled              // completed by Cancel before firing (node is pooled)
-)
-
-// list is one wheel bucket: an intrusive doubly-linked FIFO. Doubly linked so
-// Cancel can excise an arbitrary node in O(1) — the engine never carries
-// dead events.
+// list is one wheel bucket: an intrusive singly linked FIFO, appended at the
+// tail and popped at the head.
 type list struct {
 	head, tail *node
 }
 
 func (l *list) append(n *node) {
-	n.prev = l.tail
 	n.next = nil
 	if l.tail != nil {
 		l.tail.next = n
@@ -71,18 +55,14 @@ func (l *list) append(n *node) {
 	l.tail = n
 }
 
-func (l *list) remove(n *node) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		l.head = n.next
+// pop removes and returns the head of a non-empty bucket.
+func (l *list) pop() *node {
+	n := l.head
+	l.head = n.next
+	if l.head == nil {
+		l.tail = nil
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		l.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
+	return n
 }
 
 type wheelLevel struct {
@@ -99,7 +79,7 @@ type wheel struct {
 	// 64^l-block not before elapsed's. Hence no slot ever sits "behind" the
 	// cursor and TrailingZeros64 alone finds the next bucket.
 	elapsed uint64
-	count   int // queued events (all live — cancellation excises immediately)
+	count   int // queued events
 	levels  [numLevels]wheelLevel
 }
 
@@ -117,22 +97,10 @@ func (w *wheel) insert(n *node) {
 	when := uint64(n.when)
 	lvl := levelFor(w.elapsed, when)
 	slot := int(when>>(uint(lvl)*slotBits)) & slotMask
-	n.level, n.slot = uint8(lvl), uint8(slot)
 	l := &w.levels[lvl]
 	l.slots[slot].append(n)
 	l.occupied |= 1 << uint(slot)
 	w.count++
-}
-
-// remove excises a live node from its bucket in O(1).
-func (w *wheel) remove(n *node) {
-	l := &w.levels[n.level]
-	b := &l.slots[n.slot]
-	b.remove(n)
-	if b.head == nil {
-		l.occupied &^= 1 << uint(n.slot)
-	}
-	w.count--
 }
 
 type peekStatus uint8
@@ -210,8 +178,7 @@ func (w *wheel) popFront() *node {
 	l := &w.levels[0]
 	slot := bits.TrailingZeros64(l.occupied)
 	b := &l.slots[slot]
-	n := b.head
-	b.remove(n)
+	n := b.pop()
 	if b.head == nil {
 		l.occupied &^= 1 << uint(slot)
 	}

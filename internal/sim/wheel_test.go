@@ -7,9 +7,8 @@ import (
 
 // refEvent is one scheduling in the reference model.
 type refEvent struct {
-	when      Time
-	fired     bool
-	cancelled bool
+	when  Time
+	fired bool
 }
 
 // refModel is the specification the wheel engine must match bit-for-bit: a
@@ -27,30 +26,22 @@ func (m *refModel) schedule(when Time) *refEvent {
 	return ev
 }
 
-func (m *refModel) cancel(ev *refEvent) bool {
-	if ev.fired || ev.cancelled {
-		return false
-	}
-	ev.cancelled = true
-	return true
-}
-
 func (m *refModel) pending() int {
 	n := 0
 	for _, ev := range m.evs {
-		if !ev.fired && !ev.cancelled {
+		if !ev.fired {
 			n++
 		}
 	}
 	return n
 }
 
-// next returns the earliest live event: minimum when, FIFO among equals
+// next returns the earliest unfired event: minimum when, FIFO among equals
 // (slice order is insertion order).
 func (m *refModel) next() *refEvent {
 	var best *refEvent
 	for _, ev := range m.evs {
-		if ev.fired || ev.cancelled {
+		if ev.fired {
 			continue
 		}
 		if best == nil || ev.when < best.when {
@@ -92,19 +83,19 @@ func (m *refModel) run(horizon Time, fire func(*refEvent)) Time {
 
 // diffHarness drives the wheel engine and the reference model through the
 // same operation sequence and fails on the first observable divergence:
-// firing order, firing times, clock, queue length, or any handle/cancel
-// answer.
+// firing order, firing times, clock or queue length.
 type diffHarness struct {
 	t   *testing.T
 	e   *Engine
 	m   *refModel
 	rng *RNG
 
-	// parallel per-scheduling records; index i is the same scheduling on
-	// both sides, appended in creation order (which the harness asserts is
-	// identical, since children are created inside fire callbacks).
-	handles []Event
-	models  []*refEvent
+	// scheduled counts the engine's schedulings; id i on the engine side is
+	// models[i] on the model side, both numbered in creation order (which
+	// the harness asserts is identical, since children are created inside
+	// fire callbacks).
+	scheduled int
+	models    []*refEvent
 
 	engLog []string // "<id>@<ns>" per fired event
 	modLog []string
@@ -113,9 +104,9 @@ type diffHarness struct {
 }
 
 func (h *diffHarness) schedule(when Time) {
-	id := len(h.handles)
-	h.handles = append(h.handles, Event{}) // reserve the slot before Schedule so ids match
-	h.handles[id] = h.e.Schedule(when, "d", func() { h.fireEngine(id) })
+	id := h.scheduled
+	h.scheduled++
+	h.e.Schedule(when, "d", func() { h.fireEngine(id) })
 	h.models = append(h.models, h.m.schedule(when))
 }
 
@@ -125,9 +116,9 @@ func (h *diffHarness) schedule(when Time) {
 func (h *diffHarness) fireEngine(id int) {
 	h.engLog = append(h.engLog, fmt.Sprintf("%d@%d", id, h.e.Now()))
 	if off, ok := h.childSpec(id); ok {
-		cid := len(h.handles)
-		h.handles = append(h.handles, Event{})
-		h.handles[cid] = h.e.Schedule(h.e.Now()+off, "c", func() { h.fireEngine(cid) })
+		cid := h.scheduled
+		h.scheduled++
+		h.e.Schedule(h.e.Now()+off, "c", func() { h.fireEngine(cid) })
 		// The model side of the child is appended by fireModel for the
 		// same id, in the same order, as long as firing order matches.
 	}
@@ -155,6 +146,9 @@ func (h *diffHarness) check(op string) {
 	if h.e.Pending() != h.m.pending() {
 		h.t.Fatalf("%s: pending diverged: engine %d, model %d", op, h.e.Pending(), h.m.pending())
 	}
+	if h.e.Pushes()-h.e.Pops() != uint64(h.e.Pending()) {
+		h.t.Fatalf("%s: pushes−pops = %d, queue %d", op, h.e.Pushes()-h.e.Pops(), h.e.Pending())
+	}
 	if len(h.engLog) != len(h.modLog) {
 		h.t.Fatalf("%s: fired %d vs model %d events", op, len(h.engLog), len(h.modLog))
 	}
@@ -163,22 +157,8 @@ func (h *diffHarness) check(op string) {
 			h.t.Fatalf("%s: firing %d diverged: engine %s, model %s", op, i, h.engLog[i], h.modLog[i])
 		}
 	}
-	if len(h.handles) != len(h.models) {
-		h.t.Fatalf("%s: scheduling count diverged: %d vs %d", op, len(h.handles), len(h.models))
-	}
-	// Every handle must agree with the model's full history, including
-	// handles whose pooled node has long been re-armed.
-	for i := range h.handles {
-		ev, m := &h.handles[i], h.models[i]
-		if ev.Fired() != m.fired {
-			h.t.Fatalf("%s: handle %d Fired() = %v, model %v", op, i, ev.Fired(), m.fired)
-		}
-		if ev.Cancelled() != m.cancelled {
-			h.t.Fatalf("%s: handle %d Cancelled() = %v, model %v", op, i, ev.Cancelled(), m.cancelled)
-		}
-		if ev.Pending() != (!m.fired && !m.cancelled) {
-			h.t.Fatalf("%s: handle %d Pending() = %v, model %v", op, i, ev.Pending(), !m.fired && !m.cancelled)
-		}
+	if h.scheduled != len(h.models) {
+		h.t.Fatalf("%s: scheduling count diverged: %d vs %d", op, h.scheduled, len(h.models))
 	}
 }
 
@@ -207,9 +187,9 @@ func randomWhen(rng *RNG, now Time) Time {
 	}
 }
 
-// TestWheelDifferential replays random schedule/cancel/step/run sequences
-// against the reference model. Identical firing order and times, identical
-// clock and Pending() after every operation, identical handle answers.
+// TestWheelDifferential replays random schedule/step/run sequences against
+// the reference model. Identical firing order and times, identical clock and
+// Pending() after every operation, and Pushes − Pops equal to Pending().
 func TestWheelDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		seed := seed
@@ -223,30 +203,20 @@ func TestWheelDifferential(t *testing.T) {
 				return Time((id * 2654435761) % 5000), true
 			}
 			for op := 0; op < 3000; op++ {
-				switch rng.Uint64() % 10 {
+				switch rng.Uint64() % 8 {
 				case 0, 1, 2, 3: // schedule
 					w := randomWhen(rng, h.e.Now())
 					if w < h.e.Now() {
 						w = h.e.Now()
 					}
 					h.schedule(w)
-				case 4: // cancel a random prior scheduling (any state)
-					if len(h.handles) == 0 {
-						continue
-					}
-					i := int(rng.Uint64() % uint64(len(h.handles)))
-					got := h.handles[i].Cancel()
-					want := h.m.cancel(h.models[i])
-					if got != want {
-						t.Fatalf("op %d: Cancel(%d) = %v, model %v", op, i, got, want)
-					}
-				case 5, 6: // single step
+				case 4, 5: // single step
 					got := h.e.Step()
 					want := h.m.step(h.fireModel)
 					if got != want {
 						t.Fatalf("op %d: Step() = %v, model %v", op, got, want)
 					}
-				case 7: // bounded run, sometimes with horizon < now
+				case 6: // bounded run, sometimes with horizon < now
 					horizon := h.e.Now() + Time(rng.Uint64()%1_000_000) - 5_000
 					if horizon < 0 {
 						horizon = 0
@@ -254,14 +224,9 @@ func TestWheelDifferential(t *testing.T) {
 					if h.e.Run(horizon) != h.m.run(horizon, h.fireModel) {
 						t.Fatalf("op %d: Run(%v) return diverged", op, horizon)
 					}
-				case 8: // drain completely
+				case 7: // drain completely
 					if h.e.RunAll() != h.m.run(Never, h.fireModel) {
 						t.Fatalf("op %d: RunAll return diverged", op)
-					}
-				case 9: // counters stay coherent
-					if h.e.Pushes()-h.e.Pops()-h.e.Cancels() != uint64(h.e.Pending()) {
-						t.Fatalf("op %d: pushes−pops−cancels = %d, queue %d",
-							op, h.e.Pushes()-h.e.Pops()-h.e.Cancels(), h.e.Pending())
 					}
 				}
 				h.check(fmt.Sprintf("op %d", op))

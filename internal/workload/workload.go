@@ -1,11 +1,9 @@
-// Package workload generates traffic arrival processes: the
-// uniform-within-pattern arrivals of the paper's §7 demonstration, Poisson
-// traffic, the periodic/deterministic flows of industrial automation, and
-// audio-frame streams (the Nokia/Sennheiser use case of [33]).
+// Package workload generates the periodic many-machine fleet of the
+// Industry-4.0 cell studies. The paper's §7 uniform-within-pattern and the
+// Poisson arrivals are drawn inline where they are offered.
 package workload
 
 import (
-	"fmt"
 	"sort"
 
 	"urllcsim/internal/sim"
@@ -16,114 +14,6 @@ type Packet struct {
 	ID      int
 	Arrival sim.Time
 	Bytes   int
-}
-
-// Generator produces arrival times; Next returns successive packets in
-// non-decreasing arrival order.
-type Generator interface {
-	Next() Packet
-	Name() string
-}
-
-// Uniform generates arrivals uniformly distributed within each period —
-// "the packets are uniformly generated within the pattern" (§7). One packet
-// per period keeps successive packets independent, matching the paper's
-// per-packet latency histograms.
-type Uniform struct {
-	Period sim.Duration
-	Bytes  int
-	rng    *sim.RNG
-	n      int
-}
-
-// NewUniform returns a uniform-in-period generator.
-func NewUniform(period sim.Duration, bytes int, rng *sim.RNG) *Uniform {
-	if period <= 0 {
-		panic("workload: non-positive period")
-	}
-	return &Uniform{Period: period, Bytes: bytes, rng: rng}
-}
-
-// Next implements Generator.
-func (u *Uniform) Next() Packet {
-	off := u.rng.UniformDuration(0, u.Period)
-	p := Packet{ID: u.n, Arrival: sim.Time(int64(u.n) * int64(u.Period)).Add(off), Bytes: u.Bytes}
-	u.n++
-	return p
-}
-
-// Name implements Generator.
-func (u *Uniform) Name() string { return fmt.Sprintf("uniform(%v)", u.Period) }
-
-// Poisson generates a Poisson arrival process with the given mean rate.
-type Poisson struct {
-	MeanInterarrival sim.Duration
-	Bytes            int
-	rng              *sim.RNG
-	n                int
-	last             sim.Time
-}
-
-// NewPoisson returns a Poisson generator.
-func NewPoisson(meanInterarrival sim.Duration, bytes int, rng *sim.RNG) *Poisson {
-	if meanInterarrival <= 0 {
-		panic("workload: non-positive interarrival")
-	}
-	return &Poisson{MeanInterarrival: meanInterarrival, Bytes: bytes, rng: rng}
-}
-
-// Next implements Generator.
-func (p *Poisson) Next() Packet {
-	gap := sim.Duration(p.rng.Exponential(float64(p.MeanInterarrival)))
-	p.last = p.last.Add(gap)
-	pkt := Packet{ID: p.n, Arrival: p.last, Bytes: p.Bytes}
-	p.n++
-	return pkt
-}
-
-// Name implements Generator.
-func (p *Poisson) Name() string { return fmt.Sprintf("poisson(%v)", p.MeanInterarrival) }
-
-// Periodic generates strictly periodic traffic with optional phase jitter —
-// the control loops of industrial automation (sensors and actuators on a
-// fixed cycle, §1's "industrial automation" use case).
-type Periodic struct {
-	Period   sim.Duration
-	JitterNs sim.Duration // uniform ±jitter/2 around the tick
-	Bytes    int
-	rng      *sim.RNG
-	n        int
-}
-
-// NewPeriodic returns a periodic generator.
-func NewPeriodic(period, jitter sim.Duration, bytes int, rng *sim.RNG) *Periodic {
-	if period <= 0 {
-		panic("workload: non-positive period")
-	}
-	return &Periodic{Period: period, JitterNs: jitter, Bytes: bytes, rng: rng}
-}
-
-// Next implements Generator.
-func (p *Periodic) Next() Packet {
-	t := sim.Time(int64(p.n) * int64(p.Period))
-	if p.JitterNs > 0 {
-		t = t.Add(p.rng.UniformDuration(0, p.JitterNs))
-	}
-	pkt := Packet{ID: p.n, Arrival: t, Bytes: p.Bytes}
-	p.n++
-	return pkt
-}
-
-// Name implements Generator.
-func (p *Periodic) Name() string { return fmt.Sprintf("periodic(%v)", p.Period) }
-
-// AudioFrames models professional live audio ([33]): fixed-size frames at
-// the codec frame rate (e.g. 48 kHz × 0.25 ms framing → 96 samples × 3 B
-// per frame every 250 µs).
-func AudioFrames(rng *sim.RNG) *Periodic {
-	const frame = 250 * sim.Microsecond
-	const bytes = 96 * 3
-	return NewPeriodic(frame, 0, bytes, rng)
 }
 
 // MachinePacket is one offered unit of traffic attributed to a machine (UE).
@@ -192,8 +82,8 @@ func (f *Fleet) fill() {
 		}
 		f.next[i] = MachinePacket{UE: i, Packet: Packet{Arrival: t, Bytes: f.Bytes}}
 	}
-	// Stagger dominates jitter only when Jitter < Period/N; sort so Next
-	// honors the non-decreasing-arrival contract in every regime.
+	// Stagger dominates jitter only when Jitter < Period/N; sort so
+	// NextMachine honors the non-decreasing-arrival contract in every regime.
 	sort.SliceStable(f.next, func(a, b int) bool {
 		if f.next[a].Arrival != f.next[b].Arrival {
 			return f.next[a].Arrival < f.next[b].Arrival
@@ -203,26 +93,11 @@ func (f *Fleet) fill() {
 	f.cycle++
 }
 
-// Next implements Generator, dropping the machine attribution.
-func (f *Fleet) Next() Packet { return f.NextMachine().Packet }
-
-// Name implements Generator.
-func (f *Fleet) Name() string { return fmt.Sprintf("fleet(%d×%v)", f.N, f.Period) }
-
 // TakeFleet drains n packets from a fleet with machine attribution.
 func TakeFleet(f *Fleet, n int) []MachinePacket {
 	out := make([]MachinePacket, n)
 	for i := range out {
 		out[i] = f.NextMachine()
-	}
-	return out
-}
-
-// Take drains n packets from a generator.
-func Take(g Generator, n int) []Packet {
-	out := make([]Packet, n)
-	for i := range out {
-		out[i] = g.Next()
 	}
 	return out
 }

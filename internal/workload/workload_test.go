@@ -1,89 +1,10 @@
 package workload
 
 import (
-	"math"
 	"testing"
 
 	"urllcsim/internal/sim"
 )
-
-func TestUniformOnePerPeriod(t *testing.T) {
-	rng := sim.NewRNG(1)
-	g := NewUniform(2*sim.Millisecond, 64, rng)
-	pkts := Take(g, 1000)
-	for i, p := range pkts {
-		lo := sim.Time(int64(i) * int64(2*sim.Millisecond))
-		hi := lo.Add(2 * sim.Millisecond)
-		if p.Arrival < lo || p.Arrival >= hi {
-			t.Fatalf("packet %d at %v outside its period [%v,%v)", i, p.Arrival, lo, hi)
-		}
-		if p.ID != i || p.Bytes != 64 {
-			t.Fatalf("packet meta wrong: %+v", p)
-		}
-	}
-	// Offsets must actually be spread: mean offset ≈ period/2.
-	var sum float64
-	for i, p := range pkts {
-		sum += float64(p.Arrival - sim.Time(int64(i)*int64(2*sim.Millisecond)))
-	}
-	mean := sum / float64(len(pkts))
-	if math.Abs(mean-1e6)/1e6 > 0.1 {
-		t.Fatalf("mean offset %vns, want ≈1ms", mean)
-	}
-}
-
-func TestPoissonInterarrivals(t *testing.T) {
-	rng := sim.NewRNG(2)
-	g := NewPoisson(sim.Millisecond, 32, rng)
-	pkts := Take(g, 20000)
-	prev := sim.Time(0)
-	var sum float64
-	for _, p := range pkts {
-		if p.Arrival < prev {
-			t.Fatal("arrivals not monotone")
-		}
-		sum += float64(p.Arrival - prev)
-		prev = p.Arrival
-	}
-	mean := sum / float64(len(pkts))
-	if math.Abs(mean-1e6)/1e6 > 0.05 {
-		t.Fatalf("mean interarrival %vns, want ≈1ms", mean)
-	}
-}
-
-func TestPeriodicExactTicks(t *testing.T) {
-	rng := sim.NewRNG(3)
-	g := NewPeriodic(250*sim.Microsecond, 0, 288, rng)
-	pkts := Take(g, 10)
-	for i, p := range pkts {
-		if p.Arrival != sim.Time(int64(i)*250000) {
-			t.Fatalf("tick %d at %v", i, p.Arrival)
-		}
-	}
-}
-
-func TestPeriodicJitterBounded(t *testing.T) {
-	rng := sim.NewRNG(4)
-	g := NewPeriodic(sim.Millisecond, 100*sim.Microsecond, 10, rng)
-	for i := 0; i < 1000; i++ {
-		p := g.Next()
-		base := sim.Time(int64(i) * int64(sim.Millisecond))
-		if p.Arrival < base || p.Arrival >= base.Add(100*sim.Microsecond) {
-			t.Fatalf("jittered tick %d at %v", i, p.Arrival)
-		}
-	}
-}
-
-func TestAudioFrames(t *testing.T) {
-	g := AudioFrames(sim.NewRNG(5))
-	p0, p1 := g.Next(), g.Next()
-	if p1.Arrival-p0.Arrival != sim.Time(250*sim.Microsecond) {
-		t.Fatalf("audio frame spacing = %v", p1.Arrival-p0.Arrival)
-	}
-	if p0.Bytes != 288 {
-		t.Fatalf("audio frame size = %dB", p0.Bytes)
-	}
-}
 
 func TestFleetStaggerAndOrder(t *testing.T) {
 	rng := sim.NewRNG(8)
@@ -146,25 +67,12 @@ func TestFleetJitterIndependentOfN(t *testing.T) {
 	}
 }
 
-func TestGeneratorNames(t *testing.T) {
-	rng := sim.NewRNG(6)
-	for _, g := range []Generator{
-		NewUniform(sim.Millisecond, 1, rng),
-		NewPoisson(sim.Millisecond, 1, rng),
-		NewPeriodic(sim.Millisecond, 0, 1, rng),
-	} {
-		if g.Name() == "" {
-			t.Fatal("empty generator name")
-		}
-	}
-}
-
 func TestBadParamsPanic(t *testing.T) {
 	rng := sim.NewRNG(7)
 	for name, f := range map[string]func(){
-		"uniform":  func() { NewUniform(0, 1, rng) },
-		"poisson":  func() { NewPoisson(-1, 1, rng) },
-		"periodic": func() { NewPeriodic(0, 0, 1, rng) },
+		"no machines":   func() { NewFleet(0, sim.Millisecond, 0, 1, rng) },
+		"zero period":   func() { NewFleet(4, 0, 0, 1, rng) },
+		"negative size": func() { NewFleet(-1, sim.Millisecond, 0, 1, rng) },
 	} {
 		func() {
 			defer func() {
