@@ -176,8 +176,9 @@ cell-smoke:
 ## urllcsim's -ues 0, -dir up, -journey up, -packets -5, -bytes -1,
 ## -deadline -1us, -snr NaN, -flight-topk/-watchdog-window < 1, a
 ## -watchdog-missrate outside [0,1] and a negative -watchdog-p99, and
-## urllc-sweep's -replicas/-packets/-ues 0, -flight-topk -2 and -parallel -2
-## (one stderr line each), and a self-profiled run carries
+## urllc-sweep's -replicas/-packets/-ues 0, -flight-topk -2, -parallel -2,
+## -slot 2ms, -radio wifi, -grantfree maybe and -deadline -1us (one stderr
+## line each), and a self-profiled run carries
 ## the measured observer tax into urllc-report
 obs-smoke:
 	@tmp=$$(mktemp -d) && \
@@ -215,7 +216,8 @@ obs-smoke:
 		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
 			{ echo "obs-smoke FAIL: urllcsim $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \
 	done && \
-	for a in '-replicas 0' '-packets 0' '-ues 0' '-flight-topk -2' '-parallel -2'; do \
+	for a in '-replicas 0' '-packets 0' '-ues 0' '-flight-topk -2' '-parallel -2' \
+		'-slot 2ms' '-radio wifi' '-grantfree maybe' '-deadline -1us'; do \
 		$$tmp/urllc-sweep -replicas 1 -packets 4 $$a -out $$tmp/bad.md >/dev/null 2>$$tmp/bad.err; rc=$$?; \
 		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
 			{ echo "obs-smoke FAIL: urllc-sweep $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \

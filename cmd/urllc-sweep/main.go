@@ -92,8 +92,13 @@ func main() {
 		version.Print(os.Stdout, "urllc-sweep", []string{flight.Schema, obs.SlotsSchema}, nil)
 		return
 	}
+	grid, gridErr := buildGrid(*patterns, *slots, *grantfree, *radios)
 	var bad string
 	switch {
+	case gridErr != nil:
+		bad = gridErr.Error()
+	case *deadline < 0:
+		bad = fmt.Sprintf("-deadline %v: must not be negative", *deadline)
 	case !(*sampleRate > 0 && *sampleRate <= 1): // also rejects NaN
 		bad = fmt.Sprintf("-sample-rate %v outside (0,1]", *sampleRate)
 	case *replicas < 1 || *packets < 1:
@@ -110,22 +115,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := run(*patterns, *slots, *grantfree, *radios, *replicas, *packets,
-		*parallel, *seed, *deadline, *summary, *perf, *out, *flightOut, *flightTopK,
-		*slotsOut, *ues, *sampleRate); err != nil {
+	if err := run(grid, *replicas, *packets, *parallel, *seed, *deadline, *summary, *perf,
+		*out, *flightOut, *flightTopK, *slotsOut, *ues, *sampleRate); err != nil {
 		fmt.Fprintln(os.Stderr, "urllc-sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(patterns, slots, grantfree, radios string, replicas, packets, parallel int,
+func run(grid []point, replicas, packets, parallel int,
 	seed uint64, deadline time.Duration, summary, perf bool, out, flightOut string, flightTopK int,
 	slotsOut string, ues int, sampleRate float64) error {
-	grid, err := buildGrid(patterns, slots, grantfree, radios)
-	if err != nil {
-		return err
-	}
-
 	// One job per (point, replica), flattened so a slow grid point cannot
 	// leave workers idle while cheap points queue behind it. The replica
 	// seed is derived from the job's global shard index: independent of the
@@ -332,7 +331,8 @@ func runReplica(pt point, shard int, seed uint64, packets int, deadline time.Dur
 	return out, nil
 }
 
-// buildGrid crosses the axis lists into labelled grid points.
+// buildGrid crosses the axis lists into labelled grid points. An unknown
+// slot, access mode or radio is a usage error, reported before any run.
 func buildGrid(patterns, slots, grantfree, radios string) ([]point, error) {
 	var grid []point
 	for _, p := range strings.Split(patterns, ",") {

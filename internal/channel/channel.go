@@ -1,8 +1,8 @@
 // Package channel models the radio channel between UE and gNB: AWGN with
-// analytic per-scheme bit-error rates, Rayleigh block fading, and the
-// two-state LoS/NLoS blockage process that makes mmWave unreliable — the
-// effect behind the paper's observation that FR2 reaches sub-millisecond
-// latency only ≈4.4 % of the time ([19] in the paper).
+// analytic per-scheme bit-error rates, and the two-state LoS/NLoS blockage
+// process that makes mmWave unreliable — the effect behind the paper's
+// observation that FR2 reaches sub-millisecond latency only ≈4.4 % of the
+// time ([19] in the paper).
 package channel
 
 import (
@@ -117,38 +117,6 @@ func (a AWGN) SNRdB(sim.Time) float64 { return a.SNR }
 
 // Name implements Model.
 func (a AWGN) Name() string { return fmt.Sprintf("awgn(%.1fdB)", a.SNR) }
-
-// Rayleigh is block-fading Rayleigh: the power gain |h|² is exponential with
-// unit mean, redrawn every coherence interval.
-type Rayleigh struct {
-	MeanSNRdB float64
-	Coherence sim.Duration
-	rng       *sim.RNG
-
-	block int64
-	gain  float64
-}
-
-// NewRayleigh returns a block-fading channel.
-func NewRayleigh(meanSNRdB float64, coherence sim.Duration, rng *sim.RNG) *Rayleigh {
-	return &Rayleigh{MeanSNRdB: meanSNRdB, Coherence: coherence, rng: rng, block: -1}
-}
-
-// SNRdB implements Model.
-func (r *Rayleigh) SNRdB(t sim.Time) float64 {
-	blk := int64(t) / int64(r.Coherence)
-	if blk != r.block {
-		r.block = blk
-		r.gain = r.rng.Exponential(1) // |h|², unit mean
-	}
-	if r.gain <= 0 {
-		return -300
-	}
-	return r.MeanSNRdB + LinearToDB(r.gain)
-}
-
-// Name implements Model.
-func (r *Rayleigh) Name() string { return fmt.Sprintf("rayleigh(%.1fdB)", r.MeanSNRdB) }
 
 // Blockage is the mmWave LoS/NLoS alternating-renewal channel: exponential
 // sojourns in each state; NLoS subtracts PenaltyDB (20–30 dB for a human

@@ -171,42 +171,6 @@ func TestAWGNModel(t *testing.T) {
 	}
 }
 
-func TestRayleighBlockFading(t *testing.T) {
-	rng := sim.NewRNG(5)
-	r := NewRayleigh(20, sim.Millisecond, rng)
-	// Within one coherence block the SNR is constant.
-	a := r.SNRdB(sim.Time(100))
-	b := r.SNRdB(sim.Time(900_000))
-	if a != b {
-		t.Fatalf("SNR changed within a coherence block: %v vs %v", a, b)
-	}
-	// Across blocks it varies.
-	varied := false
-	for i := int64(1); i <= 50; i++ {
-		if r.SNRdB(sim.Time(i*int64(sim.Millisecond))) != a {
-			varied = true
-			break
-		}
-	}
-	if !varied {
-		t.Fatal("Rayleigh gain never changed across 50 blocks")
-	}
-}
-
-func TestRayleighMeanGain(t *testing.T) {
-	rng := sim.NewRNG(6)
-	r := NewRayleigh(20, sim.Microsecond, rng)
-	sum := 0.0
-	const n = 100000
-	for i := int64(0); i < n; i++ {
-		sum += DBToLinear(r.SNRdB(sim.Time(i * 1000)))
-	}
-	mean := sum / n
-	if math.Abs(mean-100)/100 > 0.05 {
-		t.Fatalf("mean linear SNR %v, want ≈100 (20dB)", mean)
-	}
-}
-
 func TestBlockageStationaryFraction(t *testing.T) {
 	rng := sim.NewRNG(7)
 	b := NewBlockage(25, 25, 90*sim.Millisecond, 10*sim.Millisecond, rng)

@@ -8,7 +8,7 @@ import (
 )
 
 // Environment selects a TR 38.901 path-loss scenario (simplified to the
-// LOS single-slope forms plus the standard NLOS offsets).
+// LOS single-slope forms).
 type Environment int
 
 const (
@@ -58,22 +58,6 @@ func PathLossDB(env Environment, distanceM, freqGHz float64) (float64, error) {
 	}
 }
 
-// NLOSPenaltyDB returns the typical additional loss when the direct path is
-// blocked (TR 38.901 NLOS forms exceed LOS by roughly these amounts at the
-// distances of interest).
-func NLOSPenaltyDB(env Environment) float64 {
-	switch env {
-	case UMa:
-		return 20
-	case UMi:
-		return 15
-	case InH:
-		return 12
-	default:
-		return 20
-	}
-}
-
 // LinkBudget computes the received SNR of a link.
 type LinkBudget struct {
 	TxPowerDBm    float64 // e.g. 30 dBm small cell, 23 dBm UE
@@ -105,27 +89,6 @@ func (l LinkBudget) SNRAt(distanceM float64, rng *sim.RNG) (float64, error) {
 	return rx - l.thermalNoiseDBm() - l.NoiseFigureDB, nil
 }
 
-// MaxDistanceFor returns the largest distance (within [1, limit] m, 1 m
-// resolution) at which the median SNR stays at or above target.
-func (l LinkBudget) MaxDistanceFor(targetSNRdB, limitM float64) (float64, error) {
-	best := 0.0
-	for d := 1.0; d <= limitM; d++ {
-		snr, err := l.SNRAt(d, nil)
-		if err != nil {
-			return 0, err
-		}
-		if snr >= targetSNRdB {
-			best = d
-		} else if best > 0 {
-			break // monotone decreasing: done
-		}
-	}
-	if best == 0 {
-		return 0, fmt.Errorf("channel: target %vdB unreachable even at 1m", targetSNRdB)
-	}
-	return best, nil
-}
-
 // PrivateFactoryBudget returns a typical private-5G indoor link: 24 dBm
 // small cell, n78 (3.7 GHz), 40 MHz carrier, indoor hotspot propagation.
 func PrivateFactoryBudget() LinkBudget {
@@ -138,20 +101,5 @@ func PrivateFactoryBudget() LinkBudget {
 		Environment:   InH,
 		FreqGHz:       3.7,
 		ShadowStdDB:   3,
-	}
-}
-
-// MmWaveBudget returns an FR2 street-level link: 28 GHz, 100 MHz, UMi, with
-// high-gain beamforming making up for the frequency term.
-func MmWaveBudget() LinkBudget {
-	return LinkBudget{
-		TxPowerDBm:    30,
-		TxAntennaGain: 24, // beamformed array
-		RxAntennaGain: 10,
-		NoiseFigureDB: 9,
-		BandwidthHz:   100e6,
-		Environment:   UMi,
-		FreqGHz:       28,
-		ShadowStdDB:   4,
 	}
 }

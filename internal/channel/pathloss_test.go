@@ -104,63 +104,3 @@ func TestLinkBudgetShadowing(t *testing.T) {
 		t.Fatalf("shadow std %v, want %v", std, lb.ShadowStdDB)
 	}
 }
-
-func TestMaxDistanceFor(t *testing.T) {
-	lb := PrivateFactoryBudget()
-	d20, err := lb.MaxDistanceFor(20, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d10, err := lb.MaxDistanceFor(10, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d10 <= d20 {
-		t.Fatalf("lower SNR target must reach further: %vm vs %vm", d10, d20)
-	}
-	// Verify the boundary property.
-	snr, _ := lb.SNRAt(d20, nil)
-	if snr < 20 {
-		t.Fatalf("SNR at claimed max distance = %v < 20", snr)
-	}
-	snrBeyond, _ := lb.SNRAt(d20+1, nil)
-	if snrBeyond >= 20 {
-		t.Fatalf("max distance not maximal: %vdB at %vm", snrBeyond, d20+1)
-	}
-	if _, err := lb.MaxDistanceFor(1000, 100); err == nil {
-		t.Fatal("unreachable target accepted")
-	}
-}
-
-func TestNLOSPenalties(t *testing.T) {
-	for _, env := range []Environment{UMa, UMi, InH} {
-		if NLOSPenaltyDB(env) <= 0 {
-			t.Fatalf("%v NLOS penalty non-positive", env)
-		}
-	}
-	if NLOSPenaltyDB(InH) >= NLOSPenaltyDB(UMa) {
-		t.Fatal("indoor NLOS penalty should be mildest")
-	}
-}
-
-func TestMmWaveBudgetNeedsBeamforming(t *testing.T) {
-	// Strip the array gains and the 28GHz link dies at street distances —
-	// the directionality the paper's §1 blames for mmWave fragility.
-	lb := MmWaveBudget()
-	with, _ := lb.SNRAt(100, nil)
-	lb.TxAntennaGain = 0
-	lb.RxAntennaGain = 0
-	without, _ := lb.SNRAt(100, nil)
-	if with-without != 34 {
-		t.Fatalf("beamforming gain accounting: %v", with-without)
-	}
-	// ~12 dB without arrays: enough for QPSK, hopeless for the 64QAM rates
-	// FR2 deployments assume — and that is before any blockage penalty
-	// (−15 dB NLOS ⇒ below decode threshold).
-	if without > 15 {
-		t.Fatalf("28GHz without beamforming at 100m = %vdB — implausibly strong", without)
-	}
-	if without-NLOSPenaltyDB(UMi) > 0 {
-		t.Fatalf("blocked unbeamformed mmWave link still positive: %vdB", without-NLOSPenaltyDB(UMi))
-	}
-}

@@ -317,12 +317,6 @@ func (h *LogHistogram) Quantile(q float64) int64 {
 	return h.max // unreachable when counts/total are consistent
 }
 
-// QuantileDuration returns Quantile as a duration (values recorded via
-// AddDuration are nanoseconds).
-func (h *LogHistogram) QuantileDuration(q float64) sim.Duration {
-	return sim.Duration(h.Quantile(q))
-}
-
 // FractionBelow returns the share of samples strictly below v, resolved to
 // bucket granularity: samples in v's own bucket count as below only when the
 // whole bucket lies below v.

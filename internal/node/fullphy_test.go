@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"urllcsim/internal/channel"
-	"urllcsim/internal/nr"
-	"urllcsim/internal/ofdm"
-	"urllcsim/internal/radio"
 	"urllcsim/internal/sim"
 )
 
@@ -85,20 +82,5 @@ func TestFullPHYAgreesWithAnalyticOnDelivery(t *testing.T) {
 		if a[i] != f[i] {
 			t.Fatalf("latency %d differs between PHY models: %v vs %v", i, a[i], f[i])
 		}
-	}
-}
-
-func TestNRHeadSampleRate(t *testing.T) {
-	p, err := ofdm.NRParams(106)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := radio.NRHead("nr", p, 30, radio.USB3(), 35, 150)
-	if h.SampleRateHz != 61.44e6 {
-		t.Fatalf("sample rate %v, want 61.44e6", h.SampleRateHz)
-	}
-	// Per-slot samples at µ1: 61.44e6 × 0.5ms = 30720.
-	if got := h.SamplesPerSlot(nr.Mu1); got != 30720 {
-		t.Fatalf("samples per slot = %d", got)
 	}
 }

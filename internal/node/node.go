@@ -368,7 +368,7 @@ func NewSystem(cfg Config) (*System, error) {
 		rng:        rng,
 		sch:        sch,
 		mcs:        mcs,
-		upf:        corenet.NewUPF(0x42, cfg.CoreLatency),
+		upf:        corenet.NewUPF(0x42),
 		gnbTun:     &corenet.GNBTunnel{TEID: 0x42},
 		gnbSDAP:    &stack.SDAP{QFI: 1, Downlink: true},
 		ueSDAPRx:   &stack.SDAP{QFI: 1, Downlink: true},

@@ -93,9 +93,6 @@ func (g *Grid) SymbolStart(i int64) sim.Time {
 	return sim.Time(slot*g.slotNs() + sym*g.slotNs()/SymbolsPerSlot)
 }
 
-// SymbolEnd returns the end time of global symbol i (== start of i+1).
-func (g *Grid) SymbolEnd(i int64) sim.Time { return g.SymbolStart(i + 1) }
-
 // SymbolAt returns the global index of the symbol containing t.
 func (g *Grid) SymbolAt(t sim.Time) int64 {
 	ns := int64(t)
@@ -201,16 +198,6 @@ func (g *Grid) NextSchedBoundary(t sim.Time) sim.Time {
 	}
 }
 
-// SchedBoundaryAtOrBefore returns the latest scheduling instant ≤ t.
-func (g *Grid) SchedBoundaryAtOrBefore(t sim.Time) sim.Time {
-	i := g.SymbolAt(t)
-	b := i - mod64(i, int64(g.SchedSymbols))
-	for g.SymbolStart(b) > t {
-		b -= int64(g.SchedSymbols)
-	}
-	return g.SymbolStart(b)
-}
-
 func mod64(a, b int64) int64 {
 	m := a % b
 	if m < 0 {
@@ -239,27 +226,6 @@ func (g *Grid) CountKind(k SymbolKind) int {
 		}
 	}
 	return n
-}
-
-// DLShare returns the fraction of non-guard symbols that are DL (flexible
-// symbols split evenly). Used for capacity sanity checks.
-func (g *Grid) DLShare() float64 {
-	dl, ul, fl := 0, 0, 0
-	for _, kind := range g.Kinds {
-		switch kind {
-		case SymDL:
-			dl++
-		case SymUL:
-			ul++
-		case SymFlexible:
-			fl++
-		}
-	}
-	tot := dl + ul + fl
-	if tot == 0 {
-		return 0
-	}
-	return (float64(dl) + float64(fl)/2) / float64(tot)
 }
 
 // String renders one period, one letter per symbol, slot-separated.

@@ -52,7 +52,7 @@ func TestGridSymbolBoundariesExact(t *testing.T) {
 	}
 	// Boundaries are non-decreasing and partition the slot.
 	for i := int64(0); i < 28; i++ {
-		if g.SymbolEnd(i) <= g.SymbolStart(i) {
+		if g.SymbolStart(i+1) <= g.SymbolStart(i) {
 			t.Fatalf("symbol %d empty or inverted", i)
 		}
 	}
@@ -93,7 +93,7 @@ func TestGridPropertySymbolAtConsistent(t *testing.T) {
 	f := func(ns uint32) bool {
 		tm := sim.Time(ns)
 		i := g.SymbolAt(tm)
-		return g.SymbolStart(i) <= tm && tm < g.SymbolEnd(i)
+		return g.SymbolStart(i) <= tm && tm < g.SymbolStart(i+1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
@@ -188,12 +188,6 @@ func TestGridSchedBoundaries(t *testing.T) {
 	if got := g.NextSchedBoundary(slot); got != 2*slot {
 		t.Fatalf("NextSchedBoundary(slot) = %v (boundary must be strictly after)", got)
 	}
-	if got := g.SchedBoundaryAtOrBefore(slot + 7); got != slot {
-		t.Fatalf("SchedBoundaryAtOrBefore = %v", got)
-	}
-	if got := g.SchedBoundaryAtOrBefore(slot); got != slot {
-		t.Fatalf("SchedBoundaryAtOrBefore(exact) = %v", got)
-	}
 }
 
 func TestGridMiniSlotSchedBoundaries(t *testing.T) {
@@ -234,15 +228,6 @@ func TestGridRunOfKind(t *testing.T) {
 	}
 	if run := g.RunOfKind(0, SymUL); run != 0 {
 		t.Fatalf("UL run from 0 = %d, want 0", run)
-	}
-}
-
-func TestGridDLShare(t *testing.T) {
-	g := ddduGrid(t) // 3 DL slots (2 guard stolen) + 1 UL slot
-	share := g.DLShare()
-	want := 40.0 / 54.0 // 42-2 DL, 14 UL, 2 guard excluded
-	if diff := share - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("DDDU DL share = %v, want %v", share, want)
 	}
 }
 

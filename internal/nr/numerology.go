@@ -46,12 +46,6 @@ func (m Numerology) SlotDuration() sim.Duration {
 	return sim.Millisecond >> uint(m)
 }
 
-// SlotsPerSubframe returns 2^µ (a subframe is 1 ms).
-func (m Numerology) SlotsPerSubframe() int { return 1 << uint(m) }
-
-// SlotsPerFrame returns the slots in a 10 ms radio frame.
-func (m Numerology) SlotsPerFrame() int { return 10 << uint(m) }
-
 // SymbolDuration returns the *average* OFDM symbol duration (slot/14). Exact
 // per-symbol durations differ by a fraction of a sample because the first
 // symbol of each half-subframe carries a longer cyclic prefix; the grid
@@ -98,81 +92,4 @@ func (fr FrequencyRange) String() string {
 	default:
 		return fmt.Sprintf("FR%d(invalid)", int(fr))
 	}
-}
-
-// Duplex is the duplexing mode of a band.
-type Duplex int
-
-const (
-	TDD Duplex = iota // time-division: UL and DL share the carrier
-	FDD               // frequency-division: paired UL/DL carriers
-	SDL               // supplementary downlink
-	SUL               // supplementary uplink
-)
-
-func (d Duplex) String() string {
-	switch d {
-	case TDD:
-		return "TDD"
-	case FDD:
-		return "FDD"
-	case SDL:
-		return "SDL"
-	case SUL:
-		return "SUL"
-	default:
-		return "duplex(invalid)"
-	}
-}
-
-// Band describes an NR operating band (TS 38.101-1/-2 subset).
-type Band struct {
-	Name    string
-	FR      FrequencyRange
-	Duplex  Duplex
-	LowMHz  float64 // DL low edge
-	HighMHz float64 // DL high edge
-}
-
-// Bands is a subset of the TS 38.101 band tables covering every band class
-// the paper's argument touches: FDD bands (all below 2.6 GHz — the paper's
-// point that private 5G cannot use FDD), the n78/n79 TDD mid-bands used by
-// private deployments and the paper's own testbed (n78), and FR2 bands.
-var Bands = []Band{
-	{"n1", FR1, FDD, 2110, 2170},
-	{"n3", FR1, FDD, 1805, 1880},
-	{"n7", FR1, FDD, 2620, 2690},
-	{"n28", FR1, FDD, 758, 803},
-	{"n40", FR1, TDD, 2300, 2400},
-	{"n41", FR1, TDD, 2496, 2690},
-	{"n77", FR1, TDD, 3300, 4200},
-	{"n78", FR1, TDD, 3300, 3800}, // the paper's testbed band
-	{"n79", FR1, TDD, 4400, 5000},
-	{"n257", FR2, TDD, 26500, 29500},
-	{"n258", FR2, TDD, 24250, 27500},
-	{"n260", FR2, TDD, 37000, 40000},
-	{"n261", FR2, TDD, 27500, 28350},
-}
-
-// BandByName looks a band up by its "nXX" name.
-func BandByName(name string) (Band, bool) {
-	for _, b := range Bands {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Band{}, false
-}
-
-// FDDAvailable reports whether any FDD band exists at or above the given
-// frequency. In terrestrial 5G, FDD is only specified below ≈2.69 GHz; this
-// is the constraint that rules FDD out for private mid-band deployments (§2,
-// §9 of the paper).
-func FDDAvailable(mhz float64) bool {
-	for _, b := range Bands {
-		if b.Duplex == FDD && mhz >= b.LowMHz && mhz <= b.HighMHz {
-			return true
-		}
-	}
-	return false
 }

@@ -33,18 +33,6 @@ func TestNumerologySlotDuration(t *testing.T) {
 	}
 }
 
-func TestNumerologySlotsPerFrame(t *testing.T) {
-	if got := Mu0.SlotsPerFrame(); got != 10 {
-		t.Errorf("µ0 slots/frame = %d, want 10", got)
-	}
-	if got := Mu3.SlotsPerFrame(); got != 80 {
-		t.Errorf("µ3 slots/frame = %d, want 80", got)
-	}
-	if got := Mu1.SlotsPerSubframe(); got != 2 {
-		t.Errorf("µ1 slots/subframe = %d, want 2", got)
-	}
-}
-
 func TestNumerologyFrequencyRanges(t *testing.T) {
 	// TR 38.913: µ0–µ2 FR1; µ2–µ6 FR2. µ2 lives in both.
 	if !Mu0.SupportedIn(FR1) || Mu0.SupportedIn(FR2) {
@@ -75,39 +63,7 @@ func TestPaperMinimumFR1Slot(t *testing.T) {
 	}
 }
 
-func TestBandLookup(t *testing.T) {
-	b, ok := BandByName("n78")
-	if !ok {
-		t.Fatal("n78 missing")
-	}
-	if b.Duplex != TDD || b.FR != FR1 {
-		t.Fatalf("n78 = %+v, want FR1 TDD", b)
-	}
-	if _, ok := BandByName("n999"); ok {
-		t.Fatal("n999 should not exist")
-	}
-}
-
-func TestFDDOnlyBelow2600(t *testing.T) {
-	// §2: FDD is only supported in sub-2.6GHz bands. Private 5G mid-band
-	// (n78 at 3.5 GHz) must therefore have no FDD option.
-	if FDDAvailable(3500) {
-		t.Fatal("FDD must not be available at 3.5 GHz")
-	}
-	if !FDDAvailable(2140) {
-		t.Fatal("FDD must be available at 2.14 GHz (n1)")
-	}
-	for _, b := range Bands {
-		if b.Duplex == FDD && b.LowMHz > 2690 {
-			t.Fatalf("band table lists FDD above 2.69 GHz: %+v", b)
-		}
-	}
-}
-
-func TestDuplexAndFRStrings(t *testing.T) {
-	if TDD.String() != "TDD" || FDD.String() != "FDD" {
-		t.Fatal("duplex strings wrong")
-	}
+func TestFRStrings(t *testing.T) {
 	if FR1.String() != "FR1" || FR2.String() != "FR2" {
 		t.Fatal("FR strings wrong")
 	}

@@ -67,21 +67,3 @@ func ParseGrid(s string, mu Numerology, dlSyms, ulSyms, implicitGuard int) (*Gri
 	}
 	return BuildGrid(CommonConfig{Mu: mu, Pattern1: p}, implicitGuard, strings.ToUpper(s))
 }
-
-// GridFromFormats renders a sequence of TS 38.213 slot-format indices into a
-// grid (dynamic-SFI style configuration). Formats must exist in the embedded
-// subset; scheduling stays slot-based.
-func GridFromFormats(mu Numerology, formats []int, label string) (*Grid, error) {
-	if len(formats) == 0 {
-		return nil, fmt.Errorf("nr: no slot formats")
-	}
-	kinds := make([]SymbolKind, 0, len(formats)*SymbolsPerSlot)
-	for _, idx := range formats {
-		f, ok := SlotFormatByIndex(idx)
-		if !ok {
-			return nil, fmt.Errorf("nr: slot format %d not in the embedded subset", idx)
-		}
-		kinds = append(kinds, f.Symbols[:]...)
-	}
-	return &Grid{Mu: mu, Kinds: kinds, SchedSymbols: SymbolsPerSlot, Label: label}, nil
-}

@@ -86,27 +86,3 @@ func TestParseGrid(t *testing.T) {
 		t.Fatal("implicit guard missing")
 	}
 }
-
-func TestGridFromFormats(t *testing.T) {
-	// Format 28 (DDDDDDDDDDDDFU) ×3 then format 1 (all UL): a DDDU-like
-	// shape with per-slot F/U tails.
-	g, err := GridFromFormats(Mu1, []int{28, 28, 28, 1}, "sfi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Slots() != 4 {
-		t.Fatalf("slots = %d", g.Slots())
-	}
-	if g.CountKind(SymUL) != 3+14 {
-		t.Fatalf("UL symbols = %d, want 17", g.CountKind(SymUL))
-	}
-	if g.CountKind(SymFlexible) != 3 {
-		t.Fatalf("flexible symbols = %d, want 3", g.CountKind(SymFlexible))
-	}
-	if _, err := GridFromFormats(Mu1, []int{99}, "bad"); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-	if _, err := GridFromFormats(Mu1, nil, "bad"); err == nil {
-		t.Fatal("empty formats accepted")
-	}
-}

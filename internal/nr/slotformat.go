@@ -113,11 +113,3 @@ func (m MiniSlotConfig) Validate() error {
 	}
 	return fmt.Errorf("nr: mini-slot length %d not in %v", m.Length, MiniSlotLengths)
 }
-
-// StandardsCompliant reports whether the configuration respects the
-// TR 38.912 recommendation of ≥0.5 ms slots for mini-slot operation. The
-// paper's point: mini-slots at 0.25 ms slots meet URLLC *but* contradict the
-// recommendation and so "need to be evaluated in practice".
-func (m MiniSlotConfig) StandardsCompliant() bool {
-	return m.Mu.SlotDuration() >= 500000 // 0.5 ms in ns
-}

@@ -190,11 +190,4 @@ func TestMiniSlotConfig(t *testing.T) {
 	if err := (MiniSlotConfig{Mu: Mu2, Length: 3}).Validate(); err == nil {
 		t.Error("mini-slot length 3 accepted")
 	}
-	// §5: 0.25 ms slots contradict the ≥0.5 ms recommendation.
-	if (MiniSlotConfig{Mu: Mu2, Length: 2}).StandardsCompliant() {
-		t.Error("µ2 mini-slot must be flagged non-compliant")
-	}
-	if !(MiniSlotConfig{Mu: Mu1, Length: 2}).StandardsCompliant() {
-		t.Error("µ1 mini-slot must be compliant")
-	}
 }

@@ -265,7 +265,11 @@ type ObsTax struct {
 }
 
 // RuntimeStats are Go runtime deltas over the profiled window, from
-// runtime.ReadMemStats at attach and finish.
+// runtime.ReadMemStats at attach and finish. MemStats counts for the whole
+// process, so Allocs and AllocBytes include whatever any other goroutine
+// allocated meanwhile, the runtime's own background work among it: they are
+// not reproducible from run to run (identical runs of one binary differ by
+// an allocation or so), unlike the engine's Heap counters.
 type RuntimeStats struct {
 	Allocs     uint64 `json:"allocs"`
 	AllocBytes uint64 `json:"alloc_bytes"`

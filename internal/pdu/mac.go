@@ -128,41 +128,3 @@ func DecodeMACPDU(dst []MACSubPDU, buf []byte) ([]MACSubPDU, error) {
 	}
 	return dst, nil
 }
-
-// BSR levels: TS 38.321 uses a 5-bit logarithmic buffer-size table. We
-// generate it with the standard's geometric structure: BS(0)=0,
-// BS(1)=10 B, BS(30)=150 000 B, BS(31)=∞ ("more than the maximum").
-var bsrTable = func() [32]int {
-	var t [32]int
-	ratio := math.Pow(15000, 1.0/29)
-	v := 10.0
-	for i := 1; i <= 30; i++ {
-		t[i] = int(math.Ceil(v))
-		v *= ratio
-	}
-	t[31] = math.MaxInt32
-	return t
-}()
-
-// EncodeShortBSR packs a logical-channel-group ID (3 bits) and a buffered
-// byte count into the 1-octet Short BSR control element.
-func EncodeShortBSR(lcg byte, bufferedBytes int) (byte, error) {
-	if lcg > 7 {
-		return 0, fmt.Errorf("pdu: LCG %d exceeds 3 bits", lcg)
-	}
-	idx := 0
-	for i := 0; i < 31; i++ {
-		if bufferedBytes > bsrTable[i] {
-			idx = i + 1
-		}
-	}
-	return lcg<<5 | byte(idx), nil
-}
-
-// DecodeShortBSR returns the LCG and the *upper bound* of the reported
-// buffer level (what the scheduler sizes the grant from).
-func DecodeShortBSR(b byte) (lcg byte, upperBytes int) {
-	lcg = b >> 5
-	idx := int(b & 0x1F)
-	return lcg, bsrTable[idx]
-}

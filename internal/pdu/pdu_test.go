@@ -232,10 +232,7 @@ func TestPropertyRLCSegmentReassemble(t *testing.T) {
 }
 
 func TestMACPDURoundTrip(t *testing.T) {
-	bsr, err := EncodeShortBSR(2, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const bsr = 2<<5 | 17 // LCG 2, buffer-size index 17
 	subs := []MACSubPDU{
 		{LCID: 4, Payload: []byte("an rlc pdu")},
 		{LCID: LCIDShortBSR, Payload: []byte{bsr}},
@@ -258,9 +255,8 @@ func TestMACPDURoundTrip(t *testing.T) {
 	if !bytes.Equal(got[0].Payload, []byte("an rlc pdu")) || got[2].LCID != 5 || len(got[2].Payload) != 300 {
 		t.Fatal("subPDU content lost")
 	}
-	lcg, upper := DecodeShortBSR(got[1].Payload[0])
-	if lcg != 2 || upper < 500 {
-		t.Fatalf("BSR decoded to lcg=%d upper=%d", lcg, upper)
+	if got[1].LCID != LCIDShortBSR || !bytes.Equal(got[1].Payload, []byte{bsr}) {
+		t.Fatalf("short BSR subPDU = %+v, want LCID %d payload %#x", got[1], LCIDShortBSR, bsr)
 	}
 }
 
@@ -294,37 +290,6 @@ func TestMACPDUErrors(t *testing.T) {
 	}
 	if _, err := DecodeMACPDU(nil, []byte{0x01, 0xFF}); err == nil {
 		t.Fatal("truncated subPDU accepted")
-	}
-}
-
-func TestBSRTableMonotone(t *testing.T) {
-	prev := -1
-	for i := 0; i <= 30; i++ {
-		if bsrTable[i] <= prev {
-			t.Fatalf("BSR table not increasing at %d: %d", i, bsrTable[i])
-		}
-		prev = bsrTable[i]
-	}
-	if bsrTable[1] != 10 || bsrTable[30] < 149000 || bsrTable[30] > 151000 {
-		t.Fatalf("BSR anchors wrong: %d … %d", bsrTable[1], bsrTable[30])
-	}
-}
-
-func TestBSRUpperBoundProperty(t *testing.T) {
-	f := func(buffered uint32) bool {
-		b := int(buffered % 200000)
-		enc, err := EncodeShortBSR(0, b)
-		if err != nil {
-			return false
-		}
-		_, upper := DecodeShortBSR(enc)
-		return upper >= b
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EncodeShortBSR(8, 10); err == nil {
-		t.Fatal("4-bit LCG accepted")
 	}
 }
 

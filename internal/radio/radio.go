@@ -34,7 +34,7 @@ type Bus struct {
 	Jitter proc.OSJitter
 }
 
-// Preset buses. USB2/USB3 are fit to Fig. 5; PCIe and 10 GbE represent the
+// Preset buses. USB2/USB3 are fit to Fig. 5; PCIe represents the
 // lower-latency front-hauls §4 mentions ("radio latency varies significantly
 // depending on the interface used, such as PCIe, Ethernet, or USB").
 func USB2() Bus {
@@ -47,10 +47,6 @@ func USB3() Bus {
 
 func PCIe() Bus {
 	return Bus{Name: "PCIe", BaseUs: 14, PerSampleNs: 0.35, Jitter: proc.OSJitter{Name: "pcie", BaseStdUs: 1.2, SpikeProb: 0.004, SpikeMinUs: 4, SpikeMaxUs: 18}}
-}
-
-func Eth10G() Bus {
-	return Bus{Name: "10GbE", BaseUs: 28, PerSampleNs: 3.2, Jitter: proc.OSJitter{Name: "eth", BaseStdUs: 2.5, SpikeProb: 0.01, SpikeMinUs: 8, SpikeMaxUs: 40}}
 }
 
 // SubmitLatency returns the time to submit nSamples to the RH: the quantity
@@ -68,9 +64,10 @@ func (b Bus) DeterministicLatency(nSamples int) sim.Duration {
 }
 
 // Head is a radio head bound to a numerology and sample rate. It converts
-// between air-interface durations and sample counts and provides the two
-// latencies the DES charges: TxLatency (PHY → antenna) and RxLatency
-// (antenna → PHY).
+// between air-interface durations and sample counts. The DES charges
+// RxLatency (antenna → PHY) on receive; on transmit it charges the bus
+// submission plus ConvertUs inline, ahead of the slot's air time
+// (internal/node's launchDL).
 type Head struct {
 	Name         string
 	Bus          Bus
@@ -84,12 +81,6 @@ type Head struct {
 	// sit in the device buffer between DMA completion and the hardware
 	// clock consuming them. On the B210 this term dominates after the bus.
 	FIFOUs float64
-
-	// BufferSlots is additional whole-slot driver queueing ahead of the
-	// hardware clock (zero for the presets; the one-slot transmission delay
-	// the paper describes in §7 is the *scheduler's* readiness margin,
-	// modelled in internal/sched, not an RH-internal buffer).
-	BufferSlots int
 }
 
 // B210 returns the paper's testbed radio: USRP B210 on USB, 23.04 MS/s
@@ -114,16 +105,6 @@ func (h *Head) SamplesPerSlot(mu nr.Numerology) int {
 	return h.SamplesPerDuration(mu.SlotDuration())
 }
 
-// TxLatency returns the time from the PHY finishing a slot's samples to
-// those samples leaving the antenna: bus submission + conversion + driver
-// buffering.
-func (h *Head) TxLatency(mu nr.Numerology, rng *sim.RNG) sim.Duration {
-	n := h.SamplesPerSlot(mu)
-	lat := h.Bus.SubmitLatency(n, rng) + sim.Duration((h.ConvertUs+h.FIFOUs)*1000)
-	lat += sim.Duration(h.BufferSlots) * mu.SlotDuration()
-	return lat
-}
-
 // RxLatency returns antenna → PHY latency for one slot of samples. The
 // receive path needs no driver pre-buffering, so it is the bus plus
 // conversion cost.
@@ -138,9 +119,7 @@ func (h *Head) RxLatency(mu nr.Numerology, rng *sim.RNG) sim.Duration {
 // so may result in the radio not being ready for transmission").
 func (h *Head) MeanOneWay(mu nr.Numerology) sim.Duration {
 	n := h.SamplesPerSlot(mu)
-	lat := h.Bus.DeterministicLatency(n) + sim.Duration((h.ConvertUs+h.FIFOUs)*1000)
-	lat += sim.Duration(h.BufferSlots) * mu.SlotDuration()
-	return lat
+	return h.Bus.DeterministicLatency(n) + sim.Duration((h.ConvertUs+h.FIFOUs)*1000)
 }
 
 func (h *Head) String() string {

@@ -224,15 +224,6 @@ func (r *RLC) Enqueue(q RLCQueued) { r.queue = append(r.queue, q) }
 // QueueLen returns the number of waiting SDUs.
 func (r *RLC) QueueLen() int { return len(r.queue) }
 
-// QueuedBytes returns the waiting byte total.
-func (r *RLC) QueuedBytes() int {
-	n := 0
-	for _, q := range r.queue {
-		n += len(q.Data)
-	}
-	return n
-}
-
 // Peek returns the queue contents without consuming. The slice is valid
 // until the queue next changes.
 func (r *RLC) Peek() []RLCQueued { return r.queue }

@@ -136,17 +136,6 @@ func MergeHistograms(max float64, bins int, shards []*metrics.Histogram) *metric
 	return merged
 }
 
-// MergeLogHistograms folds shard HDR histograms into one, in shard order.
-// The merge is exact: bucket geometry is a package constant of
-// internal/metrics. Nil shards are skipped.
-func MergeLogHistograms(shards []*metrics.LogHistogram) *metrics.LogHistogram {
-	merged := metrics.NewLogHistogram()
-	for _, s := range shards {
-		merged.Merge(s)
-	}
-	return merged
-}
-
 // Split distributes total units over shards as evenly as possible: the first
 // total%shards shards get one extra unit. It is the canonical way to shard
 // "n packets" into per-replica offers without losing the remainder.

@@ -79,53 +79,49 @@ func TestRunReturnsShardOrder(t *testing.T) {
 
 // shardWork simulates one shard's measurement load: everything below derives
 // only from the shard's Seed-ed RNG, as real sweep jobs must.
-func shardWork(shard int) (*obs.Registry, *metrics.Histogram, *metrics.LogHistogram) {
+func shardWork(shard int) (*obs.Registry, *metrics.Histogram) {
 	rng := sim.NewRNG(Seed(42, shard))
 	reg := obs.NewRegistry()
 	hist := metrics.NewHistogram(8, 32)
-	hdr := metrics.NewLogHistogram()
 	lat := reg.Timing("pkt.latency")
 	for i := 0; i < 400; i++ {
 		d := sim.Duration(rng.LogNormal(12, 0.5))
 		lat.Observe(d)
 		hist.AddDuration(d)
-		hdr.AddDuration(d)
 		reg.Counter("pkt.offered").Inc()
 		if rng.Bernoulli(0.01) {
 			reg.Counter("pkt.lost").Inc()
 		}
 	}
 	reg.Gauge("queue.depth").Set(float64(rng.Intn(10)))
-	return reg, hist, hdr
+	return reg, hist
 }
 
 // TestWorkerCountInvariance is the package's headline contract: merging the
 // shard results of a sweep yields bit-identical registries and histograms for
 // any worker count. The 1-worker run is the golden output; 2 and 8 workers
 // must reproduce it exactly (reflect.DeepEqual follows every unexported
-// field, including sample order and HDR pages).
+// field, including sample order and the pkt.latency timing's HDR pages).
 func TestWorkerCountInvariance(t *testing.T) {
 	type out struct {
 		reg  *obs.Registry
 		hist *metrics.Histogram
-		hdr  *metrics.LogHistogram
 	}
 	const shards = 16
 	sweepOnce := func(workers int) out {
 		res, err := Run(workers, shards, func(shard int) (out, error) {
-			reg, hist, hdr := shardWork(shard)
-			return out{reg, hist, hdr}, nil
+			reg, hist := shardWork(shard)
+			return out{reg, hist}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		regs := make([]*obs.Registry, shards)
 		hists := make([]*metrics.Histogram, shards)
-		hdrs := make([]*metrics.LogHistogram, shards)
 		for i, r := range res {
-			regs[i], hists[i], hdrs[i] = r.reg, r.hist, r.hdr
+			regs[i], hists[i] = r.reg, r.hist
 		}
-		return out{MergeRegistries(regs), MergeHistograms(8, 32, hists), MergeLogHistograms(hdrs)}
+		return out{MergeRegistries(regs), MergeHistograms(8, 32, hists)}
 	}
 	golden := sweepOnce(1)
 	if n := golden.reg.Counter("pkt.offered").Value(); n != shards*400 {
@@ -140,9 +136,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if !reflect.DeepEqual(golden.hist, got.hist) {
 			t.Errorf("%d workers: merged histogram differs from sequential", workers)
 		}
-		if !reflect.DeepEqual(golden.hdr, got.hdr) {
-			t.Errorf("%d workers: merged HDR histogram differs from sequential", workers)
-		}
 	}
 }
 
@@ -152,7 +145,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestRunConcurrent(t *testing.T) {
 	var ran atomic.Int64
 	res, err := Run(8, 64, func(shard int) (int64, error) {
-		reg, _, _ := shardWork(shard)
+		reg, _ := shardWork(shard)
 		ran.Add(1)
 		return reg.Counter("pkt.offered").Value(), nil
 	})

@@ -16,7 +16,7 @@
 // The simulation carries real bytes through real codecs: SDAP/PDCP (with
 // AES-CTR ciphering and AES-CMAC integrity), RLC UM segmentation, MAC
 // subPDU multiplexing, CRC-24 transport blocks, convolutional FEC and QAM
-// over an AWGN/Rayleigh/blockage channel.
+// over an AWGN or blockage channel.
 //
 // Quick start:
 //
