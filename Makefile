@@ -177,8 +177,8 @@ cell-smoke:
 ## -deadline -1us, -snr NaN, -flight-topk/-watchdog-window < 1, a
 ## -watchdog-missrate outside [0,1] and a negative -watchdog-p99, and
 ## urllc-sweep's -replicas/-packets/-ues 0, -flight-topk -2, -parallel -2,
-## -slot 2ms, -radio wifi, -grantfree maybe and -deadline -1us (one stderr
-## line each), and a self-profiled run carries
+## -slot 2ms, -radio wifi, -grantfree maybe and -deadline -1us, and in both
+## -pattern XYZ (one stderr line each), and a self-profiled run carries
 ## the measured observer tax into urllc-report
 obs-smoke:
 	@tmp=$$(mktemp -d) && \
@@ -211,13 +211,14 @@ obs-smoke:
 	done && \
 	for a in '-ues 0' '-dir up' '-journey up' '-packets -5' '-bytes -1' '-deadline -1us' '-snr NaN' \
 		'-flight-topk 0' '-flight-topk -1' '-watchdog-window 0' '-watchdog-window -3' \
-		'-watchdog-missrate NaN' '-watchdog-missrate -1' '-watchdog-missrate 1.5' '-watchdog-p99 -1us'; do \
+		'-watchdog-missrate NaN' '-watchdog-missrate -1' '-watchdog-missrate 1.5' '-watchdog-p99 -1us' \
+		'-pattern XYZ'; do \
 		$$tmp/urllcsim -packets 4 $$a >/dev/null 2>$$tmp/bad.err; rc=$$?; \
 		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
 			{ echo "obs-smoke FAIL: urllcsim $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \
 	done && \
 	for a in '-replicas 0' '-packets 0' '-ues 0' '-flight-topk -2' '-parallel -2' \
-		'-slot 2ms' '-radio wifi' '-grantfree maybe' '-deadline -1us'; do \
+		'-slot 2ms' '-radio wifi' '-grantfree maybe' '-deadline -1us' '-pattern XYZ'; do \
 		$$tmp/urllc-sweep -replicas 1 -packets 4 $$a -out $$tmp/bad.md >/dev/null 2>$$tmp/bad.err; rc=$$?; \
 		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
 			{ echo "obs-smoke FAIL: urllc-sweep $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \

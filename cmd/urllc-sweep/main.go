@@ -332,7 +332,8 @@ func runReplica(pt point, shard int, seed uint64, packets int, deadline time.Dur
 }
 
 // buildGrid crosses the axis lists into labelled grid points. An unknown
-// slot, access mode or radio is a usage error, reported before any run.
+// slot, access mode or radio, or a pattern that builds no grid at one of the
+// slots, is a usage error, reported before any run.
 func buildGrid(patterns, slots, grantfree, radios string) ([]point, error) {
 	var grid []point
 	for _, p := range strings.Split(patterns, ",") {
@@ -342,6 +343,9 @@ func buildGrid(patterns, slots, grantfree, radios string) ([]point, error) {
 			scale, ok := slotNames[sl]
 			if !ok {
 				return nil, fmt.Errorf("unknown slot %q (want 1ms, 0.5ms, 0.25ms or 125us)", sl)
+			}
+			if err := urllcsim.Pattern(p).Validate(scale); err != nil {
+				return nil, fmt.Errorf("-pattern %s at %s: %w", p, sl, err)
 			}
 			for _, gf := range strings.Split(grantfree, ",") {
 				gf = strings.TrimSpace(gf)

@@ -102,6 +102,9 @@ func main() {
 	if !ok {
 		usageErr("unknown slot %q", *slot)
 	}
+	if err := urllcsim.Pattern(*pattern).Validate(scale); err != nil {
+		usageErr("-pattern %s at %s: %v", *pattern, *slot, err)
+	}
 	radios := map[string]struct {
 		kind urllcsim.RadioKind
 		name string // as the journey header names it

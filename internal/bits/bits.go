@@ -51,12 +51,27 @@ func (w *Writer) WriteBit(b int) {
 }
 
 // WriteBits appends the low n bits of v, MSB first. n must be in [0,64].
+// It fills the current partial byte, then appends whole bytes, then the
+// remainder as a new left-justified partial byte.
 func (w *Writer) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("bits: WriteBits with n=%d", n))
 	}
-	for i := n - 1; i >= 0; i-- {
-		w.WriteBit(int(v>>uint(i)) & 1)
+	v &= 1<<uint(n) - 1 // a shift by 64 gives 0, so n = 64 keeps every bit
+	if used := w.nbit % 8; used != 0 && n > 0 {
+		free := 8 - used
+		take := min(free, n)
+		n -= take
+		w.buf[len(w.buf)-1] |= byte(v>>uint(n)) << uint(free-take)
+		w.nbit += take
+	}
+	for ; n >= 8; n -= 8 {
+		w.buf = append(w.buf, byte(v>>uint(n-8)))
+		w.nbit += 8
+	}
+	if n > 0 {
+		w.buf = append(w.buf, byte(v<<uint(8-n)))
+		w.nbit += n
 	}
 }
 
@@ -91,11 +106,10 @@ func (w *Writer) WriteZeroBytes(n int) {
 	w.nbit += 8 * n
 }
 
-// Align pads with zero bits to the next octet boundary.
+// Align pads with zero bits to the next octet boundary. The partial byte's
+// unwritten low bits are already zero, so padding only advances the count.
 func (w *Writer) Align() {
-	for w.nbit%8 != 0 {
-		w.WriteBit(0)
-	}
+	w.nbit = (w.nbit + 7) &^ 7
 }
 
 // Reader consumes bits MSB-first from a byte slice.
@@ -131,10 +145,15 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 	if r.Remaining() < n {
 		return 0, ErrShortBuffer
 	}
+	// Each step takes what is left of the current byte, up to n bits.
 	var v uint64
-	for i := 0; i < n; i++ {
-		b, _ := r.ReadBit()
-		v = v<<1 | uint64(b)
+	for n > 0 {
+		used := r.nbit % 8
+		take := min(8-used, n)
+		b := r.buf[r.nbit/8] << uint(used) >> uint(8-take)
+		v = v<<uint(take) | uint64(b)
+		n -= take
+		r.nbit += take
 	}
 	return v, nil
 }

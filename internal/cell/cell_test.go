@@ -3,6 +3,7 @@ package cell
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -204,5 +205,39 @@ func TestCellSweepWorkerInvariance(t *testing.T) {
 	serial, parallel := rows(1), rows(4)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("worker count changed cell results:\n1: %v\n4: %v", serial, parallel)
+	}
+}
+
+// TestGrantFreeCellAllocs pins the allocations of one grant-free 128-UE
+// cell op (the benchmark's cell-grantfree workload at seed 1: 16 cycles of
+// 20 ms, 1 ms jitter, 12 contention units, 8-slot backoff) at exactly the
+// count it makes. Each op starts from a collected heap, as the benchmark's
+// ops do, so no collection runs inside it and the runtime's background
+// allocations stay out of the count; runtime.GC's own count is measured
+// alone and subtracted. The count repeats because nothing on the op's path
+// allocates by its map's random hash seed: the contention bookings, whose
+// delete and insert churn made a map grow one table more in some ops, are a
+// slice.
+func TestGrantFreeCellAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates too; the exact pin runs without -race (make allocs)")
+	}
+	cfg := Config{
+		UEs: 128, Mode: ModeGrantFree, Cycles: 16, Period: 20 * time.Millisecond,
+		Jitter: time.Millisecond, CGUnits: 12, CGBackoffSlots: 8, Seed: 1,
+	}
+	op := func() {
+		runtime.GC()
+		res, err := Run(cfg)
+		if err != nil || res.Pending != 0 || res.Offered != 128*16 {
+			t.Fatalf("cell run: %+v, %v", res, err)
+		}
+	}
+	gc := testing.AllocsPerRun(3, runtime.GC)
+	// Measured: 6648 (6692 or 6694 before the bookings left the map and
+	// the Table 2 accumulators moved into the System).
+	const want = 6648
+	if got := testing.AllocsPerRun(5, op) - gc; got != want {
+		t.Errorf("grant-free cell op: %v allocs, want %d", got, want)
 	}
 }

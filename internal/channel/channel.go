@@ -182,6 +182,12 @@ func (b *Blockage) StationaryBlockedFraction() float64 {
 // TransportBLER combines a channel model and an MCS into the block error
 // probability of a transmission at time t carrying nInfoBits.
 func TransportBLER(m Model, mcs modulation.MCS, t sim.Time, nInfoBits int) float64 {
-	ber := BER(mcs.Scheme, DBToLinear(m.SNRdB(t)))
-	return BLERCoded(ber, nInfoBits)
+	return CodedBLER(mcs.Scheme, m.SNRdB(t), nInfoBits)
+}
+
+// CodedBLER is the block error probability of nInfoBits sent with scheme s
+// at an Es/N0 of snrDB. It depends on nothing else, so a caller that sees
+// the same three values again may reuse the answer.
+func CodedBLER(s modulation.Scheme, snrDB float64, nInfoBits int) float64 {
+	return BLERCoded(BER(s, DBToLinear(snrDB)), nInfoBits)
 }

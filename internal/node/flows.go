@@ -210,7 +210,7 @@ func rlcQueued(p *dlPacket) rlcQ {
 // sample draws a gNB layer processing time and records it for Table 2.
 func (s *System) sampleGNB(l proc.Layer) sim.Duration {
 	d := s.cfg.GNBProfile.Sample(l, s.cfg.NUEs, s.rng)
-	s.layerStats[l.String()].AddDuration(d)
+	s.layerStats[l].AddDuration(d)
 	s.h.gnbProc[l].Observe(d)
 	return d
 }
@@ -222,8 +222,17 @@ func (s *System) sampleUE(l proc.Layer) sim.Duration {
 }
 
 // LayerStats returns the Table 2 accumulators (gNB layers plus emergent
-// RLC-q).
-func (s *System) LayerStats() map[string]*metrics.Accumulator { return s.layerStats }
+// RLC-q), keyed by their Table 2 column names: "SDAP", "PDCP", "RLC",
+// "RLC-q", "MAC", "PHY". The map is built per call; its accumulators are the
+// system's own.
+func (s *System) LayerStats() map[string]*metrics.Accumulator {
+	m := make(map[string]*metrics.Accumulator, len(s.layerStats)+1)
+	for _, l := range proc.Layers {
+		m[l.String()] = &s.layerStats[l]
+	}
+	m["RLC-q"] = &s.rlcQStats
+	return m
+}
 
 // Counters returns the system-level event counters.
 func (s *System) Counters() Counters { return s.counters }
@@ -283,7 +292,7 @@ func (s *System) tick(b sim.Time) {
 		taken := s.gnbRLC.DequeueIDs(plan.DLPlanned)
 		for _, q := range taken {
 			wait := b.Sub(q.EnqueuedAt)
-			s.layerStats["RLC-q"].AddDuration(wait)
+			s.rlcQStats.AddDuration(wait)
 			s.h.rlcQueueWait.Observe(wait)
 			if p := s.dlItems[q.ID]; p != nil {
 				s.seg(&p.by, p.id, obs.DirDL, obs.LayerRLC,

@@ -237,18 +237,20 @@ type System struct {
 	pendingSRPackets []*ulPacket
 
 	// cgReg registers grant-free transmissions per (UL slot, contention
-	// unit) so collisions resolve in-sim: slot start → unit → tx count.
-	// Only populated when Config.CGUnits > 0; entries for ended slots are
-	// swept lazily on registration.
-	cgReg  map[sim.Time]map[int]int
-	cgFree []map[int]int // swept unit maps, reused by cgRegister
+	// unit) so collisions resolve in-sim. Only populated when
+	// Config.CGUnits > 0; bookings of ended slots are swept lazily on
+	// registration, so it holds only the few slots not yet over.
+	cgReg  []cgBooking
+	cgFree [][]int // swept unit counts, reused by cgRegister
 	// cgRNGs drive each UE's unit pick and collision backoff. Seeded from
 	// (Seed, UE) alone — independent of the main channel/processing stream
 	// and of how many UEs are active.
 	cgRNGs map[int]*sim.RNG
 
-	// Table 2 instrumentation.
-	layerStats map[string]*metrics.Accumulator
+	// Table 2 instrumentation: the gNB layers' processing times, indexed by
+	// proc.Layer, and the emergent RLC queueing wait (RLC-q).
+	layerStats [len(gnbTimingName)]metrics.Accumulator
+	rlcQStats  metrics.Accumulator
 
 	// obs is the structured observability sink (nil when disabled); h holds
 	// its pre-resolved metric handles (zero handles when disabled), and the
@@ -363,31 +365,30 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	s := &System{
-		Eng:        sim.NewEngine(),
-		cfg:        cfg,
-		rng:        rng,
-		sch:        sch,
-		mcs:        mcs,
-		upf:        corenet.NewUPF(0x42),
-		gnbTun:     &corenet.GNBTunnel{TEID: 0x42},
-		gnbSDAP:    &stack.SDAP{QFI: 1, Downlink: true},
-		ueSDAPRx:   &stack.SDAP{QFI: 1, Downlink: true},
-		ueSDAP:     &stack.SDAP{QFI: 1},
-		gnbSDAPRx:  &stack.SDAP{QFI: 1},
-		gnbPDCP:    newPDCP(crypto5g.Downlink),
-		uePDCPRx:   newPDCP(crypto5g.Downlink),
-		uePDCP:     newPDCP(crypto5g.Uplink),
-		gnbPDCPRx:  newPDCP(crypto5g.Uplink),
-		gnbRLC:     stack.NewRLC(),
-		ueRLCRx:    stack.NewRLC(),
-		ueRLC:      stack.NewRLC(),
-		gnbRLCRx:   stack.NewRLC(),
-		gnbMAC:     &stack.MAC{LCID: 4},
-		ueMACRx:    &stack.MAC{LCID: 4},
-		ueMAC:      &stack.MAC{LCID: 4},
-		gnbMACRx:   &stack.MAC{LCID: 4},
-		layerStats: map[string]*metrics.Accumulator{},
-		obs:        cfg.Obs,
+		Eng:       sim.NewEngine(),
+		cfg:       cfg,
+		rng:       rng,
+		sch:       sch,
+		mcs:       mcs,
+		upf:       corenet.NewUPF(0x42),
+		gnbTun:    &corenet.GNBTunnel{TEID: 0x42},
+		gnbSDAP:   &stack.SDAP{QFI: 1, Downlink: true},
+		ueSDAPRx:  &stack.SDAP{QFI: 1, Downlink: true},
+		ueSDAP:    &stack.SDAP{QFI: 1},
+		gnbSDAPRx: &stack.SDAP{QFI: 1},
+		gnbPDCP:   newPDCP(crypto5g.Downlink),
+		uePDCPRx:  newPDCP(crypto5g.Downlink),
+		uePDCP:    newPDCP(crypto5g.Uplink),
+		gnbPDCPRx: newPDCP(crypto5g.Uplink),
+		gnbRLC:    stack.NewRLC(),
+		ueRLCRx:   stack.NewRLC(),
+		ueRLC:     stack.NewRLC(),
+		gnbRLCRx:  stack.NewRLC(),
+		gnbMAC:    &stack.MAC{LCID: 4},
+		ueMACRx:   &stack.MAC{LCID: 4},
+		ueMAC:     &stack.MAC{LCID: 4},
+		gnbMACRx:  &stack.MAC{LCID: 4},
+		obs:       cfg.Obs,
 	}
 	s.h = newObsHandles(s.obs)
 	phyMode := stack.PHYAnalytic
@@ -396,9 +397,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.phyDL = stack.NewPHY(phyMode, mcs, cfg.Channel, rng.Fork(1))
 	s.phyUL = stack.NewPHY(phyMode, mcs, cfg.Channel, rng.Fork(2))
-	for _, l := range []string{"SDAP", "PDCP", "RLC", "RLC-q", "MAC", "PHY"} {
-		s.layerStats[l] = &metrics.Accumulator{}
-	}
 	s.Eng.HandleArrivals(s, arrivalName)
 	s.tickFire = s.onTick
 	s.scheduleTick(s.cfg.Grid.NextSchedBoundary(-1))

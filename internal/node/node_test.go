@@ -360,8 +360,9 @@ func TestPacketAllocs(t *testing.T) {
 		}
 		return s, 2 * n
 	})
-	// Measured: 3.62 allocs/pkt, identical on every run for this seed.
-	const bound = 3.62
+	// Measured: 3.58 allocs/pkt, identical on every run for this seed (3.62
+	// before the Table 2 accumulators moved from a map into the System).
+	const bound = 3.58
 	if perPkt > bound {
 		t.Fatalf("%.4f allocs/pkt, want ≤ %.4f", perPkt, bound)
 	}
@@ -436,8 +437,10 @@ func cellAllocsPerPkt(t *testing.T, rec func() *obs.Recorder) (allocs, bytes flo
 // scratch carry the load.
 func TestCellPacketAllocs(t *testing.T) {
 	perPkt, _ := cellAllocsPerPkt(t, func() *obs.Recorder { return nil })
-	// Measured: 3.3825 allocs/pkt, identical on every run for this seed.
-	const bound = 3.3825
+	// Measured: 3.3625 allocs/pkt, identical on every run for this seed
+	// (3.3825 before the Table 2 accumulators moved from a map into the
+	// System).
+	const bound = 3.3625
 	if perPkt > bound {
 		t.Fatalf("%.4f allocs/pkt, want ≤ %.4f", perPkt, bound)
 	}
@@ -453,16 +456,17 @@ func TestCellTracedPacketAllocs(t *testing.T) {
 		rec.EnableSlotLedger()
 		return rec
 	})
-	// Measured: 6.2050 allocs/pkt and 3479.10 B/pkt in most runs (6.3800
-	// and 4962.78 before timings dropped the fixed-bin histogram and kept
-	// their buckets in pages, 6.3825 and 7114.86 before the recorder
-	// logged in blocks, 7.4475 and 8304.6 before per-UE histograms started
-	// sparse, 6.3850 and 7136.74 before offers waited in the arrival
-	// lane). Every map draws its own hash seed, so in some runs a map grows
+	// Measured: 6.1600 allocs/pkt and 3472.42 B/pkt in most runs (6.1800
+	// and 3472.58 before the Table 2 accumulators moved from a map into the
+	// System, 6.3800 and 4962.78 before timings dropped the fixed-bin
+	// histogram and kept their buckets in pages, 6.3825 and 7114.86 before
+	// the recorder logged in blocks, 7.4475 and 8304.6 before per-UE
+	// histograms started sparse, 6.3850 and 7136.74 before offers waited in
+	// the arrival lane). Every map draws its own hash seed, so in some runs a map grows
 	// a table more: up to 8 allocations and 0.9 KB more in 400 runs seen.
 	// The bounds allow 6 allocations and 0.9 KB per run of that on
 	// average; one allocation more per packet is 400 per run.
-	const bound, bytesBound = 6.2175, 3481.7
+	const bound, bytesBound = 6.1725, 3475.0
 	if perPkt > bound || bytesPerPkt > bytesBound {
 		t.Fatalf("%.4f allocs/pkt and %.2f B/pkt, want ≤ %.4f and ≤ %.2f", perPkt, bytesPerPkt, bound, bytesBound)
 	}

@@ -228,38 +228,59 @@ func (s *System) cgRNG(ue int) *sim.RNG {
 	return r
 }
 
+// cgBooking counts the grant-free transmissions booked onto each contention
+// unit of one UL slot.
+type cgBooking struct {
+	slot  sim.Time
+	units []int // indexed by unit; len Config.CGUnits
+}
+
+// cgBooked returns the unit counts booked onto slot, or nil when none are.
+func (s *System) cgBooked(slot sim.Time) []int {
+	for _, b := range s.cgReg {
+		if b.slot == slot {
+			return b.units
+		}
+	}
+	return nil
+}
+
 // cgRegister books one grant-free transmission onto (slot, unit) and sweeps
-// bookings of slots that have fully ended, keeping their unit maps for
+// bookings of slots that have fully ended, keeping their unit counts for
 // reuse.
 func (s *System) cgRegister(slot sim.Time, unit int) {
 	now := s.Eng.Now()
 	dur := s.cfg.ULGrid.Mu.SlotDuration()
-	for t, m := range s.cgReg {
-		if t.Add(dur) <= now {
-			delete(s.cgReg, t)
-			s.cgFree = append(s.cgFree, m)
-		}
-	}
-	m := s.cgReg[slot]
-	if m == nil {
-		if n := len(s.cgFree); n > 0 {
-			m, s.cgFree = s.cgFree[n-1], s.cgFree[:n-1]
-			clear(m)
+	kept := s.cgReg[:0]
+	for _, b := range s.cgReg {
+		if b.slot.Add(dur) <= now {
+			s.cgFree = append(s.cgFree, b.units)
 		} else {
-			m = map[int]int{}
+			kept = append(kept, b)
 		}
-		if s.cgReg == nil {
-			s.cgReg = map[sim.Time]map[int]int{}
-		}
-		s.cgReg[slot] = m
 	}
-	m[unit]++
+	s.cgReg = kept
+	units := s.cgBooked(slot)
+	if units == nil {
+		if n := len(s.cgFree); n > 0 {
+			units, s.cgFree = s.cgFree[n-1], s.cgFree[:n-1]
+			clear(units)
+		} else {
+			units = make([]int, s.cfg.CGUnits)
+		}
+		s.cgReg = append(s.cgReg, cgBooking{slot: slot, units: units})
+	}
+	units[unit]++
 }
 
 // cgCollided reports whether the packet's in-flight grant-free transmission
 // shared its contention unit with another UE.
 func (s *System) cgCollided(p *ulPacket) bool {
-	return p.cgUnit >= 0 && s.cgReg[p.cgSlot][p.cgUnit] >= 2
+	if p.cgUnit < 0 {
+		return false
+	}
+	units := s.cgBooked(p.cgSlot)
+	return units != nil && units[p.cgUnit] >= 2
 }
 
 // cgBackoffReady returns the retry-ready instant after a collision: the UE
@@ -293,7 +314,7 @@ func (s *System) ulTransmitAt(p *ulPacket, slotStart, from sim.Time) {
 				// Move the contention booking along with the transmission:
 				// the packet never went on air in the old slot, so it must
 				// not count as a contender there.
-				s.cgReg[p.cgSlot][p.cgUnit]--
+				s.cgBooked(p.cgSlot)[p.cgUnit]--
 				p.cgSlot = g.SlotStart
 				p.cgUnit = s.cgRNG(p.ue).Intn(s.cfg.CGUnits)
 				s.cgRegister(p.cgSlot, p.cgUnit)

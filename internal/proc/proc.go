@@ -27,34 +27,56 @@ const (
 )
 
 // Dist is a processing-time distribution with mean and standard deviation
-// given in microseconds (the unit of Table 2).
+// given in microseconds (the unit of Table 2). NewDist derives whatever a
+// draw needs once, so Sample only draws; the zero Dist always returns 0.
 type Dist struct {
-	Kind   DistKind
-	MeanUs float64
-	StdUs  float64
+	kind   DistKind
+	meanUs float64
+	stdUs  float64
+	logn   sim.LogNormal // the LogNormal kind's underlying µ and σ
+}
+
+// NewDist returns a distribution of the given kind, mean and standard
+// deviation (µs). A LogNormal with a non-positive mean draws 0 and one with
+// a non-positive std draws its mean, consuming no randomness.
+func NewDist(kind DistKind, meanUs, stdUs float64) Dist {
+	d := Dist{kind: kind, meanUs: meanUs, stdUs: stdUs}
+	switch kind {
+	case Deterministic, Normal:
+	case LogNormal:
+		switch {
+		case meanUs <= 0:
+			d.kind, d.meanUs = Deterministic, 0
+		case stdUs <= 0:
+			d.kind = Deterministic
+		default:
+			d.logn = sim.NewLogNormal(meanUs, stdUs)
+		}
+	default:
+		panic(fmt.Sprintf("proc: unknown distribution kind %d", kind))
+	}
+	return d
 }
 
 // Sample draws one processing time.
 func (d Dist) Sample(rng *sim.RNG) sim.Duration {
 	var us float64
-	switch d.Kind {
+	switch d.kind {
 	case Deterministic:
-		us = d.MeanUs
+		us = d.meanUs
 	case Normal:
-		us = rng.Normal(d.MeanUs, d.StdUs)
+		us = rng.Normal(d.meanUs, d.stdUs)
 		if us < 0 {
 			us = 0
 		}
 	case LogNormal:
-		us = rng.LogNormal(d.MeanUs, d.StdUs)
-	default:
-		panic(fmt.Sprintf("proc: unknown distribution kind %d", d.Kind))
+		us = d.logn.Draw(rng)
 	}
 	return sim.Duration(us * 1000) // µs → ns
 }
 
 // Mean returns the mean as a Duration.
-func (d Dist) Mean() sim.Duration { return sim.Duration(d.MeanUs * 1000) }
+func (d Dist) Mean() sim.Duration { return sim.Duration(d.meanUs * 1000) }
 
 // Layer names the stack layers whose processing the simulator times. The
 // identifiers match the paper's Table 2 columns.
@@ -119,11 +141,11 @@ func (p *Profile) Dist(l Layer) Dist { return p.Dists[l] }
 // from scheduling waits rather than sampling it.)
 func GNBTable2Profile() *Profile {
 	p := &Profile{Name: "gNB(i7/srsRAN)", UEScale: 0.08}
-	p.Dists[LayerSDAP] = Dist{LogNormal, 4.65, 6.71}
-	p.Dists[LayerPDCP] = Dist{LogNormal, 8.29, 8.99}
-	p.Dists[LayerRLC] = Dist{LogNormal, 4.12, 8.37}
-	p.Dists[LayerMAC] = Dist{LogNormal, 55.21, 16.31}
-	p.Dists[LayerPHY] = Dist{LogNormal, 41.55, 10.83}
+	p.Dists[LayerSDAP] = NewDist(LogNormal, 4.65, 6.71)
+	p.Dists[LayerPDCP] = NewDist(LogNormal, 8.29, 8.99)
+	p.Dists[LayerRLC] = NewDist(LogNormal, 4.12, 8.37)
+	p.Dists[LayerMAC] = NewDist(LogNormal, 55.21, 16.31)
+	p.Dists[LayerPHY] = NewDist(LogNormal, 41.55, 10.83)
 	return p
 }
 
@@ -132,11 +154,11 @@ func GNBTable2Profile() *Profile {
 // 3× the gNB's per-layer cost at the upper layers and more at PHY.
 func UEModemProfile() *Profile {
 	p := &Profile{Name: "UE(SIM8200)", UEScale: 0}
-	p.Dists[LayerSDAP] = Dist{LogNormal, 14, 15}
-	p.Dists[LayerPDCP] = Dist{LogNormal, 25, 20}
-	p.Dists[LayerRLC] = Dist{LogNormal, 12, 18}
-	p.Dists[LayerMAC] = Dist{LogNormal, 120, 45}
-	p.Dists[LayerPHY] = Dist{LogNormal, 150, 60}
+	p.Dists[LayerSDAP] = NewDist(LogNormal, 14, 15)
+	p.Dists[LayerPDCP] = NewDist(LogNormal, 25, 20)
+	p.Dists[LayerRLC] = NewDist(LogNormal, 12, 18)
+	p.Dists[LayerMAC] = NewDist(LogNormal, 120, 45)
+	p.Dists[LayerPHY] = NewDist(LogNormal, 150, 60)
 	return p
 }
 
@@ -151,11 +173,11 @@ func IdealProfile() *Profile {
 // achieve them" branch of §5.
 func ASICProfile() *Profile {
 	p := &Profile{Name: "ASIC"}
-	p.Dists[LayerSDAP] = Dist{Deterministic, 1, 0}
-	p.Dists[LayerPDCP] = Dist{Deterministic, 2, 0}
-	p.Dists[LayerRLC] = Dist{Deterministic, 1, 0}
-	p.Dists[LayerMAC] = Dist{Deterministic, 5, 0}
-	p.Dists[LayerPHY] = Dist{Deterministic, 8, 0}
+	p.Dists[LayerSDAP] = NewDist(Deterministic, 1, 0)
+	p.Dists[LayerPDCP] = NewDist(Deterministic, 2, 0)
+	p.Dists[LayerRLC] = NewDist(Deterministic, 1, 0)
+	p.Dists[LayerMAC] = NewDist(Deterministic, 5, 0)
+	p.Dists[LayerPHY] = NewDist(Deterministic, 8, 0)
 	return p
 }
 

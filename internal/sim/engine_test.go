@@ -301,10 +301,11 @@ func TestRNGNormalMoments(t *testing.T) {
 
 func TestRNGLogNormalMoments(t *testing.T) {
 	r := NewRNG(5)
+	d := NewLogNormal(484.2, 89.46) // the paper's RLC-q figures
 	const n = 400000
 	sum, sumsq := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		v := r.LogNormal(484.2, 89.46) // the paper's RLC-q figures
+		v := d.Draw(r)
 		if v <= 0 {
 			t.Fatalf("log-normal produced non-positive %v", v)
 		}
@@ -321,13 +322,18 @@ func TestRNGLogNormalMoments(t *testing.T) {
 	}
 }
 
+// TestRNGLogNormalDegenerate checks that a zero or negative mean or std is
+// refused: no log-normal has it (internal/proc draws those as fixed values).
 func TestRNGLogNormalDegenerate(t *testing.T) {
-	r := NewRNG(6)
-	if v := r.LogNormal(5, 0); v != 5 {
-		t.Fatalf("zero-std log-normal = %v, want 5", v)
-	}
-	if v := r.LogNormal(0, 3); v != 0 {
-		t.Fatalf("zero-mean log-normal = %v, want 0", v)
+	for _, c := range [][2]float64{{5, 0}, {0, 3}, {-1, 3}, {5, -2}, {math.NaN(), 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewLogNormal(%v, %v) did not panic", c[0], c[1])
+				}
+			}()
+			NewLogNormal(c[0], c[1])
+		}()
 	}
 }
 

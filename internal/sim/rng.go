@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // RNG is a deterministic pseudo-random source (xoshiro256++ seeded through
 // splitmix64). The simulator cannot use math/rand's global state: every model
@@ -118,23 +121,29 @@ func (r *RNG) Normal(mean, std float64) float64 {
 	return mean + std*r.Norm()
 }
 
-// LogNormal returns a log-normal variate parameterised by the *resulting*
-// mean and standard deviation (not the underlying normal's µ/σ). Processing
-// times in a non-real-time OS are well described by log-normals: strictly
-// positive, right-skewed, occasional large values — exactly the behaviour the
-// paper reports in Table 2 (std of the same order as the mean).
-func (r *RNG) LogNormal(mean, std float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	if std <= 0 {
-		return mean
+// LogNormal is a log-normal distribution. Processing times in a
+// non-real-time OS are well described by log-normals: strictly positive,
+// right-skewed, occasional large values — exactly the behaviour the paper
+// reports in Table 2 (std of the same order as the mean). Build one with
+// NewLogNormal, which derives the underlying normal's µ and σ once, so a
+// draw costs one Norm and one Exp.
+type LogNormal struct{ mu, sigma float64 }
+
+// NewLogNormal returns the log-normal with the given *resulting* mean and
+// standard deviation (not the underlying normal's µ/σ). Both must be
+// positive: a zero or negative one describes no log-normal.
+func NewLogNormal(mean, std float64) LogNormal {
+	if !(mean > 0 && std > 0) {
+		panic(fmt.Sprintf("sim: log-normal needs a positive mean and std, got %v and %v", mean, std))
 	}
 	v := std * std
 	m2 := mean * mean
-	mu := math.Log(m2 / math.Sqrt(v+m2))
-	sigma := math.Sqrt(math.Log(1 + v/m2))
-	return math.Exp(mu + sigma*r.Norm())
+	return LogNormal{mu: math.Log(m2 / math.Sqrt(v+m2)), sigma: math.Sqrt(math.Log(1 + v/m2))}
+}
+
+// Draw returns one variate, consuming one Norm from r.
+func (d LogNormal) Draw(r *RNG) float64 {
+	return math.Exp(d.mu + d.sigma*r.Norm())
 }
 
 // Exponential returns an exponential variate with the given mean.

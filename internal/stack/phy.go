@@ -30,6 +30,18 @@ type PHY struct {
 	rng     *sim.RNG
 
 	free [][]byte // received-block buffers handed back through Release
+	memo blerMemo // the analytic BLER of the last block priced
+}
+
+// blerMemo is channel.CodedBLER's answer for one (SNR, info bits, scheme).
+// Under AWGN the SNR never changes and under Blockage it takes two values,
+// so back-to-back blocks of one size nearly always hit. The zero memo is a
+// true entry: a 0-bit block has BLER 0 at any SNR and scheme.
+type blerMemo struct {
+	snrDB  float64
+	bits   int
+	scheme modulation.Scheme
+	bler   float64
 }
 
 // NewPHY returns a PHY entity.
@@ -44,7 +56,7 @@ func NewPHY(mode PHYMode, mcs modulation.MCS, ch channel.Model, rng *sim.RNG) *P
 func (p *PHY) Transmit(tb []byte, t sim.Time) ([]byte, error) {
 	switch p.Mode {
 	case PHYAnalytic:
-		bler := channel.TransportBLER(p.Channel, p.MCS, t, len(tb)*8)
+		bler := p.blockErrorRate(p.Channel.SNRdB(t), len(tb)*8)
 		if p.rng.Bernoulli(bler) {
 			return nil, fmt.Errorf("stack: transport block lost (BLER %.2g at %v)", bler, t)
 		}
@@ -59,6 +71,17 @@ func (p *PHY) Transmit(tb []byte, t sim.Time) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("stack: unknown PHY mode %d", p.Mode)
 	}
+}
+
+// blockErrorRate returns channel.CodedBLER at the PHY's scheme, computing it
+// only when the SNR, the block size or the scheme differs from the last
+// block's. The Bernoulli draw stays with the caller, once per block, so the
+// random stream is the same as without the memo.
+func (p *PHY) blockErrorRate(snrDB float64, bits int) float64 {
+	if snrDB != p.memo.snrDB || bits != p.memo.bits || p.MCS.Scheme != p.memo.scheme {
+		p.memo = blerMemo{snrDB, bits, p.MCS.Scheme, channel.CodedBLER(p.MCS.Scheme, snrDB, bits)}
+	}
+	return p.memo.bler
 }
 
 // Release hands a block Transmit returned back to the PHY for reuse. The

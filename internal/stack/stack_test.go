@@ -3,6 +3,7 @@ package stack
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -236,6 +237,61 @@ func TestPHYAnalyticGoodAndBadSNR(t *testing.T) {
 	}
 	if losses < 95 {
 		t.Fatalf("bad channel lost only %d/100", losses)
+	}
+}
+
+// TestPHYBLERMemoMatchesTransportBLER drives an analytic PHY over a
+// blockage channel that toggles between two SNRs, with three block sizes in
+// runs of 50 and a mid-run change of MCS scheme, beside a reference that
+// prices every block with channel.TransportBLER on a twin channel and draws
+// from a twin RNG. Every BLER the PHY's memo holds must equal the
+// reference's bit for bit, every loss must match, and both RNGs must end in
+// the same state.
+func TestPHYBLERMemoMatchesTransportBLER(t *testing.T) {
+	mcs16, _ := modulation.MCSByIndex(10)
+	mcs4, _ := modulation.MCSByIndex(5)
+	blockage := func() *channel.Blockage {
+		return channel.NewBlockage(13, 3, 2*sim.Millisecond, sim.Millisecond, sim.NewRNG(77))
+	}
+	phy := NewPHY(PHYAnalytic, mcs16, blockage(), sim.NewRNG(5))
+	refCh, refRNG := blockage(), sim.NewRNG(5)
+	sizes := []int{32, 32, 48, 32, 9}
+	var blocked, clear, misses, losses int
+	for i := 0; i < 20_000; i++ {
+		if i == 12_025 { // mid-run of one block size, so only the scheme changes
+			phy.MCS = mcs4
+		}
+		at := sim.Time(int64(i) * int64(37*sim.Microsecond))
+		tb := make([]byte, sizes[i/50%len(sizes)])
+		before := phy.memo
+		rx, err := phy.Transmit(tb, at)
+		want := channel.TransportBLER(refCh, phy.MCS, at, len(tb)*8)
+		if got := phy.memo.bler; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("block %d: memo BLER %v, TransportBLER %v", i, got, want)
+		}
+		if (err != nil) != refRNG.Bernoulli(want) {
+			t.Fatalf("block %d: lost = %v, the reference drew the other way", i, err != nil)
+		}
+		if phy.memo != before {
+			misses++
+		}
+		if err != nil {
+			losses++
+		}
+		if refCh.Blocked(at) {
+			blocked++
+		} else {
+			clear++
+		}
+		phy.Release(rx)
+	}
+	if *phy.rng != *refRNG {
+		t.Fatal("the PHY's RNG ended in a different state from the per-block reference")
+	}
+	// The channel must have toggled, and the memo must have been both hit
+	// and refreshed, or the test proves nothing.
+	if blocked == 0 || clear == 0 || losses == 0 || misses < 100 || misses > 20_000/2 {
+		t.Fatalf("blocked %d, clear %d, losses %d, memo refreshes %d", blocked, clear, losses, misses)
 	}
 }
 

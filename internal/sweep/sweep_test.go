@@ -84,8 +84,9 @@ func shardWork(shard int) (*obs.Registry, *metrics.Histogram) {
 	reg := obs.NewRegistry()
 	hist := metrics.NewHistogram(8, 32)
 	lat := reg.Timing("pkt.latency")
+	dist := sim.NewLogNormal(12, 0.5)
 	for i := 0; i < 400; i++ {
-		d := sim.Duration(rng.LogNormal(12, 0.5))
+		d := sim.Duration(dist.Draw(rng))
 		lat.Observe(d)
 		hist.AddDuration(d)
 		reg.Counter("pkt.offered").Inc()

@@ -249,6 +249,15 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	return &Scenario{sys: sys, cfg: cfg}, nil
 }
 
+// Validate reports whether p builds a slot grid at slot scale s: a named
+// pattern, or a custom D/U/S string the standard allows at that numerology.
+// NewScenario fails with the same error, so a CLI can reject a bad pattern
+// before any run.
+func (p Pattern) Validate(s SlotScale) error {
+	_, _, err := buildGrids(p, s.mu())
+	return err
+}
+
 func buildGrids(p Pattern, mu nr.Numerology) (grid, ulGrid *nr.Grid, err error) {
 	switch p {
 	case PatternDDDU, "":
