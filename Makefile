@@ -178,8 +178,9 @@ cell-smoke:
 ## -watchdog-missrate outside [0,1] and a negative -watchdog-p99, and
 ## urllc-sweep's -replicas/-packets/-ues 0, -flight-topk -2, -parallel -2,
 ## -slot 2ms, -radio wifi, -grantfree maybe and -deadline -1us, and in both
-## -pattern XYZ (one stderr line each), and a self-profiled run carries
-## the measured observer tax into urllc-report
+## -pattern XYZ (one stderr line each), while a custom D/U/S -pattern
+## (DDSU) runs and exits 0, and a self-profiled run carries the measured
+## observer tax into urllc-report
 obs-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) build -o $$tmp/urllcsim ./cmd/urllcsim && \
@@ -223,6 +224,9 @@ obs-smoke:
 		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
 			{ echo "obs-smoke FAIL: urllc-sweep $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \
 	done && \
+	{ $$tmp/urllcsim -pattern DDSU -packets 4 > $$tmp/custom.out 2>&1 && \
+		grep -q '^scenario: DDSU ' $$tmp/custom.out || \
+		{ echo "obs-smoke FAIL: urllcsim -pattern DDSU did not exit 0 with a 'scenario: DDSU' line"; exit 1; }; } && \
 	$$tmp/urllcsim -packets 40 -jsonl-out $$tmp/p.jsonl -prof-out $$tmp/prof.jsonl \
 		> $$tmp/prof.out 2>/dev/null && \
 	cmp $$tmp/plain.out $$tmp/prof.out && \

@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	pattern := flag.String("pattern", "DDDU", "DDDU | DM | MU | DU | mini-slot | FDD")
+	pattern := flag.String("pattern", "DDDU", "DDDU | DM | MU | DU | mini-slot | FDD, or a custom D/U/S string")
 	slot := flag.String("slot", "0.5ms", "slot duration: 1ms | 0.5ms | 0.25ms | 125us")
 	grantFree := flag.Bool("grantfree", false, "use configured grants instead of SR/grant")
 	radioKind := flag.String("radio", "usb2", "usb2 | usb3 | pcie | none")

@@ -115,20 +115,15 @@ func regionAtOrAfter(g *nr.Grid, t sim.Time, kind nr.SymbolKind, needSyms int) (
 	if needSyms <= 0 {
 		needSyms = 1
 	}
-	// Scan forward over at most two periods plus a slot of symbols.
-	i := g.SymbolAt(t)
-	if g.SymbolStart(i) < t {
-		i++
-	}
-	limit := i + int64(2*g.NumSymbols()+nr.SymbolsPerSlot)
-	for ; i <= limit; i++ {
-		k := g.KindOfSymbol(i)
-		if k != kind && k != nr.SymFlexible {
-			continue
-		}
-		if g.RunOfKind(i, kind) >= needSyms {
+	// Hop from run to run of kind. The grid repeats every period, so a long
+	// enough run, if one exists, starts within a period of the first.
+	i, ok := g.NextSymbolOfKind(t, kind)
+	for end := i + int64(g.NumSymbols()); ok && i < end; {
+		run := g.RunOfKind(i, kind)
+		if run >= needSyms {
 			return g.SymbolStart(i), nil
 		}
+		i, ok = g.NextSymbolOfKind(g.SymbolStart(i+int64(run)), kind)
 	}
 	return 0, fmt.Errorf("core: no %c region of %d symbols in %s", kind, needSyms, g.Label)
 }

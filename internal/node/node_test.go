@@ -360,9 +360,10 @@ func TestPacketAllocs(t *testing.T) {
 		}
 		return s, 2 * n
 	})
-	// Measured: 3.58 allocs/pkt, identical on every run for this seed (3.62
+	// Measured: 3.575 allocs/pkt, identical on every run for this seed (3.58
+	// before the scheduler's UL bookings moved from a map into a slice, 3.62
 	// before the Table 2 accumulators moved from a map into the System).
-	const bound = 3.58
+	const bound = 3.575
 	if perPkt > bound {
 		t.Fatalf("%.4f allocs/pkt, want ≤ %.4f", perPkt, bound)
 	}
@@ -437,10 +438,11 @@ func cellAllocsPerPkt(t *testing.T, rec func() *obs.Recorder) (allocs, bytes flo
 // scratch carry the load.
 func TestCellPacketAllocs(t *testing.T) {
 	perPkt, _ := cellAllocsPerPkt(t, func() *obs.Recorder { return nil })
-	// Measured: 3.3625 allocs/pkt, identical on every run for this seed
-	// (3.3825 before the Table 2 accumulators moved from a map into the
-	// System).
-	const bound = 3.3625
+	// Measured: 3.3600 allocs/pkt, identical on every run for this seed
+	// (3.3625 before the scheduler's UL bookings moved from a map into a
+	// slice, 3.3825 before the Table 2 accumulators moved from a map into
+	// the System).
+	const bound = 3.3600
 	if perPkt > bound {
 		t.Fatalf("%.4f allocs/pkt, want ≤ %.4f", perPkt, bound)
 	}
@@ -456,9 +458,10 @@ func TestCellTracedPacketAllocs(t *testing.T) {
 		rec.EnableSlotLedger()
 		return rec
 	})
-	// Measured: 6.1600 allocs/pkt and 3472.42 B/pkt in most runs (6.1800
-	// and 3472.58 before the Table 2 accumulators moved from a map into the
-	// System, 6.3800 and 4962.78 before timings dropped the fixed-bin
+	// Measured: 6.1550 allocs/pkt and 3472.25 B/pkt in most runs (6.1600
+	// and 3472.42 before the scheduler's UL bookings moved from a map into a
+	// slice, 6.1800 and 3472.58 before the Table 2 accumulators moved from a
+	// map into the System, 6.3800 and 4962.78 before timings dropped the fixed-bin
 	// histogram and kept their buckets in pages, 6.3825 and 7114.86 before
 	// the recorder logged in blocks, 7.4475 and 8304.6 before per-UE
 	// histograms started sparse, 6.3850 and 7136.74 before offers waited in
@@ -466,7 +469,7 @@ func TestCellTracedPacketAllocs(t *testing.T) {
 	// a table more: up to 8 allocations and 0.9 KB more in 400 runs seen.
 	// The bounds allow 6 allocations and 0.9 KB per run of that on
 	// average; one allocation more per packet is 400 per run.
-	const bound, bytesBound = 6.1725, 3475.0
+	const bound, bytesBound = 6.1675, 3474.8
 	if perPkt > bound || bytesPerPkt > bytesBound {
 		t.Fatalf("%.4f allocs/pkt and %.2f B/pkt, want ≤ %.4f and ≤ %.2f", perPkt, bytesPerPkt, bound, bytesBound)
 	}

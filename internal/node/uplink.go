@@ -325,7 +325,7 @@ func (s *System) ulTransmitAt(p *ulPacket, slotStart, from sim.Time) {
 			return
 		}
 	}
-	ulStart, ulSyms := s.sch.ULSymbolsOfSlot(slotStart)
+	ulStart, ulSyms := s.cfg.ULGrid.ULSymbolsOfSlot(slotStart)
 	if ulSyms == 0 {
 		s.finishUL(p, slotStart, false)
 		return

@@ -253,6 +253,17 @@ func TestBuildGridRejectsInvalid(t *testing.T) {
 	if _, err := MiniSlotGrid(MiniSlotConfig{Mu: Mu2, Length: 2}, make([]SymbolKind, 13), "bad"); err == nil {
 		t.Fatal("partial-slot mini grid accepted")
 	}
+	if _, err := MiniSlotGrid(MiniSlotConfig{Mu: Mu2, Length: 2}, nil, "bad"); err == nil {
+		t.Fatal("empty mini grid accepted")
+	}
+	kinds := make([]SymbolKind, SymbolsPerSlot)
+	for i := range kinds {
+		kinds[i] = SymFlexible
+	}
+	kinds[5] = 'X'
+	if _, err := MiniSlotGrid(MiniSlotConfig{Mu: Mu2, Length: 2}, kinds, "bad"); err == nil {
+		t.Fatal("mini grid with an unknown symbol kind accepted")
+	}
 }
 
 func TestGridString(t *testing.T) {

@@ -125,43 +125,26 @@ func (e *ImplicitGuardError) Error() string {
 	return fmt.Sprintf("nr: pattern %+v switches DL→UL without a mixed slot (guard will be implicit)", e.Pattern)
 }
 
-// Symbols renders the pattern as one SymbolKind per symbol. implicitGuard
-// symbols are stolen from the end of the final DL slot when the pattern has
-// a direct D→U transition (cf. ImplicitGuardError).
-func (p Pattern) Symbols(mu Numerology, implicitGuard int) []SymbolKind {
-	slots := p.Slots(mu)
-	syms := make([]SymbolKind, 0, slots*SymbolsPerSlot)
-	for i := 0; i < p.DLSlots; i++ {
-		for s := 0; s < SymbolsPerSlot; s++ {
-			syms = append(syms, SymDL)
+// kindOf returns the kind of symbol i (0 ≤ i < 14·Slots) of the pattern.
+// implicitGuard symbols are stolen from the end of the final DL slot when
+// the pattern has a direct D→U transition (cf. ImplicitGuardError).
+func (p Pattern) kindOf(i, implicitGuard int) SymbolKind {
+	dlEnd := p.DLSlots * SymbolsPerSlot
+	switch {
+	case i < dlEnd:
+		if implicitGuard > 0 && p.ULSlots > 0 && !p.HasMixedSlot() && i >= dlEnd-implicitGuard {
+			return SymGuard
+		}
+		return SymDL
+	case p.HasMixedSlot() && i < dlEnd+SymbolsPerSlot:
+		switch s := i - dlEnd; {
+		case s < p.DLSymbols:
+			return SymDL
+		case s < SymbolsPerSlot-p.ULSymbols:
+			return SymGuard
 		}
 	}
-	if p.HasMixedSlot() {
-		for s := 0; s < p.DLSymbols; s++ {
-			syms = append(syms, SymDL)
-		}
-		for s := 0; s < p.GuardSymbols(); s++ {
-			syms = append(syms, SymGuard)
-		}
-		for s := 0; s < p.ULSymbols; s++ {
-			syms = append(syms, SymUL)
-		}
-	}
-	for i := 0; i < p.ULSlots; i++ {
-		for s := 0; s < SymbolsPerSlot; s++ {
-			syms = append(syms, SymUL)
-		}
-	}
-	if implicitGuard > 0 && p.DLSlots > 0 && p.ULSlots > 0 && !p.HasMixedSlot() {
-		// Steal guard from the tail of the last DL slot.
-		last := p.DLSlots * SymbolsPerSlot
-		for s := last - implicitGuard; s < last; s++ {
-			if s >= 0 {
-				syms[s] = SymGuard
-			}
-		}
-	}
-	return syms
+	return SymUL
 }
 
 func (p Pattern) String() string {

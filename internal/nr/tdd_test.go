@@ -92,9 +92,18 @@ func TestGuardSymbols(t *testing.T) {
 	}
 }
 
+// patternKinds renders one period of p, one kind per symbol.
+func patternKinds(p Pattern, mu Numerology, implicitGuard int) []SymbolKind {
+	syms := make([]SymbolKind, p.Slots(mu)*SymbolsPerSlot)
+	for i := range syms {
+		syms[i] = p.kindOf(i, implicitGuard)
+	}
+	return syms
+}
+
 func TestPatternSymbols(t *testing.T) {
 	p := PatternDM(Mu2, 2, 10)
-	syms := p.Symbols(Mu2, 0)
+	syms := patternKinds(p, Mu2, 0)
 	if len(syms) != 28 {
 		t.Fatalf("DM symbols = %d, want 28", len(syms))
 	}
@@ -115,7 +124,7 @@ func TestPatternSymbols(t *testing.T) {
 
 func TestPatternSymbolsImplicitGuard(t *testing.T) {
 	p := PatternDU(Mu2)
-	syms := p.Symbols(Mu2, 2)
+	syms := patternKinds(p, Mu2, 2)
 	if syms[11] != SymDL || syms[12] != SymGuard || syms[13] != SymGuard {
 		t.Fatalf("implicit guard not stolen from DL tail: %v %v %v", syms[11], syms[12], syms[13])
 	}

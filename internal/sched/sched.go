@@ -126,9 +126,9 @@ type Scheduler struct {
 	cfg Config
 
 	pendingSR []SRRequest
-	// grantedUL tracks slots already promised to a UE so two grants do not
-	// collide on the same slot's capacity.
-	grantedUL map[sim.Time]int // slot start → bytes already granted
+	// booked holds the UL capacity already promised per slot, ordered by
+	// slot, so two grants do not collide on the same slot's capacity.
+	booked []ulBooking
 	// rrLast is the UE served first at the previous round-robin tick; the
 	// next tick's round starts strictly after it.
 	rrLast int
@@ -166,7 +166,40 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.GrantHorizonSlots <= 0 {
 		cfg.GrantHorizonSlots = 64
 	}
-	return &Scheduler{cfg: cfg, grantedUL: map[sim.Time]int{}, rrLast: -1, allocAt: map[int]int{}}, nil
+	// Room for the few slots a busy cell books ahead (at most 7 at once in
+	// a 500-UE cell), so the list does not reallocate its way up from
+	// empty; more grow it.
+	booked := make([]ulBooking, 0, 8)
+	return &Scheduler{cfg: cfg, booked: booked, rrLast: -1, allocAt: map[int]int{}}, nil
+}
+
+// ulBooking is the UL capacity already granted in the slot starting at slot.
+type ulBooking struct {
+	slot  sim.Time
+	bytes int
+}
+
+// bookingAt returns the index of slot's booking in s.booked, or the index it
+// would be inserted at, and whether it exists.
+func (s *Scheduler) bookingAt(slot sim.Time) (int, bool) {
+	return slices.BinarySearchFunc(s.booked, slot, func(b ulBooking, t sim.Time) int { return cmp.Compare(b.slot, t) })
+}
+
+// bookedBytes returns the UL bytes already granted in the slot at slot.
+func (s *Scheduler) bookedBytes(slot sim.Time) int {
+	if i, ok := s.bookingAt(slot); ok {
+		return s.booked[i].bytes
+	}
+	return 0
+}
+
+// book adds bytes to the UL capacity granted in the slot at slot.
+func (s *Scheduler) book(slot sim.Time, bytes int) {
+	i, ok := s.bookingAt(slot)
+	if !ok {
+		s.booked = slices.Insert(s.booked, i, ulBooking{slot: slot})
+	}
+	s.booked[i].bytes += bytes
 }
 
 // OnSR records a decoded scheduling request.
@@ -190,31 +223,6 @@ func (s *Scheduler) ulSlotDur() sim.Duration { return s.cfg.ULGrid.Mu.SlotDurati
 func (s *Scheduler) slotIsDLCapable(t sim.Time, needSyms int) bool {
 	i := s.cfg.Grid.SymbolAt(t)
 	return s.cfg.Grid.RunOfKind(i, nr.SymDL) >= needSyms
-}
-
-// nextULSlot returns the start of the first slot at or after t that
-// contains UL (or flexible) symbols.
-func (s *Scheduler) nextULSlot(t sim.Time) (sim.Time, bool) {
-	g := s.cfg.ULGrid
-	start := g.SlotStart(t)
-	if start < t {
-		start = start.Add(s.ulSlotDur())
-	}
-	for i := 0; i <= g.Slots()+1; i++ {
-		slot := start.Add(sim.Duration(i) * s.ulSlotDur())
-		sym := g.SymbolAt(slot)
-		run := 0
-		for k := 0; k < nr.SymbolsPerSlot; k++ {
-			kind := g.KindOfSymbol(sym + int64(k))
-			if kind == nr.SymUL || kind == nr.SymFlexible {
-				run++
-			}
-		}
-		if run > 0 {
-			return slot, true
-		}
-	}
-	return 0, false
 }
 
 // Tick runs the scheduling instant at boundary b: it plans the DL slot
@@ -285,7 +293,7 @@ func (s *Scheduler) Tick(b sim.Time, dlQueue []DLItem) Plan {
 				plan.SRsDeferred++
 				continue
 			}
-			s.grantedUL[g.SlotStart] += g.Bytes
+			s.book(g.SlotStart, g.Bytes)
 			plan.ULGrants = append(plan.ULGrants, g)
 			if rem.Bytes > 0 {
 				// Capacity splitting: the request exceeded one slot; the
@@ -312,11 +320,11 @@ func (s *Scheduler) Tick(b sim.Time, dlQueue []DLItem) Plan {
 	// fully ended: a granted PUSCH in a slot that merely *started* before
 	// this boundary may still be on air, and its booking must survive until
 	// the slot closes.
-	for t := range s.grantedUL {
-		if t.Add(s.ulSlotDur()) <= b {
-			delete(s.grantedUL, t)
-		}
+	ended := 0
+	for ended < len(s.booked) && s.booked[ended].slot.Add(s.ulSlotDur()) <= b {
+		ended++
 	}
+	s.booked = slices.Delete(s.booked, 0, ended)
 	return plan
 }
 
@@ -325,8 +333,8 @@ func (s *Scheduler) Tick(b sim.Time, dlQueue []DLItem) Plan {
 // was larger, the remainder comes back as a non-empty SRRequest to requeue
 // (same RecvAt, so its latency history survives the split). ok=false means no
 // slot within the grant horizon had room and the SR must be deferred — the
-// grant is NOT booked into grantedUL here; the caller does that, keeping the
-// walk side-effect-free on failure.
+// grant is NOT booked here; the caller does that, keeping the walk
+// side-effect-free on failure.
 func (s *Scheduler) placeUL(sr SRRequest, earliestUL sim.Time) (g Grant, rem SRRequest, ok bool) {
 	bytes := sr.Bytes
 	if bytes <= 0 {
@@ -340,19 +348,19 @@ func (s *Scheduler) placeUL(sr SRRequest, earliestUL sim.Time) (g Grant, rem SRR
 	if grantBytes > s.cfg.ULSlotBytes {
 		grantBytes = s.cfg.ULSlotBytes
 	}
-	ulSlot, found := s.nextULSlot(earliestUL)
+	ulSlot, found := s.cfg.ULGrid.NextULSlot(earliestUL)
 	if !found {
 		return Grant{}, SRRequest{}, false
 	}
 	// Walk forward past slots whose capacity is exhausted, giving up at the
 	// horizon. (Previously a failed lookup broke out of the walk and booked
-	// the grant onto the exhausted slot anyway, pushing grantedUL past
+	// the grant onto the exhausted slot anyway, pushing the booking past
 	// ULSlotBytes.)
-	for walked := 0; s.grantedUL[ulSlot]+grantBytes > s.cfg.ULSlotBytes; walked++ {
+	for walked := 0; s.bookedBytes(ulSlot)+grantBytes > s.cfg.ULSlotBytes; walked++ {
 		if walked >= s.cfg.GrantHorizonSlots {
 			return Grant{}, SRRequest{}, false
 		}
-		next, found := s.nextULSlot(ulSlot.Add(s.ulSlotDur()))
+		next, found := s.cfg.ULGrid.NextULSlot(ulSlot.Add(s.ulSlotDur()))
 		if !found {
 			return Grant{}, SRRequest{}, false
 		}
@@ -410,28 +418,9 @@ func (s *Scheduler) rrOrder(srs []SRRequest) []SRRequest {
 // in every UL slot (§5: "in grant-free, the resources are pre-allocated to
 // the UE"), at the cost of scalability.
 func (s *Scheduler) ConfiguredGrant(ue int, t sim.Time) (Grant, bool) {
-	slot, ok := s.nextULSlot(t)
+	slot, ok := s.cfg.ULGrid.NextULSlot(t)
 	if !ok {
 		return Grant{}, false
 	}
 	return Grant{UE: ue, SlotStart: slot, Bytes: s.cfg.GrantBytes, InResponseTo: sim.Never}, true
-}
-
-// ULSymbolsOfSlot returns how many UL symbols the slot at t carries and the
-// start of its first UL symbol (for mixed slots the UL region starts
-// mid-slot).
-func (s *Scheduler) ULSymbolsOfSlot(t sim.Time) (start sim.Time, syms int) {
-	g := s.cfg.ULGrid
-	slotStart := g.SlotStart(t)
-	base := g.SymbolAt(slotStart)
-	for k := 0; k < nr.SymbolsPerSlot; k++ {
-		kind := g.KindOfSymbol(base + int64(k))
-		if kind == nr.SymUL || kind == nr.SymFlexible {
-			if syms == 0 {
-				start = g.SymbolStart(base + int64(k))
-			}
-			syms++
-		}
-	}
-	return start, syms
 }

@@ -174,11 +174,11 @@ func TestConfiguredGrant(t *testing.T) {
 
 func TestULSymbolsOfSlot(t *testing.T) {
 	s := ddduScheduler(t, 1)
-	start, syms := s.ULSymbolsOfSlot(3 * slot)
+	start, syms := s.cfg.ULGrid.ULSymbolsOfSlot(3 * slot)
 	if syms != 14 || start != 3*slot {
 		t.Fatalf("UL slot 3: start=%v syms=%d", start, syms)
 	}
-	_, syms = s.ULSymbolsOfSlot(0)
+	_, syms = s.cfg.ULGrid.ULSymbolsOfSlot(0)
 	if syms != 0 {
 		t.Fatalf("DL slot 0 has %d UL symbols", syms)
 	}
@@ -194,7 +194,7 @@ func TestMixedSlotULRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixedStart := sim.Time(250_000)
-	start, syms := s.ULSymbolsOfSlot(mixedStart)
+	start, syms := s.cfg.ULGrid.ULSymbolsOfSlot(mixedStart)
 	if syms != 6 {
 		t.Fatalf("mixed slot UL symbols = %d, want 6", syms)
 	}
@@ -240,7 +240,7 @@ func TestOversizedBSRTerminatesAndSplits(t *testing.T) {
 // TestHorizonFullDefersInsteadOfOvercommit: when every UL slot within the
 // grant horizon is already at capacity, the SR must be deferred (counted in
 // SRsDeferred, kept pending) — never booked onto an exhausted slot, which
-// previously pushed grantedUL past ULSlotBytes.
+// previously pushed the slot's booking past ULSlotBytes.
 func TestHorizonFullDefersInsteadOfOvercommit(t *testing.T) {
 	g, err := nr.BuildGrid(nr.CommonConfig{Mu: nr.Mu1, Pattern1: nr.PatternDDDU(nr.Mu1)}, 2, "DDDU")
 	if err != nil {
@@ -270,9 +270,9 @@ func TestHorizonFullDefersInsteadOfOvercommit(t *testing.T) {
 	if s.PendingSRs() != plan.SRsDeferred {
 		t.Fatalf("deferred SRs dropped: %d pending, %d deferred", s.PendingSRs(), plan.SRsDeferred)
 	}
-	for slotStart, bytes := range s.grantedUL {
-		if bytes > 4000 {
-			t.Fatalf("slot %v over-committed: %dB > 4000B", slotStart, bytes)
+	for _, b := range s.booked {
+		if b.bytes > 4000 {
+			t.Fatalf("slot %v over-committed: %dB > 4000B", b.slot, b.bytes)
 		}
 	}
 	// Deferred SRs are served once earlier bookings age out.
@@ -298,12 +298,12 @@ func TestGrantedULGCKeepsOnAirSlot(t *testing.T) {
 	granted := plan.ULGrants[0].SlotStart
 	// A boundary strictly inside the granted slot: the PUSCH is on air.
 	s.Tick(granted+slot/2, nil)
-	if _, ok := s.grantedUL[granted]; !ok {
+	if _, ok := s.bookingAt(granted); !ok {
 		t.Fatalf("bookkeeping for on-air slot %v collected at mid-slot boundary", granted)
 	}
 	// Once the slot has fully ended it is collectable.
 	s.Tick(granted+slot, nil)
-	if _, ok := s.grantedUL[granted]; ok {
+	if _, ok := s.bookingAt(granted); ok {
 		t.Fatalf("bookkeeping for ended slot %v survives", granted)
 	}
 }
@@ -381,12 +381,12 @@ func TestGrantCapacityGCPastSlots(t *testing.T) {
 	s := ddduScheduler(t, 1)
 	s.OnSR(SRRequest{UE: 1, RecvAt: 0, Bytes: 4000})
 	s.Tick(slot, nil)
-	if len(s.grantedUL) == 0 {
+	if len(s.booked) == 0 {
 		t.Fatal("capacity bookkeeping empty after grant")
 	}
 	s.Tick(100*slot, nil)
-	if len(s.grantedUL) != 0 {
-		t.Fatalf("stale capacity entries survive: %v", s.grantedUL)
+	if len(s.booked) != 0 {
+		t.Fatalf("stale capacity entries survive: %v", s.booked)
 	}
 }
 
