@@ -40,9 +40,6 @@ func BER(s modulation.Scheme, snrLinear float64) float64 {
 // DBToLinear converts dB to a linear power ratio.
 func DBToLinear(db float64) float64 { return math.Pow(10, db/10) }
 
-// LinearToDB converts a linear power ratio to dB.
-func LinearToDB(lin float64) float64 { return 10 * math.Log10(lin) }
-
 // BLERUncoded returns 1-(1-ber)^n: the probability an n-bit block has at
 // least one error with no coding.
 func BLERUncoded(ber float64, nBits int) float64 {
@@ -86,11 +83,11 @@ func ApplyAWGN(syms []complex128, snrDB float64, rng *sim.RNG) []complex128 {
 
 // FlipBits returns a copy of bs with each bit independently flipped with
 // probability ber — the hard-decision abstraction of an AWGN demodulator,
-// used when the full IQ path is not simulated.
+// through which V1 runs its real coder without carrying IQ symbols.
 func FlipBits(bs []fec.Bit, ber float64, rng *sim.RNG) []fec.Bit {
 	out := make([]fec.Bit, len(bs))
 	for i, b := range bs {
-		if b != fec.Erasure && rng.Bernoulli(ber) {
+		if rng.Bernoulli(ber) {
 			out[i] = b ^ 1
 		} else {
 			out[i] = b

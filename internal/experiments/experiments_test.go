@@ -369,7 +369,25 @@ func TestFigure3Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "figure3.golden")
+	checkGolden(t, "figure3.golden", got)
+}
+
+// TestBLERCurveGolden pins V1 byte for byte at seed 2: the real
+// encode→flip→Viterbi→CRC chain's Monte-Carlo column and the analytic one.
+// Regenerate with `go test ./internal/experiments -run BLERCurveGolden -update`.
+func TestBLERCurveGolden(t *testing.T) {
+	got, err := BLERCurve(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "blercurve.golden", got)
+}
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -380,6 +398,6 @@ func TestFigure3Golden(t *testing.T) {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("figure3 drifted from %s\ngot:\n%s\nwant:\n%s", path, got, want)
+		t.Fatalf("%s drifted from %s\ngot:\n%s\nwant:\n%s", name, path, got, want)
 	}
 }

@@ -94,9 +94,9 @@ func Coverage(seed uint64, _ int) (string, error) {
 	return sb.String(), nil
 }
 
-// BLERCurve validates the PHY chain: Monte-Carlo block error rates of the
-// real encode→flip→Viterbi→CRC path against the analytic model used by the
-// fast simulation path.
+// BLERCurve validates the PHY's error model: Monte-Carlo block error rates
+// of the real segment→encode→flip→Viterbi→CRC chain against the analytic
+// BLER every simulated transport block is drawn from.
 func BLERCurve(seed uint64, _ int) (string, error) {
 	rng := sim.NewRNG(seed + 5)
 	const blockBytes = 32
@@ -114,12 +114,8 @@ func BLERCurve(seed uint64, _ int) (string, error) {
 			ok := true
 			var rx [][]byte
 			for _, blk := range blocks {
-				coded, err := fec.EncodeBlock(blk, 0)
-				if err != nil {
-					return "", err
-				}
-				dirty := channel.FlipBits(coded, ber, rng)
-				dec, err := fec.DecodeBlock(dirty, len(blk), 0)
+				dirty := channel.FlipBits(fec.EncodeBlock(blk), ber, rng)
+				dec, err := fec.DecodeBlock(dirty, len(blk))
 				if err != nil {
 					ok = false
 					break
@@ -135,7 +131,7 @@ func BLERCurve(seed uint64, _ int) (string, error) {
 				fails++
 			}
 		}
-		mc := float64(fails) / 400
+		mc := float64(fails) / trials
 		an := channel.BLERCoded(ber, blockBytes*8)
 		fmt.Fprintf(&sb, "%-10.3f %13.3f%% %13.3f%%\n", ber, 100*mc, 100*an)
 	}

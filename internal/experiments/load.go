@@ -13,8 +13,8 @@ import (
 // Load sweeps the offered DL traffic on the testbed: as the arrival rate
 // approaches the DL capacity of the TDD pattern, the RLC queue transitions
 // from the paper's ≈0.4ms scheduling wait into genuine queueing collapse —
-// the "multiple UEs / more traffic" regime §9 flags. Arrivals are Poisson;
-// each packet is 200B.
+// the "multiple UEs / more traffic" regime §9 flags. Inter-arrival gaps are
+// exponential; each packet is 200B.
 func Load(seed uint64, workers int) (string, error) {
 	// Each offered-load row owns its system and its RNG (keyed by the row's
 	// rate), so the rows run as independent sweep jobs and assemble in rate

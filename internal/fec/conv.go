@@ -1,16 +1,16 @@
-// Package fec implements the forward-error-correction chain of the
-// simulator's PHY: code-block segmentation with CRC attachment (following
-// the TS 38.212 structure), a rate-1/2 constraint-length-7 convolutional
-// code with hard-decision Viterbi decoding, and circular-buffer rate
-// matching.
+// Package fec implements the real coder that V1 (`urllc-experiments -run
+// blercurve`) runs to check the analytic BLER waterfall the simulator's PHY
+// draws from: code-block segmentation with CRC attachment (following the
+// TS 38.212 structure) and a rate-1/2 constraint-length-7 convolutional
+// code with hard-decision Viterbi decoding.
 //
 // Substitution note (cf. DESIGN.md): 5G NR uses LDPC for data channels.
 // A production-grade LDPC with base-graph lifting is far outside what the
 // paper's latency analysis needs — the paper treats the coder as a black box
-// with a processing time and an error rate. The convolutional code here is a
-// *real* coder with genuine coding gain and genuine decode cost, so every
-// code path the paper's analysis touches (segmentation, CRC checks, rate
-// matching, decode failure → HARQ) is exercised with authentic behaviour.
+// with a processing time and an error rate, and so does the simulator's PHY.
+// The convolutional code here is a *real* coder with genuine coding gain, so
+// the error rate that black box draws is checked against a real
+// segmentation → encode → bit errors → Viterbi → CRC chain.
 package fec
 
 import (
@@ -82,8 +82,7 @@ func parity(x int) Bit {
 }
 
 // ViterbiDecode performs hard-decision maximum-likelihood decoding of a
-// zero-flushed (133,171) stream. The erasure value 2 in the input marks
-// punctured positions (no branch-metric contribution). nInfo is the number
+// zero-flushed (133,171) stream of hard bits (0 or 1). nInfo is the number
 // of information bits expected (excluding the six tail bits).
 func ViterbiDecode(coded []Bit, nInfo int) ([]Bit, error) {
 	nSteps := nInfo + constraintLen - 1
@@ -115,10 +114,10 @@ func ViterbiDecode(coded []Bit, nInfo int) ([]Bit, error) {
 				reg := s | b<<(constraintLen-1)
 				ns := reg >> 1
 				var cost int32
-				if c0 := parity(reg & g0); o0 != 2 && c0 != o0 {
+				if parity(reg&g0) != o0 {
 					cost++
 				}
-				if c1 := parity(reg & g1); o1 != 2 && c1 != o1 {
+				if parity(reg&g1) != o1 {
 					cost++
 				}
 				if m := metric[s] + cost; m < next[ns] {

@@ -74,23 +74,6 @@ func TestViterbiCorrectsScatteredErrors(t *testing.T) {
 	}
 }
 
-func TestViterbiWithErasures(t *testing.T) {
-	msg := []byte{0xDE, 0xAD}
-	info := BytesToBits(msg)
-	coded := ConvEncode(info)
-	for _, pos := range []int{5, 6, 20, 33} {
-		coded[pos] = Erasure
-	}
-	dec, err := ViterbiDecode(coded, len(info))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := BitsToBytes(dec)
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("decode with erasures failed: %x", got)
-	}
-}
-
 func TestViterbiLengthMismatch(t *testing.T) {
 	if _, err := ViterbiDecode(make([]Bit, 10), 16); err == nil {
 		t.Fatal("length mismatch accepted")
@@ -143,88 +126,35 @@ func TestPropertyConvCorrectsSparseErrors(t *testing.T) {
 	}
 }
 
-func TestRateMatchRepetition(t *testing.T) {
-	coded := []Bit{1, 0, 1, 1}
-	out, err := RateMatch(coded, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Bit{1, 0, 1, 1, 1, 0, 1, 1, 1, 0}
-	if !bytes.Equal(out, want) {
-		t.Fatalf("repetition = %v", out)
-	}
-}
-
-func TestRateMatchPuncturing(t *testing.T) {
-	coded := make([]Bit, 100)
-	out, err := RateMatch(coded, 80)
-	if err != nil || len(out) != 80 {
-		t.Fatalf("puncture: %v len=%d", err, len(out))
-	}
-	if _, err := RateMatch(coded, 10); err == nil {
-		t.Fatal("extreme puncturing accepted")
-	}
-	if _, err := RateMatch(nil, 10); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-func TestRateRecoverMajorityVote(t *testing.T) {
-	// Mother length 4, repeated 2.5×: positions 0,1 have 3 votes.
-	matched := []Bit{1, 0, 1, 1 /**/, 0, 0, 1, 1 /**/, 1, 0}
-	rec, err := RateRecover(matched, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// pos0 votes {1,0,1}→1; pos1 {0,0,0}→0; pos2 {1,1}→1; pos3 {1,1}→1.
-	want := []Bit{1, 0, 1, 1}
-	if !bytes.Equal(rec, want) {
-		t.Fatalf("recover = %v, want %v", rec, want)
-	}
-}
-
-func TestRateRecoverErasures(t *testing.T) {
-	// A 2-bit stream recovered to mother length 4 means positions were
-	// punctured; the evenly spread rule keeps positions 1 and 3, so 0 and 2
-	// come back as erasures.
-	rec, err := RateRecover([]Bit{1, 0}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec[0] != Erasure || rec[2] != Erasure {
-		t.Fatalf("punctured positions not erased: %v", rec)
-	}
-	if rec[1] != 1 || rec[3] != 0 {
-		t.Fatalf("kept positions misplaced: %v", rec)
-	}
-	if _, err := RateRecover(nil, 0); err == nil {
-		t.Fatal("zero mother length accepted")
-	}
-}
-
-func TestPropertyRateMatchRoundTripThroughViterbi(t *testing.T) {
+// Property: V1's chain — Segment, EncodeBlock per code block, DecodeBlock,
+// Reassemble — returns the transport block, single- and multi-block, and
+// every coded block holds 2·(8·len+6) bits.
+func TestPropertyBlockRoundTripThroughViterbi(t *testing.T) {
 	rng := sim.NewRNG(7)
-	for trial := 0; trial < 20; trial++ {
-		msg := make([]byte, 8+rng.Intn(40))
-		for i := range msg {
-			msg[i] = byte(rng.Uint64())
+	for _, size := range []int{1, 8, 47, MaxCodeBlockBytes, 2*MaxCodeBlockBytes + 5} {
+		tb := make([]byte, size)
+		for i := range tb {
+			tb[i] = byte(rng.Uint64())
 		}
-		info := BytesToBits(msg)
-		mother := 2 * (len(info) + 6)
-		// Targets from mild puncturing to 2× repetition.
-		for _, target := range []int{mother * 9 / 10, mother, mother * 3 / 2, mother * 2} {
-			matched, err := EncodeBlock(msg, target)
+		var rx [][]byte
+		for _, blk := range Segment(tb) {
+			coded := EncodeBlock(blk)
+			if len(coded) != 2*(8*len(blk)+6) {
+				t.Fatalf("TB %dB: coded %d bits for a %dB block", size, len(coded), len(blk))
+			}
+			dec, err := DecodeBlock(coded, len(blk))
 			if err != nil {
-				t.Fatalf("encode target %d: %v", target, err)
+				t.Fatalf("TB %dB: %v", size, err)
 			}
-			if len(matched) != target {
-				t.Fatalf("matched %d, want %d", len(matched), target)
-			}
-			got, err := DecodeBlock(matched, len(msg), target)
-			if err != nil || !bytes.Equal(got, msg) {
-				t.Fatalf("target %d decode failed: %v", target, err)
-			}
+			rx = append(rx, dec)
 		}
+		got, err := Reassemble(rx, size)
+		if err != nil || !bytes.Equal(got, tb) {
+			t.Fatalf("TB %dB round trip: %v", size, err)
+		}
+	}
+	if _, err := DecodeBlock(EncodeBlock([]byte{1, 2}), 3); err == nil {
+		t.Fatal("DecodeBlock accepted a stream of the wrong length")
 	}
 }
 

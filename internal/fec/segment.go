@@ -74,30 +74,15 @@ func Reassemble(blocks [][]byte, tbLen int) ([]byte, error) {
 	return tb, nil
 }
 
-// EncodeBlock runs one code block through the full chain: convolutional
-// encode, then rate matching to target bits (target ≥ the mother length to
-// guarantee decodability; pass 0 for no rate matching).
-func EncodeBlock(block []byte, target int) ([]Bit, error) {
-	coded := ConvEncode(BytesToBits(block))
-	if target == 0 {
-		return coded, nil
-	}
-	return RateMatch(coded, target)
+// EncodeBlock runs one code block through the convolutional encoder: the
+// block's bits, MSB first, zero-flushed to 2·(8·len(block)+6) coded bits.
+func EncodeBlock(block []byte) []Bit {
+	return ConvEncode(BytesToBits(block))
 }
 
 // DecodeBlock inverts EncodeBlock for a block of blockLen bytes.
-func DecodeBlock(received []Bit, blockLen, target int) ([]byte, error) {
-	nInfo := blockLen * 8
-	mother := 2 * (nInfo + constraintLen - 1)
-	coded := received
-	if target != 0 {
-		var err error
-		coded, err = RateRecover(received, mother)
-		if err != nil {
-			return nil, err
-		}
-	}
-	info, err := ViterbiDecode(coded, nInfo)
+func DecodeBlock(received []Bit, blockLen int) ([]byte, error) {
+	info, err := ViterbiDecode(received, blockLen*8)
 	if err != nil {
 		return nil, err
 	}

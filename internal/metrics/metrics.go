@@ -318,16 +318,3 @@ func (r *Reliability) Nines() float64 {
 
 // MeetsURLLC reports whether the 99.999 % bar of §1 is reached.
 func (r *Reliability) MeetsURLLC() bool { return r.Value() >= 0.99999 }
-
-// Table renders rows of label/mean/std — the shape of Table 2.
-func Table(rows []struct {
-	Label string
-	Acc   *Accumulator
-}) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-10s %10s %10s %8s\n", "", "Mean [µs]", "STD [µs]", "N")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %10.2f %10.2f %8d\n", r.Label, r.Acc.Mean(), r.Acc.Std(), r.Acc.N())
-	}
-	return sb.String()
-}

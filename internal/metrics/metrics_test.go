@@ -301,19 +301,6 @@ func TestReliabilityEdges(t *testing.T) {
 	}
 }
 
-func TestTableRendering(t *testing.T) {
-	var a, b Accumulator
-	a.Add(4.65)
-	b.Add(484.2)
-	s := Table([]struct {
-		Label string
-		Acc   *Accumulator
-	}{{"SDAP", &a}, {"RLC-q", &b}})
-	if !strings.Contains(s, "SDAP") || !strings.Contains(s, "484.20") || !strings.Contains(s, "Mean") {
-		t.Fatalf("table:\n%s", s)
-	}
-}
-
 func TestAccumulatorMergeMatchesSequential(t *testing.T) {
 	rng := sim.NewRNG(7)
 	var seq, a, b Accumulator

@@ -1,13 +1,6 @@
 package modulation
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-
-	"urllcsim/internal/fec"
-	"urllcsim/internal/sim"
-)
+import "testing"
 
 func TestSchemeBasics(t *testing.T) {
 	if QPSK.BitsPerSymbol() != 2 || QAM256.BitsPerSymbol() != 8 {
@@ -18,148 +11,6 @@ func TestSchemeBasics(t *testing.T) {
 	}
 	if QPSK.String() != "QPSK" || QAM16.String() != "16QAM" {
 		t.Fatal("String wrong")
-	}
-}
-
-func TestQPSKMapping(t *testing.T) {
-	// TS 38.211: b=00 → (1+j)/√2, 01 → (1−j)/√2, 10 → (−1+j)/√2, 11 → (−1−j)/√2.
-	syms, err := Modulate(QPSK, []fec.Bit{0, 0, 0, 1, 1, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := 1 / math.Sqrt2
-	want := []complex128{complex(s, s), complex(s, -s), complex(-s, s), complex(-s, -s)}
-	for i := range want {
-		if math.Abs(real(syms[i])-real(want[i])) > 1e-12 || math.Abs(imag(syms[i])-imag(want[i])) > 1e-12 {
-			t.Fatalf("QPSK sym %d = %v, want %v", i, syms[i], want[i])
-		}
-	}
-}
-
-func Test16QAMCornerPoint(t *testing.T) {
-	// b=1010 → I=(1−2·1)(2−(1−2·1)) = −3, Q same → (−3−3j)/√10.
-	syms, err := Modulate(QAM16, []fec.Bit{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := -3 / math.Sqrt(10)
-	if math.Abs(real(syms[0])-want) > 1e-12 || math.Abs(imag(syms[0])-want) > 1e-12 {
-		t.Fatalf("16QAM(1111) = %v, want (%v,%v)", syms[0], want, want)
-	}
-}
-
-func TestUnitAverageEnergy(t *testing.T) {
-	for _, s := range []Scheme{QPSK, QAM16, QAM64, QAM256} {
-		if e := AverageEnergy(s); math.Abs(e-1) > 1e-9 {
-			t.Errorf("%v average energy = %v, want 1", s, e)
-		}
-	}
-}
-
-func TestConstellationsDistinct(t *testing.T) {
-	for _, s := range []Scheme{QPSK, QAM16, QAM64, QAM256} {
-		pts := cachedConstellation(s)
-		if len(pts) != 1<<uint(s.BitsPerSymbol()) {
-			t.Fatalf("%v has %d points", s, len(pts))
-		}
-		for i := range pts {
-			for j := i + 1; j < len(pts); j++ {
-				if pts[i] == pts[j] {
-					t.Fatalf("%v points %d and %d coincide", s, i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestGrayNeighbours(t *testing.T) {
-	// Gray property: nearest horizontal/vertical neighbours differ in one
-	// bit. Verify for 16QAM by brute force.
-	pts := cachedConstellation(QAM16)
-	d := 2 / math.Sqrt(10) // adjacent spacing
-	for a := range pts {
-		for b := range pts {
-			if a >= b {
-				continue
-			}
-			dist := math.Hypot(real(pts[a]-pts[b]), imag(pts[a]-pts[b]))
-			if math.Abs(dist-d) < 1e-9 {
-				if hamming(a, b) != 1 {
-					t.Fatalf("adjacent 16QAM labels %04b/%04b differ in %d bits", a, b, hamming(a, b))
-				}
-			}
-		}
-	}
-}
-
-func hamming(a, b int) int {
-	x := a ^ b
-	n := 0
-	for x != 0 {
-		n += x & 1
-		x >>= 1
-	}
-	return n
-}
-
-func TestModulateErrors(t *testing.T) {
-	if _, err := Modulate(QAM16, make([]fec.Bit, 5)); err == nil {
-		t.Fatal("non-multiple bit count accepted")
-	}
-	if _, err := Modulate(Scheme(5), nil); err == nil {
-		t.Fatal("invalid scheme accepted")
-	}
-	if _, err := Demodulate(Scheme(5), nil); err == nil {
-		t.Fatal("invalid scheme accepted by Demodulate")
-	}
-}
-
-func TestPropertyModulateDemodulateRoundTrip(t *testing.T) {
-	rng := sim.NewRNG(42)
-	for _, s := range []Scheme{QPSK, QAM16, QAM64, QAM256} {
-		f := func(raw []byte) bool {
-			bs := make([]fec.Bit, (len(raw)/s.BitsPerSymbol())*s.BitsPerSymbol())
-			for i := range bs {
-				bs[i] = fec.Bit(raw[i]) & 1
-			}
-			syms, err := Modulate(s, bs)
-			if err != nil {
-				return false
-			}
-			got, err := Demodulate(s, syms)
-			if err != nil || len(got) != len(bs) {
-				return false
-			}
-			for i := range bs {
-				if got[i] != bs[i] {
-					return false
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-	}
-	_ = rng
-}
-
-func TestDemodulateWithNoise(t *testing.T) {
-	// Noise well below half the decision distance must not flip bits.
-	rng := sim.NewRNG(1)
-	bs := make([]fec.Bit, 6000)
-	for i := range bs {
-		bs[i] = fec.Bit(rng.Uint64()) & 1
-	}
-	syms, _ := Modulate(QAM64, bs)
-	for i := range syms {
-		syms[i] += complex(rng.Normal(0, 0.02), rng.Normal(0, 0.02))
-	}
-	got, _ := Demodulate(QAM64, syms)
-	for i := range bs {
-		if got[i] != bs[i] {
-			t.Fatalf("low noise flipped bit %d", i)
-		}
 	}
 }
 
@@ -300,23 +151,5 @@ func TestSymbolsForBitsMonotone(t *testing.T) {
 			t.Fatalf("symbols not monotone: %d bits → %d", bits, syms)
 		}
 		prev = syms
-	}
-}
-
-func BenchmarkModulate64QAM(b *testing.B) {
-	bs := make([]fec.Bit, 6144)
-	b.SetBytes(int64(len(bs) / 8))
-	for i := 0; i < b.N; i++ {
-		Modulate(QAM64, bs)
-	}
-}
-
-func BenchmarkDemodulate64QAM(b *testing.B) {
-	bs := make([]fec.Bit, 6144)
-	syms, _ := Modulate(QAM64, bs)
-	b.SetBytes(int64(len(bs) / 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Demodulate(QAM64, syms)
 	}
 }

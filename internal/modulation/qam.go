@@ -1,17 +1,11 @@
-// Package modulation implements the TS 38.211 §5.1 modulation mappers
-// (QPSK through 256-QAM, Gray-coded, unit average energy), hard-decision
-// demapping, the MCS tables of TS 38.214 and transport-block-size (TBS)
-// computation, plus PRB/resource-element accounting for the bandwidths the
-// simulator uses.
+// Package modulation names the TS 38.211 §5.1 modulation orders (QPSK
+// through 256-QAM) and holds the MCS tables of TS 38.214, transport-block-size
+// (TBS) computation and PRB/resource-element accounting for the bandwidths
+// the simulator uses. No symbols are mapped: the PHY prices a block by the
+// analytic bit error rate of its scheme (channel.BER).
 package modulation
 
-import (
-	"fmt"
-	"math"
-	"math/cmplx"
-
-	"urllcsim/internal/fec"
-)
+import "fmt"
 
 // Scheme is a modulation order.
 type Scheme int
@@ -48,119 +42,4 @@ func (s Scheme) String() string {
 	default:
 		return fmt.Sprintf("QAM?%d", int(s))
 	}
-}
-
-// norm returns the TS 38.211 normalisation factor giving unit average
-// symbol energy.
-func (s Scheme) norm() float64 {
-	switch s {
-	case QPSK:
-		return 1 / math.Sqrt2
-	case QAM16:
-		return 1 / math.Sqrt(10)
-	case QAM64:
-		return 1 / math.Sqrt(42)
-	case QAM256:
-		return 1 / math.Sqrt(170)
-	default:
-		panic("modulation: invalid scheme")
-	}
-}
-
-// axis evaluates the recursive TS 38.211 per-axis amplitude for the given
-// Gray-coded bits (b0 is the sign bit): QPSK (1 bit) → ±1; 16QAM I-axis
-// (2 bits) → (1−2b0)·(2−(1−2b2)); and so on.
-func axis(bs []fec.Bit) float64 {
-	sign := float64(1 - 2*int(bs[0]))
-	if len(bs) == 1 {
-		return sign
-	}
-	return sign * (float64(int(1)<<(len(bs)-1)) - axis(bs[1:]))
-}
-
-// Modulate maps a bit stream to constellation symbols. The bit count must be
-// a multiple of Qm. Even-indexed bits (within each symbol) drive the I axis,
-// odd-indexed the Q axis, per TS 38.211.
-func Modulate(s Scheme, bs []fec.Bit) ([]complex128, error) {
-	qm := s.BitsPerSymbol()
-	if !s.Valid() {
-		return nil, fmt.Errorf("modulation: invalid scheme %d", int(s))
-	}
-	if len(bs)%qm != 0 {
-		return nil, fmt.Errorf("modulation: %d bits not a multiple of Qm=%d", len(bs), qm)
-	}
-	n := s.norm()
-	out := make([]complex128, len(bs)/qm)
-	ib := make([]fec.Bit, 0, qm/2)
-	qb := make([]fec.Bit, 0, qm/2)
-	for k := range out {
-		ib, qb = ib[:0], qb[:0]
-		for j := 0; j < qm; j += 2 {
-			ib = append(ib, bs[k*qm+j]&1)
-			qb = append(qb, bs[k*qm+j+1]&1)
-		}
-		out[k] = complex(axis(ib)*n, axis(qb)*n)
-	}
-	return out, nil
-}
-
-// constellation returns all 2^Qm points indexed by their bit label (MSB
-// first: b0 b1 … b(Qm−1)).
-func constellation(s Scheme) []complex128 {
-	qm := s.BitsPerSymbol()
-	pts := make([]complex128, 1<<uint(qm))
-	bs := make([]fec.Bit, qm)
-	for label := range pts {
-		for j := 0; j < qm; j++ {
-			bs[j] = fec.Bit(label>>uint(qm-1-j)) & 1
-		}
-		sym, _ := Modulate(s, bs)
-		pts[label] = sym[0]
-	}
-	return pts
-}
-
-var constCache = map[Scheme][]complex128{}
-
-func cachedConstellation(s Scheme) []complex128 {
-	if c, ok := constCache[s]; ok {
-		return c
-	}
-	c := constellation(s)
-	constCache[s] = c
-	return c
-}
-
-// Demodulate performs hard-decision (minimum Euclidean distance) demapping.
-func Demodulate(s Scheme, syms []complex128) ([]fec.Bit, error) {
-	if !s.Valid() {
-		return nil, fmt.Errorf("modulation: invalid scheme %d", int(s))
-	}
-	qm := s.BitsPerSymbol()
-	pts := cachedConstellation(s)
-	out := make([]fec.Bit, 0, len(syms)*qm)
-	for _, y := range syms {
-		best, bestD := 0, math.Inf(1)
-		for label, p := range pts {
-			if d := cmplx.Abs(y - p); d < bestD {
-				best, bestD = label, d
-			}
-		}
-		for j := qm - 1; j >= 0; j-- {
-			out = append(out, fec.Bit(best>>uint(j))&1)
-		}
-	}
-	return out, nil
-}
-
-// AverageEnergy returns the mean |x|² of the constellation — 1.0 for every
-// valid scheme (checked in tests; it is the property the norm factors exist
-// to guarantee).
-func AverageEnergy(s Scheme) float64 {
-	pts := cachedConstellation(s)
-	var sum float64
-	for _, p := range pts {
-		sum += real(p)*real(p) + imag(p)*imag(p)
-	}
-	return sum / float64(len(pts))
 }

@@ -660,8 +660,8 @@ func (s *System) transmitDL(tb *dlTB) {
 		air = sym
 	}
 	tb.onAir = target.Add(ctrl + air)
-	rx, txErr := s.phyDL.Transmit(block, target)
-	tb.rx, tb.lost = rx, txErr != nil
+	rx, ok := s.phyDL.Transmit(block, target)
+	tb.rx, tb.lost = rx, !ok
 	for _, id := range ids {
 		if p := s.dlItems[id]; p != nil {
 			s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeTxStart,

@@ -108,12 +108,6 @@ type Config struct {
 	// metric snapshots. Nil disables observability at near-zero cost.
 	Obs *obs.Recorder
 
-	// FullPHY runs every transport block through the genuine PHY chain
-	// (CRC → convolutional FEC → QAM → hard-decision channel → Viterbi →
-	// CRC check) instead of the analytic BLER draw. ~100× slower; used by
-	// verification tests and small demonstrations.
-	FullPHY bool
-
 	PayloadBytes int
 	Seed         uint64
 }
@@ -391,12 +385,8 @@ func NewSystem(cfg Config) (*System, error) {
 		obs:       cfg.Obs,
 	}
 	s.h = newObsHandles(s.obs)
-	phyMode := stack.PHYAnalytic
-	if cfg.FullPHY {
-		phyMode = stack.PHYFull
-	}
-	s.phyDL = stack.NewPHY(phyMode, mcs, cfg.Channel, rng.Fork(1))
-	s.phyUL = stack.NewPHY(phyMode, mcs, cfg.Channel, rng.Fork(2))
+	s.phyDL = stack.NewPHY(mcs, cfg.Channel, rng.Fork(1))
+	s.phyUL = stack.NewPHY(mcs, cfg.Channel, rng.Fork(2))
 	s.Eng.HandleArrivals(s, arrivalName)
 	s.tickFire = s.onTick
 	s.scheduleTick(s.cfg.Grid.NextSchedBoundary(-1))

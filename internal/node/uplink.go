@@ -362,11 +362,11 @@ func (s *System) ulTransmitAt(p *ulPacket, slotStart, from sim.Time) {
 		s.seg(&p.by, p.id, obs.DirUL, obs.LayerSched, "⑥ wait for granted UL slot", core.Protocol, from, ulStart.Sub(from))
 	}
 	onAirEnd := ulStart.Add(air)
-	rx, txErr := s.phyUL.Transmit(tb, ulStart)
+	rx, ok := s.phyUL.Transmit(tb, ulStart)
 	s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeTxStart,
 		Time: ulStart, Ref: slotStart, Arg: int64(p.attempts + 1)})
 	s.harqLaunch(1)
-	p.ulStart, p.rx, p.lost = ulStart, rx, txErr != nil
+	p.ulStart, p.rx, p.lost = ulStart, rx, !ok
 	p.schedule(onAirEnd, ulRx)
 }
 

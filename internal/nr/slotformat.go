@@ -60,16 +60,6 @@ var SlotFormats = []SlotFormat{
 	format(46, "DFUUUUUUUUUUUU"), // early switch, UL-heavy
 }
 
-// SlotFormatByIndex returns the embedded format with the given index.
-func SlotFormatByIndex(idx int) (SlotFormat, bool) {
-	for _, f := range SlotFormats {
-		if f.Index == idx {
-			return f, true
-		}
-	}
-	return SlotFormat{}, false
-}
-
 // Counts returns the number of DL, UL, flexible and guard symbols.
 func (f SlotFormat) Counts() (dl, ul, flex, guard int) {
 	for _, s := range f.Symbols {

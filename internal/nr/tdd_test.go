@@ -163,24 +163,20 @@ func TestPatternString(t *testing.T) {
 }
 
 func TestSlotFormatTable(t *testing.T) {
-	f0, ok := SlotFormatByIndex(0)
-	if !ok {
-		t.Fatal("format 0 missing")
+	for i, f := range SlotFormats[:3] {
+		if f.Index != i {
+			t.Fatalf("SlotFormats[%d] is format %d", i, f.Index)
+		}
 	}
-	dl, ul, flex, guard := f0.Counts()
+	dl, ul, flex, guard := SlotFormats[0].Counts()
 	if dl != 14 || ul+flex+guard != 0 {
 		t.Fatalf("format 0 counts = %d %d %d %d", dl, ul, flex, guard)
 	}
-	f1, _ := SlotFormatByIndex(1)
-	if _, ul, _, _ := f1.Counts(); ul != 14 {
+	if _, ul, _, _ := SlotFormats[1].Counts(); ul != 14 {
 		t.Fatal("format 1 must be all UL")
 	}
-	f2, _ := SlotFormatByIndex(2)
-	if _, _, flex, _ := f2.Counts(); flex != 14 {
+	if _, _, flex, _ := SlotFormats[2].Counts(); flex != 14 {
 		t.Fatal("format 2 must be all flexible")
-	}
-	if _, ok := SlotFormatByIndex(99); ok {
-		t.Fatal("format 99 must not exist")
 	}
 	for _, f := range SlotFormats {
 		dl, ul, flex, guard := f.Counts()

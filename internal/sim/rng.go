@@ -155,28 +155,3 @@ func (r *RNG) Exponential(mean float64) float64 {
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
-
-// Poisson returns a Poisson variate with the given mean (Knuth for small
-// means, normal approximation above 64 where the exact loop gets slow).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		v := int(math.Round(r.Normal(mean, math.Sqrt(mean))))
-		if v < 0 {
-			v = 0
-		}
-		return v
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}

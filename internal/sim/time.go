@@ -39,12 +39,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Micros returns t in microseconds as a float, the unit used throughout the
 // paper's tables and figures.
 func (t Time) Micros() float64 { return float64(t) / 1e3 }

@@ -1,30 +1,15 @@
 package stack
 
 import (
-	"fmt"
-
 	"urllcsim/internal/channel"
-	"urllcsim/internal/fec"
 	"urllcsim/internal/modulation"
 	"urllcsim/internal/sim"
 )
 
-// PHYMode selects how the PHY models a transmission.
-type PHYMode int
-
-const (
-	// PHYAnalytic draws transport-block success from the analytic BLER of
-	// the channel model — the fast path the DES uses for long runs.
-	PHYAnalytic PHYMode = iota
-	// PHYFull runs the complete chain: segmentation, CRC, convolutional
-	// coding, QAM modulation, AWGN, demodulation, Viterbi, CRC check. Used
-	// by verification tests and the quickstart example.
-	PHYFull
-)
-
-// PHY is the physical-layer entity of one link direction.
+// PHY is the physical-layer entity of one link direction. It treats the
+// channel coder as a black box: one draw against the analytic block error
+// rate of the channel model decides each transport block.
 type PHY struct {
-	Mode    PHYMode
 	MCS     modulation.MCS
 	Channel channel.Model
 	rng     *sim.RNG
@@ -45,32 +30,24 @@ type blerMemo struct {
 }
 
 // NewPHY returns a PHY entity.
-func NewPHY(mode PHYMode, mcs modulation.MCS, ch channel.Model, rng *sim.RNG) *PHY {
-	return &PHY{Mode: mode, MCS: mcs, Channel: ch, rng: rng}
+func NewPHY(mcs modulation.MCS, ch channel.Model, rng *sim.RNG) *PHY {
+	return &PHY{MCS: mcs, Channel: ch, rng: rng}
 }
 
-// Transmit carries a transport block over the air at time t. It returns the
-// received transport block, or an error when the block is lost (CRC
-// failure / analytic BLER draw). The received block is the receiver's own
-// buffer, never aliasing tb, and stays valid until it is passed to Release.
-func (p *PHY) Transmit(tb []byte, t sim.Time) ([]byte, error) {
-	switch p.Mode {
-	case PHYAnalytic:
-		bler := p.blockErrorRate(p.Channel.SNRdB(t), len(tb)*8)
-		if p.rng.Bernoulli(bler) {
-			return nil, fmt.Errorf("stack: transport block lost (BLER %.2g at %v)", bler, t)
-		}
-		// Deliver a copy: the receiver must never alias the sender's buffer.
-		var out []byte
-		if n := len(p.free); n > 0 {
-			out, p.free = p.free[n-1], p.free[:n-1]
-		}
-		return append(out[:0], tb...), nil
-	case PHYFull:
-		return p.transmitFull(tb, t)
-	default:
-		return nil, fmt.Errorf("stack: unknown PHY mode %d", p.Mode)
+// Transmit carries a transport block over the air at time t. One Bernoulli
+// draw at the block's analytic BLER (channel.CodedBLER at the SNR of t)
+// decides it: ok is false when the block is lost, and then rx is nil.
+// Otherwise rx is the receiver's own buffer, never aliasing tb, and stays
+// valid until it is passed to Release.
+func (p *PHY) Transmit(tb []byte, t sim.Time) (rx []byte, ok bool) {
+	if p.rng.Bernoulli(p.blockErrorRate(p.Channel.SNRdB(t), len(tb)*8)) {
+		return nil, false
 	}
+	// Deliver a copy: the receiver must never alias the sender's buffer.
+	if n := len(p.free); n > 0 {
+		rx, p.free = p.free[n-1], p.free[:n-1]
+	}
+	return append(rx[:0], tb...), true
 }
 
 // blockErrorRate returns channel.CodedBLER at the PHY's scheme, computing it
@@ -90,47 +67,6 @@ func (p *PHY) Release(rx []byte) {
 	if rx != nil {
 		p.free = append(p.free, rx)
 	}
-}
-
-// transmitFull runs the genuine encode→channel→decode chain.
-func (p *PHY) transmitFull(tb []byte, t sim.Time) ([]byte, error) {
-	snr := p.Channel.SNRdB(t)
-	ber := channel.BER(p.MCS.Scheme, channel.DBToLinear(snr))
-	blocks := fec.Segment(tb)
-	rxBlocks := make([][]byte, 0, len(blocks))
-	for _, blk := range blocks {
-		coded, err := fec.EncodeBlock(blk, 0)
-		if err != nil {
-			return nil, err
-		}
-		// Pad the coded stream to the modulation order.
-		qm := p.MCS.Scheme.BitsPerSymbol()
-		for len(coded)%qm != 0 {
-			coded = append(coded, 0)
-		}
-		syms, err := modulation.Modulate(p.MCS.Scheme, coded)
-		if err != nil {
-			return nil, err
-		}
-		// Hard-decision channel: flip bits at the analytic BER instead of
-		// carrying IQ noise; equivalent for hard demodulation and ~10×
-		// faster (validated in channel tests).
-		rxBits, err := modulation.Demodulate(p.MCS.Scheme, syms)
-		if err != nil {
-			return nil, err
-		}
-		rxBits = channel.FlipBits(rxBits, ber, p.rng)
-		dec, err := fec.DecodeBlock(rxBits[:2*(len(blk)*8+6)], len(blk), 0)
-		if err != nil {
-			return nil, err
-		}
-		rxBlocks = append(rxBlocks, dec)
-	}
-	out, err := fec.Reassemble(rxBlocks, len(tb))
-	if err != nil {
-		return nil, fmt.Errorf("stack: PHY decode failed: %w", err)
-	}
-	return out, nil
 }
 
 // AirTime returns the on-air duration of a transport block given the

@@ -1,10 +1,10 @@
 // Package stack implements the layer machines of the 5G user plane: SDAP
 // (QoS flow mapping), PDCP (sequence numbering, NEA2 ciphering, NIA2
 // integrity), RLC UM (segmentation, reassembly, the RLC queue whose waiting
-// time dominates the paper's Table 2), and MAC multiplexing. Bytes really
-// flow: every PDU is encoded with the wire formats of internal/pdu and
-// decoded on the far side; integrity failures and malformed PDUs surface as
-// errors exactly where a real stack would drop them.
+// time dominates the paper's Table 2), MAC multiplexing and the analytic PHY
+// (phy.go). Bytes really flow: every PDU is encoded with the wire formats of
+// internal/pdu and decoded on the far side; integrity failures and malformed
+// PDUs surface as errors exactly where a real stack would drop them.
 //
 // Timing is deliberately not in this package — the DES (internal/node)
 // charges processing time around these calls using internal/proc profiles.

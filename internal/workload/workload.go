@@ -1,6 +1,6 @@
 // Package workload generates the periodic many-machine fleet of the
-// Industry-4.0 cell studies. The paper's §7 uniform-within-pattern and the
-// Poisson arrivals are drawn inline where they are offered.
+// Industry-4.0 cell studies. The paper's §7 uniform-within-pattern arrivals
+// and exponential inter-arrival gaps are drawn inline where they are offered.
 package workload
 
 import (

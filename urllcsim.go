@@ -15,8 +15,9 @@
 //
 // The simulation carries real bytes through real codecs: SDAP/PDCP (with
 // AES-CTR ciphering and AES-CMAC integrity), RLC UM segmentation, MAC
-// subPDU multiplexing, CRC-24 transport blocks, convolutional FEC and QAM
-// over an AWGN or blockage channel.
+// subPDU multiplexing — and an analytic PHY that loses each transport block
+// with the coded block error rate of its modulation order over an AWGN or
+// blockage channel.
 //
 // Quick start:
 //
