@@ -347,35 +347,24 @@ type Fig6Stats struct {
 }
 
 // fig6Run measures one (grantFree, uplink) panel: n packets sharded over
-// ReplicaShards independent replicas on the worker pool, per-shard
-// histograms merged in shard order (every sample kept, in shard order), so
-// the panel is identical for any worker count.
-func fig6Run(grantFree, uplink bool, n int, seed uint64, workers int) (*metrics.Histogram, Fig6Stats, error) {
+// ReplicaShards independent replicas on the worker pool, every delivered
+// latency kept and sorted, so the panel is identical for any worker count.
+func fig6Run(grantFree, uplink bool, n int, seed uint64, workers int) (latencies, Fig6Stats, error) {
 	systems, err := runSharded(n, uplink, seed, workers, func(s uint64) (node.Config, error) {
 		return TestbedConfig(grantFree, s)
 	})
 	if err != nil {
 		return nil, Fig6Stats{}, err
 	}
-	st := Fig6Stats{Offered: n}
-	shardHists := make([]*metrics.Histogram, len(systems))
-	for i, s := range systems {
-		h := metrics.NewHistogram(8, 32) // Fig. 6's 0–8 ms axis
-		for _, r := range s.Results() {
-			if !r.Delivered {
-				continue
-			}
-			st.Delivered++
-			h.AddDuration(r.Latency)
-		}
-		shardHists[i] = h
-	}
-	h := sweep.MergeHistograms(8, 32, shardHists)
-	st.MeanMs = h.Mean()
-	st.P50Ms = h.Percentile(0.5)
-	st.P95Ms = h.Percentile(0.95)
-	st.SubMsFraction = h.FractionBelow(1)
-	return h, st, nil
+	l := deliveredLatencies(systems)
+	return l, Fig6Stats{
+		MeanMs:        l.meanMs(),
+		P50Ms:         l.quantileMs(0.5),
+		P95Ms:         l.quantileMs(0.95),
+		SubMsFraction: l.shareBelow(sim.Millisecond),
+		Delivered:     len(l),
+		Offered:       n,
+	}, nil
 }
 
 // Figure6 reproduces both panels: (a) grant-based, (b) grant-free.
@@ -393,13 +382,13 @@ func Figure6(seed uint64, workers int) (string, error) {
 			if ul {
 				dir = "Uplink"
 			}
-			h, st, err := fig6Run(gf, ul, n, seed, workers)
+			l, st, err := fig6Run(gf, ul, n, seed, workers)
 			if err != nil {
 				return "", err
 			}
 			fmt.Fprintf(&sb, "%s: mean %.2fms p50 %.2fms p95 %.2fms sub-ms %.1f%% delivered %d/%d\n",
 				dir, st.MeanMs, st.P50Ms, st.P95Ms, 100*st.SubMsFraction, st.Delivered, st.Offered)
-			sb.WriteString(h.ASCII(40))
+			sb.WriteString(l.fig6ASCII(40))
 			sb.WriteByte('\n')
 		}
 	}
@@ -442,7 +431,7 @@ func MmWave(seed uint64, workers int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	mk := func(uplink bool) (*metrics.Histogram, error) {
+	mk := func(uplink bool) (latencies, error) {
 		systems, err := runSharded(1200, uplink, seed, workers, func(s uint64) (node.Config, error) {
 			return node.Config{
 				Label: "mmwave", Grid: g, GrantFree: true,
@@ -456,17 +445,7 @@ func MmWave(seed uint64, workers int) (string, error) {
 		if err != nil {
 			return nil, err
 		}
-		shardHists := make([]*metrics.Histogram, len(systems))
-		for i, s := range systems {
-			h := metrics.NewHistogram(20, 40)
-			for _, r := range s.Results() {
-				if r.Delivered {
-					h.AddDuration(r.Latency)
-				}
-			}
-			shardHists[i] = h
-		}
-		return sweep.MergeHistograms(20, 40, shardHists), nil
+		return deliveredLatencies(systems), nil
 	}
 	dl, err := mk(false)
 	if err != nil {
@@ -478,8 +457,8 @@ func MmWave(seed uint64, workers int) (string, error) {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "FR2 µ3 (125µs slots) behind 25dB blockage (25%% blocked)\n")
-	fmt.Fprintf(&sb, "DL: mean %.2fms, sub-ms %.1f%%\n", dl.Mean(), 100*dl.FractionBelow(1))
-	fmt.Fprintf(&sb, "UL: mean %.2fms, sub-ms %.1f%%\n", ul.Mean(), 100*ul.FractionBelow(1))
+	fmt.Fprintf(&sb, "DL: mean %.2fms, sub-ms %.1f%%\n", dl.meanMs(), 100*dl.shareBelow(sim.Millisecond))
+	fmt.Fprintf(&sb, "UL: mean %.2fms, sub-ms %.1f%%\n", ul.meanMs(), 100*ul.shareBelow(sim.Millisecond))
 	rtt := estimateRTTSubMs(dl, ul)
 	fmt.Fprintf(&sb, "sub-ms round-trip fraction ≈ %.1f%% (paper cites 4.4%% from [19])\n", 100*rtt)
 	return sb.String(), nil
@@ -487,12 +466,12 @@ func MmWave(seed uint64, workers int) (string, error) {
 
 // estimateRTTSubMs approximates P(UL+DL < 1ms) assuming independence, by
 // numerically convolving the two percentile grids.
-func estimateRTTSubMs(dl, ul *metrics.Histogram) float64 {
+func estimateRTTSubMs(dl, ul latencies) float64 {
 	hits, total := 0, 0
 	for p := 0.005; p < 1; p += 0.01 {
 		for q := 0.005; q < 1; q += 0.01 {
 			total++
-			if dl.Percentile(p)+ul.Percentile(q) < 1 {
+			if dl.quantileMs(p)+ul.quantileMs(q) < 1 {
 				hits++
 			}
 		}

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"urllcsim/internal/core"
-	"urllcsim/internal/metrics"
 	"urllcsim/internal/node"
 	"urllcsim/internal/nr"
 	"urllcsim/internal/sim"
@@ -36,20 +36,19 @@ func RTT(seed uint64, _ int) (string, error) {
 			s.OfferPing(at, 32, 100*sim.Microsecond)
 		}
 		s.Eng.Run(sim.Time(int64(n+60) * int64(period)))
-		h := metrics.NewHistogram(20, 40)
-		delivered := 0
+		var l latencies
 		for _, pr := range s.PingResults() {
 			if pr.Delivered {
-				delivered++
-				h.AddDuration(pr.RTT)
+				l = append(l, pr.RTT)
 			}
 		}
+		slices.Sort(l)
 		label := "grant-based"
 		if gf {
 			label = "grant-free "
 		}
 		fmt.Fprintf(&sb, "  %s: mean %.2fms p50 %.2fms p95 %.2fms sub-1ms %.1f%% (delivered %d/%d)\n",
-			label, h.Mean(), h.Percentile(0.5), h.Percentile(0.95), 100*h.FractionBelow(1), delivered, n)
+			label, l.meanMs(), l.quantileMs(0.5), l.quantileMs(0.95), 100*l.shareBelow(sim.Millisecond), len(l), n)
 	}
 
 	// --- Analytic: 1ms RTT verdicts for the minimal configurations ---

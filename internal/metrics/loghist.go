@@ -16,8 +16,10 @@ import (
 // wider than max(1, v/subBuckets): quantiles are exact to one part in
 // subBuckets (≈0.1 %) of the value, independent of the sample count.
 //
-// Unlike Histogram, LogHistogram retains no raw samples, and two
-// LogHistograms merge exactly (bucket geometry is a package constant), so
+// LogHistogram retains no raw samples, so its memory is bounded by the
+// value range rather than the sample count (the fixed-size experiment panels,
+// which keep every sample, sort a slice instead). Two LogHistograms merge
+// exactly (bucket geometry is a package constant), so
 // per-UE or per-shard histograms combine into a fleet histogram without loss.
 // This is the machinery the p99.999 URLLC reliability tail needs on runs of
 // millions of packets.
@@ -284,9 +286,8 @@ func (h *LogHistogram) Max() int64 {
 	return h.max
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) under the same floor-index
-// nearest-rank rule as Histogram.Percentile: the bucket holding the sample
-// at rank ⌊q·(n−1)⌋. The returned value is the bucket midpoint clamped into
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) under the floor-index
+// nearest-rank rule: the bucket holding the sample at rank ⌊q·(n−1)⌋. The returned value is the bucket midpoint clamped into
 // [Min, Max], so it is within one bucket width of the exact-rank sample;
 // q ≤ 0 and q ≥ 1 return the exact extrema. An empty histogram returns 0.
 func (h *LogHistogram) Quantile(q float64) int64 {
@@ -315,24 +316,6 @@ func (h *LogHistogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max // unreachable when counts/total are consistent
-}
-
-// FractionBelow returns the share of samples strictly below v, resolved to
-// bucket granularity: samples in v's own bucket count as below only when the
-// whole bucket lies below v.
-func (h *LogHistogram) FractionBelow(v int64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	idx := logIndex(v)
-	var below int64
-	for b, c := range h.nonEmpty() {
-		if b >= idx {
-			break
-		}
-		below += c
-	}
-	return float64(below) / float64(h.total)
 }
 
 // Merge adds every sample of o into h. Bucket geometry is shared by

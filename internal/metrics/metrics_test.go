@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"math"
-	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -70,136 +68,6 @@ func TestPropertyAccumulatorMatchesTwoPass(t *testing.T) {
 	}
 }
 
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(8, 16) // Fig. 6's 0–8 ms axis
-	h.Add(0.1)
-	h.Add(0.49) // same bin (width 0.5)
-	h.Add(0.51)
-	h.Add(7.99)
-	h.Add(9.5) // overflow
-	if h.N() != 5 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[15] != 1 || h.Overflow != 1 {
-		t.Fatalf("bins = %v overflow=%d", h.Counts, h.Overflow)
-	}
-	if math.Abs(h.BinCenter(0)-0.25) > 1e-12 {
-		t.Fatalf("bin 0 centre = %v", h.BinCenter(0))
-	}
-	if math.Abs(h.Probability(0)-0.4) > 1e-12 {
-		t.Fatalf("P(bin0) = %v", h.Probability(0))
-	}
-}
-
-func TestHistogramNegativeClamped(t *testing.T) {
-	h := NewHistogram(1, 4)
-	h.Add(-0.5)
-	if h.Counts[0] != 1 {
-		t.Fatal("negative value not clamped into bin 0")
-	}
-}
-
-func TestHistogramPercentiles(t *testing.T) {
-	h := NewHistogram(100, 10)
-	for i := 1; i <= 100; i++ {
-		h.Add(float64(i))
-	}
-	if p := h.Percentile(0.5); p < 49 || p > 52 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := h.Percentile(0); p != 1 {
-		t.Fatalf("p0 = %v", p)
-	}
-	if p := h.Percentile(1); p != 100 {
-		t.Fatalf("p100 = %v", p)
-	}
-	if got := h.FractionBelow(11); math.Abs(got-0.10) > 1e-12 {
-		t.Fatalf("FractionBelow(11) = %v", got)
-	}
-	if got := h.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Fatalf("mean = %v", got)
-	}
-}
-
-// TestPercentileEdgeCases pins the documented floor-index nearest-rank
-// semantics across the awkward inputs: empty data, a single sample, heavy
-// duplicates, even counts, and out-of-range p.
-func TestPercentileEdgeCases(t *testing.T) {
-	cases := []struct {
-		name    string
-		samples []float64
-		p       float64
-		want    float64
-	}{
-		{"empty", nil, 0.5, 0},
-		{"empty p0", nil, 0, 0},
-		{"single p0", []float64{7}, 0, 7},
-		{"single p50", []float64{7}, 0.5, 7},
-		{"single p100", []float64{7}, 1, 7},
-		{"negative p clamps to min", []float64{3, 1, 2}, -0.2, 1},
-		{"p above 1 clamps to max", []float64{3, 1, 2}, 1.5, 3},
-		{"even count takes lower middle", []float64{1, 2, 3, 4}, 0.5, 2}, // ⌊0.5·3⌋ = 1
-		{"odd count exact middle", []float64{1, 2, 3}, 0.5, 2},
-		{"all duplicates", []float64{5, 5, 5, 5}, 0.99, 5},
-		{"duplicates at tail", []float64{1, 9, 9, 9}, 0.5, 9},
-		{"p99 of 1..100", seq(1, 100), 0.99, 99}, // ⌊0.99·99⌋ = 98 → value 99
-		{"unsorted input", []float64{30, 10, 20}, 0, 10},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			h := NewHistogram(1000, 10)
-			for _, x := range c.samples {
-				h.Add(x)
-			}
-			if got := h.Percentile(c.p); got != c.want {
-				t.Fatalf("Percentile(%v) over %v = %v, want %v", c.p, c.samples, got, c.want)
-			}
-		})
-	}
-}
-
-func seq(lo, hi int) []float64 {
-	s := make([]float64, 0, hi-lo+1)
-	for i := lo; i <= hi; i++ {
-		s = append(s, float64(i))
-	}
-	return s
-}
-
-// TestHistogramOverflowBoundary: the overflow boundary is inclusive —
-// x == MaxValue must not index one past the last bin.
-func TestHistogramOverflowBoundary(t *testing.T) {
-	h := NewHistogram(8, 16)
-	h.Add(8)                    // exactly MaxValue
-	h.Add(math.Nextafter(8, 0)) // just below
-	if h.Overflow != 1 {
-		t.Fatalf("x == MaxValue not counted as overflow: %+v", h)
-	}
-	if h.Counts[15] != 1 {
-		t.Fatalf("x just below MaxValue missed last bin: %v", h.Counts)
-	}
-	// The raw sample is retained, so percentiles still see the boundary value.
-	if got := h.Percentile(1); got != 8 {
-		t.Fatalf("p100 = %v, want 8", got)
-	}
-}
-
-// TestHistogramNegativeSamplesRetained: binning clamps, statistics don't.
-func TestHistogramNegativeSamplesRetained(t *testing.T) {
-	h := NewHistogram(1, 4)
-	h.Add(-2)
-	h.Add(2) // overflow bin-wise
-	if h.Counts[0] != 1 || h.Overflow != 1 {
-		t.Fatalf("binning wrong: %+v", h)
-	}
-	if h.Percentile(0) != -2 || h.Mean() != 0 {
-		t.Fatalf("raw samples not retained: p0=%v mean=%v", h.Percentile(0), h.Mean())
-	}
-	if got := h.FractionBelow(0); got != 0.5 {
-		t.Fatalf("FractionBelow(0) = %v, want 0.5", got)
-	}
-}
-
 // TestAccumulatorEmptyMinQuirk documents the footgun: Min()/Max() of an
 // empty accumulator return 0, indistinguishable from a real 0 — N() is the
 // only way to tell.
@@ -222,42 +90,6 @@ func TestAccumulatorEmptyMinQuirk(t *testing.T) {
 	if neg.Min() != -3.5 || neg.Max() != -3.5 {
 		t.Fatalf("negative observations mishandled: min=%v max=%v", neg.Min(), neg.Max())
 	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(1, 4)
-	if h.Percentile(0.5) != 0 || h.FractionBelow(1) != 0 || h.Mean() != 0 || h.Probability(0) != 0 {
-		t.Fatal("empty histogram stats not zero")
-	}
-}
-
-func TestHistogramAddDurationMs(t *testing.T) {
-	h := NewHistogram(8, 16)
-	h.AddDuration(1500 * sim.Microsecond)
-	if h.Counts[3] != 1 { // 1.5 ms → bin [1.5,2.0) with 0.5 ms bins
-		t.Fatalf("1.5ms landed in %v", h.Counts)
-	}
-}
-
-func TestHistogramASCII(t *testing.T) {
-	h := NewHistogram(2, 4)
-	h.Add(0.1)
-	h.Add(0.2)
-	h.Add(1.1)
-	h.Add(5) // overflow
-	s := h.ASCII(20)
-	if !strings.Contains(s, "#") || !strings.Contains(s, "overflow") {
-		t.Fatalf("ASCII rendering:\n%s", s)
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad histogram args accepted")
-		}
-	}()
-	NewHistogram(0, 10)
 }
 
 func TestReliability(t *testing.T) {
@@ -342,70 +174,6 @@ func TestAccumulatorMergeEmptySides(t *testing.T) {
 	dst.Merge(nil) // nil-safe
 	if dst != full {
 		t.Fatal("nil merge changed state")
-	}
-}
-
-// TestHistogramMergeUnderCapIsConcatenation: a merged histogram retains
-// exactly the concatenation of both streams — bins, overflow, N and every
-// sample match a histogram that observed both streams sequentially. (Only
-// the running float sum may differ in the last bits, because merging adds
-// two partial sums instead of 2000 individual values.)
-func TestHistogramMergeUnderCapIsConcatenation(t *testing.T) {
-	rng := sim.NewRNG(11)
-	seq := NewHistogram(8, 32)
-	a := NewHistogram(8, 32)
-	b := NewHistogram(8, 32)
-	var xs []float64
-	for i := 0; i < 2000; i++ {
-		xs = append(xs, rng.Uniform(0, 10)) // includes overflow values
-	}
-	for _, x := range xs[:800] {
-		seq.Add(x)
-		a.Add(x)
-	}
-	for _, x := range xs[800:] {
-		seq.Add(x)
-		b.Add(x)
-	}
-	a.Merge(b)
-	if !reflect.DeepEqual(a.Counts, seq.Counts) || a.Overflow != seq.Overflow || a.N() != seq.N() {
-		t.Fatalf("merge bins differ from sequential feed:\nmerged %v +%d\nsequential %v +%d",
-			a.Counts, a.Overflow, seq.Counts, seq.Overflow)
-	}
-	if !reflect.DeepEqual(a.samples, seq.samples) {
-		t.Fatalf("merge must retain every sample in stream order: %d vs %d", len(a.samples), len(seq.samples))
-	}
-	for _, p := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if a.Percentile(p) != seq.Percentile(p) {
-			t.Fatalf("p%v differs: %v vs %v", p*100, a.Percentile(p), seq.Percentile(p))
-		}
-	}
-	if math.Abs(a.Mean()-seq.Mean()) > 1e-12 {
-		t.Fatalf("merged mean %v, sequential %v", a.Mean(), seq.Mean())
-	}
-}
-
-func TestHistogramMergeGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("geometry mismatch accepted")
-		}
-	}()
-	a := NewHistogram(8, 32)
-	b := NewHistogram(8, 16)
-	b.Add(1)
-	a.Merge(b)
-}
-
-func TestHistogramMergeEmptyAndNil(t *testing.T) {
-	a := NewHistogram(8, 32)
-	a.Add(1)
-	want := NewHistogram(8, 32)
-	want.Add(1)
-	a.Merge(nil)
-	a.Merge(NewHistogram(8, 32))
-	if !reflect.DeepEqual(a, want) {
-		t.Fatalf("empty/nil merges changed state: %+v", a)
 	}
 }
 

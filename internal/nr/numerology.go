@@ -1,13 +1,10 @@
 // Package nr models the 5G New Radio frame structure: numerologies,
 // frequency bands, duplexing modes, TDD patterns (Common Configuration,
-// Slot Format, Mini-slot) and the symbol-level timeline ("grid") that the
-// latency analyses in internal/core interrogate.
+// Mini-slot) and the symbol-level timeline ("grid") that the latency
+// analyses in internal/core interrogate.
 //
-// The package follows TS 38.211 (frame structure), TS 38.331 (the
-// tdd-UL-DL-ConfigurationCommon IE whose period set the paper cites) and
-// TS 38.213 §11.1.1 (slot formats). Where the full standard tables are
-// impractical to embed, a documented subset sufficient for every
-// configuration the paper analyses is provided.
+// The package follows TS 38.211 (frame structure) and TS 38.331 (the
+// tdd-UL-DL-ConfigurationCommon IE whose period set the paper cites).
 package nr
 
 import (

@@ -162,30 +162,6 @@ func TestPatternString(t *testing.T) {
 	}
 }
 
-func TestSlotFormatTable(t *testing.T) {
-	for i, f := range SlotFormats[:3] {
-		if f.Index != i {
-			t.Fatalf("SlotFormats[%d] is format %d", i, f.Index)
-		}
-	}
-	dl, ul, flex, guard := SlotFormats[0].Counts()
-	if dl != 14 || ul+flex+guard != 0 {
-		t.Fatalf("format 0 counts = %d %d %d %d", dl, ul, flex, guard)
-	}
-	if _, ul, _, _ := SlotFormats[1].Counts(); ul != 14 {
-		t.Fatal("format 1 must be all UL")
-	}
-	if _, _, flex, _ := SlotFormats[2].Counts(); flex != 14 {
-		t.Fatal("format 2 must be all flexible")
-	}
-	for _, f := range SlotFormats {
-		dl, ul, flex, guard := f.Counts()
-		if dl+ul+flex+guard != 14 {
-			t.Fatalf("format %d does not sum to 14 symbols", f.Index)
-		}
-	}
-}
-
 func TestMiniSlotConfig(t *testing.T) {
 	for _, l := range []int{2, 4, 7} {
 		if err := (MiniSlotConfig{Mu: Mu2, Length: l}).Validate(); err != nil {

@@ -19,10 +19,9 @@
 //
 //  3. Merging happens in shard order. Run returns results indexed by shard,
 //     and the merge helpers fold them left-to-right: counters add,
-//     LogHistograms merge exactly by bucket, Histograms concatenate their
-//     samples, and Welford accumulators merge deterministically (their
-//     combination is order-sensitive only in float rounding, and the order
-//     is fixed).
+//     LogHistograms merge exactly by bucket, and Welford accumulators
+//     merge deterministically (their combination is order-sensitive only
+//     in float rounding, and the order is fixed).
 //
 // Parallelism is therefore a pure wall-clock speedup, not a semantics
 // change: `-parallel 1` is the golden output of `-parallel N`.
@@ -35,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"urllcsim/internal/metrics"
 	"urllcsim/internal/obs"
 	"urllcsim/internal/sim"
 )
@@ -119,17 +117,6 @@ func runShard[R any](i int, job func(shard int) (R, error)) (r R, err error) {
 // obs.Registry.Merge). Nil shards — e.g. unobserved replicas — are skipped.
 func MergeRegistries(shards []*obs.Registry) *obs.Registry {
 	merged := obs.NewRegistry()
-	for _, s := range shards {
-		merged.Merge(s)
-	}
-	return merged
-}
-
-// MergeHistograms folds shard histograms into one fresh histogram with the
-// given geometry, in shard order. Shard histograms must share that geometry.
-// Nil shards are skipped.
-func MergeHistograms(max float64, bins int, shards []*metrics.Histogram) *metrics.Histogram {
-	merged := metrics.NewHistogram(max, bins)
 	for _, s := range shards {
 		merged.Merge(s)
 	}

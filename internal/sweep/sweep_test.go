@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"urllcsim/internal/metrics"
 	"urllcsim/internal/obs"
 	"urllcsim/internal/sim"
 )
@@ -79,63 +78,48 @@ func TestRunReturnsShardOrder(t *testing.T) {
 
 // shardWork simulates one shard's measurement load: everything below derives
 // only from the shard's Seed-ed RNG, as real sweep jobs must.
-func shardWork(shard int) (*obs.Registry, *metrics.Histogram) {
+func shardWork(shard int) *obs.Registry {
 	rng := sim.NewRNG(Seed(42, shard))
 	reg := obs.NewRegistry()
-	hist := metrics.NewHistogram(8, 32)
 	lat := reg.Timing("pkt.latency")
 	dist := sim.NewLogNormal(12, 0.5)
 	for i := 0; i < 400; i++ {
 		d := sim.Duration(dist.Draw(rng))
 		lat.Observe(d)
-		hist.AddDuration(d)
 		reg.Counter("pkt.offered").Inc()
 		if rng.Bernoulli(0.01) {
 			reg.Counter("pkt.lost").Inc()
 		}
 	}
 	reg.Gauge("queue.depth").Set(float64(rng.Intn(10)))
-	return reg, hist
+	return reg
 }
 
 // TestWorkerCountInvariance is the package's headline contract: merging the
-// shard results of a sweep yields bit-identical registries and histograms for
-// any worker count. The 1-worker run is the golden output; 2 and 8 workers
-// must reproduce it exactly (reflect.DeepEqual follows every unexported
-// field, including sample order and the pkt.latency timing's HDR pages).
+// shard registries of a sweep yields a bit-identical registry for any worker
+// count. The 1-worker run is the golden output; 2 and 8 workers must
+// reproduce it exactly (reflect.DeepEqual follows every unexported field,
+// the pkt.latency timing's HDR pages among them).
 func TestWorkerCountInvariance(t *testing.T) {
-	type out struct {
-		reg  *obs.Registry
-		hist *metrics.Histogram
-	}
 	const shards = 16
-	sweepOnce := func(workers int) out {
-		res, err := Run(workers, shards, func(shard int) (out, error) {
-			reg, hist := shardWork(shard)
-			return out{reg, hist}, nil
+	sweepOnce := func(workers int) *obs.Registry {
+		regs, err := Run(workers, shards, func(shard int) (*obs.Registry, error) {
+			return shardWork(shard), nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		regs := make([]*obs.Registry, shards)
-		hists := make([]*metrics.Histogram, shards)
-		for i, r := range res {
-			regs[i], hists[i] = r.reg, r.hist
-		}
-		return out{MergeRegistries(regs), MergeHistograms(8, 32, hists)}
+		return MergeRegistries(regs)
 	}
 	golden := sweepOnce(1)
-	if n := golden.reg.Counter("pkt.offered").Value(); n != shards*400 {
+	if n := golden.Counter("pkt.offered").Value(); n != shards*400 {
 		t.Fatalf("merged counter = %d, want %d", n, shards*400)
 	}
 	for _, workers := range []int{2, 8} {
 		got := sweepOnce(workers)
-		if !reflect.DeepEqual(golden.reg, got.reg) {
+		if !reflect.DeepEqual(golden, got) {
 			t.Errorf("%d workers: merged registry differs from sequential:\n-- 1 worker --\n%s-- %d workers --\n%s",
-				workers, golden.reg.Summary(), workers, got.reg.Summary())
-		}
-		if !reflect.DeepEqual(golden.hist, got.hist) {
-			t.Errorf("%d workers: merged histogram differs from sequential", workers)
+				workers, golden.Summary(), workers, got.Summary())
 		}
 	}
 }
@@ -146,7 +130,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestRunConcurrent(t *testing.T) {
 	var ran atomic.Int64
 	res, err := Run(8, 64, func(shard int) (int64, error) {
-		reg, _ := shardWork(shard)
+		reg := shardWork(shard)
 		ran.Add(1)
 		return reg.Counter("pkt.offered").Value(), nil
 	})

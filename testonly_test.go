@@ -11,9 +11,10 @@ import (
 	"testing"
 )
 
-// testOnlyAllowed lists the exported funcs and methods that non-test Go
-// names nowhere but in their declaration, each with the reason it stays. Anything else that only tests reach
-// is dead weight: delete it, or call it from the program.
+// testOnlyAllowed lists the exported funcs, methods, vars and types that
+// non-test Go names nowhere but in their declaration, each with the reason
+// it stays. Anything else that only tests reach is dead weight: delete it,
+// or call it from the program.
 var testOnlyAllowed = map[string]string{
 	// References: a simpler or independent computation a test compares the
 	// program's answer with.
@@ -48,11 +49,13 @@ var testOnlyAllowed = map[string]string{
 	"Stop":   "sim.Engine: stop after the current event, checked by the engine tests",
 }
 
-// TestNoTestOnlyExports fails when an exported func or method declared in
-// non-test Go (outside benchmark/, whose files count only as callers) is
-// named nowhere in non-test Go but in its own declaration. The scan is by
-// name: a method counts as called when any non-test file names a method or
-// func of that name.
+// TestNoTestOnlyExports fails when an exported func, method, package-level
+// var or type declared in non-test Go (outside benchmark/, whose files count
+// only as callers) is named nowhere in non-test Go but in its own
+// declaration. Consts are left out: an unused member of an iota enumeration
+// or a build-tag switch still documents its set. The scan is by name: a
+// method counts as called when any non-test file names anything of that
+// name.
 func TestNoTestOnlyExports(t *testing.T) {
 	var decls []string
 	named := map[string]bool{}
@@ -75,14 +78,30 @@ func TestNoTestOnlyExports(t *testing.T) {
 			return err
 		}
 		own := map[*ast.Ident]bool{}
-		for _, dd := range f.Decls {
-			fn, ok := dd.(*ast.FuncDecl)
-			if !ok {
-				continue
+		declare := func(id *ast.Ident) {
+			own[id] = true
+			if id.IsExported() && !strings.HasPrefix(path, "benchmark"+string(filepath.Separator)) {
+				decls = append(decls, id.Name)
 			}
-			own[fn.Name] = true
-			if fn.Name.IsExported() && !strings.HasPrefix(path, "benchmark"+string(filepath.Separator)) {
-				decls = append(decls, fn.Name.Name)
+		}
+		for _, dd := range f.Decls {
+			switch dd := dd.(type) {
+			case *ast.FuncDecl:
+				declare(dd.Name)
+			case *ast.GenDecl:
+				if dd.Tok != token.VAR && dd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range dd.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							declare(id)
+						}
+					case *ast.TypeSpec:
+						declare(spec.Name)
+					}
+				}
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
