@@ -208,36 +208,60 @@ func TestCellSweepWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestGrantFreeCellAllocs pins the allocations of one grant-free 128-UE
-// cell op (the benchmark's cell-grantfree workload at seed 1: 16 cycles of
-// 20 ms, 1 ms jitter, 12 contention units, 8-slot backoff) at exactly the
-// count it makes. Each op starts from a collected heap, as the benchmark's
-// ops do, so no collection runs inside it and the runtime's background
-// allocations stay out of the count; runtime.GC's own count is measured
-// alone and subtracted. The count repeats because nothing on the op's path
-// allocates by its map's random hash seed: the contention bookings, whose
-// delete and insert churn made a map grow one table more in some ops, are a
-// slice.
-func TestGrantFreeCellAllocs(t *testing.T) {
+// cellOpAllocs counts the allocations of one cell.Run op of cfg, every one
+// of whose offered packets must resolve. Each op starts from a collected
+// heap, as the benchmark's ops do, so no collection runs inside it and the
+// runtime's background allocations stay out of the count; runtime.GC's own
+// count is measured alone and subtracted. The count repeats because nothing
+// on the op's path allocates by a map's random hash seed.
+func cellOpAllocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race runtime allocates too; the exact pin runs without -race (make allocs)")
-	}
-	cfg := Config{
-		UEs: 128, Mode: ModeGrantFree, Cycles: 16, Period: 20 * time.Millisecond,
-		Jitter: time.Millisecond, CGUnits: 12, CGBackoffSlots: 8, Seed: 1,
 	}
 	op := func() {
 		runtime.GC()
 		res, err := Run(cfg)
-		if err != nil || res.Pending != 0 || res.Offered != 128*16 {
+		if err != nil || res.Pending != 0 || res.Offered != cfg.UEs*cfg.Cycles {
 			t.Fatalf("cell run: %+v, %v", res, err)
 		}
 	}
 	gc := testing.AllocsPerRun(3, runtime.GC)
-	// Measured: 6648 (6692 or 6694 before the bookings left the map and
-	// the Table 2 accumulators moved into the System).
-	const want = 6648
-	if got := testing.AllocsPerRun(5, op) - gc; got != want {
+	return testing.AllocsPerRun(5, op) - gc
+}
+
+// TestGrantFreeCellAllocs pins the allocations of one grant-free 128-UE
+// cell op (the benchmark's cell-grantfree workload at seed 1: 16 cycles of
+// 20 ms, 1 ms jitter, 12 contention units, 8-slot backoff) at exactly the
+// count it makes. The contention bookings, whose delete and insert churn
+// made a map grow one table more in some ops, are a slice.
+func TestGrantFreeCellAllocs(t *testing.T) {
+	got := cellOpAllocs(t, Config{
+		UEs: 128, Mode: ModeGrantFree, Cycles: 16, Period: 20 * time.Millisecond,
+		Jitter: time.Millisecond, CGUnits: 12, CGBackoffSlots: 8, Seed: 1,
+	})
+	// Measured: 756, about 0.37 per packet: the set-up, and one context
+	// chunk per 8 packets (6648 while every packet allocated its payload,
+	// its context and the context's bound handler; 6692 or 6694 before the
+	// bookings left the map and the Table 2 accumulators moved into the
+	// System).
+	const want = 756
+	if got != want {
 		t.Errorf("grant-free cell op: %v allocs, want %d", got, want)
+	}
+}
+
+// TestDynamicCellAllocs pins the allocations of one dynamic-grant 500-UE
+// cell op (the benchmark's cell-dynamic workload at seed 1: 4 cycles of
+// 20 ms, 1 ms jitter) at exactly the count it makes.
+func TestDynamicCellAllocs(t *testing.T) {
+	got := cellOpAllocs(t, Config{
+		UEs: 500, Cycles: 4, Period: 20 * time.Millisecond, Jitter: time.Millisecond, Seed: 1,
+	})
+	// Measured: 1043, about 0.52 per packet: the fleet's set-up, and
+	// one context chunk per 8 packets.
+	const want = 1043
+	if got != want {
+		t.Errorf("dynamic cell op: %v allocs, want %d", got, want)
 	}
 }

@@ -20,19 +20,6 @@ const (
 	InH
 )
 
-func (e Environment) String() string {
-	switch e {
-	case UMa:
-		return "UMa"
-	case UMi:
-		return "UMi"
-	case InH:
-		return "InH"
-	default:
-		return fmt.Sprintf("env(%d)", int(e))
-	}
-}
-
 // PathLossDB returns the LOS path loss in dB at the given 3D distance and
 // carrier frequency. Single-slope simplifications of TR 38.901 Table 7.4.1-1
 // (valid in the pre-breakpoint region the simulator's cell sizes live in):

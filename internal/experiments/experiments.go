@@ -157,12 +157,10 @@ func runTestbed(cfg node.Config, n int, uplink bool) (*node.System, error) {
 	rng := sim.NewRNG(cfg.Seed ^ 0xBEEF)
 	for i := 0; i < n; i++ {
 		at := sim.Time(int64(i) * int64(period)).Add(rng.UniformDuration(0, period))
-		payload := make([]byte, cfg.PayloadBytes)
-		payload[0], payload[1] = byte(i), byte(i>>8)
 		if uplink {
-			s.OfferUL(at, payload)
+			s.OfferUL(at, cfg.PayloadBytes)
 		} else {
-			s.OfferDL(at, payload)
+			s.OfferDL(at, cfg.PayloadBytes)
 		}
 	}
 	s.Eng.Run(sim.Time(int64(n+50) * int64(period)))

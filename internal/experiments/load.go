@@ -38,7 +38,7 @@ func Load(seed uint64, workers int) (string, error) {
 		for t < sim.Time(horizonMs*1_000_000) {
 			gap := sim.Duration(rng.Exponential(1e6 / perMs))
 			t = t.Add(gap)
-			s.OfferDL(t, make([]byte, 200))
+			s.OfferDL(t, 200)
 			n++
 		}
 		s.Eng.Run(sim.Time((horizonMs + 100) * 1_000_000))

@@ -6,9 +6,6 @@ func TestSchemeBasics(t *testing.T) {
 	if QPSK.BitsPerSymbol() != 2 || QAM256.BitsPerSymbol() != 8 {
 		t.Fatal("Qm wrong")
 	}
-	if !QAM64.Valid() || Scheme(3).Valid() {
-		t.Fatal("Valid wrong")
-	}
 	if QPSK.String() != "QPSK" || QAM16.String() != "16QAM" {
 		t.Fatal("String wrong")
 	}

@@ -20,15 +20,6 @@ const (
 // BitsPerSymbol returns Qm.
 func (s Scheme) BitsPerSymbol() int { return int(s) }
 
-// Valid reports whether s is a defined scheme.
-func (s Scheme) Valid() bool {
-	switch s {
-	case QPSK, QAM16, QAM64, QAM256:
-		return true
-	}
-	return false
-}
-
 func (s Scheme) String() string {
 	switch s {
 	case QPSK:

@@ -23,7 +23,7 @@ func TestULImpossibleOnDLOnlyGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OfferUL(0, make([]byte, 32))
+	s.OfferUL(0, 32)
 	s.Eng.Run(sim.Time(50_000_000))
 	rs := s.Results()
 	if len(rs) != 1 || rs[0].Delivered {
@@ -46,7 +46,7 @@ func TestDLStarvesOnULOnlyGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OfferDL(0, make([]byte, 32))
+	s.OfferDL(0, 32)
 	s.Eng.Run(sim.Time(20_000_000))
 	if len(s.Results()) != 0 {
 		t.Fatalf("DL resolved on a UL-only grid: %+v", s.Results())
@@ -63,7 +63,7 @@ func TestNilRadioHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		s.OfferUL(sim.Time(int64(i)*2_000_000+101), make([]byte, 32))
+		s.OfferUL(sim.Time(int64(i)*2_000_000+101), 32)
 	}
 	s.Eng.Run(sim.Time(100_000_000))
 	var idealSum float64
@@ -92,11 +92,11 @@ func TestPayloadDefaulting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A 1.5kB SDU (within one slot's ≈2.3kB capacity at MCS 10) delivers.
-	s.OfferDL(0, make([]byte, 1500))
+	s.OfferDL(0, 1500)
 	// An SDU exceeding the slot capacity can never be scheduled: the
 	// simulator does not split one SDU across slots (documented
 	// limitation), so it starves rather than delivering.
-	s.OfferDL(sim.Time(10_000_000), make([]byte, 4000))
+	s.OfferDL(sim.Time(10_000_000), 4000)
 	s.Eng.Run(sim.Time(100_000_000))
 	rs := s.Results()
 	if len(rs) != 1 || !rs[0].Delivered {
@@ -114,8 +114,8 @@ func TestNoRetransmissionBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		s.OfferUL(sim.Time(int64(i)*2_000_000), make([]byte, 32))
-		s.OfferDL(sim.Time(int64(i)*2_000_000+500_000), make([]byte, 32))
+		s.OfferUL(sim.Time(int64(i)*2_000_000), 32)
+		s.OfferDL(sim.Time(int64(i)*2_000_000+500_000), 32)
 	}
 	s.Eng.Run(sim.Time(200_000_000))
 	rs := s.Results()
@@ -162,7 +162,7 @@ func TestPersistentRadioMissTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OfferDL(0, make([]byte, 32))
+	s.OfferDL(0, 32)
 	s.Eng.Run(sim.Time(300_000_000))
 	rs := s.Results()
 	if len(rs) != 1 || rs[0].Delivered {

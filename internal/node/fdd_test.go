@@ -35,7 +35,7 @@ func TestFDDUplinkWorks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			s.OfferUL(sim.Time(int64(i)*1_000_000), make([]byte, 32))
+			s.OfferUL(sim.Time(int64(i)*1_000_000), 32)
 		}
 		s.Eng.Run(sim.Time(200_000_000))
 		rs := s.Results()
@@ -58,7 +58,7 @@ func TestFDDFasterThanTDD(t *testing.T) {
 		}
 		rng := sim.NewRNG(5)
 		for i := 0; i < 100; i++ {
-			s.OfferUL(sim.Time(int64(i)*2_000_000).Add(rng.UniformDuration(0, 2*sim.Millisecond)), make([]byte, 32))
+			s.OfferUL(sim.Time(int64(i)*2_000_000).Add(rng.UniformDuration(0, 2*sim.Millisecond)), 32)
 		}
 		s.Eng.Run(sim.Time(400_000_000))
 		var sum float64
@@ -109,8 +109,8 @@ func TestTickLeadEnablesZeroMargin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		s.OfferDL(sim.Time(int64(i)*500_000+77_000), make([]byte, 32))
-		s.OfferUL(sim.Time(int64(i)*500_000+211_000), make([]byte, 32))
+		s.OfferDL(sim.Time(int64(i)*500_000+77_000), 32)
+		s.OfferUL(sim.Time(int64(i)*500_000+211_000), 32)
 	}
 	s.Eng.Run(sim.Time(400_000_000))
 	if got := s.Counters().RadioMisses; got != 0 {
@@ -150,7 +150,7 @@ func TestTickLeadZeroIsBoundaryAligned(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 30; i++ {
-			s.OfferDL(sim.Time(int64(i)*2_000_000+333), make([]byte, 32))
+			s.OfferDL(sim.Time(int64(i)*2_000_000+333), 32)
 		}
 		s.Eng.Run(sim.Time(200_000_000))
 		var out []sim.Duration

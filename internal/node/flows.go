@@ -204,7 +204,7 @@ type rlcQ = stack.RLCQueued
 // stamp survives radio-miss requeues so RLC-q keeps measuring from first
 // entry.
 func rlcQueued(p *dlPacket) rlcQ {
-	return rlcQ{ID: p.id, Data: p.data, EnqueuedAt: p.enqueued}
+	return rlcQ{ID: p.id, Bytes: p.size, EnqueuedAt: p.enqueued}
 }
 
 // sample draws a gNB layer processing time and records it for Table 2.
@@ -255,18 +255,19 @@ func (s *System) record(r Result) {
 // ---------------------------------------------------------------------------
 
 // scheduleTick arms the one pending scheduling instant, for boundary b. The
-// ticker's handler is bound once, in NewSystem.
+// System is the ticker's handler.
 func (s *System) scheduleTick(b sim.Time) {
 	fire := b.Add(-s.cfg.TickLead)
 	if fire < s.Eng.Now() {
 		fire = s.Eng.Now()
 	}
 	s.tickAt = b
-	s.Eng.Schedule(fire, "gnb.tick", s.tickFire)
+	s.Eng.Schedule(fire, "gnb.tick", s)
 }
 
-// onTick is the ticker's handler: the scheduling instant for s.tickAt.
-func (s *System) onTick() { s.tick(s.tickAt) }
+// Fire implements sim.Handler for the gNB ticker: the scheduling instant
+// for s.tickAt.
+func (s *System) Fire() { s.tick(s.tickAt) }
 
 func (s *System) tick(b sim.Time) {
 	// Assemble the scheduler's view of the DL RLC queue, reusing last tick's
@@ -277,7 +278,7 @@ func (s *System) tick(b sim.Time) {
 		if p := s.dlItems[q.ID]; p != nil {
 			ue = p.ue
 		}
-		items = append(items, sched.DLItem{ID: q.ID, UE: ue, Bytes: len(q.Data), EnqueuedAt: q.EnqueuedAt})
+		items = append(items, sched.DLItem{ID: q.ID, UE: ue, Bytes: q.Bytes, EnqueuedAt: q.EnqueuedAt})
 	}
 	s.tickItems = items
 	s.h.rlcQueueDepth.Set(float64(len(items)))
@@ -376,7 +377,7 @@ func (s *System) stampSlot(b sim.Time, plan sched.Plan, queueDepth int) {
 // dlStep is the next engine event of a DL packet on its way from the UPF
 // (the "dl.offer" lane entry) into the gNB's RLC queue; from there on the
 // packet rides a transport-block context (dlTB). Like a UL packet it has at
-// most one event pending and one handler, bound when it arrives.
+// most one event pending and is its own handler.
 type dlStep uint8
 
 const (
@@ -390,11 +391,12 @@ var dlStepName = [...]string{dlGNBDown: "dl.gnb.down", dlEnqueue: "dl.enqueue"}
 // schedule arms the packet's next step at the given instant.
 func (p *dlPacket) schedule(at sim.Time, next dlStep) {
 	p.next = next
-	p.s.Eng.Schedule(at, dlStepName[next], p.fire)
+	p.s.Eng.Schedule(at, dlStepName[next], p)
 }
 
-// step runs the packet's pending event at the engine's clock.
-func (p *dlPacket) step() {
+// Fire implements sim.Handler: it runs the packet's pending event at the
+// engine's clock.
+func (p *dlPacket) Fire() {
 	s := p.s
 	now := s.Eng.Now()
 	switch p.next {
@@ -411,10 +413,10 @@ func (p *dlPacket) step() {
 	}
 }
 
-// OfferDL injects one DL application packet at the UPF at time at. The
-// result callback fires on delivery or loss.
-func (s *System) OfferDL(at sim.Time, payload []byte) int {
-	return s.OfferDLAs(0, at, payload)
+// OfferDL injects one DL application packet of size bytes at the UPF at
+// time at.
+func (s *System) OfferDL(at sim.Time, size int) int {
+	return s.OfferDLAs(0, at, size)
 }
 
 // OfferDLAs is OfferDL with the packet attributed to logical UE ue — label
@@ -422,10 +424,10 @@ func (s *System) OfferDL(at sim.Time, payload []byte) int {
 // unchanged by the attribution.
 //
 // The packet waits in the engine's arrival lane until dlArrive.
-func (s *System) OfferDLAs(ue int, at sim.Time, payload []byte) int {
+func (s *System) OfferDLAs(ue int, at sim.Time, size int) int {
 	id := s.nextID
 	s.nextID++
-	s.Eng.Arrive(at, sim.Arrival{Kind: arriveDL, ID: id, UE: ue, Payload: payload})
+	s.Eng.Arrive(at, sim.Arrival{Kind: arriveDL, ID: id, UE: ue, Size: size})
 	return id
 }
 
@@ -433,8 +435,8 @@ func (s *System) OfferDLAs(ue int, at sim.Time, payload []byte) int {
 // reaches the UPF; GTP-U encapsulation and N3 forwarding start.
 func (s *System) dlArrive(a sim.Arrival) {
 	now := s.Eng.Now()
-	p := &dlPacket{s: s, id: a.ID, ue: a.UE, data: a.Payload, offered: now}
-	p.fire = p.step
+	p := carve(&s.dlChunk)
+	*p = dlPacket{s: s, id: a.ID, ue: a.UE, size: a.Size, offered: now}
 	if s.dlItems == nil {
 		s.dlItems = map[int]*dlPacket{}
 	}
@@ -462,13 +464,12 @@ var tbStepName = [...]string{
 
 // dlTB is one DL transport block in flight, from the scheduling instant
 // that took its packets off the RLC queue to their delivery, loss or
-// requeue. Contexts are pooled (System.tbFree), each with its handler bound
-// once, so a steady-state block allocates nothing. A block has at most one
-// event pending.
+// requeue. Contexts are pooled (System.tbFree) and are their own handlers,
+// so a steady-state block allocates nothing. A block has at most one event
+// pending.
 type dlTB struct {
 	s    *System
 	next tbStep
-	fire func() // tb.step, bound once
 
 	ids    []int    // packets riding the block, in queue order
 	segs   []int    // RLC PDUs each packet's SDU became, in ids order
@@ -482,11 +483,12 @@ type dlTB struct {
 // schedule arms the block's next step at the given instant.
 func (tb *dlTB) schedule(at sim.Time, next tbStep) {
 	tb.next = next
-	tb.s.Eng.Schedule(at, tbStepName[next], tb.fire)
+	tb.s.Eng.Schedule(at, tbStepName[next], tb)
 }
 
-// step runs the block's pending event at the engine's clock.
-func (tb *dlTB) step() {
+// Fire implements sim.Handler: it runs the block's pending event at the
+// engine's clock.
+func (tb *dlTB) Fire() {
 	s := tb.s
 	switch tb.next {
 	case tbRadioMiss:
@@ -509,7 +511,6 @@ func (s *System) newTB(target sim.Time) *dlTB {
 		tb, s.tbFree = s.tbFree[n-1], s.tbFree[:n-1]
 	} else {
 		tb = &dlTB{s: s}
-		tb.fire = tb.step
 	}
 	tb.target = target
 	return tb
@@ -618,7 +619,7 @@ func (s *System) transmitDL(tb *dlTB) {
 		}
 		// Real data plane: SDAP → PDCP → RLC encode now (bytes prepared
 		// during the MAC/PHY processing charged above).
-		sdap := s.gnbSDAP.Encap(p.data)
+		sdap := s.gnbSDAP.Encap(s.stamp(p.id, p.ue, p.size))
 		pdcpPDU, err := s.gnbPDCP.Protect(sdap)
 		if err != nil {
 			s.finishDL(p, target, false)
@@ -767,11 +768,11 @@ func (s *System) dlDeliver(tb *dlTB) {
 }
 
 // dlDecode runs the received block through MAC↑…SDAP↑ and reports, per
-// packet of the block, whether that packet's own bytes came out. A packet
-// whose PDUs are dropped anywhere on the way gets false, so a drop never
-// shifts a later SDU onto another packet. It returns nil when the block
-// does not parse at all. The verdicts are System scratch, valid until the
-// next call.
+// packet of the block, whether that packet's own bytes, its stamp, came
+// out. A packet whose PDUs are dropped anywhere on the way gets false, so a
+// drop never shifts a later SDU onto another packet. It returns nil when
+// the block does not parse at all. The verdicts are System scratch, valid
+// until the next call.
 func (s *System) dlDecode(tb *dlTB) []bool {
 	payloads, err := s.ueMACRx.ParseTB(tb.rx)
 	if err != nil {
@@ -805,7 +806,7 @@ func (s *System) dlDecode(tb *dlTB) []bool {
 			if plain, err := s.uePDCPRx.Unprotect(sdu); err == nil {
 				if app, err := s.ueSDAPRx.Decap(plain); err == nil {
 					p := s.dlItems[id]
-					delivered = p != nil && bytes.Equal(app, p.data)
+					delivered = p != nil && bytes.Equal(app, s.stamp(p.id, p.ue, p.size))
 				}
 			}
 		}

@@ -9,6 +9,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 
 	"urllcsim/internal/channel"
 	"urllcsim/internal/core"
@@ -255,10 +256,15 @@ type System struct {
 	tickItems []sched.DLItem
 	takeBuf   []obs.SlotUETake
 
-	// The gNB ticker: the boundary of the one pending scheduling instant
-	// and its handler, bound once.
-	tickAt   sim.Time
-	tickFire func()
+	// tickAt is the boundary of the gNB ticker's one pending scheduling
+	// instant (the System is the ticker's handler).
+	tickAt sim.Time
+
+	// Packet contexts are carved from these chunks (carve), and app is the
+	// one buffer stamp writes application bytes into.
+	ulChunk []ulPacket
+	dlChunk []dlPacket
+	app     []byte
 
 	// DL data-plane workspaces: pooled transport-block contexts, and
 	// transmitDL's and dlDecode's per-block scratch.
@@ -279,12 +285,13 @@ type System struct {
 	pingByDL map[int]*pingCtx // reply's DL packet id → ping
 }
 
+// dlPacket tracks one DL packet from the UPF to the UE. Like ulPacket it
+// carries a size, and its bytes are stamped on each transmission.
 type dlPacket struct {
 	s        *System
-	fire     func() // p.step, bound once
 	id       int
-	ue       int    // logical UE this packet belongs to (attribution only)
-	data     []byte // application bytes
+	ue       int // logical UE this packet belongs to (attribution only)
+	size     int // application bytes
 	offered  sim.Time
 	enqueued sim.Time // RLC queue entry (RLC-q starts here)
 	attempts int
@@ -294,7 +301,7 @@ type dlPacket struct {
 }
 
 // Offered packets wait in the engine's arrival lane as {kind, id, ue,
-// payload} records; a packet's context is built only when it arrives.
+// size} records; a packet's context is built only when it arrives.
 const (
 	arriveUL uint8 = iota // at the UE (ulArrive)
 	arriveDL              // at the UPF (dlArrive)
@@ -310,6 +317,42 @@ func (s *System) Arrive(a sim.Arrival) {
 	} else {
 		s.dlArrive(a)
 	}
+}
+
+// ctxChunk is how many packet contexts one allocation holds.
+const ctxChunk = 8
+
+// carve returns the next zeroed context of *chunk, allocating a fresh chunk
+// of ctxChunk when it is used up. A context is never reused: the collector
+// frees a chunk once its last packet is unreachable, so a finished packet
+// needs no lifetime bookkeeping, and a resolution that reaches it late
+// still finds it done.
+func carve[T any](chunk *[]T) *T {
+	if len(*chunk) == 0 {
+		*chunk = make([]T, ctxChunk)
+	}
+	p := &(*chunk)[0]
+	*chunk = (*chunk)[1:]
+	return p
+}
+
+// stamp writes the application bytes of packet id, attributed to UE ue,
+// into the System's one buffer and returns them: size bytes that are a pure
+// function of (id, ue, size), so a packet carries only its size, and the
+// receive side checks the bytes it decodes against the stamp of the packet
+// they are credited to. The bytes are valid until the next stamp.
+func (s *System) stamp(id, ue, size int) []byte {
+	b := slices.Grow(s.app[:0], size)[:size]
+	key := sim.SplitMix64(uint64(id)) ^ uint64(ue)
+	var w uint64
+	for i := range b {
+		if i%8 == 0 {
+			w = sim.SplitMix64(key + uint64(i))
+		}
+		b[i] = byte(w >> (8 * (i % 8)))
+	}
+	s.app = b
+	return b
 }
 
 // NewSystem builds a system from the config.
@@ -388,7 +431,6 @@ func NewSystem(cfg Config) (*System, error) {
 	s.phyDL = stack.NewPHY(mcs, cfg.Channel, rng.Fork(1))
 	s.phyUL = stack.NewPHY(mcs, cfg.Channel, rng.Fork(2))
 	s.Eng.HandleArrivals(s, arrivalName)
-	s.tickFire = s.onTick
 	s.scheduleTick(s.cfg.Grid.NextSchedBoundary(-1))
 	return s, nil
 }

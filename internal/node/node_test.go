@@ -1,7 +1,6 @@
 package node
 
 import (
-	"bytes"
 	"runtime"
 	"slices"
 	"testing"
@@ -50,12 +49,10 @@ func runPackets(t *testing.T, cfg Config, n int, uplink bool) *System {
 	rng := sim.NewRNG(cfg.Seed + 7)
 	for i := 0; i < n; i++ {
 		at := sim.Time(int64(i) * int64(period)).Add(rng.UniformDuration(0, period))
-		payload := make([]byte, cfg.PayloadBytes)
-		payload[0] = byte(i)
 		if uplink {
-			s.OfferUL(at, payload)
+			s.OfferUL(at, cfg.PayloadBytes)
 		} else {
-			s.OfferDL(at, payload)
+			s.OfferDL(at, cfg.PayloadBytes)
 		}
 	}
 	s.Eng.Run(sim.Time(int64(n+40) * int64(period)))
@@ -163,7 +160,7 @@ func TestRadioMissWithZeroMargin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		s.OfferDL(sim.Time(int64(i)*2_000_000), make([]byte, 32))
+		s.OfferDL(sim.Time(int64(i)*2_000_000), 32)
 	}
 	s.Eng.Run(sim.Time(200_000_000))
 	if s.Counters().RadioMisses == 0 {
@@ -190,7 +187,7 @@ func TestPHYLossesOnBadChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		s.OfferUL(sim.Time(int64(i)*2_000_000), make([]byte, 32))
+		s.OfferUL(sim.Time(int64(i)*2_000_000), 32)
 	}
 	s.Eng.Run(sim.Time(500_000_000))
 	if s.Counters().PHYLosses == 0 {
@@ -341,9 +338,12 @@ func allocsPerPkt(t *testing.T, horizon sim.Time, offer func() (*System, int)) (
 
 // TestPacketAllocs pins the per-packet allocation cost of the simulator
 // with observability off: building a testbed system, offering 100 UL and
-// 100 DL packets and running it to completion. Each packet allocates its
-// payload, its context and the context's bound event handler; the codecs,
-// events, PHY copies and scheduler plans reuse scratch.
+// 100 DL packets and running it to completion. A packet allocates nothing
+// of its own: its context is carved from a chunk of ctxChunk (one
+// allocation per 8 packets and direction), it is its own event handler,
+// and its bytes are stamped into System scratch; the codecs, events, PHY
+// copies and scheduler plans reuse scratch. The rest is the system's
+// set-up.
 func TestPacketAllocs(t *testing.T) {
 	cfg := testbedConfig(t, false, 5)
 	period := cfg.Grid.Period()
@@ -355,15 +355,17 @@ func TestPacketAllocs(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			at := sim.Time(int64(i) * int64(period))
-			s.OfferUL(at, make([]byte, cfg.PayloadBytes))
-			s.OfferDL(at.Add(period/2), make([]byte, cfg.PayloadBytes))
+			s.OfferUL(at, cfg.PayloadBytes)
+			s.OfferDL(at.Add(period/2), cfg.PayloadBytes)
 		}
 		return s, 2 * n
 	})
-	// Measured: 3.575 allocs/pkt, identical on every run for this seed (3.58
-	// before the scheduler's UL bookings moved from a map into a slice, 3.62
-	// before the Table 2 accumulators moved from a map into the System).
-	const bound = 3.575
+	// Measured: 0.6900 allocs/pkt, identical on every run for this seed
+	// (3.575 while each packet allocated its payload, its context and the
+	// context's bound handler, 3.58 before the scheduler's UL bookings moved
+	// from a map into a slice, 3.62 before the Table 2 accumulators moved
+	// from a map into the System).
+	const bound = 0.6900
 	if perPkt > bound {
 		t.Fatalf("%.4f allocs/pkt, want ≤ %.4f", perPkt, bound)
 	}
@@ -384,8 +386,8 @@ func TestTestbedPoolAllocs(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		at := sim.Time(int64(i) * int64(period))
-		s.OfferUL(at, make([]byte, cfg.PayloadBytes))
-		s.OfferDL(at.Add(period/2), make([]byte, cfg.PayloadBytes))
+		s.OfferUL(at, cfg.PayloadBytes)
+		s.OfferDL(at.Add(period/2), cfg.PayloadBytes)
 	}
 	if s.Eng.Pending() < 2*n {
 		t.Fatalf("Pending = %d after offering, want ≥ %d (every offer queued)", s.Eng.Pending(), 2*n)
@@ -426,7 +428,7 @@ func cellAllocsPerPkt(t *testing.T, rec func() *obs.Recorder) (allocs, bytes flo
 		for c := 0; c < cycles; c++ {
 			for ue := 0; ue < ues; ue++ {
 				at := sim.Time(int64(c)*int64(cycle) + int64(ue)*int64(cycle)/ues + 137*int64(sim.Microsecond))
-				s.OfferULAs(ue, at, make([]byte, cfg.PayloadBytes))
+				s.OfferULAs(ue, at, cfg.PayloadBytes)
 			}
 		}
 		return s, ues * cycles
@@ -438,11 +440,12 @@ func cellAllocsPerPkt(t *testing.T, rec func() *obs.Recorder) (allocs, bytes flo
 // scratch carry the load.
 func TestCellPacketAllocs(t *testing.T) {
 	perPkt, _ := cellAllocsPerPkt(t, func() *obs.Recorder { return nil })
-	// Measured: 3.3600 allocs/pkt, identical on every run for this seed
-	// (3.3625 before the scheduler's UL bookings moved from a map into a
-	// slice, 3.3825 before the Table 2 accumulators moved from a map into
-	// the System).
-	const bound = 3.3600
+	// Measured: 0.4825 allocs/pkt, identical on every run for this seed
+	// (3.3600 while each packet allocated its payload, its context and the
+	// context's bound handler, 3.3625 before the scheduler's UL bookings
+	// moved from a map into a slice, 3.3825 before the Table 2 accumulators
+	// moved from a map into the System).
+	const bound = 0.4825
 	if perPkt > bound {
 		t.Fatalf("%.4f allocs/pkt, want ≤ %.4f", perPkt, bound)
 	}
@@ -458,18 +461,20 @@ func TestCellTracedPacketAllocs(t *testing.T) {
 		rec.EnableSlotLedger()
 		return rec
 	})
-	// Measured: 6.1550 allocs/pkt and 3472.25 B/pkt in most runs (6.1600
-	// and 3472.42 before the scheduler's UL bookings moved from a map into a
-	// slice, 6.1800 and 3472.58 before the Table 2 accumulators moved from a
-	// map into the System, 6.3800 and 4962.78 before timings dropped the fixed-bin
-	// histogram and kept their buckets in pages, 6.3825 and 7114.86 before
+	// Measured: 3.2800 allocs/pkt and 3390.44 B/pkt in most runs (6.1550
+	// and 3472.25 while each packet allocated its payload, its context and
+	// the context's bound handler, 6.1600 and 3472.42 before the scheduler's
+	// UL bookings moved from a map into a slice, 6.1800 and 3472.58 before
+	// the Table 2 accumulators moved from a map into the System, 6.3800 and
+	// 4962.78 before timings dropped the fixed-bin histogram and kept their
+	// buckets in pages, 6.3825 and 7114.86 before
 	// the recorder logged in blocks, 7.4475 and 8304.6 before per-UE
 	// histograms started sparse, 6.3850 and 7136.74 before offers waited in
 	// the arrival lane). Every map draws its own hash seed, so in some runs a map grows
 	// a table more: up to 8 allocations and 0.9 KB more in 400 runs seen.
 	// The bounds allow 6 allocations and 0.9 KB per run of that on
 	// average; one allocation more per packet is 400 per run.
-	const bound, bytesBound = 6.1675, 3474.8
+	const bound, bytesBound = 3.2925, 3393.0
 	if perPkt > bound || bytesPerPkt > bytesBound {
 		t.Fatalf("%.4f allocs/pkt and %.2f B/pkt, want ≤ %.4f and ≤ %.2f", perPkt, bytesPerPkt, bound, bytesBound)
 	}
@@ -489,7 +494,7 @@ func TestRTKernelReducesMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 300; i++ {
-			s.OfferDL(sim.Time(int64(i)*2_000_000+123), make([]byte, 32))
+			s.OfferDL(sim.Time(int64(i)*2_000_000+123), 32)
 		}
 		s.Eng.Run(sim.Time(800_000_000))
 		return s.Counters().RadioMisses
@@ -538,7 +543,7 @@ func TestHARQFeedbackSlowsRetransmission(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {
-			s.OfferDL(sim.Time(int64(i)*2_000_000+331_000), make([]byte, 32))
+			s.OfferDL(sim.Time(int64(i)*2_000_000+331_000), 32)
 		}
 		s.Eng.Run(sim.Time(800_000_000))
 		var sum float64
@@ -570,8 +575,9 @@ func TestHARQFeedbackSlowsRetransmission(t *testing.T) {
 // integrity check, loses that packet alone: the other two are delivered,
 // each checked against its own bytes. Pairing the surviving SDUs with the
 // block's packets by index would instead credit the second SDU to the first
-// packet and lose the third. Distinct payloads also catch transmitDL
-// handing the MAC PDUs that alias the RLC entity's reused scratch.
+// packet and lose the third. The packets' stamped bytes differ, so this
+// also catches transmitDL handing the MAC PDUs that alias the RLC entity's
+// reused scratch.
 func TestDLDropDoesNotShiftDelivery(t *testing.T) {
 	cfg := testbedConfig(t, false, 21)
 	s, err := NewSystem(cfg)
@@ -580,7 +586,7 @@ func TestDLDropDoesNotShiftDelivery(t *testing.T) {
 	}
 	ids := make([]int, 3)
 	for i := range ids {
-		ids[i] = s.OfferDL(0, bytes.Repeat([]byte{byte('a' + i)}, cfg.PayloadBytes))
+		ids[i] = s.OfferDL(0, cfg.PayloadBytes)
 	}
 	// Step until all three wait in the gNB's RLC queue.
 	for s.gnbRLC.QueueLen() < 3 {

@@ -1,9 +1,6 @@
 package node
 
-import (
-	"urllcsim/internal/pdu"
-	"urllcsim/internal/sim"
-)
+import "urllcsim/internal/sim"
 
 // PingResult is the outcome of one full echo round trip (§3's "journey of a
 // ping request"): UE → gNB → UPF → server, reply back down to the UE.
@@ -24,26 +21,22 @@ type pingCtx struct {
 	res     PingResult
 }
 
-// OfferPing injects an echo request at the UE at time at. The echo server
-// behind the UPF replies after turnaround. Results are retrievable via
-// PingResults after the run.
+// echoBytes is the smallest echo message: a reply flag, ID, sequence
+// number and the sender's timestamp. A request is at least this size, and
+// a reply is exactly this size.
+const echoBytes = 13
+
+// OfferPing injects an echo request of size bytes at the UE at time at.
+// The echo server behind the UPF replies after turnaround. Results are
+// retrievable via PingResults after the run.
 func (s *System) OfferPing(at sim.Time, size int, turnaround sim.Duration) int {
-	if size < 13 {
-		size = 13
-	}
 	id := len(s.pings)
 	ctx := &pingCtx{sentAt: at, turning: turnaround, res: PingResult{ID: id}}
 	s.pings = append(s.pings, ctx)
-
-	req := pdu.Echo{ID: uint16(id), Seq: 1, SentNs: int64(at), Size: size}
-	payload, err := req.Append(nil)
-	if err != nil {
-		return -1
-	}
 	if s.pingByUL == nil {
 		s.pingByUL = map[int]*pingCtx{}
 	}
-	s.pingByUL[s.OfferUL(at, payload)] = ctx
+	s.pingByUL[s.OfferUL(at, max(size, echoBytes))] = ctx
 	return id
 }
 
@@ -65,15 +58,10 @@ func (s *System) onULDelivered(ulID int, at sim.Time, ok bool) {
 		return
 	}
 	ctx.res.ULLatency = at.Sub(ctx.sentAt)
-	reply := pdu.Echo{ID: uint16(ctx.res.ID), Seq: 1, SentNs: int64(ctx.sentAt), Reply: true, Size: 13}
-	payload, err := reply.Append(nil)
-	if err != nil {
-		return
-	}
 	if s.pingByDL == nil {
 		s.pingByDL = map[int]*pingCtx{}
 	}
-	s.pingByDL[s.OfferDL(at.Add(ctx.turning), payload)] = ctx
+	s.pingByDL[s.OfferDL(at.Add(ctx.turning), echoBytes)] = ctx
 }
 
 // onDLDelivered completes a ping when its reply, DL packet dlID, reaches

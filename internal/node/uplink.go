@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"slices"
 
 	"urllcsim/internal/core"
 	"urllcsim/internal/nr"
@@ -16,8 +17,8 @@ const ulKind = nr.SymUL
 
 // ulStep is the next engine event of a UL packet's journey after its
 // arrival (the "ul.offer" lane entry). A packet has at most one event
-// pending, so one field names it, and the packet's handler, bound once when
-// it arrives, dispatches on it.
+// pending, so one field names it, and the packet, its own handler,
+// dispatches on it.
 type ulStep uint8
 
 const (
@@ -34,13 +35,13 @@ var ulStepName = [...]string{
 	ulGrant: "ul.grant", ulRx: "ul.rx", ulDeliver: "ul.deliver",
 }
 
-// ulPacket tracks one UL packet through SR/grant/transmission.
+// ulPacket tracks one UL packet through SR/grant/transmission. Its
+// application bytes are stamp(id, ue, size), written on each transmission.
 type ulPacket struct {
 	s        *System
-	fire     func() // p.step, bound once
 	id       int
 	ue       int // logical UE this packet belongs to (attribution only)
-	data     []byte
+	size     int // application bytes
 	offered  sim.Time
 	ready    sim.Time // UE stack done, data in UE RLC queue
 	srRecvAt sim.Time // gNB finished decoding this packet's SR
@@ -67,12 +68,12 @@ type ulPacket struct {
 // schedule arms the packet's next step at the given instant.
 func (p *ulPacket) schedule(at sim.Time, next ulStep) {
 	p.next = next
-	p.s.Eng.Schedule(at, ulStepName[next], p.fire)
+	p.s.Eng.Schedule(at, ulStepName[next], p)
 }
 
-// step runs the packet's pending event. Each case's instant is the engine's
-// clock, the time the step was scheduled for.
-func (p *ulPacket) step() {
+// Fire implements sim.Handler: it runs the packet's pending event. Each
+// case's instant is the engine's clock, the time the step was scheduled for.
+func (p *ulPacket) Fire() {
 	s := p.s
 	switch p.next {
 	case ulReady:
@@ -84,7 +85,7 @@ func (p *ulPacket) step() {
 	case ulSRRecv:
 		p.srRecvAt = s.Eng.Now()
 		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeSRReceived, Time: p.srRecvAt})
-		s.sch.OnSR(sched.SRRequest{UE: p.ue, RecvAt: p.srRecvAt, Bytes: len(p.data) + 64})
+		s.sch.OnSR(sched.SRRequest{UE: p.ue, RecvAt: p.srRecvAt, Bytes: p.size + 64})
 		s.pendingSRPackets = append(s.pendingSRPackets, p)
 	case ulGrant:
 		haveGrant := s.Eng.Now()
@@ -98,9 +99,10 @@ func (p *ulPacket) step() {
 	}
 }
 
-// OfferUL injects one UL application packet at the UE at time at.
-func (s *System) OfferUL(at sim.Time, payload []byte) int {
-	return s.OfferULAs(0, at, payload)
+// OfferUL injects one UL application packet of size bytes at the UE at
+// time at.
+func (s *System) OfferUL(at sim.Time, size int) int {
+	return s.OfferULAs(0, at, size)
 }
 
 // OfferULAs is OfferUL with the packet attributed to logical UE ue. The UE
@@ -109,10 +111,10 @@ func (s *System) OfferUL(at sim.Time, payload []byte) int {
 // so a run's aggregate results are identical however packets are attributed.
 //
 // The packet waits in the engine's arrival lane until ulArrive.
-func (s *System) OfferULAs(ue int, at sim.Time, payload []byte) int {
+func (s *System) OfferULAs(ue int, at sim.Time, size int) int {
 	id := s.nextID
 	s.nextID++
-	s.Eng.Arrive(at, sim.Arrival{Kind: arriveUL, ID: id, UE: ue, Payload: payload})
+	s.Eng.Arrive(at, sim.Arrival{Kind: arriveUL, ID: id, UE: ue, Size: size})
 	return id
 }
 
@@ -120,8 +122,8 @@ func (s *System) OfferULAs(ue int, at sim.Time, payload []byte) int {
 // ① UE APP↓ (SDAP/PDCP/RLC processing) runs before the MAC can act.
 func (s *System) ulArrive(a sim.Arrival) {
 	now := s.Eng.Now()
-	p := &ulPacket{s: s, id: a.ID, ue: a.UE, data: a.Payload, offered: now, cgUnit: -1}
-	p.fire = p.step
+	p := carve(&s.ulChunk)
+	*p = ulPacket{s: s, id: a.ID, ue: a.UE, size: a.Size, offered: now, cgUnit: -1}
 	d := s.sampleUE(proc.LayerSDAP) + s.sampleUE(proc.LayerPDCP) + s.sampleUE(proc.LayerRLC)
 	s.seg(&p.by, p.id, obs.DirUL, obs.LayerStack, "① UE APP↓", core.Processing, now, d)
 	p.ready = now.Add(d)
@@ -174,7 +176,9 @@ func (s *System) deliverGrant(targetDL sim.Time, g sched.Grant) {
 		return
 	}
 	p := s.pendingSRPackets[idx]
-	s.pendingSRPackets = append(s.pendingSRPackets[:idx], s.pendingSRPackets[idx+1:]...)
+	// slices.Delete clears the vacated tail slot, so the backing array
+	// keeps no finished packet (and its context chunk) reachable.
+	s.pendingSRPackets = slices.Delete(s.pendingSRPackets, idx, idx+1)
 	s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirUL, Kind: obs.EdgeGrantIssued,
 		Time: s.Eng.Now(), Ref: g.SlotStart, Arg: int64(s.Eng.Now().Sub(p.srRecvAt))})
 	sym := s.cfg.Grid.Mu.SymbolDuration()
@@ -331,7 +335,7 @@ func (s *System) ulTransmitAt(p *ulPacket, slotStart, from sim.Time) {
 		return
 	}
 	// Real data plane, prepared before the slot.
-	sdap := s.ueSDAP.Encap(p.data)
+	sdap := s.ueSDAP.Encap(s.stamp(p.id, p.ue, p.size))
 	pdcpPDU, err := s.uePDCP.Protect(sdap)
 	if err != nil {
 		s.finishUL(p, slotStart, false)
@@ -449,9 +453,9 @@ func (s *System) ulDeliver(p *ulPacket) {
 }
 
 // ulDecode runs the received TB through MAC↑…SDAP↑ and the GTP-U tunnel and
-// reports whether the packet's bytes reached the UPF. Every intermediate
-// result aliases an entity's scratch, so each is consumed before the next
-// call to the same entity.
+// reports whether the packet's own bytes, its stamp, reached the UPF. Every
+// intermediate result aliases an entity's scratch, so each is consumed
+// before the next call to the same entity.
 func (s *System) ulDecode(p *ulPacket) bool {
 	payloads, err := s.gnbMACRx.ParseTB(p.rx)
 	if err != nil {
@@ -484,7 +488,7 @@ func (s *System) ulDecode(p *ulPacket) bool {
 		if err != nil {
 			continue
 		}
-		if bytes.Equal(ip, p.data) {
+		if bytes.Equal(ip, s.stamp(p.id, p.ue, p.size)) {
 			ok = true
 		}
 	}

@@ -285,11 +285,6 @@ func (g *Grid) RunOfKind(i int64, k SymbolKind) int {
 	return run
 }
 
-// SlotStart returns the start of the slot containing t.
-func (g *Grid) SlotStart(t sim.Time) sim.Time {
-	return sim.Time(floorDiv(int64(t), g.slotNs) * g.slotNs)
-}
-
 // NextULSlot returns the start of the first slot at or after t that contains
 // UL (or flexible) symbols; false if the grid has none.
 func (g *Grid) NextULSlot(t sim.Time) (sim.Time, bool) {

@@ -165,9 +165,6 @@ func compareAt(g *nr.Grid, w walk, t sim.Time) error {
 	if got, want := g.NextSchedBoundary(t), w.nextSchedBoundary(t); got != want {
 		return fmt.Errorf("NextSchedBoundary(%d) = %d, walk %d", t, got, want)
 	}
-	if got, want := g.SlotStart(t), w.slotStart(t); got != want {
-		return fmt.Errorf("SlotStart(%d) = %d, walk %d", t, got, want)
-	}
 	gs, gok := g.NextULSlot(t)
 	ws, wok := w.nextULSlot(t)
 	if gs != ws || gok != wok {

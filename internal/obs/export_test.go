@@ -179,7 +179,7 @@ func abs(v int64) int64 {
 
 func TestWriteSnapshotsCSV(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("a").Inc()
+	reg.Counter("a").Add(1)
 	reg.Snapshot(sim.Time(1000))
 	reg.Counter("b").Add(9)
 	reg.Gauge("g").Set(1.5)

@@ -187,9 +187,6 @@ func New(cfg Config) *Recorder {
 	}
 }
 
-// Config returns the recorder's resolved configuration.
-func (r *Recorder) Config() Config { return r.cfg }
-
 // obtain returns the track for packet id, creating (and ring-evicting) as
 // needed.
 func (r *Recorder) obtain(id int, dir obs.Dir) *track {

@@ -76,7 +76,7 @@ func TestEngineSinkAndLegacyTracer(t *testing.T) {
 func TestRegistryGetOrCreate(t *testing.T) {
 	reg := NewRegistry()
 	c1 := reg.Counter("x")
-	c1.Inc()
+	c1.Add(1)
 	c1.Add(2)
 	if c2 := reg.Counter("x"); c2 != c1 || c2.Value() != 3 {
 		t.Fatalf("counter not shared: %v %v", c1, c2)
@@ -104,7 +104,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 // corrupt earlier snapshots, and later snapshots carry the new columns.
 func TestSnapshotsAreRaggedSafe(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("a").Inc()
+	reg.Counter("a").Add(1)
 	reg.Snapshot(sim.Time(1000))
 	reg.Counter("b").Add(5)
 	reg.Gauge("g").Set(2.5)

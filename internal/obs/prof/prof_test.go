@@ -18,11 +18,11 @@ func toyRun(t *testing.T) (*sim.Engine, *Report) {
 	eng := sim.NewEngine()
 	p := Attach(eng)
 	for i := 0; i < 10; i++ {
-		eng.Schedule(sim.Time(i*1000), "tick", func() {})
+		eng.Schedule(sim.Time(i*1000), "tick", sim.Func(func() {}))
 	}
-	eng.Schedule(sim.Time(2500), "spawn", func() {
+	eng.Schedule(sim.Time(2500), "spawn", sim.Func(func() {
 		eng.After(sim.Microsecond, "child", func() {})
-	})
+	}))
 	eng.RunAll()
 	return eng, p.Finish()
 }
@@ -101,7 +101,7 @@ func TestReportSharesSortedAndNormalised(t *testing.T) {
 func TestFinishIdempotentAndDetaches(t *testing.T) {
 	eng := sim.NewEngine()
 	p := Attach(eng)
-	eng.Schedule(0, "a", func() {})
+	eng.Schedule(0, "a", sim.Func(func() {}))
 	eng.RunAll()
 	r1 := p.Finish()
 	r2 := p.Finish()
@@ -118,8 +118,8 @@ func TestAttachWrapsExistingSink(t *testing.T) {
 	var seen []string
 	eng.Sink = obs.TracerFunc(func(_ sim.Time, name string) { seen = append(seen, name) })
 	p := Attach(eng)
-	eng.Schedule(0, "a", func() {})
-	eng.Schedule(1000, "b", func() {})
+	eng.Schedule(0, "a", sim.Func(func() {}))
+	eng.Schedule(1000, "b", sim.Func(func() {}))
 	eng.RunAll()
 	p.Finish()
 	if len(seen) != 2 || seen[0] != "a" || seen[1] != "b" {
@@ -199,11 +199,11 @@ func meterRun(t *testing.T) *Report {
 	p.MeterObs(rec)
 	for i := 0; i < 10; i++ {
 		i := i
-		eng.Schedule(sim.Time(i*1000), "tick", func() {
+		eng.Schedule(sim.Time(i*1000), "tick", sim.Func(func() {
 			rec.Count("toy.ticks", 1)
 			rec.Observe("toy.lat", sim.Duration(i)*sim.Microsecond)
 			rec.PacketSpan(i, obs.DirUL, obs.LayerMAC, "tx", 0, eng.Now(), sim.Microsecond)
-		})
+		}))
 	}
 	eng.RunAll()
 	return p.Finish()

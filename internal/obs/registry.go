@@ -15,9 +15,6 @@ type Counter struct {
 	v    int64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
 // Add adds delta.
 func (c *Counter) Add(delta int64) { c.v += delta }
 

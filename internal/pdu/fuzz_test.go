@@ -130,17 +130,3 @@ func FuzzDecodePDCP(f *testing.F) {
 		}
 	})
 }
-
-func FuzzDecodeEcho(f *testing.F) {
-	seed, _ := (Echo{ID: 1, Seq: 2, SentNs: 3}).Append(nil)
-	f.Add(seed)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := DecodeEcho(data)
-		if err != nil {
-			return
-		}
-		if enc := checkAppend(t, e.Append); len(enc) != len(data) {
-			t.Fatalf("echo size not preserved: %d vs %d", len(enc), len(data))
-		}
-	})
-}

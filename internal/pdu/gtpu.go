@@ -61,51 +61,3 @@ func DecodeGTPU(buf []byte) (GTPUHeader, []byte, error) {
 	h.TEID = binary.BigEndian.Uint32(buf[4:])
 	return h, buf[gtpuHdrBytes:], nil
 }
-
-// Echo is the simulator's ping payload (an ICMP-echo stand-in): ID,
-// sequence number and the sender's virtual-time timestamp, padded to Size.
-type Echo struct {
-	ID     uint16
-	Seq    uint16
-	SentNs int64
-	Reply  bool
-	Size   int // total encoded size; 0 → minimum (13 bytes)
-}
-
-const echoMinBytes = 13
-
-// Append appends the encoded echo message to dst and returns the extended
-// slice. On error dst is returned as it was.
-func (e Echo) Append(dst []byte) ([]byte, error) {
-	size := e.Size
-	if size == 0 {
-		size = echoMinBytes
-	}
-	if size < echoMinBytes {
-		return dst, fmt.Errorf("pdu: echo size %d below %d minimum", size, echoMinBytes)
-	}
-	dst = grow(dst, size)
-	var reply byte
-	if e.Reply {
-		reply = 1
-	}
-	dst = append(dst, reply)
-	dst = binary.BigEndian.AppendUint16(dst, e.ID)
-	dst = binary.BigEndian.AppendUint16(dst, e.Seq)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(e.SentNs))
-	return append(dst, make([]byte, size-echoMinBytes)...), nil
-}
-
-// DecodeEcho parses an echo message.
-func DecodeEcho(buf []byte) (Echo, error) {
-	var e Echo
-	if len(buf) < echoMinBytes {
-		return e, fmt.Errorf("pdu: echo %dB too short", len(buf))
-	}
-	e.Reply = buf[0] == 1
-	e.ID = binary.BigEndian.Uint16(buf[1:])
-	e.Seq = binary.BigEndian.Uint16(buf[3:])
-	e.SentNs = int64(binary.BigEndian.Uint64(buf[5:]))
-	e.Size = len(buf)
-	return e, nil
-}

@@ -328,24 +328,6 @@ func TestGTPUErrors(t *testing.T) {
 	}
 }
 
-func TestEchoRoundTrip(t *testing.T) {
-	e := Echo{ID: 7, Seq: 99, SentNs: 123456789, Reply: true, Size: 64}
-	enc, err := e.Append(nil)
-	if err != nil || len(enc) != 64 {
-		t.Fatalf("echo encode: %d %v", len(enc), err)
-	}
-	got, err := DecodeEcho(enc)
-	if err != nil || got.ID != 7 || got.Seq != 99 || got.SentNs != 123456789 || !got.Reply || got.Size != 64 {
-		t.Fatalf("echo round trip: %+v %v", got, err)
-	}
-	if _, err := (Echo{Size: 5}).Append(nil); err == nil {
-		t.Fatal("undersized echo accepted")
-	}
-	if _, err := DecodeEcho(make([]byte, 4)); err == nil {
-		t.Fatal("short echo accepted")
-	}
-}
-
 // Property: the full UL header chain (SDAP→PDCP→RLC→MAC) round-trips and
 // its overhead is exactly the sum of the individual headers.
 func TestPropertyFullHeaderChain(t *testing.T) {

@@ -131,9 +131,6 @@ func (p *Profile) Sample(l Layer, nUEs int, rng *sim.RNG) sim.Duration {
 	return d
 }
 
-// Dist returns the configured distribution of a layer.
-func (p *Profile) Dist(l Layer) Dist { return p.Dists[l] }
-
 // GNBTable2Profile returns the gNB processing profile with the measured
 // means and standard deviations of the paper's Table 2 (µs): SDAP 4.65/6.71,
 // PDCP 8.29/8.99, RLC 4.12/8.37, MAC 55.21/16.31, PHY 41.55/10.83.

@@ -55,7 +55,7 @@ func TestLogNormalMatchesTable2(t *testing.T) {
 		LayerPHY:  {41.55, 10.83},
 	}
 	for l, w := range want {
-		d := p.Dist(l)
+		d := p.Dists[l]
 		mean, std := moments(t, d.Sample, 300000)
 		if math.Abs(mean-w[0])/w[0] > 0.03 {
 			t.Errorf("%v mean = %.2fµs, want %.2f", l, mean, w[0])

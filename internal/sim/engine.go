@@ -10,6 +10,20 @@ type EngineSink interface {
 	EngineEvent(t Time, name string)
 }
 
+// Handler is a scheduled event's callback. Model contexts (a packet, a
+// transport block, the gNB ticker) implement it themselves, so scheduling
+// one stores the context in the event node and allocates nothing.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts a plain function to Handler. A func value is pointer-shaped,
+// so the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Engine is the discrete-event simulation core. It is not safe for concurrent
 // use: a simulation is a single logical thread of control, and all model code
 // runs inside event callbacks.
@@ -100,24 +114,24 @@ func (e *Engine) alloc() *node {
 	return n
 }
 
-// recycle returns a fired node to the freelist. The callback and name are
-// dropped so the pool retains no closures.
+// recycle returns a fired node to the freelist. The handler and name are
+// dropped so the pool retains no contexts.
 func (e *Engine) recycle(n *node) {
-	n.fn = nil
+	n.h = nil
 	n.name = ""
 	n.next = e.free
 	e.free = n
 }
 
-// Schedule queues fn to run at absolute time when. Scheduling in the past is
+// Schedule queues h to fire at absolute time when. Scheduling in the past is
 // a programming error and panics: silently reordering time would corrupt
 // every latency measurement downstream.
-func (e *Engine) Schedule(when Time, name string, fn func()) {
+func (e *Engine) Schedule(when Time, name string, h Handler) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: schedule %q at %v before now %v", name, when, e.now))
 	}
 	n := e.alloc()
-	n.when, n.name, n.fn = when, name, fn
+	n.when, n.name, n.h = when, name, h
 	n.seq = e.seq
 	e.seq++
 	e.pushes++
@@ -129,7 +143,7 @@ func (e *Engine) After(d Duration, name string, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
 	}
-	e.Schedule(e.now.Add(d), name, fn)
+	e.Schedule(e.now.Add(d), name, Func(fn))
 }
 
 // Stop makes Run return after the currently firing event completes.
@@ -172,7 +186,7 @@ func (e *Engine) fire(t Time, arrival bool) {
 	if e.Sink != nil {
 		e.Sink.EngineEvent(e.now, l.names[kind])
 	}
-	l.h.Arrive(Arrival{Kind: kind, ID: ent.id, UE: ent.ue, Payload: ent.payload})
+	l.h.Arrive(Arrival{Kind: kind, ID: ent.id, UE: ent.ue, Size: ent.size})
 }
 
 // fireNext extracts the wheel's earliest event and runs it at time t.
@@ -181,14 +195,14 @@ func (e *Engine) fireNext(t Time) {
 	e.now = t
 	e.steps++
 	e.pops++
-	name, fn := n.name, n.fn
+	name, h := n.name, n.h
 	// Recycle before the callback: the common reschedule-from-a-callback
 	// pattern then reuses this very node.
 	e.recycle(n)
 	if e.Sink != nil {
 		e.Sink.EngineEvent(e.now, name)
 	}
-	fn()
+	h.Fire()
 }
 
 // Run fires events until the queue is empty, the horizon is passed, or Stop

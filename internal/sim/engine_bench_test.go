@@ -47,7 +47,7 @@ func engineSchedule(tb testing.TB) func() {
 	return func() {
 		e := NewEngine()
 		for j := 0; j < benchEvents; j++ {
-			e.Schedule(scriptTime(0, j), "e", func() {})
+			e.Schedule(scriptTime(0, j), "e", Func(func() {}))
 		}
 		e.RunAll()
 		checkBooks(tb, e, engineBooks{}, engineBooks{pushes: benchEvents, pops: benchEvents, steps: benchEvents})
@@ -62,7 +62,7 @@ func engineScheduleSteady(tb testing.TB) func() {
 	op := func() {
 		before, base := booksOf(e), e.Now()
 		for j := 0; j < benchEvents; j++ {
-			e.Schedule(scriptTime(base, j), "e", func() {})
+			e.Schedule(scriptTime(base, j), "e", Func(func() {}))
 		}
 		e.RunAll()
 		checkBooks(tb, e, before, engineBooks{pushes: benchEvents, pops: benchEvents, steps: benchEvents})

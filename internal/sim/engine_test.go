@@ -7,11 +7,19 @@ import (
 	"unsafe"
 )
 
-// TestNodeSize pins the pooled event node at 48 bytes: when, name, fn, seq
-// and the bucket link, so a 64-node slab is 3,072 bytes.
+// TestNodeSize pins the pooled event node at 56 bytes: when, name, the
+// handler, seq and the bucket link, so a 64-node slab is 3,584 bytes; and
+// the arrival lane's record at 40 bytes: when, key, id, UE and size, so a
+// block of laneBlockSize records and its link fill 8 KiB.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got != 48 {
-		t.Fatalf("node is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(node{}); got != 56 {
+		t.Fatalf("node is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(laneEntry{}); got != 40 {
+		t.Fatalf("laneEntry is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(laneBlock{}); got > 8192 || got+unsafe.Sizeof(laneEntry{}) <= 8192 {
+		t.Fatalf("laneBlock is %d bytes, want the most records that fit 8 KiB", got)
 	}
 }
 
@@ -41,7 +49,7 @@ func TestEngineFIFOAmongEqualTimestamps(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(Time(42), "tie", func() { order = append(order, i) })
+		e.Schedule(Time(42), "tie", Func(func() { order = append(order, i) }))
 	}
 	e.RunAll()
 	for i, v := range order {
@@ -92,7 +100,7 @@ func TestEngineHorizon(t *testing.T) {
 func TestEngineHorizonInclusive(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.Schedule(Time(5000), "edge", func() { fired = true })
+	e.Schedule(Time(5000), "edge", Func(func() { fired = true }))
 	e.Run(Time(5000))
 	if !fired {
 		t.Fatal("event exactly at horizon did not fire")
@@ -103,12 +111,12 @@ func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	n := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), "n", func() {
+		e.Schedule(Time(i), "n", Func(func() {
 			n++
 			if n == 3 {
 				e.Stop()
 			}
-		})
+		}))
 	}
 	e.RunAll()
 	if n != 3 {
@@ -118,14 +126,14 @@ func TestEngineStop(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(Time(100), "x", func() {
+	e.Schedule(Time(100), "x", Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(Time(50), "past", func() {})
-	})
+		e.Schedule(Time(50), "past", Func(func() {}))
+	}))
 	e.RunAll()
 }
 
@@ -152,8 +160,8 @@ func TestEngineStepAndPending(t *testing.T) {
 func TestRunHorizonBeforeNowClamps(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(Time(1000), "a", func() { fired++ })
-	e.Schedule(Time(10000), "b", func() { fired++ })
+	e.Schedule(Time(1000), "a", Func(func() { fired++ }))
+	e.Schedule(Time(10000), "b", Func(func() { fired++ }))
 	if got := e.Run(Time(5000)); got != Time(5000) {
 		t.Fatalf("Run(5µs) = %v, want 5µs", got)
 	}
@@ -173,13 +181,14 @@ func TestRunHorizonBeforeNowClamps(t *testing.T) {
 }
 
 // Steady-state scheduling must allocate nothing: once the pool holds the
-// workload's high-water mark of nodes, schedule+fire cycles reuse them. The
-// warmed benchmark's op, EngineScheduleSteady, is pinned at zero here too.
+// workload's high-water mark of nodes, schedule+fire cycles reuse them, and
+// After's Func adapter stores the func value itself. The warmed benchmark's
+// op, EngineScheduleSteady, is pinned at zero here too.
 func TestSteadyStateScheduleAllocsZero(t *testing.T) {
 	e := NewEngine()
 	cycle := func() {
 		for j := 0; j < slabSize; j++ {
-			e.Schedule(e.Now()+Time((j*2654435761)%100000), "e", func() {})
+			e.After(Duration((j*2654435761)%100000), "e", func() {})
 		}
 		e.RunAll()
 	}
@@ -198,7 +207,7 @@ func TestSteadyStateScheduleAllocsZero(t *testing.T) {
 func TestScheduledCountsPushes(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.Schedule(Time(i), "n", func() {})
+		e.Schedule(Time(i), "n", Func(func() {}))
 	}
 	if e.Pushes() != 5 {
 		t.Fatalf("Pushes = %d, want 5", e.Pushes())
@@ -398,13 +407,13 @@ func TestEnginePropertyAllEventsFireOrdered(t *testing.T) {
 		last := Time(-1)
 		ok := true
 		for _, off := range offsets {
-			e.Schedule(Time(off), "p", func() {
+			e.Schedule(Time(off), "p", Func(func() {
 				if e.Now() < last {
 					ok = false
 				}
 				last = e.Now()
 				fired++
-			})
+			}))
 		}
 		e.RunAll()
 		return ok && fired == len(offsets)

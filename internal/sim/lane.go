@@ -6,20 +6,19 @@ import "fmt"
 // hands the model when the arrival fires, stored as a compact record
 // instead of as a scheduled callback.
 type Arrival struct {
-	Kind    uint8 // picks the event name (HandleArrivals) and the model's path
-	ID, UE  int
-	Payload []byte
+	Kind   uint8 // picks the event name (HandleArrivals) and the model's path
+	ID, UE int
+	Size   int // the packet's application bytes
 }
 
 // laneEntry is one queued arrival. key is the engine's seq at the push
 // shifted left by kindBits, with the arrival's kind in the low bits: keys
 // order exactly as seqs do, so a lane entry and a wheel node order exactly
-// as two wheel nodes would, and the record stays at 56 bytes.
+// as two wheel nodes would, and the record stays at 40 bytes.
 type laneEntry struct {
-	when    Time
-	key     uint64
-	id, ue  int
-	payload []byte
+	when         Time
+	key          uint64
+	id, ue, size int
 }
 
 const kindBits = 8
@@ -31,9 +30,9 @@ func (x *laneEntry) before(y *laneEntry) bool {
 	return x.when < y.when || x.when == y.when && x.key < y.key
 }
 
-// laneBlockSize fills one 8 KiB allocation with a block (146 entries of
-// 56 B plus the link).
-const laneBlockSize = 146
+// laneBlockSize fills one 8 KiB allocation with a block (204 entries of
+// 40 B plus the link).
+const laneBlockSize = 204
 
 // laneBlock is a fixed-size chunk of the lane's FIFO. Blocks are released
 // as they drain, so the lane retains memory only for the arrivals still
@@ -93,7 +92,7 @@ func (e *Engine) Arrive(at Time, a Arrival) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: arrive %q at %v before now %v", l.names[a.Kind], at, e.now))
 	}
-	ent := laneEntry{when: at, key: e.seq<<kindBits | uint64(a.Kind), id: a.ID, ue: a.UE, payload: a.Payload}
+	ent := laneEntry{when: at, key: e.seq<<kindBits | uint64(a.Kind), id: a.ID, ue: a.UE, size: a.Size}
 	e.seq++
 	e.pushes++
 	l.count++
@@ -135,7 +134,6 @@ func (l *lane) pop() laneEntry {
 	}
 	b := l.head
 	ent := b.entries[l.hi]
-	b.entries[l.hi] = laneEntry{} // drop the payload reference
 	l.hi++
 	switch {
 	case b == l.tail && l.hi == l.ti:
@@ -164,7 +162,6 @@ func (l *lane) popLate() laneEntry {
 	ent := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = laneEntry{}
 	h = h[:n]
 	for i := 0; ; {
 		c := 2*i + 1

@@ -43,14 +43,14 @@ func (d *laneSide) arrive(k int, at Time) {
 		d.e.Arrive(at, a)
 		return
 	}
-	d.e.Schedule(at, laneNames[k], func() { d.Arrive(a) })
+	d.e.Schedule(at, laneNames[k], Func(func() { d.Arrive(a) }))
 }
 
 // schedule queues an ordinary wheel event at time at.
 func (d *laneSide) schedule(at Time) {
 	id := d.nextID
 	d.nextID++
-	d.e.Schedule(at, "ev", func() { d.onEvent(id) })
+	d.e.Schedule(at, "ev", Func(func() { d.onEvent(id) }))
 }
 
 func (d *laneSide) Arrive(a Arrival) {
@@ -180,7 +180,7 @@ func TestLaneReleasesDrainedStorage(t *testing.T) {
 	e.HandleArrivals(&fired, []string{"a"})
 	const n = 5*laneBlockSize + 7
 	for i := 0; i < n; i++ {
-		e.Arrive(Time(i/3)*10, Arrival{ID: i, Payload: make([]byte, 1)})
+		e.Arrive(Time(i/3)*10, Arrival{ID: i, Size: 1})
 	}
 	e.Arrive(5, Arrival{}) // out of order: into the heap
 	if e.Pending() != n+1 {
@@ -206,7 +206,7 @@ func TestLaneReleasesDrainedStorage(t *testing.T) {
 func TestArrivePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.HandleArrivals(new(countArrivals), []string{"a"})
-	e.Schedule(10, "x", func() {})
+	e.Schedule(10, "x", Func(func() {}))
 	e.RunAll()
 	defer func() {
 		if recover() == nil {

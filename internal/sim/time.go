@@ -46,9 +46,6 @@ func (t Time) Micros() float64 { return float64(t) / 1e3 }
 // Millis returns t in milliseconds as a float.
 func (t Time) Millis() float64 { return float64(t) / 1e6 }
 
-// Duration interprets the time since simulation start as a Duration.
-func (t Time) Duration() Duration { return Duration(t) }
-
 func (t Time) String() string {
 	return fmt.Sprintf("t=%.3fµs", t.Micros())
 }

@@ -28,13 +28,13 @@ const (
 	numLevels = 11 // 6 bits × 11 levels = 66 ≥ the 63 bits of a positive Time
 )
 
-// node is the engine-owned storage for one scheduled callback. Nodes are
+// node is the engine-owned storage for one scheduled handler. Nodes are
 // pooled: a fired node returns to the engine's freelist, and the next
 // scheduling re-arms it with a fresh seq.
 type node struct {
 	when Time
 	name string
-	fn   func()
+	h    Handler
 	seq  uint64 // scheduling order: the (when, seq) tie-break against the arrival lane
 	next *node  // bucket successor while queued; the freelist link while pooled
 }

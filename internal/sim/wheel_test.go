@@ -106,7 +106,7 @@ type diffHarness struct {
 func (h *diffHarness) schedule(when Time) {
 	id := h.scheduled
 	h.scheduled++
-	h.e.Schedule(when, "d", func() { h.fireEngine(id) })
+	h.e.Schedule(when, "d", Func(func() { h.fireEngine(id) }))
 	h.models = append(h.models, h.m.schedule(when))
 }
 
@@ -118,7 +118,7 @@ func (h *diffHarness) fireEngine(id int) {
 	if off, ok := h.childSpec(id); ok {
 		cid := h.scheduled
 		h.scheduled++
-		h.e.Schedule(h.e.Now()+off, "c", func() { h.fireEngine(cid) })
+		h.e.Schedule(h.e.Now()+off, "c", Func(func() { h.fireEngine(cid) }))
 		// The model side of the child is appended by fireModel for the
 		// same id, in the same order, as long as firing order matches.
 	}
@@ -250,7 +250,7 @@ func TestWheelBoundaryInstants(t *testing.T) {
 	var got []Time
 	add := func(at Time) {
 		want = append(want, at)
-		e.Schedule(at, "b", func() { got = append(got, e.Now()) })
+		e.Schedule(at, "b", Func(func() { got = append(got, e.Now()) }))
 	}
 	for lvl := uint(1); lvl <= 9; lvl++ {
 		edge := Time(1) << (6 * lvl)
@@ -277,9 +277,9 @@ func TestWheelFarFutureCascade(t *testing.T) {
 	e := NewEngine()
 	const far = Time(1)<<50 + 12345
 	firedAt := Time(-1)
-	e.Schedule(far, "far", func() { firedAt = e.Now() })
+	e.Schedule(far, "far", Func(func() { firedAt = e.Now() }))
 	for i := Time(0); i < 100; i++ {
-		e.Schedule(i*7919, "near", func() {})
+		e.Schedule(i*7919, "near", Func(func() {}))
 	}
 	e.RunAll()
 	if firedAt != far {

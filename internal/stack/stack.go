@@ -206,10 +206,12 @@ type RLC struct {
 	out   [][]byte         // Segment's output: views into enc
 }
 
-// RLCQueued is one SDU waiting in the RLC queue.
+// RLCQueued is one SDU waiting in the RLC queue: its id and size. The
+// scheduler needs no more; the sender encodes the SDU's bytes when it
+// transmits.
 type RLCQueued struct {
 	ID         int
-	Data       []byte
+	Bytes      int
 	EnqueuedAt sim.Time
 }
 
@@ -245,7 +247,6 @@ func (r *RLC) DequeueIDs(ids []int) []RLCQueued {
 			rest = append(rest, q)
 		}
 	}
-	clear(r.queue[len(rest):]) // drop the taken SDUs' bytes from the tail
 	r.queue = rest
 	return r.taken
 }

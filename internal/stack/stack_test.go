@@ -110,9 +110,9 @@ func TestPDCPSNWrapAround(t *testing.T) {
 
 func TestRLCQueue(t *testing.T) {
 	r := NewRLC()
-	r.Enqueue(RLCQueued{ID: 1, Data: []byte("aa"), EnqueuedAt: 10})
-	r.Enqueue(RLCQueued{ID: 2, Data: []byte("bbbb"), EnqueuedAt: 20})
-	r.Enqueue(RLCQueued{ID: 3, Data: []byte("c"), EnqueuedAt: 30})
+	r.Enqueue(RLCQueued{ID: 1, Bytes: 2, EnqueuedAt: 10})
+	r.Enqueue(RLCQueued{ID: 2, Bytes: 4, EnqueuedAt: 20})
+	r.Enqueue(RLCQueued{ID: 3, Bytes: 1, EnqueuedAt: 30})
 	if r.QueueLen() != 3 {
 		t.Fatalf("queue: %d items", r.QueueLen())
 	}

@@ -86,9 +86,9 @@ func shardWork(shard int) *obs.Registry {
 	for i := 0; i < 400; i++ {
 		d := sim.Duration(dist.Draw(rng))
 		lat.Observe(d)
-		reg.Counter("pkt.offered").Inc()
+		reg.Counter("pkt.offered").Add(1)
 		if rng.Bernoulli(0.01) {
-			reg.Counter("pkt.lost").Inc()
+			reg.Counter("pkt.lost").Add(1)
 		}
 	}
 	reg.Gauge("queue.depth").Set(float64(rng.Intn(10)))

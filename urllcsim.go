@@ -311,7 +311,7 @@ func (s *Scenario) SendUplink(at time.Duration, bytes int) int {
 // no scheduling or channel decision, so results are identical however
 // packets are spread across UEs.
 func (s *Scenario) SendUplinkFrom(ue int, at time.Duration, bytes int) int {
-	return s.sys.OfferULAs(ue, sim.Time(at), make([]byte, max(bytes, 13)))
+	return s.sys.OfferULAs(ue, sim.Time(at), max(bytes, 13))
 }
 
 // SendDownlink offers one DL packet.
@@ -322,7 +322,7 @@ func (s *Scenario) SendDownlink(at time.Duration, bytes int) int {
 // SendDownlinkFrom is SendDownlink attributed to logical UE ue (label only,
 // like SendUplinkFrom).
 func (s *Scenario) SendDownlinkFrom(ue int, at time.Duration, bytes int) int {
-	return s.sys.OfferDLAs(ue, sim.Time(at), make([]byte, max(bytes, 13)))
+	return s.sys.OfferDLAs(ue, sim.Time(at), max(bytes, 13))
 }
 
 // Run advances virtual time to the horizon and returns the resolved packet
