@@ -175,12 +175,14 @@ cell-smoke:
 ## -sample-rate outside (0,1] is a usage error (exit 2) in both CLIs, as are
 ## urllcsim's -ues 0, -dir up, -journey up, -packets -5, -bytes -1,
 ## -deadline -1us, -snr NaN, -flight-topk/-watchdog-window < 1, a
-## -watchdog-missrate outside [0,1] and a negative -watchdog-p99, and
-## urllc-sweep's -replicas/-packets/-ues 0, -flight-topk -2, -parallel -2,
-## -slot 2ms, -radio wifi, -grantfree maybe and -deadline -1us, and in both
-## -pattern XYZ (one stderr line each), while a custom D/U/S -pattern
-## (DDSU) runs and exits 0, and a self-profiled run carries the measured
-## observer tax into urllc-report
+## -watchdog-missrate outside [0,1], a negative -watchdog-p99 and a
+## -pattern DDDU,DM grid of two points, and urllc-sweep's
+## -replicas/-packets/-ues 0, -flight-topk -2, -parallel -2, -radio wifi,
+## -grantfree maybe and -deadline -1us, and in both -pattern XYZ and
+## -slot 2ms (one stderr line each; the -slot 2ms line is the same in both,
+## from the one shared check), while a custom D/U/S -pattern (DDSU) runs
+## and exits 0, and a self-profiled run carries the measured observer tax
+## into urllc-report
 obs-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) build -o $$tmp/urllcsim ./cmd/urllcsim && \
@@ -213,7 +215,7 @@ obs-smoke:
 	for a in '-ues 0' '-dir up' '-journey up' '-packets -5' '-bytes -1' '-deadline -1us' '-snr NaN' \
 		'-flight-topk 0' '-flight-topk -1' '-watchdog-window 0' '-watchdog-window -3' \
 		'-watchdog-missrate NaN' '-watchdog-missrate -1' '-watchdog-missrate 1.5' '-watchdog-p99 -1us' \
-		'-pattern XYZ'; do \
+		'-pattern XYZ' '-slot 2ms' '-pattern DDDU,DM'; do \
 		$$tmp/urllcsim -packets 4 $$a >/dev/null 2>$$tmp/bad.err; rc=$$?; \
 		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
 			{ echo "obs-smoke FAIL: urllcsim $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \
@@ -224,6 +226,10 @@ obs-smoke:
 		[ $$rc -eq 2 ] && [ $$(wc -l < $$tmp/bad.err) -eq 1 ] || \
 			{ echo "obs-smoke FAIL: urllc-sweep $$a exited $$rc with $$(wc -l < $$tmp/bad.err) stderr line(s), want 2 and 1"; exit 1; }; \
 	done && \
+	{ $$tmp/urllcsim -packets 4 -slot 2ms >/dev/null 2>$$tmp/sim.err; \
+		$$tmp/urllc-sweep -replicas 1 -packets 4 -slot 2ms -out $$tmp/bad.md >/dev/null 2>$$tmp/sweep.err; \
+		cmp -s $$tmp/sim.err $$tmp/sweep.err || \
+		{ echo "obs-smoke FAIL: -slot 2ms: urllcsim and urllc-sweep print different errors"; exit 1; }; } && \
 	{ $$tmp/urllcsim -pattern DDSU -packets 4 > $$tmp/custom.out 2>&1 && \
 		grep -q '^scenario: DDSU ' $$tmp/custom.out || \
 		{ echo "obs-smoke FAIL: urllcsim -pattern DDSU did not exit 0 with a 'scenario: DDSU' line"; exit 1; }; } && \

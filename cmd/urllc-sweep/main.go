@@ -16,9 +16,9 @@
 // for any -parallel value: `-parallel 1` is the golden output of
 // `-parallel N`. With -slots-out the per-slot occupancy ledgers of all
 // replicas of a grid point merge by slot boundary (exact integer sums) into
-// one urllcsim-slots/v1 JSONL file under the same invariance contract, and
-// -ues spreads packet attribution across logical UEs (labels only) so the
-// -summary registries carry per-UE counter and latency families.
+// one urllcsim-slots/v1 JSONL file under the same invariance contract.
+// -ues K is K UEs of processing load with packets attributed round-robin,
+// as in urllcsim, so the -summary registries carry per-UE families.
 package main
 
 import (
@@ -34,18 +34,20 @@ import (
 	"urllcsim/internal/obs/analyze"
 	"urllcsim/internal/obs/flight"
 	"urllcsim/internal/obs/prof"
+	"urllcsim/internal/runflag"
 	"urllcsim/internal/sim"
 	"urllcsim/internal/sweep"
 	"urllcsim/internal/version"
 )
 
-// point is one grid configuration.
-type point struct {
-	label     string
-	pattern   urllcsim.Pattern
-	slot      urllcsim.SlotScale
-	grantFree bool
-	radio     urllcsim.RadioKind
+// options are urllc-sweep's flags: the shared run flags, the grid they
+// name, and the sweep's own.
+type options struct {
+	run                *runflag.Flags
+	grid               []runflag.Point
+	replicas, parallel int
+	summary, perf      bool
+	out                string
 }
 
 // replicaOut is what one replica returns into the merge.
@@ -57,81 +59,55 @@ type replicaOut struct {
 	slots  []obs.SlotRecord // per-slot occupancy ledger; nil unless -slots-out
 }
 
-var slotNames = map[string]urllcsim.SlotScale{
-	"1ms": urllcsim.Slot1ms, "0.5ms": urllcsim.Slot0p5ms,
-	"0.25ms": urllcsim.Slot0p25ms, "125us": urllcsim.Slot125us,
-}
-
-var radioNames = map[string]urllcsim.RadioKind{
-	"usb2": urllcsim.RadioUSB2, "usb3": urllcsim.RadioUSB3,
-	"pcie": urllcsim.RadioPCIe, "none": urllcsim.RadioNone,
-}
-
 func main() {
-	patterns := flag.String("pattern", "DDDU", "comma-separated TDD patterns (DDDU, DM, MU, DU, mini-slot, FDD, or a custom D/U/S string)")
-	slots := flag.String("slot", "0.5ms", "comma-separated slot durations: 1ms, 0.5ms, 0.25ms, 125us")
-	grantfree := flag.String("grantfree", "false", "comma-separated UL access modes: false (grant-based), true (grant-free)")
-	radios := flag.String("radio", "usb2", "comma-separated radio front-hauls: usb2, usb3, pcie, none")
-	replicas := flag.Int("replicas", 8, "independent replicas per grid point")
-	packets := flag.Int("packets", 50, "packets per replica per direction")
-	parallel := flag.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS); results are identical for any value")
-	seed := flag.Uint64("seed", 1, "base seed; replica seeds derive from it per shard")
-	deadline := flag.Duration("deadline", 500*time.Microsecond, "one-way latency budget to audit against")
-	summary := flag.Bool("summary", false, "append the merged metrics-registry summary of each grid point")
-	perf := flag.Bool("perf", false, "self-profile every shard's engine and append a sweep-performance section (wall time per shard, events/sec); wall-clock numbers vary run to run, so this section is excluded from the worker-count-invariance contract")
-	out := flag.String("out", "", "write the report here instead of stdout")
-	flightOut := flag.String("flight-out", "", "write the merged tail-forensics flight records (JSONL) of every grid point to this file; the merge is bit-identical for any -parallel value")
-	flightTopK := flag.Int("flight-topk", flight.DefaultTopK, "per-direction worst-latency exemplars kept per grid point after the merge")
-	slotsOut := flag.String("slots-out", "", "write the merged per-slot occupancy ledger (JSONL) of every grid point to this file; the merge is bit-identical for any -parallel value")
-	ues := flag.Int("ues", 1, "logical UEs packets are attributed to round-robin (labels only; the schedule is unchanged)")
-	sampleRate := flag.Float64("sample-rate", 1, "deterministic per-packet span sampling rate in (0,1]; keyed by packet identity and the shard seed, so the merged report is still bit-identical for any -parallel value. Outcome counts and tail quantiles stay exact")
-	showVersion := flag.Bool("version", false, "print build and schema versions, then exit")
-	flag.Parse()
-
-	if *showVersion {
+	o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		runflag.Fail(err)
+	}
+	if o.run.Version {
 		version.Print(os.Stdout, "urllc-sweep", []string{flight.Schema, obs.SlotsSchema}, nil)
 		return
 	}
-	grid, gridErr := buildGrid(*patterns, *slots, *grantfree, *radios)
-	var bad string
-	switch {
-	case gridErr != nil:
-		bad = gridErr.Error()
-	case *deadline < 0:
-		bad = fmt.Sprintf("-deadline %v: must not be negative", *deadline)
-	case !(*sampleRate > 0 && *sampleRate <= 1): // also rejects NaN
-		bad = fmt.Sprintf("-sample-rate %v outside (0,1]", *sampleRate)
-	case *replicas < 1 || *packets < 1:
-		bad = "need at least 1 replica and 1 packet"
-	case *ues < 1:
-		bad = "need at least 1 UE"
-	case *flightTopK < 1:
-		bad = fmt.Sprintf("-flight-topk %d: need at least 1", *flightTopK)
-	case *parallel < 0:
-		bad = fmt.Sprintf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
-	}
-	if bad != "" {
-		fmt.Fprintln(os.Stderr, "urllc-sweep:", bad)
-		os.Exit(2)
-	}
-
-	if err := run(grid, *replicas, *packets, *parallel, *seed, *deadline, *summary, *perf,
-		*out, *flightOut, *flightTopK, *slotsOut, *ues, *sampleRate); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "urllc-sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(grid []point, replicas, packets, parallel int,
-	seed uint64, deadline time.Duration, summary, perf bool, out, flightOut string, flightTopK int,
-	slotsOut string, ues int, sampleRate float64) error {
+// parse reads urllc-sweep's flags from args into fs, checks them and builds
+// the grid. A bad value is a one-line error; with -version nothing is
+// checked.
+func parse(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{run: runflag.Bind(fs, 50)}
+	grantfree := fs.String("grantfree", "false", "comma-separated UL access modes: false (grant-based), true (grant-free)")
+	fs.IntVar(&o.replicas, "replicas", 8, "independent replicas per grid point")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker-pool width (0 = GOMAXPROCS); results are identical for any value")
+	fs.BoolVar(&o.summary, "summary", false, "append the merged metrics-registry summary of each grid point")
+	fs.BoolVar(&o.perf, "perf", false, "self-profile every shard's engine and append a sweep-performance section (wall time per shard, events/sec); wall-clock numbers vary run to run, so this section is excluded from the worker-count-invariance contract")
+	fs.StringVar(&o.out, "out", "", "write the report here instead of stdout")
+	if err := fs.Parse(args); err != nil || o.run.Version {
+		return o, err
+	}
+	var err error
+	o.grid, err = o.run.Grid(*grantfree)
+	switch {
+	case err != nil:
+	case o.replicas < 1:
+		err = fmt.Errorf("-replicas %d: need at least 1", o.replicas)
+	case o.parallel < 0:
+		err = fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", o.parallel)
+	}
+	return o, err
+}
+
+func run(o *options) error {
+	grid, replicas, deadline := o.grid, o.replicas, sim.Duration(o.run.Deadline)
 	// One job per (point, replica), flattened so a slow grid point cannot
 	// leave workers idle while cheap points queue behind it. The replica
 	// seed is derived from the job's global shard index: independent of the
 	// worker layout by construction.
-	runs, err := sweep.Run(parallel, len(grid)*replicas, func(i int) (replicaOut, error) {
-		return runReplica(grid[i/replicas], i, sweep.Seed(seed, i), packets, deadline, perf,
-			flightOut != "", flightTopK, slotsOut != "", ues, sampleRate)
+	runs, err := sweep.Run(o.parallel, len(grid)*replicas, func(i int) (replicaOut, error) {
+		return runReplica(o, grid[i/replicas], i)
 	})
 	if err != nil {
 		return err
@@ -150,27 +126,27 @@ func run(grid []point, replicas, packets, parallel int,
 		for i, r := range shard {
 			traces[i], regs[i], sets[i], slotShards[i] = r.trace, r.reg, r.flight, r.slots
 		}
-		audits = append(audits, analyze.Run(analyze.MergeTraces(traces...), pt.label, sim.Duration(deadline)))
-		if flightOut != "" {
+		audits = append(audits, analyze.Run(analyze.MergeTraces(traces...), pt.Label, deadline))
+		if o.run.FlightOut != "" {
 			// Shard-order merge: exact global top-K, bit-identical for any
 			// -parallel (the same contract as the registries and traces).
-			flights = append(flights, flight.MergeSets(sim.Duration(deadline), flightTopK, sets...))
+			flights = append(flights, flight.MergeSets(deadline, o.run.FlightTopK, sets...))
 		}
-		if slotsOut != "" {
+		if o.run.SlotsOut != "" {
 			// Boundary-keyed integer sums, output sorted by boundary: exact
 			// and bit-identical for any -parallel, like the registries.
 			ledgers = append(ledgers, obs.MergeSlotLedgers(slotShards...))
 		}
-		if summary {
+		if o.summary {
 			fmt.Fprintf(&summaries, "\n## Merged registry — %s (%d replicas)\n\n```\n%s```\n",
-				pt.label, replicas, sweep.MergeRegistries(regs).Summary())
+				pt.Label, replicas, sweep.MergeRegistries(regs).Summary())
 		}
 	}
 
-	if flightOut != "" {
-		err := obs.WriteFile(flightOut, func(w io.Writer) error {
+	if o.run.FlightOut != "" {
+		err := obs.WriteFile(o.run.FlightOut, func(w io.Writer) error {
 			for p, set := range flights {
-				if err := flight.WriteJSONL(w, set, grid[p].label); err != nil {
+				if err := flight.WriteJSONL(w, set, grid[p].Label); err != nil {
 					return err
 				}
 			}
@@ -181,10 +157,10 @@ func run(grid []point, replicas, packets, parallel int,
 		}
 	}
 
-	if slotsOut != "" {
-		err := obs.WriteFile(slotsOut, func(w io.Writer) error {
+	if o.run.SlotsOut != "" {
+		err := obs.WriteFile(o.run.SlotsOut, func(w io.Writer) error {
 			for p, merged := range ledgers {
-				if err := obs.WriteSlotsJSONL(w, merged, grid[p].label); err != nil {
+				if err := obs.WriteSlotsJSONL(w, merged, grid[p].Label); err != nil {
 					return err
 				}
 			}
@@ -196,8 +172,8 @@ func run(grid []point, replicas, packets, parallel int,
 	}
 
 	var w io.Writer = os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
+	if o.out != "" {
+		f, err := os.Create(o.out)
 		if err != nil {
 			return err
 		}
@@ -210,7 +186,7 @@ func run(grid []point, replicas, packets, parallel int,
 	if _, err := io.WriteString(w, summaries.String()); err != nil {
 		return err
 	}
-	if perf {
+	if o.perf {
 		_, err = io.WriteString(w, perfSection(grid, runs, replicas))
 		return err
 	}
@@ -222,14 +198,13 @@ func run(grid []point, replicas, packets, parallel int,
 // events/sec rather than anecdote. Wall-clock numbers here are real
 // measurements of this machine on this run — the one report section that is
 // deliberately NOT covered by the worker-count-invariance contract.
-func perfSection(grid []point, runs []replicaOut, replicas int) string {
+func perfSection(grid []runflag.Point, runs []replicaOut, replicas int) string {
 	var sb strings.Builder
 	sb.WriteString("\n## Sweep performance (-perf)\n\n")
 	sb.WriteString("| point | shard | events | wall ms | events/s | sim/wall |\n")
 	sb.WriteString("|---|---:|---:|---:|---:|---:|\n")
 	var totEvents uint64
-	var totWall int64
-	var maxWall int64
+	var totWall, maxWall int64
 	for p, pt := range grid {
 		var ptEvents uint64
 		var ptWall int64
@@ -238,7 +213,7 @@ func perfSection(grid []point, runs []replicaOut, replicas int) string {
 				continue
 			}
 			fmt.Fprintf(&sb, "| %s | %d | %d | %.3f | %.0f | %.1f× |\n",
-				pt.label, i, r.perf.Events, float64(r.perf.WallNs)/1e6,
+				pt.Label, i, r.perf.Events, float64(r.perf.WallNs)/1e6,
 				r.perf.EventsPerSec, r.perf.SimWallRatio)
 			ptEvents += r.perf.Events
 			ptWall += r.perf.WallNs
@@ -248,7 +223,7 @@ func perfSection(grid []point, runs []replicaOut, replicas int) string {
 		}
 		if ptWall > 0 {
 			fmt.Fprintf(&sb, "| %s | **all** | %d | %.3f | %.0f | |\n",
-				pt.label, ptEvents, float64(ptWall)/1e6,
+				pt.Label, ptEvents, float64(ptWall)/1e6,
 				float64(ptEvents)/(float64(ptWall)/1e9))
 		}
 		totEvents += ptEvents
@@ -263,115 +238,41 @@ func perfSection(grid []point, runs []replicaOut, replicas int) string {
 	return sb.String()
 }
 
-// runReplica simulates one replica: its own scenario (engine, RNG, recorder),
-// packets offered uniformly in each direction, and returns the trace and
-// registry for the shard-ordered merge.
-func runReplica(pt point, shard int, seed uint64, packets int, deadline time.Duration,
-	perf bool, withFlight bool, flightTopK int, withSlots bool, ues int, sampleRate float64) (replicaOut, error) {
+// runReplica simulates replica shard of grid point pt: its own scenario
+// (engine, RNG, recorder), packets offered uniformly in each direction, and
+// returns the trace and registry for the shard-ordered merge.
+func runReplica(o *options, pt runflag.Point, shard int) (replicaOut, error) {
+	seed := sweep.Seed(o.run.Seed, shard)
 	rec := obs.NewRecorder()
-	if sampleRate < 1 {
-		// Deterministic head sampling keyed by (shard seed, packet id): the
-		// same packets are admitted at any -parallel value, so the sampled
-		// sweep keeps the worker-count-invariance contract. The flight tap
-		// rides before the gate, so the audited tail stays exact.
-		rec.SetSampling(sampleRate, seed)
-	}
-	if withSlots {
-		rec.EnableSlotLedger()
-	}
-	// The flight recorder rides the replica's span/edge/outcome streams via
-	// the tap; it observes only, so the merged audit is unchanged by it.
-	var fr *flight.Recorder
-	if withFlight {
-		fr = flight.New(flight.Config{
-			Deadline: sim.Duration(deadline), TopK: flightTopK, Shard: shard,
-		})
-		rec.SetTap(fr)
-	}
-	sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
-		Pattern:   pt.pattern,
-		SlotScale: pt.slot,
-		GrantFree: pt.grantFree,
-		Radio:     pt.radio,
-		Seed:      seed,
-		Deadline:  deadline,
-		Obs:       rec,
-	})
+	fr := o.run.Record(rec, seed, shard, o.run.FlightOut != "")
+	sc, err := urllcsim.NewScenario(o.run.Scenario(pt, seed, rec))
 	if err != nil {
-		return replicaOut{}, fmt.Errorf("%s: %w", pt.label, err)
+		return replicaOut{}, fmt.Errorf("%s: %w", pt.Label, err)
 	}
 	// The self-profiler wraps the recorder's sink and observes only, so the
 	// merged audit stays bit-identical whether -perf is on or not.
 	var profiler *prof.Profiler
-	if perf {
+	if o.perf {
 		profiler = prof.Attach(sc.Engine())
 	}
 	// One packet per direction every 2 ms — comfortably above every
 	// pattern's period, so replicas measure latency, not queueing.
 	const spacing = 2 * time.Millisecond
 	rng := sim.NewRNG(seed ^ 0x5EED)
-	for i := 0; i < packets; i++ {
+	for i := 0; i < o.run.Packets; i++ {
 		at := time.Duration(i)*spacing + time.Duration(rng.UniformDuration(0, sim.Duration(spacing)))
-		// Round-robin UE attribution is labels-only: the offered schedule,
-		// RNG draws and merged audit are identical for any -ues value.
-		sc.SendUplinkFrom(i%ues, at, 32)
-		sc.SendDownlinkFrom(i%ues, at, 32)
+		// Round-robin UE attribution across the -ues population, which also
+		// scales processing load (ScenarioConfig.UEs).
+		sc.SendUplinkFrom(i%o.run.UEs, at, 32)
+		sc.SendDownlinkFrom(i%o.run.UEs, at, 32)
 	}
-	sc.Run(time.Duration(packets+60) * spacing)
-	out := replicaOut{trace: analyze.FromRecorder(rec), reg: rec.Metrics()}
+	sc.Run(time.Duration(o.run.Packets+60) * spacing)
+	out := replicaOut{trace: analyze.FromRecorder(rec), reg: rec.Metrics(), slots: rec.Slots()}
 	if fr != nil {
 		out.flight = fr.Set()
-	}
-	if withSlots {
-		out.slots = rec.Slots()
 	}
 	if profiler != nil {
 		out.perf = profiler.Finish()
 	}
 	return out, nil
-}
-
-// buildGrid crosses the axis lists into labelled grid points. An unknown
-// slot, access mode or radio, or a pattern that builds no grid at one of the
-// slots, is a usage error, reported before any run.
-func buildGrid(patterns, slots, grantfree, radios string) ([]point, error) {
-	var grid []point
-	for _, p := range strings.Split(patterns, ",") {
-		p = strings.TrimSpace(p)
-		for _, sl := range strings.Split(slots, ",") {
-			sl = strings.TrimSpace(sl)
-			scale, ok := slotNames[sl]
-			if !ok {
-				return nil, fmt.Errorf("unknown slot %q (want 1ms, 0.5ms, 0.25ms or 125us)", sl)
-			}
-			if err := urllcsim.Pattern(p).Validate(scale); err != nil {
-				return nil, fmt.Errorf("-pattern %s at %s: %w", p, sl, err)
-			}
-			for _, gf := range strings.Split(grantfree, ",") {
-				gf = strings.TrimSpace(gf)
-				if gf != "true" && gf != "false" {
-					return nil, fmt.Errorf("unknown grantfree value %q (want true or false)", gf)
-				}
-				for _, rd := range strings.Split(radios, ",") {
-					rd = strings.TrimSpace(rd)
-					kind, ok := radioNames[rd]
-					if !ok {
-						return nil, fmt.Errorf("unknown radio %q (want usb2, usb3, pcie or none)", rd)
-					}
-					access := "gb"
-					if gf == "true" {
-						access = "gf"
-					}
-					grid = append(grid, point{
-						label:     fmt.Sprintf("%s/%s/%s/%s", p, sl, access, rd),
-						pattern:   urllcsim.Pattern(p),
-						slot:      scale,
-						grantFree: gf == "true",
-						radio:     kind,
-					})
-				}
-			}
-		}
-	}
-	return grid, nil
 }

@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"time"
 
 	"urllcsim"
@@ -24,194 +25,77 @@ import (
 	"urllcsim/internal/obs/analyze"
 	"urllcsim/internal/obs/flight"
 	"urllcsim/internal/obs/prof"
+	"urllcsim/internal/runflag"
 	"urllcsim/internal/sim"
 	"urllcsim/internal/version"
 )
 
 func main() {
-	pattern := flag.String("pattern", "DDDU", "DDDU | DM | MU | DU | mini-slot | FDD, or a custom D/U/S string")
-	slot := flag.String("slot", "0.5ms", "slot duration: 1ms | 0.5ms | 0.25ms | 125us")
-	grantFree := flag.Bool("grantfree", false, "use configured grants instead of SR/grant")
-	radioKind := flag.String("radio", "usb2", "usb2 | usb3 | pcie | none")
-	rt := flag.Bool("rt", false, "real-time kernel jitter profile")
-	packets := flag.Int("packets", 300, "packets per direction")
-	dir := flag.String("dir", "both", "ul | dl | both")
-	bytes := flag.Int("bytes", 32, "payload bytes")
-	ues := flag.Int("ues", 1, "UE count (processing load)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	snr := flag.Float64("snr", 25, "channel SNR (dB)")
-	deadline := flag.Duration("deadline", 500*time.Microsecond, "reliability deadline")
-	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON (Perfetto / chrome://tracing) to this file")
-	metricsOut := flag.String("metrics-out", "", "write the metrics registry summary as CSV to this file")
-	snapshotsOut := flag.String("snapshots-out", "", "write per-slot counter/gauge snapshots as CSV to this file")
-	jsonlOut := flag.String("jsonl-out", "", "write the span/outcome trace as JSONL to this file (input for urllc-report)")
-	sampleRate := flag.Float64("sample-rate", 1, "deterministic per-packet span sampling rate in (0,1]; 1 keeps everything. Outcomes, metrics, deadline audits and flight forensics stay exact at every rate")
-	slotsOut := flag.String("slots-out", "", "write the per-tick slot-occupancy ledger as JSONL (urllcsim-slots/v1; input for urllc-report) to this file")
-	kpiOut := flag.String("kpi-out", "", "write per-UE KPIs (AoI, fairness, reliability CCDF) as JSONL (urllcsim-kpi/v1; input for urllc-report) to this file")
-	serve := flag.String("serve", "", "serve live telemetry on this address (e.g. :9090): /metrics Prometheus text, /debug/vars expvar, /debug/pprof; keeps serving after the run until interrupted")
-	profOut := flag.String("prof-out", "", "self-profile the engine and write the JSONL 'profile' record here; the top-event-types table goes to stderr (stdout stays byte-identical)")
-	flightOut := flag.String("flight-out", "", "write tail-forensics flight records (JSONL, one per deadline miss/loss/top-K worst packet, with the reconstructed causal chain) to this file")
-	flightTopK := flag.Int("flight-topk", flight.DefaultTopK, "per-direction worst-latency exemplars the flight recorder keeps")
-	flightTraceOut := flag.String("flight-trace-out", "", "write a focused Chrome trace of only the promoted flight exemplars to this file")
-	wdMissRate := flag.Float64("watchdog-missrate", 0, "fire a watchdog anomaly when a window's miss rate exceeds this fraction (0 = off)")
-	wdP99 := flag.Duration("watchdog-p99", 0, "fire a watchdog anomaly when a window's p99 latency exceeds this (0 = off)")
-	wdWindow := flag.Int("watchdog-window", flight.DefaultWindow, "packet outcomes per watchdog evaluation window")
-	anomalyOut := flag.String("anomaly-out", "", "stream watchdog 'anomaly' JSONL events to this file as they fire")
-	journey := flag.String("journey", "", "ul | dl: offer one packet at 337µs in that direction (100 ms horizon) and print its Fig. 3 journey instead of the summary; -packets and -dir are not used")
-	showVersion := flag.Bool("version", false, "print build and schema versions, then exit")
-	flag.Parse()
-
-	if *showVersion {
+	o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		runflag.Fail(err)
+	}
+	if o.run.Version {
 		version.Print(os.Stdout, "urllcsim",
 			[]string{obs.TraceSchema, obs.SlotsSchema, analyze.KPISchema,
 				flight.Schema, flight.AnomalySchema, prof.ReportSchema}, nil)
 		return
 	}
-
-	switch {
-	case !(*sampleRate > 0 && *sampleRate <= 1): // also rejects NaN
-		usageErr("-sample-rate %v outside (0,1]", *sampleRate)
-	case *ues < 1:
-		usageErr("-ues %d: need at least 1", *ues)
-	case *packets < 1:
-		usageErr("-packets %d: need at least 1", *packets)
-	case *bytes < 1:
-		usageErr("-bytes %d: need at least 1", *bytes)
-	case *deadline < 0:
-		usageErr("-deadline %v: must not be negative", *deadline)
-	case math.IsNaN(*snr) || math.IsInf(*snr, 0):
-		usageErr("-snr %v: need a finite dB value", *snr)
-	case *dir != "ul" && *dir != "dl" && *dir != "both":
-		usageErr("unknown -dir %q (ul | dl | both)", *dir)
-	case *journey != "" && *journey != "ul" && *journey != "dl":
-		usageErr("unknown -journey %q (ul | dl)", *journey)
-	case *flightTopK < 1:
-		usageErr("-flight-topk %d: need at least 1", *flightTopK)
-	case *wdWindow < 1:
-		usageErr("-watchdog-window %d: need at least 1", *wdWindow)
-	case !(*wdMissRate >= 0 && *wdMissRate <= 1): // also rejects NaN
-		usageErr("-watchdog-missrate %v outside [0,1]", *wdMissRate)
-	case *wdP99 < 0:
-		usageErr("-watchdog-p99 %v: must not be negative", *wdP99)
-	}
-	scales := map[string]urllcsim.SlotScale{
-		"1ms": urllcsim.Slot1ms, "0.5ms": urllcsim.Slot0p5ms,
-		"0.25ms": urllcsim.Slot0p25ms, "125us": urllcsim.Slot125us,
-	}
-	scale, ok := scales[*slot]
-	if !ok {
-		usageErr("unknown slot %q", *slot)
-	}
-	if err := urllcsim.Pattern(*pattern).Validate(scale); err != nil {
-		usageErr("-pattern %s at %s: %v", *pattern, *slot, err)
-	}
-	radios := map[string]struct {
-		kind urllcsim.RadioKind
-		name string // as the journey header names it
-	}{
-		"usb2": {urllcsim.RadioUSB2, "USB2 B210"}, "usb3": {urllcsim.RadioUSB3, "USB3 B210"},
-		"pcie": {urllcsim.RadioPCIe, "PCIe SDR"}, "none": {urllcsim.RadioNone, "no radio head"},
-	}
-	rk, ok := radios[*radioKind]
-	if !ok {
-		usageErr("unknown radio %q", *radioKind)
-	}
+	pt := o.point
 
 	// Observability is opt-in: the recorder exists only when some output
 	// needs it, so the default run costs nothing extra. A journey is the
 	// packet's span stream, so -journey always needs it.
-	wantWatchdog := *wdMissRate > 0 || *wdP99 > 0 || *anomalyOut != ""
-	wantFlight := *flightOut != "" || *flightTraceOut != ""
+	wantWatchdog := o.wdMissRate > 0 || o.wdP99 > 0 || o.anomalyOut != ""
+	wantFlight := o.run.FlightOut != "" || o.flightTraceOut != ""
 	var rec *obs.Recorder
-	if *journey != "" || *traceOut != "" || *metricsOut != "" || *snapshotsOut != "" || *jsonlOut != "" ||
-		*serve != "" || *slotsOut != "" || *kpiOut != "" || wantFlight || wantWatchdog {
+	if o.journey != "" || o.traceOut != "" || o.metricsOut != "" || o.snapshotsOut != "" || o.jsonlOut != "" ||
+		o.serve != "" || o.run.SlotsOut != "" || o.kpiOut != "" || wantFlight || wantWatchdog {
 		rec = obs.NewRecorder()
 	}
 	// Only the journey and the full-trace exports need retained spans; the
 	// KPI pass needs outcomes but not spans. Everything else keeps the
 	// recorder's memory bounded by the ring, not the run length.
-	keepSpans := *journey != "" || *traceOut != "" || *jsonlOut != ""
-	keepOutcomes := keepSpans || *kpiOut != ""
-	rec.SetRetention(keepSpans, keepOutcomes)
-	if *sampleRate < 1 {
-		// Deterministic head sampling keyed by packet identity: the same
-		// seed admits the same packets at any worker count or serve mode.
-		// The flight tap sees the full stream (it rides before the gate),
-		// so the audited tail stays exact.
-		rec.SetSampling(*sampleRate, *seed)
-	}
-	if *slotsOut != "" {
-		rec.EnableSlotLedger()
-	}
+	keepSpans := o.journey != "" || o.traceOut != "" || o.jsonlOut != ""
+	rec.SetRetention(keepSpans, keepSpans || o.kpiOut != "")
 
 	// Taps ride the span/outcome/edge streams without retaining them.
-	var taps obs.Taps
-	var flightRec *flight.Recorder
-	if wantFlight {
-		flightRec = flight.New(flight.Config{Deadline: sim.Duration(*deadline), TopK: *flightTopK})
-		taps = append(taps, flightRec)
-	}
 	var watchdog *flight.Watchdog
-	var anomalyFile *os.File
+	var extra []obs.Tap
 	if wantWatchdog {
 		wcfg := flight.WatchdogConfig{
-			Window: *wdWindow, MaxMissRate: *wdMissRate,
-			MaxP99: sim.Duration(*wdP99), Deadline: sim.Duration(*deadline), Rec: rec,
+			Window: o.wdWindow, MaxMissRate: o.wdMissRate,
+			MaxP99: sim.Duration(o.wdP99), Deadline: sim.Duration(o.run.Deadline), Rec: rec,
 		}
-		if *anomalyOut != "" {
-			var err error
-			if anomalyFile, err = os.Create(*anomalyOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if o.anomalyOut != "" {
+			anomalyFile, err := os.Create(o.anomalyOut)
+			exitOn(err)
 			defer anomalyFile.Close()
 			wcfg.Out = anomalyFile
 		}
 		watchdog = flight.NewWatchdog(wcfg)
-		taps = append(taps, watchdog)
+		extra = append(extra, watchdog)
 	}
-	switch len(taps) {
-	case 0:
-	case 1:
-		rec.SetTap(taps[0])
-	default:
-		rec.SetTap(taps)
-	}
+	flightRec := o.run.Record(rec, o.run.Seed, 0, wantFlight, extra...)
 
 	// The telemetry server must attach before the run so the registry lock
 	// is installed ahead of any concurrent scrape.
 	var live *obs.LiveServer
-	if *serve != "" {
-		var err error
-		live, err = obs.Serve(*serve, rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if o.serve != "" {
+		live, err = obs.Serve(o.serve, rec)
+		exitOn(err)
 		fmt.Fprintf(os.Stderr, "live telemetry on http://%s (/metrics, /debug/vars, /debug/pprof)\n", live.Addr)
 	}
 
-	sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
-		Pattern:   urllcsim.Pattern(*pattern),
-		SlotScale: scale,
-		GrantFree: *grantFree,
-		Radio:     rk.kind,
-		RTKernel:  *rt,
-		SNRdB:     *snr,
-		UEs:       *ues,
-		Seed:      *seed,
-		Deadline:  *deadline,
-		Obs:       rec,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cfg := o.run.Scenario(pt, o.run.Seed, rec)
+	cfg.RTKernel, cfg.SNRdB = o.rt, o.snr
+	sc, err := urllcsim.NewScenario(cfg)
+	exitOn(err)
 
 	// The self-profiler mounts as the engine's sink. It observes only: the
 	// scenario output is byte-identical with and without it.
 	var profiler *prof.Profiler
-	if *profOut != "" {
+	if o.profOut != "" {
 		profiler = prof.Attach(sc.Engine())
 		// Meter the recorder so the profile carries a measured observer-tax
 		// line (wall inside obs.*, records handled, retained bytes).
@@ -225,54 +109,43 @@ func main() {
 	// read the spans after the run, so either keeps the whole log.
 	var jsonlStream *obs.JSONLStream
 	var jsonlFile *os.File
-	if *jsonlOut != "" && *traceOut == "" && *journey == "" {
-		jsonlFile, err = os.Create(*jsonlOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if o.jsonlOut != "" && o.traceOut == "" && o.journey == "" {
+		jsonlFile, err = os.Create(o.jsonlOut)
+		exitOn(err)
 		jsonlStream, err = obs.StreamJSONL(jsonlFile, rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 	}
 
 	var results []urllcsim.PacketResult
-	switch *journey {
+	switch o.journey {
 	case "ul":
-		sc.SendUplink(journeyAt, *bytes)
+		sc.SendUplink(journeyAt, o.bytes)
 		results = sc.Run(100 * time.Millisecond)
 	case "dl":
-		sc.SendDownlink(journeyAt, *bytes)
+		sc.SendDownlink(journeyAt, o.bytes)
 		results = sc.Run(100 * time.Millisecond)
 	default:
 		period := 2 * time.Millisecond
-		for i := 0; i < *packets; i++ {
+		for i := 0; i < o.run.Packets; i++ {
 			at := time.Duration(i) * period
 			// Round-robin attribution across the -ues population. Attribution
 			// is label-only (it changes no scheduling or channel decision), so
 			// the stdout report is byte-identical with any spread.
-			ue := i % *ues
-			if *dir == "ul" || *dir == "both" {
-				sc.SendUplinkFrom(ue, at+137*time.Microsecond, *bytes)
+			ue := i % o.run.UEs
+			if o.dir == "ul" || o.dir == "both" {
+				sc.SendUplinkFrom(ue, at+137*time.Microsecond, o.bytes)
 			}
-			if *dir == "dl" || *dir == "both" {
-				sc.SendDownlinkFrom(ue, at+731*time.Microsecond, *bytes)
+			if o.dir == "dl" || o.dir == "both" {
+				sc.SendDownlinkFrom(ue, at+731*time.Microsecond, o.bytes)
 			}
 		}
-		results = sc.Run(time.Duration(*packets+50) * period)
+		results = sc.Run(time.Duration(o.run.Packets+50) * period)
 	}
 
 	if jsonlStream != nil {
-		if err := jsonlStream.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := jsonlFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(jsonlStream.Close())
+		exitOn(jsonlFile.Close())
+		o.jsonlOut = "" // written: the batch export below skips it
 	}
 
 	if profiler != nil {
@@ -280,10 +153,7 @@ func main() {
 		// Publish before the exports below so -metrics-out and -serve carry
 		// the profiler's registry view alongside the simulation's.
 		rep.Publish(rec)
-		if err := obs.WriteFile(*profOut, rep.WriteJSONL); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(obs.WriteFile(o.profOut, rep.WriteJSONL))
 		fmt.Fprint(os.Stderr, rep.MarkdownTable())
 	}
 
@@ -294,22 +164,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flight: %d outcomes resolved, %d exemplars promoted (ring high-water %d packets / %d chain entries)\n",
 			st.Resolved, st.Promoted, st.MaxLiveTracked, st.MaxLiveEntries)
 	}
-	flightLabel := fmt.Sprintf("%s/%s/%s", *pattern, *slot, *radioKind)
+	flightLabel := fmt.Sprintf("%s/%s/%s", pt.Pattern, pt.Slot, pt.Radio)
 
 	exports := []struct {
 		path  string
 		write func(io.Writer) error
 	}{
-		{*traceOut, func(w io.Writer) error { return obs.WriteChromeTrace(w, rec) }},
-		{*metricsOut, func(w io.Writer) error { return obs.WriteMetricsCSV(w, rec.Metrics()) }},
-		{*snapshotsOut, func(w io.Writer) error { return obs.WriteSnapshotsCSV(w, rec.Metrics()) }},
-		{jsonlBatchPath(*jsonlOut, jsonlStream != nil), func(w io.Writer) error { return obs.WriteJSONL(w, rec) }},
-		{*slotsOut, func(w io.Writer) error { return obs.WriteSlotsJSONL(w, rec.Slots(), flightLabel) }},
-		{*kpiOut, func(w io.Writer) error {
+		{o.traceOut, func(w io.Writer) error { return obs.WriteChromeTrace(w, rec) }},
+		{o.metricsOut, func(w io.Writer) error { return obs.WriteMetricsCSV(w, rec.Metrics()) }},
+		{o.snapshotsOut, func(w io.Writer) error { return obs.WriteSnapshotsCSV(w, rec.Metrics()) }},
+		{o.jsonlOut, func(w io.Writer) error { return obs.WriteJSONL(w, rec) }},
+		{o.run.SlotsOut, func(w io.Writer) error { return obs.WriteSlotsJSONL(w, rec.Slots(), flightLabel) }},
+		{o.kpiOut, func(w io.Writer) error {
 			rep := analyze.ComputeKPI(analyze.FromRecorder(rec), flightLabel)
 			return analyze.WriteKPIJSONL(w, rep)
 		}},
-		{*flightOut, func(w io.Writer) error {
+		{o.run.FlightOut, func(w io.Writer) error {
 			if err := flight.WriteJSONL(w, flightSet, flightLabel); err != nil {
 				return err
 			}
@@ -318,40 +188,30 @@ func main() {
 			}
 			return flight.WriteAnomalies(w, watchdog.Anomalies())
 		}},
-		{*flightTraceOut, func(w io.Writer) error { return flight.WriteChromeTrace(w, flightSet) }},
+		{o.flightTraceOut, func(w io.Writer) error { return flight.WriteChromeTrace(w, flightSet) }},
 	}
 	for _, ex := range exports {
-		if ex.path == "" {
-			continue
-		}
-		if err := obs.WriteFile(ex.path, ex.write); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if ex.path != "" {
+			exitOn(obs.WriteFile(ex.path, ex.write))
 		}
 	}
 
 	if watchdog != nil {
-		if err := watchdog.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(watchdog.Err())
 		fmt.Fprintf(os.Stderr, "watchdog: %d anomaly event(s)\n", len(watchdog.Anomalies()))
 	}
 
-	if *journey != "" {
+	if o.journey != "" {
 		access := "grant-based"
-		if *grantFree {
+		if pt.GrantFree {
 			access = "grant-free"
 		}
-		setup := fmt.Sprintf("%s, %s @ %s slots, %s", access, *pattern, *slot, rk.name)
-		if err := printJourney(sc, results, setup); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		setup := fmt.Sprintf("%s, %s @ %s slots, %s", access, pt.Pattern, pt.Slot, journeyRadio[pt.Radio])
+		exitOn(printJourney(sc, results, setup))
 	} else {
 		fmt.Printf("scenario: %s slot=%s grantfree=%v radio=%s rt=%v ues=%d\n",
-			*pattern, *slot, *grantFree, *radioKind, *rt, *ues)
-		printSummary(sc, results, *deadline)
+			pt.Pattern, pt.Slot, pt.GrantFree, pt.Radio, o.rt, o.run.UEs)
+		printSummary(sc, results, o.run.Deadline)
 	}
 
 	// With -serve, stay up after the run so the final counters and
@@ -366,6 +226,77 @@ func main() {
 		<-ch
 		live.Close()
 	}
+}
+
+// options are urllcsim's flags: the shared run flags, the one grid point
+// they name, and urllcsim's own.
+type options struct {
+	run             *runflag.Flags
+	point           runflag.Point
+	grantFree, rt   bool
+	dir, journey    string
+	bytes, wdWindow int
+	snr, wdMissRate float64
+	wdP99           time.Duration
+	// The output paths (and -serve's address) that only urllcsim writes.
+	traceOut, metricsOut, snapshotsOut, jsonlOut, kpiOut string
+	serve, profOut, flightTraceOut, anomalyOut           string
+}
+
+// parse reads urllcsim's flags from args into fs and checks them. A bad
+// value is a one-line error; with -version nothing is checked.
+func parse(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{run: runflag.Bind(fs, 300)}
+	fs.BoolVar(&o.grantFree, "grantfree", false, "use configured grants instead of SR/grant")
+	fs.BoolVar(&o.rt, "rt", false, "real-time kernel jitter profile")
+	fs.StringVar(&o.dir, "dir", "both", "ul | dl | both")
+	fs.IntVar(&o.bytes, "bytes", 32, "payload bytes")
+	fs.Float64Var(&o.snr, "snr", 25, "channel SNR (dB)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write Chrome trace-event JSON (Perfetto / chrome://tracing) to this file")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the metrics registry summary as CSV to this file")
+	fs.StringVar(&o.snapshotsOut, "snapshots-out", "", "write per-slot counter/gauge snapshots as CSV to this file")
+	fs.StringVar(&o.jsonlOut, "jsonl-out", "", "write the span/outcome trace as JSONL to this file (input for urllc-report)")
+	fs.StringVar(&o.kpiOut, "kpi-out", "", "write per-UE KPIs (AoI, fairness, reliability CCDF) as JSONL (urllcsim-kpi/v1; input for urllc-report) to this file")
+	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (e.g. :9090): /metrics Prometheus text, /debug/vars expvar, /debug/pprof; keeps serving after the run until interrupted")
+	fs.StringVar(&o.profOut, "prof-out", "", "self-profile the engine and write the JSONL 'profile' record here; the top-event-types table goes to stderr (stdout stays byte-identical)")
+	fs.StringVar(&o.flightTraceOut, "flight-trace-out", "", "write a focused Chrome trace of only the promoted flight exemplars to this file")
+	fs.Float64Var(&o.wdMissRate, "watchdog-missrate", 0, "fire a watchdog anomaly when a window's miss rate exceeds this fraction (0 = off)")
+	fs.DurationVar(&o.wdP99, "watchdog-p99", 0, "fire a watchdog anomaly when a window's p99 latency exceeds this (0 = off)")
+	fs.IntVar(&o.wdWindow, "watchdog-window", flight.DefaultWindow, "packet outcomes per watchdog evaluation window")
+	fs.StringVar(&o.anomalyOut, "anomaly-out", "", "stream watchdog 'anomaly' JSONL events to this file as they fire")
+	fs.StringVar(&o.journey, "journey", "", "ul | dl: offer one packet at 337µs in that direction (100 ms horizon) and print its Fig. 3 journey instead of the summary; -packets and -dir are not used")
+	if err := fs.Parse(args); err != nil || o.run.Version {
+		return o, err
+	}
+	grid, err := o.run.Grid(strconv.FormatBool(o.grantFree))
+	switch {
+	case err != nil:
+	case len(grid) != 1:
+		err = fmt.Errorf("-pattern %s -slot %s -radio %s: %d grid points; urllcsim runs one (urllc-sweep runs grids)",
+			o.run.Pattern, o.run.Slot, o.run.Radio, len(grid))
+	case o.bytes < 1:
+		err = fmt.Errorf("-bytes %d: need at least 1", o.bytes)
+	case math.IsNaN(o.snr) || math.IsInf(o.snr, 0):
+		err = fmt.Errorf("-snr %v: need a finite dB value", o.snr)
+	case o.dir != "ul" && o.dir != "dl" && o.dir != "both":
+		err = fmt.Errorf("unknown -dir %q (ul | dl | both)", o.dir)
+	case o.journey != "" && o.journey != "ul" && o.journey != "dl":
+		err = fmt.Errorf("unknown -journey %q (ul | dl)", o.journey)
+	case o.wdWindow < 1:
+		err = fmt.Errorf("-watchdog-window %d: need at least 1", o.wdWindow)
+	case !(o.wdMissRate >= 0 && o.wdMissRate <= 1): // also rejects NaN
+		err = fmt.Errorf("-watchdog-missrate %v outside [0,1]", o.wdMissRate)
+	case o.wdP99 < 0:
+		err = fmt.Errorf("-watchdog-p99 %v: must not be negative", o.wdP99)
+	default:
+		o.point = grid[0]
+	}
+	return o, err
+}
+
+// journeyRadio names each -radio as the journey header does.
+var journeyRadio = map[string]string{
+	"usb2": "USB2 B210", "usb3": "USB3 B210", "pcie": "PCIe SDR", "none": "no radio head",
 }
 
 // journeyAt is the -journey packet's arrival time within the TDD pattern.
@@ -393,13 +324,6 @@ func printJourney(sc *urllcsim.Scenario, results []urllcsim.PacketResult, setup 
 	fmt.Printf("\nshares: protocol %.0f%%, processing %.0f%%, radio %.0f%%\n",
 		100*r.ProtocolShare(), 100*r.ProcessingShare(), 100*r.RadioShare())
 	return nil
-}
-
-// usageErr reports bad command-line input on one stderr line and exits 2,
-// the flag package's own exit code for usage errors.
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(2)
 }
 
 // printSummary prints the per-direction latency distribution against the
@@ -450,11 +374,10 @@ func printSummary(sc *urllcsim.Scenario, results []urllcsim.PacketResult, deadli
 	}
 }
 
-// jsonlBatchPath suppresses the batch JSONL export when the run already
-// streamed the file.
-func jsonlBatchPath(path string, streamed bool) string {
-	if streamed {
-		return ""
+// exitOn reports a failed run step on stderr and exits 1; nil is a no-op.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return path
 }

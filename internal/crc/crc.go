@@ -56,25 +56,6 @@ func (k Kind) Len() int {
 	return n
 }
 
-func (k Kind) String() string {
-	switch k {
-	case CRC24A:
-		return "CRC24A"
-	case CRC24B:
-		return "CRC24B"
-	case CRC24C:
-		return "CRC24C"
-	case CRC16:
-		return "CRC16"
-	case CRC11:
-		return "CRC11"
-	case CRC6:
-		return "CRC6"
-	default:
-		return "CRC?"
-	}
-}
-
 // Compute returns the CRC of data (processed MSB-first) as the low bits of
 // the returned word.
 func Compute(k Kind, data []byte) uint32 {

@@ -127,12 +127,6 @@ func TestPropertyLinearity(t *testing.T) {
 	}
 }
 
-func TestKindString(t *testing.T) {
-	if CRC24A.String() != "CRC24A" || CRC6.String() != "CRC6" {
-		t.Fatal("Kind strings wrong")
-	}
-}
-
 func BenchmarkCRC24A(b *testing.B) {
 	data := make([]byte, 1500)
 	for i := range data {

@@ -49,9 +49,9 @@ var AchievedDesigns = []Design{
 			h := radio.B210(radio.USB3())
 			h.Bus.Jitter = proc.RTKernel()
 			return node.Config{
-				Label: "tuned-software", Grid: g, GrantFree: true,
+				Grid: g, GrantFree: true,
 				GNBRadio: h, Channel: channel.AWGN{SNR: 25},
-				MCSIndex: 10, MarginSlots: 1, K2Slots: 1, HARQMaxTx: 2,
+				MarginSlots: 1, HARQMaxTx: 2,
 				CoreLatency: 20 * sim.Microsecond, PayloadBytes: 32, Seed: seed,
 			}, nil
 		},
@@ -66,10 +66,10 @@ var AchievedDesigns = []Design{
 			h := radio.LowLatencySDR()
 			h.Bus.Jitter = proc.RTKernel()
 			return node.Config{
-				Label: "strict-design", Grid: g, GrantFree: true,
+				Grid: g, GrantFree: true,
 				GNBProfile: proc.ASICProfile(), UEProfile: proc.ASICProfile(),
 				GNBRadio: h, Channel: channel.AWGN{SNR: 25},
-				MCSIndex: 10, MarginSlots: 0, K2Slots: 1, HARQMaxTx: 2,
+				MarginSlots: 0, HARQMaxTx: 2,
 				TickLead:    60 * sim.Microsecond,
 				CoreLatency: 10 * sim.Microsecond, PayloadBytes: 32, Seed: seed,
 			}, nil

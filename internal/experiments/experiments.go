@@ -131,14 +131,11 @@ func TestbedConfig(grantFree bool, seed uint64) (node.Config, error) {
 		return node.Config{}, err
 	}
 	return node.Config{
-		Label:        "testbed-n78-DDDU",
 		Grid:         g,
 		GrantFree:    grantFree,
 		GNBRadio:     radio.B210(radio.USB2()),
 		Channel:      channel.AWGN{SNR: 25},
-		MCSIndex:     10,
 		MarginSlots:  1,
-		K2Slots:      1,
 		HARQMaxTx:    3,
 		CoreLatency:  30 * sim.Microsecond,
 		PayloadBytes: 32,
@@ -432,11 +429,11 @@ func MmWave(seed uint64, workers int) (string, error) {
 	mk := func(uplink bool) (latencies, error) {
 		systems, err := runSharded(1200, uplink, seed, workers, func(s uint64) (node.Config, error) {
 			return node.Config{
-				Label: "mmwave", Grid: g, GrantFree: true,
+				Grid: g, GrantFree: true,
 				GNBRadio: radio.LowLatencySDR(),
 				Channel: channel.NewBlockage(22, 25, 120*sim.Millisecond, 40*sim.Millisecond,
 					sim.NewRNG(s+99)),
-				MCSIndex: 10, MarginSlots: 1, K2Slots: 1, HARQMaxTx: 6,
+				MarginSlots: 1, HARQMaxTx: 6,
 				CoreLatency: 30 * sim.Microsecond, PayloadBytes: 32, Seed: s,
 			}, nil
 		})

@@ -13,7 +13,6 @@ func TestULImpossibleOnDLOnlyGrid(t *testing.T) {
 	cfg := Config{
 		Grid:         nr.UniformGrid(nr.Mu1, nr.SymDL, "DL-only"),
 		GrantFree:    true,
-		MCSIndex:     10,
 		MarginSlots:  1,
 		HARQMaxTx:    1,
 		PayloadBytes: 32,
@@ -36,7 +35,6 @@ func TestULImpossibleOnDLOnlyGrid(t *testing.T) {
 func TestDLStarvesOnULOnlyGrid(t *testing.T) {
 	cfg := Config{
 		Grid:         nr.UniformGrid(nr.Mu1, nr.SymUL, "UL-only"),
-		MCSIndex:     10,
 		MarginSlots:  1,
 		HARQMaxTx:    1,
 		PayloadBytes: 32,

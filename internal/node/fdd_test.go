@@ -13,14 +13,11 @@ import (
 func fddConfig(t *testing.T, grantFree bool) Config {
 	t.Helper()
 	return Config{
-		Label:        "FDD",
 		Grid:         nr.UniformGrid(nr.Mu1, nr.SymDL, "FDD-DL"),
 		ULGrid:       nr.UniformGrid(nr.Mu1, nr.SymUL, "FDD-UL"),
 		GrantFree:    grantFree,
 		GNBRadio:     radio.LowLatencySDR(),
-		MCSIndex:     10,
 		MarginSlots:  1,
-		K2Slots:      1,
 		HARQMaxTx:    3,
 		CoreLatency:  20 * sim.Microsecond,
 		PayloadBytes: 32,
@@ -100,7 +97,7 @@ func TestTickLeadEnablesZeroMargin(t *testing.T) {
 	cfg := Config{
 		Grid: g, GrantFree: true,
 		GNBProfile: proc.ASICProfile(), UEProfile: proc.ASICProfile(),
-		GNBRadio: h, MCSIndex: 10, MarginSlots: 0, K2Slots: 1,
+		GNBRadio: h, MarginSlots: 0,
 		TickLead: 60 * sim.Microsecond, HARQMaxTx: 2,
 		CoreLatency: 10 * sim.Microsecond, PayloadBytes: 32, Seed: 9,
 	}
@@ -140,8 +137,8 @@ func TestTickLeadZeroIsBoundaryAligned(t *testing.T) {
 	}
 	mk := func() Config {
 		return Config{
-			Grid: g, GNBRadio: radio.B210(radio.USB2()), MCSIndex: 10,
-			MarginSlots: 1, K2Slots: 1, HARQMaxTx: 3, PayloadBytes: 32, Seed: 77,
+			Grid: g, GNBRadio: radio.B210(radio.USB2()),
+			MarginSlots: 1, HARQMaxTx: 3, PayloadBytes: 32, Seed: 77,
 		}
 	}
 	run := func(cfg Config) []sim.Duration {

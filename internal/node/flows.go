@@ -656,7 +656,7 @@ func (s *System) transmitDL(tb *dlTB) {
 		s.freeTB(tb)
 		return
 	}
-	air, err := s.phyDL.AirTime(len(block), s.cfg.PRBs, sym)
+	air, err := s.phyDL.AirTime(len(block), carrierPRBs, sym)
 	if err != nil {
 		air = sym
 	}

@@ -27,10 +27,15 @@ import (
 	"urllcsim/internal/stack"
 )
 
+// Every system runs one carrier at one MCS: MCS index 10 over 106 PRBs
+// (40 MHz at 30 kHz).
+const (
+	mcsIndex    = 10
+	carrierPRBs = 106
+)
+
 // Config parameterises one full system.
 type Config struct {
-	Label string
-
 	// Grid is the TDD timeline (DL and UL share it; FDD systems pass
 	// ULGrid separately).
 	Grid   *nr.Grid
@@ -64,13 +69,10 @@ type Config struct {
 	// models an integrated modem whose RF cost is inside the UE profile.
 	GNBRadio *radio.Head
 
-	Channel  channel.Model
-	MCSIndex int
-	PRBs     int
+	Channel channel.Model
 
 	// MarginSlots is the scheduler's radio-readiness lead (§4/§7).
 	MarginSlots int
-	K2Slots     int
 
 	// TickLead advances each scheduling instant by a sub-slot amount: the
 	// decision for slot b is taken at b−TickLead. A hardware-accelerated
@@ -128,9 +130,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Channel == nil {
 		c.Channel = channel.AWGN{SNR: 25}
-	}
-	if c.PRBs == 0 {
-		c.PRBs = 106 // 40 MHz @ 30 kHz
 	}
 	if c.HARQMaxTx <= 0 {
 		c.HARQMaxTx = 1
@@ -360,7 +359,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	mcs, err := modulation.MCSByIndex(cfg.MCSIndex)
+	mcs, err := modulation.MCSByIndex(mcsIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +369,7 @@ func NewSystem(cfg Config) (*System, error) {
 	// PRBs, the same in both directions.
 	slotBytes := 1000
 	if size, err := modulation.TBS(modulation.TBSParams{
-		PRBs: cfg.PRBs, Symbols: 12, DMRSPerPRB: 12, Layers: 1, MCS: mcs,
+		PRBs: carrierPRBs, Symbols: 12, DMRSPerPRB: 12, Layers: 1, MCS: mcs,
 	}); err == nil {
 		slotBytes = size / 8
 	}
@@ -378,7 +377,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Grid:        cfg.Grid,
 		ULGrid:      cfg.ULGrid,
 		MarginSlots: cfg.MarginSlots,
-		K2Slots:     cfg.K2Slots,
 		DLSlotBytes: slotBytes,
 		ULSlotBytes: slotBytes,
 		GrantBytes:  cfg.PayloadBytes + 64,

@@ -24,14 +24,11 @@ func testbedConfig(t *testing.T, grantFree bool, seed uint64) Config {
 		t.Fatal(err)
 	}
 	return Config{
-		Label:        "testbed",
 		Grid:         g,
 		GrantFree:    grantFree,
 		GNBRadio:     radio.B210(radio.USB2()),
 		Channel:      channel.AWGN{SNR: 25},
-		MCSIndex:     10,
 		MarginSlots:  1,
-		K2Slots:      1,
 		HARQMaxTx:    3,
 		CoreLatency:  30 * sim.Microsecond,
 		PayloadBytes: 32,
@@ -413,8 +410,8 @@ func cellAllocsPerPkt(t *testing.T, rec func() *obs.Recorder) (allocs, bytes flo
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Label: "cell", Grid: g, Fairness: sched.FairRoundRobin,
-		Channel: channel.AWGN{SNR: 25}, MCSIndex: 10, MarginSlots: 1, K2Slots: 1,
+		Grid: g, Fairness: sched.FairRoundRobin,
+		Channel: channel.AWGN{SNR: 25}, MarginSlots: 1,
 		HARQMaxTx: 3, CoreLatency: 30 * sim.Microsecond, NUEs: 200, PayloadBytes: 32, Seed: 3,
 	}
 	const ues, cycles = 200, 2
@@ -509,11 +506,6 @@ func TestRTKernelReducesMisses(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewSystem(Config{}); err == nil {
 		t.Fatal("nil grid accepted")
-	}
-	cfg := testbedConfig(t, false, 11)
-	cfg.MCSIndex = 99
-	if _, err := NewSystem(cfg); err == nil {
-		t.Fatal("bad MCS accepted")
 	}
 }
 

@@ -355,7 +355,7 @@ func (s *System) ulTransmitAt(p *ulPacket, slotStart, from sim.Time) {
 		s.finishUL(p, slotStart, false)
 		return
 	}
-	air, err := s.phyUL.AirTime(len(tb), s.cfg.PRBs, sym)
+	air, err := s.phyUL.AirTime(len(tb), carrierPRBs, sym)
 	if err != nil {
 		air = sym
 	}

@@ -2,7 +2,6 @@ package nr
 
 import (
 	"fmt"
-	"strings"
 
 	"urllcsim/internal/sim"
 )
@@ -350,18 +349,4 @@ func (g *Grid) CountKind(k SymbolKind) int {
 		}
 	}
 	return n
-}
-
-// String renders one period, one letter per symbol, slot-separated.
-func (g *Grid) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s[%v ", g.Label, g.Mu)
-	for i := 0; i < g.syms; i++ {
-		if i > 0 && i%SymbolsPerSlot == 0 {
-			b.WriteByte('|')
-		}
-		b.WriteByte(byte(g.KindOfSymbol(int64(i))))
-	}
-	b.WriteByte(']')
-	return b.String()
 }

@@ -265,11 +265,3 @@ func TestBuildGridRejectsInvalid(t *testing.T) {
 		t.Fatal("mini grid with an unknown symbol kind accepted")
 	}
 }
-
-func TestGridString(t *testing.T) {
-	s := dmGrid(t).String()
-	want := "DM[µ2(60kHz) DDDDDDDDDDDDDD|DDGGUUUUUUUUUU]"
-	if s != want {
-		t.Fatalf("grid string = %q, want %q", s, want)
-	}
-}

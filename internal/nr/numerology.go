@@ -79,14 +79,3 @@ const (
 	FR1 FrequencyRange = 1 // 410 MHz – 7.125 GHz
 	FR2 FrequencyRange = 2 // 24.25 – 52.6 GHz (FR2-1)
 )
-
-func (fr FrequencyRange) String() string {
-	switch fr {
-	case FR1:
-		return "FR1"
-	case FR2:
-		return "FR2"
-	default:
-		return fmt.Sprintf("FR%d(invalid)", int(fr))
-	}
-}

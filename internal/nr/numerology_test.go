@@ -63,10 +63,7 @@ func TestPaperMinimumFR1Slot(t *testing.T) {
 	}
 }
 
-func TestFRStrings(t *testing.T) {
-	if FR1.String() != "FR1" || FR2.String() != "FR2" {
-		t.Fatal("FR strings wrong")
-	}
+func TestNumerologyString(t *testing.T) {
 	if Mu2.String() != "µ2(60kHz)" {
 		t.Fatalf("µ2 string = %q", Mu2.String())
 	}

@@ -11,8 +11,6 @@
 package radio
 
 import (
-	"fmt"
-
 	"urllcsim/internal/nr"
 	"urllcsim/internal/proc"
 	"urllcsim/internal/sim"
@@ -120,10 +118,6 @@ func (h *Head) RxLatency(mu nr.Numerology, rng *sim.RNG) sim.Duration {
 func (h *Head) MeanOneWay(mu nr.Numerology) sim.Duration {
 	n := h.SamplesPerSlot(mu)
 	return h.Bus.DeterministicLatency(n) + sim.Duration((h.ConvertUs+h.FIFOUs)*1000)
-}
-
-func (h *Head) String() string {
-	return fmt.Sprintf("%s over %s @ %.2fMS/s", h.Name, h.Bus.Name, h.SampleRateHz/1e6)
 }
 
 // SubmissionPoint is one measurement of the Fig. 5 experiment.

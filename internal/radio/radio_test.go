@@ -153,10 +153,3 @@ func TestSubmissionSweep(t *testing.T) {
 		t.Fatal("sweep not increasing on average")
 	}
 }
-
-func TestHeadString(t *testing.T) {
-	s := B210(USB2()).String()
-	if s != "USRP B210 over USB 2.0 @ 23.04MS/s" {
-		t.Fatalf("String = %q", s)
-	}
-}

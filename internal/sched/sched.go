@@ -86,6 +86,9 @@ const (
 	FairRoundRobin
 )
 
+// k2Slots is the UE's minimum grant→PUSCH preparation time in slots.
+const k2Slots = 1
+
 // Config parameterises the scheduler.
 type Config struct {
 	Grid *nr.Grid
@@ -98,9 +101,6 @@ type Config struct {
 	// slot it targets, covering MAC+PHY processing and radio submission
 	// (§4, §7: "the transmission must be always delayed for one slot").
 	MarginSlots int
-
-	// K2Slots is the UE's minimum grant→PUSCH preparation time in slots.
-	K2Slots int
 
 	// DLSlotBytes / ULSlotBytes are the transport capacity of one full
 	// DL/UL slot at the operating MCS (from modulation.TBS).
@@ -151,8 +151,8 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Grid == nil {
 		return nil, fmt.Errorf("sched: nil grid")
 	}
-	if cfg.MarginSlots < 0 || cfg.K2Slots < 0 {
-		return nil, fmt.Errorf("sched: negative margin or k2")
+	if cfg.MarginSlots < 0 {
+		return nil, fmt.Errorf("sched: negative margin")
 	}
 	if cfg.DLSlotBytes <= 0 || cfg.ULSlotBytes <= 0 {
 		return nil, fmt.Errorf("sched: non-positive slot capacity")
@@ -267,7 +267,7 @@ func (s *Scheduler) Tick(b sim.Time, dlQueue []DLItem) Plan {
 		plan.DLUsedBytes = s.cfg.DLSlotBytes - remaining
 
 		// --- UL grants ride the DL control of the same planned slot ---
-		earliestUL := target.Add(sim.Duration(1+s.cfg.K2Slots) * s.slotDur())
+		earliestUL := target.Add(sim.Duration(1+k2Slots) * s.slotDur())
 		// Split the pending SRs: those decoded after this boundary stay,
 		// compacted in place; the eligible ones compete below, and the
 		// deferred and split ones rejoin the pending list after them.

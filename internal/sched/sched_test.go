@@ -13,7 +13,7 @@ func ddduScheduler(t *testing.T, margin int) *Scheduler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Grid: g, MarginSlots: margin, K2Slots: 1, DLSlotBytes: 5000, ULSlotBytes: 4000, GrantBytes: 200})
+	s, err := New(Config{Grid: g, MarginSlots: margin, DLSlotBytes: 5000, ULSlotBytes: 4000, GrantBytes: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestHorizonFullDefersInsteadOfOvercommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Grid: g, MarginSlots: 1, K2Slots: 1,
+	s, err := New(Config{Grid: g, MarginSlots: 1,
 		DLSlotBytes: 5000, ULSlotBytes: 4000, GrantBytes: 200, GrantHorizonSlots: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func TestRoundRobinFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Grid: g, MarginSlots: 1, K2Slots: 1,
+	s, err := New(Config{Grid: g, MarginSlots: 1,
 		DLSlotBytes: 5000, ULSlotBytes: 4000, GrantBytes: 200, Fairness: FairRoundRobin})
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +444,7 @@ func TestTickZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Grid: g, MarginSlots: 1, K2Slots: 1,
+	s, err := New(Config{Grid: g, MarginSlots: 1,
 		DLSlotBytes: 5000, ULSlotBytes: 4000, GrantBytes: 200, Fairness: FairRoundRobin})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ var testOnlyAllowed = map[string]string{
 	"internal/proc.Profile.TotalMean":                     "summed layer means the Table 2 and ASIC profile checks pin",
 	"internal/proc.IdealProfile":                          "zero-processing profile, the theoretical-paper ablation the profile checks use",
 	"internal/proc.NoJitter":                              "the jitter-free OS model, checked to sample exactly 0",
-	"internal/modulation.PRBs":                            "the TS 38.101 N_RB table behind node's default 106 PRBs (40 MHz at 30 kHz), pinned by TestPRBTable",
+	"internal/modulation.PRBs":                            "the TS 38.101 N_RB table behind node's carrierPRBs (106 at 40 MHz and 30 kHz), pinned by TestPRBTable",
 	"internal/bits.Writer.Align":                          "octet padding, checked with the codec primitives",
 	"internal/bits.Writer.Len":                            "bits written, checked with the codec primitives",
 	"internal/bits.Reader.Aligned":                        "octet-boundary probe, checked with the codec primitives",
@@ -60,10 +60,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/obs.Recorder.Reset":       "reuse of one recorder across runs, checked by the reset, poison and overhead tests",
 
 	// Renderings for diagnostics, each pinned by its own test.
-	"internal/crc.Kind.String":            "the polynomial's name, checked by TestKindString",
-	"internal/nr.FrequencyRange.String":   "FR1/FR2, checked by the numerology tests",
-	"internal/nr.Grid.String":             "the grid's symbol map as text, checked by TestGridString",
-	"internal/radio.Head.String":          "the head's name, bus and sample rate, checked by TestHeadString",
 	"internal/obs.TracerFunc":             "adapts a plain func to sim.EngineSink, mounted by benchmark/benchmark_test.go and the obs tests",
 	"internal/obs.TracerFunc.EngineEvent": "the adapter's sim.EngineSink method",
 

@@ -223,7 +223,6 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		fairness = sched.FairRoundRobin
 	}
 	sys, err := node.NewSystem(node.Config{
-		Label:          string(cfg.Pattern),
 		Grid:           grid,
 		ULGrid:         ulGrid,
 		GrantFree:      cfg.GrantFree,
@@ -231,9 +230,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		CGBackoffSlots: cfg.CGBackoffSlots,
 		GNBRadio:       head,
 		Channel:        ch,
-		MCSIndex:       10,
 		MarginSlots:    margin,
-		K2Slots:        1,
 		HARQMaxTx:      harq,
 		HARQFeedback:   cfg.HARQFeedback,
 		CoreLatency:    30 * time.Microsecond,
