@@ -18,8 +18,6 @@ const (
 	DownlinkMode
 )
 
-func (m Mode) String() string { return m.core().String() }
-
 func (m Mode) core() core.AccessMode {
 	switch m {
 	case GrantBasedUplink:
@@ -157,15 +155,6 @@ func Table1() ([]FeasibilityCell, error) {
 		}
 	}
 	return out, nil
-}
-
-// Table1String renders the matrix in the paper's layout.
-func Table1String() (string, error) {
-	m, err := core.Table1()
-	if err != nil {
-		return "", err
-	}
-	return m.String(), nil
 }
 
 // MinimumFR1Slot returns the shortest FR1 slot duration (0.25 ms — the §5

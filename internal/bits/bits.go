@@ -32,9 +32,6 @@ func (w *Writer) Reset(dst []byte) {
 	w.nbit = 8 * len(dst)
 }
 
-// Len returns the number of bits written.
-func (w *Writer) Len() int { return w.nbit }
-
 // Bytes returns the accumulated bytes. The final byte is zero-padded on the
 // right if the bit count is not a multiple of 8.
 func (w *Writer) Bytes() []byte { return w.buf }

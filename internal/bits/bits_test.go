@@ -13,8 +13,8 @@ func TestWriteReadBits(t *testing.T) {
 	w.WriteBits(0xABCD, 16)
 	w.WriteBool(true)
 	w.WriteBits(0, 4) // pad to 24 bits
-	if w.Len() != 24 {
-		t.Fatalf("Len = %d, want 24", w.Len())
+	if w.nbit != 24 {
+		t.Fatalf("nbit = %d, want 24", w.nbit)
 	}
 	r := NewReader(w.Bytes())
 	if v, _ := r.ReadBits(3); v != 0b101 {
@@ -90,8 +90,8 @@ func TestResetMatchesNewWriter(t *testing.T) {
 		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
 			t.Errorf("Reset(%x): wrote %x, want %x then %x", prefix, got, prefix, want)
 		}
-		if w.Len() != 8*len(got) {
-			t.Errorf("Reset(%x): Len = %d bits for %d bytes", prefix, w.Len(), len(got))
+		if w.nbit != 8*len(got) {
+			t.Errorf("Reset(%x): nbit = %d bits for %d bytes", prefix, w.nbit, len(got))
 		}
 	}
 	// Writing into a buffer with room allocates nothing.
@@ -117,14 +117,14 @@ func TestAlign(t *testing.T) {
 	w := NewWriter()
 	w.WriteBits(0b11, 2)
 	w.Align()
-	if w.Len() != 8 {
-		t.Fatalf("Len after Align = %d", w.Len())
+	if w.nbit != 8 {
+		t.Fatalf("nbit after Align = %d", w.nbit)
 	}
 	if w.Bytes()[0] != 0xC0 {
 		t.Fatalf("byte = %x, want c0", w.Bytes()[0])
 	}
 	w.Align() // idempotent on aligned writer
-	if w.Len() != 8 {
+	if w.nbit != 8 {
 		t.Fatal("Align not idempotent")
 	}
 }
@@ -371,9 +371,9 @@ func checkBitsScript(t *testing.T, script []byte) {
 			o.align()
 		}
 		widths = append(widths, o.nbit-before)
-		if w.Len() != o.nbit || !bytes.Equal(w.Bytes(), o.buf) {
+		if w.nbit != o.nbit || !bytes.Equal(w.Bytes(), o.buf) {
 			t.Fatalf("after op %d at byte %d: writer %x (%d bits), bitwise %x (%d bits)",
-				op, i, w.Bytes(), w.Len(), o.buf, o.nbit)
+				op, i, w.Bytes(), w.nbit, o.buf, o.nbit)
 		}
 	}
 

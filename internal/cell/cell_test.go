@@ -149,27 +149,6 @@ func TestCellGrantFreeDegradesWithLoad(t *testing.T) {
 	}
 }
 
-func TestCellDLTraffic(t *testing.T) {
-	res, err := Run(Config{
-		UEs:     32,
-		Cycles:  4,
-		DLBytes: 64,
-		Seed:    5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Offered != 32*4*2 {
-		t.Fatalf("offered %d, want UL+DL = %d", res.Offered, 32*4*2)
-	}
-	if res.Pending != 0 || res.Lost != 0 {
-		t.Fatalf("DL-carrying cell unstable: %+v", *res)
-	}
-	if res.WorstDL <= 0 || res.WorstUL <= 0 {
-		t.Fatalf("missing per-direction latencies: %+v", *res)
-	}
-}
-
 // TestCellSweepWorkerInvariance shards a grid of cell runs through
 // internal/sweep and asserts the merged, formatted output is identical for 1
 // and 4 workers — the contract that keeps urllc-experiments' -parallel flag

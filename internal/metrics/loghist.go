@@ -270,14 +270,6 @@ func (h *LogHistogram) Mean() float64 {
 	return h.sum / float64(h.total)
 }
 
-// Min returns the exact smallest recorded value (0 when empty).
-func (h *LogHistogram) Min() int64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the exact largest recorded value (0 when empty).
 func (h *LogHistogram) Max() int64 {
 	if h.total == 0 {

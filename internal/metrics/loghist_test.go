@@ -92,8 +92,8 @@ func TestLogHistogramQuantileAccuracy(t *testing.T) {
 			}
 			sorted := append([]int64(nil), c.samples...)
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			if h.Min() != sorted[0] || h.Max() != sorted[len(sorted)-1] {
-				t.Fatalf("min/max = %d/%d, want %d/%d", h.Min(), h.Max(), sorted[0], sorted[len(sorted)-1])
+			if h.min != sorted[0] || h.Max() != sorted[len(sorted)-1] {
+				t.Fatalf("min/max = %d/%d, want %d/%d", h.min, h.Max(), sorted[0], sorted[len(sorted)-1])
 			}
 			for _, q := range quantiles {
 				exact := exactRank(sorted, q)
@@ -165,9 +165,9 @@ func TestLogHistogramMergeExact(t *testing.T) {
 		merged.Merge(p)
 	}
 	merged.Merge(NewLogHistogram()) // merging an empty histogram is a no-op
-	if merged.N() != whole.N() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
+	if merged.N() != whole.N() || merged.min != whole.min || merged.Max() != whole.Max() {
 		t.Fatalf("merged N/min/max = %d/%d/%d, want %d/%d/%d",
-			merged.N(), merged.Min(), merged.Max(), whole.N(), whole.Min(), whole.Max())
+			merged.N(), merged.min, merged.Max(), whole.N(), whole.min, whole.Max())
 	}
 	if merged.Sum() != whole.Sum() {
 		t.Fatalf("merged Sum = %v, want %v", merged.Sum(), whole.Sum())
@@ -477,7 +477,7 @@ func FuzzLogHistogramForms(f *testing.F) {
 func formsView(h *LogHistogram) string {
 	var s strings.Builder
 	fmt.Fprintf(&s, "N=%d sum=%x min=%d max=%d std=%x q=",
-		h.N(), math.Float64bits(h.Sum()), h.Min(), h.Max(), math.Float64bits(h.StdApprox()))
+		h.N(), math.Float64bits(h.Sum()), h.min, h.Max(), math.Float64bits(h.StdApprox()))
 	for _, q := range []float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.99999, 1} {
 		fmt.Fprintf(&s, "%d,", h.Quantile(q))
 	}
@@ -488,21 +488,21 @@ func formsView(h *LogHistogram) string {
 
 func TestLogHistogramEmptyAndEdges(t *testing.T) {
 	h := NewLogHistogram()
-	if h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 || h.N() != 0 {
+	if h.Quantile(0.5) != 0 || h.min != 0 || h.Max() != 0 || h.Mean() != 0 || h.N() != 0 {
 		t.Fatal("empty histogram stats not zero")
 	}
 	h.Buckets(func(int64, int64) { t.Fatal("empty histogram has no buckets") })
 	h.Add(-5) // clamps to bucket 0 but is recorded
-	if h.N() != 1 || h.Min() != -5 || h.Quantile(0) != -5 {
-		t.Fatalf("negative sample mishandled: N=%d min=%d", h.N(), h.Min())
+	if h.N() != 1 || h.min != -5 || h.Quantile(0) != -5 {
+		t.Fatalf("negative sample mishandled: N=%d min=%d", h.N(), h.min)
 	}
 	h2 := NewLogHistogram()
 	h2.AddDuration(500 * sim.Microsecond)
 	if h2.Quantile(0.99999) != int64(500*sim.Microsecond) {
 		t.Fatalf("single-sample p99.999 = %v", h2.Quantile(0.99999))
 	}
-	if h2.Min() != 500_000 || h2.Max() != 500_000 || h2.Mean() != 500_000 {
-		t.Fatalf("single-sample min/max/mean = %d/%d/%v", h2.Min(), h2.Max(), h2.Mean())
+	if h2.min != 500_000 || h2.Max() != 500_000 || h2.Mean() != 500_000 {
+		t.Fatalf("single-sample min/max/mean = %d/%d/%v", h2.min, h2.Max(), h2.Mean())
 	}
 }
 

@@ -10,25 +10,18 @@ import (
 	"urllcsim/internal/sim"
 )
 
-// Accumulator is a streaming mean/variance/min/max tracker (Welford).
+// Accumulator is a streaming mean/variance/max tracker (Welford).
 type Accumulator struct {
 	n        int64
 	mean, m2 float64
-	min, max float64
+	max      float64
 }
 
 // Add records one observation.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
+	if a.n == 1 || x > a.max {
+		a.max = x
 	}
 	d := x - a.mean
 	a.mean += d / float64(a.n)
@@ -39,7 +32,7 @@ func (a *Accumulator) Add(x float64) {
 func (a *Accumulator) AddDuration(d sim.Duration) { a.Add(float64(d) / 1000) }
 
 // Merge folds o into a using the parallel Welford combination (Chan et al.):
-// count, min and max merge exactly; mean and m2 are the algebraically exact
+// count and max merge exactly; mean and m2 are the algebraically exact
 // combination of the two streams, so a merged accumulator agrees with one
 // that saw both streams (up to float rounding, which differs from the
 // sequential order of operations but not between merge orders — merging the
@@ -57,9 +50,6 @@ func (a *Accumulator) Merge(o *Accumulator) {
 	d := o.mean - a.mean
 	a.m2 += o.m2 + d*d*float64(a.n)*float64(o.n)/float64(n)
 	a.mean += d * float64(o.n) / float64(n)
-	if o.min < a.min {
-		a.min = o.min
-	}
 	if o.max > a.max {
 		a.max = o.max
 	}
@@ -83,15 +73,9 @@ func (a *Accumulator) Std() float64 {
 	return math.Sqrt(a.m2 / float64(a.n))
 }
 
-// Min returns the smallest observation. An empty accumulator returns 0,
-// which is indistinguishable from a genuine minimum of 0 — callers that care
+// Max returns the largest observation. An empty accumulator returns 0,
+// which is indistinguishable from a genuine maximum of 0 — callers that care
 // must check N() > 0 first.
-func (a *Accumulator) Min() float64 {
-	return a.min
-}
-
-// Max returns the largest observation. Same empty-value caveat as Min: an
-// empty accumulator returns 0, check N() > 0 to tell the difference.
 func (a *Accumulator) Max() float64 {
 	return a.max
 }

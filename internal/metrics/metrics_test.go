@@ -19,8 +19,8 @@ func TestAccumulatorMoments(t *testing.T) {
 	if math.Abs(a.Std()-2) > 1e-12 {
 		t.Fatalf("std = %v, want 2", a.Std())
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", a.Min(), a.Max())
+	if a.Max() != 9 {
+		t.Fatalf("max = %v", a.Max())
 	}
 }
 
@@ -30,7 +30,7 @@ func TestAccumulatorEmptyAndSingle(t *testing.T) {
 		t.Fatal("empty accumulator not zero")
 	}
 	a.Add(42)
-	if a.Std() != 0 || a.Mean() != 42 || a.Min() != 42 || a.Max() != 42 {
+	if a.Std() != 0 || a.Mean() != 42 || a.Max() != 42 {
 		t.Fatal("single-sample stats wrong")
 	}
 }
@@ -68,27 +68,27 @@ func TestPropertyAccumulatorMatchesTwoPass(t *testing.T) {
 	}
 }
 
-// TestAccumulatorEmptyMinQuirk documents the footgun: Min()/Max() of an
-// empty accumulator return 0, indistinguishable from a real 0 — N() is the
-// only way to tell.
+// TestAccumulatorEmptyMinQuirk documents the footgun: Max() of an empty
+// accumulator returns 0, indistinguishable from a real 0 — N() is the only
+// way to tell.
 func TestAccumulatorEmptyMinQuirk(t *testing.T) {
 	var empty, real Accumulator
 	real.Add(0)
-	if empty.Min() != 0 || empty.Max() != 0 {
-		t.Fatal("empty Min/Max changed from documented 0")
+	if empty.Max() != 0 {
+		t.Fatal("empty Max changed from documented 0")
 	}
-	if real.Min() != empty.Min() {
+	if real.Max() != empty.Max() {
 		t.Fatal("quirk assumption broken")
 	}
 	if empty.N() != 0 || real.N() != 1 {
 		t.Fatal("N() must disambiguate empty from zero-valued")
 	}
-	// Negative-only data would return a negative Min — proving 0 is not a
+	// Negative-only data returns a negative Max — proving 0 is not a
 	// floor, just the empty value.
 	var neg Accumulator
 	neg.Add(-3.5)
-	if neg.Min() != -3.5 || neg.Max() != -3.5 {
-		t.Fatalf("negative observations mishandled: min=%v max=%v", neg.Min(), neg.Max())
+	if neg.Max() != -3.5 {
+		t.Fatalf("negative observations mishandled: max=%v", neg.Max())
 	}
 }
 
@@ -152,8 +152,8 @@ func TestAccumulatorMergeMatchesSequential(t *testing.T) {
 	if math.Abs(a.Mean()-seq.Mean()) > 1e-9 || math.Abs(a.Std()-seq.Std()) > 1e-9 {
 		t.Fatalf("merged moments %v/%v, sequential %v/%v", a.Mean(), a.Std(), seq.Mean(), seq.Std())
 	}
-	if a.Min() != seq.Min() || a.Max() != seq.Max() {
-		t.Fatalf("merged min/max %v/%v, sequential %v/%v", a.Min(), a.Max(), seq.Min(), seq.Max())
+	if a.Max() != seq.Max() {
+		t.Fatalf("merged max %v, sequential %v", a.Max(), seq.Max())
 	}
 }
 

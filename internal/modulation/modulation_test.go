@@ -45,22 +45,6 @@ func TestMCSTable(t *testing.T) {
 	}
 }
 
-func TestPRBTable(t *testing.T) {
-	// The paper's testbed: n78, 0.5 ms slots (30 kHz); typical private-5G
-	// channels are 40–100 MHz.
-	n, err := PRBs(40, 30)
-	if err != nil || n != 106 {
-		t.Fatalf("PRBs(40,30) = %d, %v; want 106", n, err)
-	}
-	n, err = PRBs(100, 30)
-	if err != nil || n != 273 {
-		t.Fatalf("PRBs(100,30) = %d, %v; want 273", n, err)
-	}
-	if _, err := PRBs(17, 30); err == nil {
-		t.Fatal("unknown bandwidth accepted")
-	}
-}
-
 func TestTBSSmallAllocations(t *testing.T) {
 	mcs, _ := MCSByIndex(10) // 16QAM r=0.33
 	size, err := TBS(TBSParams{PRBs: 4, Symbols: 2, DMRSPerPRB: 6, Layers: 1, MCS: mcs})

@@ -40,27 +40,6 @@ const SubcarriersPerPRB = 12
 // the 168 raw REs, the rest going to DMRS and overhead).
 const REsPerPRBCap = 156
 
-// prbTable maps (bandwidth MHz, SCS kHz) to the transmission bandwidth
-// configuration N_RB of TS 38.101-1 Table 5.3.2-1 (FR1) and 38.101-2 (FR2
-// rows, marked by 60/120 kHz at wide bandwidths).
-var prbTable = map[[2]int]int{
-	{10, 15}: 52, {10, 30}: 24, {10, 60}: 11,
-	{20, 15}: 106, {20, 30}: 51, {20, 60}: 24,
-	{40, 15}: 216, {40, 30}: 106, {40, 60}: 51,
-	{50, 15}: 270, {50, 30}: 133, {50, 60}: 65,
-	{100, 30}: 273, {100, 60}: 135, {100, 120}: 66,
-	{200, 60}: 264, {200, 120}: 132,
-	{400, 120}: 264,
-}
-
-// PRBs returns N_RB for the given channel bandwidth and subcarrier spacing.
-func PRBs(bandwidthMHz, scsKHz int) (int, error) {
-	if n, ok := prbTable[[2]int{bandwidthMHz, scsKHz}]; ok {
-		return n, nil
-	}
-	return 0, fmt.Errorf("modulation: no N_RB entry for %dMHz @ %dkHz", bandwidthMHz, scsKHz)
-}
-
 // TBSParams describes one allocation for transport-block sizing.
 type TBSParams struct {
 	PRBs       int // allocated PRBs

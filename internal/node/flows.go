@@ -6,7 +6,6 @@ import (
 
 	"urllcsim/internal/core"
 	"urllcsim/internal/metrics"
-	"urllcsim/internal/nr"
 	"urllcsim/internal/obs"
 	"urllcsim/internal/proc"
 	"urllcsim/internal/sched"
@@ -674,8 +673,7 @@ func (s *System) transmitDL(tb *dlTB) {
 }
 
 // dlReceived resolves the block at the end of its reception: a loss goes to
-// HARQ (after the NACK's round trip when the feedback loop is modelled),
-// anything else up the UE stack.
+// HARQ at once, anything else up the UE stack.
 func (s *System) dlReceived(tb *dlTB) {
 	onAirEnd, target := tb.onAir, tb.target
 	s.harqResolve(1)
@@ -688,23 +686,7 @@ func (s *System) dlReceived(tb *dlTB) {
 					Time: onAirEnd, Arg: int64(p.attempts + 1)})
 			}
 		}
-		// When the feedback loop is modelled, the gNB learns of the
-		// failure only after the UE's NACK travels back: UE decode,
-		// next UL opportunity, one symbol of PUCCH, radio up, gNB PHY.
-		requeueAt := onAirEnd
-		if s.cfg.HARQFeedback {
-			decode := s.sampleUE(proc.LayerPHY)
-			nackStart, ok := s.cfg.ULGrid.NextKindStart(onAirEnd.Add(decode), nr.SymUL)
-			if ok {
-				nackEnd := nackStart.Add(s.cfg.ULGrid.Mu.SymbolDuration())
-				var radioD sim.Duration
-				if s.cfg.GNBRadio != nil {
-					radioD = s.cfg.GNBRadio.RxLatency(s.cfg.Grid.Mu, s.rng)
-				}
-				requeueAt = nackEnd.Add(radioD + s.sampleGNB(proc.LayerPHY))
-			}
-		}
-		tb.schedule(requeueAt, tbHARQ)
+		tb.schedule(onAirEnd, tbHARQ)
 		return
 	}
 	for _, id := range tb.ids {

@@ -27,8 +27,8 @@ import (
 	"urllcsim/internal/stack"
 )
 
-// Every system runs one carrier at one MCS: MCS index 10 over 106 PRBs
-// (40 MHz at 30 kHz).
+// Every system runs one carrier at one MCS: MCS index 10 over 106 PRBs, the
+// N_RB of a 40 MHz channel at 30 kHz (TS 38.101-1 Table 5.3.2-1).
 const (
 	mcsIndex    = 10
 	carrierPRBs = 106
@@ -83,14 +83,6 @@ type Config struct {
 
 	// HARQMaxTx bounds transmissions per packet (1 = no retransmission).
 	HARQMaxTx int
-
-	// HARQFeedback models the DL feedback loop explicitly: the UE decodes,
-	// sends ACK/NACK in the next UL opportunity, and the gNB only
-	// retransmits after receiving the NACK — each retransmission then costs
-	// a full feedback round trip instead of just the next DL slot. This is
-	// what turns retransmissions into the "steps of 0.5ms" the paper's
-	// audio reference [33] reports.
-	HARQFeedback bool
 
 	// CoreLatency is the gNB↔UPF forwarding cost per direction.
 	CoreLatency sim.Duration

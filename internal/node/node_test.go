@@ -521,48 +521,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestHARQFeedbackSlowsRetransmission(t *testing.T) {
-	// With the explicit NACK loop, each DL retransmission costs a feedback
-	// round trip — mean latency of recovered packets must exceed the
-	// immediate-requeue model's.
-	mean := func(feedback bool) float64 {
-		cfg := testbedConfig(t, false, 61)
-		cfg.Channel = channel.AWGN{SNR: 10} // BLER ≈ 0.4 at 16QAM
-		cfg.HARQMaxTx = 6
-		cfg.HARQFeedback = feedback
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 200; i++ {
-			s.OfferDL(sim.Time(int64(i)*2_000_000+331_000), 32)
-		}
-		s.Eng.Run(sim.Time(800_000_000))
-		var sum float64
-		n := 0
-		for _, r := range s.Results() {
-			if r.Delivered && r.Attempts > 1 {
-				sum += float64(r.Latency)
-				n++
-			}
-		}
-		if n < 20 {
-			t.Fatalf("only %d retransmitted deliveries at 10dB", n)
-		}
-		return sum / float64(n)
-	}
-	immediate := mean(false)
-	withFB := mean(true)
-	if withFB <= immediate {
-		t.Fatalf("feedback loop (%vns) not slower than immediate requeue (%vns)", withFB, immediate)
-	}
-	// The gap per retransmission is roughly a UL-opportunity round trip —
-	// on DDDU that is on the order of a TDD period.
-	if withFB-immediate < 300_000 {
-		t.Fatalf("feedback cost only %.0fµs — loop not modelled", (withFB-immediate)/1000)
-	}
-}
-
 // A DL transport block carrying three SDUs, whose first fails the UE's PDCP
 // integrity check, loses that packet alone: the other two are delivered,
 // each checked against its own bytes. Pairing the surviving SDUs with the

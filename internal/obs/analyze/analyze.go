@@ -197,16 +197,6 @@ type Audit struct {
 	Dirs []*DirStats
 }
 
-// Dir returns the stats for d, or nil when the trace has no such packets.
-func (a *Audit) Dir(d obs.Dir) *DirStats {
-	for _, s := range a.Dirs {
-		if s.Dir == d {
-			return s
-		}
-	}
-	return nil
-}
-
 // Run audits a trace against a one-way deadline. Every packet is judged
 // (delivered late ⇒ miss, lost ⇒ miss), misses are attributed to the
 // journey's dominant latency source, and per-direction budget tables and

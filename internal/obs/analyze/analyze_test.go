@@ -113,7 +113,7 @@ func TestRunAudit(t *testing.T) {
 	if len(a.Dirs) != 2 || a.Dirs[0].Dir != obs.DirUL || a.Dirs[1].Dir != obs.DirDL {
 		t.Fatalf("want [UL DL] dirs, got %+v", a.Dirs)
 	}
-	ul := a.Dir(obs.DirUL)
+	ul := a.Dirs[0]
 	if ul.N != 3 || ul.Delivered != 2 || ul.Lost != 1 {
 		t.Fatalf("UL accounting: N=%d delivered=%d lost=%d", ul.N, ul.Delivered, ul.Lost)
 	}
@@ -160,7 +160,7 @@ func TestRunAudit(t *testing.T) {
 		t.Fatalf("sched.wait mean start offset = %v, want 0", ul.Steps[0].StartOffset.Mean())
 	}
 
-	dl := a.Dir(obs.DirDL)
+	dl := a.Dirs[1]
 	if dl.N != 1 || dl.Retransmitted != 1 || dl.DeadlineMet != 1 {
 		t.Fatalf("DL accounting: N=%d retx=%d met=%d", dl.N, dl.Retransmitted, dl.DeadlineMet)
 	}

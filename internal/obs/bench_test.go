@@ -18,9 +18,10 @@ const benchRecords = 1024
 // recordMix makes benchRecords each of the three calls model code makes
 // most: a counter bump, a latency observation and a span append.
 func recordMix(rec *Recorder) {
+	timing := rec.TimingH("bench.timing")
 	for j := 0; j < benchRecords; j++ {
 		rec.Count("bench.counter", 1)
-		rec.Observe("bench.timing", sim.Duration(j)*sim.Microsecond)
+		timing.Observe(sim.Duration(j) * sim.Microsecond)
 		rec.PacketSpan(j, DirUL, LayerMAC, "bench", core.Processing,
 			sim.Time(j*1000), sim.Microsecond)
 	}
@@ -105,14 +106,15 @@ func BenchmarkLabeledRegistry(b *testing.B)  { runOps(b, labeledRegistryOp()) }
 func BenchmarkLabeledDisabled(b *testing.B)  { runOps(b, labeledDisabledOp) }
 
 // TestObsRecordAllocs pins ObsRecord's allocations per op at their measured
-// count, a fresh recorder's registry, instruments and first log blocks; a
-// rise fails.
+// count, a fresh recorder, its registry, instruments and first log blocks; a
+// rise fails. The recorder itself is one of them because the timing handle
+// keeps it, as every recorder the node records through is kept.
 func TestObsRecordAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race adds allocations of its own")
 	}
-	if n := testing.AllocsPerRun(20, obsRecordOp); n > 34 {
-		t.Fatalf("ObsRecord: %v allocs/op, want ≤ 34", n)
+	if n := testing.AllocsPerRun(20, obsRecordOp); n > 35 {
+		t.Fatalf("ObsRecord: %v allocs/op, want ≤ 35", n)
 	}
 }
 

@@ -19,7 +19,8 @@ func sampleRecorder() *Recorder {
 	r.PacketSpan(1, DirDL, LayerAir, "⑩ on air", core.Protocol, sim.Time(2000), 142*sim.Microsecond)
 	r.Count("harq.retx", 2)
 	r.SetGauge("rlc.depth", 3)
-	r.Observe("lat.ul", 900*sim.Microsecond)
+	lat := r.TimingH("lat.ul")
+	lat.Observe(900 * sim.Microsecond)
 	r.SlotSnapshot(sim.Time(500000))
 	return r
 }

@@ -2,7 +2,8 @@ package obs
 
 import "urllcsim/internal/sim"
 
-// Metric handles: the hot-path form of Count/SetGauge/Observe.
+// Metric handles: the hot-path form of Count/SetGauge, and the only
+// recorder path for timings.
 //
 // The name-keyed methods pay a map lookup per record; a handle resolves the
 // instrument once and reuses the pointer, so a per-slot or per-packet call

@@ -519,17 +519,6 @@ func (r *Recorder) SetGauge(name string, v float64) {
 	r.end(meterMetric, t0)
 }
 
-// Observe records a duration into the named timing (mean/std accumulator +
-// histograms). No-op when disabled.
-func (r *Recorder) Observe(name string, d sim.Duration) {
-	if r == nil {
-		return
-	}
-	t0 := r.begin()
-	r.reg.Timing(name).Observe(d)
-	r.end(meterMetric, t0)
-}
-
 // SlotSnapshot captures the state of every counter and gauge at a slot
 // boundary. Called once per scheduling tick by the node layer, so the
 // snapshot series is slot-aligned by construction.

@@ -18,7 +18,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.PacketSpan(1, DirUL, LayerPHY, "x", core.Radio, 0, 0)
 	r.Count("c", 1)
 	r.SetGauge("g", 1)
-	r.Observe("t", sim.Microsecond)
+	tm := r.TimingH("t")
+	tm.Observe(sim.Microsecond)
 	r.SlotSnapshot(0)
 	if r.Spans().Len() != 0 || r.Outcomes().Len() != 0 || r.Metrics() != nil || r.PacketSpans(0) != nil {
 		t.Fatal("nil recorder returned non-nil data")

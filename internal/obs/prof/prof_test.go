@@ -197,11 +197,12 @@ func meterRun(t *testing.T) *Report {
 	p := Attach(eng)
 	rec := obs.NewRecorder()
 	p.MeterObs(rec)
+	lat := rec.TimingH("toy.lat")
 	for i := 0; i < 10; i++ {
 		i := i
 		eng.Schedule(sim.Time(i*1000), "tick", sim.Func(func() {
 			rec.Count("toy.ticks", 1)
-			rec.Observe("toy.lat", sim.Duration(i)*sim.Microsecond)
+			lat.Observe(sim.Duration(i) * sim.Microsecond)
 			rec.PacketSpan(i, obs.DirUL, obs.LayerMAC, "tx", 0, eng.Now(), sim.Microsecond)
 		}))
 	}

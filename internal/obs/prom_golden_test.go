@@ -25,8 +25,9 @@ func promFixture() *Recorder {
 	rec.SetGauge("watchdog.ul.miss_rate", 0.015625)
 	rec.SetGauge("watchdog.ul.p99_us", 487.5)
 	rec.SetGauge("watchdog.dl.miss_rate", 0)
+	latUL := rec.TimingH("lat.ul")
 	for i := 1; i <= 8; i++ {
-		rec.Observe("lat.ul", sim.Duration(i)*50*sim.Microsecond)
+		latUL.Observe(sim.Duration(i) * 50 * sim.Microsecond)
 	}
 	pkt := CounterFamH[PktEvent](rec, "pkt.by_ue")
 	take := GaugeFamH[UEKey](rec, "slot.ue_dl_take_bytes")

@@ -9,10 +9,10 @@ import (
 )
 
 // recordKinds drives each instrument kind through its two record forms. The
-// named form is Recorder.Count/SetGauge/Observe for the flat kinds; the
-// labeled families have no named recorder method, so their reference is a
-// direct write through the registry accessor, outside any section (sectioned
-// reports which named forms are metered records).
+// named form is Recorder.Count/SetGauge for the counter and gauge; the timing
+// and the labeled families have no named recorder method, so their reference
+// is a direct write through the registry accessor, outside any section
+// (sectioned reports which named forms are metered records).
 var recordKinds = []struct {
 	name      string
 	sectioned bool
@@ -31,8 +31,12 @@ var recordKinds = []struct {
 			h := r.GaugeH("g")
 			return func(i int) { h.Set(float64(i) / 4) }
 		}},
-	{"timing", true,
-		func(r *Recorder, i int) { r.Observe("t", sim.Duration(i)*sim.Microsecond) },
+	{"timing", false,
+		func(r *Recorder, i int) {
+			if r != nil {
+				r.Metrics().Timing("t").Observe(sim.Duration(i) * sim.Microsecond)
+			}
+		},
 		func(r *Recorder) func(int) {
 			h := r.TimingH("t")
 			return func(i int) { h.Observe(sim.Duration(i) * sim.Microsecond) }

@@ -16,6 +16,7 @@ func recordWorkload(r *Recorder) {
 	pkt := CounterFamH[PktEvent](r, "pkt.by_ue")
 	lat := HistFamH[UEDir](r, "lat.by_ue")
 	take := GaugeFamH[UEKey](r, "slot.ue_dl_take_bytes")
+	latUL := r.TimingH("lat.ul")
 	for id := 0; id < 64; id++ {
 		dir := DirUL
 		if id%2 == 1 {
@@ -25,7 +26,7 @@ func recordWorkload(r *Recorder) {
 		r.PacketSpan(id, dir, LayerSched, "wait", core.Protocol, sim.Time(id*1000+30000), 100*sim.Microsecond)
 		r.PacketSpan(id, dir, LayerAir, "air", core.Radio, sim.Time(id*1000+130000), 140*sim.Microsecond)
 		r.Count("pkt.offered", 1)
-		r.Observe("lat.ul", sim.Duration(270+id)*sim.Microsecond)
+		latUL.Observe(sim.Duration(270+id) * sim.Microsecond)
 		pkt.Add(PktEvent{UE: id % 4, Dir: dir, Event: "delivered"}, 1)
 		lat.Observe(UEDir{UE: id % 4, Dir: dir}, sim.Duration(270+id)*sim.Microsecond)
 		r.Outcome(Outcome{Packet: id, UE: id % 4, Dir: dir, Delivered: true,

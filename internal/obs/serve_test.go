@@ -146,8 +146,9 @@ func TestLiveHandlerExposition(t *testing.T) {
 	rec.Count("harq.retx", 3)
 	rec.Count("sched.slots_planned", 41)
 	rec.SetGauge("rlc.dl.queue_depth", 2)
+	lat := rec.TimingH("lat.ul")
 	for i := 1; i <= 100; i++ {
-		rec.Observe("lat.ul", sim.Duration(i)*10*sim.Microsecond)
+		lat.Observe(sim.Duration(i) * 10 * sim.Microsecond)
 	}
 	srv := httptest.NewServer(LiveHandler(rec))
 	defer srv.Close()
@@ -202,12 +203,13 @@ func TestLiveScrapeConcurrentWithRecording(t *testing.T) {
 		byUE := CounterFamH[PktEvent](rec, "pkt.by_ue")
 		latByUE := HistFamH[UEDir](rec, "lat.by_ue")
 		proc := rec.TimingH("gnb.proc.mac")
+		latUL := rec.TimingH("lat.ul")
 		for i := 0; i < 20000; i++ {
 			rec.Count("pkt.delivered", 1)
 			byUE.Add(PktEvent{UE: i % 4, Dir: DirUL, Event: "delivered"}, 1)
 			latByUE.Observe(UEDir{UE: i % 4, Dir: DirUL}, sim.Duration(100+i%400)*sim.Microsecond)
 			proc.Observe(sim.Duration(i%50) * sim.Microsecond)
-			rec.Observe("lat.ul", sim.Duration(100+i%400)*sim.Microsecond)
+			latUL.Observe(sim.Duration(100+i%400) * sim.Microsecond)
 			rec.SetGauge("harq.inflight", float64(i%4))
 			if i%100 == 0 {
 				rec.SlotSnapshot(sim.Time(i) * 500000)

@@ -115,9 +115,12 @@ func TestReportRoundTrip(t *testing.T) {
 		// The offline audit must agree with one built straight from the
 		// recorder: same verdict counts, budgets and quantiles per direction.
 		inProc := analyze.Run(direct, "roundtrip", 500*sim.Microsecond)
-		for _, d := range audit.Dirs {
-			o := inProc.Dir(d.Dir)
-			if o == nil {
+		if len(inProc.Dirs) != len(audit.Dirs) {
+			t.Fatalf("seed %d: in-process audit has %d dirs, offline %d", seed, len(inProc.Dirs), len(audit.Dirs))
+		}
+		for i, d := range audit.Dirs {
+			o := inProc.Dirs[i]
+			if o.Dir != d.Dir {
 				t.Fatalf("seed %d: dir %v missing from in-process audit", seed, d.Dir)
 			}
 			if d.N != o.N || d.Delivered != o.Delivered || d.Lost != o.Lost ||

@@ -37,37 +37,31 @@ var testOnlyAllowed = map[string]string{
 	"internal/proc.Profile.TotalMean":                     "summed layer means the Table 2 and ASIC profile checks pin",
 	"internal/proc.IdealProfile":                          "zero-processing profile, the theoretical-paper ablation the profile checks use",
 	"internal/proc.NoJitter":                              "the jitter-free OS model, checked to sample exactly 0",
-	"internal/modulation.PRBs":                            "the TS 38.101 N_RB table behind node's carrierPRBs (106 at 40 MHz and 30 kHz), pinned by TestPRBTable",
 	"internal/bits.Writer.Align":                          "octet padding, checked with the codec primitives",
-	"internal/bits.Writer.Len":                            "bits written, checked with the codec primitives",
 	"internal/bits.Reader.Aligned":                        "octet-boundary probe, checked with the codec primitives",
 	"internal/bits.Reader.Offset":                         "bits consumed, checked with the codec primitives",
 
-	// Public facade API, shown by example_test.go and the facade tests.
-	"urllcsim.MinimumFR1Slot": "the §5 shortest FR1 slot",
-	"urllcsim.MeetsURLLC":     "whether a configuration's worst case fits the 0.5 ms deadline",
-	"urllcsim.Table1":         "the paper's Table 1: five configurations × three modes at µ2",
+	// Public facade API, each shown by its facade test.
+	"urllcsim.MinimumFR1Slot": "the §5 shortest FR1 slot, pinned by TestMinimumFR1Slot",
+	"urllcsim.MeetsURLLC":     "whether a configuration's worst case fits the 0.5 ms deadline, shown by ExampleMeetsURLLC",
+	"urllcsim.Table1":         "the paper's Table 1: five configurations × three modes at µ2, checked by TestTable1PublicAPI",
 
 	// Observation helpers: read-only views tests inspect state through.
-	"internal/stack.RLC.QueueLen":       "queued SDUs, read by RLC and node queue checks",
-	"internal/nr.Grid.CountKind":        "symbols of a kind per period, read by the grid and pattern checks",
-	"internal/obs.Recorder.Enabled":     "whether a (possibly nil) recorder collects",
-	"internal/experiments.Fig6Summary":  "Fig. 6 panel stats for the experiment checks, bench_test.go and EXPERIMENTS.md",
-	"internal/metrics.Accumulator.Min":  "smallest sample, read by the accumulator moment checks",
-	"internal/metrics.LogHistogram.Min": "smallest recorded value, read by the histogram form and merge checks",
-	"internal/obs/analyze.Audit.Dir":    "per-direction stats the audit and report round-trip checks read",
-	"internal/obs.Recorder.Observe":     "name-keyed timing record, the form the recorder and export checks drive (the node records through handles)",
-	"internal/obs.Recorder.Reset":       "reuse of one recorder across runs, checked by the reset, poison and overhead tests",
+	"internal/stack.RLC.QueueLen":      "queued SDUs, read by RLC and node queue checks",
+	"internal/nr.Grid.CountKind":       "symbols of a kind per period, read by the grid and pattern checks",
+	"internal/obs.Recorder.Enabled":    "whether a (possibly nil) recorder collects",
+	"internal/experiments.Fig6Summary": "Fig. 6 panel stats for the experiment checks, bench_test.go and EXPERIMENTS.md",
+	"internal/obs.Recorder.Reset":      "reuse of one recorder across runs: the recycled-recorder allocation gates of TestTracingOverheadInterleaved and TestCellObserverTax measure a warmed recorder through it",
 
 	// Renderings for diagnostics, each pinned by its own test.
-	"internal/obs.TracerFunc":             "adapts a plain func to sim.EngineSink, mounted by benchmark/benchmark_test.go and the obs tests",
+	"internal/obs.TracerFunc":             "adapts a plain func to sim.EngineSink, mounted by benchmark/benchmark_test.go and the obs tests; goes with ROADMAP item 3's next benchmark change",
 	"internal/obs.TracerFunc.EngineEvent": "the adapter's sim.EngineSink method",
 
 	// Engine controls the benchmark module's tests and the engine tests drive.
 	"internal/sim.Engine.After":  "relative scheduling, called by benchmark/benchmark_test.go and the engine, obs and prof tests",
 	"internal/sim.Engine.RunAll": "run with no horizon, called by benchmark/benchmark_test.go and the engine, obs and prof tests",
-	"internal/sim.Engine.Stop":   "stop after the current event, checked by the engine tests",
-	"internal/sim.Engine.Step":   "fire one event, how the node, lane and engine tests walk a run to a chosen instant",
+	"internal/sim.Engine.Stop":   "stop after the current event, which TestLaneDifferential's scripts issue",
+	"internal/sim.Engine.Step":   "fire one event, how TestLaneDifferential and TestWheelDifferential compare the lane and the wheel event by event",
 }
 
 // TestNoTestOnlyExports fails when an exported func, method, package-level

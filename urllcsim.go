@@ -122,22 +122,8 @@ type ScenarioConfig struct {
 	// RTKernel applies a PREEMPT_RT OS-jitter profile (§6 mitigation).
 	RTKernel bool
 
-	// SNRdB is the static channel SNR; 0 → 25 dB. Use BlockageChannel for
-	// the mmWave reliability experiments.
+	// SNRdB is the static AWGN channel SNR; 0 → 25 dB.
 	SNRdB float64
-
-	// BlockageChannel enables the FR2 LoS/NLoS channel.
-	BlockageChannel bool
-
-	// MarginSlots is the scheduler's radio-readiness lead; −1 → 1.
-	MarginSlots int
-
-	// HARQMaxTx bounds transmissions per packet; 0 → 3.
-	HARQMaxTx int
-
-	// HARQFeedback models the DL ACK/NACK loop explicitly: retransmissions
-	// wait for the NACK to travel back through a UL opportunity.
-	HARQFeedback bool
 
 	// UEs is the processing-load UE count; 0 → 1.
 	UEs int
@@ -200,24 +186,6 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if snr == 0 {
 		snr = 25
 	}
-	var ch channel.Model = channel.AWGN{SNR: snr}
-	if cfg.BlockageChannel {
-		ch = channel.NewBlockage(snr, 25, 120*time.Millisecond, 40*time.Millisecond,
-			sim.NewRNG(cfg.Seed^0xB10C))
-	}
-	// MarginSlots: 0 means "default" (one slot, the §7 rule); pass −1 to
-	// request a genuinely zero margin for the §4 failure ablation.
-	margin := cfg.MarginSlots
-	switch {
-	case margin == 0:
-		margin = 1
-	case margin < 0:
-		margin = 0
-	}
-	harq := cfg.HARQMaxTx
-	if harq == 0 {
-		harq = 3
-	}
 	fairness := sched.FairFIFO
 	if cfg.RoundRobin {
 		fairness = sched.FairRoundRobin
@@ -229,10 +197,9 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		CGUnits:        cfg.CGUnits,
 		CGBackoffSlots: cfg.CGBackoffSlots,
 		GNBRadio:       head,
-		Channel:        ch,
-		MarginSlots:    margin,
-		HARQMaxTx:      harq,
-		HARQFeedback:   cfg.HARQFeedback,
+		Channel:        channel.AWGN{SNR: snr},
+		MarginSlots:    1, // the §7 one-slot radio-readiness lead
+		HARQMaxTx:      3,
 		CoreLatency:    30 * time.Microsecond,
 		NUEs:           cfg.UEs,
 		PayloadBytes:   32,
@@ -326,7 +293,7 @@ func (s *Scenario) SendDownlinkFrom(ue int, at time.Duration, bytes int) int {
 // results so far, in resolution order. The slice is the scenario's own
 // record, clipped so that packets resolved by a later Run never show
 // through it. A later Run returns the same elements first, so a caller that
-// sorts or edits them should clone the slice; PingResults never reads it.
+// sorts or edits them should clone the slice.
 func (s *Scenario) Run(horizon time.Duration) []PacketResult {
 	s.sys.Eng.Run(sim.Time(horizon))
 	return slices.Clip(s.sys.Results())
@@ -345,36 +312,6 @@ func (s *Scenario) Journey(id int) (string, error) {
 		return "", fmt.Errorf("urllcsim: no retained spans for packet %d (retention off or sampled out)", id)
 	}
 	return obs.JourneyTable(spans), nil
-}
-
-// PingOutcome is the result of one echo round trip.
-type PingOutcome struct {
-	ID        int
-	Delivered bool
-	RTT       time.Duration
-	Uplink    time.Duration
-	Downlink  time.Duration
-}
-
-// SendPing offers an echo request at the UE: the request travels uplink to
-// a server behind the UPF, which replies after turnaround; the reply comes
-// back downlink. This is §3's "journey of a ping request", end to end.
-func (s *Scenario) SendPing(at time.Duration, bytes int, turnaround time.Duration) int {
-	return s.sys.OfferPing(sim.Time(at), bytes, turnaround)
-}
-
-// PingResults returns the round trips resolved so far (call after Run).
-func (s *Scenario) PingResults() []PingOutcome {
-	rs := s.sys.PingResults()
-	out := make([]PingOutcome, len(rs))
-	for i, r := range rs {
-		out[i] = PingOutcome{
-			ID: r.ID, Delivered: r.Delivered,
-			RTT:    time.Duration(r.RTT),
-			Uplink: time.Duration(r.ULLatency), Downlink: time.Duration(r.DLLatency),
-		}
-	}
-	return out
 }
 
 // RadioMisses returns how often the gNB missed a slot because processing
