@@ -64,7 +64,10 @@ const (
 	logPages = 56
 )
 
-// LogHistogram's zero value is NOT ready to use; call NewLogHistogram.
+// LogHistogram's zero value is an empty histogram, ready to use: holders
+// keep histograms by value (the labeled families carve them in chunks).
+// All LogHistograms share one bucket geometry and therefore merge with each
+// other.
 type LogHistogram struct {
 	// sparse[:nsparse] are the sparse form's buckets, ascending by index.
 	sparse  [logSparsePairs]logPair
@@ -86,12 +89,6 @@ type logPage [logSubBuckets]int64
 type logPair struct {
 	idx int32 // bucket index; logIndex of any int64 is below 2^16
 	n   int64
-}
-
-// NewLogHistogram returns an empty histogram. All LogHistograms share one
-// bucket geometry and therefore merge with each other.
-func NewLogHistogram() *LogHistogram {
-	return &LogHistogram{}
 }
 
 // logIndex maps a value to its bucket index. Negative values clamp to 0.

@@ -83,7 +83,7 @@ func TestLogHistogramQuantileAccuracy(t *testing.T) {
 	quantiles := []float64{0, 0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			h := NewLogHistogram()
+			h := new(LogHistogram)
 			for _, v := range c.samples {
 				h.Add(v)
 			}
@@ -132,7 +132,7 @@ func absInt64(v int64) int64 {
 // accuracy: the bucket containing v is never wider than max(1, v >> 10), so
 // quantile error is bounded at ~0.1 % of the value.
 func TestLogHistogramRelativeErrorBound(t *testing.T) {
-	h := NewLogHistogram()
+	h := new(LogHistogram)
 	for _, v := range []int64{0, 1, 2047, 2048, 4095, 4096, 1_000_000, 500 * 1000 * 1000, 1 << 40} {
 		w := h.BucketWidth(v)
 		bound := v >> logSubBucketBits
@@ -150,21 +150,21 @@ func TestLogHistogramRelativeErrorBound(t *testing.T) {
 func TestLogHistogramMergeExact(t *testing.T) {
 	r := lcg(7)
 	const shards = 8
-	whole := NewLogHistogram()
+	whole := new(LogHistogram)
 	parts := make([]*LogHistogram, shards)
 	for i := range parts {
-		parts[i] = NewLogHistogram()
+		parts[i] = new(LogHistogram)
 	}
 	for i := 0; i < 200_000; i++ {
 		v := int64(r.next() % 2_000_000)
 		whole.Add(v)
 		parts[i%shards].Add(v)
 	}
-	merged := NewLogHistogram()
+	merged := new(LogHistogram)
 	for _, p := range parts {
 		merged.Merge(p)
 	}
-	merged.Merge(NewLogHistogram()) // merging an empty histogram is a no-op
+	merged.Merge(new(LogHistogram)) // merging an empty histogram is a no-op
 	if merged.N() != whole.N() || merged.min != whole.min || merged.Max() != whole.Max() {
 		t.Fatalf("merged N/min/max = %d/%d/%d, want %d/%d/%d",
 			merged.N(), merged.min, merged.Max(), whole.N(), whole.min, whole.Max())
@@ -210,7 +210,7 @@ func TestLogHistogramWindow(t *testing.T) {
 	for i := range vals {
 		vals[i] = 1_000_000 + int64(r.next()%1000) // 1 ms ± 1 µs: a handful of buckets
 	}
-	asc := NewLogHistogram()
+	asc := new(LogHistogram)
 	for _, v := range vals {
 		asc.Add(v)
 	}
@@ -219,7 +219,7 @@ func TestLogHistogramWindow(t *testing.T) {
 			asc.nsparse, len(asc.pages) > 0)
 	}
 
-	desc, lo, hi := NewLogHistogram(), NewLogHistogram(), NewLogHistogram()
+	desc, lo, hi := new(LogHistogram), new(LogHistogram), new(LogHistogram)
 	for i := len(vals) - 1; i >= 0; i-- {
 		desc.Add(vals[i])
 	}
@@ -230,7 +230,7 @@ func TestLogHistogramWindow(t *testing.T) {
 			hi.Add(v)
 		}
 	}
-	merged := NewLogHistogram()
+	merged := new(LogHistogram)
 	merged.Merge(hi)
 	merged.Merge(lo) // inserts pairs below the ones held
 	want := fmt.Sprint(view(asc))
@@ -258,7 +258,7 @@ func TestLogHistogramWindow(t *testing.T) {
 // not O(samples) — a million samples over 10 ms promote to one page per
 // octave touched.
 func TestLogHistogramMemoryBounded(t *testing.T) {
-	h := NewLogHistogram()
+	h := new(LogHistogram)
 	r := lcg(99)
 	for i := 0; i < 1_000_000; i++ {
 		h.Add(int64(r.next() % 10_000_000)) // 0–10 ms in ns
@@ -285,7 +285,7 @@ func TestLogHistogramRefillZeroAlloc(t *testing.T) {
 		vals  []int64
 		dense bool
 	}{{"sparse", few, false}, {"promoted", many, true}} {
-		h := NewLogHistogram()
+		h := new(LogHistogram)
 		fill := func() {
 			h.Reset()
 			for _, v := range c.vals {
@@ -306,7 +306,7 @@ func TestLogHistogramRefillZeroAlloc(t *testing.T) {
 // directory plus one page per octave touched once promoted; Reset keeps it.
 func TestLogHistogramStorageBytes(t *testing.T) {
 	const dir, page = logPages * 8, logSubBuckets * 8
-	h := NewLogHistogram()
+	h := new(LogHistogram)
 	if got := h.StorageBytes(); got != 0 {
 		t.Fatalf("empty: %d B, want 0", got)
 	}
@@ -355,7 +355,7 @@ func TestLogHistogramPageAllocs(t *testing.T) {
 		// Ascending octaves, so every new value widens the range upward.
 		vals[i] = int64(i)*100 + int64(r.next()%100)
 	}
-	h := NewLogHistogram()
+	h := new(LogHistogram)
 	fill := func() {
 		for _, v := range vals {
 			h.Add(v)
@@ -404,7 +404,7 @@ func FuzzLogHistogramForms(f *testing.F) {
 		var hs, dense [k]*LogHistogram
 		var distinct, touched [k]map[int]bool // buckets since Reset, pages ever
 		for i := range hs {
-			hs[i], dense[i] = NewLogHistogram(), NewLogHistogram()
+			hs[i], dense[i] = new(LogHistogram), new(LogHistogram)
 			distinct[i], touched[i] = map[int]bool{}, map[int]bool{}
 		}
 		for ; len(data) >= 3; data = data[3:] {
@@ -487,7 +487,7 @@ func formsView(h *LogHistogram) string {
 }
 
 func TestLogHistogramEmptyAndEdges(t *testing.T) {
-	h := NewLogHistogram()
+	h := new(LogHistogram)
 	if h.Quantile(0.5) != 0 || h.min != 0 || h.Max() != 0 || h.Mean() != 0 || h.N() != 0 {
 		t.Fatal("empty histogram stats not zero")
 	}
@@ -496,7 +496,7 @@ func TestLogHistogramEmptyAndEdges(t *testing.T) {
 	if h.N() != 1 || h.min != -5 || h.Quantile(0) != -5 {
 		t.Fatalf("negative sample mishandled: N=%d min=%d", h.N(), h.min)
 	}
-	h2 := NewLogHistogram()
+	h2 := new(LogHistogram)
 	h2.AddDuration(500 * sim.Microsecond)
 	if h2.Quantile(0.99999) != int64(500*sim.Microsecond) {
 		t.Fatalf("single-sample p99.999 = %v", h2.Quantile(0.99999))

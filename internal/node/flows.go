@@ -143,22 +143,22 @@ func newObsHandles(r *obs.Recorder) obsHandles {
 func (s *System) audit(id, ue int, dir obs.Dir, ok bool, lat sim.Duration, attempts int, by core.Tally) {
 	s.obs.Outcome(obs.Outcome{Packet: id, UE: ue, Dir: dir, Delivered: ok, Latency: lat, Attempts: attempts, End: s.Eng.Now()})
 	if ok {
-		s.h.pktByUE.Add(obs.PktEvent{UE: ue, Dir: dir, Event: "delivered"}, 1)
+		s.h.pktByUE.Add(obs.PktEvent{UE: ue, Dir: dir, Event: obs.FateDelivered}, 1)
 		s.h.latByUE.Observe(obs.UEDir{UE: ue, Dir: dir}, lat)
 	} else {
-		s.h.pktByUE.Add(obs.PktEvent{UE: ue, Dir: dir, Event: "lost"}, 1)
+		s.h.pktByUE.Add(obs.PktEvent{UE: ue, Dir: dir, Event: obs.FateLost}, 1)
 	}
 	if s.cfg.Deadline <= 0 {
 		return
 	}
 	if ok && lat <= s.cfg.Deadline {
 		s.h.deadlineMet.Inc()
-		s.h.pktByUE.Add(obs.PktEvent{UE: ue, Dir: dir, Event: "deadline_met"}, 1)
+		s.h.pktByUE.Add(obs.PktEvent{UE: ue, Dir: dir, Event: obs.FateDeadlineMet}, 1)
 		return
 	}
 	s.h.deadlineMiss.Inc()
 	s.h.missBySource[by.Dominant()].Inc()
-	s.h.pktByUE.Add(obs.PktEvent{UE: ue, Dir: dir, Event: "deadline_miss"}, 1)
+	s.h.pktByUE.Add(obs.PktEvent{UE: ue, Dir: dir, Event: obs.FateDeadlineMiss}, 1)
 }
 
 // gnbTimingName / ueTimingName map a processing layer to its obs timing

@@ -228,10 +228,10 @@ type System struct {
 	// registration, so it holds only the few slots not yet over.
 	cgReg  []cgBooking
 	cgFree [][]int // swept unit counts, reused by cgRegister
-	// cgRNGs drive each UE's unit pick and collision backoff. Seeded from
-	// (Seed, UE) alone — independent of the main channel/processing stream
-	// and of how many UEs are active.
-	cgRNGs map[int]*sim.RNG
+	// cgRNGs drive each UE's unit pick and collision backoff, indexed by
+	// UE. Seeded from (Seed, UE) alone — independent of the main
+	// channel/processing stream and of how many UEs are active.
+	cgRNGs []sim.RNG
 
 	// Table 2 instrumentation: the gNB layers' processing times, indexed by
 	// proc.Layer, and the emergent RLC queueing wait (RLC-q).

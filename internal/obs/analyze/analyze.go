@@ -161,7 +161,7 @@ type DirStats struct {
 	// Hist holds delivered one-way latencies in an HDR-style histogram:
 	// p50–p99.999 and worst case with O(buckets) memory, mergeable across
 	// shards.
-	Hist *metrics.LogHistogram
+	Hist metrics.LogHistogram
 
 	// Budget: per-source totals over all audited spans, per-packet means,
 	// and the dominant source of each deadline miss.
@@ -212,7 +212,6 @@ func Run(tr *Trace, label string, deadline sim.Duration) *Audit {
 		s := &DirStats{
 			Dir:       dir,
 			Rel:       metrics.Reliability{Deadline: deadline},
-			Hist:      metrics.NewLogHistogram(),
 			stepIndex: map[string]*StepStat{},
 		}
 		a.Dirs = append(a.Dirs, s)

@@ -160,105 +160,121 @@ type ueDirKey struct {
 	ue  int
 }
 
+// kpiGroup is one (direction, UE) group's tallies. hist and aoi are carved
+// from arrays shared by every group.
+type kpiGroup struct {
+	key             ueDirKey
+	delivered, lost int
+	hist            *metrics.LogHistogram
+	aoi             []aoiDelivery
+}
+
 // ComputeKPI runs the KPI pass over a trace. Outcomes are grouped by
 // (direction, UE); ordering of the output is (direction, UE) ascending, so
 // the report is deterministic for any outcome order in the input.
+//
+// The pass reads the outcomes twice, so that its allocations do not grow
+// with the number of groups: the first pass indexes the groups and counts
+// each one's outcomes, the second fills histograms and AoI timelines carved
+// from one array each, an AoI timeline holding up to the group's
+// deliveries. Both walk the log in order, so each group's samples are added
+// in log order.
 func ComputeKPI(tr *Trace, label string) *KPIReport {
 	rep := &KPIReport{Label: label}
 
-	type group struct {
-		delivered, lost int
-		hist            *metrics.LogHistogram
-		aoi             []aoiDelivery
-	}
-	groups := map[ueDirKey]*group{}
-	var keys []ueDirKey
+	index := map[ueDirKey]int32{}
+	var groups []kpiGroup
+	delivered := 0
 	for o := range tr.Outcomes.All() {
 		k := ueDirKey{dir: o.Dir, ue: o.UE}
-		g, ok := groups[k]
+		i, ok := index[k]
 		if !ok {
-			g = &group{hist: metrics.NewLogHistogram()}
-			groups[k] = g
-			keys = append(keys, k)
+			i = int32(len(groups))
+			index[k] = i
+			groups = append(groups, kpiGroup{key: k})
 		}
+		g := &groups[i]
 		if !o.Delivered {
 			g.lost++
 			continue
 		}
 		g.delivered++
+		delivered++
+	}
+	if len(groups) == 0 {
+		return rep
+	}
+	hists := make([]metrics.LogHistogram, len(groups))
+	aoi := make([]aoiDelivery, delivered)
+	for i := range groups {
+		g := &groups[i]
+		g.hist = &hists[i]
+		g.aoi, aoi = aoi[:0:g.delivered], aoi[g.delivered:]
+	}
+	for o := range tr.Outcomes.All() {
+		if !o.Delivered {
+			continue
+		}
+		g := &groups[index[ueDirKey{dir: o.Dir, ue: o.UE}]]
 		g.hist.AddDuration(o.Latency)
 		if o.End > 0 {
 			end := o.End.Micros()
 			g.aoi = append(g.aoi, aoiDelivery{gen: end - float64(o.Latency)/1000, at: end})
 		}
 	}
-	slices.SortFunc(keys, func(a, b ueDirKey) int {
-		if c := cmp.Compare(a.dir, b.dir); c != 0 {
+	slices.SortFunc(groups, func(a, b kpiGroup) int {
+		if c := cmp.Compare(a.key.dir, b.key.dir); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.ue, b.ue)
+		return cmp.Compare(a.key.ue, b.key.ue)
 	})
 
-	// One accumulator per direction: its UEs' throughputs and mean
-	// latencies for the Jain indices, and the merge of their latency
-	// histograms (exact) for the CCDF.
-	type dirAcc struct {
-		kpi      DirKPI
-		thr, lat []float64
-		hist     *metrics.LogHistogram
-	}
-	perDir := map[obs.Dir]*dirAcc{}
-	var dirOrder []obs.Dir
-	for _, k := range keys {
-		g := groups[k]
-		u := UEKPI{
-			UE: k.ue, Dir: k.dir, Delivered: g.delivered, Lost: g.lost,
+	// Sorted, each direction's groups are one run. A direction aggregates
+	// its UEs' throughputs and mean latencies for the Jain indices, and the
+	// merge of their latency histograms (exact) for the CCDF.
+	rep.UEs = make([]UEKPI, 0, len(groups))
+	thr := make([]float64, 0, len(groups))
+	lat := make([]float64, 0, len(groups))
+	for lo := 0; lo < len(groups); {
+		d := DirKPI{Dir: groups[lo].key.dir}
+		var hist metrics.LogHistogram
+		thr0, lat0 := len(thr), len(lat)
+		for ; lo < len(groups) && groups[lo].key.dir == d.Dir; lo++ {
+			g := &groups[lo]
+			u := UEKPI{
+				UE: g.key.ue, Dir: d.Dir, Delivered: g.delivered, Lost: g.lost,
+			}
+			if total := g.delivered + g.lost; total > 0 {
+				u.Reliability = float64(g.delivered) / float64(total)
+			}
+			if g.delivered > 0 {
+				u.MeanUs = g.hist.Mean() / 1000
+				u.P50Us = float64(g.hist.Quantile(0.5)) / 1000
+				u.P99Us = float64(g.hist.Quantile(0.99)) / 1000
+				u.MaxUs = float64(g.hist.Max()) / 1000
+				lat = append(lat, u.MeanUs)
+			}
+			if peak, mean, ok := computeAoI(g.aoi); ok {
+				u.HasAoI, u.AoIPeakUs, u.AoIMeanUs = true, peak, mean
+			}
+			rep.UEs = append(rep.UEs, u)
+			d.UEs++
+			d.Delivered += g.delivered
+			d.Lost += g.lost
+			thr = append(thr, float64(g.delivered))
+			hist.Merge(g.hist)
 		}
-		if total := g.delivered + g.lost; total > 0 {
-			u.Reliability = float64(g.delivered) / float64(total)
-		}
-		if g.delivered > 0 {
-			u.MeanUs = g.hist.Mean() / 1000
-			u.P50Us = float64(g.hist.Quantile(0.5)) / 1000
-			u.P99Us = float64(g.hist.Quantile(0.99)) / 1000
-			u.MaxUs = float64(g.hist.Max()) / 1000
-		}
-		if peak, mean, ok := computeAoI(g.aoi); ok {
-			u.HasAoI, u.AoIPeakUs, u.AoIMeanUs = true, peak, mean
-		}
-		rep.UEs = append(rep.UEs, u)
-
-		a, ok := perDir[k.dir]
-		if !ok {
-			a = &dirAcc{kpi: DirKPI{Dir: k.dir}, hist: metrics.NewLogHistogram()}
-			perDir[k.dir] = a
-			dirOrder = append(dirOrder, k.dir)
-		}
-		a.kpi.UEs++
-		a.kpi.Delivered += g.delivered
-		a.kpi.Lost += g.lost
-		a.thr = append(a.thr, float64(g.delivered))
-		if g.delivered > 0 {
-			a.lat = append(a.lat, u.MeanUs)
-		}
-		a.hist.Merge(g.hist)
-	}
-	slices.Sort(dirOrder)
-	for _, dir := range dirOrder {
-		a := perDir[dir]
-		d := &a.kpi
-		d.JainThroughput = jain(a.thr)
-		d.JainLatency = jain(a.lat)
-		if h := a.hist; h.N() > 0 {
-			n := float64(h.N())
-			h.Buckets(func(upperNs, cum int64) {
+		d.JainThroughput = jain(thr[thr0:])
+		d.JainLatency = jain(lat[lat0:])
+		if n := float64(hist.N()); n > 0 {
+			hist.Buckets(func(upperNs, cum int64) {
 				d.CCDF = append(d.CCDF, CCDFPoint{
 					LeUs: float64(upperNs) / 1000,
 					CCDF: (n - float64(cum)) / n,
 				})
 			})
 		}
-		rep.Dirs = append(rep.Dirs, *d)
+		rep.Dirs = append(rep.Dirs, d)
 	}
 	return rep
 }

@@ -40,7 +40,7 @@ func labeledRecords(rec *Recorder) {
 	lat := HistFamH[UEDir](rec, "lat.by_ue")
 	for j := 0; j < benchRecords; j++ {
 		ue := j % labeledUEs
-		pkt.Add(PktEvent{UE: ue, Dir: DirUL, Event: "delivered"}, 1)
+		pkt.Add(PktEvent{UE: ue, Dir: DirUL, Event: FateDelivered}, 1)
 		take.Set(UEKey{UE: ue}, float64(j))
 		lat.Observe(UEDir{UE: ue, Dir: DirUL}, sim.Duration(j)*sim.Microsecond)
 	}

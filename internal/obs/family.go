@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"strconv"
+	"unsafe"
 
 	"urllcsim/internal/metrics"
 )
@@ -57,17 +58,34 @@ func (k UEDir) MetricLabels() []Label {
 	return []Label{{"ue", strconv.Itoa(k.UE)}, {"dir", k.Dir.String()}}
 }
 
-// PktEvent labels a packet-fate sample: UE, direction and the event name
-// (delivered, lost, deadline_met, deadline_miss).
+// PktEvent labels a packet-fate sample: UE, direction and the event.
 type PktEvent struct {
 	UE    int
 	Dir   Dir
-	Event string
+	Event Fate
 }
 
 func (k PktEvent) MetricLabels() []Label {
-	return []Label{{"ue", strconv.Itoa(k.UE)}, {"dir", k.Dir.String()}, {"event", k.Event}}
+	return []Label{{"ue", strconv.Itoa(k.UE)}, {"dir", k.Dir.String()}, {"event", k.Event.String()}}
 }
+
+// Fate is the event of a packet-fate sample.
+type Fate uint8
+
+const (
+	FateDelivered Fate = iota
+	FateLost
+	FateDeadlineMet
+	FateDeadlineMiss
+)
+
+var fateNames = [...]string{
+	FateDelivered: "delivered", FateLost: "lost",
+	FateDeadlineMet: "deadline_met", FateDeadlineMiss: "deadline_miss",
+}
+
+// String returns the event's label value.
+func (f Fate) String() string { return fateNames[f] }
 
 // FamilyKind discriminates the three family flavours.
 type FamilyKind uint8
@@ -102,8 +120,7 @@ type FamilyRow struct {
 }
 
 // Family is the type-erased view of a labeled family, the form the registry
-// stores and exporters iterate. The concrete types are the generic
-// CounterFamily[K]/GaugeFamily[K]/HistFamily[K].
+// stores and exporters iterate. The concrete type is LabeledFamily[K, V].
 type Family interface {
 	FamilyName() string
 	FamilyKind() FamilyKind
@@ -121,160 +138,129 @@ type Family interface {
 	storageBytes() int64
 }
 
-// CounterFamily is a set of counters keyed by K.
-type CounterFamily[K LabelSet] struct {
-	name  string
-	vals  map[K]*Counter
-	order []K
+// Row is the instrument a family holds per key; its kind is the family's
+// kind. Each is ready at its zero value, so a row needs no constructor.
+type Row interface {
+	Counter | Gauge | metrics.LogHistogram
 }
 
-func newCounterFamily[K LabelSet](name string) *CounterFamily[K] {
-	return &CounterFamily[K]{name: name, vals: map[K]*Counter{}}
+// rowChunkBytes is about how many bytes of rows one chunk allocation holds.
+const rowChunkBytes = 4096
+
+// LabeledFamily is a set of instruments of one kind keyed by K: counters,
+// gauges or histograms as V is Counter, Gauge or metrics.LogHistogram.
+//
+// Rows are stored by value in chunks of about rowChunkBytes, carved in
+// first-touch order, so touching a new key allocates only when it opens a
+// chunk. Row i is chunks[i/perChunk][i%perChunk] and never moves; index maps
+// a key to its row number, and the row keeps its key for exposition and
+// merges.
+type LabeledFamily[K LabelSet, V Row] struct {
+	name     string
+	index    map[K]int32
+	chunks   [][]famRow[K, V]
+	perChunk int
 }
 
-// At returns the counter for key k, creating it at zero on first use.
-func (f *CounterFamily[K]) At(k K) *Counter {
-	if c, ok := f.vals[k]; ok {
-		return c
+// famRow is one row of a family.
+type famRow[K LabelSet, V Row] struct {
+	key K
+	val V
+}
+
+func newFamily[K LabelSet, V Row](name string) *LabeledFamily[K, V] {
+	per := rowChunkBytes / int(unsafe.Sizeof(famRow[K, V]{}))
+	return &LabeledFamily[K, V]{name: name, index: map[K]int32{}, perChunk: max(per, 1)}
+}
+
+// At returns the instrument for key k, creating it at zero on first use.
+func (f *LabeledFamily[K, V]) At(k K) *V {
+	if i, ok := f.index[k]; ok {
+		return &f.row(int(i)).val
 	}
-	c := &Counter{Name: f.name}
-	f.vals[k] = c
-	f.order = append(f.order, k)
-	return c
-}
-
-func (f *CounterFamily[K]) FamilyName() string     { return f.name }
-func (f *CounterFamily[K]) FamilyKind() FamilyKind { return FamilyCounter }
-
-func (f *CounterFamily[K]) Rows() []FamilyRow {
-	out := make([]FamilyRow, 0, len(f.order))
-	for _, k := range f.order {
-		out = append(out, FamilyRow{Labels: k.MetricLabels(), Count: f.vals[k].Value()})
+	i := len(f.index)
+	if i%f.perChunk == 0 {
+		f.chunks = append(f.chunks, make([]famRow[K, V], f.perChunk))
 	}
-	return out
+	f.index[k] = int32(i)
+	r := f.row(i)
+	r.key = k
+	return &r.val
 }
 
-func (f *CounterFamily[K]) mergeFamily(o Family) {
-	of := mustSameFamily[*CounterFamily[K]](f.name, o)
-	for _, k := range of.order {
-		f.At(k).Add(of.vals[k].Value())
+// row returns row i, 0 ≤ i < len(f.index).
+func (f *LabeledFamily[K, V]) row(i int) *famRow[K, V] {
+	return &f.chunks[i/f.perChunk][i%f.perChunk]
+}
+
+func (f *LabeledFamily[K, V]) FamilyName() string { return f.name }
+
+func (f *LabeledFamily[K, V]) FamilyKind() FamilyKind {
+	switch any((*V)(nil)).(type) {
+	case *Counter:
+		return FamilyCounter
+	case *Gauge:
+		return FamilyGauge
 	}
+	return FamilyHist
 }
 
-func (f *CounterFamily[K]) emptyLike() Family { return newCounterFamily[K](f.name) }
-
-func (f *CounterFamily[K]) resetFamily() {
-	for _, c := range f.vals {
-		c.v = 0
-	}
-}
-
-func (f *CounterFamily[K]) storageBytes() int64 { return int64(len(f.order)) * 24 }
-
-// GaugeFamily is a set of last-value-wins gauges keyed by K.
-type GaugeFamily[K LabelSet] struct {
-	name  string
-	vals  map[K]*Gauge
-	order []K
-}
-
-func newGaugeFamily[K LabelSet](name string) *GaugeFamily[K] {
-	return &GaugeFamily[K]{name: name, vals: map[K]*Gauge{}}
-}
-
-// At returns the gauge for key k, creating it on first use.
-func (f *GaugeFamily[K]) At(k K) *Gauge {
-	if g, ok := f.vals[k]; ok {
-		return g
-	}
-	g := &Gauge{Name: f.name}
-	f.vals[k] = g
-	f.order = append(f.order, k)
-	return g
-}
-
-func (f *GaugeFamily[K]) FamilyName() string     { return f.name }
-func (f *GaugeFamily[K]) FamilyKind() FamilyKind { return FamilyGauge }
-
-func (f *GaugeFamily[K]) Rows() []FamilyRow {
-	out := make([]FamilyRow, 0, len(f.order))
-	for _, k := range f.order {
-		out = append(out, FamilyRow{Labels: k.MetricLabels(), Value: f.vals[k].Value()})
-	}
-	return out
-}
-
-func (f *GaugeFamily[K]) mergeFamily(o Family) {
-	of := mustSameFamily[*GaugeFamily[K]](f.name, o)
-	for _, k := range of.order {
-		f.At(k).Set(of.vals[k].Value())
-	}
-}
-
-func (f *GaugeFamily[K]) emptyLike() Family { return newGaugeFamily[K](f.name) }
-
-func (f *GaugeFamily[K]) resetFamily() {
-	for _, g := range f.vals {
-		g.v = 0
-	}
-}
-
-func (f *GaugeFamily[K]) storageBytes() int64 { return int64(len(f.order)) * 24 }
-
-// HistFamily is a set of HDR-style log histograms keyed by K — per-label
-// latency distributions resolving the reliability tail in O(buckets) memory,
-// with the LogHistogram's exact bucket merge.
-type HistFamily[K LabelSet] struct {
-	name  string
-	vals  map[K]*metrics.LogHistogram
-	order []K
-}
-
-func newHistFamily[K LabelSet](name string) *HistFamily[K] {
-	return &HistFamily[K]{name: name, vals: map[K]*metrics.LogHistogram{}}
-}
-
-// At returns the histogram for key k, creating it on first use.
-func (f *HistFamily[K]) At(k K) *metrics.LogHistogram {
-	if h, ok := f.vals[k]; ok {
-		return h
-	}
-	h := metrics.NewLogHistogram()
-	f.vals[k] = h
-	f.order = append(f.order, k)
-	return h
-}
-
-func (f *HistFamily[K]) FamilyName() string     { return f.name }
-func (f *HistFamily[K]) FamilyKind() FamilyKind { return FamilyHist }
-
-func (f *HistFamily[K]) Rows() []FamilyRow {
-	out := make([]FamilyRow, 0, len(f.order))
-	for _, k := range f.order {
-		out = append(out, FamilyRow{Labels: k.MetricLabels(), Hist: f.vals[k]})
+func (f *LabeledFamily[K, V]) Rows() []FamilyRow {
+	out := make([]FamilyRow, len(f.index))
+	for i := range out {
+		r := f.row(i)
+		out[i].Labels = r.key.MetricLabels()
+		switch v := any(&r.val).(type) {
+		case *Counter:
+			out[i].Count = v.v
+		case *Gauge:
+			out[i].Value = v.v
+		case *metrics.LogHistogram:
+			out[i].Hist = v
+		}
 	}
 	return out
 }
 
-func (f *HistFamily[K]) mergeFamily(o Family) {
-	of := mustSameFamily[*HistFamily[K]](f.name, o)
-	for _, k := range of.order {
-		f.At(k).Merge(of.vals[k])
+// mergeFamily folds o's rows into f in o's first-touch order: counters add,
+// gauges take o's value, histograms merge their buckets exactly.
+func (f *LabeledFamily[K, V]) mergeFamily(o Family) {
+	of := mustSameFamily[*LabeledFamily[K, V]](f.name, o)
+	for i := range len(of.index) {
+		src := of.row(i)
+		switch dst := any(f.At(src.key)).(type) {
+		case *Counter:
+			dst.Add(any(&src.val).(*Counter).v)
+		case *Gauge:
+			dst.Set(any(&src.val).(*Gauge).v)
+		case *metrics.LogHistogram:
+			dst.Merge(any(&src.val).(*metrics.LogHistogram))
+		}
 	}
 }
 
-func (f *HistFamily[K]) emptyLike() Family { return newHistFamily[K](f.name) }
+func (f *LabeledFamily[K, V]) emptyLike() Family { return newFamily[K, V](f.name) }
 
-func (f *HistFamily[K]) resetFamily() {
-	for _, h := range f.vals {
-		h.Reset()
+func (f *LabeledFamily[K, V]) resetFamily() {
+	for i := range len(f.index) {
+		v := &f.row(i).val
+		if h, ok := any(v).(*metrics.LogHistogram); ok {
+			h.Reset() // keeps its pages
+		} else {
+			*v = *new(V)
+		}
 	}
 }
 
-func (f *HistFamily[K]) storageBytes() int64 {
+// storageBytes counts 24 bytes per counter or gauge row, and a histogram
+// row's bucket pages.
+func (f *LabeledFamily[K, V]) storageBytes() int64 {
+	if f.FamilyKind() != FamilyHist {
+		return int64(len(f.index)) * 24
+	}
 	var b int64
-	for _, h := range f.vals {
-		b += h.StorageBytes()
+	for i := range len(f.index) {
+		b += any(&f.row(i).val).(*metrics.LogHistogram).StorageBytes()
 	}
 	return b
 }
@@ -295,29 +281,29 @@ func mustSameFamily[T Family](name string, o Family) T {
 
 // CounterFam returns r's counter family of the given name and key type,
 // creating it on first use.
-func CounterFam[K LabelSet](r *Registry, name string) *CounterFamily[K] {
-	return family(r, name, newCounterFamily[K])
+func CounterFam[K LabelSet](r *Registry, name string) *LabeledFamily[K, Counter] {
+	return family[K, Counter](r, name)
 }
 
 // GaugeFam returns r's gauge family of the given name and key type, creating
 // it on first use.
-func GaugeFam[K LabelSet](r *Registry, name string) *GaugeFamily[K] {
-	return family(r, name, newGaugeFamily[K])
+func GaugeFam[K LabelSet](r *Registry, name string) *LabeledFamily[K, Gauge] {
+	return family[K, Gauge](r, name)
 }
 
 // HistFam returns r's histogram family of the given name and key type,
 // creating it on first use.
-func HistFam[K LabelSet](r *Registry, name string) *HistFamily[K] {
-	return family(r, name, newHistFamily[K])
+func HistFam[K LabelSet](r *Registry, name string) *LabeledFamily[K, metrics.LogHistogram] {
+	return family[K, metrics.LogHistogram](r, name)
 }
 
-// family returns r's family of the given name, registering mk(name) on
+// family returns r's family of the given name, registering a new one on
 // first use.
-func family[F Family](r *Registry, name string, mk func(string) F) F {
+func family[K LabelSet, V Row](r *Registry, name string) *LabeledFamily[K, V] {
 	if f, ok := r.fIndex[name]; ok {
-		return mustSameFamily[F](name, f)
+		return mustSameFamily[*LabeledFamily[K, V]](name, f)
 	}
-	f := mk(name)
+	f := newFamily[K, V](name)
 	r.fIndex[name] = f
 	r.families = append(r.families, f)
 	return f

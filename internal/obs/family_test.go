@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"urllcsim/internal/metrics"
 	"urllcsim/internal/sim"
 )
 
@@ -59,9 +60,9 @@ func TestFamilyMergeExact(t *testing.T) {
 	}
 	// A family only the source has must appear whole in the destination.
 	c := NewRegistry()
-	CounterFam[PktEvent](c, "evt").At(PktEvent{UE: 2, Dir: DirDL, Event: "lost"}).Add(1)
+	CounterFam[PktEvent](c, "evt").At(PktEvent{UE: 2, Dir: DirDL, Event: FateLost}).Add(1)
 	a.Merge(c)
-	if got := CounterFam[PktEvent](a, "evt").At(PktEvent{UE: 2, Dir: DirDL, Event: "lost"}).Value(); got != 1 {
+	if got := CounterFam[PktEvent](a, "evt").At(PktEvent{UE: 2, Dir: DirDL, Event: FateLost}).Value(); got != 1 {
 		t.Fatalf("source-only family not carried over: %d", got)
 	}
 }
@@ -110,4 +111,36 @@ func TestFamilyNameCollisionPanics(t *testing.T) {
 		}
 	}()
 	GaugeFam[UEDir](reg, "pkt.by_ue")
+}
+
+// TestFamilyFirstTouchAllocs: first touch of fresh keys allocates once per
+// chunk of rows, plus the registry, the family and the growth of its key
+// index and chunk list, never once per key as per-key instruments do. For
+// 500 keys that is measured 32 allocations for counters and gauges and 56
+// for histograms (25 chunks); per-key rows would make it over 500.
+func TestFamilyFirstTouchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates too; the pin runs without -race (make allocs)")
+	}
+	const keys = 500
+	for kind, touch := range map[FamilyKind]func(int) float64{
+		FamilyCounter: firstTouchAllocs[Counter],
+		FamilyGauge:   firstTouchAllocs[Gauge],
+		FamilyHist:    firstTouchAllocs[metrics.LogHistogram],
+	} {
+		if got := touch(keys); got > keys/8 {
+			t.Errorf("%s family: %v allocs for %d fresh keys, want ≤ %d", kind, got, keys, keys/8)
+		}
+	}
+}
+
+// firstTouchAllocs returns the allocations of touching keys 0…keys−1 of a
+// fresh family of V rows in a fresh registry.
+func firstTouchAllocs[V Row](keys int) float64 {
+	return testing.AllocsPerRun(5, func() {
+		f := family[UEKey, V](NewRegistry(), "f")
+		for ue := range keys {
+			f.At(UEKey{UE: ue})
+		}
+	})
 }

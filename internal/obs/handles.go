@@ -1,6 +1,9 @@
 package obs
 
-import "urllcsim/internal/sim"
+import (
+	"urllcsim/internal/metrics"
+	"urllcsim/internal/sim"
+)
 
 // Metric handles: the hot-path form of Count/SetGauge, and the only
 // recorder path for timings.
@@ -101,7 +104,7 @@ func (h *TimingHandle) Observe(d sim.Duration) {
 // CounterFamH (package-level: Go has no generic methods).
 type CounterFamHandle[K LabelSet] struct {
 	r    *Recorder
-	f    *CounterFamily[K]
+	f    *LabeledFamily[K, Counter]
 	name string
 }
 
@@ -128,7 +131,7 @@ func (h *CounterFamHandle[K]) Add(k K, delta int64) {
 // GaugeFamH.
 type GaugeFamHandle[K LabelSet] struct {
 	r    *Recorder
-	f    *GaugeFamily[K]
+	f    *LabeledFamily[K, Gauge]
 	name string
 }
 
@@ -154,7 +157,7 @@ func (h *GaugeFamHandle[K]) Set(k K, v float64) {
 // HistFamH.
 type HistFamHandle[K LabelSet] struct {
 	r    *Recorder
-	f    *HistFamily[K]
+	f    *LabeledFamily[K, metrics.LogHistogram]
 	name string
 }
 

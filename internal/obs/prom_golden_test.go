@@ -33,7 +33,7 @@ func promFixture() *Recorder {
 	take := GaugeFamH[UEKey](rec, "slot.ue_dl_take_bytes")
 	lat := HistFamH[UEDir](rec, "lat.by_ue")
 	for ue := 0; ue < 2; ue++ {
-		pkt.Add(PktEvent{UE: ue, Dir: DirUL, Event: "delivered"}, int64(10+ue))
+		pkt.Add(PktEvent{UE: ue, Dir: DirUL, Event: FateDelivered}, int64(10+ue))
 		take.Set(UEKey{UE: ue}, float64(32*(ue+1)))
 		lat.Observe(UEDir{UE: ue, Dir: DirUL}, sim.Duration(100+ue)*sim.Microsecond)
 		lat.Observe(UEDir{UE: ue, Dir: DirUL}, sim.Duration(300+ue)*sim.Microsecond)

@@ -44,12 +44,12 @@ var recordKinds = []struct {
 	{"counter family", false,
 		func(r *Recorder, i int) {
 			if r != nil {
-				CounterFam[PktEvent](r.Metrics(), "cf").At(PktEvent{UE: i % 3, Dir: DirUL, Event: "delivered"}).Add(int64(i))
+				CounterFam[PktEvent](r.Metrics(), "cf").At(PktEvent{UE: i % 3, Dir: DirUL, Event: FateDelivered}).Add(int64(i))
 			}
 		},
 		func(r *Recorder) func(int) {
 			h := CounterFamH[PktEvent](r, "cf")
-			return func(i int) { h.Add(PktEvent{UE: i % 3, Dir: DirUL, Event: "delivered"}, int64(i)) }
+			return func(i int) { h.Add(PktEvent{UE: i % 3, Dir: DirUL, Event: FateDelivered}, int64(i)) }
 		}},
 	{"gauge family", false,
 		func(r *Recorder, i int) {

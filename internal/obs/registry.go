@@ -43,7 +43,7 @@ func (g *Gauge) Value() float64 { return g.v }
 type Timing struct {
 	Name string
 	Acc  metrics.Accumulator
-	HDR  *metrics.LogHistogram
+	HDR  metrics.LogHistogram
 }
 
 // Observe records one duration.
@@ -60,7 +60,7 @@ func (t *Timing) Merge(o *Timing) {
 		return
 	}
 	t.Acc.Merge(&o.Acc)
-	t.HDR.Merge(o.HDR)
+	t.HDR.Merge(&o.HDR)
 }
 
 // Snapshot is the value of every counter and gauge at one instant, in
@@ -133,7 +133,7 @@ func (r *Registry) Timing(name string) *Timing {
 	if t, ok := r.tIndex[name]; ok {
 		return t
 	}
-	t := &Timing{Name: name, HDR: metrics.NewLogHistogram()}
+	t := &Timing{Name: name}
 	r.tIndex[name] = t
 	r.timings = append(r.timings, t)
 	return t

@@ -27,7 +27,7 @@ func recordWorkload(r *Recorder) {
 		r.PacketSpan(id, dir, LayerAir, "air", core.Radio, sim.Time(id*1000+130000), 140*sim.Microsecond)
 		r.Count("pkt.offered", 1)
 		latUL.Observe(sim.Duration(270+id) * sim.Microsecond)
-		pkt.Add(PktEvent{UE: id % 4, Dir: dir, Event: "delivered"}, 1)
+		pkt.Add(PktEvent{UE: id % 4, Dir: dir, Event: FateDelivered}, 1)
 		lat.Observe(UEDir{UE: id % 4, Dir: dir}, sim.Duration(270+id)*sim.Microsecond)
 		r.Outcome(Outcome{Packet: id, UE: id % 4, Dir: dir, Delivered: true,
 			Latency: sim.Duration(270+id) * sim.Microsecond, Attempts: 1, End: sim.Time(id*1000 + 270000)})

@@ -206,7 +206,7 @@ func TestLiveScrapeConcurrentWithRecording(t *testing.T) {
 		latUL := rec.TimingH("lat.ul")
 		for i := 0; i < 20000; i++ {
 			rec.Count("pkt.delivered", 1)
-			byUE.Add(PktEvent{UE: i % 4, Dir: DirUL, Event: "delivered"}, 1)
+			byUE.Add(PktEvent{UE: i % 4, Dir: DirUL, Event: FateDelivered}, 1)
 			latByUE.Observe(UEDir{UE: i % 4, Dir: DirUL}, sim.Duration(100+i%400)*sim.Microsecond)
 			proc.Observe(sim.Duration(i%50) * sim.Microsecond)
 			latUL.Observe(sim.Duration(100+i%400) * sim.Microsecond)

@@ -36,6 +36,14 @@ func SplitMix64(x uint64) uint64 {
 // NewRNG returns a generator seeded from seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the start of seed's stream, the one NewRNG(seed)
+// returns. Every generator is seeded here.
+func (r *RNG) Seed(seed uint64) {
+	*r = RNG{}
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -44,14 +52,20 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Fork derives an independent generator from r, labelled by id. Forking with
 // distinct ids yields streams that do not collide in practice (the label is
 // mixed through splitmix64 together with fresh output of r).
 func (r *RNG) Fork(id uint64) *RNG {
-	return NewRNG(r.Uint64() ^ (id * 0x9e3779b97f4a7c15) ^ 0x5851f42d4c957f2d)
+	f := &RNG{}
+	r.ForkInto(f, id)
+	return f
+}
+
+// ForkInto is Fork seeding dst in place, for generators held by value.
+func (r *RNG) ForkInto(dst *RNG, id uint64) {
+	dst.Seed(r.Uint64() ^ (id * 0x9e3779b97f4a7c15) ^ 0x5851f42d4c957f2d)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

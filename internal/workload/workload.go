@@ -34,9 +34,10 @@ type Fleet struct {
 	Jitter sim.Duration // uniform in [0, Jitter) around each machine's tick
 	Bytes  int
 
-	rngs  []*sim.RNG
+	rngs  []sim.RNG
 	cycle int
 	next  []MachinePacket // pending packets of the current cycle, sorted
+	buf   []MachinePacket // next's backing array, refilled every cycle
 	ids   int
 }
 
@@ -50,10 +51,10 @@ func NewFleet(n int, period, jitter sim.Duration, bytes int, rng *sim.RNG) *Flee
 	if period <= 0 {
 		panic("workload: non-positive period")
 	}
-	f := &Fleet{N: n, Period: period, Jitter: jitter, Bytes: bytes}
-	f.rngs = make([]*sim.RNG, n)
+	f := &Fleet{N: n, Period: period, Jitter: jitter, Bytes: bytes, buf: make([]MachinePacket, n)}
+	f.rngs = make([]sim.RNG, n)
 	for i := range f.rngs {
-		f.rngs[i] = rng.Fork(uint64(i))
+		rng.ForkInto(&f.rngs[i], uint64(i))
 	}
 	return f
 }
@@ -74,7 +75,7 @@ func (f *Fleet) NextMachine() MachinePacket {
 // fill generates one full cycle of the fleet and sorts it by arrival.
 func (f *Fleet) fill() {
 	base := sim.Time(int64(f.cycle) * int64(f.Period))
-	f.next = make([]MachinePacket, f.N)
+	f.next = f.buf
 	for i := range f.next {
 		t := base.Add(sim.Duration(int64(f.Period) * int64(i) / int64(f.N)))
 		if f.Jitter > 0 {
