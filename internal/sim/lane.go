@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Arrival is one entry of the engine's arrival lane: what a packet source
 // hands the model when the arrival fires, stored as a compact record
@@ -34,18 +37,64 @@ func (x *laneEntry) before(y *laneEntry) bool {
 // 40 B plus the link).
 const laneBlockSize = 204
 
-// laneBlock is a fixed-size chunk of the lane's FIFO. Blocks are released
+// laneBlock is a fixed-size chunk of the lane's FIFO. Blocks leave the lane
 // as they drain, so the lane retains memory only for the arrivals still
 // queued; a growing slice would allocate several times its final size on
-// the way up and keep the largest.
+// the way up and keep the largest. The link comes first, so the collector
+// scans one word of a block, not all of it.
 type laneBlock struct {
-	entries [laneBlockSize]laneEntry
 	next    *laneBlock
+	entries [laneBlockSize]laneEntry
+}
+
+// laneFreeMax caps the drained blocks the process keeps for reuse: 512 KiB,
+// room for 13,056 queued arrivals.
+const laneFreeMax = 64
+
+// laneFree is a process-wide stack of drained lane blocks. A drained block
+// goes here instead of to the collector, and the next push that needs a
+// block takes it back, so the engines a sweep, a replica loop or a benchmark
+// builds one after another offer their traffic into blocks that are already
+// in memory. A fresh block is a page the Go runtime may have returned to the
+// OS, and faulting it back in can cost more than the offers that fill it.
+// Engines of a parallel sweep share the stack; the lock is taken once per
+// block of 204 arrivals.
+var laneFree struct {
+	sync.Mutex
+	top *laneBlock
+	n   int
+}
+
+// newLaneBlock returns a block from the free stack, or a fresh one. A reused
+// block's entries are stale; the lane writes each before it reads it.
+func newLaneBlock() *laneBlock {
+	laneFree.Lock()
+	b := laneFree.top
+	if b != nil {
+		laneFree.top, b.next = b.next, nil
+		laneFree.n--
+	}
+	laneFree.Unlock()
+	if b == nil {
+		b = &laneBlock{}
+	}
+	return b
+}
+
+// freeLaneBlock pushes a drained block onto the free stack, or leaves it to
+// the collector when the stack is full.
+func freeLaneBlock(b *laneBlock) {
+	laneFree.Lock()
+	if laneFree.n < laneFreeMax {
+		b.next, laneFree.top = laneFree.top, b
+		laneFree.n++
+	}
+	laneFree.Unlock()
 }
 
 // lane is the engine's arrival queue, beside the timing wheel. Offered
 // traffic waits here as compact records rather than as wheel nodes, so the engine's node pool only ever holds the events in
-// flight. The block storage, released as it drains, holds only pushes made
+// flight. The block storage, given back as it drains, holds only pushes made
 // in time order; an out-of-order push goes to the late heap, a plain slice
 // freed only when it is empty, so sources should push in time order (or
 // nearly so) to keep the lane's memory bounded by its blocks.
@@ -101,7 +150,7 @@ func (e *Engine) Arrive(at Time, a Arrival) {
 		return
 	}
 	if l.tail == nil || l.ti == laneBlockSize {
-		b := &laneBlock{}
+		b := newLaneBlock()
 		if l.tail == nil {
 			l.head, l.hi = b, 0
 		} else {
@@ -138,8 +187,10 @@ func (l *lane) pop() laneEntry {
 	switch {
 	case b == l.tail && l.hi == l.ti:
 		l.head, l.tail, l.hi, l.ti = nil, nil, 0, 0
+		freeLaneBlock(b)
 	case l.hi == laneBlockSize:
 		l.head, l.hi = b.next, 0
+		freeLaneBlock(b)
 	}
 	return ent
 }

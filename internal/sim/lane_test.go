@@ -203,6 +203,29 @@ func TestLaneReleasesDrainedStorage(t *testing.T) {
 	}
 }
 
+// A drained block goes to the process's free stack and the next engine's
+// pushes take it back: once one run has drained, offering three blocks of
+// arrivals allocates no more than offering one arrival.
+func TestLaneReuseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race adds allocations of its own")
+	}
+	offer := func(n int) func() {
+		return func() {
+			e := NewEngine()
+			e.HandleArrivals(new(countArrivals), []string{"a"})
+			for i := 0; i < n; i++ {
+				e.Arrive(Time(i), Arrival{ID: i, Size: 1})
+			}
+			e.RunAll()
+		}
+	}
+	one := testing.AllocsPerRun(20, offer(1))
+	if many := testing.AllocsPerRun(20, offer(3*laneBlockSize)); many != one {
+		t.Fatalf("offering %d arrivals: %v allocs/op, want %v as for one", 3*laneBlockSize, many, one)
+	}
+}
+
 func TestArrivePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.HandleArrivals(new(countArrivals), []string{"a"})
