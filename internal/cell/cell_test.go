@@ -219,15 +219,16 @@ func TestGrantFreeCellAllocs(t *testing.T) {
 		UEs: 128, Mode: ModeGrantFree, Cycles: 16, Period: 20 * time.Millisecond,
 		Jitter: time.Millisecond, CGUnits: 12, CGBackoffSlots: 8, Seed: 1,
 	})
-	// Measured: 469, about 0.23 per packet: the set-up, one context chunk
-	// per 8 packets and the fleet sort's 3 per cycle (479 while every op's
+	// Measured: 227, about 0.11 per packet: the set-up, one context chunk
+	// per 8 packets in flight at the peak and the fleet sort's 3 per cycle
+	// (469 while every packet's context was carved anew, 479 while every op's
 	// arrival lane allocated its blocks, 756 while each
 	// machine's jitter stream and each UE's contention stream was its own
 	// allocation and every fleet cycle allocated its packets; 6648 while every packet allocated its payload,
 	// its context and the context's bound handler; 6692 or 6694 before the
 	// bookings left the map and the Table 2 accumulators moved into the
 	// System).
-	const want = 469
+	const want = 227
 	if got != want {
 		t.Errorf("grant-free cell op: %v allocs, want %d", got, want)
 	}
@@ -240,12 +241,13 @@ func TestDynamicCellAllocs(t *testing.T) {
 	got := cellOpAllocs(t, Config{
 		UEs: 500, Cycles: 4, Period: 20 * time.Millisecond, Jitter: time.Millisecond, Seed: 1,
 	})
-	// Measured: 529, about 0.26 per packet: the set-up, one context chunk
-	// per 8 packets and the fleet sort's 3 per cycle (539 while every op's
+	// Measured: 312, about 0.16 per packet: the set-up, one context chunk
+	// per 8 packets in flight at the peak and the fleet sort's 3 per cycle
+	// (529 while every packet's context was carved anew, 539 while every op's
 	// arrival lane allocated its blocks, 1043 while each
 	// machine's jitter stream was its own allocation and every fleet cycle
 	// allocated its packets).
-	const want = 529
+	const want = 312
 	if got != want {
 		t.Errorf("dynamic cell op: %v allocs, want %d", got, want)
 	}

@@ -380,8 +380,9 @@ func (s *System) stampSlot(b sim.Time, plan sched.Plan, queueDepth int) {
 type dlStep uint8
 
 const (
-	dlGNBDown dlStep = iota // at the gNB: SDAP↓/PDCP↓/RLC↓ processing
-	dlEnqueue               // processing done: into the RLC queue
+	dlGNBDown  dlStep = iota // at the gNB: SDAP↓/PDCP↓/RLC↓ processing
+	dlEnqueue                // processing done: into the RLC queue
+	dlReleased               // poisoned: the context is back in its pool
 )
 
 // dlStepName is each step's engine event name.
@@ -409,6 +410,8 @@ func (p *dlPacket) Fire() {
 		s.gnbRLC.Enqueue(rlcQueued(p))
 		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeEnqueued,
 			Time: now, Arg: int64(len(s.gnbRLC.Peek()))})
+	default:
+		panic("node: event fired for a released DL packet context")
 	}
 }
 
@@ -434,7 +437,7 @@ func (s *System) OfferDLAs(ue int, at sim.Time, size int) int {
 // reaches the UPF; GTP-U encapsulation and N3 forwarding start.
 func (s *System) dlArrive(a sim.Arrival) {
 	now := s.Eng.Now()
-	p := carve(&s.dlChunk)
+	p := s.dlPool.get()
 	*p = dlPacket{s: s, id: a.ID, ue: a.UE, size: a.Size, offered: now}
 	if s.dlItems == nil {
 		s.dlItems = map[int]*dlPacket{}
@@ -798,8 +801,13 @@ func (s *System) dlDecode(tb *dlTB) []bool {
 	return ok
 }
 
+// finishDL resolves a DL packet and, as its last act, recycles the
+// packet's context: the caller must not touch p afterwards.
 func (s *System) finishDL(p *dlPacket, at sim.Time, ok bool) {
 	if p == nil || p.done {
+		if p != nil && p.next == dlReleased {
+			panic("node: finishDL on a released DL packet context")
+		}
 		return
 	}
 	p.done = true
@@ -817,4 +825,8 @@ func (s *System) finishDL(p *dlPacket, at sim.Time, ok bool) {
 	})
 	s.audit(p.id, p.ue, obs.DirDL, ok, lat, p.attempts+1, p.by)
 	s.onDLDelivered(p.id, lat, ok)
+	if obs.PoisonEnabled {
+		*p = dlPacket{s: s, id: obs.PoisonPacket, done: true, next: dlReleased}
+	}
+	recycle(s, &s.dlPool, p)
 }

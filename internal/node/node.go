@@ -8,6 +8,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -251,11 +252,11 @@ type System struct {
 	// instant (the System is the ticker's handler).
 	tickAt sim.Time
 
-	// Packet contexts are carved from these chunks (carve), and app is the
-	// one buffer stamp writes application bytes into.
-	ulChunk []ulPacket
-	dlChunk []dlPacket
-	app     []byte
+	// Packet contexts come from these pools (pool.get), and app is the one
+	// buffer stamp writes application bytes into.
+	ulPool pool[ulPacket]
+	dlPool pool[dlPacket]
+	app    []byte
 
 	// DL data-plane workspaces: pooled transport-block contexts, and
 	// transmitDL's and dlDecode's per-block scratch.
@@ -287,7 +288,7 @@ type dlPacket struct {
 	enqueued sim.Time // RLC queue entry (RLC-q starts here)
 	attempts int
 	by       core.Tally // journey time per latency source, folded by seg
-	done     bool       // finishDL ran: later resolutions are ignored
+	done     bool       // finishDL ran: the context is released until reused
 	next     dlStep     // the pending event, until the packet is queued
 }
 
@@ -313,18 +314,43 @@ func (s *System) Arrive(a sim.Arrival) {
 // ctxChunk is how many packet contexts one allocation holds.
 const ctxChunk = 8
 
-// carve returns the next zeroed context of *chunk, allocating a fresh chunk
-// of ctxChunk when it is used up. A context is never reused: the collector
-// frees a chunk once its last packet is unreachable, so a finished packet
-// needs no lifetime bookkeeping, and a resolution that reaches it late
-// still finds it done.
-func carve[T any](chunk *[]T) *T {
-	if len(*chunk) == 0 {
-		*chunk = make([]T, ctxChunk)
+// pool recycles one kind of packet context. get takes a released context,
+// and carves a fresh chunk of ctxChunk only when none is free, so a run
+// allocates for its packets in flight, not for every packet offered. A
+// context goes back (recycle) as the last act of its packet's finishUL or
+// finishDL, when no event, SR pairing or map refers to it any more: later
+// resolutions reach DL packets by id through dlItems, where a finished id
+// finds nil, and a UL packet is referred to only by its one pending event
+// or its SR pairing, neither of which outlives it.
+type pool[T any] struct {
+	chunk []T  // the rest of the chunk being carved
+	free  []*T // released contexts
+}
+
+// get returns a context for the caller to overwrite whole.
+func (pl *pool[T]) get() *T {
+	if n := len(pl.free); n > 0 {
+		p := pl.free[n-1]
+		pl.free = pl.free[:n-1]
+		return p
 	}
-	p := &(*chunk)[0]
-	*chunk = (*chunk)[1:]
+	if len(pl.chunk) == 0 {
+		pl.chunk = make([]T, ctxChunk)
+	}
+	p := &pl.chunk[0]
+	pl.chunk = pl.chunk[1:]
 	return p
+}
+
+// recycle hands a finished packet's context back to pl. Once every offered
+// packet has resolved it drops both pools' free lists instead, so a drained
+// System keeps no more reachable than the rest of the chunks being carved.
+func recycle[T any](s *System, pl *pool[T], p *T) {
+	if len(s.results) == s.nextID {
+		s.ulPool.free, s.dlPool.free = nil, nil
+		return
+	}
+	pl.free = append(pl.free, p)
 }
 
 // stamp writes the application bytes of packet id, attributed to UE ue,
@@ -335,12 +361,17 @@ func carve[T any](chunk *[]T) *T {
 func (s *System) stamp(id, ue, size int) []byte {
 	b := slices.Grow(s.app[:0], size)[:size]
 	key := sim.SplitMix64(uint64(id)) ^ uint64(ue)
-	var w uint64
-	for i := range b {
-		if i%8 == 0 {
-			w = sim.SplitMix64(key + uint64(i))
+	// Byte i is byte i%8 of SplitMix64(key + i&^7), little-endian: whole
+	// words at once, the tail byte by byte.
+	n := size &^ 7
+	for i := 0; i < n; i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], sim.SplitMix64(key+uint64(i)))
+	}
+	if n < size {
+		w := sim.SplitMix64(key + uint64(n))
+		for i := n; i < size; i++ {
+			b[i] = byte(w >> (8 * (i - n)))
 		}
-		b[i] = byte(w >> (8 * (i % 8)))
 	}
 	s.app = b
 	return b

@@ -19,6 +19,31 @@ func delivered(s *System) map[int]bool {
 	return m
 }
 
+// stamp writes byte i as byte i%8, little-endian, of SplitMix64(key +
+// i&^7), whatever the size's remainder mod 8: the reference here computes
+// every byte alone.
+func TestStampBytes(t *testing.T) {
+	cfg := testbedConfig(t, false, 3)
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range []struct{ id, ue int }{{0, 0}, {1, 0}, {7, 3}, {1 << 40, 499}} {
+		key := sim.SplitMix64(uint64(pk.id)) ^ uint64(pk.ue)
+		for size := 0; size <= 41; size++ {
+			got := s.stamp(pk.id, pk.ue, size)
+			if len(got) != size {
+				t.Fatalf("stamp(%d, %d, %d) has %d bytes", pk.id, pk.ue, size, len(got))
+			}
+			for i, c := range got {
+				if want := byte(sim.SplitMix64(key+uint64(i&^7)) >> (8 * (i % 8))); c != want {
+					t.Fatalf("stamp(%d, %d, %d)[%d] = %#x, want %#x", pk.id, pk.ue, size, i, c, want)
+				}
+			}
+		}
+	}
+}
+
 // A UL transport block credited to another packet of the same size and UE
 // fails the delivery check at the UPF: each packet's bytes are its own
 // stamp, so the decoded bytes of packet 0 are not packet 1's. Packets 0 and
@@ -106,8 +131,8 @@ type chunkWatch struct {
 	freed  atomic.Int64
 }
 
-// watch registers the chunk behind chunk when carve has just allocated it:
-// its first context is taken, so the slice starts at the second.
+// watch registers the chunk behind chunk when get has just carved it: its
+// first context is taken, so the slice starts at the second.
 func watch[T any](w *chunkWatch, chunk []T) {
 	if cap(chunk) != ctxChunk-1 {
 		return
@@ -123,12 +148,30 @@ func watch[T any](w *chunkWatch, chunk []T) {
 	runtime.SetFinalizer(first, func(*T) { w.freed.Add(1) })
 }
 
-// A drained System keeps at most one context chunk per direction reachable:
-// no event node, lane record, SR pairing or map holds a finished packet, so
-// every chunk but the one being carved is garbage. The run opens with a
-// burst, so the engine's node pool and the SR pairing grow past what the
-// sparse traffic after it reuses: a stale reference in either would keep
-// one of the burst's chunks alive.
+// arrivalCount forwards the engine's arrivals to the System and counts them
+// by direction.
+type arrivalCount struct {
+	s      *System
+	ul, dl int
+}
+
+func (c *arrivalCount) Arrive(a sim.Arrival) {
+	if a.Kind == arriveUL {
+		c.ul++
+	} else {
+		c.dl++
+	}
+	c.s.Arrive(a)
+}
+
+// A run carves context chunks for its packets in flight, not for every
+// packet offered: each direction carves ⌈peak in flight / ctxChunk⌉ chunks.
+// A drained System keeps at most one chunk per direction reachable: no
+// event node, lane record, SR pairing, map or free list holds a finished
+// packet, so every chunk but the one being carved is garbage. The run opens
+// with a burst, so the engine's node pool, the SR pairing and the context
+// free lists grow past what the sparse traffic after it reuses: a stale
+// reference in any of them would keep one of the burst's chunks alive.
 func TestDrainedContextChunkAllocs(t *testing.T) {
 	cfg := testbedConfig(t, false, 5)
 	period := cfg.Grid.Period()
@@ -142,17 +185,33 @@ func TestDrainedContextChunkAllocs(t *testing.T) {
 		s.OfferUL(at, cfg.PayloadBytes)
 		s.OfferDL(at.Add(period/2), cfg.PayloadBytes)
 	}
+	arrived := &arrivalCount{s: s}
+	s.Eng.HandleArrivals(arrived, arrivalName)
 	var ul, dl chunkWatch
+	var ulDone, dlDone, ulPeak, dlPeak int
 	for s.Eng.Step() && len(s.Results()) < 2*n {
-		watch(&ul, s.ulChunk)
-		watch(&dl, s.dlChunk)
+		watch(&ul, s.ulPool.chunk)
+		watch(&dl, s.dlPool.chunk)
+		for _, r := range s.Results()[ulDone+dlDone:] {
+			if r.Uplink {
+				ulDone++
+			} else {
+				dlDone++
+			}
+		}
+		ulPeak = max(ulPeak, arrived.ul-ulDone)
+		dlPeak = max(dlPeak, arrived.dl-dlDone)
 	}
 	if len(s.Results()) != 2*n {
 		t.Fatalf("%d of %d packets resolved", len(s.Results()), 2*n)
 	}
-	if ul.carved != n/ctxChunk || dl.carved != n/ctxChunk {
-		t.Fatalf("carved %d UL and %d DL chunks, want %d each", ul.carved, dl.carved, n/ctxChunk)
+	chunks := func(peak int) int { return (peak + ctxChunk - 1) / ctxChunk }
+	if ulPeak < burst || ul.carved != chunks(ulPeak) || dl.carved != chunks(dlPeak) {
+		t.Fatalf("carved %d UL and %d DL chunks for %d and %d packets in flight at peak, want %d and %d",
+			ul.carved, dl.carved, ulPeak, dlPeak, chunks(ulPeak), chunks(dlPeak))
 	}
+	t.Logf("carved %d UL and %d DL chunks for %d and %d packets in flight at peak (%d each offered)",
+		ul.carved, dl.carved, ulPeak, dlPeak, n)
 	retained := func() (int, int) {
 		return ul.carved - int(ul.freed.Load()), dl.carved - int(dl.freed.Load())
 	}

@@ -23,11 +23,12 @@ const ulKind = nr.SymUL
 type ulStep uint8
 
 const (
-	ulReady   ulStep = iota // data in the UE RLC queue: SR or configured grant
-	ulSRRecv                // the gNB decoded the packet's SR
-	ulGrant                 // the UE decoded the packet's grant
-	ulRx                    // the TB's reception at the gNB ends
-	ulDeliver               // gNB stack and core done: the packet is at the UPF
+	ulReady    ulStep = iota // data in the UE RLC queue: SR or configured grant
+	ulSRRecv                 // the gNB decoded the packet's SR
+	ulGrant                  // the UE decoded the packet's grant
+	ulRx                     // the TB's reception at the gNB ends
+	ulDeliver                // gNB stack and core done: the packet is at the UPF
+	ulReleased               // poisoned: the context is back in its pool
 )
 
 // ulStepName is each step's engine event name.
@@ -48,7 +49,7 @@ type ulPacket struct {
 	srRecvAt sim.Time // gNB finished decoding this packet's SR
 	attempts int
 	by       core.Tally // journey time per latency source, folded by seg
-	done     bool       // finishUL ran: later resolutions are ignored
+	done     bool       // finishUL ran: the context is released until reused
 	next     ulStep     // the pending event
 	lost     bool       // the PHY lost the TB in flight
 
@@ -97,6 +98,8 @@ func (p *ulPacket) Fire() {
 		s.ulReceived(p)
 	case ulDeliver:
 		s.ulDeliver(p)
+	default:
+		panic("node: event fired for a released UL packet context")
 	}
 }
 
@@ -129,7 +132,7 @@ func (s *System) OfferULAs(ue int, at sim.Time, size int) int {
 // ① UE APP↓ (SDAP/PDCP/RLC processing) runs before the MAC can act.
 func (s *System) ulArrive(a sim.Arrival) {
 	now := s.Eng.Now()
-	p := carve(&s.ulChunk)
+	p := s.ulPool.get()
 	*p = ulPacket{s: s, id: a.ID, ue: a.UE, size: a.Size, offered: now, cgUnit: -1}
 	d := s.sampleUE(proc.LayerSDAP) + s.sampleUE(proc.LayerPDCP) + s.sampleUE(proc.LayerRLC)
 	s.seg(&p.by, p.id, obs.DirUL, obs.LayerStack, "① UE APP↓", core.Processing, now, d)
@@ -499,8 +502,13 @@ func (s *System) ulDecode(p *ulPacket) bool {
 	return ok
 }
 
+// finishUL resolves a UL packet and, as its last act, recycles the
+// packet's context: the caller must not touch p afterwards.
 func (s *System) finishUL(p *ulPacket, at sim.Time, ok bool) {
 	if p == nil || p.done {
+		if p != nil && p.next == ulReleased {
+			panic("node: finishUL on a released UL packet context")
+		}
 		return
 	}
 	p.done = true
@@ -517,4 +525,8 @@ func (s *System) finishUL(p *ulPacket, at sim.Time, ok bool) {
 	})
 	s.audit(p.id, p.ue, obs.DirUL, ok, lat, p.attempts+1, p.by)
 	s.onULDelivered(p.id, at, ok)
+	if obs.PoisonEnabled {
+		*p = ulPacket{s: s, id: obs.PoisonPacket, done: true, next: ulReleased}
+	}
+	recycle(s, &s.ulPool, p)
 }

@@ -44,9 +44,14 @@ func TestRecorderSpans(t *testing.T) {
 	}
 }
 
+// funcSink is a plain func(Time, string) hook as a sim.EngineSink.
+type funcSink func(t sim.Time, name string)
+
+func (f funcSink) EngineEvent(t sim.Time, name string) { f(t, name) }
+
 // TestEngineSinkAndLegacyTracer proves that a plain func(Time, string) hook
-// mounted on the engine's Sink through TracerFunc sees every fired event:
-// names, times and same-instant FIFO order.
+// mounted on the engine's Sink sees every fired event: names, times and
+// same-instant FIFO order.
 func TestEngineSinkAndLegacyTracer(t *testing.T) {
 	eng := sim.NewEngine()
 	type fired struct {
@@ -54,7 +59,7 @@ func TestEngineSinkAndLegacyTracer(t *testing.T) {
 		name string
 	}
 	var hooked []fired
-	eng.Sink = TracerFunc(func(t sim.Time, name string) { hooked = append(hooked, fired{t, name}) })
+	eng.Sink = funcSink(func(t sim.Time, name string) { hooked = append(hooked, fired{t, name}) })
 
 	eng.After(sim.Microsecond, "a", func() {})
 	eng.After(2*sim.Microsecond, "b", func() {

@@ -13,7 +13,7 @@ import (
 // toyRun schedules a small event mix on a fresh engine and runs it under a
 // profiler: two event types plus a nested reschedule so the queue depth
 // moves.
-func toyRun(t *testing.T) (*sim.Engine, *Report) {
+func toyRun(t testing.TB) (*sim.Engine, *Report) {
 	t.Helper()
 	eng := sim.NewEngine()
 	p := Attach(eng)
@@ -113,10 +113,15 @@ func TestFinishIdempotentAndDetaches(t *testing.T) {
 	}
 }
 
+// funcSink is a plain func(Time, string) hook as a sim.EngineSink.
+type funcSink func(t sim.Time, name string)
+
+func (f funcSink) EngineEvent(t sim.Time, name string) { f(t, name) }
+
 func TestAttachWrapsExistingSink(t *testing.T) {
 	eng := sim.NewEngine()
 	var seen []string
-	eng.Sink = obs.TracerFunc(func(_ sim.Time, name string) { seen = append(seen, name) })
+	eng.Sink = funcSink(func(_ sim.Time, name string) { seen = append(seen, name) })
 	p := Attach(eng)
 	eng.Schedule(0, "a", sim.Func(func() {}))
 	eng.Schedule(1000, "b", sim.Func(func() {}))
@@ -158,6 +163,62 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzProfileJSONLRoundTrip: any stream ReadJSONL accepts re-encodes
+// through Report.WriteJSONL into a stream that reads back to as many
+// reports, and encoding those again is byte-identical.
+func FuzzProfileJSONLRoundTrip(f *testing.F) {
+	var all bytes.Buffer
+	_, toy := toyRun(f)
+	for _, r := range []*Report{toy, meterRun(f)} {
+		var buf bytes.Buffer
+		if err := r.WriteJSONL(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		all.Write(buf.Bytes())
+	}
+	f.Add(all.Bytes())
+	head := `{"kind":"profile","schema":"` + ReportSchema + `"`
+	for _, s := range []string{
+		head + `}`,
+		head + `,"event_types":[],"obs":{"categories":[]}}`,
+		head + `,"event_types":null,"obs":null,"events":18446744073709551615,"share":-0}`,
+		head + `,"event_types":[{"key":"a\u00e9\ud800","count":1,"share":1e-300}]}`,
+		`{"kind":"span","packet":1}` + "\n" + head + `,"wall_ns":-1,"sim_wall_ratio":5e-324}`,
+	} {
+		if _, err := ReadJSONL(strings.NewReader(s)); err != nil {
+			f.Fatalf("seed %s: %v", s, err)
+		}
+		f.Add([]byte(s))
+	}
+	write := func(t *testing.T, reps []*Report) []byte {
+		var buf bytes.Buffer
+		for _, r := range reps {
+			if err := r.WriteJSONL(&buf); err != nil {
+				t.Fatalf("WriteJSONL: %v", err)
+			}
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc := write(t, first)
+		second, err := ReadJSONL(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-read of the writer's output: %v\n%s", err, enc)
+		}
+		if len(second) != len(first) {
+			t.Fatalf("re-read %d reports, want %d", len(second), len(first))
+		}
+		if again := write(t, second); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding differs:\n%s\nvs\n%s", again, enc)
+		}
+	})
+}
+
 func TestMarkdownTable(t *testing.T) {
 	_, r := toyRun(t)
 	md := r.MarkdownTable()
@@ -191,7 +252,7 @@ func TestPublish(t *testing.T) {
 
 // meterRun is toyRun with an obs recorder metered via MeterObs, so the
 // report carries the observer-tax section.
-func meterRun(t *testing.T) *Report {
+func meterRun(t testing.TB) *Report {
 	t.Helper()
 	eng := sim.NewEngine()
 	p := Attach(eng)

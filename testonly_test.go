@@ -54,7 +54,7 @@ var testOnlyAllowed = map[string]string{
 	"internal/obs.Recorder.Reset":      "reuse of one recorder across runs: the recycled-recorder allocation gates of TestTracingOverheadInterleaved and TestCellObserverTax measure a warmed recorder through it",
 
 	// Renderings for diagnostics, each pinned by its own test.
-	"internal/obs.TracerFunc":             "adapts a plain func to sim.EngineSink, mounted by benchmark/benchmark_test.go and the obs tests; goes with ROADMAP item 3's next benchmark change",
+	"internal/obs.TracerFunc":             "adapts a plain func to sim.EngineSink for benchmark/benchmark_test.go's TestSinkForwards alone; goes with ROADMAP item 3's next benchmark change",
 	"internal/obs.TracerFunc.EngineEvent": "the adapter's sim.EngineSink method",
 
 	// Engine controls the benchmark module's tests and the engine tests drive.

@@ -63,7 +63,9 @@ func TestTracedCellOpAllocs(t *testing.T) {
 		runtime.GC()
 		op()
 	}) - gc
-	const want = 1015
+	// 798 since packet contexts are recycled (1,015 while every packet's
+	// context was carved anew).
+	const want = 798
 	if got != want {
 		t.Errorf("cell-traced op: %v allocs, want %d", got, want)
 	}
