@@ -398,14 +398,15 @@ func (p *dlPacket) schedule(at sim.Time, next dlStep) {
 // engine's clock.
 func (p *dlPacket) Fire() {
 	s := p.s
-	now := s.Eng.Now()
 	switch p.next {
 	case dlGNBDown:
 		// gNB SDAP↓ / PDCP↓ / RLC↓ processing (⑧ in Fig. 3).
+		now := s.Eng.Now()
 		d := s.sampleGNB(proc.LayerSDAP) + s.sampleGNB(proc.LayerPDCP) + s.sampleGNB(proc.LayerRLC)
 		s.seg(&p.by, p.id, obs.DirDL, obs.LayerStack, "⑧ gNB SDAP↓", core.Processing, now, d)
 		p.schedule(now.Add(d), dlEnqueue)
 	case dlEnqueue:
+		now := s.Eng.Now()
 		p.enqueued = now
 		s.gnbRLC.Enqueue(rlcQueued(p))
 		s.obs.Edge(obs.Edge{Packet: p.id, Dir: obs.DirDL, Kind: obs.EdgeEnqueued,
@@ -466,7 +467,7 @@ var tbStepName = [...]string{
 
 // dlTB is one DL transport block in flight, from the scheduling instant
 // that took its packets off the RLC queue to their delivery, loss or
-// requeue. Contexts are pooled (System.tbFree) and are their own handlers,
+// requeue. Contexts are pooled (System.tbPool) and are their own handlers,
 // so a steady-state block allocates nothing. A block has at most one event
 // pending.
 type dlTB struct {
@@ -508,21 +509,18 @@ func (tb *dlTB) Fire() {
 
 // newTB takes a transport-block context from the pool.
 func (s *System) newTB(target sim.Time) *dlTB {
-	var tb *dlTB
-	if n := len(s.tbFree); n > 0 {
-		tb, s.tbFree = s.tbFree[n-1], s.tbFree[:n-1]
-	} else {
-		tb = &dlTB{s: s}
-	}
-	tb.target = target
+	tb := s.tbPool.get()
+	tb.s, tb.target = s, target
 	return tb
 }
 
 // freeTB returns a block's context to the pool once no event of its is
-// pending.
+// pending. The context keeps its ids/segs capacity, and the free list is
+// never dropped: a System holds its peak of blocks in flight, rounded up
+// to a chunk.
 func (s *System) freeTB(tb *dlTB) {
 	tb.ids, tb.segs, tb.rx, tb.lost = tb.ids[:0], tb.segs[:0], nil, false
-	s.tbFree = append(s.tbFree, tb)
+	s.tbPool.free = append(s.tbPool.free, tb)
 }
 
 // launchDL starts the MAC→PHY→radio pipeline for the packets taken at
@@ -804,13 +802,12 @@ func (s *System) dlDecode(tb *dlTB) []bool {
 // finishDL resolves a DL packet and, as its last act, recycles the
 // packet's context: the caller must not touch p afterwards.
 func (s *System) finishDL(p *dlPacket, at sim.Time, ok bool) {
-	if p == nil || p.done {
-		if p != nil && p.next == dlReleased {
-			panic("node: finishDL on a released DL packet context")
-		}
+	if p == nil {
 		return
 	}
-	p.done = true
+	if obs.PoisonEnabled && p.next == dlReleased {
+		panic("node: finishDL on a released DL packet context")
+	}
 	delete(s.dlItems, p.id)
 	lat := at.Sub(p.offered)
 	if ok {
@@ -826,7 +823,7 @@ func (s *System) finishDL(p *dlPacket, at sim.Time, ok bool) {
 	s.audit(p.id, p.ue, obs.DirDL, ok, lat, p.attempts+1, p.by)
 	s.onDLDelivered(p.id, lat, ok)
 	if obs.PoisonEnabled {
-		*p = dlPacket{s: s, id: obs.PoisonPacket, done: true, next: dlReleased}
+		*p = dlPacket{id: obs.PoisonPacket, next: dlReleased}
 	}
 	recycle(s, &s.dlPool, p)
 }

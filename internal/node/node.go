@@ -260,7 +260,7 @@ type System struct {
 
 	// DL data-plane workspaces: pooled transport-block contexts, and
 	// transmitDL's and dlDecode's per-block scratch.
-	tbFree []*dlTB
+	tbPool pool[dlTB]
 	dlEnc  []byte
 	dlPDUs [][]byte
 	dlOK   []bool
@@ -288,7 +288,6 @@ type dlPacket struct {
 	enqueued sim.Time // RLC queue entry (RLC-q starts here)
 	attempts int
 	by       core.Tally // journey time per latency source, folded by seg
-	done     bool       // finishDL ran: the context is released until reused
 	next     dlStep     // the pending event, until the packet is queued
 }
 
@@ -311,23 +310,27 @@ func (s *System) Arrive(a sim.Arrival) {
 	}
 }
 
-// ctxChunk is how many packet contexts one allocation holds.
+// ctxChunk is how many packet contexts one allocation holds. Transport
+// blocks are carved one at a time: a testbed run has two in flight at its
+// peak, and a chunk of 8 would keep six idle blocks reachable after it.
 const ctxChunk = 8
 
-// pool recycles one kind of packet context. get takes a released context,
-// and carves a fresh chunk of ctxChunk only when none is free, so a run
-// allocates for its packets in flight, not for every packet offered. A
-// context goes back (recycle) as the last act of its packet's finishUL or
-// finishDL, when no event, SR pairing or map refers to it any more: later
+// pool recycles one kind of context. get takes a released context, and
+// carves a fresh chunk of per only when none is free, so a run allocates
+// for its contexts in flight, not for every packet offered. A packet's
+// context goes back (recycle) as the last act of its finishUL or finishDL,
+// when no event, SR pairing or map refers to it any more: later
 // resolutions reach DL packets by id through dlItems, where a finished id
 // finds nil, and a UL packet is referred to only by its one pending event
-// or its SR pairing, neither of which outlives it.
+// or its SR pairing, neither of which outlives it. A transport block's
+// context goes back through freeTB.
 type pool[T any] struct {
+	per   int  // contexts carved per allocation
 	chunk []T  // the rest of the chunk being carved
 	free  []*T // released contexts
 }
 
-// get returns a context for the caller to overwrite whole.
+// get returns a released context as it was released, or a zeroed one.
 func (pl *pool[T]) get() *T {
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
@@ -335,7 +338,7 @@ func (pl *pool[T]) get() *T {
 		return p
 	}
 	if len(pl.chunk) == 0 {
-		pl.chunk = make([]T, ctxChunk)
+		pl.chunk = make([]T, pl.per)
 	}
 	p := &pl.chunk[0]
 	pl.chunk = pl.chunk[1:]
@@ -446,6 +449,9 @@ func NewSystem(cfg Config) (*System, error) {
 		ueMACRx:   &stack.MAC{LCID: 4},
 		ueMAC:     &stack.MAC{LCID: 4},
 		gnbMACRx:  &stack.MAC{LCID: 4},
+		ulPool:    pool[ulPacket]{per: ctxChunk},
+		dlPool:    pool[dlPacket]{per: ctxChunk},
+		tbPool:    pool[dlTB]{per: 1},
 		obs:       cfg.Obs,
 	}
 	s.h = newObsHandles(s.obs)

@@ -49,7 +49,6 @@ type ulPacket struct {
 	srRecvAt sim.Time // gNB finished decoding this packet's SR
 	attempts int
 	by       core.Tally // journey time per latency source, folded by seg
-	done     bool       // finishUL ran: the context is released until reused
 	next     ulStep     // the pending event
 	lost     bool       // the PHY lost the TB in flight
 
@@ -505,13 +504,9 @@ func (s *System) ulDecode(p *ulPacket) bool {
 // finishUL resolves a UL packet and, as its last act, recycles the
 // packet's context: the caller must not touch p afterwards.
 func (s *System) finishUL(p *ulPacket, at sim.Time, ok bool) {
-	if p == nil || p.done {
-		if p != nil && p.next == ulReleased {
-			panic("node: finishUL on a released UL packet context")
-		}
-		return
+	if obs.PoisonEnabled && p.next == ulReleased {
+		panic("node: finishUL on a released UL packet context")
 	}
-	p.done = true
 	lat := at.Sub(p.offered)
 	if ok {
 		s.h.delivered.Inc()
@@ -526,7 +521,7 @@ func (s *System) finishUL(p *ulPacket, at sim.Time, ok bool) {
 	s.audit(p.id, p.ue, obs.DirUL, ok, lat, p.attempts+1, p.by)
 	s.onULDelivered(p.id, at, ok)
 	if obs.PoisonEnabled {
-		*p = ulPacket{s: s, id: obs.PoisonPacket, done: true, next: ulReleased}
+		*p = ulPacket{id: obs.PoisonPacket, next: ulReleased}
 	}
 	recycle(s, &s.ulPool, p)
 }

@@ -35,15 +35,6 @@ func appendMetaLine(b []byte, r *Recorder) ([]byte, error) {
 	return append(b, "}\n"...), nil
 }
 
-// appendName appends a Dir, Layer or Source name as a JSON string. Every
-// such name is plain ASCII that JSON needs no escape for
-// (TestEnumNamesNeedNoEscape), so it skips jsonl.AppendString's scan.
-func appendName(b []byte, name string) []byte {
-	b = append(b, '"')
-	b = append(b, name...)
-	return append(b, '"')
-}
-
 // appendSpanLine / appendOutcomeLine append one record's JSONL line, shared
 // by the batch and streaming writers so the two cannot drift. Times are µs,
 // the paper's unit, printed exactly (jsonl.AppendMicros).
@@ -51,13 +42,13 @@ func appendSpanLine(b []byte, s *Span) []byte {
 	b = append(b, `{"kind":"span","packet":`...)
 	b = jsonl.AppendInt(b, s.Packet)
 	b = append(b, `,"dir":`...)
-	b = appendName(b, s.Dir.String())
+	b = jsonl.AppendString(b, s.Dir.String())
 	b = append(b, `,"layer":`...)
-	b = appendName(b, s.Layer.String())
+	b = jsonl.AppendString(b, s.Layer.String())
 	b = append(b, `,"step":`...)
 	b = jsonl.AppendString(b, s.Step)
 	b = append(b, `,"source":`...)
-	b = appendName(b, s.Source.String())
+	b = jsonl.AppendString(b, s.Source.String())
 	b = append(b, `,"start_us":`...)
 	b = jsonl.AppendMicros(b, int64(s.Start))
 	b = append(b, `,"dur_us":`...)
@@ -73,7 +64,7 @@ func appendOutcomeLine(b []byte, o *Outcome) []byte {
 	b = append(b, `,"ue":`...)
 	b = jsonl.AppendInt(b, o.UE)
 	b = append(b, `,"dir":`...)
-	b = appendName(b, o.Dir.String())
+	b = jsonl.AppendString(b, o.Dir.String())
 	b = append(b, `,"delivered":`...)
 	b = strconv.AppendBool(b, o.Delivered)
 	b = append(b, `,"latency_us":`...)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"urllcsim/internal/core"
-	"urllcsim/internal/obs/jsonl"
 	"urllcsim/internal/sim"
 )
 
@@ -216,27 +215,6 @@ func TestCSVEscape(t *testing.T) {
 	for _, c := range cases {
 		if got := csvEscape(c.in); got != c.want {
 			t.Fatalf("csvEscape(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-// Every name appendName writes, the out-of-range fallbacks included, comes
-// out of jsonl.AppendString unchanged but for its quotes: skipping the
-// escaping scan cannot change a byte.
-func TestEnumNamesNeedNoEscape(t *testing.T) {
-	var names []string
-	for d := DirNone; d <= DirDL+1; d++ {
-		names = append(names, d.String())
-	}
-	for l := Layer(0); l <= numLayers; l++ {
-		names = append(names, l.String())
-	}
-	for src := core.Source(0); int(src) <= core.NumSources; src++ {
-		names = append(names, src.String())
-	}
-	for _, n := range names {
-		if got, want := string(appendName(nil, n)), string(jsonl.AppendString(nil, n)); got != want {
-			t.Errorf("name %q: appendName writes %s, jsonl.AppendString %s", n, got, want)
 		}
 	}
 }
